@@ -226,13 +226,11 @@ func cmdReplay(args []string, stderr io.Writer) int {
 	var a *loadchar.Analysis
 	if ir != nil {
 		a, err = runner.ReplayAnalyze(context.Background(), prog, ir, *jobs)
-	} else if *jobs > 1 {
-		src := tr.ParallelEvents(prog, *jobs)
-		a, err = loadchar.AnalyzeParallel(context.Background(), prog, src)
-		src.Close()
 	} else {
 		a = loadchar.New(prog)
-		_, err = tr.Replay(context.Background(), prog, a)
+		if _, err = tr.Replay(context.Background(), prog, a); err == nil {
+			err = a.Err()
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "bioperf replay: %v\n", err)

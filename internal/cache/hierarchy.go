@@ -124,14 +124,17 @@ type Report struct {
 // paper reports load behaviour, so the L1 rate uses load accesses; the
 // L2 local rate uses all demand accesses at L2 (which are L1 misses).
 func (h *Hierarchy) LoadReport() Report {
-	s1 := h.l1.Stats()
-	s2 := h.l2.Stats()
+	return LoadReportOf(h.cfg.Lat, h.l1.Stats(), h.l2.Stats())
+}
+
+// LoadReportOf computes the Table 2 row from L1 and L2 counters and
+// the hierarchy's latencies, without a live hierarchy.
+func LoadReportOf(lat Latencies, s1, s2 Stats) Report {
 	r := Report{
 		L1Local: s1.LoadMissRate(),
 		L2Local: s2.LocalMissRate(),
 	}
 	r.Overall = r.L1Local * r.L2Local
-	lat := h.cfg.Lat
 	r.AMAT = float64(lat.L1) + r.L1Local*(float64(lat.L2)+r.L2Local*float64(lat.Mem))
 	return r
 }

@@ -35,8 +35,8 @@ const (
 	// SerialReasonRequested: the caller asked for at most one worker.
 	SerialReasonRequested = "requested"
 	// SerialReasonNoIndex: the trace predates the chunk index (format
-	// v1), so the column engine cannot seek and replay fell back to the
-	// fused in-order event loop.
+	// v1), so the column engine cannot seek and replay fell back to a
+	// live analysis fed the decoded events in order.
 	SerialReasonNoIndex = "no-index"
 	// SerialReasonGOMAXPROCS: worker count clamped to schedulable CPUs.
 	SerialReasonGOMAXPROCS = "gomaxprocs"
@@ -189,51 +189,54 @@ type bundle struct {
 // column through the paper hierarchy. With workers > 1 the predictor
 // and memory lanes split into exact shards (by branch PC and by cache
 // set partition) running on their own goroutines. The resulting
-// profile is byte-identical to the live five-pass analysis, pinned by
-// golden tests; the analysis is report-only (restored), like one
-// rebuilt from a Snapshot.
+// profile is byte-identical to the per-event reference passes, pinned by
+// golden tests; the analysis is report-only, like one rebuilt from a
+// Snapshot. With one worker the body is exactly a live analysis's:
+// New plus ObserveChunk per chunk.
 //
 // The configuration is pinned to the paper's (cache.PaperConfig,
 // bpred.NewPaperHybrid): the shard lanes' exactness proofs are tied to
 // that geometry, and it is the only configuration replay serves.
 func AnalyzeRuns(ctx context.Context, prog *isa.Program, src runstream.Source, workers int) (*Analysis, error) {
-	eng := newRunEngine(prog)
-	hcfg := cache.PaperConfig()
 	exec := Execution{RequestedWorkers: workers, Workers: workers}
 	if workers <= 1 {
 		exec.Workers = 1
 		exec.SerialReason = SerialReasonRequested
 	}
 
+	next := func() (*runstream.Chunk, func(), error) {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, fmt.Errorf("loadchar: run analysis: %w", err)
+		}
+		return src.Next()
+	}
+
 	if exec.Workers == 1 {
-		bp := newBpLane(1, 0)
-		mem := newMemLane(hcfg, len(prog.Insts), 1, 0)
-		ann := &chunkAnn{}
+		// The fused body is a live analysis fed chunks.
+		a := New(prog)
 		for {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("loadchar: run analysis: %w", err)
-			}
-			ch, release, err := src.Next()
+			ch, release, err := next()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				return nil, err
 			}
-			eng.processChunk(ch, ann)
-			bp.chunk(ch, ann)
-			mem.chunk(ch, ann)
+			a.ObserveChunk(ch)
 			if release != nil {
 				release()
 			}
 		}
-		return assembleAnalysis(prog, hcfg, eng, []*bpLane{bp}, []*memLane{mem}, exec), nil
+		a.seal(exec)
+		return a, nil
 	}
 
 	// Lane topology: the run lane runs here (it is the ordering spine);
 	// the remaining workers split between predictor shards and memory
 	// shards, memory-heavy because the cache walk dominates. The memory
 	// shard count must be a power of two within the set-partition limit.
+	eng := newRunEngine(prog)
+	hcfg := cache.PaperConfig()
 	w := exec.Workers
 	nb := (w - 1) / 3
 	if nb < 1 {
@@ -282,10 +285,7 @@ func AnalyzeRuns(ctx context.Context, prog *isa.Program, src runstream.Source, w
 
 	feed := func() error {
 		for {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("loadchar: run analysis: %w", err)
-			}
-			ch, release, err := src.Next()
+			ch, release, err := next()
 			if err == io.EOF {
 				return nil
 			}
@@ -309,40 +309,7 @@ func AnalyzeRuns(ctx context.Context, prog *isa.Program, src runstream.Source, w
 	if err != nil {
 		return nil, err
 	}
-	return assembleAnalysis(prog, hcfg, eng, bps, mems, exec), nil
-}
-
-// assembleAnalysis multiplies out the engine's characterization tables
-// and merges the shard lanes into a report-only Analysis, mirroring
-// FromSnapshot's construction.
-func assembleAnalysis(prog *isa.Program, hcfg cache.HierarchyConfig, eng *runEngine, bps []*bpLane, mems []*memLane, exec Execution) *Analysis {
-	a := &Analysis{prog: prog, restored: true, Exec: exec}
-	a.mix.init(len(prog.Insts))
-	a.dep.init(len(prog.Insts))
-	a.seq.init()
-	eng.finish(a)
-
-	per := make(map[int32]bpred.BranchStats)
-	var totalB bpred.BranchStats
-	for _, l := range bps {
-		l.sh.MergeInto(per, &totalB)
-		a.dep.fedBranchMiss += l.fedMiss
-	}
-	a.bp.bp = bpred.RestoreTracker(per, totalB)
-
-	a.cache.hier = cache.NewHierarchy(hcfg)
-	var l1, l2 cache.Stats
-	a.cache.l1miss = make([]uint64, len(prog.Insts))
-	for _, l := range mems {
-		l1.Add(l.hier.L1().Stats())
-		l2.Add(l.hier.L2().Stats())
-		for pc, v := range l.l1miss {
-			if v != 0 {
-				a.cache.l1miss[pc] += v
-			}
-		}
-	}
-	a.cache.hier.L1().SetStats(l1)
-	a.cache.hier.L2().SetStats(l2)
-	return a
+	a := &Analysis{prog: prog, Exec: exec}
+	a.assemble(eng, bps, mems)
+	return a, nil
 }

@@ -1,6 +1,7 @@
 package loadchar
 
 import (
+	"sync"
 	"testing"
 
 	"bioperfload/internal/bio"
@@ -305,5 +306,30 @@ func TestBranchesAccessor(t *testing.T) {
 	if exec != a.Mix().CondBranches {
 		t.Errorf("per-branch executions %d != total cond branches %d",
 			exec, a.Mix().CondBranches)
+	}
+}
+
+// TestConcurrentReportsAfterObserve: a finished live analysis is
+// rendered by many goroutines at once (a cached profile serving
+// concurrent requests); the first report assembles the tables, and
+// every render must see the same result.
+func TestConcurrentReportsAfterObserve(t *testing.T) {
+	a := analyze(t, "predator")
+	const n = 8
+	got := make([]string, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			got[i] = RenderProfile("predator", "test", a, 10)
+			a.Snapshot()
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if got[i] != got[0] {
+			t.Fatalf("concurrent render %d differs", i)
+		}
 	}
 }

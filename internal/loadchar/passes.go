@@ -1,192 +1,28 @@
 package loadchar
 
 import (
-	"bioperfload/internal/bpred"
-	"bioperfload/internal/cache"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/sim"
 )
 
-// The five component passes. Each is an independent sequential state
-// machine over the committed-instruction stream; together they produce
-// exactly the single-pass characterization. Their only coupling is
-// misBits: the predictor pass records each conditional branch's
-// mispredict outcome, which the dependence pass consumes in order.
+// The dependence and sequence machines: the only characterization
+// state that survives from one committed instruction to the next
+// besides the cache and predictor. The run engine steps them over
+// synthetic runs (runEngine.eval) and records what they report through
+// their rec hooks; it never feeds them branch outcomes or addresses,
+// which neither machine reads.
 
-// misBits is an append-only bitmap of conditional-branch mispredict
-// outcomes, one bit per dynamic conditional branch in stream order.
-type misBits struct {
-	words []uint64
-	n     int
-}
-
-func (b *misBits) reset() {
-	b.words = b.words[:0]
-	b.n = 0
-}
-
-func (b *misBits) push(mis bool) {
-	if b.n&63 == 0 {
-		b.words = append(b.words, 0)
-	}
-	if mis {
-		b.words[b.n>>6] |= 1 << (b.n & 63)
-	}
-	b.n++
-}
-
-func (b *misBits) at(i int) bool { return b.words[i>>6]&(1<<(i&63)) != 0 }
-
-// --- mix pass: instruction mix + per-static-load execution counts ---
-
-type mixPass struct {
-	classCounts [isa.NumClasses]uint64
-	fpCount     uint64
-	fpLoads     uint64
-	total       uint64
-	// counts is the dynamic execution count of each static load,
-	// indexed by PC. A dense slice beats a map here: the increment on
-	// every dynamic load is the pass's hot path.
-	counts []uint64
-}
-
-func (p *mixPass) init(nInsts int) { p.counts = make([]uint64, nInsts) }
-
-func (p *mixPass) observe(evs []sim.Event) {
-	for i := range evs {
-		op := evs[i].Inst.Op
-		cls := isa.ClassOf(op)
-		p.total++
-		p.classCounts[cls]++
-		if isa.IsFloat(op) {
-			p.fpCount++
-			if cls == isa.ClassLoad {
-				p.fpLoads++
-			}
-		}
-		if cls == isa.ClassLoad {
-			p.counts[evs[i].PC]++
-		}
-	}
-}
-
-// merge folds another shard's mix state into p. Every field is a pure
-// sum, so the pass is order-insensitive and the merge is exact.
-func (p *mixPass) merge(o *mixPass) {
-	for i := range p.classCounts {
-		p.classCounts[i] += o.classCounts[i]
-	}
-	p.fpCount += o.fpCount
-	p.fpLoads += o.fpLoads
-	p.total += o.total
-	for pc, c := range o.counts {
-		if c != 0 {
-			p.counts[pc] += c
-		}
-	}
-}
-
-// --- cache pass: memory hierarchy + per-static-load L1 misses ---
-
-type cachePass struct {
-	hier *cache.Hierarchy
-	// l1miss is the L1 miss count of each static load, indexed by PC.
-	l1miss []uint64
-}
-
-func (p *cachePass) init(hc cache.HierarchyConfig, nInsts int) {
-	p.hier = cache.NewHierarchy(hc)
-	p.l1miss = make([]uint64, nInsts)
-}
-
-func (p *cachePass) observe(evs []sim.Event) {
-	for i := range evs {
-		switch isa.ClassOf(evs[i].Inst.Op) {
-		case isa.ClassLoad:
-			lvl, _ := p.hier.Access(evs[i].Addr, false)
-			if lvl != cache.LevelL1 {
-				p.l1miss[evs[i].PC]++
-			}
-		case isa.ClassStore:
-			p.hier.Access(evs[i].Addr, true)
-		}
-	}
-}
-
-// --- predictor pass: hybrid branch predictor ---
-
-type bpredPass struct {
-	bp *bpred.Tracker
-}
-
-func (p *bpredPass) init(pred bpred.Predictor) { p.bp = bpred.NewTracker(pred) }
-
-// observe runs the predictor over the slab, appending one mispredict
-// bit per conditional branch to bits for the dependence pass.
-func (p *bpredPass) observe(evs []sim.Event, bits *misBits) {
-	for i := range evs {
-		if isa.IsCondBranch(evs[i].Inst.Op) {
-			bits.push(p.bp.Observe(evs[i].PC, evs[i].Taken))
-		}
-	}
-}
-
-// --- dependence pass: load-to-branch chains ---
+// --- dependence machine: load-to-branch chains ---
 
 type depPass struct {
 	deps [isa.NumIntRegs + isa.NumFPRegs]regDep
-	// toBranch counts, per load PC (dense, indexed by PC), dynamic
-	// instances feeding a conditional branch.
-	toBranch []uint64
-	// fedBranch counts, per load PC and branch PC, how often the load
-	// fed the branch.
-	fedBranch     map[int32]map[int32]uint64
-	fedBranchExec uint64
-	fedBranchMiss uint64
-	// lastLoadPC/lastFB memoize the inner fedBranch map: consecutive
-	// credits overwhelmingly come from the same hot load.
-	lastLoadPC int32
-	lastFB     map[int32]uint64
-	// rec, when non-nil, puts the pass in recording mode: every
-	// conditional branch is reported to the hook instead of the pass's
-	// own counters, and the mispredict bitmap is not consulted (the
-	// block-characterized replay joins fed flags with mispredicts in
-	// its predictor lane). The register dependence state machine is
-	// unaffected, so recorded transitions are exact.
+	// rec receives every conditional branch: whether a load-derived
+	// value fed it, and the (up to two) loads the value derives from.
 	rec func(branchPC int32, fed bool, srcA, srcB int32)
 }
 
-func (p *depPass) init(nInsts int) {
-	p.toBranch = make([]uint64, nInsts)
-	p.fedBranch = make(map[int32]map[int32]uint64)
-	p.lastLoadPC = -1
-	p.lastFB = nil
-	for i := range p.deps {
-		p.deps[i].depth = -1
-	}
-}
-
-func (p *depPass) credit(loadPC, branchPC int32) {
-	p.toBranch[loadPC]++
-	fb := p.lastFB
-	if fb == nil || p.lastLoadPC != loadPC {
-		fb = p.fedBranch[loadPC]
-		if fb == nil {
-			fb = make(map[int32]uint64)
-			p.fedBranch[loadPC] = fb
-		}
-		p.lastFB = fb
-		p.lastLoadPC = loadPC
-	}
-	fb[branchPC]++
-}
-
-// observe advances the register dependence state machine. bits must
-// hold the mispredict outcome of every conditional branch in evs, in
-// order; its cursor state lives here (bit index == conditional-branch
-// ordinal within the slab).
-func (p *depPass) observe(evs []sim.Event, bits *misBits) {
-	br := 0
+// observe advances the register dependence state machine.
+func (p *depPass) observe(evs []sim.Event) {
 	for i := range evs {
 		in := evs[i].Inst
 		op := in.Op
@@ -202,23 +38,7 @@ func (p *depPass) observe(evs []sim.Event, bits *misBits) {
 		case cls == isa.ClassStore:
 		case cls == isa.ClassCondBranch:
 			d := p.deps[in.Ra]
-			fed := in.Ra != isa.RZero && d.depth >= 0
-			if p.rec != nil {
-				p.rec(evs[i].PC, fed, d.srcA, d.srcB)
-				continue
-			}
-			mis := bits.at(br)
-			br++
-			if fed {
-				p.fedBranchExec++
-				if mis {
-					p.fedBranchMiss++
-				}
-				p.credit(d.srcA, evs[i].PC)
-				if d.srcB >= 0 && d.srcB != d.srcA {
-					p.credit(d.srcB, evs[i].PC)
-				}
-			}
+			p.rec(evs[i].PC, in.Ra != isa.RZero && d.depth >= 0, d.srcA, d.srcB)
 		default:
 			p.propagate(in)
 		}
@@ -303,7 +123,7 @@ func (p *depPass) propagate(in *isa.Inst) {
 	}
 }
 
-// --- sequence pass: branch-to-load sequences (Table 4b) ---
+// --- sequence machine: branch-to-load sequences (Table 4b) ---
 
 type pendingLoad struct {
 	active      bool
@@ -317,37 +137,9 @@ type seqPass struct {
 	lastBranchPC  int32
 	lastBranchSeq uint64
 	haveBranch    bool
-	// minSeq mutes counting for consumptions before it. A shard worker
-	// primes the pass with the warm-up window preceding its range (see
-	// AnalyzeSharded); those events rebuild the branch/pending state but
-	// their own consumptions belong to the previous shard and were
-	// already counted there.
-	minSeq uint64
-	// afterBranch counts, per load PC and branch PC, how often the load
-	// (with a tight consumer) executed right after the branch.
-	afterBranch map[int32]map[int32]uint64
-	// rec, when non-nil, puts the pass in recording mode: completed
-	// branch-to-load sequences are reported to the hook instead of the
-	// afterBranch table. The pending/branch state machine is unaffected.
+	// rec receives every completed branch-to-load sequence: a load that
+	// executed right after a branch and had a tight consumer.
 	rec func(loadPC, branchPC int32)
-}
-
-func (p *seqPass) init() { p.afterBranch = make(map[int32]map[int32]uint64) }
-
-// merge folds another shard's sequence counts into p. Each count is
-// attributed at consume time, and a shard only counts consumptions
-// inside its own range (minSeq), so summing shard states is exact.
-func (p *seqPass) merge(o *seqPass) {
-	for loadPC, ab := range o.afterBranch {
-		dst := p.afterBranch[loadPC]
-		if dst == nil {
-			dst = make(map[int32]uint64, len(ab))
-			p.afterBranch[loadPC] = dst
-		}
-		for brPC, n := range ab {
-			dst[brPC] += n
-		}
-	}
 }
 
 func (p *seqPass) observe(evs []sim.Event) {
@@ -398,17 +190,8 @@ func (p *seqPass) consume(in *isa.Inst, seq uint64) {
 			pd.active = false
 			return
 		}
-		if pd.afterBranch >= 0 && seq >= p.minSeq {
-			if p.rec != nil {
-				p.rec(pd.loadPC, pd.afterBranch)
-			} else {
-				ab := p.afterBranch[pd.loadPC]
-				if ab == nil {
-					ab = make(map[int32]uint64)
-					p.afterBranch[pd.loadPC] = ab
-				}
-				ab[pd.afterBranch]++
-			}
+		if pd.afterBranch >= 0 {
+			p.rec(pd.loadPC, pd.afterBranch)
 		}
 		pd.active = false
 	}

@@ -23,6 +23,7 @@ type Mix struct {
 
 // Mix returns the instruction-mix report.
 func (a *Analysis) Mix() Mix {
+	a.sync()
 	m := Mix{
 		Total:        a.mix.total,
 		Loads:        a.mix.classCounts[isa.ClassLoad],
@@ -42,12 +43,16 @@ func (a *Analysis) Mix() Mix {
 }
 
 // TotalLoads returns the dynamic load count.
-func (a *Analysis) TotalLoads() uint64 { return a.mix.classCounts[isa.ClassLoad] }
+func (a *Analysis) TotalLoads() uint64 {
+	a.sync()
+	return a.mix.classCounts[isa.ClassLoad]
+}
 
 // Coverage returns the cumulative fraction of dynamic loads covered
 // by the top-k static loads for every k (Figure 2): Coverage()[0] is
 // the hottest load's share, and the curve is non-decreasing to 1.
 func (a *Analysis) Coverage() []float64 {
+	a.sync()
 	var counts []uint64
 	var total uint64
 	for _, c := range a.mix.counts {
@@ -85,6 +90,7 @@ func (a *Analysis) CoverageAt(n int) float64 {
 
 // StaticLoadCount returns how many distinct static loads executed.
 func (a *Analysis) StaticLoadCount() int {
+	a.sync()
 	n := 0
 	for _, c := range a.mix.counts {
 		if c != 0 {
@@ -95,7 +101,10 @@ func (a *Analysis) StaticLoadCount() int {
 }
 
 // CacheReport returns the Table 2 row.
-func (a *Analysis) CacheReport() cache.Report { return a.cache.hier.LoadReport() }
+func (a *Analysis) CacheReport() cache.Report {
+	a.sync()
+	return cache.LoadReportOf(a.cache.cfg.Lat, a.cache.l1, a.cache.l2)
+}
 
 // Sequences is one Table 4 row pair.
 type Sequences struct {
@@ -116,6 +125,7 @@ type Sequences struct {
 
 // Sequences computes the Table 4 metrics.
 func (a *Analysis) Sequences() Sequences {
+	a.sync()
 	var s Sequences
 	totalLoads := a.TotalLoads()
 	if totalLoads == 0 {
@@ -123,7 +133,7 @@ func (a *Analysis) Sequences() Sequences {
 	}
 	var toBranch uint64
 	var afterHard uint64
-	hard := a.bp.bp.HardToPredict(0.05, 16)
+	hard := a.bp.HardToPredict(0.05, 16)
 	for _, n := range a.dep.toBranch {
 		toBranch += n
 	}
@@ -144,7 +154,7 @@ func (a *Analysis) Sequences() Sequences {
 	if a.dep.fedBranchExec > 0 {
 		s.FedBranchMispredictRate = float64(a.dep.fedBranchMiss) / float64(a.dep.fedBranchExec)
 	}
-	s.OverallMispredictRate = a.bp.bp.Total().MispredictRate()
+	s.OverallMispredictRate = a.bp.Total().MispredictRate()
 	return s
 }
 
@@ -164,6 +174,7 @@ type HotLoad struct {
 // HotLoads returns the n most frequently executed static loads with
 // their profile, the paper's Table 5.
 func (a *Analysis) HotLoads(n int) []HotLoad {
+	a.sync()
 	type kv struct {
 		pc    int32
 		count uint64
@@ -185,7 +196,7 @@ func (a *Analysis) HotLoads(n int) []HotLoad {
 	}
 	total := a.TotalLoads()
 	out := make([]HotLoad, 0, n)
-	perBranch := a.bp.bp.PerBranch()
+	perBranch := a.bp.PerBranch()
 	for _, e := range all[:n] {
 		h := HotLoad{PC: e.pc, Line: a.prog.Insts[e.pc].Pos.Line}
 		if total > 0 {
@@ -231,8 +242,9 @@ type Candidate struct {
 // least minMispred of the time (or that follow such branches), with
 // an L1 miss rate below maxMiss.
 func (a *Analysis) Candidates(minFreq, minMispred, maxMiss float64) []Candidate {
+	a.sync()
 	var out []Candidate
-	hard := a.bp.bp.HardToPredict(minMispred, 16)
+	hard := a.bp.HardToPredict(minMispred, 16)
 	for _, h := range a.HotLoads(len(a.mix.counts)) {
 		if h.Frequency < minFreq || h.L1MissRate > maxMiss {
 			continue
@@ -257,11 +269,12 @@ func (a *Analysis) Branches() map[int32]struct {
 	Executed    uint64
 	Mispredicts uint64
 } {
+	a.sync()
 	out := make(map[int32]struct {
 		Executed    uint64
 		Mispredicts uint64
 	})
-	for pc, s := range a.bp.bp.PerBranch() {
+	for pc, s := range a.bp.PerBranch() {
 		out[pc] = struct {
 			Executed    uint64
 			Mispredicts uint64

@@ -29,26 +29,11 @@ const nDepRegs = isa.NumIntRegs + isa.NumFPRegs
 // first event. It exceeds proximity so seeded ages never underflow.
 const evalBase = uint64(proximity) + 2
 
-// savedPending is the canonical form of one pending-load slot: age is
-// the distance from its arming to the next run's first event, 1..
-// proximity; 0 marks an inactive (or expired, which is behaviorally
-// identical) slot.
-type savedPending struct {
-	loadPC      int32
-	afterBranch int32
-	age         uint8
-}
-
-// savedState is the canonical dep+seq machine state between runs.
-// Canonicalization collapses behaviorally identical raw states:
-// depth<0 register slots normalize their sources to -1, and pending
-// loads or branches older than proximity normalize to absent.
-type savedState struct {
-	deps          [nDepRegs]regDep
-	pending       [nDepRegs]savedPending
-	lastBranchPC  int32
-	lastBranchAge uint8 // 0 = none within proximity
-}
+// A machine state between runs is interned in its canonical sparse
+// form (stateKey): behaviorally identical raw states collapse to one
+// key, because load-derived register slots are the only dep state that
+// matters, and pending loads or branches older than proximity behave
+// exactly like absent ones.
 
 // credit is one (load, branch) attribution with its multiplicity
 // within a single run evaluation.
@@ -59,13 +44,19 @@ type credit struct {
 }
 
 // transition is the memoized effect of one run on one starting state.
+// Its fed flags and credits live in the engine's arenas: fedMask is
+// fedArena[fedOff:] over the run's cond-branch ordinals (meaningful
+// only when fedCount != 0), and the credits are
+// credits[credOff:credOff+nDep] (dependence) followed by nSeq
+// sequence credits.
 type transition struct {
-	next       uint32   // next state ID
-	fedMask    []uint64 // fed flags over the run's cond-branch ordinals; nil if none fed
-	fedCount   uint32   // fed branch instances per execution
-	depCredits []credit
-	seqCredits []credit
-	occ        uint64 // times this (state, run) pair occurred
+	next     uint32 // next state ID
+	fedCount uint32 // fed branch instances per execution
+	fedOff   uint32
+	credOff  uint32
+	nDep     uint32
+	nSeq     uint32
+	occ      uint64 // times this (state, run) pair occurred
 }
 
 // runTok is one token of a chunk's run stream as the shard lanes see
@@ -86,7 +77,6 @@ type runTok struct {
 type chunkAnn struct {
 	toks []runTok
 	fed  []uint64
-	nBr  int
 }
 
 func (a *chunkAnn) fedAt(i int) bool { return a.fed[i>>6]&(1<<(i&63)) != 0 }
@@ -119,7 +109,7 @@ func mixKey(k memoKey) uint64 {
 }
 
 func newMemoTable() *memoTable {
-	const initSize = 1 << 14
+	const initSize = 1 << 10
 	return &memoTable{keys: make([]memoKey, initSize), vals: make([]uint32, initSize)}
 }
 
@@ -184,12 +174,14 @@ type runEngine struct {
 
 	runs     map[uint64]*runInfo
 	stateIDs map[string]uint32
-	states   []savedState
+	states   []string // state ID -> canonical key (stateKey)
 	scratch  []byte
 
-	memo  *memoTable
-	trans []transition
-	cur   uint32 // current state ID; chains across runs and chunks
+	memo     *memoTable
+	trans    []transition
+	fedArena []uint64
+	credits  []credit
+	cur      uint32 // current state ID; chains across runs and chunks
 
 	// dictRuns maps dictionary run ids to interned runs for v4
 	// dictionary-backed chunks; dict pins the dictionary the mapping
@@ -217,20 +209,8 @@ func newRunEngine(prog *isa.Program) *runEngine {
 		stateIDs: make(map[string]uint32),
 		memo:     newMemoTable(),
 	}
-	// State 0 is the canonical empty state (fresh machines).
-	var empty savedState
-	for i := range empty.deps {
-		empty.deps[i] = regDep{depth: -1, srcA: -1, srcB: -1}
-	}
-	e.states = append(e.states, empty)
-	e.stateIDs[string(e.stateKey(&empty))] = 0
-
-	// The eval machines run in recording mode only. evalDep skips
-	// depPass.init on purpose: credit() is never reached, so the
-	// toBranch/fedBranch tables stay nil and untouched.
-	for i := range e.evalDep.deps {
-		e.evalDep.deps[i].depth = -1
-	}
+	// The eval machines record through these hooks; their own state is
+	// seeded from an interned key before every evaluation.
 	e.evalDep.rec = func(branchPC int32, fed bool, srcA, srcB int32) {
 		k := e.capBrOrd
 		e.capBrOrd++
@@ -247,6 +227,9 @@ func newRunEngine(prog *isa.Program) *runEngine {
 	e.evalSeq.rec = func(loadPC, branchPC int32) {
 		e.capSeq = addCredit(e.capSeq, loadPC, branchPC)
 	}
+	// State 0 is the canonical empty state: no load-derived registers,
+	// no pending loads, no recent branch.
+	e.internState([]byte{0xff, 0xff, 0})
 	return e
 }
 
@@ -266,13 +249,16 @@ func addCredit(cs []credit, loadPC, branchPC int32) []credit {
 	return append(cs, credit{loadPC: loadPC, branchPC: branchPC, n: 1})
 }
 
-// stateKey serializes st's canonical sparse form into the engine's
-// scratch buffer. Register indices (< nDepRegs = 128) never collide
-// with the 0xff section separators.
-func (e *runEngine) stateKey(st *savedState) []byte {
+// stateKey serializes the eval machines' state as of sequence number
+// endSeq (the next run's first event) into its canonical sparse form,
+// in the engine's scratch buffer: load-derived registers, pending loads
+// still within proximity (with their age), then the last branch if it
+// is within proximity. Register indices (< nDepRegs = 128) never
+// collide with the 0xff section separators.
+func (e *runEngine) stateKey(endSeq uint64) []byte {
 	b := e.scratch[:0]
-	for i := range st.deps {
-		d := &st.deps[i]
+	for i := range e.evalDep.deps {
+		d := &e.evalDep.deps[i]
 		if d.depth >= 0 {
 			b = append(b, byte(i), byte(d.depth))
 			b = binary.LittleEndian.AppendUint32(b, uint32(d.srcA))
@@ -280,30 +266,63 @@ func (e *runEngine) stateKey(st *savedState) []byte {
 		}
 	}
 	b = append(b, 0xff)
-	for i := range st.pending {
-		p := &st.pending[i]
-		if p.age != 0 {
-			b = append(b, byte(i), p.age)
-			b = binary.LittleEndian.AppendUint32(b, uint32(p.loadPC))
-			b = binary.LittleEndian.AppendUint32(b, uint32(p.afterBranch))
+	for i := range e.evalSeq.pending {
+		pd := &e.evalSeq.pending[i]
+		if age := endSeq - pd.seq; pd.active && age <= proximity {
+			b = append(b, byte(i), byte(age))
+			b = binary.LittleEndian.AppendUint32(b, uint32(pd.loadPC))
+			b = binary.LittleEndian.AppendUint32(b, uint32(pd.afterBranch))
 		}
 	}
-	b = append(b, 0xff, st.lastBranchAge)
-	if st.lastBranchAge != 0 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(st.lastBranchPC))
+	b = append(b, 0xff)
+	if age := endSeq - e.evalSeq.lastBranchSeq; e.evalSeq.haveBranch && age <= proximity {
+		b = append(b, byte(age))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.evalSeq.lastBranchPC))
+	} else {
+		b = append(b, 0)
 	}
 	e.scratch = b
 	return b
 }
 
-func (e *runEngine) internState(st *savedState) uint32 {
-	key := e.stateKey(st)
+// loadState seeds the eval machines from a canonical key, as of
+// sequence number evalBase.
+func (e *runEngine) loadState(key string) {
+	for i := range e.evalDep.deps {
+		e.evalDep.deps[i] = regDep{depth: -1, srcA: -1, srcB: -1}
+	}
+	e.evalSeq.pending = [nDepRegs]pendingLoad{}
+	u32 := func(p int) int32 {
+		return int32(uint32(key[p]) | uint32(key[p+1])<<8 | uint32(key[p+2])<<16 | uint32(key[p+3])<<24)
+	}
+	p := 0
+	for ; key[p] != 0xff; p += 10 {
+		e.evalDep.deps[key[p]] = regDep{depth: int8(key[p+1]), srcA: u32(p + 2), srcB: u32(p + 6)}
+	}
+	for p++; key[p] != 0xff; p += 10 {
+		e.evalSeq.pending[key[p]] = pendingLoad{
+			active: true, loadPC: u32(p + 2), afterBranch: u32(p + 6),
+			seq: evalBase - uint64(key[p+1]),
+		}
+	}
+	p++
+	age := key[p]
+	e.evalSeq.haveBranch = age != 0
+	e.evalSeq.lastBranchPC, e.evalSeq.lastBranchSeq = 0, evalBase
+	if age != 0 {
+		e.evalSeq.lastBranchPC = u32(p + 1)
+		e.evalSeq.lastBranchSeq = evalBase - uint64(age)
+	}
+}
+
+func (e *runEngine) internState(key []byte) uint32 {
 	if id, ok := e.stateIDs[string(key)]; ok {
 		return id
 	}
+	k := string(key)
 	id := uint32(len(e.states))
-	e.states = append(e.states, *st)
-	e.stateIDs[string(key)] = id
+	e.states = append(e.states, k)
+	e.stateIDs[k] = id
 	return id
 }
 
@@ -322,24 +341,7 @@ func (e *runEngine) runFor(pc, n int32) *runInfo {
 // capturing deltas via the recording hooks, and returns the index of
 // the freshly appended transition.
 func (e *runEngine) eval(stateID uint32, ri *runInfo) uint32 {
-	st := &e.states[stateID]
-
-	// Seed the machines from the canonical state.
-	e.evalDep.deps = st.deps
-	for i := range st.pending {
-		sp := &st.pending[i]
-		if sp.age != 0 {
-			e.evalSeq.pending[i] = pendingLoad{
-				active: true, loadPC: sp.loadPC,
-				afterBranch: sp.afterBranch, seq: evalBase - uint64(sp.age),
-			}
-		} else {
-			e.evalSeq.pending[i] = pendingLoad{}
-		}
-	}
-	e.evalSeq.haveBranch = st.lastBranchAge != 0
-	e.evalSeq.lastBranchPC = st.lastBranchPC
-	e.evalSeq.lastBranchSeq = evalBase - uint64(st.lastBranchAge)
+	e.loadState(e.states[stateID])
 
 	// Synthetic events: only PC/Seq/Inst are read in recording mode
 	// (branch outcomes and addresses join in the shard lanes).
@@ -366,43 +368,22 @@ func (e *runEngine) eval(stateID uint32, ri *runInfo) uint32 {
 	e.capDep = e.capDep[:0]
 	e.capSeq = e.capSeq[:0]
 
-	e.evalDep.observe(evs, nil)
+	e.evalDep.observe(evs)
 	e.evalSeq.observe(evs)
 
-	// Capture and canonicalize the resulting state.
-	var next savedState
-	next.deps = e.evalDep.deps
-	for i := range next.deps {
-		if next.deps[i].depth < 0 {
-			next.deps[i] = regDep{depth: -1, srcA: -1, srcB: -1}
-		}
+	tr := transition{
+		next:     e.internState(e.stateKey(evalBase + uint64(n))),
+		fedCount: e.capFedCnt,
+		credOff:  uint32(len(e.credits)),
+		nDep:     uint32(len(e.capDep)),
+		nSeq:     uint32(len(e.capSeq)),
 	}
-	endSeq := evalBase + uint64(n)
-	for i := range e.evalSeq.pending {
-		pd := &e.evalSeq.pending[i]
-		if pd.active {
-			if age := endSeq - pd.seq; age <= proximity {
-				next.pending[i] = savedPending{loadPC: pd.loadPC, afterBranch: pd.afterBranch, age: uint8(age)}
-			}
-		}
-	}
-	if e.evalSeq.haveBranch {
-		if age := endSeq - e.evalSeq.lastBranchSeq; age <= proximity {
-			next.lastBranchAge = uint8(age)
-			next.lastBranchPC = e.evalSeq.lastBranchPC
-		}
-	}
-
-	tr := transition{next: e.internState(&next), fedCount: e.capFedCnt}
 	if e.capFedCnt != 0 {
-		tr.fedMask = append([]uint64(nil), e.capFed[:nbrWords]...)
+		tr.fedOff = uint32(len(e.fedArena))
+		e.fedArena = append(e.fedArena, e.capFed[:nbrWords]...)
 	}
-	if len(e.capDep) != 0 {
-		tr.depCredits = append([]credit(nil), e.capDep...)
-	}
-	if len(e.capSeq) != 0 {
-		tr.seqCredits = append([]credit(nil), e.capSeq...)
-	}
+	e.credits = append(e.credits, e.capDep...)
+	e.credits = append(e.credits, e.capSeq...)
 	e.trans = append(e.trans, tr)
 	return uint32(len(e.trans) - 1)
 }
@@ -428,6 +409,9 @@ func orBitsAt(dst []uint64, off int, src []uint64, nbits int) {
 // itself — every steady loop iteration after the first) collapses the
 // remaining repeats into counter adds without further memo probes.
 func (e *runEngine) processChunk(ch *runstream.Chunk, ann *chunkAnn) {
+	if n := len(ch.Tokens) + len(ch.Runs); cap(ann.toks) < n {
+		ann.toks = make([]runTok, 0, n+n/4)
+	}
 	ann.toks = ann.toks[:0]
 	nWords := (ch.N + 63) / 64 // upper bound on cond-branch count
 	if cap(ann.fed) < nWords {
@@ -452,7 +436,6 @@ func (e *runEngine) processChunk(ch *runstream.Chunk, ann *chunkAnn) {
 			ann.toks = append(ann.toks, runTok{ri: ri, rep: 1})
 		}
 	}
-	ann.nBr = brOff
 }
 
 // syncDict extends dictRuns to cover dict, interning any new runs.
@@ -481,8 +464,10 @@ func (e *runEngine) step(ann *chunkAnn, ri *runInfo, rep int32, brOff int) int {
 		}
 		tr := &e.trans[ti-1]
 		tr.occ++
-		if tr.fedMask != nil {
-			orBitsAt(ann.fed, brOff, tr.fedMask, len(ri.brs))
+		var fedMask []uint64
+		if tr.fedCount != 0 {
+			fedMask = e.fedArena[tr.fedOff:]
+			orBitsAt(ann.fed, brOff, fedMask, len(ri.brs))
 		}
 		brOff += len(ri.brs)
 		e.cur = tr.next
@@ -492,9 +477,9 @@ func (e *runEngine) step(ann *chunkAnn, ri *runInfo, rep int32, brOff int) int {
 			// transition. Fed bits still land at distinct ordinals.
 			tr.occ += uint64(rep)
 			ri.occ += uint64(rep)
-			if tr.fedMask != nil {
+			if fedMask != nil {
 				for ; rep > 0; rep-- {
-					orBitsAt(ann.fed, brOff, tr.fedMask, len(ri.brs))
+					orBitsAt(ann.fed, brOff, fedMask, len(ri.brs))
 					brOff += len(ri.brs)
 				}
 			} else {
@@ -531,7 +516,8 @@ func (e *runEngine) finish(a *Analysis) {
 			continue
 		}
 		a.dep.fedBranchExec += uint64(tr.fedCount) * tr.occ
-		for _, c := range tr.depCredits {
+		cs := e.credits[tr.credOff : tr.credOff+tr.nDep+tr.nSeq]
+		for _, c := range cs[:tr.nDep] {
 			n := uint64(c.n) * tr.occ
 			a.dep.toBranch[c.loadPC] += n
 			fb := a.dep.fedBranch[c.loadPC]
@@ -541,7 +527,7 @@ func (e *runEngine) finish(a *Analysis) {
 			}
 			fb[c.branchPC] += n
 		}
-		for _, c := range tr.seqCredits {
+		for _, c := range cs[tr.nDep:] {
 			ab := a.seq.afterBranch[c.loadPC]
 			if ab == nil {
 				ab = make(map[int32]uint64)

@@ -33,15 +33,19 @@ func recordTrace(t *testing.T, name string, prog *isa.Program, slabs [][]sim.Eve
 
 // TestAnalyzeRunsMatchesLive pins the block-characterized replay's core
 // invariant: the run-table engine plus sharded predictor/memory lanes
-// produce a profile byte-identical to the live five-pass analysis —
-// compared through both the full Snapshot (every counter) and the
-// rendered profile — at one worker (fused) and at enough workers to
-// shard both lanes.
+// over a recorded trace produce a profile byte-identical to the live
+// analysis and to the per-event oracle — compared through both the
+// full Snapshot (every counter) and the rendered profile — at one
+// worker (fused) and at enough workers to shard both lanes.
 func TestAnalyzeRunsMatchesLive(t *testing.T) {
 	for _, name := range []string{"hmmsearch", "predator", "promlk"} {
 		prog, live, slabs := captureSlabs(t, name)
-		want := live.Snapshot()
-		wantProf := RenderProfile(name, "test", live, 10)
+		ref := oracleOf(prog, slabs)
+		want := ref.Snapshot()
+		wantProf := RenderProfile(name, "test", ref, 10)
+		if !reflect.DeepEqual(live.Snapshot(), want) {
+			t.Errorf("%s: live snapshot differs from the oracle", name)
+		}
 		ir := recordTrace(t, name, prog, slabs, 1<<12)
 
 		for _, workers := range []int{1, 4, 8} {
@@ -52,10 +56,10 @@ func TestAnalyzeRunsMatchesLive(t *testing.T) {
 				t.Fatalf("%s workers=%d: AnalyzeRuns: %v", name, workers, err)
 			}
 			if got := a.Snapshot(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s workers=%d: snapshot differs from live", name, workers)
+				t.Errorf("%s workers=%d: snapshot differs from the oracle", name, workers)
 			}
 			if got := RenderProfile(name, "test", a, 10); got != wantProf {
-				t.Errorf("%s workers=%d: profile differs from live:\n--- live ---\n%s\n--- runs ---\n%s", name, workers, wantProf, got)
+				t.Errorf("%s workers=%d: profile differs from the oracle:\n--- oracle ---\n%s\n--- runs ---\n%s", name, workers, wantProf, got)
 			}
 			if workers == 1 {
 				if a.Exec.Parallel() || a.Exec.SerialReason != SerialReasonRequested {

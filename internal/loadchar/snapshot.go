@@ -12,40 +12,40 @@ import (
 // Snapshot's shape or the meaning of any field changes.
 const SnapshotVersion = 1
 
-// Snapshot is the portable, serializable form of a finished Analysis:
-// every counter and table the report methods read, and nothing of the
-// transient pass machinery (predictor tables, cache contents, register
+// Snapshot is the portable, serializable form of an Analysis: every
+// counter and table the report methods read, and nothing of the
+// transient engine state (predictor tables, cache contents, register
 // dependence state). A snapshot restored with FromSnapshot renders
 // byte-identical reports because the report code paths are shared; it
 // cannot observe further events.
 type Snapshot struct {
 	Version int
 
-	// Mix pass.
+	// Instruction mix.
 	ClassCounts [isa.NumClasses]uint64
 	FPCount     uint64
 	FPLoads     uint64
 	Total       uint64
 	LoadCounts  map[int32]uint64
 
-	// Cache pass. The hierarchy config travels along because AMAT
+	// Cache hierarchy. The config travels along because AMAT
 	// depends on the configured latencies.
 	CacheConfig cache.HierarchyConfig
 	L1Stats     cache.Stats
 	L2Stats     cache.Stats
 	L1Miss      map[int32]uint64
 
-	// Predictor pass.
+	// Branch predictor.
 	Branches    map[int32]bpred.BranchStats
 	BranchTotal bpred.BranchStats
 
-	// Dependence pass.
+	// Load-to-branch dependence chains.
 	ToBranch      map[int32]uint64
 	FedBranch     map[int32]map[int32]uint64
 	FedBranchExec uint64
 	FedBranchMiss uint64
 
-	// Sequence pass.
+	// Branch-to-load sequences.
 	AfterBranch map[int32]map[int32]uint64
 }
 
@@ -89,6 +89,7 @@ func mapToDense(src map[int32]uint64, nInsts int) ([]uint64, error) {
 // Snapshot captures the analysis's report state. The analysis can keep
 // observing afterwards; the snapshot is an independent copy.
 func (a *Analysis) Snapshot() *Snapshot {
+	a.sync()
 	return &Snapshot{
 		Version:       SnapshotVersion,
 		ClassCounts:   a.mix.classCounts,
@@ -96,12 +97,12 @@ func (a *Analysis) Snapshot() *Snapshot {
 		FPLoads:       a.mix.fpLoads,
 		Total:         a.mix.total,
 		LoadCounts:    denseToMap(a.mix.counts),
-		CacheConfig:   a.cache.hier.Config(),
-		L1Stats:       a.cache.hier.L1().Stats(),
-		L2Stats:       a.cache.hier.L2().Stats(),
+		CacheConfig:   a.cache.cfg,
+		L1Stats:       a.cache.l1,
+		L2Stats:       a.cache.l2,
 		L1Miss:        denseToMap(a.cache.l1miss),
-		Branches:      a.bp.bp.PerBranch(),
-		BranchTotal:   a.bp.bp.Total(),
+		Branches:      a.bp.PerBranch(),
+		BranchTotal:   a.bp.Total(),
 		ToBranch:      denseToMap(a.dep.toBranch),
 		FedBranch:     copyNested(a.dep.fedBranch),
 		FedBranchExec: a.dep.fedBranchExec,
@@ -307,13 +308,13 @@ func scaleBranch(b bpred.BranchStats, w uint64) bpred.BranchStats {
 // FromSnapshot rebuilds a report-only Analysis over prog from a
 // snapshot. The report methods are byte-for-byte equivalent to the
 // analysis the snapshot was taken from; Observe/ObserveBatch panic,
-// because the transient pass state needed to continue is not part of
-// a snapshot.
+// because the transient engine state needed to continue is not part
+// of a snapshot.
 func FromSnapshot(prog *isa.Program, s *Snapshot) (*Analysis, error) {
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("loadchar: snapshot version %d, want %d", s.Version, SnapshotVersion)
 	}
-	a := &Analysis{prog: prog, restored: true}
+	a := &Analysis{prog: prog}
 	a.mix.classCounts = s.ClassCounts
 	a.mix.fpCount = s.FPCount
 	a.mix.fpLoads = s.FPLoads
@@ -322,21 +323,17 @@ func FromSnapshot(prog *isa.Program, s *Snapshot) (*Analysis, error) {
 	if a.mix.counts, err = mapToDense(s.LoadCounts, len(prog.Insts)); err != nil {
 		return nil, err
 	}
-	a.cache.hier = cache.NewHierarchy(s.CacheConfig)
-	a.cache.hier.L1().SetStats(s.L1Stats)
-	a.cache.hier.L2().SetStats(s.L2Stats)
+	a.cache = cacheTable{cfg: s.CacheConfig, l1: s.L1Stats, l2: s.L2Stats}
 	if a.cache.l1miss, err = mapToDense(s.L1Miss, len(prog.Insts)); err != nil {
 		return nil, err
 	}
-	a.bp.bp = bpred.RestoreTracker(s.Branches, s.BranchTotal)
-	a.dep.init(len(prog.Insts))
+	a.bp = bpred.RestoreTracker(s.Branches, s.BranchTotal)
 	if a.dep.toBranch, err = mapToDense(s.ToBranch, len(prog.Insts)); err != nil {
 		return nil, err
 	}
 	a.dep.fedBranch = copyNested(s.FedBranch)
 	a.dep.fedBranchExec = s.FedBranchExec
 	a.dep.fedBranchMiss = s.FedBranchMiss
-	a.seq.init()
 	a.seq.afterBranch = copyNested(s.AfterBranch)
 	return a, nil
 }

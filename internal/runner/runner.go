@@ -380,11 +380,19 @@ func (s *Session) characterize(ctx context.Context, p *bio.Program, sz bio.Size)
 		return nil, fmt.Errorf("%s: bind: %w", p.Name, err)
 	}
 	a := loadchar.New(prog)
-	m.AddObserver(a)
-	rec := s.startRecording(m, p, sz, fp, prog)
+	rec := s.startRecording(m, p, sz, fp, prog, a)
+	if rec == nil {
+		m.AddBatchObserver(a)
+	}
 	s.runs.Add(1)
 	s.coldChars.Add(1)
 	res, err := m.RunContext(ctx)
+	if err == nil {
+		err = rec.flush()
+	}
+	if err == nil {
+		err = a.Err()
+	}
 	if err != nil {
 		rec.abort()
 		return nil, fmt.Errorf("%s: %w", p.Name, err)

@@ -237,6 +237,9 @@ func replayInterval(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 	if pre == nil {
 		return nil, fmt.Errorf("trace ended before interval start %d", start)
 	}
+	if err := a.Err(); err != nil {
+		return nil, err
+	}
 	final := a.Snapshot()
 	if err := final.Sub(pre); err != nil {
 		return nil, err
@@ -319,7 +322,7 @@ func (s *Session) recordTrace(ctx context.Context, p *bio.Program, sz bio.Size, 
 		tw = trace.NewWriter(w, trace.Meta{Program: p.Name, Fingerprint: fp, Size: sz.String()}, prog)
 		m.AddBatchObserver(tw)
 	} else {
-		rec = s.startRecording(m, p, sz, fp, prog)
+		rec = s.startRecording(m, p, sz, fp, prog, nil)
 		if rec == nil {
 			return fmt.Errorf("%s: store rejected trace recording", p.Name)
 		}

@@ -13,6 +13,7 @@ import (
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/loadchar"
+	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 	"bioperfload/internal/store"
 	"bioperfload/internal/trace"
@@ -311,14 +312,10 @@ func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio
 	}
 
 	s.countReplay(tr.Version())
-	var a *loadchar.Analysis
-	if s.jobs > 1 {
-		src := tr.ParallelEvents(prog, s.jobs)
-		a, err = loadchar.AnalyzeParallel(ctx, prog, src)
-		src.Close()
-	} else {
-		a = loadchar.New(prog)
-		_, err = tr.Replay(ctx, prog, a)
+	a := loadchar.New(prog)
+	_, err = tr.Replay(ctx, prog, a)
+	if err == nil {
+		err = a.Err()
 	}
 	if err != nil {
 		if isContextErr(err) || ctx.Err() != nil {
@@ -357,9 +354,14 @@ func (s *Session) replayProgram(p *bio.Program, fp string) (*isa.Program, error)
 type recorder struct {
 	ew *store.EntryWriter
 	tw *trace.Writer
+	b  *runstream.Builder
 }
 
-func (s *Session) startRecording(m *sim.Machine, p *bio.Program, sz bio.Size, fp string, prog *isa.Program) *recorder {
+// startRecording attaches a trace writer streaming into a store entry.
+// With an analysis a, one runstream.Builder feeds both a and the
+// writer, so the run's chunks are built once; the caller attaches a
+// itself when startRecording returns nil.
+func (s *Session) startRecording(m *sim.Machine, p *bio.Program, sz bio.Size, fp string, prog *isa.Program, a *loadchar.Analysis) *recorder {
 	if s.store == nil {
 		return nil
 	}
@@ -372,8 +374,29 @@ func (s *Session) startRecording(m *sim.Machine, p *bio.Program, sz bio.Size, fp
 		Fingerprint: fp,
 		Size:        sz.String(),
 	}, prog)
-	m.AddBatchObserver(tw)
-	return &recorder{ew: ew, tw: tw}
+	r := &recorder{ew: ew, tw: tw}
+	if a == nil {
+		m.AddBatchObserver(tw)
+		return r
+	}
+	r.b = runstream.NewBuilder(prog, trace.ChunkEvents, func(ch *runstream.Chunk) {
+		a.ObserveChunk(ch)
+		tw.WriteChunk(ch)
+	})
+	m.AddBatchObserver(r.b)
+	return r
+}
+
+// flush hands a shared Builder's final partial chunk to the analysis
+// and the writer. Its error — a stream that is not run-representable —
+// fails the characterization too, since the analysis saw the same
+// chunks.
+func (r *recorder) flush() error {
+	if r == nil || r.b == nil {
+		return nil
+	}
+	r.b.Flush()
+	return r.b.Err()
 }
 
 func (r *recorder) abort() {

@@ -1,10 +1,12 @@
 // Package runstream defines the column-oriented chunk stream the
-// block-characterized replay engine consumes: straight-line PC runs
-// plus the taken and address columns of one trace chunk, without the
-// per-event record materialization of a full decode. The trace package
-// produces it (trace.IndexedReader.Columns) and loadchar consumes it
-// (loadchar.AnalyzeRuns); keeping the types here breaks what would
-// otherwise be an import cycle between the two.
+// block-characterized engine consumes: straight-line PC runs plus the
+// taken and address columns of one chunk, without per-event records.
+// Two producers build it — the Builder from a live simulation, and the
+// trace package's column decode (trace.IndexedReader.Columns) from a
+// recorded trace — and two consumers read it: loadchar's run engine
+// (Analysis.ObserveChunk, loadchar.AnalyzeRuns) and the v4 trace
+// encoder (trace.Writer.WriteChunk). Keeping the types here breaks
+// what would otherwise be an import cycle between the two packages.
 package runstream
 
 // Run is one maximal straight-line PC run: N events whose PCs are
@@ -24,9 +26,10 @@ type Token struct {
 	Rep int32
 }
 
-// Dict is the static run dictionary of a v4 trace: the deduplicated
-// vocabulary of straight-line PC runs its token streams reference. It
-// is immutable once published and shared by every chunk of one trace.
+// Dict is the run dictionary of a v4 trace or a Builder: the
+// deduplicated vocabulary of straight-line PC runs its token streams
+// reference. It is shared by every chunk of one stream; entries are
+// only ever appended.
 type Dict struct {
 	Runs []Run
 }
@@ -40,10 +43,11 @@ type Dict struct {
 //
 //   - legacy (trace v2/v3): Runs, Taken, Present, and Addrs are set;
 //     Dict, Tokens, and BrTaken are nil.
-//   - dictionary-backed (trace v4): Dict, Tokens, BrTaken, and Addrs
-//     are set; Runs, Taken, and Present are nil. Addrs then holds one
-//     entry per memory-class event (including zero addresses), and
-//     BrTaken one bit per conditional-branch event.
+//   - dictionary-backed (trace v4 and the Builder): Dict, Tokens,
+//     BrTaken, and Addrs are set; Runs, Taken, and Present are nil.
+//     Addrs then holds one entry per memory-class event (including
+//     zero addresses), and BrTaken one bit per conditional-branch
+//     event.
 type Chunk struct {
 	// Base is the sequence number of the chunk's first event.
 	Base uint64
@@ -53,7 +57,7 @@ type Chunk struct {
 	Runs []Run
 	// Dict is the trace-wide run dictionary of a dictionary-backed
 	// chunk (nil for legacy chunks). It is shared across chunks and
-	// must not be mutated.
+	// must not be mutated; it only grows, so ids stay stable.
 	Dict *Dict
 	// Tokens is the chunk's PC sequence as dictionary references;
 	// expanding each token Rep times reproduces the Runs view.
@@ -78,6 +82,10 @@ type Chunk struct {
 	// zero addresses included, so a cursor advances once per ri.mems
 	// offset with no bitmap test.
 	Addrs []uint64
+	// Target is the last event's target: the next PC the program
+	// executed. Only the Builder sets it; every other target of a
+	// dictionary-backed chunk is the next event's PC.
+	Target int32
 }
 
 // TakenAt reports event i's taken bit.

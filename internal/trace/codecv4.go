@@ -672,147 +672,90 @@ func scanChunkTokensV4(data []byte, dict *v4Dict, sc *v4Scratch, fn func(pc, n i
 	return h.base, h.n, nil
 }
 
-// v4Writer is the writer-side encoder state: the growing dictionary,
-// the program class tables the representability checks need, and the
+// v4Writer is the writer-side encoder state: the program, a mirror of
+// the Builder's growing dictionary bound to the program's class tables
+// (the address column needs each run's memory offsets), and the
 // per-chunk address chains.
 type v4Writer struct {
 	prog *isa.Program
 	dict *v4Dict
-	ni   int32
-
-	cls []byte // per PC: 0 other, 1 cond branch, 2 uncond branch, 3 mem
-
-	tokens  []runstream.Token
-	newRuns []dictRun
-	sc      v4Scratch
+	sc   v4Scratch
 }
 
 func newV4Writer(prog *isa.Program) *v4Writer {
-	vw := &v4Writer{prog: prog, dict: newV4Dict(), ni: int32(len(prog.Insts))}
-	vw.cls = make([]byte, len(prog.Insts))
-	for pc := range prog.Insts {
-		switch isa.ClassOf(prog.Insts[pc].Op) {
-		case isa.ClassCondBranch:
-			vw.cls[pc] = 1
-		case isa.ClassUncondBranch:
-			vw.cls[pc] = 2
-		case isa.ClassLoad, isa.ClassStore:
-			vw.cls[pc] = 3
-		}
-	}
-	return vw
+	return &v4Writer{prog: prog, dict: newV4Dict()}
 }
 
-// appendChunk encodes recs as a v4 chunk onto dst, growing the
-// dictionary, and returns the extended slice plus the
-// split-compression cut (the end of the token stream). It fails —
-// and the Writer sticks the error — if the stream is not
-// run-representable: every non-final event's target must be the next
-// event's PC, unconditional branches must be taken, non-branches must
-// not be, and only memory-class events may carry addresses.
-func (vw *v4Writer) appendChunk(dst []byte, base uint64, recs []Record) ([]byte, int, error) {
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(u uint64) {
-		n := binary.PutUvarint(tmp[:], u)
-		dst = append(dst, tmp[:n]...)
+// appendChunk encodes ch as a v4 chunk starting at event base onto
+// dst, growing the dictionary by the entries ch's dictionary gained
+// since the previous chunk, and returns the extended slice plus the
+// split-compression cut (the end of the token stream). ch must be
+// dictionary-backed and consistent with the runs it references; the
+// runstream.Builder that made it has already verified the events are
+// run-representable.
+func (vw *v4Writer) appendChunk(dst []byte, base uint64, ch *runstream.Chunk) ([]byte, int, error) {
+	d := vw.dict
+	dictBase := len(d.runs)
+	if ch.Dict == nil || len(ch.Dict.Runs) < dictBase {
+		return dst, 0, fmt.Errorf("trace: chunk at event %d does not extend the writer's run dictionary", base)
 	}
-	n := len(recs)
-	dictBase := len(vw.dict.runs)
-	vw.tokens = vw.tokens[:0]
-	vw.newRuns = vw.newRuns[:0]
-	nbr := 0
-	start := 0
-	for i := 0; i < n; i++ {
-		r := &recs[i]
-		if r.PC < 0 || r.PC >= vw.ni {
-			return dst, 0, fmt.Errorf("trace: record %d: pc %d outside program %s (%d insts)",
-				base+uint64(i), r.PC, vw.prog.Name, vw.ni)
+	newRuns := ch.Dict.Runs[dictBase:]
+	for _, r := range newRuns {
+		if err := d.add(r.PC, int64(r.N)); err != nil {
+			return dst, 0, err
 		}
-		switch vw.cls[r.PC] {
-		case 1:
-			nbr++
-		case 2:
-			if !r.Taken {
-				return dst, 0, fmt.Errorf("trace: record %d: unconditional branch at pc %d not taken — stream is not run-representable", base+uint64(i), r.PC)
-			}
-		default:
-			if r.Taken {
-				return dst, 0, fmt.Errorf("trace: record %d: non-branch at pc %d marked taken — stream is not run-representable", base+uint64(i), r.PC)
-			}
+	}
+	if err := d.bind(vw.prog); err != nil {
+		return dst, 0, err
+	}
+	nbr, nmem, span := 0, 0, 0
+	for _, t := range ch.Tokens {
+		if t.ID < 0 || int(t.ID) >= len(d.runs) || t.Rep < 1 {
+			return dst, 0, fmt.Errorf("trace: chunk at event %d: token (%d, %d) out of range", base, t.ID, t.Rep)
 		}
-		if vw.cls[r.PC] != 3 && r.Addr != 0 {
-			return dst, 0, fmt.Errorf("trace: record %d: non-memory instruction at pc %d carries address %#x — stream is not run-representable", base+uint64(i), r.PC, r.Addr)
-		}
-		if i+1 < n {
-			if r.Target != recs[i+1].PC {
-				return dst, 0, fmt.Errorf("trace: record %d: target %d is not the next PC %d — stream is not run-representable",
-					base+uint64(i), r.Target, recs[i+1].PC)
-			}
-			if recs[i+1].PC == r.PC+1 {
-				continue // run extends
-			}
-		}
-		// Run [start, i] ends here.
-		pc, rn := recs[start].PC, int32(i-start+1)
-		key := dictKey(pc, rn)
-		id, ok := vw.dict.ids[key]
-		if !ok {
-			if len(vw.dict.runs) >= maxDictRuns {
-				return dst, 0, fmt.Errorf("trace: run dictionary exceeds %d entries", maxDictRuns)
-			}
-			id = int32(len(vw.dict.runs))
-			vw.dict.ids[key] = id
-			vw.dict.runs = append(vw.dict.runs, dictRun{pc: pc, n: rn})
-			vw.newRuns = append(vw.newRuns, dictRun{pc: pc, n: rn})
-		}
-		if k := len(vw.tokens); k > 0 && vw.tokens[k-1].ID == id {
-			vw.tokens[k-1].Rep++
-		} else {
-			vw.tokens = append(vw.tokens, runstream.Token{ID: id, Rep: 1})
-		}
-		start = i + 1
+		nbr += int(d.condCount(t.ID)) * int(t.Rep)
+		nmem += int(d.memCount(t.ID)) * int(t.Rep)
+		span += int(d.runs[t.ID].n) * int(t.Rep)
+	}
+	if span != ch.N || ch.N == 0 || len(ch.BrTaken) != (nbr+7)/8 || len(ch.Addrs) != nmem {
+		return dst, 0, fmt.Errorf("trace: chunk at event %d: columns disagree with its %d events", base, ch.N)
 	}
 
-	put(base)
-	put(uint64(n))
-	put(uint64(dictBase))
-	put(uint64(len(vw.newRuns)))
+	dst = binary.AppendUvarint(dst, base)
+	dst = binary.AppendUvarint(dst, uint64(ch.N))
+	dst = binary.AppendUvarint(dst, uint64(dictBase))
+	dst = binary.AppendUvarint(dst, uint64(len(newRuns)))
 	prev := int64(0)
-	for _, e := range vw.newRuns {
-		put(zigzag(int64(e.pc) - prev))
-		put(uint64(e.n))
-		prev = int64(e.pc)
+	for _, r := range newRuns {
+		dst = binary.AppendUvarint(dst, zigzag(int64(r.PC)-prev))
+		dst = binary.AppendUvarint(dst, uint64(r.N))
+		prev = int64(r.PC)
 	}
-	put(uint64(len(vw.tokens)))
-	for _, t := range vw.tokens {
-		put(uint64(t.ID))
-		put(uint64(t.Rep))
+	dst = binary.AppendUvarint(dst, uint64(len(ch.Tokens)))
+	for _, t := range ch.Tokens {
+		dst = binary.AppendUvarint(dst, uint64(t.ID))
+		dst = binary.AppendUvarint(dst, uint64(t.Rep))
 	}
-	last := &recs[n-1]
-	put(zigzag(int64(last.Target) - int64(last.PC) - 1))
+	last := d.runs[ch.Tokens[len(ch.Tokens)-1].ID]
+	dst = binary.AppendUvarint(dst, zigzag(int64(ch.Target)-int64(last.pc+last.n)))
 	cut := len(dst)
 
-	nbb := (nbr + 7) / 8
-	off := len(dst)
-	dst = append(dst, make([]byte, nbb)...)
-	bit := 0
-	for i := range recs {
-		if vw.cls[recs[i].PC] == 1 {
-			if recs[i].Taken {
-				dst[off+bit/8] |= 1 << (bit % 8)
+	dst = append(dst, ch.BrTaken...)
+	vw.sc.nextEpoch(int(d.ni))
+	cur := 0
+	for _, t := range ch.Tokens {
+		id := t.ID
+		mOffs := d.memOff[d.memStart[id]:d.memStart[id+1]]
+		pcBase := d.runs[id].pc
+		for rep := int32(0); rep < t.Rep; rep++ {
+			for _, off := range mOffs {
+				pc := pcBase + off
+				a := ch.Addrs[cur]
+				cur++
+				dst = binary.AppendUvarint(dst, zigzag(int64(a-vw.sc.prev(pc))))
+				vw.sc.set(pc, a)
 			}
-			bit++
 		}
-	}
-	vw.sc.nextEpoch(int(vw.ni))
-	for i := range recs {
-		if vw.cls[recs[i].PC] != 3 {
-			continue
-		}
-		pc := recs[i].PC
-		a := recs[i].Addr
-		put(zigzag(int64(a - vw.sc.prev(pc))))
-		vw.sc.set(pc, a)
 	}
 	return dst, cut, nil
 }

@@ -285,3 +285,49 @@ func TestScanRunTokensCompresses(t *testing.T) {
 		t.Fatalf("token scan made %d callbacks for %d events; repeats are being expanded", calls, n)
 	}
 }
+
+// TestV4WriterRejectsUnrepresentable: every way an event stream can
+// fall outside the run-native encoding becomes the Writer's sticky
+// error — visible from the batch that carried it, returned by Close,
+// and with no later input accepted.
+func TestV4WriterRejectsUnrepresentable(t *testing.T) {
+	prog := testProgramMixed(1 << 12)
+	find := func(evs []sim.Event, cls isa.Class) int {
+		for i := 1; i < len(evs)-1; i++ {
+			if isa.ClassOf(prog.Insts[evs[i].PC].Op) == cls {
+				return i
+			}
+		}
+		t.Fatalf("stream has no class %v event", cls)
+		return 0
+	}
+	cases := []struct {
+		name string
+		mut  func(evs []sim.Event)
+	}{
+		{"target is not the next pc", func(evs []sim.Event) { evs[100].Target = evs[101].PC + 1 }},
+		{"untaken unconditional branch", func(evs []sim.Event) { evs[find(evs, isa.ClassUncondBranch)].Taken = false }},
+		{"taken non-branch", func(evs []sim.Event) { evs[find(evs, isa.ClassOther)].Taken = true }},
+		{"address on a non-memory op", func(evs []sim.Event) { evs[find(evs, isa.ClassCondBranch)].Addr = 64 }},
+		{"pc outside the program", func(evs []sim.Event) { evs[100].PC = int32(len(prog.Insts)) }},
+	}
+	for _, tc := range cases {
+		evs := testEventStream(2000, prog)
+		tc.mut(evs)
+		var buf bytes.Buffer
+		tw := NewWriterVersion(&buf, Meta{Program: prog.Name, ChunkEvents: 256}, prog, 4)
+		tw.ObserveBatch(evs[:1000])
+		if tw.Err() == nil {
+			t.Errorf("%s: accepted by ObserveBatch", tc.name)
+			continue
+		}
+		n := tw.Events()
+		tw.ObserveBatch(evs[1000:])
+		if tw.Events() != n {
+			t.Errorf("%s: writer kept accepting events after its error", tc.name)
+		}
+		if err := tw.Close(); err == nil {
+			t.Errorf("%s: Close succeeded", tc.name)
+		}
+	}
+}

@@ -183,13 +183,16 @@ func parseFrameBytes(buf []byte) (frame, error) {
 // ownership when chunk decode costs are skewed — exactly the shape a
 // v4 trace has, where a loop-dominated chunk is a handful of tokens
 // and a branchy one is thousands). Commit order is restored by a slot
-// ring: chunk c is delivered through slot (c-lo) mod window, and the
-// slot's gate admits a claimant only after the chunk one window
-// earlier has been consumed, which simultaneously bounds decoded
-// chunks in flight. Decode slabs are recycled through a sync.Pool,
-// so steady-state decoding allocates nothing.
+// ring: chunk c is delivered through slot (c-lo) mod window, and its
+// claimant is admitted only once the consumer has taken chunk
+// c-window, which frees the slot and bounds decoded chunks in flight.
+// Admission is by chunk index, not by a token on the slot: a claimant
+// that falls a window behind must not lose its slot to the claimant of
+// the chunk a window later, or the two would be delivered swapped.
+// Decode slabs are recycled through a sync.Pool, so steady-state
+// decoding allocates nothing.
 type columnSource struct {
-	slots []colSlot
+	slots []chan colMsg // cap 1 each: the slot's decoded chunk or error
 	claim atomic.Int64
 	pool  sync.Pool // *runstream.Chunk decode slabs
 	stop  chan struct{}
@@ -197,14 +200,15 @@ type columnSource struct {
 	wg    sync.WaitGroup
 	lo    int
 	hi    int
-	next  int
 	err   error
-}
 
-// colSlot is one position of the delivery ring.
-type colSlot struct {
-	gate chan struct{} // cap 1, seeded: admits the slot's next claimant
-	msg  chan colMsg   // cap 1: the slot's decoded chunk or error
+	// mu guards next and stopped; cond wakes claimants waiting in admit
+	// whenever the consumer advances or the source stops. Only the
+	// consumer writes next.
+	mu      sync.Mutex
+	cond    sync.Cond
+	next    int
+	stopped bool
 }
 
 type colMsg struct {
@@ -214,7 +218,7 @@ type colMsg struct {
 
 // chunksPerWorker sizes the delivery ring per worker: how many decoded
 // chunks may sit between the claim frontier and the consumer before
-// claimants block on their slot gates.
+// claimants block in admit.
 const chunksPerWorker = 3
 
 // Columns returns a column source over chunks [lo, hi), decoded by a
@@ -235,6 +239,7 @@ func (ir *IndexedReader) Columns(ctx context.Context, prog *isa.Program, lo, hi,
 		workers = hi - lo
 	}
 	s := &columnSource{stop: make(chan struct{}), lo: lo, hi: hi, next: lo}
+	s.cond.L = &s.mu
 	s.claim.Store(int64(lo))
 	if workers == 0 {
 		return s // empty range: Next returns io.EOF immediately
@@ -258,10 +263,9 @@ func (ir *IndexedReader) Columns(ctx context.Context, prog *isa.Program, lo, hi,
 	if window > hi-lo {
 		window = hi - lo
 	}
-	s.slots = make([]colSlot, window)
+	s.slots = make([]chan colMsg, window)
 	for i := range s.slots {
-		s.slots[i] = colSlot{gate: make(chan struct{}, 1), msg: make(chan colMsg, 1)}
-		s.slots[i].gate <- struct{}{}
+		s.slots[i] = make(chan colMsg, 1)
 	}
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
@@ -279,16 +283,13 @@ func (s *columnSource) worker(ctx context.Context, ir *IndexedReader, isMem []bo
 		if c >= s.hi {
 			return
 		}
-		slot := &s.slots[(c-s.lo)%len(s.slots)]
-		select {
-		case <-slot.gate:
-		case <-s.stop:
+		if !s.admit(c) {
 			return
 		}
 		var msg colMsg
 		msg.ch, msg.err = s.decodeChunk(ctx, ir, dec, isMem, &buf, c)
 		select {
-		case slot.msg <- msg:
+		case s.slots[(c-s.lo)%len(s.slots)] <- msg:
 		case <-s.stop:
 			return
 		}
@@ -355,15 +356,16 @@ func (s *columnSource) Next() (*runstream.Chunk, func(), error) {
 	if s.next >= s.hi {
 		return nil, nil, io.EOF
 	}
-	slot := &s.slots[(s.next-s.lo)%len(s.slots)]
-	msg := <-slot.msg
+	msg := <-s.slots[(s.next-s.lo)%len(s.slots)]
 	if msg.err != nil {
 		s.err = msg.err
-		s.once.Do(func() { close(s.stop) })
+		s.halt()
 		return nil, nil, msg.err
 	}
-	s.next++
-	slot.gate <- struct{}{} // admit the chunk one window later
+	s.mu.Lock()
+	s.next++ // admits the chunk one window later
+	s.mu.Unlock()
+	s.cond.Broadcast()
 	ch := msg.ch
 	release := func() { s.pool.Put(ch) }
 	return ch, release, nil
@@ -373,6 +375,30 @@ func (s *columnSource) Next() (*runstream.Chunk, func(), error) {
 // is safe to call at any time; in-flight chunks stay valid until their
 // release functions run.
 func (s *columnSource) Close() {
-	s.once.Do(func() { close(s.stop) })
+	s.halt()
 	s.wg.Wait()
+}
+
+// admit blocks until chunk c may be decoded — the consumer has taken
+// chunk c-window, so c's slot is free — and reports false instead once
+// the source has stopped.
+func (s *columnSource) admit(c int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c >= s.next+len(s.slots) && !s.stopped {
+		s.cond.Wait()
+	}
+	return !s.stopped
+}
+
+// halt stops the decode workers: blocked deliveries see stop, and
+// claimants waiting for admission wake and quit.
+func (s *columnSource) halt() {
+	s.once.Do(func() {
+		close(s.stop)
+		s.mu.Lock()
+		s.stopped = true
+		s.mu.Unlock()
+		s.cond.Broadcast()
+	})
 }

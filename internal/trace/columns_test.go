@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bioperfload/internal/isa"
@@ -195,6 +196,39 @@ func TestColumnsMatchEvents(t *testing.T) {
 		}
 		src := ir.Columns(context.Background(), prog, 0, ir.Chunks(), workers)
 		checkColumns(t, src, evs, prog)
+	}
+}
+
+// TestColumnsCommitOrderUnderContention drains many tiny chunks through
+// more workers than CPUs, many times over. A claimant that is
+// descheduled for a window's worth of chunks must still deliver its own
+// chunk in its turn, not lose its slot to the claimant one window later.
+func TestColumnsCommitOrderUnderContention(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	data, _, prog := writeTestTraceVersion(t, 20000, 16, 4)
+	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for iter := 0; iter < 100; iter++ {
+		src := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 4)
+		var want uint64
+		for {
+			ch, release, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ch.Base != want {
+				src.Close()
+				t.Fatalf("iteration %d: chunk base %d delivered, want %d", iter, ch.Base, want)
+			}
+			want += uint64(ch.N)
+			release()
+		}
+		src.Close()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bioperfload/internal/isa"
+	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 )
 
@@ -44,8 +45,7 @@ func FuzzCodec(f *testing.F) {
 	}
 	f.Add(fullV4.Bytes())
 	{
-		vw := newV4Writer(progMix)
-		chunk, _, err := vw.appendChunk(nil, 0, recordsOf(seedEvs))
+		chunk, err := encodeV4Chunk(progMix, 0, seedEvs)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -118,8 +118,7 @@ func FuzzCodec(f *testing.F) {
 			var sc v4Scratch
 			base4, evs4, err := decodeChunkEventsV4(data, progMix, dict, true, nil, &sc)
 			if err == nil {
-				vw := newV4Writer(progMix)
-				re, _, err := vw.appendChunk(nil, base4, recordsOf(evs4))
+				re, err := encodeV4Chunk(progMix, base4, evs4)
 				if err != nil {
 					t.Fatalf("v4: re-encode of decoded chunk failed: %v", err)
 				}
@@ -246,13 +245,21 @@ func seedStreamBytes() []byte {
 	return b
 }
 
-// recordsOf converts decoded events back to writer records.
-func recordsOf(evs []sim.Event) []Record {
-	recs := make([]Record, len(evs))
-	for i, ev := range evs {
-		recs[i] = Record{PC: ev.PC, Target: ev.Target, Addr: ev.Addr, Taken: ev.Taken}
+// encodeV4Chunk encodes evs as one bare v4 chunk payload starting at
+// event base, through a runstream.Builder and a fresh dictionary.
+func encodeV4Chunk(prog *isa.Program, base uint64, evs []sim.Event) ([]byte, error) {
+	vw := newV4Writer(prog)
+	var out []byte
+	var err error
+	b := runstream.NewBuilder(prog, len(evs), func(ch *runstream.Chunk) {
+		out, _, err = vw.appendChunk(nil, base, ch)
+	})
+	b.ObserveBatch(evs)
+	b.Flush()
+	if b.Err() != nil {
+		return nil, b.Err()
 	}
-	return recs
+	return out, err
 }
 
 // simEventsFromBytes deterministically shreds bytes into a

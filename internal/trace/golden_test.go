@@ -1,0 +1,91 @@
+package trace_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"bioperfload/internal/bio"
+	"bioperfload/internal/compiler"
+	"bioperfload/internal/loadchar"
+	"bioperfload/internal/runstream"
+	"bioperfload/internal/sim"
+	"bioperfload/internal/trace"
+)
+
+// v4TraceGoldens are the SHA-256s of the nine programs' test-size v4
+// traces (default chunk size, Meta{Program, Size: "test"}), as the
+// per-record v4 encoder wrote them before chunks came from a
+// runstream.Builder.
+var v4TraceGoldens = map[string]string{
+	"blast":        "9e9d8f447d7247bdb4cb6d8d7d0de8c16267c7ae012fa500e9d00f8071f673b5",
+	"clustalw":     "af9d53733c9efd85d8e535e9d15cc99cc25205914a864ff0553da54b83781e20",
+	"dnapenny":     "2200bf256d9226b6a57a0acb4b80a03701c37c189bb12a036286661c8c668b67",
+	"fasta":        "f15e48d7134906ab996685b95f6b9e227d8838291eb8d985864ddc54ea8f5bc8",
+	"hmmcalibrate": "eea47bbfcbad49b61a1cffa92ff3f8ee0b464572d4a673bd2b889fd18db2aec5",
+	"hmmpfam":      "68e61b2c4827ff805a410c331528f035c66467d90d9154f2d45a6cc0ec44131c",
+	"hmmsearch":    "963eee1881f98637926ac610b489466bef495d22b17f065effe3372c6c8d8c61",
+	"predator":     "3fd9559ab8bd833053df74e3823d748191527b5e9aff39602bd1c0017ade9941",
+	"promlk":       "ca46af6e87ba301efab9ed20f1d7b9472685cce3af420ad41f81de1b4231a4b5",
+}
+
+// TestV4TraceGoldens pins the recorded bytes of every program's
+// test-size v4 trace, written both ways a recording can feed the
+// Writer: events through its own Builder, and chunks from a Builder it
+// shares with a live analysis. The shared analysis must also match a
+// separately attached one.
+func TestV4TraceGoldens(t *testing.T) {
+	for _, p := range bio.All() {
+		prog, err := p.Compile(false, compiler.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sim.New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Bind(m, bio.SizeTest); err != nil {
+			t.Fatal(err)
+		}
+		meta := trace.Meta{Program: p.Name, Size: "test"}
+		var own, shared bytes.Buffer
+		tw := trace.NewWriter(&own, meta, prog)
+		m.AddBatchObserver(tw)
+		live := loadchar.New(prog)
+		m.AddBatchObserver(live)
+		sa := loadchar.New(prog)
+		sw := trace.NewWriter(&shared, meta, prog)
+		b := runstream.NewBuilder(prog, trace.ChunkEvents, func(ch *runstream.Chunk) {
+			sa.ObserveChunk(ch)
+			sw.WriteChunk(ch)
+		})
+		m.AddBatchObserver(b)
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Flush()
+		if err := b.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []*trace.Writer{tw, sw} {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if w.Events() != res.Instructions {
+				t.Fatalf("%s: writer recorded %d events, run committed %d", p.Name, w.Events(), res.Instructions)
+			}
+		}
+		want := v4TraceGoldens[p.Name]
+		for path, data := range map[string][]byte{"own Builder": own.Bytes(), "shared Builder": shared.Bytes()} {
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("%s (%s): trace SHA-256 %s, want %s", p.Name, path, got, want)
+			}
+		}
+		if got, want := loadchar.RenderProfile(p.Name, "test", sa, 10), loadchar.RenderProfile(p.Name, "test", live, 10); got != want {
+			t.Errorf("%s: shared-Builder analysis differs from a separately attached one", p.Name)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"testing"
 
 	"bioperfload/internal/bio"
@@ -56,9 +57,9 @@ func recordRun(t *testing.T, name string) (*isa.Program, string, []byte, uint64)
 }
 
 // TestReplayProfileGolden is the replay-fidelity golden test: a
-// characterization computed from a recorded trace — sequentially or
-// with the component-parallel analysis — renders byte-identical to one
-// computed live during simulation.
+// characterization computed from a recorded trace — decoded
+// sequentially or by parallel chunk decoders — renders byte-identical
+// to one computed live during simulation.
 func TestReplayProfileGolden(t *testing.T) {
 	for _, name := range []string{"hmmsearch", "predator"} {
 		prog, want, data, insts := recordRun(t, name)
@@ -83,17 +84,25 @@ func TestReplayProfileGolden(t *testing.T) {
 			t.Errorf("%s: sequential replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
 		}
 
-		// Component-parallel replay with parallel chunk decode.
+		// Parallel chunk decode feeding one analysis in commit order.
 		tr2, err := trace.NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		src := tr2.ParallelEvents(prog, 2)
-		par, err := loadchar.AnalyzeParallel(context.Background(), prog, src)
-		src.Close()
-		if err != nil {
-			t.Fatalf("%s: parallel replay: %v", name, err)
+		par := loadchar.New(prog)
+		for {
+			evs, release, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: parallel decode: %v", name, err)
+			}
+			par.ObserveBatch(evs)
+			release()
 		}
+		src.Close()
 		if got := loadchar.RenderProfile(name, "test", par, 10); got != want {
 			t.Errorf("%s: parallel replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
 		}

@@ -19,12 +19,10 @@ var ErrClosed = errors.New("trace: source closed")
 // Source streams a trace as slabs of simulator events in commit
 // order. Next returns a slab plus a release function; the slab is
 // recycled only after release is called, mirroring the sim.Event slab
-// contract, so a consumer may hold several outstanding slabs (e.g. a
-// pass fan-out) as long as each is eventually released. Next returns
-// io.EOF after the last chunk, once the footer has been validated
-// against the decoded event count.
-//
-// It structurally satisfies loadchar.EventSource.
+// contract, so a consumer may hold several outstanding slabs as long
+// as each is eventually released. Next returns io.EOF after the last
+// chunk, once the footer has been validated against the decoded event
+// count.
 type Source struct {
 	next  func() ([]sim.Event, func(), error)
 	close func()

@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"bioperfload/internal/isa"
+	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 )
 
@@ -67,6 +69,13 @@ const (
 	// stream cannot skip work — only a separate stream can.)
 	compressionSplit = 2
 )
+
+// flateWriters recycles chunk compressors across Writers: building
+// one allocates about 1 MB, more than a short trace's whole payload.
+var flateWriters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
+	return fw
+}}
 
 // maxFrameBytes caps the compressed-frame allocation a corrupted
 // length prefix can request.
@@ -132,14 +141,21 @@ type chunkInfo struct {
 // compressed, CRC-stamped, and framed as they fill. Close flushes the
 // final partial chunk and the footer; it does not close w.
 //
-// I/O and encoding errors inside ObserveBatch are sticky: the first
-// one is retained, further batches are dropped, and Close returns it.
+// A v4 Writer encodes runstream chunks (WriteChunk). Fed events, it
+// builds them with its own runstream.Builder; a recording that also
+// characterizes the stream shares one Builder between the analysis and
+// WriteChunk instead, so runs are built once. A Writer takes either
+// events or chunks, not both.
+//
+// I/O, encoding, and representability errors are sticky: the first
+// one is retained, further input is dropped, and Close returns it.
 type Writer struct {
 	w       io.Writer
 	meta    Meta
 	version int
 	flate   bool
-	recs    []Record
+	recs    []Record           // pending chunk (formats v1–v3)
+	b       *runstream.Builder // v4 event input, created on first use
 	base    uint64
 	total   uint64
 	off     int64 // bytes written so far; next frame starts here
@@ -199,22 +215,35 @@ func newWriterVersion(w io.Writer, meta Meta, version int) *Writer {
 	if meta.Compression == "" {
 		meta.Compression = "flate"
 	}
-	return &Writer{
+	tw := &Writer{
 		w:       w,
 		meta:    meta,
 		version: version,
 		flate:   meta.Compression == "flate",
-		recs:    make([]Record, 0, meta.ChunkEvents),
 	}
+	if version < 4 {
+		tw.recs = make([]Record, 0, meta.ChunkEvents)
+	}
+	return tw
 }
 
 var _ sim.BatchObserver = (*Writer)(nil)
 
-// ObserveBatch implements sim.BatchObserver: the slab is copied into
-// the writer's chunk buffer immediately (the simulator recycles it the
-// moment this returns) and full chunks are flushed inline.
+// ObserveBatch implements sim.BatchObserver: the slab is consumed
+// immediately (the simulator recycles it the moment this returns) and
+// full chunks are flushed inline.
 func (tw *Writer) ObserveBatch(evs []sim.Event) {
 	if tw.err != nil || tw.closed {
+		return
+	}
+	if tw.v4 != nil {
+		if tw.b == nil {
+			tw.b = runstream.NewBuilder(tw.v4.prog, tw.meta.ChunkEvents, tw.WriteChunk)
+		}
+		tw.b.ObserveBatch(evs)
+		if err := tw.b.Err(); err != nil && tw.err == nil {
+			tw.err = fmt.Errorf("trace: %w", err)
+		}
 		return
 	}
 	for i := range evs {
@@ -234,7 +263,42 @@ func (tw *Writer) ObserveBatch(evs []sim.Event) {
 func (tw *Writer) Err() error { return tw.err }
 
 // Events returns how many events have been accepted so far.
-func (tw *Writer) Events() uint64 { return tw.total + uint64(len(tw.recs)) }
+func (tw *Writer) Events() uint64 {
+	if tw.b != nil {
+		return tw.b.Events()
+	}
+	return tw.total + uint64(len(tw.recs))
+}
+
+// WriteChunk encodes one dictionary-backed chunk as the next v4 chunk
+// frame. Chunks must come in commit order from a single
+// runstream.Builder over the Writer's program, whose chunk size should
+// match Meta.ChunkEvents; ch is not retained.
+func (tw *Writer) WriteChunk(ch *runstream.Chunk) {
+	if tw.err != nil || tw.closed {
+		return
+	}
+	if tw.v4 == nil {
+		tw.err = fmt.Errorf("trace: chunk input needs a format v4 writer")
+		return
+	}
+	if ch.Base != tw.base {
+		tw.err = fmt.Errorf("trace: chunk starts at event %d, writer is at %d", ch.Base, tw.base)
+		return
+	}
+	tw.writeHeader()
+	if tw.err != nil {
+		return
+	}
+	var cut int
+	var err error
+	tw.raw, cut, err = tw.v4.appendChunk(tw.raw[:0], tw.base, ch)
+	if err != nil {
+		tw.err = err
+		return
+	}
+	tw.writeFrame(cut, ch.N)
+}
 
 func (tw *Writer) writeHeader() {
 	if tw.header {
@@ -261,6 +325,10 @@ func (tw *Writer) writeHeader() {
 
 // flush encodes, compresses, and frames the pending chunk.
 func (tw *Writer) flush() {
+	if tw.b != nil {
+		tw.b.Flush()
+		return
+	}
 	if tw.err != nil || len(tw.recs) == 0 {
 		return
 	}
@@ -268,31 +336,23 @@ func (tw *Writer) flush() {
 	if tw.err != nil {
 		return
 	}
-	v4cut := 0
-	if tw.version >= 4 {
-		if tw.v4 == nil {
-			tw.err = fmt.Errorf("trace: v4 writer constructed without a program")
-			return
-		}
-		var err error
-		tw.raw, v4cut, err = tw.v4.appendChunk(tw.raw[:0], tw.base, tw.recs)
-		if err != nil {
-			tw.err = err
-			return
-		}
-	} else {
-		tw.raw = appendChunk(tw.raw[:0], tw.base, tw.recs, tw.version)
-	}
+	tw.raw = appendChunk(tw.raw[:0], tw.base, tw.recs, tw.version)
+	tw.writeFrame(0, len(tw.recs))
+	tw.recs = tw.recs[:0]
+}
+
+// writeFrame compresses tw.raw — as two streams split at cut for v4,
+// or at the PC column's end for v3 — and writes it as the frame of a
+// chunk of n events.
+func (tw *Writer) writeFrame(cut, n int) {
 	payload := tw.raw
 	kind := byte(compressionNone)
 	if tw.flate {
 		tw.comp.Reset()
 		if tw.fw == nil {
-			tw.fw, _ = flate.NewWriter(&tw.comp, flate.BestSpeed)
-		} else {
-			tw.fw.Reset(&tw.comp)
+			tw.fw = flateWriters.Get().(*flate.Writer)
 		}
-		cut := v4cut
+		tw.fw.Reset(&tw.comp)
 		if tw.version == 3 {
 			cut, _ = pcColumnEnd(tw.raw) // 0 (whole-chunk stream) if unparseable
 		}
@@ -335,11 +395,10 @@ func (tw *Writer) flush() {
 		tw.err = fmt.Errorf("trace: write chunk: %w", err)
 		return
 	}
-	tw.index = append(tw.index, chunkInfo{offset: tw.off, events: uint64(len(tw.recs))})
+	tw.index = append(tw.index, chunkInfo{offset: tw.off, events: uint64(n)})
 	tw.off += int64(len(frame)) + int64(len(payload))
-	tw.base += uint64(len(tw.recs))
+	tw.base += uint64(n)
 	tw.total = tw.base
-	tw.recs = tw.recs[:0]
 }
 
 // Close flushes the final partial chunk and writes the terminator and
@@ -352,8 +411,12 @@ func (tw *Writer) Close() error {
 	if tw.closed {
 		return tw.err
 	}
-	tw.closed = true
 	tw.flush()
+	tw.closed = true
+	if tw.fw != nil {
+		flateWriters.Put(tw.fw)
+		tw.fw = nil
+	}
 	tw.writeHeader() // empty trace still gets a valid header
 	if tw.err != nil {
 		return tw.err
