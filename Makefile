@@ -46,10 +46,13 @@ race-concurrent:
 smoke:
 	$(GO) run ./cmd/experiments -size test -timing test > /dev/null
 
-# fuzz-smoke gives the trace codec fuzzer a short budget on top of the
-# checked-in corpus (which always runs as part of `go test`).
+# fuzz-smoke gives each trace fuzzer a short budget on top of its
+# seeds and checked-in corpus (which always run as part of `go test`):
+# FuzzCodec for single chunk payloads and encode/decode round trips,
+# FuzzIndexedReader for arbitrary whole files through every read path.
 fuzz-smoke:
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCodec -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexedReader$$' -fuzztime 10s
 
 # validate-timing asserts the fast scoreboard tier reproduces the full
 # model's speedup and cross-platform ratios within the checked-in

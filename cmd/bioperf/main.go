@@ -38,9 +38,9 @@ func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "trace":
-			os.Exit(cmdTrace(os.Args[2:], os.Stderr))
+			os.Exit(cmdTrace(os.Args[2:], os.Stdout, os.Stderr))
 		case "replay":
-			os.Exit(cmdReplay(os.Args[2:], os.Stderr))
+			os.Exit(cmdReplay(os.Args[2:], os.Stdout, os.Stderr))
 		case "bench-trace":
 			os.Exit(cmdBenchTrace(os.Args[2:], os.Stderr))
 		case "validate-timing":

@@ -209,7 +209,7 @@ func benchSampling(progs []*bio.Program, sizes []bio.Size, jsonPath string, inte
 			if err != nil {
 				return err
 			}
-			res, _, err := record(p, prog, sz, fp, tf, "flate", trace.FormatVersion)
+			res, _, err := record(p, prog, sz, fp, tf, "flate")
 			if err != nil {
 				tf.Close()
 				os.Remove(tf.Name())

@@ -34,10 +34,9 @@ func parseSize(s string) (bio.Size, error) {
 }
 
 // record simulates p at sz with a trace writer attached and returns
-// the validated result. The trace is written to w at the requested
-// format version and is only complete (footer present) if record
-// returns nil error.
-func record(p *bio.Program, prog *isa.Program, sz bio.Size, fp string, w io.Writer, compression string, version int) (*sim.Result, *trace.Writer, error) {
+// the validated result. The trace is written to w and is only complete
+// (footer present) if record returns nil error.
+func record(p *bio.Program, prog *isa.Program, sz bio.Size, fp string, w io.Writer, compression string) (*sim.Result, *trace.Writer, error) {
 	m, err := sim.New(prog)
 	if err != nil {
 		return nil, nil, err
@@ -45,12 +44,12 @@ func record(p *bio.Program, prog *isa.Program, sz bio.Size, fp string, w io.Writ
 	if err := p.Bind(m, sz); err != nil {
 		return nil, nil, fmt.Errorf("%s: bind: %w", p.Name, err)
 	}
-	tw := trace.NewWriterVersion(w, trace.Meta{
+	tw := trace.NewWriter(w, trace.Meta{
 		Program:     p.Name,
 		Fingerprint: fp,
 		Size:        sz.String(),
 		Compression: compression,
-	}, prog, version)
+	}, prog)
 	m.AddBatchObserver(tw)
 	res, err := m.Run()
 	if err != nil {
@@ -71,15 +70,13 @@ func record(p *bio.Program, prog *isa.Program, sz bio.Size, fp string, w io.Writ
 
 // cmdTrace records a committed-instruction trace of one program run to
 // a file, for later offline replay with `bioperf replay`.
-func cmdTrace(args []string, stderr io.Writer) int {
+func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bioperf trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	name := fs.String("program", "hmmsearch", "application to record")
 	sizeFlag := fs.String("size", "test", "input size (test|classB|classC)")
 	out := fs.String("o", "", "output path (default <program>-<size>.trace)")
 	comp := fs.String("compression", "flate", "chunk codec: flate (smallest) or none (fastest replay)")
-	ver := fs.Int("trace-version", trace.FormatVersion,
-		fmt.Sprintf("trace format version to write (1-%d); older versions interoperate with pre-upgrade readers", trace.FormatVersion))
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -119,14 +116,8 @@ func cmdTrace(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bioperf trace: -compression: unknown codec %q (flate|none)\n", *comp)
 		return 2
 	}
-	if *ver < 1 || *ver > trace.FormatVersion {
-		fmt.Fprintf(stderr, "bioperf trace: -trace-version: %d out of range (1-%d)\n", *ver, trace.FormatVersion)
-		return 2
-	}
-	// Hash with the version being written so the file's own fingerprint
-	// matches what replay recomputes for that version.
-	fp := runner.FingerprintAt(p, false, compiler.Default(), *ver)
-	res, tw, err := record(p, prog, sz, fp, f, *comp, *ver)
+	fp := runner.Fingerprint(p, false, compiler.Default())
+	res, tw, err := record(p, prog, sz, fp, f, *comp)
 	if err != nil {
 		f.Close()
 		os.Remove(path)
@@ -138,7 +129,7 @@ func cmdTrace(args []string, stderr io.Writer) int {
 		return 1
 	}
 	st, _ := os.Stat(path)
-	fmt.Printf("%s: %d instructions -> %s (%d bytes, %.2f bits/event)\n",
+	fmt.Fprintf(stdout, "%s: %d instructions -> %s (%d bytes, %.2f bits/event)\n",
 		p.Name, res.Instructions, path, st.Size(),
 		8*float64(st.Size())/float64(tw.Events()))
 	return 0
@@ -146,10 +137,9 @@ func cmdTrace(args []string, stderr io.Writer) int {
 
 // cmdReplay re-runs the load characterization from a recorded trace:
 // no compilation beyond rebinding instruction metadata, no simulation.
-// A v2 trace (footer chunk index) replays through the sharded analyzer;
-// v1 traces fall back to the sequential stream, so files recorded
-// before the format bump keep working.
-func cmdReplay(args []string, stderr io.Writer) int {
+// The trace replays through the sharded analyzer; a trace in a retired
+// format is refused with a message to re-record it.
+func cmdReplay(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bioperf replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jobs := fs.Int("j", 1, "replay shard workers (0 = GOMAXPROCS)")
@@ -182,39 +172,25 @@ func cmdReplay(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bioperf replay: %v\n", err)
 		return 1
 	}
-
-	// Prefer the indexed footer; anything unindexable (a v1 trace)
-	// streams sequentially. NewIndexedReader reads via ReadAt, so the
-	// file offset is still 0 for the fallback.
-	var (
-		meta    trace.Meta
-		version int
-		ir      *trace.IndexedReader
-		tr      *trace.Reader
-	)
-	if ir, err = trace.NewIndexedReader(f, fi.Size()); err == nil {
-		meta, version = ir.Meta(), ir.Version()
-	} else {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			fmt.Fprintf(stderr, "bioperf replay: %v\n", err)
-			return 1
-		}
-		if tr, err = trace.NewReader(f); err != nil {
-			fmt.Fprintf(stderr, "bioperf replay: %v\n", err)
-			return 1
-		}
-		meta, version = tr.Meta(), tr.Version()
+	ir, err := trace.NewIndexedReader(f, fi.Size())
+	if err != nil {
+		fmt.Fprintf(stderr, "bioperf replay: %v\n", err)
+		return 1
 	}
+	meta := ir.Meta()
 	p, err := bio.ByName(meta.Program)
 	if err != nil {
 		fmt.Fprintf(stderr, "bioperf replay: trace program: %v\n", err)
 		return 1
 	}
-	// Hash with the file's own format version so traces recorded before
-	// a format bump still verify against the same program source.
-	if fp := runner.FingerprintAt(p, false, compiler.Default(), version); meta.Fingerprint != fp {
-		fmt.Fprintf(stderr, "bioperf replay: fingerprint mismatch: trace %s was recorded from a different %s build\n",
-			meta.Fingerprint[:12], p.Name)
+	if fp := runner.Fingerprint(p, false, compiler.Default()); meta.Fingerprint != fp {
+		// The fingerprint comes from the file; it may be any length.
+		short := meta.Fingerprint
+		if len(short) > 12 {
+			short = short[:12]
+		}
+		fmt.Fprintf(stderr, "bioperf replay: fingerprint mismatch: trace %q was recorded from a different %s build\n",
+			short, p.Name)
 		return 1
 	}
 	prog, err := p.Compile(false, compiler.Default())
@@ -222,28 +198,15 @@ func cmdReplay(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bioperf replay: %v\n", err)
 		return 1
 	}
-
-	var a *loadchar.Analysis
-	if ir != nil {
-		a, err = runner.ReplayAnalyze(context.Background(), prog, ir, *jobs)
-	} else {
-		a = loadchar.New(prog)
-		if _, err = tr.Replay(context.Background(), prog, a); err == nil {
-			err = a.Err()
-		}
-	}
+	a, err := runner.ReplayAnalyze(context.Background(), prog, ir, *jobs)
 	if err != nil {
 		fmt.Fprintf(stderr, "bioperf replay: %v\n", err)
 		return 1
 	}
-	if tr != nil {
-		// The legacy stream path never touches the sharded engine.
-		a.Exec = loadchar.Execution{RequestedWorkers: *jobs, Workers: 1, SerialReason: loadchar.SerialReasonNoIndex}
-	}
 	if e := a.Exec; e.RequestedWorkers > 1 && !e.Parallel() {
 		fmt.Fprintf(stderr, "bioperf replay: note: %d workers requested, ran serial (%s)\n", e.RequestedWorkers, e.SerialReason)
 	}
-	fmt.Print(loadchar.RenderProfile(p.Name, meta.Size, a, *hot))
+	fmt.Fprint(stdout, loadchar.RenderProfile(p.Name, meta.Size, a, *hot))
 	return 0
 }
 
@@ -262,7 +225,6 @@ type benchTraceFile struct {
 	TraceBytes   int64   `json:"trace_bytes"`
 	BitsPerEvent float64 `json:"bits_per_event"`
 	Compression  string  `json:"compression"`
-	TraceVersion int     `json:"trace_version"`
 	Samples      int     `json:"samples"`
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	NumCPU       int     `json:"num_cpu"`
@@ -293,11 +255,6 @@ type benchTraceFile struct {
 	// from the decode-slab pools.
 	Scaling []benchScalingPoint `json:"replay_scaling"`
 
-	// CrossVersion is the back-compat matrix: the same run recorded at
-	// every readable format version, each decoded and re-analyzed
-	// against the live profile.
-	CrossVersion []benchVersionPoint `json:"cross_version"`
-
 	ProfilesIdentical bool   `json:"profiles_identical"`
 	Generated         string `json:"generated"`
 }
@@ -319,15 +276,6 @@ type benchScalingPoint struct {
 	Speedup     float64            `json:"speedup"`      // cold simulate / this wall
 	WallScaling float64            `json:"wall_scaling"` // 1-worker wall / this wall
 	Mem         benchMem           `json:"mem"`
-}
-
-// benchVersionPoint is one row of the cross-version matrix.
-type benchVersionPoint struct {
-	Version           int     `json:"version"`
-	TraceBytes        int64   `json:"trace_bytes"`
-	BitsPerEvent      float64 `json:"bits_per_event"`
-	DecodeNSPerEvent  float64 `json:"decode_ns_per_event"`
-	ProfilesIdentical bool    `json:"profiles_identical"`
 }
 
 // measurement is one timed region: wall clock, process CPU time
@@ -411,8 +359,6 @@ func cmdBenchTrace(args []string, stderr io.Writer) int {
 	minWall := fs.Float64("min-wall-scaling", 0,
 		"fail unless the GOMAXPROCS=4 replay wall time beats 1-worker by >= this factor (0 = no check; skipped with a note when the host has fewer than 4 CPUs)")
 	comp := fs.String("compression", "none", "trace codec for the replay benchmark (none|flate); none keeps inflate off the replay critical path")
-	ver := fs.Int("trace-version", trace.FormatVersion,
-		fmt.Sprintf("trace format version for the replay benchmark (1-%d)", trace.FormatVersion))
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -448,23 +394,19 @@ func cmdBenchTrace(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bioperf bench-trace: -compression: unknown codec %q (flate|none)\n", *comp)
 		return 2
 	}
-	if *ver < 1 || *ver > trace.FormatVersion {
-		fmt.Fprintf(stderr, "bioperf bench-trace: -trace-version: %d out of range (1-%d)\n", *ver, trace.FormatVersion)
-		return 2
-	}
-	if err := benchTrace(p, sz, *jsonPath, *jobs, *samples, *check, *minPar, *minWall, *comp, *ver); err != nil {
+	if err := benchTrace(p, sz, *jsonPath, *jobs, *samples, *check, *minPar, *minWall, *comp); err != nil {
 		fmt.Fprintf(stderr, "bioperf bench-trace: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int, check, minPar, minWall float64, comp string, version int) error {
+func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int, check, minPar, minWall float64, comp string) error {
 	prog, err := p.Compile(false, compiler.Default())
 	if err != nil {
 		return err
 	}
-	fp := runner.FingerprintAt(p, false, compiler.Default(), version)
+	fp := runner.Fingerprint(p, false, compiler.Default())
 	ctx := context.Background()
 
 	// Cold: simulate with the live analyzer attached — the baseline
@@ -517,7 +459,7 @@ func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int,
 			return 0, err
 		}
 		start := time.Now()
-		if _, _, err := record(p, prog, sz, fp, tf, comp, version); err != nil {
+		if _, _, err := record(p, prog, sz, fp, tf, comp); err != nil {
 			return 0, err
 		}
 		return time.Since(start), nil
@@ -598,15 +540,6 @@ func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int,
 		scaling[i].WallScaling = scaling[0].WallMS / scaling[i].WallMS
 	}
 
-	// Cross-version matrix: the same simulation recorded once at every
-	// readable format version, then each file decoded (ns/event, no
-	// analysis) and re-analyzed back to the live profile. v1 has no
-	// footer index, so it streams through the sequential reader.
-	crossVersion, crossOK, err := benchCrossVersion(ctx, p, prog, sz, samples, comp, want)
-	if err != nil {
-		return err
-	}
-
 	// Store-backed serving, the path runner.Session and bioperfd use:
 	// a cold session on an empty store pays the full pipeline (compile
 	// + simulate + analyze + record + persist), then a fresh session on
@@ -674,8 +607,7 @@ func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int,
 		return err
 	}
 
-	identical := crossOK &&
-		loadchar.RenderProfile(p.Name, sz.String(), seq, 10) == want &&
+	identical := loadchar.RenderProfile(p.Name, sz.String(), seq, 10) == want &&
 		loadchar.RenderProfile(p.Name, sz.String(), par, 10) == want &&
 		loadchar.RenderProfile(p.Name, sz.String(), coldProf.Analysis, 10) == want &&
 		loadchar.RenderProfile(p.Name, sz.String(), warmProf.Analysis, 10) == want
@@ -691,7 +623,6 @@ func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int,
 		TraceBytes:            traceSize,
 		BitsPerEvent:          8 * float64(traceSize) / float64(res.Instructions),
 		Compression:           comp,
-		TraceVersion:          version,
 		Samples:               samples,
 		GOMAXPROCS:            runtime.GOMAXPROCS(0),
 		NumCPU:                runtime.NumCPU(),
@@ -709,7 +640,6 @@ func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int,
 		ReplaySpeedup:         cold.Seconds() / seqM.Wall.Seconds(),
 		ParallelReplaySpeedup: cold.Seconds() / parM.Wall.Seconds(),
 		Scaling:               scaling,
-		CrossVersion:          crossVersion,
 		ProfilesIdentical:     identical,
 		Generated:             time.Now().UTC().Format(time.RFC3339),
 	}
@@ -720,8 +650,8 @@ func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int,
 	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("%s %s: %d instructions, trace v%d %d bytes (%.2f bits/event), best of %d, %d cpus\n",
-		p.Name, sz, res.Instructions, version, traceSize, out.BitsPerEvent, samples, out.NumCPU)
+	fmt.Printf("%s %s: %d instructions, trace %d bytes (%.2f bits/event), best of %d, %d cpus\n",
+		p.Name, sz, res.Instructions, traceSize, out.BitsPerEvent, samples, out.NumCPU)
 	fmt.Printf("  cold characterize %8.1f ms\n", out.ColdCharacterizeMS)
 	fmt.Printf("  warm characterize %8.1f ms  (%.2fx, store-served)\n", out.WarmCharacterizeMS, out.CharacterizeSpeedup)
 	fmt.Printf("  cold simulate     %8.1f ms\n", out.ColdMS)
@@ -736,10 +666,6 @@ func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int,
 		}
 		fmt.Printf("  scaling p=%d       wall %8.1f ms  cpu %8.1f ms  (%.2fx wall vs 1 worker, ran %d%s)\n",
 			pt.GOMAXPROCS, pt.WallMS, pt.CPUMS, pt.WallScaling, pt.Exec.Workers, note)
-	}
-	for _, cv := range crossVersion {
-		fmt.Printf("  decode v%d         %8.2f ns/event  (%d bytes, %.2f bits/event)\n",
-			cv.Version, cv.DecodeNSPerEvent, cv.TraceBytes, cv.BitsPerEvent)
 	}
 	fmt.Printf("  wrote %s\n", jsonPath)
 	if check > 0 && out.CharacterizeSpeedup < check {
@@ -765,142 +691,4 @@ func benchTrace(p *bio.Program, sz bio.Size, jsonPath string, jobs, samples int,
 		}
 	}
 	return nil
-}
-
-// benchCrossVersion records one simulation simultaneously at every
-// readable trace format version, then measures each file's pure decode
-// cost and checks that every version re-analyzes to the live profile —
-// v1 through the sequential reader, v2+ through the indexed engine at
-// several worker counts. It returns one matrix row per version and
-// whether every profile matched.
-func benchCrossVersion(ctx context.Context, p *bio.Program, prog *isa.Program, sz bio.Size, samples int, comp string, want string) ([]benchVersionPoint, bool, error) {
-	files := make([]*os.File, trace.FormatVersion)
-	for v := 1; v <= trace.FormatVersion; v++ {
-		f, err := os.CreateTemp("", fmt.Sprintf("bioperf-bench-v%d-*.trace", v))
-		if err != nil {
-			return nil, false, err
-		}
-		defer os.Remove(f.Name())
-		defer f.Close()
-		files[v-1] = f
-	}
-	m, err := sim.New(prog)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := p.Bind(m, sz); err != nil {
-		return nil, false, err
-	}
-	tws := make([]*trace.Writer, trace.FormatVersion)
-	for v := 1; v <= trace.FormatVersion; v++ {
-		fp := runner.FingerprintAt(p, false, compiler.Default(), v)
-		tws[v-1] = trace.NewWriterVersion(files[v-1], trace.Meta{
-			Program: p.Name, Fingerprint: fp, Size: sz.String(), Compression: comp,
-		}, prog, v)
-		m.AddBatchObserver(tws[v-1])
-	}
-	if _, err := m.Run(); err != nil {
-		return nil, false, err
-	}
-	events := uint64(0)
-	for v, tw := range tws {
-		if err := tw.Close(); err != nil {
-			return nil, false, fmt.Errorf("v%d: close: %v", v+1, err)
-		}
-		events = tw.Events()
-	}
-
-	allOK := true
-	rows := make([]benchVersionPoint, 0, trace.FormatVersion)
-	for v := 1; v <= trace.FormatVersion; v++ {
-		f := files[v-1]
-		size, err := f.Seek(0, io.SeekEnd)
-		if err != nil {
-			return nil, false, err
-		}
-		// Pure decode with no analysis attached, so the row isolates
-		// the codec from the characterization passes. Indexed versions
-		// decode through the column path the replay analyzer actually
-		// consumes — for v4 that is dictionary-token lookup with zero
-		// per-event varint work, which is the whole point of the
-		// format; v1 has no index and streams materialized events.
-		var decoded uint64
-		dec, err := measureBest(samples, func() error {
-			decoded = 0
-			if v == 1 {
-				if _, err := f.Seek(0, io.SeekStart); err != nil {
-					return err
-				}
-				tr, err := trace.NewReader(f)
-				if err != nil {
-					return err
-				}
-				n, err := tr.Replay(ctx, prog, sim.BatchObserverFunc(func(evs []sim.Event) {}))
-				decoded = n
-				return err
-			}
-			ir, err := trace.NewIndexedReader(f, size)
-			if err != nil {
-				return err
-			}
-			src := ir.Columns(ctx, prog, 0, ir.Chunks(), 1)
-			defer src.Close()
-			for {
-				ch, release, err := src.Next()
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				decoded += uint64(ch.N)
-				release()
-			}
-		})
-		if err != nil {
-			return nil, false, fmt.Errorf("v%d: decode: %v", v, err)
-		}
-		if decoded != events {
-			return nil, false, fmt.Errorf("v%d: decoded %d of %d events", v, decoded, events)
-		}
-
-		ok := true
-		if v == 1 {
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				return nil, false, err
-			}
-			tr, err := trace.NewReader(f)
-			if err != nil {
-				return nil, false, err
-			}
-			a := loadchar.New(prog)
-			if _, err := tr.Replay(ctx, prog, a); err != nil {
-				return nil, false, fmt.Errorf("v1: replay: %v", err)
-			}
-			ok = loadchar.RenderProfile(p.Name, sz.String(), a, 10) == want
-		} else {
-			for _, jobs := range []int{1, 4, 8} {
-				ir, err := trace.NewIndexedReader(f, size)
-				if err != nil {
-					return nil, false, err
-				}
-				a, err := runner.ReplayAnalyze(ctx, prog, ir, jobs)
-				if err != nil {
-					return nil, false, fmt.Errorf("v%d jobs=%d: %v", v, jobs, err)
-				}
-				if loadchar.RenderProfile(p.Name, sz.String(), a, 10) != want {
-					ok = false
-				}
-			}
-		}
-		allOK = allOK && ok
-		rows = append(rows, benchVersionPoint{
-			Version:           v,
-			TraceBytes:        size,
-			BitsPerEvent:      8 * float64(size) / float64(events),
-			DecodeNSPerEvent:  float64(dec.Wall.Nanoseconds()) / float64(events),
-			ProfilesIdentical: ok,
-		})
-	}
-	return rows, allOK, nil
 }

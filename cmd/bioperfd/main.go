@@ -216,7 +216,6 @@ type fleetBench struct {
 	Cold            benchPhase        `json:"cold"`
 	Mixed           benchPhase        `json:"mixed"`
 	ServeSources    map[string]uint64 `json:"serve_sources"` // fleet-wide totals
-	ReplayByVersion map[string]uint64 `json:"replay_by_version,omitempty"`
 	ColdSimulations uint64            `json:"cold_simulations"`
 	PeerFetchHits   uint64            `json:"peer_fetch_hits"`
 }
@@ -504,12 +503,6 @@ func benchFleet(size string, programs []string, nodes, replicas, bestOf int) (fl
 		best.ServeSources["peer"] += st.PeerHits
 		best.ServeSources["cold"] += st.ColdChars
 		best.ColdSimulations += st.ColdChars
-		for v, n := range st.ReplayRunsByVersion {
-			if best.ReplayByVersion == nil {
-				best.ReplayByVersion = map[string]uint64{}
-			}
-			best.ReplayByVersion[v] += n
-		}
 		if clusters[i] != nil {
 			best.PeerFetchHits += clusters[i].Stats().FetchHits
 		}

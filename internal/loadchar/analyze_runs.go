@@ -34,10 +34,6 @@ func (e Execution) Parallel() bool { return e.Workers > 1 }
 const (
 	// SerialReasonRequested: the caller asked for at most one worker.
 	SerialReasonRequested = "requested"
-	// SerialReasonNoIndex: the trace predates the chunk index (format
-	// v1), so the column engine cannot seek and replay fell back to a
-	// live analysis fed the decoded events in order.
-	SerialReasonNoIndex = "no-index"
 	// SerialReasonGOMAXPROCS: worker count clamped to schedulable CPUs.
 	SerialReasonGOMAXPROCS = "gomaxprocs"
 	// SerialReasonSingleChunk: the trace has too few chunks to split.
@@ -58,47 +54,26 @@ func newBpLane(nShards, mine int) *bpLane {
 	return &bpLane{sh: bpred.NewPaperDenseShard(), nShards: nShards, mine: mine}
 }
 
+// chunk replays one chunk's conditional branches. BrTaken carries one
+// bit per dynamic conditional branch, in the same ordinal space as the
+// fed bitmap, so a single cursor serves both.
 func (l *bpLane) chunk(ch *runstream.Chunk, ann *chunkAnn) {
-	if ch.Dict != nil {
-		// Dictionary-backed chunk: BrTaken carries one bit per dynamic
-		// conditional branch, in the same ordinal space as the fed
-		// bitmap, so a single cursor serves both.
-		br := 0
-		for _, tk := range ann.toks {
-			for rep := int32(0); rep < tk.rep; rep++ {
-				for _, off := range tk.ri.brs {
-					pc := tk.ri.pc + off
-					taken := ch.BrTaken[br>>3]&(1<<(br&7)) != 0
-					if l.nShards == 1 || int(pc)%l.nShards == l.mine {
-						if l.sh.Observe(pc, taken) && ann.fedAt(br) {
-							l.fedMiss++
-						}
-					} else {
-						l.sh.TrainGlobal(pc, taken)
-					}
-					br++
-				}
-			}
-		}
-		return
-	}
-	evBase := int32(0)
-	ord := 0
+	br := 0
 	for _, tk := range ann.toks {
-		ri := tk.ri
-		for _, off := range ri.brs {
-			pc := ri.pc + off
-			taken := ch.TakenAt(evBase + off)
-			if l.nShards == 1 || int(pc)%l.nShards == l.mine {
-				if l.sh.Observe(pc, taken) && ann.fedAt(ord) {
-					l.fedMiss++
+		for rep := int32(0); rep < tk.rep; rep++ {
+			for _, off := range tk.ri.brs {
+				pc := tk.ri.pc + off
+				taken := ch.BrTaken[br>>3]&(1<<(br&7)) != 0
+				if l.nShards == 1 || int(pc)%l.nShards == l.mine {
+					if l.sh.Observe(pc, taken) && ann.fedAt(br) {
+						l.fedMiss++
+					}
+				} else {
+					l.sh.TrainGlobal(pc, taken)
 				}
-			} else {
-				l.sh.TrainGlobal(pc, taken)
+				br++
 			}
-			ord++
 		}
-		evBase += ri.n
 	}
 }
 
@@ -124,52 +99,26 @@ func newMemLane(hcfg cache.HierarchyConfig, nInsts, nShards, mine int) *memLane 
 	}
 }
 
+// chunk replays one chunk's memory accesses. Addrs carries one entry
+// per memory instance (zeros included), so the column is a flat
+// cursor.
 func (l *memLane) chunk(ch *runstream.Chunk, ann *chunkAnn) {
-	if ch.Dict != nil {
-		// Dictionary-backed chunk: Addrs carries one entry per memory
-		// instance (zeros included), so the column is a flat cursor with
-		// no per-event presence bitmap to consult.
-		cur := 0
-		for _, tk := range ann.toks {
-			for rep := int32(0); rep < tk.rep; rep++ {
-				for _, m := range tk.ri.mems {
-					addr := ch.Addrs[cur]
-					cur++
-					if l.nShards != 1 && cache.ShardOf(addr, l.block, l.nShards) != l.mine {
-						continue
-					}
-					if m&storeBit != 0 {
-						l.hier.Access(addr, true)
-					} else if lvl, _ := l.hier.Access(addr, false); lvl != cache.LevelL1 {
-						l.l1miss[tk.ri.pc+(m&^storeBit)]++
-					}
+	cur := 0
+	for _, tk := range ann.toks {
+		for rep := int32(0); rep < tk.rep; rep++ {
+			for _, m := range tk.ri.mems {
+				addr := ch.Addrs[cur]
+				cur++
+				if l.nShards != 1 && cache.ShardOf(addr, l.block, l.nShards) != l.mine {
+					continue
+				}
+				if m&storeBit != 0 {
+					l.hier.Access(addr, true)
+				} else if lvl, _ := l.hier.Access(addr, false); lvl != cache.LevelL1 {
+					l.l1miss[tk.ri.pc+(m&^storeBit)]++
 				}
 			}
 		}
-		return
-	}
-	evBase := int32(0)
-	cur := 0
-	for _, tk := range ann.toks {
-		ri := tk.ri
-		for _, m := range ri.mems {
-			off := m &^ storeBit
-			idx := evBase + off
-			var addr uint64
-			if ch.PresentAt(idx) {
-				addr = ch.Addrs[cur]
-				cur++
-			}
-			if l.nShards != 1 && cache.ShardOf(addr, l.block, l.nShards) != l.mine {
-				continue
-			}
-			if m&storeBit != 0 {
-				l.hier.Access(addr, true)
-			} else if lvl, _ := l.hier.Access(addr, false); lvl != cache.LevelL1 {
-				l.l1miss[ri.pc+off]++
-			}
-		}
-		evBase += ri.n
 	}
 }
 

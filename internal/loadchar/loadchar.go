@@ -13,7 +13,7 @@
 // committed stream arrives as runstream chunks — straight-line PC runs
 // from a dictionary, plus the conditional-branch taken bits and the
 // memory addresses — built by a runstream.Builder during simulation or
-// decoded from a v4 trace. The run engine characterizes each run once
+// decoded from a trace. The run engine characterizes each run once
 // (instruction mix by block, the dependence and sequence machines
 // memoized over (state, run) pairs), while the predictor and memory
 // lanes replay the taken and address columns through the paper's

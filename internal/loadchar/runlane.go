@@ -60,8 +60,7 @@ type transition struct {
 }
 
 // runTok is one token of a chunk's run stream as the shard lanes see
-// it: the interned run plus its repeat count (always 1 for legacy
-// chunks, taken from the dictionary token stream for v4).
+// it: the interned run plus its repeat count.
 type runTok struct {
 	ri  *runInfo
 	rep int32
@@ -183,10 +182,9 @@ type runEngine struct {
 	credits  []credit
 	cur      uint32 // current state ID; chains across runs and chunks
 
-	// dictRuns maps dictionary run ids to interned runs for v4
-	// dictionary-backed chunks; dict pins the dictionary the mapping
-	// was built against (the shared dictionary only ever grows, so ids
-	// stay stable and the sync is an append).
+	// dictRuns maps dictionary run ids to interned runs; dict pins the
+	// dictionary the mapping was built against (the shared dictionary
+	// only ever grows, so ids stay stable and the sync is an append).
 	dictRuns []*runInfo
 	dict     *runstream.Dict
 
@@ -402,14 +400,13 @@ func orBitsAt(dst []uint64, off int, src []uint64, nbits int) {
 	}
 }
 
-// processChunk advances the engine over one chunk's run stream and
-// fills ann for the shard lanes. Legacy chunks carry one run per
-// entry; v4 dictionary-backed chunks carry (run-id, repeat) tokens,
-// where a state fixed point (the run maps the machine state to
-// itself — every steady loop iteration after the first) collapses the
-// remaining repeats into counter adds without further memo probes.
+// processChunk advances the engine over one chunk's (run-id, repeat)
+// tokens and fills ann for the shard lanes. A state fixed point (the
+// run maps the machine state to itself — every steady loop iteration
+// after the first) collapses the remaining repeats into counter adds
+// without further memo probes.
 func (e *runEngine) processChunk(ch *runstream.Chunk, ann *chunkAnn) {
-	if n := len(ch.Tokens) + len(ch.Runs); cap(ann.toks) < n {
+	if n := len(ch.Tokens); cap(ann.toks) < n {
 		ann.toks = make([]runTok, 0, n+n/4)
 	}
 	ann.toks = ann.toks[:0]
@@ -421,20 +418,12 @@ func (e *runEngine) processChunk(ch *runstream.Chunk, ann *chunkAnn) {
 	for i := range ann.fed {
 		ann.fed[i] = 0
 	}
+	e.syncDict(ch.Dict)
 	brOff := 0
-	if ch.Dict != nil {
-		e.syncDict(ch.Dict)
-		for _, tok := range ch.Tokens {
-			ri := e.dictRuns[tok.ID]
-			brOff = e.step(ann, ri, tok.Rep, brOff)
-			ann.toks = append(ann.toks, runTok{ri: ri, rep: tok.Rep})
-		}
-	} else {
-		for _, r := range ch.Runs {
-			ri := e.runFor(r.PC, r.N)
-			brOff = e.step(ann, ri, 1, brOff)
-			ann.toks = append(ann.toks, runTok{ri: ri, rep: 1})
-		}
+	for _, tok := range ch.Tokens {
+		ri := e.dictRuns[tok.ID]
+		brOff = e.step(ann, ri, tok.Rep, brOff)
+		ann.toks = append(ann.toks, runTok{ri: ri, rep: tok.Rep})
 	}
 }
 

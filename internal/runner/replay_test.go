@@ -3,6 +3,11 @@ package runner
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"bioperfload/internal/bio"
@@ -70,76 +75,69 @@ func TestReplayAnalyzeShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestReplayCrossVersionProfileMatrix is the back-compat golden
-// matrix: one simulated run recorded simultaneously at every trace
-// format version must replay to a profile byte-identical to the live
-// analysis — v1 through the sequential reader, v2+ through the
-// indexed sharded engine at several worker counts.
-func TestReplayCrossVersionProfileMatrix(t *testing.T) {
-	ctx := context.Background()
-	const name = "hmmsearch"
-	p, err := bio.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := p.Compile(false, compiler.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sim.New(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Bind(m, bio.SizeTest); err != nil {
-		t.Fatal(err)
-	}
-	live := loadchar.New(prog)
-	m.AddBatchObserver(live)
-	bufs := make([]bytes.Buffer, trace.FormatVersion)
-	tws := make([]*trace.Writer, trace.FormatVersion)
-	for v := 1; v <= trace.FormatVersion; v++ {
-		tws[v-1] = trace.NewWriterVersion(&bufs[v-1],
-			trace.Meta{Program: name, Size: "test", ChunkEvents: 4096}, prog, v)
-		m.AddBatchObserver(tws[v-1])
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v, tw := range tws {
-		if err := tw.Close(); err != nil {
-			t.Fatalf("v%d: close: %v", v+1, err)
-		}
-	}
-	want := loadchar.RenderProfile(name, "test", live, 10)
+// hmmsearchTestProfileSHA is the SHA-256 of hmmsearch's rendered
+// test-size profile (6 hot loads), as pinned by the benchmark goldens.
+const hmmsearchTestProfileSHA = "d16255df2299609ce139080414f6c8cc7e4c5ad6f4191f705ad5ce644988f421"
 
-	for v := 1; v <= trace.FormatVersion; v++ {
-		data := bufs[v-1].Bytes()
-		if v == 1 {
-			tr, err := trace.NewReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("v1: %v", err)
-			}
-			a := loadchar.New(prog)
-			if _, err := tr.Replay(ctx, prog, a); err != nil {
-				t.Fatalf("v1: replay: %v", err)
-			}
-			if got := loadchar.RenderProfile(name, "test", a, 10); got != want {
-				t.Errorf("v1: sequential replay profile differs from live")
-			}
-			continue
+// TestReplayLegacyTraceServedCold stores each retired-format trace
+// fixture under the current trace key: the replay tier must evict it
+// rather than serve from it, and the characterization must come from a
+// cold simulation with the golden profile.
+func TestReplayLegacyTraceServedCold(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := Fingerprint(p, false, compiler.Default())
+	key := traceKey(fp, bio.SizeTest)
+	for v := 1; v <= 3; v++ {
+		legacy, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "legacy", fmt.Sprintf("v%d.trace", v)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, jobs := range []int{1, 4, 8} {
-			ir, err := trace.NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-			if err != nil {
-				t.Fatalf("v%d: %v", v, err)
-			}
-			a, err := ReplayAnalyze(ctx, prog, ir, jobs)
-			if err != nil {
-				t.Fatalf("v%d jobs=%d: %v", v, jobs, err)
-			}
-			if got := loadchar.RenderProfile(name, "test", a, 10); got != want {
-				t.Errorf("v%d jobs=%d: replay profile differs from live", v, jobs)
-			}
+		st := openStore(t, t.TempDir())
+		if err := st.PutBytes(key, legacy); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSessionWithStore(1, st)
+
+		// The replay tier declines the request and evicts the entry.
+		if _, err, done := s.replayCharacterize(ctx, p, bio.SizeTest, fp); done || err != nil {
+			t.Fatalf("v%d: replay tier settled the request (err %v)", v, err)
+		}
+		if _, ok := st.GetBytes(key); ok {
+			t.Fatalf("v%d: legacy trace still stored after the replay tier declined it", v)
+		}
+
+		// End to end: the request is served cold, with the golden profile.
+		if err := st.PutBytes(key, legacy); err != nil {
+			t.Fatal(err)
+		}
+		prof, err := s.Characterize(ctx, p, bio.SizeTest)
+		if err != nil {
+			t.Fatalf("v%d: %v", v, err)
+		}
+		if st := s.Stats(); st.ColdChars != 1 || st.ReplayRuns != 0 || st.Runs != 1 {
+			t.Fatalf("v%d: stats %+v, want one cold characterization and no replay", v, st)
+		}
+		if prof.Source != "cold" {
+			t.Fatalf("v%d: served from %q, want cold", v, prof.Source)
+		}
+		sum := sha256.Sum256([]byte(loadchar.RenderProfile(p.Name, bio.SizeTest.String(), prof.Analysis, 6)))
+		if got := hex.EncodeToString(sum[:]); got != hmmsearchTestProfileSHA {
+			t.Fatalf("v%d: profile SHA-256 %s, want %s", v, got, hmmsearchTestProfileSHA)
+		}
+		// The cold run re-recorded the trace in the current format.
+		data, ok := st.GetBytes(key)
+		if !ok || bytes.Equal(data, legacy) {
+			t.Fatalf("v%d: trace entry not replaced by the cold run", v)
+		}
+		if _, err := trace.NewIndexedReader(bytes.NewReader(data), int64(len(data))); err != nil {
+			t.Fatalf("v%d: re-recorded trace: %v", v, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

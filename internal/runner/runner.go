@@ -41,7 +41,6 @@ import (
 	"bioperfload/internal/sim"
 	"bioperfload/internal/simpoint"
 	"bioperfload/internal/store"
-	"bioperfload/internal/trace"
 )
 
 // CompileKey identifies one compilation artifact. compiler.Options is
@@ -116,16 +115,12 @@ type Stats struct {
 	CharacterizeHits      uint64 `json:"characterize_hits"`       // characterization-cache hits
 	ReplayRuns            uint64 `json:"replay_runs"`             // characterizations served by trace replay
 	ReplaySerialFallbacks uint64 `json:"replay_serial_fallbacks"` // replays that requested parallelism but ran serial
-	// ReplayRunsByVersion splits ReplayRuns by the trace format version
-	// served ("v1".."v4"), so a fleet can watch the v4 migration drain
-	// old-format artifacts. Only versions actually served appear.
-	ReplayRunsByVersion map[string]uint64 `json:"replay_runs_by_version,omitempty"`
-	ProfileHits         uint64            `json:"profile_hits"`     // characterizations served from persisted snapshots
-	PeerHits            uint64            `json:"peer_hits"`        // characterizations served from a fleet peer's artifact
-	ColdChars           uint64            `json:"cold_chars"`       // characterizations that had to simulate cold
-	SampledChars        uint64            `json:"sampled_chars"`    // sampled characterizations computed from a phase plan
-	SampledHits         uint64            `json:"sampled_hits"`     // sampled characterizations served from persisted snapshots
-	SampledDegrades     uint64            `json:"sampled_degrades"` // sampled requests degraded to the exact path
+	ProfileHits           uint64 `json:"profile_hits"`            // characterizations served from persisted snapshots
+	PeerHits              uint64 `json:"peer_hits"`               // characterizations served from a fleet peer's artifact
+	ColdChars             uint64 `json:"cold_chars"`              // characterizations that had to simulate cold
+	SampledChars          uint64 `json:"sampled_chars"`           // sampled characterizations computed from a phase plan
+	SampledHits           uint64 `json:"sampled_hits"`            // sampled characterizations served from persisted snapshots
+	SampledDegrades       uint64 `json:"sampled_degrades"`        // sampled requests degraded to the exact path
 }
 
 // RemoteTier is the fleet hook: when a Session misses its local
@@ -162,7 +157,6 @@ type Session struct {
 	runs            atomic.Uint64
 	charHits        atomic.Uint64
 	replayRuns      atomic.Uint64
-	replayByVersion [trace.FormatVersion + 1]atomic.Uint64
 	replaySerial    atomic.Uint64
 	profileHits     atomic.Uint64
 	peerHits        atomic.Uint64
@@ -226,33 +220,14 @@ func (s *Session) SetSimPoint(cfg simpoint.Config) { s.simpointCfg = cfg }
 // applied.
 func (s *Session) SimPoint() simpoint.Config { return s.simpointCfg.WithDefaults() }
 
-// countReplay records one characterization served by trace replay,
-// attributed to the trace's format version.
-func (s *Session) countReplay(version int) {
-	s.replayRuns.Add(1)
-	if version >= 1 && version <= trace.FormatVersion {
-		s.replayByVersion[version].Add(1)
-	}
-}
-
 // Stats returns the session's cache counters.
 func (s *Session) Stats() Stats {
-	var byVersion map[string]uint64
-	for v := 1; v <= trace.FormatVersion; v++ {
-		if n := s.replayByVersion[v].Load(); n != 0 {
-			if byVersion == nil {
-				byVersion = make(map[string]uint64)
-			}
-			byVersion[fmt.Sprintf("v%d", v)] = n
-		}
-	}
 	return Stats{
 		Compiles:              s.compiles.Load(),
 		CompileHits:           s.compileHits.Load(),
 		Runs:                  s.runs.Load(),
 		CharacterizeHits:      s.charHits.Load(),
 		ReplayRuns:            s.replayRuns.Load(),
-		ReplayRunsByVersion:   byVersion,
 		ReplaySerialFallbacks: s.replaySerial.Load(),
 		ProfileHits:           s.profileHits.Load(),
 		PeerHits:              s.peerHits.Load(),

@@ -40,18 +40,9 @@ const artifactSchema = 3
 // the full MiniC source text. Two sessions with equal fingerprints
 // produce interchangeable programs and traces.
 func Fingerprint(p *bio.Program, transformed bool, opts compiler.Options) string {
-	return FingerprintAt(p, transformed, opts, trace.FormatVersion)
-}
-
-// FingerprintAt computes the fingerprint under a specific trace format
-// version. Traces embed the fingerprint they were recorded with, so
-// verifying an old trace file (cmd/bioperf replay) must hash with the
-// file's own version: a v1 trace recorded before a format bump still
-// matches its program.
-func FingerprintAt(p *bio.Program, transformed bool, opts compiler.Options, traceVersion int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "schema=%d trace=%d program=%s transformed=%v opts=%+v\n",
-		artifactSchema, traceVersion, p.Name, transformed && p.Transformable, opts)
+		artifactSchema, trace.FormatVersion, p.Name, transformed && p.Transformable, opts)
 	io.WriteString(h, p.Source(transformed))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -252,10 +243,10 @@ func (s *Session) remoteCharacterize(ctx context.Context, p *bio.Program, sz bio
 
 // replayCharacterize serves a characterization from a stored trace.
 // The bool reports whether the request was settled here: false means
-// no usable trace (miss or corruption — corrupt entries are evicted)
-// and the caller should simulate cold. Context errors settle the
-// request with the error so cancellation is never misread as
-// corruption.
+// no usable trace (miss, corruption, or a retired trace format — such
+// entries are evicted) and the caller should simulate cold. Context
+// errors settle the request with the error so cancellation is never
+// misread as corruption.
 func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio.Size, fp string) (*Profile, error, bool) {
 	key := traceKey(fp, sz)
 	rc, size, ok := s.store.OpenReader(key)
@@ -269,67 +260,37 @@ func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio
 		return nil, nil, false
 	}
 
-	// Warm tier: the store hands back the object file, so a v2 trace's
-	// footer index is reachable through io.ReaderAt and replay can run
-	// sharded (ReplayAnalyze sizes workers from the session's jobs,
-	// which default to GOMAXPROCS). Anything unindexable — a legacy
-	// reader, a v1 trace — streams sequentially below; ReadAt leaves
-	// the reader's offset untouched, so the fallback starts clean.
-	if ra, isRA := rc.(io.ReaderAt); isRA {
-		if ir, ierr := trace.NewIndexedReader(ra, size); ierr == nil {
-			if m := ir.Meta(); m.Program != p.Name || m.Fingerprint != fp {
-				return evict()
-			}
-			prog, err := s.replayProgram(p, fp)
-			if err != nil {
-				return nil, err, true
-			}
-			s.countReplay(ir.Version())
-			a, err := ReplayAnalyze(ctx, prog, ir, s.jobs)
-			if err != nil {
-				if isContextErr(err) || ctx.Err() != nil {
-					return nil, fmt.Errorf("%s: %w", p.Name, err), true
-				}
-				return evict() // damaged trace: fall back to cold simulation
-			}
-			if s.jobs > 1 && !a.Exec.Parallel() {
-				s.replaySerial.Add(1)
-			}
-			return &Profile{Name: p.Name, Instructions: ir.TotalEvents(), Analysis: a, Source: "replay"}, nil, true
-		}
+	// The store hands back the object file, so the trace's footer index
+	// is reachable through io.ReaderAt and replay runs sharded
+	// (ReplayAnalyze sizes workers from the session's jobs, which
+	// default to GOMAXPROCS).
+	ra, isRA := rc.(io.ReaderAt)
+	if !isRA {
+		return evict()
 	}
-
-	tr, err := trace.NewReader(rc)
+	ir, err := trace.NewIndexedReader(ra, size)
 	if err != nil {
 		return evict()
 	}
-	if m := tr.Meta(); m.Program != p.Name || m.Fingerprint != fp {
+	if m := ir.Meta(); m.Program != p.Name || m.Fingerprint != fp {
 		return evict()
 	}
 	prog, err := s.replayProgram(p, fp)
 	if err != nil {
 		return nil, err, true
 	}
-
-	s.countReplay(tr.Version())
-	a := loadchar.New(prog)
-	_, err = tr.Replay(ctx, prog, a)
-	if err == nil {
-		err = a.Err()
-	}
+	s.replayRuns.Add(1)
+	a, err := ReplayAnalyze(ctx, prog, ir, s.jobs)
 	if err != nil {
 		if isContextErr(err) || ctx.Err() != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err), true
 		}
 		return evict() // damaged trace: fall back to cold simulation
 	}
-	// A trace without a seekable chunk index cannot feed the sharded
-	// replay engine; record the serial collapse instead of hiding it.
-	a.Exec = loadchar.Execution{RequestedWorkers: s.jobs, Workers: 1, SerialReason: loadchar.SerialReasonNoIndex}
-	if s.jobs > 1 {
+	if s.jobs > 1 && !a.Exec.Parallel() {
 		s.replaySerial.Add(1)
 	}
-	return &Profile{Name: p.Name, Instructions: tr.TotalEvents(), Analysis: a, Source: "replay"}, nil, true
+	return &Profile{Name: p.Name, Instructions: ir.TotalEvents(), Analysis: a, Source: "replay"}, nil, true
 }
 
 // replayProgram returns the compiled program a trace rebinds to:

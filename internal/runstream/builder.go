@@ -16,7 +16,7 @@ const (
 )
 
 // Builder turns committed-event slabs into dictionary-backed chunks,
-// so the run-native consumers (loadchar's run engine and the v4 trace
+// so the run-native consumers (loadchar's run engine and the trace
 // encoder) characterize each straight-line run once instead of
 // re-scanning every event. It implements sim.BatchObserver.
 //
@@ -25,7 +25,7 @@ const (
 // and back-to-back repeats of a run merge into one token. The
 // dictionary grows in commit order and is shared by every chunk.
 //
-// Every event must be run-representable, as the v4 trace format
+// Every event must be run-representable, as the trace format
 // requires: its PC lies inside the program, its target is the next
 // event's PC (within a chunk), an unconditional branch is taken, a
 // non-branch is not, and only loads and stores carry an address. The

@@ -924,18 +924,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "bioperfd_session_replay_runs %d\n", st.ReplayRuns)
 	fmt.Fprintln(w, "# TYPE bioperfd_session_replay_serial_fallbacks counter")
 	fmt.Fprintf(w, "bioperfd_session_replay_serial_fallbacks %d\n", st.ReplaySerialFallbacks)
-	if len(st.ReplayRunsByVersion) > 0 {
-		fmt.Fprintln(w, "# HELP bioperfd_session_replay_runs_by_version Replay serves split by on-disk trace format version.")
-		fmt.Fprintln(w, "# TYPE bioperfd_session_replay_runs_by_version counter")
-		versions := make([]string, 0, len(st.ReplayRunsByVersion))
-		for v := range st.ReplayRunsByVersion {
-			versions = append(versions, v)
-		}
-		sort.Strings(versions)
-		for _, v := range versions {
-			fmt.Fprintf(w, "bioperfd_session_replay_runs_by_version{version=%q} %d\n", v, st.ReplayRunsByVersion[v])
-		}
-	}
 	fmt.Fprintln(w, "# TYPE bioperfd_session_profile_hits counter")
 	fmt.Fprintf(w, "bioperfd_session_profile_hits %d\n", st.ProfileHits)
 	fmt.Fprintln(w, "# TYPE bioperfd_session_peer_hits counter")

@@ -65,7 +65,8 @@ func NewCollectorAt(prog *isa.Program, blocks *Blocks, cfg Config, start uint64)
 func (c *Collector) ObserveBatch(evs []sim.Event) { c.split.ObserveBatch(evs) }
 
 // ObserveRun counts a straight-line run: n events whose PCs are pc,
-// pc+1, ..., pc+n-1, the form trace.IndexedReader.ScanPCRuns emits.
+// pc+1, ..., pc+n-1 (one repetition of a trace.IndexedReader.ScanRunTokens
+// callback).
 // Attribution happens per block crossed rather than per event, and the
 // collector cuts interval edges itself, so runs may straddle them.
 // A collector is fed either runs or batches, never both.
@@ -88,8 +89,7 @@ func (c *Collector) ObserveRun(pc, n int32) {
 }
 
 // ObserveRunRepeat counts rep back-to-back executions of the run
-// (pc, n), the form trace.IndexedReader.ScanRunTokens emits for v4
-// traces. Repetitions that fit entirely inside the current interval
+// (pc, n), the form trace.IndexedReader.ScanRunTokens emits. Repetitions that fit entirely inside the current interval
 // are counted in bulk — one block walk scaled by the repeat count —
 // so a loop that spins millions of times inside one interval costs
 // one pass over its blocks, not one per iteration.

@@ -91,7 +91,7 @@ func scanRange(ctx context.Context, prog *isa.Program, blocks *Blocks, ir *trace
 	// Chunk lo may begin before start and chunk hi-1 may extend past
 	// end (interval edges need not align with chunk edges), so clip the
 	// token stream: skip events before start, stop counting at end.
-	// Tokens from v4 traces carry whole repeat counts, so the clipping
+	// Tokens carry whole repeat counts, so the clipping
 	// drops or truncates whole repetitions where it can and splits at
 	// most one repetition at each edge.
 	skip := start - ir.Base(lo)

@@ -20,19 +20,21 @@ func benchTrace(b *testing.B, n int) (*trace.IndexedReader, *isa.Program) {
 	prog := branchyProgram(1 << 10)
 	r := rand.New(rand.NewSource(7))
 	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf, trace.Meta{Program: prog.Name, Size: "bench"}, nil)
+	tw := trace.NewWriter(&buf, trace.Meta{Program: prog.Name, Size: "bench"}, prog)
 	evs := make([]sim.Event, 4096)
 	pc := int32(0)
 	for seq := 0; seq < n; {
 		batch := evs[:0]
 		for len(batch) < cap(batch) && seq < n {
-			if r.Intn(6) == 0 {
-				pc = int32(r.Intn(len(prog.Insts)))
-			} else if int(pc)+1 >= len(prog.Insts) {
-				pc = 0
+			next := pc + 1
+			if r.Intn(6) == 0 || int(next) >= len(prog.Insts) {
+				next = int32(r.Intn(len(prog.Insts)))
 			}
-			batch = append(batch, sim.Event{Seq: uint64(seq), PC: pc, Inst: &prog.Insts[pc], Target: pc + 1})
-			pc++
+			batch = append(batch, sim.Event{
+				Seq: uint64(seq), PC: pc, Inst: &prog.Insts[pc], Target: next,
+				Taken: isa.ClassOf(prog.Insts[pc].Op) == isa.ClassUncondBranch,
+			})
+			pc = next
 			seq++
 		}
 		tw.ObserveBatch(batch)

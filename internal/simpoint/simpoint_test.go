@@ -280,7 +280,7 @@ func TestBuildPlanPrefersFullRepresentative(t *testing.T) {
 func TestCollectTraceMatchesLive(t *testing.T) {
 	prog := branchyProgram(256)
 	const n = 16*1024*3 + 511 // three interval-sized runs + partial tail
-	evs := walkEvents(prog, n, 2)
+	evs := representableWalk(prog, n, 2)
 	cfg := Config{IntervalSize: 16 * 1024, Dims: 8}
 
 	live := NewCollector(prog, cfg)
@@ -288,7 +288,7 @@ func TestCollectTraceMatchesLive(t *testing.T) {
 	want := live.Finish()
 
 	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf, trace.Meta{Program: prog.Name, Size: "test", ChunkEvents: 4096}, nil)
+	tw := trace.NewWriter(&buf, trace.Meta{Program: prog.Name, Size: "test", ChunkEvents: 4096}, prog)
 	tw.ObserveBatch(evs)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -311,9 +311,9 @@ func TestCollectTraceMatchesLive(t *testing.T) {
 
 func TestCollectTraceCancellation(t *testing.T) {
 	prog := branchyProgram(64)
-	evs := walkEvents(prog, 8192, 3)
+	evs := representableWalk(prog, 8192, 3)
 	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf, trace.Meta{Program: prog.Name, Size: "test", ChunkEvents: 1024}, nil)
+	tw := trace.NewWriter(&buf, trace.Meta{Program: prog.Name, Size: "test", ChunkEvents: 1024}, prog)
 	tw.ObserveBatch(evs)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -361,7 +361,7 @@ func TestToleranceTableComplete(t *testing.T) {
 
 // representableWalk is walkEvents with truthful targets and
 // class-consistent branch outcomes, so the stream is accepted by the
-// v4 run-native writer.
+// run-native trace writer.
 func representableWalk(prog *isa.Program, n int, seed int64) []sim.Event {
 	r := rand.New(rand.NewSource(seed))
 	evs := make([]sim.Event, n)
@@ -383,41 +383,4 @@ func representableWalk(prog *isa.Program, n int, seed int64) []sim.Event {
 		pc = next
 	}
 	return evs
-}
-
-// TestCollectTraceV4MatchesV3 pins the run-token BBV path: the same
-// representable stream written at v3 (per-run scan) and v4 (dictionary
-// tokens with bulk repeats) must collect identical intervals, both
-// equal to the live collector's.
-func TestCollectTraceV4MatchesV3(t *testing.T) {
-	prog := branchyProgram(256)
-	const n = 16*1024*3 + 511
-	evs := representableWalk(prog, n, 4)
-	cfg := Config{IntervalSize: 16 * 1024, Dims: 8}
-
-	live := NewCollector(prog, cfg)
-	live.ObserveBatch(evs)
-	want := live.Finish()
-
-	for _, version := range []int{3, 4} {
-		var buf bytes.Buffer
-		tw := trace.NewWriterVersion(&buf, trace.Meta{Program: prog.Name, Size: "test", ChunkEvents: 4096}, prog, version)
-		tw.ObserveBatch(evs)
-		if err := tw.Close(); err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		ir, err := trace.NewIndexedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		for _, jobs := range []int{1, 3} {
-			got, err := CollectTrace(context.Background(), prog, ir, cfg, jobs)
-			if err != nil {
-				t.Fatalf("v%d jobs=%d: %v", version, jobs, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("v%d jobs=%d: intervals differ from live collector", version, jobs)
-			}
-		}
-	}
 }

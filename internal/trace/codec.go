@@ -1,13 +1,16 @@
 // Package trace is the durable form of the simulator's
 // committed-instruction event stream: the same record-once /
 // analyze-many discipline ATOM gave the paper, persisted to disk. A
-// Writer rides the sim.BatchObserver slab path and encodes events into
-// self-contained chunks (delta+varint program counters and effective
-// addresses, bitmap-packed branch outcomes, per-chunk compression,
-// CRC-protected length-prefixed framing); a Reader streams the chunks
-// back — sequentially, decoded ahead by a worker pool, or (format v2)
-// by random access through the footer's chunk index — and rebinds them
-// to a compiled program so any BatchObserver (loadchar, cache, bpred,
+// Writer rides the sim.BatchObserver slab path and encodes the stream
+// run-natively (a trace-wide dictionary of straight-line PC runs,
+// per-chunk (run-id, repeat) tokens, a conditional-branch taken bitmap,
+// and per-site delta-coded addresses; see codecv4.go) into
+// self-contained chunks with per-chunk compression and CRC-protected
+// length-prefixed framing. An IndexedReader opens a trace through the
+// footer's chunk index and run dictionary and serves any chunk range —
+// as bound simulator events (Range), as run-native column chunks
+// decoded by a worker pool (Columns), or as bare run tokens
+// (ScanRunTokens) — so any consumer (loadchar, simpoint, cache, bpred,
 // pipeline) can replay the run without re-simulating it.
 package trace
 
@@ -17,25 +20,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"bioperfload/internal/isa"
 	"bioperfload/internal/sim"
 )
 
-// Record is the on-disk form of one committed instruction. It carries
-// exactly the event fields the simulator produces that cannot be
-// re-derived from the program text: the sequence number is implicit
-// (chunk base + index) and the instruction itself is rebound from the
-// program by PC at replay time.
-type Record struct {
-	PC     int32
-	Target int32
-	Addr   uint64
-	Taken  bool
-}
-
-// ChunkEvents is the default number of records per chunk. A chunk is
+// ChunkEvents is the default number of events per chunk. A chunk is
 // the unit of compression, CRC protection, and parallel decode; 16Ki
 // events keep the decoded event slab (~640KB) inside the L2 cache the
 // decode and analysis passes re-stream it through, while still
@@ -53,183 +43,6 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag is the inverse of zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// appendChunk encodes recs (whose first record has sequence number
-// base) onto dst and returns the extended slice. The layout is
-// columnar so each stream stays self-similar for the compressor.
-//
-// Format v1 (sparse=false):
-//
-//	uvarint base          sequence number of recs[0]
-//	uvarint n             record count
-//	n  zigzag varints     PC deltas (previous PC starts at 0)
-//	n  zigzag varints     Target deltas relative to PC+1 (0 = fallthrough)
-//	⌈n/8⌉ bytes           Taken bitmap
-//	⌈n/8⌉ bytes           Addr-present bitmap (bit set ⇔ Addr != 0)
-//	k  zigzag varints     Addr deltas for the k present addresses
-//	                      (previous address starts at 0)
-//
-// Format v2 (sparse=true) stores the PC and target columns sparsely:
-// most events fall through (PC == prev PC + 1, Target == PC+1), so the
-// dense columns are long runs of one-byte varints that still cost a
-// decompress-and-decode step per event. v2 replaces both with
-// exception bitmaps plus deltas for the exceptions only, and moves
-// every bitmap ahead of the varint streams so a decoder knows the run
-// structure before it touches a varint:
-//
-//	uvarint base          sequence number of recs[0]
-//	uvarint n             record count
-//	⌈n/8⌉ bytes           PC-exception bitmap (bit set ⇔ PC != prev PC + 1;
-//	                      the previous PC starts at 0)
-//	⌈n/8⌉ bytes           Taken bitmap
-//	⌈n/8⌉ bytes           Target-present bitmap (bit set ⇔ Target != PC+1)
-//	⌈n/8⌉ bytes           Addr-present bitmap (bit set ⇔ Addr != 0)
-//	k₀ zigzag varints     PC deltas relative to prev PC + 1 for the
-//	                      exceptional PCs (never zero)
-//	k₁ zigzag varints     Target deltas relative to PC+1 for the
-//	                      present targets (never zero)
-//	k₂ zigzag varints     Addr deltas for the present addresses
-//	                      (previous address starts at 0)
-//
-// Format v3 keeps v2's sparse encodings but front-loads the PC
-// column: only the PC-exception bitmap precedes the PC deltas, and
-// the remaining bitmaps move between the PC and target streams:
-//
-//	uvarint base          sequence number of recs[0]
-//	uvarint n             record count
-//	⌈n/8⌉ bytes           PC-exception bitmap
-//	k₀ zigzag varints     PC deltas for the exceptional PCs
-//	⌈n/8⌉ bytes           Taken bitmap
-//	⌈n/8⌉ bytes           Target-present bitmap
-//	⌈n/8⌉ bytes           Addr-present bitmap
-//	k₁ zigzag varints     Target deltas for the present targets
-//	k₂ zigzag varints     Addr deltas for the present addresses
-//
-// A PC-only consumer (the phase-analysis scan) can therefore stop
-// decompressing a chunk right after the PC deltas — a few percent of
-// the payload — instead of inflating the whole thing.
-//
-// Every stream is chunk-local, so chunks decode independently.
-func appendChunk(dst []byte, base uint64, recs []Record, version int) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(u uint64) {
-		n := binary.PutUvarint(tmp[:], u)
-		dst = append(dst, tmp[:n]...)
-	}
-	put(base)
-	put(uint64(len(recs)))
-	nb := (len(recs) + 7) / 8
-	if version < 2 {
-		prevPC := int64(0)
-		for i := range recs {
-			pc := int64(recs[i].PC)
-			put(zigzag(pc - prevPC))
-			prevPC = pc
-		}
-		for i := range recs {
-			put(zigzag(int64(recs[i].Target) - int64(recs[i].PC) - 1))
-		}
-		off := len(dst)
-		dst = append(dst, make([]byte, nb)...)
-		for i := range recs {
-			if recs[i].Taken {
-				dst[off+i/8] |= 1 << (i % 8)
-			}
-		}
-		off = len(dst)
-		dst = append(dst, make([]byte, nb)...)
-		for i := range recs {
-			if recs[i].Addr != 0 {
-				dst[off+i/8] |= 1 << (i % 8)
-			}
-		}
-	} else if version == 2 {
-		off := len(dst)
-		dst = append(dst, make([]byte, 4*nb)...)
-		pcex, taken := dst[off:off+nb], dst[off+nb:off+2*nb]
-		tpresent, present := dst[off+2*nb:off+3*nb], dst[off+3*nb:off+4*nb]
-		prevPC := int64(0)
-		for i := range recs {
-			pc := int64(recs[i].PC)
-			if pc != prevPC+1 {
-				pcex[i/8] |= 1 << (i % 8)
-			}
-			prevPC = pc
-			if recs[i].Taken {
-				taken[i/8] |= 1 << (i % 8)
-			}
-			if int64(recs[i].Target) != pc+1 {
-				tpresent[i/8] |= 1 << (i % 8)
-			}
-			if recs[i].Addr != 0 {
-				present[i/8] |= 1 << (i % 8)
-			}
-		}
-		prevPC = 0
-		for i := range recs {
-			pc := int64(recs[i].PC)
-			if pc != prevPC+1 {
-				put(zigzag(pc - prevPC - 1))
-			}
-			prevPC = pc
-		}
-		for i := range recs {
-			if d := int64(recs[i].Target) - int64(recs[i].PC) - 1; d != 0 {
-				put(zigzag(d))
-			}
-		}
-	} else {
-		// v3: PC column first. Each bitmap area must be fully written
-		// before the next varint append can grow (and so move) dst.
-		off := len(dst)
-		dst = append(dst, make([]byte, nb)...)
-		pcex := dst[off : off+nb]
-		prevPC := int64(0)
-		for i := range recs {
-			if int64(recs[i].PC) != prevPC+1 {
-				pcex[i/8] |= 1 << (i % 8)
-			}
-			prevPC = int64(recs[i].PC)
-		}
-		prevPC = 0
-		for i := range recs {
-			pc := int64(recs[i].PC)
-			if pc != prevPC+1 {
-				put(zigzag(pc - prevPC - 1))
-			}
-			prevPC = pc
-		}
-		off = len(dst)
-		dst = append(dst, make([]byte, 3*nb)...)
-		taken, tpresent := dst[off:off+nb], dst[off+nb:off+2*nb]
-		present := dst[off+2*nb : off+3*nb]
-		for i := range recs {
-			pc := int64(recs[i].PC)
-			if recs[i].Taken {
-				taken[i/8] |= 1 << (i % 8)
-			}
-			if int64(recs[i].Target) != pc+1 {
-				tpresent[i/8] |= 1 << (i % 8)
-			}
-			if recs[i].Addr != 0 {
-				present[i/8] |= 1 << (i % 8)
-			}
-		}
-		for i := range recs {
-			if d := int64(recs[i].Target) - int64(recs[i].PC) - 1; d != 0 {
-				put(zigzag(d))
-			}
-		}
-	}
-	prevAddr := uint64(0)
-	for i := range recs {
-		if a := recs[i].Addr; a != 0 {
-			put(zigzag(int64(a - prevAddr)))
-			prevAddr = a
-		}
-	}
-	return dst
-}
-
 // errTruncatedVarint is the shared truncation error for the inlined
 // varint fast path; the offset detail is folded in by the caller's
 // wrapper when decoding fails.
@@ -246,588 +59,17 @@ func uvarintAt(data []byte, pos int) (uint64, int, error) {
 	return u, pos + n, nil
 }
 
-// chunkDecoder walks an encoded chunk payload with strict bounds
-// checking: every read is validated so arbitrary bytes produce an
-// error, never a panic.
-type chunkDecoder struct {
-	data []byte
-	pos  int
-}
-
-func (d *chunkDecoder) uvarint() (uint64, error) {
-	u, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated or overlong varint at offset %d", d.pos)
-	}
-	d.pos += n
-	return u, nil
-}
-
-func (d *chunkDecoder) bytes(n int) ([]byte, error) {
-	if n < 0 || d.pos+n > len(d.data) {
-		return nil, fmt.Errorf("trace: chunk truncated at offset %d (need %d bytes)", d.pos, n)
-	}
-	b := d.data[d.pos : d.pos+n]
-	d.pos += n
-	return b, nil
-}
-
-// decodeChunk decodes one chunk payload, appending into recs (which
-// may be nil or recycled) and returning the base sequence number and
-// the decoded records. It rejects malformed input with an error.
-//
-// This is the reference decoder, kept for the fuzzer and round-trip
-// tests; the replay hot path uses decodeChunkEvents, which binds
-// events in the same pass.
-func decodeChunk(data []byte, recs []Record, version int) (uint64, []Record, error) {
-	d := &chunkDecoder{data: data}
-	base, err := d.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	n64, err := d.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	if n64 > maxChunkEvents {
-		return 0, nil, fmt.Errorf("trace: chunk claims %d records (max %d)", n64, maxChunkEvents)
-	}
-	n := int(n64)
-	if cap(recs) < n {
-		recs = make([]Record, n)
-	}
-	recs = recs[:n]
-	nb := (n + 7) / 8
-	// Trailing padding bits of every bitmap must be zero before its
-	// bit-scan, so the presence counts below are trustworthy.
-	padOK := func(bm []byte) bool { return n%8 == 0 || bm[nb-1]>>(n%8) == 0 }
-	// decodePCs consumes the sparse PC column (v2 and v3 layouts).
-	decodePCs := func(pcex []byte) error {
-		prevPC := int64(0)
-		for i := 0; i < n; i++ {
-			pc := prevPC + 1
-			if pcex[i/8]&(1<<(i%8)) != 0 {
-				u, err := d.uvarint()
-				if err != nil {
-					return err
-				}
-				if u == 0 {
-					return fmt.Errorf("trace: sequential PC marked exceptional at record %d", i)
-				}
-				pc += unzigzag(u)
-			}
-			if pc < -(1<<31) || pc >= 1<<31 {
-				return fmt.Errorf("trace: PC %d out of int32 range", pc)
-			}
-			recs[i] = Record{PC: int32(pc)}
-			prevPC = pc
-		}
-		return nil
-	}
-	var pcex, taken, tpresent, present []byte
-	if version < 2 {
-		prevPC := int64(0)
-		for i := 0; i < n; i++ {
-			u, err := d.uvarint()
-			if err != nil {
-				return 0, nil, err
-			}
-			pc := prevPC + unzigzag(u)
-			if pc < -(1<<31) || pc >= 1<<31 {
-				return 0, nil, fmt.Errorf("trace: PC %d out of int32 range", pc)
-			}
-			recs[i] = Record{PC: int32(pc)}
-			prevPC = pc
-		}
-		for i := 0; i < n; i++ {
-			u, err := d.uvarint()
-			if err != nil {
-				return 0, nil, err
-			}
-			t := int64(recs[i].PC) + 1 + unzigzag(u)
-			if t < -(1<<31) || t >= 1<<31 {
-				return 0, nil, fmt.Errorf("trace: target %d out of int32 range", t)
-			}
-			recs[i].Target = int32(t)
-		}
-		if taken, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-		if present, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-	} else if version == 2 {
-		if pcex, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-		if taken, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-		if tpresent, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-		if present, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-		if !padOK(pcex) {
-			return 0, nil, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-		}
-		if err := decodePCs(pcex); err != nil {
-			return 0, nil, err
-		}
-	} else {
-		// v3: the PC column comes first, then the remaining bitmaps.
-		if pcex, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-		if !padOK(pcex) {
-			return 0, nil, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-		}
-		if err := decodePCs(pcex); err != nil {
-			return 0, nil, err
-		}
-		if taken, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-		if tpresent, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-		if present, err = d.bytes(nb); err != nil {
-			return 0, nil, err
-		}
-	}
-	if !padOK(taken) || !padOK(present) || (version >= 2 && !padOK(tpresent)) {
-		return 0, nil, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-	}
-	if version >= 2 {
-		for i := 0; i < n; i++ {
-			t := int64(recs[i].PC) + 1
-			if tpresent[i/8]&(1<<(i%8)) != 0 {
-				u, err := d.uvarint()
-				if err != nil {
-					return 0, nil, err
-				}
-				if u == 0 {
-					return 0, nil, fmt.Errorf("trace: fallthrough target marked present at record %d", i)
-				}
-				t += unzigzag(u)
-			}
-			if t < -(1<<31) || t >= 1<<31 {
-				return 0, nil, fmt.Errorf("trace: target %d out of int32 range", t)
-			}
-			recs[i].Target = int32(t)
-		}
-	}
-	for i := 0; i < n; i++ {
-		recs[i].Taken = taken[i/8]&(1<<(i%8)) != 0
-	}
-	k := 0
-	for _, b := range present {
-		k += bits.OnesCount8(b)
-	}
-	prevAddr := uint64(0)
-	got := 0
-	for i := 0; i < n && got < k; i++ {
-		if present[i/8]&(1<<(i%8)) == 0 {
-			continue
-		}
-		u, err := d.uvarint()
-		if err != nil {
-			return 0, nil, err
-		}
-		a := prevAddr + uint64(unzigzag(u))
-		if a == 0 {
-			return 0, nil, fmt.Errorf("trace: zero address marked present at record %d", i)
-		}
-		recs[i].Addr = a
-		prevAddr = a
-		got++
-	}
-	if d.pos != len(data) {
-		return 0, nil, fmt.Errorf("trace: %d trailing bytes after chunk payload", len(data)-d.pos)
-	}
-	return base, recs, nil
-}
-
-// decodeChunkEvents decodes one chunk payload straight into simulator
-// events bound to prog, fusing what used to be two passes (decode to
-// Record, then rebind to Event) into one. The slab evs is recycled
-// when its capacity suffices. Every validation of the reference
-// decoder is preserved — bounds-checked varints, bitmap padding,
-// zero-address and trailing-byte checks — plus the PC-in-program
-// check the old bind step performed.
-func decodeChunkEvents(data []byte, prog *isa.Program, evs []sim.Event, version int) (uint64, []sim.Event, error) {
-	pos := 0
-	base, pos, err := uvarintAt(data, pos)
-	if err != nil {
-		return 0, nil, err
-	}
-	n64, pos, err := uvarintAt(data, pos)
-	if err != nil {
-		return 0, nil, err
-	}
-	if n64 > maxChunkEvents {
-		return 0, nil, fmt.Errorf("trace: chunk claims %d records (max %d)", n64, maxChunkEvents)
-	}
-	n := int(n64)
-	if cap(evs) < n {
-		evs = make([]sim.Event, n)
-	}
-	evs = evs[:n]
-	insts := prog.Insts
-	ni := int64(len(insts))
-	nb := (n + 7) / 8
-	// A set padding bit in any bitmap would index past evs[:n] in the
-	// bit-scan loops, so each bitmap is checked as soon as it is sliced.
-	padOK := func(bm []byte) bool { return n%8 == 0 || bm[nb-1]>>(n%8) == 0 }
-	var pcex, taken, tpresent, present []byte
-	if version < 2 {
-		prevPC := int64(0)
-		for i := 0; i < n; i++ {
-			// Inlined uvarint fast paths: PC deltas are almost always
-			// one byte (straight-line code) and two cover every
-			// realistic branch span, so the slow path is effectively
-			// never taken.
-			if uint(pos) >= uint(len(data)) {
-				return 0, nil, errTruncatedVarint
-			}
-			u := uint64(data[pos])
-			pos++
-			if u >= 0x80 {
-				if uint(pos) < uint(len(data)) && data[pos] < 0x80 {
-					u = u&0x7f | uint64(data[pos])<<7
-					pos++
-				} else if u, pos, err = uvarintAt(data, pos-1); err != nil {
-					return 0, nil, err
-				}
-			}
-			pc := prevPC + unzigzag(u)
-			if pc < 0 || pc >= ni {
-				return 0, nil, fmt.Errorf("trace: record %d: pc %d outside program %s (%d insts)",
-					base+uint64(i), pc, prog.Name, len(insts))
-			}
-			prevPC = pc
-			// The whole-struct write zeroes Addr/Taken in a recycled
-			// slab; the dense target pass below overwrites Target for
-			// every event.
-			evs[i] = sim.Event{Seq: base + uint64(i), PC: int32(pc), Target: int32(pc) + 1, Inst: &insts[pc]}
-		}
-		for i := 0; i < n; i++ {
-			if uint(pos) >= uint(len(data)) {
-				return 0, nil, errTruncatedVarint
-			}
-			u := uint64(data[pos])
-			pos++
-			if u >= 0x80 {
-				if uint(pos) < uint(len(data)) && data[pos] < 0x80 {
-					u = u&0x7f | uint64(data[pos])<<7
-					pos++
-				} else if u, pos, err = uvarintAt(data, pos-1); err != nil {
-					return 0, nil, err
-				}
-			}
-			t := int64(evs[i].PC) + 1 + unzigzag(u)
-			if t < -(1<<31) || t >= 1<<31 {
-				return 0, nil, fmt.Errorf("trace: target %d out of int32 range", t)
-			}
-			evs[i].Target = int32(t)
-		}
-		if pos+2*nb > len(data) {
-			return 0, nil, fmt.Errorf("trace: chunk truncated at offset %d (need %d bytes)", pos, 2*nb)
-		}
-		taken = data[pos : pos+nb]
-		present = data[pos+nb : pos+2*nb]
-		pos += 2 * nb
-		if !padOK(taken) || !padOK(present) {
-			return 0, nil, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-		}
-	} else if version == 2 {
-		if pos+4*nb > len(data) {
-			return 0, nil, fmt.Errorf("trace: chunk truncated at offset %d (need %d bytes)", pos, 4*nb)
-		}
-		pcex = data[pos : pos+nb]
-		taken = data[pos+nb : pos+2*nb]
-		tpresent = data[pos+2*nb : pos+3*nb]
-		present = data[pos+3*nb : pos+4*nb]
-		pos += 4 * nb
-		if !padOK(pcex) || !padOK(taken) || !padOK(tpresent) || !padOK(present) {
-			return 0, nil, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-		}
-	} else {
-		// v3 front-loads the PC column: only its exception bitmap
-		// precedes the PC deltas; the remaining bitmaps follow them.
-		if pos+nb > len(data) {
-			return 0, nil, fmt.Errorf("trace: chunk truncated at offset %d (need %d bytes)", pos, nb)
-		}
-		pcex = data[pos : pos+nb]
-		pos += nb
-		if !padOK(pcex) {
-			return 0, nil, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-		}
-	}
-	if version >= 2 {
-		// PC column: between exception bits the stream is straight-line
-		// code, so whole runs need one bounds check and then only the
-		// struct write per event — no varint, no per-event range test.
-		// The whole-struct write zeroes Addr/Taken in a recycled slab
-		// and plants the fallthrough target; the sparse columns below
-		// fill in the exceptions.
-		pc := int64(0)
-		i := 0
-		for bi, b := range pcex {
-			for b != 0 {
-				j := bi<<3 + bits.TrailingZeros8(b)
-				b &= b - 1
-				if pc+int64(j-i) >= ni {
-					return 0, nil, fmt.Errorf("trace: record %d: pc %d outside program %s (%d insts)",
-						base+uint64(j), pc+int64(j-i), prog.Name, len(insts))
-				}
-				for ; i < j; i++ {
-					pc++
-					evs[i] = sim.Event{Seq: base + uint64(i), PC: int32(pc), Target: int32(pc) + 1, Inst: &insts[pc]}
-				}
-				if uint(pos) >= uint(len(data)) {
-					return 0, nil, errTruncatedVarint
-				}
-				u := uint64(data[pos])
-				pos++
-				if u >= 0x80 {
-					if uint(pos) < uint(len(data)) && data[pos] < 0x80 {
-						u = u&0x7f | uint64(data[pos])<<7
-						pos++
-					} else if u, pos, err = uvarintAt(data, pos-1); err != nil {
-						return 0, nil, err
-					}
-				}
-				if u == 0 {
-					return 0, nil, fmt.Errorf("trace: sequential PC marked exceptional at record %d", i)
-				}
-				pc += 1 + unzigzag(u)
-				if pc < 0 || pc >= ni {
-					return 0, nil, fmt.Errorf("trace: record %d: pc %d outside program %s (%d insts)",
-						base+uint64(i), pc, prog.Name, len(insts))
-				}
-				evs[i] = sim.Event{Seq: base + uint64(i), PC: int32(pc), Target: int32(pc) + 1, Inst: &insts[pc]}
-				i++
-			}
-		}
-		if i < n {
-			if pc+int64(n-i) >= ni {
-				return 0, nil, fmt.Errorf("trace: record %d: pc %d outside program %s (%d insts)",
-					base+uint64(n-1), pc+int64(n-i), prog.Name, len(insts))
-			}
-			for ; i < n; i++ {
-				pc++
-				evs[i] = sim.Event{Seq: base + uint64(i), PC: int32(pc), Target: int32(pc) + 1, Inst: &insts[pc]}
-			}
-		}
-	}
-	if version >= 3 {
-		if pos+3*nb > len(data) {
-			return 0, nil, fmt.Errorf("trace: chunk truncated at offset %d (need %d bytes)", pos, 3*nb)
-		}
-		taken = data[pos : pos+nb]
-		tpresent = data[pos+nb : pos+2*nb]
-		present = data[pos+2*nb : pos+3*nb]
-		pos += 3 * nb
-		if !padOK(taken) || !padOK(tpresent) || !padOK(present) {
-			return 0, nil, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-		}
-	}
-	// Bit-scan the sparse bitmaps instead of testing every event: with
-	// taken branches a small fraction of the stream, iterating set bits
-	// replaces n predictable-but-paid tests with popcount work.
-	for bi, b := range taken {
-		for b != 0 {
-			evs[bi<<3+bits.TrailingZeros8(b)].Taken = true
-			b &= b - 1
-		}
-	}
-	for bi, b := range tpresent {
-		for b != 0 {
-			i := bi<<3 + bits.TrailingZeros8(b)
-			b &= b - 1
-			if uint(pos) >= uint(len(data)) {
-				return 0, nil, errTruncatedVarint
-			}
-			u := uint64(data[pos])
-			pos++
-			if u >= 0x80 {
-				if uint(pos) < uint(len(data)) && data[pos] < 0x80 {
-					u = u&0x7f | uint64(data[pos])<<7
-					pos++
-				} else if u, pos, err = uvarintAt(data, pos-1); err != nil {
-					return 0, nil, err
-				}
-			}
-			if u == 0 {
-				return 0, nil, fmt.Errorf("trace: fallthrough target marked present at record %d", i)
-			}
-			t := int64(evs[i].PC) + 1 + unzigzag(u)
-			if t < -(1<<31) || t >= 1<<31 {
-				return 0, nil, fmt.Errorf("trace: target %d out of int32 range", t)
-			}
-			evs[i].Target = int32(t)
-		}
-	}
-	prevAddr := uint64(0)
-	for bi, b := range present {
-		for b != 0 {
-			i := bi<<3 + bits.TrailingZeros8(b)
-			b &= b - 1
-			if uint(pos) >= uint(len(data)) {
-				return 0, nil, errTruncatedVarint
-			}
-			u := uint64(data[pos])
-			pos++
-			if u >= 0x80 {
-				if uint(pos) < uint(len(data)) && data[pos] < 0x80 {
-					u = u&0x7f | uint64(data[pos])<<7
-					pos++
-				} else if u, pos, err = uvarintAt(data, pos-1); err != nil {
-					return 0, nil, err
-				}
-			}
-			a := prevAddr + uint64(unzigzag(u))
-			if a == 0 {
-				return 0, nil, fmt.Errorf("trace: zero address marked present at record %d", i)
-			}
-			evs[i].Addr = a
-			prevAddr = a
-		}
-	}
-	if pos != len(data) {
-		return 0, nil, fmt.Errorf("trace: %d trailing bytes after chunk payload", len(data)-pos)
-	}
-	return base, evs, nil
-}
-
-// scanChunkPCRuns decodes only the program-counter column of a
-// sparse-layout chunk, reporting the committed stream as maximal
-// straight-line runs: run(pc, n) covers n events whose PCs are pc,
-// pc+1, ..., pc+n-1, in commit order. The header, bitmap, and PC
-// column checks match decodeChunkEvents; the taken, target, and
-// address columns are never touched — and with a split-compressed
-// frame, never even decompressed. Skipping their varint work and the
-// per-event struct writes is the point. data need only extend through
-// the PC column (framePCColumn's contract). Returns the chunk's base
-// sequence number, event count, and the offset just past the PC
-// deltas (where the remaining columns start in a fully inflated v3
-// payload — the column decoder resumes there).
-func scanChunkPCRuns(data []byte, version int, ni int64, run func(pc, n int32)) (uint64, int, int, error) {
-	pos := 0
-	base, pos, err := uvarintAt(data, pos)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	n64, pos, err := uvarintAt(data, pos)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if n64 > maxChunkEvents {
-		return 0, 0, 0, fmt.Errorf("trace: chunk claims %d records (max %d)", n64, maxChunkEvents)
-	}
-	n := int(n64)
-	nb := (n + 7) / 8
-	// v3 places only the PC-exception bitmap ahead of the PC deltas;
-	// v2 interleaves all four bitmaps there, so its scan must inflate
-	// through them.
-	ahead := nb
-	if version < 3 {
-		ahead = 4 * nb
-	}
-	if pos+ahead > len(data) {
-		return 0, 0, 0, fmt.Errorf("trace: chunk truncated at offset %d (need %d bytes)", pos, ahead)
-	}
-	pcex := data[pos : pos+nb]
-	pos += ahead
-	if n%8 != 0 && pcex[nb-1]>>(n%8) != 0 {
-		return 0, 0, 0, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-	}
-	pc := int64(0)
-	i := 0
-	runStart := int64(0)
-	runLen := int32(0)
-	for bi, b := range pcex {
-		for b != 0 {
-			j := bi<<3 + bits.TrailingZeros8(b)
-			b &= b - 1
-			if j > i {
-				// Straight-line events i..j-1 extend the current run.
-				if pc+int64(j-i) >= ni {
-					return 0, 0, 0, fmt.Errorf("trace: record %d: pc %d outside program (%d insts)",
-						base+uint64(j-1), pc+int64(j-i), ni)
-				}
-				if runLen == 0 {
-					runStart = pc + 1
-				}
-				runLen += int32(j - i)
-				pc += int64(j - i)
-				i = j
-			}
-			if uint(pos) >= uint(len(data)) {
-				return 0, 0, 0, errTruncatedVarint
-			}
-			u := uint64(data[pos])
-			pos++
-			if u >= 0x80 {
-				if uint(pos) < uint(len(data)) && data[pos] < 0x80 {
-					u = u&0x7f | uint64(data[pos])<<7
-					pos++
-				} else if u, pos, err = uvarintAt(data, pos-1); err != nil {
-					return 0, 0, 0, err
-				}
-			}
-			if u == 0 {
-				return 0, 0, 0, fmt.Errorf("trace: sequential PC marked exceptional at record %d", i)
-			}
-			if runLen > 0 {
-				run(int32(runStart), runLen)
-			}
-			pc += 1 + unzigzag(u)
-			if pc < 0 || pc >= ni {
-				return 0, 0, 0, fmt.Errorf("trace: record %d: pc %d outside program (%d insts)",
-					base+uint64(i), pc, ni)
-			}
-			runStart = pc
-			runLen = 1
-			i++
-		}
-	}
-	if i < n {
-		if pc+int64(n-i) >= ni {
-			return 0, 0, 0, fmt.Errorf("trace: record %d: pc %d outside program (%d insts)",
-				base+uint64(n-1), pc+int64(n-i), ni)
-		}
-		if runLen == 0 {
-			runStart = pc + 1
-		}
-		runLen += int32(n - i)
-	}
-	if runLen > 0 {
-		run(int32(runStart), runLen)
-	}
-	return base, n, pos, nil
-}
-
 // decoder owns the reusable buffers of one decode stream: the flate
 // reader (reset per frame instead of reallocating its window), the
-// decompression buffer, and a bytes.Reader over the frame payload.
-// Each sequential source, parallel worker, and shard owns exactly one.
+// decompression buffer, a bytes.Reader over the frame payload, and the
+// per-chunk address-chain scratch. dict is the reader's footer
+// dictionary, shared read-only. Each Range source, Columns worker, and
+// token scan owns exactly one.
 type decoder struct {
-	br  bytes.Reader
-	fr  io.ReadCloser
-	raw []byte
-	// version selects the chunk layout (dense v1, sparse v2,
-	// front-loaded-PC v3, run-native v4); set once at construction
-	// from the trace header.
-	version int
-	// v4 state: the run dictionary (shared with the reader that owns
-	// it), whether this decoder grows it (sequential, commit order) or
-	// verifies chunks against a footer-loaded copy, and the private
-	// per-chunk scratch.
+	br   bytes.Reader
+	fr   io.ReadCloser
+	raw  []byte
 	dict *v4Dict
-	grow bool
 	sc   v4Scratch
 }
 
@@ -890,7 +132,7 @@ func (d *decoder) inflateExact(src, dst []byte) error {
 }
 
 // splitParts parses a compressionSplit payload: uvarint raw length of
-// the first (PC-column) stream, uvarint stored length of that stream,
+// the first (token-stream) stream, uvarint stored length of that stream,
 // then the two flate streams back to back.
 func splitParts(f frame) (raw1 int, s1, s2 []byte, err error) {
 	u1, k1 := binary.Uvarint(f.payload)
@@ -908,44 +150,11 @@ func splitParts(f frame) (raw1 int, s1, s2 []byte, err error) {
 	return int(u1), rest[:u2], rest[u2:], nil
 }
 
-// pcColumnEnd returns the offset just past the v3 PC column — chunk
-// header, exception bitmap, and PC-delta varints — in an encoded v3
-// chunk. The writer splits compression here so scans inflate the PC
-// column alone.
-func pcColumnEnd(data []byte) (int, error) {
-	_, k0 := binary.Uvarint(data)
-	if k0 <= 0 {
-		return 0, fmt.Errorf("trace: bad chunk header")
-	}
-	n64, k1 := binary.Uvarint(data[k0:])
-	if k1 <= 0 || n64 > maxChunkEvents {
-		return 0, fmt.Errorf("trace: bad chunk header")
-	}
-	pos := k0 + k1
-	nb := (int(n64) + 7) / 8
-	if pos+nb > len(data) {
-		return 0, fmt.Errorf("trace: chunk truncated in bitmap")
-	}
-	exc := 0
-	for _, b := range data[pos : pos+nb] {
-		exc += bits.OnesCount8(b)
-	}
-	pos += nb
-	for i := 0; i < exc; i++ {
-		_, k := binary.Uvarint(data[pos:])
-		if k <= 0 {
-			return 0, fmt.Errorf("trace: chunk truncated in PC column")
-		}
-		pos += k
-	}
-	return pos, nil
-}
-
 // framePCColumn returns a decoded prefix of f's payload that covers
-// at least the full PC column of a v2/v3 chunk, reusing the decoder's
-// buffers. For split-compressed frames only the first stream — the PC
-// column itself — is inflated; the taken, target, and address
-// streams, the bulk of the payload, stay compressed. Other kinds
+// at least the chunk's full token stream (which carries its PCs),
+// reusing the decoder's buffers. For split-compressed frames only the
+// first stream — the token stream itself — is inflated; the taken and
+// address columns, the bulk of the payload, stay compressed. Other kinds
 // decode fully (Go's inflater decodes whole 32KiB windows, so a
 // partial read of a single stream saves nothing). Frame integrity is
 // guaranteed by the CRC over the stored payload, which readFrame
@@ -983,20 +192,5 @@ func (d *decoder) decodeFrameEvents(f frame, prog *isa.Program, evs []sim.Event)
 	if err != nil {
 		return 0, nil, err
 	}
-	if d.version >= 4 {
-		return decodeChunkEventsV4(raw, prog, d.dict, d.grow, evs, &d.sc)
-	}
-	return decodeChunkEvents(raw, prog, evs, d.version)
-}
-
-// decodeFrame decompresses and decodes one frame into records. It is
-// the reference path used by the fuzzer; it allocates per call and is
-// safe from multiple goroutines on distinct frames.
-func decodeFrame(f frame, recs []Record, version int) (uint64, []Record, error) {
-	d := decoder{version: version}
-	raw, err := d.frameBytes(f)
-	if err != nil {
-		return 0, nil, err
-	}
-	return decodeChunk(raw, recs, d.version)
+	return decodeChunkEventsV4(raw, prog, d.dict, evs, &d.sc)
 }

@@ -1,133 +1,121 @@
 package trace
 
 import (
-	"math"
-	"math/rand"
 	"testing"
+
+	"bioperfload/internal/isa"
+	"bioperfload/internal/runstream"
+	"bioperfload/internal/sim"
 )
 
-func randomRecords(r *rand.Rand, n int) []Record {
-	recs := make([]Record, n)
-	pc := int32(0)
-	for i := range recs {
-		// Mostly small forward steps with occasional long jumps, like a
-		// real committed-instruction stream.
-		switch r.Intn(10) {
-		case 0:
-			pc = int32(r.Intn(1 << 20))
-		default:
-			pc += int32(r.Intn(8))
-		}
-		rec := Record{PC: pc, Target: pc + 1}
-		if r.Intn(4) == 0 {
-			rec.Target = int32(r.Intn(1 << 20))
-			rec.Taken = r.Intn(2) == 0
-		}
-		if r.Intn(3) == 0 {
-			rec.Addr = uint64(r.Intn(1 << 30))
-		}
-		recs[i] = rec
+// encodeChunk encodes evs as one bare chunk payload starting at event
+// base, through a runstream.Builder and a fresh writer dictionary. It
+// returns the payload and a reader-side copy of the dictionary, as a
+// footer would carry it.
+func encodeChunk(prog *isa.Program, base uint64, evs []sim.Event) ([]byte, *v4Dict, error) {
+	vw := newV4Writer(prog)
+	var out []byte
+	var err error
+	b := runstream.NewBuilder(prog, len(evs), func(ch *runstream.Chunk) {
+		out, _, err = vw.appendChunk(nil, base, ch)
+	})
+	b.ObserveBatch(evs)
+	b.Flush()
+	if b.Err() != nil {
+		return nil, nil, b.Err()
 	}
-	return recs
+	if err != nil {
+		return nil, nil, err
+	}
+	dict, err := parseDictPayload(appendDictPayload(nil, vw.dict.runs))
+	return out, dict, err
+}
+
+// rebased returns a copy of evs with sequence numbers starting at base.
+func rebased(evs []sim.Event, base uint64) []sim.Event {
+	out := append([]sim.Event(nil), evs...)
+	for i := range out {
+		out[i].Seq = base + uint64(i)
+	}
+	return out
 }
 
 func TestChunkRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	cases := [][]Record{
-		{},
-		{{PC: 0, Target: 1}},
-		{{PC: 5, Target: 6, Addr: 0x1000, Taken: true}},
-		{
-			{PC: math.MaxInt32, Target: math.MinInt32, Addr: math.MaxUint64, Taken: true},
-			{PC: math.MinInt32, Target: math.MaxInt32, Addr: 1},
-		},
-		randomRecords(r, 1),
-		randomRecords(r, 7),
-		randomRecords(r, 8),
-		randomRecords(r, 9),
-		randomRecords(r, 1000),
-		randomRecords(r, ChunkEvents),
-	}
-	for ci, recs := range cases {
-		for version := 1; version <= FormatVersion; version++ {
-			for _, base := range []uint64{0, 1, 1 << 40} {
-				buf := appendChunk(nil, base, recs, version)
-				gotBase, got, err := decodeChunk(buf, nil, version)
-				if err != nil {
-					t.Fatalf("case %d v%d base %d: decode: %v", ci, version, base, err)
-				}
-				if gotBase != base {
-					t.Fatalf("case %d: base %d, want %d", ci, gotBase, base)
-				}
-				if len(got) != len(recs) {
-					t.Fatalf("case %d: %d records, want %d", ci, len(got), len(recs))
-				}
-				for i := range recs {
-					if got[i] != recs[i] {
-						t.Fatalf("case %d record %d: got %+v want %+v", ci, i, got[i], recs[i])
-					}
-				}
+	prog := testProgramMixed(1 << 12)
+	for _, n := range []int{1, 7, 8, 9, 1000, ChunkEvents} {
+		evs := testEventStream(n, prog)
+		for _, base := range []uint64{0, 1, 1 << 40} {
+			buf, dict, err := encodeChunk(prog, base, evs)
+			if err != nil {
+				t.Fatalf("n=%d base %d: encode: %v", n, base, err)
 			}
+			var sc v4Scratch
+			gotBase, got, err := decodeChunkEventsV4(buf, prog, dict, nil, &sc)
+			if err != nil {
+				t.Fatalf("n=%d base %d: decode: %v", n, base, err)
+			}
+			if gotBase != base {
+				t.Fatalf("n=%d: base %d, want %d", n, gotBase, base)
+			}
+			checkEvents(t, got, rebased(evs, base))
 		}
 	}
 }
 
 func TestChunkDecodeRecyclesBuffer(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	big := randomRecords(r, 500)
-	small := randomRecords(r, 20)
-	buf := appendChunk(nil, 0, big, FormatVersion)
-	_, recs, err := decodeChunk(buf, nil, FormatVersion)
+	prog := testProgramMixed(1 << 12)
+	big := testEventStream(500, prog)
+	small := testEventStream(20, prog)
+	buf, dict, err := encodeChunk(prog, 0, big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf2 := appendChunk(nil, 500, small, FormatVersion)
-	_, recs2, err := decodeChunk(buf2, recs, FormatVersion)
+	var sc v4Scratch
+	_, evs, err := decodeChunkEventsV4(buf, prog, dict, nil, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs2) != len(small) {
-		t.Fatalf("recycled decode returned %d records, want %d", len(recs2), len(small))
+	buf2, dict2, err := encodeChunk(prog, 500, small)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range small {
-		if recs2[i] != small[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, recs2[i], small[i])
-		}
+	_, evs2, err := decodeChunkEventsV4(buf2, prog, dict2, evs, &sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if &recs2[0] != &recs[0] {
+	checkEvents(t, evs2, rebased(small, 500))
+	if &evs2[0] != &evs[0] {
 		t.Error("decode did not reuse the provided buffer")
 	}
 }
 
 func TestChunkDecodeRejectsCorruption(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	recs := randomRecords(r, 100)
-	for version := 1; version <= FormatVersion; version++ {
-		buf := appendChunk(nil, 42, recs, version)
+	prog := testProgramMixed(1 << 12)
+	buf, dict, err := encodeChunk(prog, 42, testEventStream(100, prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(data []byte) error {
+		var sc v4Scratch
+		_, _, err := decodeChunkEventsV4(data, prog, dict, nil, &sc)
+		return err
+	}
 
-		// Truncation at every prefix length must error, never panic.
-		for n := 0; n < len(buf); n++ {
-			if _, _, err := decodeChunk(buf[:n], nil, version); err == nil {
-				// A prefix can occasionally decode as a smaller valid chunk
-				// only if every stream happens to terminate; with trailing
-				// bytes rejected that means the count shrank, which the
-				// varint layout cannot produce from a prefix. Treat any
-				// silent success as a bug.
-				t.Fatalf("v%d: truncated chunk (%d of %d bytes) decoded without error", version, n, len(buf))
-			}
+	// Truncation at every prefix length must error, never panic.
+	for n := 0; n < len(buf); n++ {
+		if err := decode(buf[:n]); err == nil {
+			t.Fatalf("truncated chunk (%d of %d bytes) decoded without error", n, len(buf))
 		}
+	}
 
-		// Trailing garbage is rejected.
-		if _, _, err := decodeChunk(append(append([]byte{}, buf...), 0), nil, version); err == nil {
-			t.Errorf("v%d: chunk with trailing byte decoded without error", version)
-		}
+	// Trailing garbage is rejected.
+	if err := decode(append(append([]byte{}, buf...), 0)); err == nil {
+		t.Error("chunk with trailing byte decoded without error")
+	}
 
-		// A hostile record count cannot cause a huge allocation.
-		hostile := appendChunk(nil, 0, nil, version)
-		hostile = hostile[:1] // keep base, drop count
-		hostile = append(hostile, 0xff, 0xff, 0xff, 0xff, 0x7f)
-		if _, _, err := decodeChunk(hostile, nil, version); err == nil {
-			t.Errorf("v%d: hostile record count decoded without error", version)
-		}
+	// A hostile event count cannot cause a huge allocation.
+	hostile := []byte{0, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	if err := decode(hostile); err == nil {
+		t.Error("hostile event count decoded without error")
 	}
 }

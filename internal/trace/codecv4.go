@@ -65,23 +65,33 @@ import (
 // can request. Real programs intern a few thousand runs.
 const maxDictRuns = 1 << 22
 
-// v4 footer geometry. After the terminator byte the v4 trailer is:
+// Footer geometry. After the terminator byte (a zero raw-length frame
+// prefix) the trailer is:
 //
 //	dict payload:
 //	    uvarint runCount
 //	    runCount × { zigzag pcDelta, uvarint len }
 //	uint32 LE   CRC-32 (IEEE) of the dict payload
-//	index payload + uint32 CRC     (exactly the v2 index)
-//	fixed tail (tailLenV4 bytes):
+//	index payload:
+//	    uvarint chunkCount
+//	    chunkCount × { uvarint offsetDelta, uvarint events }
+//	        offsetDelta: frame-start file offset, delta-coded against
+//	        the previous frame start (first entry is absolute)
+//	uint32 LE   CRC-32 (IEEE) of the index payload
+//	fixed tail (tailLen bytes):
 //	    uint64 LE indexLen
 //	    uint64 LE totalEvents
 //	    uint64 LE chunkCount
 //	    uint64 LE dictLen      length of the dict payload in bytes
 //	uint32 LE   CRC-32 (IEEE) of the fixed tail
 //	[8]byte     footer magic "BPTREND4"
+//
+// The fixed-size suffix (tail + CRC + magic = tailFixedLen bytes) lets
+// a reader locate the index and the dictionary from the end of the
+// file.
 const (
-	tailLenV4      = 32
-	tailFixedLenV4 = tailLenV4 + 4 + 8
+	tailLen      = 32
+	tailFixedLen = tailLen + 4 + 8
 )
 
 // dictRun is one run-dictionary entry: the straight-line run
@@ -97,11 +107,11 @@ func dictKey(pc, n int32) uint64 {
 
 // v4Dict is the reader- and writer-side run dictionary plus the
 // class tables derived from the program at bind time. The raw entries
-// (runs, ids) are maintained while parsing — growing under the
-// sequential reader, loaded whole from the footer by the indexed
-// reader — and are structurally validated without a program. The
-// bound tables need the program and are built once by bind/bindShared
-// before any taken/address column is decoded.
+// (runs, ids) are maintained while parsing — grown chunk by chunk by
+// the writer, loaded whole from the footer by the reader — and are
+// structurally validated without a program. The bound tables need the
+// program and are built by bind/bindShared before any taken/address
+// column is encoded or decoded.
 type v4Dict struct {
 	runs []dictRun
 	ids  map[uint64]int32 // dictKey → id, for duplicate rejection
@@ -153,8 +163,8 @@ func (d *v4Dict) add(pc int32, n int64) error {
 }
 
 // bind extends the class tables over entries [d.bound, len(d.runs)).
-// Not safe for concurrent use; the sequential reader calls it as its
-// dictionary grows, the indexed reader exactly once via bindShared.
+// Not safe for concurrent use; the writer calls it as its dictionary
+// grows, the reader exactly once via bindShared.
 func (d *v4Dict) bind(prog *isa.Program) error {
 	if d.isCond == nil {
 		ni := len(prog.Insts)
@@ -202,8 +212,8 @@ func (d *v4Dict) bind(prog *isa.Program) error {
 	return nil
 }
 
-// bindShared is bind for the indexed reader's immutable,
-// footer-loaded dictionary: many shard workers may race to the first
+// bindShared is bind for the reader's immutable, footer-loaded
+// dictionary: many shard workers may race to the first
 // column decode, so the (one-shot) bind runs under a sync.Once.
 func (d *v4Dict) bindShared(prog *isa.Program) error {
 	d.bindOnce.Do(func() { d.bindErr = d.bind(prog) })
@@ -275,7 +285,6 @@ type v4Scratch struct {
 	epoch    []uint32
 	cur      uint32
 	tokens   []runstream.Token
-	newRuns  []dictRun
 }
 
 func (sc *v4Scratch) nextEpoch(ni int) {
@@ -310,21 +319,16 @@ func (sc *v4Scratch) set(pc int32, a uint64) {
 type v4Hdr struct {
 	base       uint64
 	n          int
-	dictBase   int
-	newRuns    int
 	tokens     []runstream.Token
 	finalDelta int64
 	pos        int // offset just past finalTargetDelta
 }
 
 // parseChunkV4 parses and validates a chunk's token stream against
-// dict. In grow mode (sequential reader, chunks seen in commit order)
-// the chunk's dictBase must equal the dictionary size and the new
-// entries are appended; in verify mode (indexed reader, dictionary
-// loaded whole from the footer) the new entries must match the
-// footer's at the same ids. data may be a stream-1 prefix: parsing
-// stops at the cut.
-func parseChunkV4(data []byte, dict *v4Dict, grow bool, sc *v4Scratch) (v4Hdr, error) {
+// dict, the dictionary loaded whole from the footer: the entries the
+// chunk defines must match the footer's at the same ids. data may be
+// a stream-1 prefix: parsing stops at the cut.
+func parseChunkV4(data []byte, dict *v4Dict, sc *v4Scratch) (v4Hdr, error) {
 	var h v4Hdr
 	pos := 0
 	base, pos, err := uvarintAt(data, pos)
@@ -350,15 +354,10 @@ func parseChunkV4(data []byte, dict *v4Dict, grow bool, sc *v4Scratch) (v4Hdr, e
 		return h, fmt.Errorf("trace: chunk dictionary section out of range (base %d, new %d)", dictBase64, newRuns64)
 	}
 	dictBase, newRuns := int(dictBase64), int(newRuns64)
-	if grow {
-		if dictBase != len(dict.runs) {
-			return h, fmt.Errorf("trace: chunk dictBase %d, dictionary has %d runs", dictBase, len(dict.runs))
-		}
-	} else if dictBase+newRuns > len(dict.runs) {
+	if dictBase+newRuns > len(dict.runs) {
 		return h, fmt.Errorf("trace: chunk defines runs %d..%d, footer dictionary has %d",
 			dictBase, dictBase+newRuns, len(dict.runs))
 	}
-	sc.newRuns = sc.newRuns[:0]
 	prev := int64(0)
 	for i := 0; i < newRuns; i++ {
 		var u uint64
@@ -376,20 +375,9 @@ func parseChunkV4(data []byte, dict *v4Dict, grow bool, sc *v4Scratch) (v4Hdr, e
 		if u < 1 || u > maxChunkEvents || int64(pc)+int64(u) > 1<<31 {
 			return h, fmt.Errorf("trace: dictionary run [%d,%d) out of range", pc, int64(pc)+int64(u))
 		}
-		sc.newRuns = append(sc.newRuns, dictRun{pc: int32(pc), n: int32(u)})
-	}
-	if grow {
-		for _, r := range sc.newRuns {
-			if err := dict.add(r.pc, int64(r.n)); err != nil {
-				return h, err
-			}
-		}
-	} else {
-		for i, r := range sc.newRuns {
-			if dict.runs[dictBase+i] != r {
-				return h, fmt.Errorf("trace: chunk dictionary entry %d ([%d,%d)) disagrees with footer",
-					dictBase+i, r.pc, int64(r.pc)+int64(r.n))
-			}
+		if r := (dictRun{pc: int32(pc), n: int32(u)}); dict.runs[dictBase+i] != r {
+			return h, fmt.Errorf("trace: chunk dictionary entry %d ([%d,%d)) disagrees with footer",
+				dictBase+i, r.pc, int64(r.pc)+int64(r.n))
 		}
 	}
 	nTok64, pos, err := uvarintAt(data, pos)
@@ -438,8 +426,6 @@ func parseChunkV4(data []byte, dict *v4Dict, grow bool, sc *v4Scratch) (v4Hdr, e
 	h = v4Hdr{
 		base:       base,
 		n:          int(n64),
-		dictBase:   dictBase,
-		newRuns:    newRuns,
 		tokens:     sc.tokens,
 		finalDelta: unzigzag(u),
 		pos:        pos,
@@ -462,14 +448,14 @@ func v4ColumnCounts(dict *v4Dict, tokens []runstream.Token) (nbr, nmem int) {
 // targets are the next instance's start PC (finalTargetDelta for the
 // chunk's last event), conditional branches read the taken bitmap,
 // unconditional branches are always taken, and the address column
-// fills memory instances (zero addresses included). dict must be
-// bound to prog.
-func decodeChunkEventsV4(data []byte, prog *isa.Program, dict *v4Dict, grow bool, evs []sim.Event, sc *v4Scratch) (uint64, []sim.Event, error) {
-	h, err := parseChunkV4(data, dict, grow, sc)
+// fills memory instances (zero addresses included). The first decode
+// binds dict to prog.
+func decodeChunkEventsV4(data []byte, prog *isa.Program, dict *v4Dict, evs []sim.Event, sc *v4Scratch) (uint64, []sim.Event, error) {
+	h, err := parseChunkV4(data, dict, sc)
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := bindFor(dict, prog, grow); err != nil {
+	if err := dict.bindShared(prog); err != nil {
 		return 0, nil, err
 	}
 	n := h.n
@@ -578,30 +564,18 @@ func decodeChunkEventsV4(data []byte, prog *isa.Program, dict *v4Dict, grow bool
 	return h.base, evs, nil
 }
 
-// bindFor extends (grow mode) or one-shot binds (verify mode) the
-// dictionary's class tables.
-func bindFor(dict *v4Dict, prog *isa.Program, grow bool) error {
-	if grow {
-		return dict.bind(prog)
-	}
-	return dict.bindShared(prog)
-}
-
 // decodeChunkColumnsV4 decodes one v4 chunk payload into the
 // dictionary-backed column form: tokens stay tokens (the run engine
 // multiplies per token, not per event), the taken bitmap is copied
 // verbatim, and only the address column is expanded — one value per
 // memory instance. dict must be bound.
 func decodeChunkColumnsV4(data []byte, dict *v4Dict, ch *runstream.Chunk, sc *v4Scratch) error {
-	h, err := parseChunkV4(data, dict, false, sc)
+	h, err := parseChunkV4(data, dict, sc)
 	if err != nil {
 		return err
 	}
 	ch.Base = h.base
 	ch.N = h.n
-	ch.Runs = ch.Runs[:0]
-	ch.Taken = ch.Taken[:0]
-	ch.Present = ch.Present[:0]
 	ch.Dict = dict.rsDict
 	ch.Tokens = append(ch.Tokens[:0], h.tokens...)
 	ch.Addrs = ch.Addrs[:0]
@@ -661,7 +635,7 @@ func decodeChunkColumnsV4(data []byte, dict *v4Dict, ch *runstream.Chunk, sc *v4
 // contract); trailing-byte validation of the full payload is the
 // column/event decoders' job.
 func scanChunkTokensV4(data []byte, dict *v4Dict, sc *v4Scratch, fn func(pc, n int32, rep int64)) (uint64, int, error) {
-	h, err := parseChunkV4(data, dict, false, sc)
+	h, err := parseChunkV4(data, dict, sc)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"testing"
 
 	"bioperfload/internal/isa"
@@ -68,51 +70,120 @@ func validV4Parts() v4parts {
 	}
 }
 
-// TestV4ChunkCorruptionSweep feeds structurally corrupted dictionary
-// chunks to both v4 decoders: every lie — out-of-range run ids,
-// wrong dictBase, duplicate or overlapping dictionary entries, run
-// lengths that disagree with the chunk's event count, runs outside
-// the program, truncated or over-long columns — must be rejected with
-// an error, never a panic or a silent mis-decode.
+// assembleTrace frames payloads as an uncompressed trace file: chunk
+// i's frame is recorded in the index with events[i] events, and dict
+// is the footer's run dictionary. Frames and footer carry valid CRCs,
+// so a reader sees exactly the payloads' content.
+func assembleTrace(payloads [][]byte, events []uint64, dict []dictRun) []byte {
+	meta, err := json.Marshal(Meta{Program: "synthetic", ChunkEvents: 16, Compression: "none"})
+	if err != nil {
+		panic(err)
+	}
+	b := []byte(headerMagic)
+	b = binary.AppendUvarint(b, uint64(len(meta)))
+	b = append(b, meta...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(meta))
+	idx := binary.AppendUvarint(nil, uint64(len(payloads)))
+	prev, total := 0, uint64(0)
+	for i, p := range payloads {
+		off := len(b)
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		b = append(b, compressionNone)
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(p))
+		b = append(b, p...)
+		idx = binary.AppendUvarint(idx, uint64(off-prev))
+		idx = binary.AppendUvarint(idx, events[i])
+		prev = off
+		total += events[i]
+	}
+	b = append(b, 0) // terminator
+	dp := appendDictPayload(nil, dict)
+	b = append(b, dp...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(dp))
+	b = append(b, idx...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(idx))
+	var tail [tailLen]byte
+	binary.LittleEndian.PutUint64(tail[0:8], uint64(len(idx)))
+	binary.LittleEndian.PutUint64(tail[8:16], total)
+	binary.LittleEndian.PutUint64(tail[16:24], uint64(len(payloads)))
+	binary.LittleEndian.PutUint64(tail[24:32], uint64(len(dp)))
+	b = append(b, tail[:]...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(tail[:]))
+	return append(b, footerMagic...)
+}
+
+// TestAssembleTraceMatchesWriter pins the test file assembler to the
+// Writer: the same chunk framed both ways gives identical bytes, so the
+// corruption sweeps below exercise exactly the production layout.
+func TestAssembleTraceMatchesWriter(t *testing.T) {
+	prog := testProgramMixed(64)
+	evs := make([]sim.Event, 16)
+	for i := range evs {
+		pc := int32(i % 8)
+		evs[i] = sim.Event{Seq: uint64(i), PC: pc, Inst: &prog.Insts[pc], Target: (pc + 1) % 8}
+		if isa.ClassOf(prog.Insts[pc].Op) == isa.ClassUncondBranch {
+			evs[i].Taken = true
+		}
+	}
+	var buf bytes.Buffer
+	tw := NewWriter(&buf, Meta{Program: "synthetic", ChunkEvents: 16, Compression: "none"}, prog)
+	tw.ObserveBatch(evs)
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := validV4Parts()
+	want := assembleTrace([][]byte{p.encode()}, []uint64{p.n}, []dictRun{{pc: 0, n: 8}})
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("assembled trace differs from the Writer's (%d vs %d bytes)", len(want), buf.Len())
+	}
+}
+
+// TestV4ChunkCorruptionSweep embeds structurally corrupted chunks in
+// otherwise valid trace files and reads them through every path: every
+// lie — out-of-range run ids, wrong dictBase, duplicate or overlapping
+// dictionary entries, run lengths that disagree with the chunk's event
+// count, runs outside the program, truncated or over-long columns —
+// must be rejected by both full decoders (Range and Columns), never
+// panic or silently mis-decode. Damage inside the token stream must
+// also stop the token scan, which never reads the columns after it.
+// Each chunk is tried against the pristine footer dictionary and
+// against a footer that agrees with the chunk's own entries.
 func TestV4ChunkCorruptionSweep(t *testing.T) {
 	prog := testProgramMixed(64)
-
-	decodeGrow := func(payload []byte) error {
-		var sc v4Scratch
-		_, _, err := decodeChunkEventsV4(payload, prog, newV4Dict(), true, nil, &sc)
-		return err
-	}
-	// Sanity: the pristine chunk decodes.
+	pristineDict := []dictRun{{pc: 0, n: 8}}
 	base := validV4Parts()
-	if err := decodeGrow(base.encode()); err != nil {
-		t.Fatalf("pristine reference chunk rejected: %v", err)
+	pristine := assembleTrace([][]byte{base.encode()}, []uint64{base.n}, pristineDict)
+	if r, c, s := readAll(pristine, prog); r != nil || c != nil || s != nil {
+		t.Fatalf("pristine reference chunk rejected: %v / %v / %v", r, c, s)
 	}
 
 	cases := []struct {
-		name string
-		mut  func(p *v4parts)
+		name    string
+		columns bool // damage confined to the columns after the token stream
+		mut     func(p *v4parts)
 	}{
-		{"token id out of dictionary range", func(p *v4parts) { p.tokens = [][2]uint64{{1, 2}} }},
-		{"adjacent tokens share an id", func(p *v4parts) { p.tokens = [][2]uint64{{0, 1}, {0, 1}} }},
-		{"zero repeat count", func(p *v4parts) { p.tokens = [][2]uint64{{0, 0}} }},
-		{"token stream overruns event count", func(p *v4parts) { p.tokens = [][2]uint64{{0, 3}} }},
-		{"token stream undershoots event count", func(p *v4parts) { p.tokens = [][2]uint64{{0, 1}} }},
-		{"dictBase ahead of grown dictionary", func(p *v4parts) { p.dictBase = 1 }},
-		{"duplicate dictionary entry", func(p *v4parts) {
+		{"token id out of dictionary range", false, func(p *v4parts) { p.tokens = [][2]uint64{{1, 2}} }},
+		{"adjacent tokens share an id", false, func(p *v4parts) { p.tokens = [][2]uint64{{0, 1}, {0, 1}} }},
+		{"zero repeat count", false, func(p *v4parts) { p.tokens = [][2]uint64{{0, 0}} }},
+		{"token stream overruns event count", false, func(p *v4parts) { p.tokens = [][2]uint64{{0, 3}} }},
+		{"token stream undershoots event count", false, func(p *v4parts) { p.tokens = [][2]uint64{{0, 1}} }},
+		{"dictBase past the dictionary", false, func(p *v4parts) { p.dictBase = 1 }},
+		{"duplicate dictionary entry", false, func(p *v4parts) {
 			p.newRuns = [][2]int64{{0, 8}, {0, 8}}
 		}},
-		{"zero-length dictionary run", func(p *v4parts) { p.newRuns = [][2]int64{{0, 8}, {9, 0}} }},
-		{"run outside the program", func(p *v4parts) {
+		{"zero-length dictionary run", false, func(p *v4parts) { p.newRuns = [][2]int64{{0, 8}, {9, 0}} }},
+		{"run outside the program", false, func(p *v4parts) {
 			// Structurally fine (60+8 < 2^31) but past the 64-inst
-			// program: the bind step must reject it.
+			// program: binding the footer dictionary must reject it.
 			p.newRuns = [][2]int64{{60, 8}}
 		}},
-		{"truncated taken bitmap", func(p *v4parts) { p.bitmap, p.addrs = nil, nil }},
-		{"nonzero bitmap padding", func(p *v4parts) { p.bitmap = []byte{0xF0} }},
-		{"truncated address column", func(p *v4parts) { p.addrs = p.addrs[:2] }},
-		{"trailing bytes", func(p *v4parts) { p.trailing = []byte{0} }},
-		{"event count zero", func(p *v4parts) { p.n = 0 }},
-		{"newRuns exceeds event count", func(p *v4parts) {
+		{"truncated taken bitmap", true, func(p *v4parts) { p.bitmap, p.addrs = nil, nil }},
+		{"nonzero bitmap padding", true, func(p *v4parts) { p.bitmap = []byte{0xF0} }},
+		{"truncated address column", true, func(p *v4parts) { p.addrs = p.addrs[:2] }},
+		{"trailing bytes", true, func(p *v4parts) { p.trailing = []byte{0} }},
+		{"event count zero", false, func(p *v4parts) { p.n = 0 }},
+		{"newRuns exceeds event count", false, func(p *v4parts) {
 			p.dictBase = 0
 			p.n = 1
 			p.newRuns = [][2]int64{{0, 1}, {2, 1}}
@@ -124,15 +195,32 @@ func TestV4ChunkCorruptionSweep(t *testing.T) {
 	for _, tc := range cases {
 		p := validV4Parts()
 		tc.mut(&p)
-		payload := p.encode()
-		if err := decodeGrow(payload); err == nil {
-			t.Errorf("%s: grow-mode event decode accepted the corruption", tc.name)
+		events := p.n
+		if events == 0 {
+			events = base.n // the index cannot record an empty chunk
+		}
+		own := make([]dictRun, len(p.newRuns))
+		for i, r := range p.newRuns {
+			own[i] = dictRun{pc: int32(r[0]), n: int32(r[1])}
+		}
+		for footer, dict := range map[string][]dictRun{"pristine footer": pristineDict, "chunk's own footer": own} {
+			data := assembleTrace([][]byte{p.encode()}, []uint64{events}, dict)
+			rangeErr, colErr, scanErr := readAll(data, prog)
+			if rangeErr == nil {
+				t.Errorf("%s (%s): accepted by Range", tc.name, footer)
+			}
+			if colErr == nil {
+				t.Errorf("%s (%s): accepted by Columns", tc.name, footer)
+			}
+			if !tc.columns && scanErr == nil {
+				t.Errorf("%s (%s): accepted by ScanRunTokens", tc.name, footer)
+			}
 		}
 	}
 
-	// Verify mode: the same chunk against a footer dictionary that
-	// disagrees, or that is too small for the chunk's claimed entries.
-	footer, err := parseDictPayload(appendDictPayload(nil, []dictRun{{pc: 0, n: 8}}))
+	// A chunk entry that disagrees with the footer dictionary, or that
+	// claims runs past its end, is rejected by the column decoder too.
+	footer, err := parseDictPayload(appendDictPayload(nil, pristineDict))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +230,7 @@ func TestV4ChunkCorruptionSweep(t *testing.T) {
 	var sc v4Scratch
 	ch := new(runstream.Chunk)
 	if err := decodeChunkColumnsV4(base.encode(), footer, ch, &sc); err != nil {
-		t.Fatalf("pristine chunk rejected in verify mode: %v", err)
+		t.Fatalf("pristine chunk rejected by the column decoder: %v", err)
 	}
 	lie := validV4Parts()
 	lie.newRuns = [][2]int64{{0, 7}} // disagrees with the footer's [0,8)
@@ -151,91 +239,46 @@ func TestV4ChunkCorruptionSweep(t *testing.T) {
 	lie.final = -7
 	lie.addrs = lie.addrs[:2] // wrong either way; entry check fires first
 	if err := decodeChunkColumnsV4(lie.encode(), footer, ch, &sc); err == nil {
-		t.Error("verify mode accepted a chunk entry disagreeing with the footer dictionary")
+		t.Error("column decoder accepted a chunk entry disagreeing with the footer dictionary")
 	}
 	over := validV4Parts()
 	over.dictBase = 1 // chunk claims runs the footer doesn't have
 	if err := decodeChunkColumnsV4(over.encode(), footer, ch, &sc); err == nil {
-		t.Error("verify mode accepted a dictBase past the footer dictionary")
+		t.Error("column decoder accepted a dictBase past the footer dictionary")
 	}
 }
 
-// TestV4RoundTripByteIdentity decodes a v4 trace at several worker
-// counts and re-encodes the decoded stream: the decoded events must
-// match the originals exactly and the re-encoded file must be
-// byte-identical, at every worker count.
+// TestV4RoundTripByteIdentity decodes a trace through the column
+// source at several worker counts and through Range, then re-encodes
+// the decoded events: the columns and events must match the originals
+// exactly and the re-encoded file must be byte-identical.
 func TestV4RoundTripByteIdentity(t *testing.T) {
 	const n, chunk = 20000, 512
-	data, evs, prog := writeTestTraceVersion(t, n, chunk, 4)
+	data, evs, prog := writeTestTrace(t, n, chunk)
+	ir := openTestTrace(t, data)
 	for _, workers := range []int{1, 4, 8} {
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		src := tr.ParallelEvents(prog, workers)
-		got := drain(t, src)
-		src.Close()
-		checkEvents(t, got, evs)
-
-		var buf bytes.Buffer
-		tw := NewWriterVersion(&buf, Meta{Program: prog.Name, Size: "test", ChunkEvents: chunk}, prog, 4)
-		tw.ObserveBatch(got)
-		if err := tw.Close(); err != nil {
-			t.Fatalf("workers=%d: re-encode: %v", workers, err)
-		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Fatalf("workers=%d: re-encoded trace is not byte-identical (%d vs %d bytes)",
-				workers, buf.Len(), len(data))
-		}
+		checkColumns(t, ir.Columns(context.Background(), prog, 0, ir.Chunks(), workers), evs, prog)
 	}
-}
+	src := ir.Range(prog, 0, ir.Chunks())
+	got := drain(t, src)
+	src.Close()
+	checkEvents(t, got, evs)
 
-// TestCrossVersionEventsIdentical is the cross-version golden matrix
-// at the event level: one stream written at every format version must
-// decode — through both the sequential and the indexed reader — to
-// exactly the same events.
-func TestCrossVersionEventsIdentical(t *testing.T) {
-	prog := testProgramMixed(1 << 12)
-	evs := testEventStream(12000, prog)
-	for version := 1; version <= FormatVersion; version++ {
-		var buf bytes.Buffer
-		tw := NewWriterVersion(&buf, Meta{Program: prog.Name, ChunkEvents: 256}, prog, version)
-		tw.ObserveBatch(evs)
-		if err := tw.Close(); err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		data := buf.Bytes()
-
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		if tr.Version() != version {
-			t.Fatalf("v%d: reader reports version %d", version, tr.Version())
-		}
-		src := tr.Events(prog)
-		got := drain(t, src)
-		src.Close()
-		checkEvents(t, got, evs)
-
-		if version >= 2 {
-			ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-			if err != nil {
-				t.Fatalf("v%d: indexed: %v", version, err)
-			}
-			rsrc := ir.Range(prog, 0, ir.Chunks())
-			got := drain(t, rsrc)
-			rsrc.Close()
-			checkEvents(t, got, evs)
-		}
+	var buf bytes.Buffer
+	tw := NewWriter(&buf, Meta{Program: prog.Name, Size: "test", ChunkEvents: chunk}, prog)
+	tw.ObserveBatch(got)
+	if err := tw.Close(); err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("re-encoded trace is not byte-identical (%d vs %d bytes)", buf.Len(), len(data))
 	}
 }
 
 // TestScanRunTokensCompresses pins the point of the token scan: on a
-// loop-dominated v4 trace the repeats come off the token stream, so
-// the scan reports far fewer callbacks than run instances while still
-// spanning every event; and on v2/v3 traces every callback reports
-// rep == 1, matching ScanPCRuns exactly.
+// loop-dominated trace the repeats come off the token stream, so the
+// scan reports far fewer callbacks than run instances while still
+// spanning every event.
 func TestScanRunTokensCompresses(t *testing.T) {
 	prog := testProgramMixed(256)
 	// A tight 16-instruction loop: one run, thousands of repeats.
@@ -254,7 +297,7 @@ func TestScanRunTokensCompresses(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	tw := NewWriterVersion(&buf, Meta{Program: prog.Name, ChunkEvents: 4096}, prog, 4)
+	tw := NewWriter(&buf, Meta{Program: prog.Name, ChunkEvents: 4096}, prog)
 	tw.ObserveBatch(evs)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -315,7 +358,7 @@ func TestV4WriterRejectsUnrepresentable(t *testing.T) {
 		evs := testEventStream(2000, prog)
 		tc.mut(evs)
 		var buf bytes.Buffer
-		tw := NewWriterVersion(&buf, Meta{Program: prog.Name, ChunkEvents: 256}, prog, 4)
+		tw := NewWriter(&buf, Meta{Program: prog.Name, ChunkEvents: 256}, prog)
 		tw.ObserveBatch(evs[:1000])
 		if tw.Err() == nil {
 			t.Errorf("%s: accepted by ObserveBatch", tc.name)

@@ -13,55 +13,8 @@ import (
 	"bioperfload/internal/sim"
 )
 
-// writeMemTestTrace is writeTestTraceVersion with a program that mixes
-// memory-class and other instructions, so the Addrs column's
-// classification logic is exercised: addresses attach to loads and
-// stores, while the test generator also stamps addresses onto
-// non-memory events (hostile relative to the simulator, legal per the
-// format) which the column decoder must consume and drop.
-func writeMemTestTrace(t *testing.T, n, chunk, version int) ([]byte, []sim.Event, *isa.Program) {
-	t.Helper()
-	prog := testProgram(1 << 12)
-	r := rand.New(rand.NewSource(int64(n) + 77))
-	for pc := range prog.Insts {
-		switch r.Intn(5) {
-		case 0:
-			prog.Insts[pc].Op = isa.OpLdq
-		case 1:
-			prog.Insts[pc].Op = isa.OpStq
-		case 2:
-			prog.Insts[pc].Op = isa.OpBeq
-		}
-	}
-	evs := make([]sim.Event, n)
-	pc := int32(0)
-	for i := range evs {
-		if r.Intn(16) == 0 {
-			pc = int32(r.Intn(len(prog.Insts)))
-		} else if int(pc)+1 < len(prog.Insts) {
-			pc++
-		}
-		evs[i] = sim.Event{Seq: uint64(i), PC: pc, Inst: &prog.Insts[pc], Target: pc + 1}
-		if r.Intn(3) == 0 {
-			evs[i].Addr = uint64(1 + r.Intn(1<<20))
-		}
-		if r.Intn(5) == 0 {
-			evs[i].Taken = true
-			evs[i].Target = int32(r.Intn(len(prog.Insts)))
-		}
-	}
-	var buf bytes.Buffer
-	tw := newWriterVersion(&buf, Meta{Program: prog.Name, Size: "test", ChunkEvents: chunk}, version)
-	tw.ObserveBatch(evs)
-	if err := tw.Close(); err != nil {
-		t.Fatalf("close writer: %v", err)
-	}
-	return buf.Bytes(), evs, prog
-}
-
 // checkColumns drains a column source and verifies every column against
-// the original event stream, handling both the legacy and the
-// dictionary-backed chunk shapes.
+// the original event stream.
 func checkColumns(t *testing.T, src runstream.Source, evs []sim.Event, prog *isa.Program) {
 	t.Helper()
 	defer src.Close()
@@ -77,11 +30,7 @@ func checkColumns(t *testing.T, src runstream.Source, evs []sim.Event, prog *isa
 		if want := evs[0].Seq + uint64(i); ch.Base != want {
 			t.Fatalf("chunk base %d, want %d", ch.Base, want)
 		}
-		if ch.Dict != nil {
-			i = checkChunkV4(t, ch, evs, i, prog)
-		} else {
-			i = checkChunkLegacy(t, ch, evs, i, prog)
-		}
+		i = checkChunk(t, ch, evs, i, prog)
 		release()
 	}
 	if i != len(evs) {
@@ -89,51 +38,11 @@ func checkColumns(t *testing.T, src runstream.Source, evs []sim.Event, prog *isa
 	}
 }
 
-// checkChunkLegacy verifies one legacy (v2/v3) chunk starting at event
-// i and returns the index past it.
-func checkChunkLegacy(t *testing.T, ch *runstream.Chunk, evs []sim.Event, i int, prog *isa.Program) int {
-	t.Helper()
-	var addrs []uint64
-	ci := int32(0)
-	for _, run := range ch.Runs {
-		for k := int32(0); k < run.N; k++ {
-			ev := evs[i]
-			if run.PC+k != ev.PC {
-				t.Fatalf("event %d: pc %d, want %d", i, run.PC+k, ev.PC)
-			}
-			if ch.TakenAt(ci) != ev.Taken {
-				t.Fatalf("event %d: taken %v, want %v", i, ch.TakenAt(ci), ev.Taken)
-			}
-			if ch.PresentAt(ci) != (ev.Addr != 0) {
-				t.Fatalf("event %d: present %v, want %v", i, ch.PresentAt(ci), ev.Addr != 0)
-			}
-			cls := isa.ClassOf(prog.Insts[ev.PC].Op)
-			if (cls == isa.ClassLoad || cls == isa.ClassStore) && ev.Addr != 0 {
-				addrs = append(addrs, ev.Addr)
-			}
-			i++
-			ci++
-		}
-	}
-	if int(ci) != ch.N {
-		t.Fatalf("chunk runs cover %d events, header says %d", ci, ch.N)
-	}
-	if len(addrs) != len(ch.Addrs) {
-		t.Fatalf("chunk at %d: %d addrs, want %d", ch.Base, len(ch.Addrs), len(addrs))
-	}
-	for k := range addrs {
-		if ch.Addrs[k] != addrs[k] {
-			t.Fatalf("chunk at %d: addr %d = %#x, want %#x", ch.Base, k, ch.Addrs[k], addrs[k])
-		}
-	}
-	return i
-}
-
-// checkChunkV4 verifies one dictionary-backed chunk starting at event
-// i and returns the index past it: tokens expand against the shared
+// checkChunk verifies one chunk starting at event i and returns the
+// index past it: tokens expand against the shared
 // dictionary, BrTaken carries one bit per conditional branch, and
 // Addrs one entry per memory event, zero addresses included.
-func checkChunkV4(t *testing.T, ch *runstream.Chunk, evs []sim.Event, i int, prog *isa.Program) int {
+func checkChunk(t *testing.T, ch *runstream.Chunk, evs []sim.Event, i int, prog *isa.Program) int {
 	t.Helper()
 	n, br, mem := 0, 0, 0
 	for _, tok := range ch.Tokens {
@@ -174,28 +83,14 @@ func checkChunkV4(t *testing.T, ch *runstream.Chunk, evs []sim.Event, i int, pro
 	return i
 }
 
+// TestColumnsMatchEvents drains the column source at several worker
+// counts, including more workers than the claim scheduler's ring would
+// otherwise see.
 func TestColumnsMatchEvents(t *testing.T) {
-	for _, version := range []int{2, 3} {
-		for _, workers := range []int{1, 3} {
-			data, evs, prog := writeMemTestTrace(t, 5000, 256, version)
-			ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-			if err != nil {
-				t.Fatalf("v%d: %v", version, err)
-			}
-			src := ir.Columns(context.Background(), prog, 0, ir.Chunks(), workers)
-			checkColumns(t, src, evs, prog)
-		}
-	}
-	// v4: dictionary-backed chunks, at several worker counts including
-	// more workers than the claim scheduler's ring would otherwise see.
 	for _, workers := range []int{1, 3, 8} {
-		data, evs, prog := writeTestTraceVersion(t, 5000, 256, 4)
-		ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatalf("v4: %v", err)
-		}
-		src := ir.Columns(context.Background(), prog, 0, ir.Chunks(), workers)
-		checkColumns(t, src, evs, prog)
+		data, evs, prog := writeTestTrace(t, 5000, 256)
+		ir := openTestTrace(t, data)
+		checkColumns(t, ir.Columns(context.Background(), prog, 0, ir.Chunks(), workers), evs, prog)
 	}
 }
 
@@ -205,7 +100,7 @@ func TestColumnsMatchEvents(t *testing.T) {
 // chunk in its turn, not lose its slot to the claimant one window later.
 func TestColumnsCommitOrderUnderContention(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	data, _, prog := writeTestTraceVersion(t, 20000, 16, 4)
+	data, _, prog := writeTestTrace(t, 20000, 16)
 	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
@@ -232,22 +127,8 @@ func TestColumnsCommitOrderUnderContention(t *testing.T) {
 	}
 }
 
-// TestColumnsHostilePresent feeds a v3 stream where the generator
-// stamps addresses on non-memory events (hostile relative to the
-// simulator, legal per the sparse format) and checks the decoder
-// consumes the delta chain without keeping any.
-func TestColumnsHostilePresent(t *testing.T) {
-	data, evs, prog := writeMemTestTrace(t, 3000, 256, 3)
-	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 2)
-	checkColumns(t, src, evs, prog)
-}
-
 func TestColumnsSubrangeAndCancel(t *testing.T) {
-	data, evs, prog := writeTestTraceVersion(t, 5000, 256, FormatVersion)
+	data, evs, prog := writeTestTrace(t, 5000, 256)
 	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
@@ -281,20 +162,12 @@ func TestColumnsSubrangeAndCancel(t *testing.T) {
 	}
 }
 
-// TestColumnsRejectsV1 pins the typed failure on index-less traces.
-func TestColumnsRejectsV1(t *testing.T) {
-	err := decodeChunkColumns(nil, 1, nil, &runstream.Chunk{})
-	if err == nil {
-		t.Fatal("v1 column decode succeeded")
-	}
-}
-
 // TestColumnsCorruptionDetected flips bytes inside chunk frames and
 // requires every mutation to either fail or decode to the same columns
 // as the pristine trace (CRC collisions aside, a flip must never be
 // silently absorbed into different data).
 func TestColumnsCorruptionDetected(t *testing.T) {
-	data, evs, prog := writeTestTraceVersion(t, 2000, 256, FormatVersion)
+	data, evs, prog := writeTestTrace(t, 2000, 256)
 	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)

@@ -7,29 +7,17 @@ import (
 )
 
 func BenchmarkDecodeChunkEvents(b *testing.B) {
-	prog := testProgram(1 << 12)
-	recs := make([]Record, ChunkEvents)
-	pc := int32(100)
-	for i := range recs {
-		recs[i] = Record{PC: pc, Target: pc + 1}
-		if i%4 == 0 {
-			recs[i].Addr = uint64(0x1000 + i*8)
-		}
-		if i%7 == 0 {
-			recs[i].Taken = true
-			recs[i].Target = pc - 50
-		}
-		pc++
-		if pc > 300 {
-			pc = 100
-		}
+	prog := testProgramMixed(1 << 12)
+	data, dict, err := encodeChunk(prog, 0, testEventStream(ChunkEvents, prog))
+	if err != nil {
+		b.Fatal(err)
 	}
-	data := appendChunk(nil, 0, recs, FormatVersion)
+	var sc v4Scratch
 	evs := make([]sim.Event, 0, ChunkEvents)
-	b.SetBytes(int64(len(recs)))
+	b.SetBytes(ChunkEvents)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, out, err := decodeChunkEvents(data, prog, evs, FormatVersion)
+		_, out, err := decodeChunkEventsV4(data, prog, dict, evs, &sc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,236 +2,130 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
-	"io"
+	"context"
 	"testing"
 
 	"bioperfload/internal/isa"
-	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 )
 
-// FuzzCodec drives both directions of the codec from one input:
+// FuzzCodec drives both directions of the chunk codec from one input:
 //
-//  1. The raw bytes are decoded as a chunk and as a full trace stream.
-//     Arbitrary input must produce an error or a clean decode — never a
-//     panic, and never an oversized allocation.
-//  2. The bytes are also deterministically reinterpreted as an event
-//     slab, encoded, and decoded again; the round trip must be
-//     lossless.
+//  1. The raw bytes are decoded as a chunk payload against a dictionary
+//     holding the entries the chunk itself defines. Arbitrary input
+//     must produce an error or a clean decode — never a panic, and
+//     never an oversized allocation — and a clean decode must
+//     re-encode and decode back to the same events.
+//  2. The bytes are also deterministically reinterpreted as a
+//     run-representable event slab, recorded as a whole trace, and read
+//     back through the indexed reader; the round trip must be lossless.
+//
+// Whole arbitrary files go through FuzzIndexedReader.
 func FuzzCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0})
-	f.Add(appendChunk(nil, 0, []Record{{PC: 1, Target: 2, Addr: 64, Taken: true}}, 1))
-	f.Add(appendChunk(nil, 9, []Record{{PC: 3, Target: 4}, {PC: 4, Target: 5, Addr: 8}}, 2))
-	f.Add(appendChunk(nil, 9, []Record{{PC: 3, Target: 4}, {PC: 4, Target: 5, Addr: 8}}, 3))
-	var full bytes.Buffer
-	tw := NewWriter(&full, Meta{Program: "fuzz", ChunkEvents: 2}, nil)
-	tw.ObserveBatch(eventsFromBytes([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}))
-	if err := tw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(full.Bytes())
-	// v4 seeds: a full run-native trace (footer dictionary included)
-	// and one bare v4 chunk payload, so the fuzzer starts with valid
-	// dictionary structure to mutate.
 	progMix := testProgramMixed(1 << 12)
 	seedEvs := simEventsFromBytes(progMix, seedStreamBytes())
-	var fullV4 bytes.Buffer
-	twV4 := NewWriterVersion(&fullV4, Meta{Program: "fuzz", ChunkEvents: 8}, progMix, 4)
-	twV4.ObserveBatch(seedEvs)
-	if err := twV4.Close(); err != nil {
-		f.Fatal(err)
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	// Retired-format files must be rejected, so their bytes are
+	// mutation seeds too.
+	for v := 1; v <= 3; v++ {
+		f.Add(legacyFixture(f, v))
 	}
-	f.Add(fullV4.Bytes())
-	{
-		chunk, err := encodeV4Chunk(progMix, 0, seedEvs)
-		if err != nil {
+	// Two full traces (footer dictionary included), at two chunk sizes,
+	// and one bare chunk payload, so the fuzzer starts with valid
+	// dictionary structure to mutate.
+	for _, chunk := range []int{2, 8} {
+		var full bytes.Buffer
+		tw := NewWriter(&full, Meta{Program: "fuzz", ChunkEvents: chunk}, progMix)
+		tw.ObserveBatch(seedEvs)
+		if err := tw.Close(); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(chunk)
+		f.Add(full.Bytes())
 	}
+	chunk, _, err := encodeChunk(progMix, 0, seedEvs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(chunk)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Direction 1a: arbitrary bytes as a chunk payload under both
-		// sparse encodings, decoded by both the reference decoder and the
-		// fused event decoder; the fused path must accept exactly the
-		// chunks the reference does (minus PCs outside the binding
-		// program) and agree on every field.
-		prog := testProgram(1 << 12)
-		for version := 1; version <= 3; version++ {
-			base, recs, err := decodeChunk(data, nil, version)
-			baseE, evsE, errE := decodeChunkEvents(data, prog, nil, version)
-			if err == nil {
-				// A clean decode must re-encode to an equivalent chunk.
-				re := appendChunk(nil, base, recs, version)
-				base2, recs2, err := decodeChunk(re, nil, version)
-				if err != nil {
-					t.Fatalf("v%d: re-decode of re-encoded chunk failed: %v", version, err)
-				}
-				if base2 != base || len(recs2) != len(recs) {
-					t.Fatalf("v%d: re-encode changed shape: base %d->%d, n %d->%d", version, base, base2, len(recs), len(recs2))
-				}
-				for i := range recs {
-					if recs[i] != recs2[i] {
-						t.Fatalf("v%d: re-encode changed record %d: %+v -> %+v", version, i, recs[i], recs2[i])
-					}
-				}
-				if errE != nil {
-					// The fused decoder may only add the PC-in-program check.
-					inRange := true
-					for _, r := range recs {
-						if r.PC < 0 || int(r.PC) >= len(prog.Insts) {
-							inRange = false
-							break
-						}
-					}
-					if inRange {
-						t.Fatalf("v%d: fused decoder rejected a reference-valid chunk: %v", version, errE)
-					}
-				} else {
-					if baseE != base || len(evsE) != len(recs) {
-						t.Fatalf("v%d: fused decode shape: base %d->%d, n %d->%d", version, base, baseE, len(recs), len(evsE))
-					}
-					for i := range recs {
-						ev := evsE[i]
-						if ev.PC != recs[i].PC || ev.Target != recs[i].Target ||
-							ev.Addr != recs[i].Addr || ev.Taken != recs[i].Taken {
-							t.Fatalf("v%d: fused decode record %d: got %+v want %+v", version, i, ev, recs[i])
-						}
-						if ev.Seq != base+uint64(i) || ev.Inst != &prog.Insts[ev.PC] {
-							t.Fatalf("v%d: fused decode record %d: bad binding %+v", version, i, ev)
-						}
-					}
-				}
-			} else if errE == nil {
-				t.Fatalf("v%d: fused decoder accepted a chunk the reference rejects: %v", version, err)
-			}
-		}
-
-		// Direction 1c: arbitrary bytes as a v4 chunk payload, decoded
-		// against a fresh growing dictionary, must error or decode
-		// cleanly — never panic. A clean decode must re-encode (with a
-		// fresh dictionary) and decode back to the same events.
-		{
-			dict := newV4Dict()
-			var sc v4Scratch
-			base4, evs4, err := decodeChunkEventsV4(data, progMix, dict, true, nil, &sc)
-			if err == nil {
-				re, err := encodeV4Chunk(progMix, base4, evs4)
-				if err != nil {
-					t.Fatalf("v4: re-encode of decoded chunk failed: %v", err)
-				}
-				dict2 := newV4Dict()
-				var sc2 v4Scratch
-				base2, evs2, err := decodeChunkEventsV4(re, progMix, dict2, true, nil, &sc2)
-				if err != nil {
-					t.Fatalf("v4: re-decode of re-encoded chunk failed: %v", err)
-				}
-				if base2 != base4 || len(evs2) != len(evs4) {
-					t.Fatalf("v4: re-encode changed shape: base %d->%d, n %d->%d", base4, base2, len(evs4), len(evs2))
-				}
-				for i := range evs4 {
-					if evs4[i] != evs2[i] {
-						t.Fatalf("v4: re-encode changed event %d: %+v -> %+v", i, evs4[i], evs2[i])
-					}
-				}
-			}
-		}
-
-		// Direction 1b: arbitrary bytes as a full trace stream. A v4
-		// stream threads the reader's growing dictionary through the
-		// fused decoder; older versions use the reference decoder.
-		if tr, err := NewReader(bytes.NewReader(data)); err == nil {
-			dec := &decoder{version: tr.version, dict: tr.dict, grow: true}
-			for {
-				fr, err := tr.nextFrame(false)
-				if err != nil {
-					break
-				}
-				if tr.version >= 4 {
-					if _, _, err := dec.decodeFrameEvents(fr, progMix, nil); err != nil {
-						break
-					}
-				} else if _, _, err := decodeFrame(fr, nil, tr.version); err != nil {
-					break
-				}
-			}
-		}
-
-		// Direction 2: bytes -> synthetic slab -> encode -> decode.
-		evs := eventsFromBytes(data)
-		var buf bytes.Buffer
-		w := NewWriter(&buf, Meta{Program: "fuzz", ChunkEvents: 16}, nil)
-		w.ObserveBatch(evs)
-		if err := w.Close(); err != nil {
-			t.Fatalf("write synthetic trace: %v", err)
-		}
-		tr, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("read synthetic trace: %v", err)
-		}
-		i := 0
-		for {
-			fr, err := tr.nextFrame(false)
-			if err == io.EOF {
-				break
-			}
+		// Direction 1: arbitrary bytes as a chunk payload.
+		var sc v4Scratch
+		base, evs, err := decodeChunkEventsV4(data, progMix, chunkOwnDict(data), nil, &sc)
+		if err == nil {
+			re, dict, err := encodeChunk(progMix, base, evs)
 			if err != nil {
-				t.Fatalf("synthetic trace frame: %v", err)
+				t.Fatalf("re-encode of decoded chunk failed: %v", err)
 			}
-			_, recs, err := decodeFrame(fr, nil, tr.version)
+			var sc2 v4Scratch
+			base2, evs2, err := decodeChunkEventsV4(re, progMix, dict, nil, &sc2)
 			if err != nil {
-				t.Fatalf("synthetic trace chunk: %v", err)
+				t.Fatalf("re-decode of re-encoded chunk failed: %v", err)
 			}
-			for _, rec := range recs {
-				want := evs[i]
-				if rec.PC != want.PC || rec.Target != want.Target || rec.Addr != want.Addr || rec.Taken != want.Taken {
-					t.Fatalf("event %d: got %+v want %+v", i, rec, want)
-				}
-				i++
+			if base2 != base {
+				t.Fatalf("re-encode changed base %d -> %d", base, base2)
 			}
-		}
-		if i != len(evs) {
-			t.Fatalf("decoded %d events, wrote %d", i, len(evs))
+			checkEvents(t, evs2, evs)
 		}
 
-		// Direction 2b: bytes -> run-representable slab -> v4 encode ->
-		// decode; the round trip must be lossless.
+		// Direction 2: bytes -> run-representable slab -> trace ->
+		// indexed read back, as events and as columns.
 		evsR := simEventsFromBytes(progMix, data)
-		var bufV4 bytes.Buffer
-		w4 := NewWriterVersion(&bufV4, Meta{Program: "fuzz", ChunkEvents: 16}, progMix, 4)
-		w4.ObserveBatch(evsR)
-		if err := w4.Close(); err != nil {
-			t.Fatalf("write v4 trace: %v", err)
+		var buf bytes.Buffer
+		w := NewWriter(&buf, Meta{Program: "fuzz", ChunkEvents: 16}, progMix)
+		w.ObserveBatch(evsR)
+		if err := w.Close(); err != nil {
+			t.Fatalf("write trace: %v", err)
 		}
-		tr4, err := NewReader(bytes.NewReader(bufV4.Bytes()))
-		if err != nil {
-			t.Fatalf("read v4 trace: %v", err)
-		}
-		src := tr4.Events(progMix)
-		j := 0
-		for {
-			got, release, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("v4 trace chunk: %v", err)
-			}
-			for _, ev := range got {
-				if ev != evsR[j] {
-					t.Fatalf("v4 event %d: got %+v want %+v", j, ev, evsR[j])
-				}
-				j++
-			}
-			release()
-		}
+		ir := openTestTrace(t, buf.Bytes())
+		src := ir.Range(progMix, 0, ir.Chunks())
+		checkEvents(t, drain(t, src), evsR)
 		src.Close()
-		if j != len(evsR) {
-			t.Fatalf("v4 decoded %d events, wrote %d", j, len(evsR))
-		}
+		checkColumns(t, ir.Columns(context.Background(), progMix, 0, ir.Chunks(), 2), evsR, progMix)
 	})
+}
+
+// chunkOwnDict returns a reader dictionary holding exactly the entries
+// a chunk payload defines for itself when it starts the dictionary
+// (dictBase 0), so an arbitrary bare chunk can be decoded as the first
+// chunk of a trace. Anything else yields an empty dictionary.
+func chunkOwnDict(data []byte) *v4Dict {
+	pos := 0
+	var hdr [4]uint64 // base, n, dictBase, newRuns
+	for i := range hdr {
+		u, next, err := uvarintAt(data, pos)
+		if err != nil {
+			return newV4Dict()
+		}
+		hdr[i], pos = u, next
+	}
+	if hdr[2] != 0 || hdr[3] > 64 {
+		return newV4Dict()
+	}
+	var runs []dictRun
+	prev := int64(0)
+	for i := uint64(0); i < hdr[3]; i++ {
+		zz, next, err := uvarintAt(data, pos)
+		if err != nil {
+			return newV4Dict()
+		}
+		n, next, err := uvarintAt(data, next)
+		if err != nil || n > 1<<20 {
+			return newV4Dict()
+		}
+		pc := prev + unzigzag(zz)
+		if pc < 0 || pc >= 1<<30 {
+			return newV4Dict()
+		}
+		runs = append(runs, dictRun{pc: int32(pc), n: int32(n)})
+		prev, pos = pc, next
+	}
+	dict, err := parseDictPayload(appendDictPayload(nil, runs))
+	if err != nil {
+		return newV4Dict()
+	}
+	return dict
 }
 
 // seedStreamBytes is a fixed byte string long enough for
@@ -245,28 +139,10 @@ func seedStreamBytes() []byte {
 	return b
 }
 
-// encodeV4Chunk encodes evs as one bare v4 chunk payload starting at
-// event base, through a runstream.Builder and a fresh dictionary.
-func encodeV4Chunk(prog *isa.Program, base uint64, evs []sim.Event) ([]byte, error) {
-	vw := newV4Writer(prog)
-	var out []byte
-	var err error
-	b := runstream.NewBuilder(prog, len(evs), func(ch *runstream.Chunk) {
-		out, _, err = vw.appendChunk(nil, base, ch)
-	})
-	b.ObserveBatch(evs)
-	b.Flush()
-	if b.Err() != nil {
-		return nil, b.Err()
-	}
-	return out, err
-}
-
 // simEventsFromBytes deterministically shreds bytes into a
 // run-representable event stream bound to prog: every non-final target
 // names the next committed PC, and the taken and address fields
-// respect each PC's class, so the slab is encodable at every format
-// version including v4.
+// respect each PC's class, so the slab is run-representable.
 func simEventsFromBytes(prog *isa.Program, data []byte) []sim.Event {
 	var evs []sim.Event
 	ni := int32(len(prog.Insts))
@@ -290,25 +166,6 @@ func simEventsFromBytes(prog *isa.Program, data []byte) []sim.Event {
 		ev.Target = next
 		evs = append(evs, ev)
 		pc = next
-	}
-	return evs
-}
-
-// eventsFromBytes deterministically shreds bytes into an event slab so
-// the fuzzer explores the encoder's value space.
-func eventsFromBytes(data []byte) []sim.Event {
-	var evs []sim.Event
-	for len(data) >= 12 {
-		pc := int32(binary.LittleEndian.Uint32(data))
-		target := int32(binary.LittleEndian.Uint32(data[4:]))
-		addr := uint64(binary.LittleEndian.Uint32(data[8:]))
-		evs = append(evs, sim.Event{
-			PC:     pc,
-			Target: target,
-			Addr:   addr,
-			Taken:  data[8]&1 == 1,
-		})
-		data = data[12:]
 	}
 	return evs
 }

@@ -1,123 +1,89 @@
 package trace
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 
 	"bioperfload/internal/isa"
 	"bioperfload/internal/sim"
 )
 
-// ErrNoIndex reports that a trace has no random-access chunk index
-// (a v1 trace): callers fall back to sequential streaming.
-var ErrNoIndex = errors.New("trace: format has no chunk index")
-
-// defaultDecodeWorkers sizes decode pools from the machine rather
-// than a fixed fan-out.
-func defaultDecodeWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 4 {
-		w = 4
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// IndexedReader opens a v2 trace through an io.ReaderAt and exposes
-// its footer chunk index, so disjoint chunk ranges can be decoded
-// concurrently by shard workers. It performs three reads up front
-// (header, fixed footer tail, index payload) and validates every CRC;
-// Range then serves bounds-checked sections of the file.
+// IndexedReader opens a trace through an io.ReaderAt and exposes its
+// footer chunk index and run dictionary, so disjoint chunk ranges can
+// be decoded concurrently by shard workers. It performs a few reads up
+// front (header, fixed footer tail, dictionary, index payload) and
+// validates every CRC; Range, Columns, and ScanRunTokens then serve
+// bounds-checked sections of the file. It is the only way to read a
+// trace.
 type IndexedReader struct {
 	ra      io.ReaderAt
 	meta    Meta
-	version int
 	chunks  []chunkInfo
 	bases   []uint64 // sequence number of each chunk's first event
 	total   uint64
 	dataEnd int64 // offset one past the last frame (the terminator byte)
-	// dict is the footer's run dictionary of a v4 trace (nil below v4).
-	// Indexed consumers decode chunks in verify mode against it, so any
-	// chunk range can be served without replaying the prefix that grew
-	// the dictionary.
+	// dict is the footer's run dictionary. Every chunk is decoded
+	// against it, so any chunk range can be served without replaying
+	// the prefix that grew the dictionary.
 	dict *v4Dict
 }
 
-// NewIndexedReader parses the header and footer index of a trace of
-// the given size. A structurally valid v1 trace returns ErrNoIndex.
+// NewIndexedReader parses the header, footer index, and run dictionary
+// of a trace of the given size. A trace in a retired format (v1–v3)
+// fails with ErrUnsupportedVersion.
 func NewIndexedReader(ra io.ReaderAt, size int64) (*IndexedReader, error) {
-	hr, err := NewReader(io.NewSectionReader(ra, 0, size))
+	meta, dataStart, err := readHeader(io.NewSectionReader(ra, 0, size))
 	if err != nil {
 		return nil, err
 	}
-	if hr.version < 2 {
-		return nil, ErrNoIndex
+	if size < dataStart+1+tailFixedLen {
+		return nil, fmt.Errorf("trace: file size %d too small for a trailer", size)
 	}
-	tl, tfl := tailLen, int64(tailFixedLen)
-	if hr.version >= 4 {
-		tl, tfl = tailLenV4, int64(tailFixedLenV4)
-	}
-	if size < hr.off+1+tfl {
-		return nil, fmt.Errorf("trace: file size %d too small for a v%d trailer", size, hr.version)
-	}
-	fixed := make([]byte, tfl)
-	if _, err := ra.ReadAt(fixed, size-tfl); err != nil {
+	fixed := make([]byte, tailFixedLen)
+	if _, err := ra.ReadAt(fixed, size-tailFixedLen); err != nil {
 		return nil, fmt.Errorf("trace: read footer tail: %w", err)
 	}
-	var magic [8]byte
-	copy(magic[:], fixed[tl+4:])
-	if magic != footerMagic(hr.version) {
-		return nil, fmt.Errorf("trace: bad footer magic %q", magic[:])
+	if string(fixed[tailLen+4:]) != footerMagic {
+		return nil, fmt.Errorf("trace: bad footer magic %q", fixed[tailLen+4:])
 	}
-	if binary.LittleEndian.Uint32(fixed[tl:tl+4]) != crc32.ChecksumIEEE(fixed[:tl]) {
+	if binary.LittleEndian.Uint32(fixed[tailLen:tailLen+4]) != crc32.ChecksumIEEE(fixed[:tailLen]) {
 		return nil, fmt.Errorf("trace: footer tail checksum mismatch")
 	}
 	indexLen := binary.LittleEndian.Uint64(fixed[0:8])
 	total := binary.LittleEndian.Uint64(fixed[8:16])
 	count := binary.LittleEndian.Uint64(fixed[16:24])
-	if count > maxIndexChunks {
-		return nil, fmt.Errorf("trace: index claims %d chunks (max %d)", count, maxIndexChunks)
+	dictLen := binary.LittleEndian.Uint64(fixed[24:32])
+	// Every index entry takes at least two bytes, so a count the index
+	// payload cannot hold is rejected before anything is sized by it.
+	if count > maxIndexChunks || count > indexLen/2 {
+		return nil, fmt.Errorf("trace: index claims %d chunks in %d bytes (max %d)", count, indexLen, maxIndexChunks)
 	}
-	idxStart := size - tfl - 4 - int64(indexLen)
-	// The index sits just before its CRC and the fixed tail. In a v4
-	// trace the CRC-guarded run dictionary sits between the terminator
-	// byte and the index; below v4 the terminator abuts the index.
-	dataEnd := idxStart - 1
-	var dictLen uint64
-	if hr.version >= 4 {
-		dictLen = binary.LittleEndian.Uint64(fixed[24:32])
-		if dictLen > uint64(size) {
-			return nil, fmt.Errorf("trace: dictionary length %d does not fit the file", dictLen)
-		}
-		dataEnd = idxStart - 4 - int64(dictLen) - 1
+	if dictLen > uint64(size) {
+		return nil, fmt.Errorf("trace: dictionary length %d does not fit the file", dictLen)
 	}
-	if indexLen > uint64(size) || dataEnd < hr.off {
+	// The index sits just before its CRC and the fixed tail, and the
+	// CRC-guarded run dictionary between the terminator byte and the
+	// index.
+	idxStart := size - tailFixedLen - 4 - int64(indexLen)
+	dataEnd := idxStart - 4 - int64(dictLen) - 1
+	if indexLen > uint64(size) || dataEnd < dataStart {
 		return nil, fmt.Errorf("trace: index length %d does not fit the file", indexLen)
 	}
-	var dict *v4Dict
-	if hr.version >= 4 {
-		dbuf := make([]byte, dictLen+4)
-		if _, err := ra.ReadAt(dbuf, dataEnd+1); err != nil {
-			return nil, fmt.Errorf("trace: read run dictionary: %w", err)
-		}
-		if binary.LittleEndian.Uint32(dbuf[dictLen:]) != crc32.ChecksumIEEE(dbuf[:dictLen]) {
-			return nil, fmt.Errorf("trace: dictionary checksum mismatch")
-		}
-		if dict, err = parseDictPayload(dbuf[:dictLen]); err != nil {
-			return nil, err
-		}
+	dbuf := make([]byte, dictLen+4)
+	if _, err := ra.ReadAt(dbuf, dataEnd+1); err != nil {
+		return nil, fmt.Errorf("trace: read run dictionary: %w", err)
 	}
-	// The terminator byte ends the data section. The sequential reader
-	// validates it on the way through; check it here too so the indexed
-	// path rejects the same corruptions.
+	if binary.LittleEndian.Uint32(dbuf[dictLen:]) != crc32.ChecksumIEEE(dbuf[:dictLen]) {
+		return nil, fmt.Errorf("trace: dictionary checksum mismatch")
+	}
+	dict, err := parseDictPayload(dbuf[:dictLen])
+	if err != nil {
+		return nil, err
+	}
+	// The terminator byte ends the data section.
 	var term [1]byte
 	if _, err := ra.ReadAt(term[:], dataEnd); err != nil {
 		return nil, fmt.Errorf("trace: read terminator: %w", err)
@@ -163,7 +129,7 @@ func NewIndexedReader(ra io.ReaderAt, size int64) (*IndexedReader, error) {
 			return nil, err
 		}
 		off := prevOff + int64(delta)
-		if off < hr.off || off >= dataEnd {
+		if off < dataStart || off >= dataEnd {
 			return nil, fmt.Errorf("trace: index offset %d for chunk %d outside the data section", off, i)
 		}
 		if i > 0 && off <= chunks[i-1].offset {
@@ -183,13 +149,15 @@ func NewIndexedReader(ra io.ReaderAt, size int64) (*IndexedReader, error) {
 	if events != total {
 		return nil, fmt.Errorf("trace: index sums to %d events, footer records %d", events, total)
 	}
-	if count > 0 && chunks[0].offset != hr.off {
-		return nil, fmt.Errorf("trace: first chunk at offset %d, data section starts at %d", chunks[0].offset, hr.off)
+	if count > 0 && chunks[0].offset != dataStart {
+		return nil, fmt.Errorf("trace: first chunk at offset %d, data section starts at %d", chunks[0].offset, dataStart)
+	}
+	if count == 0 && dataEnd != dataStart {
+		return nil, fmt.Errorf("trace: %d bytes of data section but no chunks", dataEnd-dataStart)
 	}
 	return &IndexedReader{
 		ra:      ra,
-		meta:    hr.meta,
-		version: hr.version,
+		meta:    meta,
 		chunks:  chunks,
 		bases:   bases,
 		total:   total,
@@ -200,9 +168,6 @@ func NewIndexedReader(ra io.ReaderAt, size int64) (*IndexedReader, error) {
 
 // Meta returns the header document.
 func (ir *IndexedReader) Meta() Meta { return ir.meta }
-
-// Version returns the format version found in the header.
-func (ir *IndexedReader) Version() int { return ir.version }
 
 // Chunks returns the number of chunks in the trace.
 func (ir *IndexedReader) Chunks() int { return len(ir.chunks) }
@@ -221,88 +186,55 @@ func (ir *IndexedReader) rangeEnd(hi int) int64 {
 	return ir.dataEnd
 }
 
-// Range returns a sequential source over chunks [lo, hi), decoding in
-// the caller's goroutine with the same fused hot path as
-// Reader.Events. The underlying section reader is created lazily on
-// the first Next, so building many shard sources costs nothing until
-// their workers start.
+// Range returns a sequential source of bound simulator events over
+// chunks [lo, hi), decoding in the caller's goroutine.
 func (ir *IndexedReader) Range(prog *isa.Program, lo, hi int) *Source {
 	if lo < 0 || hi > len(ir.chunks) || lo > hi {
 		panic(fmt.Sprintf("trace: Range [%d,%d) outside %d chunks", lo, hi, len(ir.chunks)))
 	}
-	dec := &decoder{version: ir.version, dict: ir.dict}
+	dec := &decoder{dict: ir.dict}
 	var (
-		pool       slabPool
-		br         *bufio.Reader
-		payloadBuf []byte
-		chunk      = lo
-		expect     uint64
+		pool  slabPool
+		buf   []byte
+		chunk = lo
 	)
-	if lo < len(ir.chunks) {
-		expect = ir.bases[lo]
-	}
 	next := func() ([]sim.Event, func(), error) {
 		if chunk >= hi {
 			return nil, nil, io.EOF
 		}
-		if br == nil {
-			start := ir.chunks[lo].offset
-			br = bufio.NewReaderSize(io.NewSectionReader(ir.ra, start, ir.rangeEnd(hi)-start), 1<<16)
-		}
-		f, err := readFrame(br, &payloadBuf)
+		f, err := ir.frameAt(chunk, &buf)
 		if err != nil {
-			return nil, nil, fmt.Errorf("trace: chunk %d: %w", chunk, err)
+			return nil, nil, err
 		}
 		base, evs, err := dec.decodeFrameEvents(f, prog, pool.get())
 		if err != nil {
 			return nil, nil, err
 		}
-		if base != expect {
-			return nil, nil, fmt.Errorf("trace: chunk %d base %d, expected %d", chunk, base, expect)
+		if err := ir.checkChunk(chunk, base, len(evs)); err != nil {
+			return nil, nil, err
 		}
-		if uint64(len(evs)) != ir.chunks[chunk].events {
-			return nil, nil, fmt.Errorf("trace: chunk %d decoded %d events, index records %d",
-				chunk, len(evs), ir.chunks[chunk].events)
-		}
-		expect += uint64(len(evs))
 		chunk++
 		return evs, pool.release(evs), nil
 	}
 	closeFn := func() {
 		dec.release()
-		payloadBuf = nil
-		br = nil
+		buf = nil
 	}
 	return &Source{next: next, close: closeFn}
 }
 
-// ScanPCRuns decodes only the program-counter column of chunks
-// [lo, hi), reporting the committed stream as maximal straight-line
-// runs: run(pc, n) covers n events whose PCs are pc, pc+1, ...,
-// pc+n-1, in commit order; concatenated, the runs reproduce exactly
-// the PC sequence Range would decode. No slabs are filled and the
-// taken/target/address columns are never decoded, which makes a
-// phase-vector scan several times cheaper than event decode. Frames
-// still pass CRC validation, and the PC column gets the full
-// decoder's structural checks. The context is checked once per chunk.
-func (ir *IndexedReader) ScanPCRuns(ctx context.Context, prog *isa.Program, lo, hi int, run func(pc, n int32)) error {
-	return ir.ScanRunTokens(ctx, prog, lo, hi, func(pc, n int32, rep int64) {
-		for ; rep > 0; rep-- {
-			run(pc, n)
-		}
-	})
-}
-
-// ScanRunTokens is ScanPCRuns in repeat-compressed form: instead of
-// reporting a back-to-back repeated run once per repetition, it
-// reports run(pc, n, rep) — rep consecutive executions of the n-event
-// straight-line run starting at pc. On a v4 trace the repeats come
-// straight off the token stream without expansion, so a tight loop
-// that dominates a phase costs one callback; on v2/v3 every run
-// reports rep == 1. Expanding each callback rep times reproduces the
-// exact ScanPCRuns sequence (adjacent callbacks may still repeat the
-// same run: only v4 guarantees token-level merging, and even there
-// chunk boundaries can split a repeat).
+// ScanRunTokens decodes only the token stream of chunks [lo, hi),
+// reporting the committed stream as repeated straight-line runs:
+// run(pc, n, rep) covers rep back-to-back executions of the n-event
+// run whose PCs are pc, pc+1, ..., pc+n-1, in commit order. Expanding
+// each callback rep times reproduces exactly the PC sequence Range
+// would decode (adjacent callbacks may repeat the same run where a
+// chunk boundary splits a repeat). The repeats come straight off the
+// token stream, so a tight loop that dominates a phase costs one
+// callback. No slabs are filled and, for a split-compressed frame, the
+// taken and address columns are never even decompressed. Frames still
+// pass CRC validation and the token stream gets the full decoder's
+// structural checks. The context is checked once per chunk.
 func (ir *IndexedReader) ScanRunTokens(ctx context.Context, prog *isa.Program, lo, hi int, run func(pc, n int32, rep int64)) error {
 	if lo < 0 || hi > len(ir.chunks) || lo > hi {
 		panic(fmt.Sprintf("trace: ScanRunTokens [%d,%d) outside %d chunks", lo, hi, len(ir.chunks)))
@@ -310,128 +242,100 @@ func (ir *IndexedReader) ScanRunTokens(ctx context.Context, prog *isa.Program, l
 	if lo == hi {
 		return nil
 	}
-	dec := &decoder{version: ir.version, dict: ir.dict}
-	defer dec.release()
-	if ir.version >= 4 {
-		// Binding validates every dictionary run against prog's
-		// instruction count, the same pc+n guarantee the v2/v3 scanner
-		// enforces per run.
-		if err := ir.dict.bindShared(prog); err != nil {
-			return err
-		}
+	// Binding validates every dictionary run against prog's instruction
+	// count, so every reported run lies inside the program.
+	if err := ir.dict.bindShared(prog); err != nil {
+		return err
 	}
-	start := ir.chunks[lo].offset
-	br := bufio.NewReaderSize(io.NewSectionReader(ir.ra, start, ir.rangeEnd(hi)-start), 1<<16)
-	var payloadBuf []byte
-	ni := int64(len(prog.Insts))
-	expect := ir.bases[lo]
+	dec := &decoder{dict: ir.dict}
+	defer dec.release()
+	var buf []byte
 	for chunk := lo; chunk < hi; chunk++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f, err := readFrame(br, &payloadBuf)
+		f, err := ir.frameAt(chunk, &buf)
 		if err != nil {
-			return fmt.Errorf("trace: chunk %d: %w", chunk, err)
+			return err
 		}
 		col, err := dec.framePCColumn(f)
 		if err != nil {
 			return err
 		}
-		var base uint64
-		var n int
-		if ir.version >= 4 {
-			base, n, err = scanChunkTokensV4(col, ir.dict, &dec.sc, run)
-		} else {
-			base, n, _, err = scanChunkPCRuns(col, ir.version, ni, func(pc, rn int32) { run(pc, rn, 1) })
-		}
+		base, n, err := scanChunkTokensV4(col, ir.dict, &dec.sc, run)
 		if err != nil {
 			return err
 		}
-		if base != expect {
-			return fmt.Errorf("trace: chunk %d base %d, expected %d", chunk, base, expect)
+		if err := ir.checkChunk(chunk, base, n); err != nil {
+			return err
 		}
-		if uint64(n) != ir.chunks[chunk].events {
-			return fmt.Errorf("trace: chunk %d decoded %d events, index records %d",
-				chunk, n, ir.chunks[chunk].events)
-		}
-		expect += uint64(n)
 	}
 	return nil
 }
 
-// Tail decodes the last k events strictly before chunk `before`,
-// walking backward over as many chunks as needed (tiny test-sized
-// chunks can be smaller than k). It returns fewer than k events only
-// when the trace has fewer before that point. The returned slice is
-// freshly allocated — shard warm-up windows outlive the decode
-// buffers.
-func (ir *IndexedReader) Tail(prog *isa.Program, before, k int) ([]sim.Event, error) {
-	if before <= 0 || k <= 0 {
-		return nil, nil
+// frameAt reads chunk c's frame into *buf (grown as needed and reused
+// across calls) and validates it: length prefixes, the CRC over the
+// stored payload, and exact consumption of the span the index gives
+// the frame.
+func (ir *IndexedReader) frameAt(c int, buf *[]byte) (frame, error) {
+	off := ir.chunks[c].offset
+	n := int(ir.rangeEnd(c+1) - off)
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
 	}
-	lo := before
-	var have uint64
-	for lo > 0 && have < uint64(k) {
-		lo--
-		have += ir.chunks[lo].events
+	b := (*buf)[:n]
+	if _, err := ir.ra.ReadAt(b, off); err != nil {
+		return frame{}, fmt.Errorf("trace: chunk %d: read frame: %w", c, err)
 	}
-	src := ir.Range(prog, lo, before)
-	defer src.Close()
-	var tail []sim.Event
-	for {
-		evs, release, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		tail = append(tail, evs...)
-		release()
-		if len(tail) > k {
-			tail = tail[len(tail)-k:]
-		}
+	f, err := parseFrameBytes(b)
+	if err != nil {
+		return frame{}, fmt.Errorf("trace: chunk %d: %w", c, err)
 	}
-	out := make([]sim.Event, len(tail))
-	copy(out, tail)
-	return out, nil
+	return f, nil
 }
 
-// readFrame reads one chunk frame from br into *payloadBuf (grown as
-// needed and reused across calls). It is the section-reader analogue
-// of Reader.nextFrame; the terminator never appears because Range
-// sections end at the last frame boundary.
-func readFrame(br *bufio.Reader, payloadBuf *[]byte) (frame, error) {
-	rawLen, err := binary.ReadUvarint(br)
+// checkChunk cross-checks a decoded chunk's base sequence number and
+// event count against the index.
+func (ir *IndexedReader) checkChunk(c int, base uint64, n int) error {
+	if base != ir.bases[c] {
+		return fmt.Errorf("trace: chunk %d base %d, expected %d", c, base, ir.bases[c])
+	}
+	if uint64(n) != ir.chunks[c].events {
+		return fmt.Errorf("trace: chunk %d decoded %d events, index records %d", c, n, ir.chunks[c].events)
+	}
+	return nil
+}
+
+// parseFrameBytes parses one chunk frame from an in-memory byte span:
+// length prefixes, compression kind, CRC over the stored payload, and
+// exact consumption of the span.
+func parseFrameBytes(buf []byte) (frame, error) {
+	pos := 0
+	rawLen, pos, err := uvarintAt(buf, pos)
 	if err != nil {
 		return frame{}, fmt.Errorf("read chunk length: %w", err)
 	}
 	if rawLen == 0 || rawLen > maxFrameBytes {
 		return frame{}, fmt.Errorf("bad chunk raw length %d", rawLen)
 	}
-	kind, err := br.ReadByte()
-	if err != nil {
-		return frame{}, fmt.Errorf("read compression kind: %w", err)
+	if pos >= len(buf) {
+		return frame{}, fmt.Errorf("read compression kind: %w", io.ErrUnexpectedEOF)
 	}
-	compLen, err := binary.ReadUvarint(br)
+	kind := buf[pos]
+	pos++
+	compLen, pos, err := uvarintAt(buf, pos)
 	if err != nil {
 		return frame{}, fmt.Errorf("read payload length: %w", err)
 	}
 	if compLen > maxFrameBytes {
 		return frame{}, fmt.Errorf("chunk payload length %d too large", compLen)
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return frame{}, fmt.Errorf("read chunk crc: %w", err)
+	if pos+4+int(compLen) != len(buf) {
+		return frame{}, fmt.Errorf("chunk frame spans %d bytes, index records %d", pos+4+int(compLen), len(buf))
 	}
-	if cap(*payloadBuf) < int(compLen) {
-		*payloadBuf = make([]byte, compLen)
-	}
-	payload := (*payloadBuf)[:compLen]
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return frame{}, fmt.Errorf("read chunk payload: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(payload) {
+	crc := binary.LittleEndian.Uint32(buf[pos:])
+	payload := buf[pos+4:]
+	if crc != crc32.ChecksumIEEE(payload) {
 		return frame{}, fmt.Errorf("chunk checksum mismatch")
 	}
 	return frame{rawLen: int(rawLen), kind: kind, payload: payload}, nil

@@ -2,12 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"errors"
-	"io"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"bioperfload/internal/runstream"
 )
 
-// TestIndexedReaderRoundTrip opens a multi-chunk v2 trace through the
+// TestIndexedReaderRoundTrip opens a multi-chunk trace through the
 // footer index and checks that every chunk range decodes to exactly the
 // events the index promises, including single-chunk and full-file
 // ranges.
@@ -17,9 +23,6 @@ func TestIndexedReaderRoundTrip(t *testing.T) {
 	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ir.Version() != FormatVersion {
-		t.Fatalf("Version=%d, want %d", ir.Version(), FormatVersion)
 	}
 	if ir.Meta().Program != "synthetic" {
 		t.Fatalf("meta %+v", ir.Meta())
@@ -50,114 +53,101 @@ func TestIndexedReaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIndexedReaderTail checks the backward warm-up window decode,
-// including windows larger than one chunk and larger than the prefix.
-func TestIndexedReaderTail(t *testing.T) {
-	data, evs, prog := writeTestTrace(t, 1000, 64)
-	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ before, k int }{
-		{0, 8},           // nothing before chunk 0
-		{1, 8},           // within one chunk
-		{3, 200},         // window spans multiple chunks, capped at the prefix
-		{ir.Chunks(), 5}, // from the very end
-	} {
-		tail, err := ir.Tail(prog, tc.before, tc.k)
-		if err != nil {
-			t.Fatalf("Tail(%d,%d): %v", tc.before, tc.k, err)
-		}
-		end := len(evs)
-		if tc.before < ir.Chunks() {
-			end = int(ir.Base(tc.before))
-		}
-		if tc.before <= 0 {
-			end = 0
-		}
-		wantLen := tc.k
-		if end < wantLen {
-			wantLen = end
-		}
-		if len(tail) != wantLen {
-			t.Fatalf("Tail(%d,%d) returned %d events, want %d", tc.before, tc.k, len(tail), wantLen)
-		}
-		checkEvents(t, tail, evs[end-wantLen:end])
-	}
-}
-
-// TestIndexedReaderRejectsCorruptFooter flips bits across the footer
-// region and truncates the file; every mutation must be detected at
+// TestIndexedReaderRejectsCorruptFooter flips every bit of the footer
+// — terminator byte, run dictionary, chunk index, fixed tail, and their
+// CRCs — and truncates the file; every mutation must be detected at
 // open or at decode, never silently accepted.
 func TestIndexedReaderRejectsCorruptFooter(t *testing.T) {
 	data, _, prog := writeTestTrace(t, 2000, 256)
-	openAndDrain := func(b []byte) error {
-		ir, err := NewIndexedReader(bytes.NewReader(b), int64(len(b)))
-		if err != nil {
-			return err
-		}
-		src := ir.Range(prog, 0, ir.Chunks())
-		defer src.Close()
-		total := uint64(0)
-		for {
-			evs, release, err := src.Next()
-			if err == io.EOF {
-				if total != ir.TotalEvents() {
-					t.Fatalf("drained %d events, index records %d", total, ir.TotalEvents())
-				}
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			total += uint64(len(evs))
-			release()
-		}
+	if r, c, _ := readAll(data, prog); r != nil || c != nil {
+		t.Fatalf("pristine trace rejected: %v / %v", r, c)
 	}
-	if err := openAndDrain(data); err != nil {
-		t.Fatalf("pristine trace rejected: %v", err)
+	ir := openTestTrace(t, data)
+	if data[ir.dataEnd] != 0 {
+		t.Fatalf("sweep start holds %#x, want the terminator byte", data[ir.dataEnd])
 	}
-	// The footer (terminator + index + tail) is everything after the
-	// last frame; flipping any single bit in it must fail validation.
-	footerStart := len(data) - tailFixedLen - 80
-	if footerStart < 0 {
-		footerStart = 0
-	}
-	for off := footerStart; off < len(data); off++ {
+	for off := int(ir.dataEnd); off < len(data); off++ {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte{}, data...)
 			mut[off] ^= 1 << bit
-			if err := openAndDrain(mut); err == nil {
-				t.Fatalf("bit flip at offset %d bit %d accepted", off, bit)
-			}
+			requireRejected(t, mut, prog, fmt.Sprintf("bit flip at offset %d bit %d", off, bit))
 		}
 	}
-	for cut := 1; cut <= tailFixedLen+8; cut++ {
-		if err := openAndDrain(data[:len(data)-cut]); err == nil {
-			t.Fatalf("truncation by %d bytes accepted", cut)
+	for cut := 1; cut <= len(data)-int(ir.dataEnd); cut++ {
+		requireRejected(t, data[:len(data)-cut], prog, fmt.Sprintf("truncation by %d bytes", cut))
+	}
+}
+
+// TestIndexedReaderRejectsChunkMismatches: a chunk whose recorded base
+// or event count disagrees with the footer index — each frame
+// internally consistent, CRCs intact — is rejected by every read path.
+func TestIndexedReaderRejectsChunkMismatches(t *testing.T) {
+	prog := testProgramMixed(64)
+	p := validV4Parts() // 16 events over the run [0,8)
+	chunk0 := p.encode()
+	p.base = 16
+	chunk1 := p.encode()
+	dict := []dictRun{{pc: 0, n: 8}}
+	pristine := assembleTrace([][]byte{chunk0, chunk1}, []uint64{16, 16}, dict)
+	if r, c, s := readAll(pristine, prog); r != nil || c != nil || s != nil {
+		t.Fatalf("pristine assembled trace rejected: %v / %v / %v", r, c, s)
+	}
+	for _, tc := range []struct {
+		name   string
+		chunks [][]byte
+		events []uint64
+	}{
+		{"second chunk repeats base 0", [][]byte{chunk0, chunk0}, []uint64{16, 16}},
+		{"first chunk starts at base 16", [][]byte{chunk1, chunk1}, []uint64{16, 16}},
+		{"index records too few events", [][]byte{chunk0, chunk1}, []uint64{8, 16}},
+		{"index records too many events", [][]byte{chunk0, chunk1}, []uint64{16, 24}},
+	} {
+		data := assembleTrace(tc.chunks, tc.events, dict)
+		rangeErr, colErr, scanErr := readAll(data, prog)
+		if rangeErr == nil || colErr == nil || scanErr == nil {
+			t.Errorf("%s: accepted (Range %v, Columns %v, ScanRunTokens %v)", tc.name, rangeErr, colErr, scanErr)
 		}
 	}
 }
 
-// TestIndexedReaderV1ErrNoIndex: a v1 trace has no footer index — the
-// indexed open must fail with ErrNoIndex so callers take the
-// sequential fallback, and the sequential reader must still decode it.
-func TestIndexedReaderV1ErrNoIndex(t *testing.T) {
-	data, evs, prog := writeTestTraceVersion(t, 3000, 256, 1)
-	if _, err := NewIndexedReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("indexed open of v1 trace: err=%v, want ErrNoIndex", err)
+// TestIndexedReaderRejectsLegacyVersions opens the recorded v1–v3
+// fixtures: each must fail with ErrUnsupportedVersion, and the message
+// must tell the user to re-record.
+func TestIndexedReaderRejectsLegacyVersions(t *testing.T) {
+	for v := 1; v <= 3; v++ {
+		data := legacyFixture(t, v)
+		if want := fmt.Sprintf("BPTRACE%d", v); string(data[:8]) != want {
+			t.Fatalf("v%d fixture magic %q, want %q", v, data[:8], want)
+		}
+		_, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+		if !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("v%d fixture: err=%v, want ErrUnsupportedVersion", v, err)
+		}
+		if !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("v%d fixture: error %q does not say to re-record", v, err)
+		}
 	}
-	tr, err := NewReader(bytes.NewReader(data))
+}
+
+// legacyFixture returns testdata/legacy/v<v>.trace: the first 1024
+// events of a test-size hmmsearch run, recorded at format v<v> (256
+// events per chunk) before those formats were retired.
+func legacyFixture(t testing.TB, v int) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", fmt.Sprintf("v%d.trace", v)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Version() != 1 {
-		t.Fatalf("Version=%d, want 1", tr.Version())
+	return data
+}
+
+// TestColumnsRejectsV1: a v1 trace never reaches the column decoder —
+// without an IndexedReader there is no column source to build.
+func TestColumnsRejectsV1(t *testing.T) {
+	data := legacyFixture(t, 1)
+	if _, err := NewIndexedReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("open v1 trace: err=%v, want ErrUnsupportedVersion", err)
 	}
-	src := tr.Events(prog)
-	got := drain(t, src)
-	src.Close()
-	checkEvents(t, got, evs)
 }
 
 // TestChunkBoundaryGoldens pins the writer/reader behavior at the
@@ -174,67 +164,71 @@ func TestChunkBoundaryGoldens(t *testing.T) {
 		{0, 256, 0},    // empty trace: header + footer only
 	} {
 		data, evs, prog := writeTestTrace(t, tc.n, tc.chunk)
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("n=%d: %v", tc.n, err)
-		}
-		src := tr.Events(prog)
-		got := drain(t, src)
-		src.Close()
-		checkEvents(t, got, evs)
-		if tr.TotalEvents() != uint64(tc.n) {
-			t.Fatalf("n=%d: TotalEvents=%d", tc.n, tr.TotalEvents())
-		}
-		ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatalf("n=%d: indexed open: %v", tc.n, err)
-		}
+		ir := openTestTrace(t, data)
 		if ir.Chunks() != tc.wantChunks {
 			t.Fatalf("n=%d chunk=%d: Chunks=%d, want %d", tc.n, tc.chunk, ir.Chunks(), tc.wantChunks)
 		}
-		isrc := ir.Range(prog, 0, ir.Chunks())
-		igot := drain(t, isrc)
-		isrc.Close()
-		checkEvents(t, igot, evs)
-		tail, err := ir.Tail(prog, ir.Chunks(), 8)
-		if err != nil {
-			t.Fatalf("n=%d: Tail: %v", tc.n, err)
+		if ir.TotalEvents() != uint64(tc.n) {
+			t.Fatalf("n=%d: TotalEvents=%d", tc.n, ir.TotalEvents())
 		}
-		wantTail := 8
-		if tc.n < wantTail {
-			wantTail = tc.n
-		}
-		if len(tail) != wantTail {
-			t.Fatalf("n=%d: Tail returned %d events, want %d", tc.n, len(tail), wantTail)
-		}
+		src := ir.Range(prog, 0, ir.Chunks())
+		got := drain(t, src)
+		src.Close()
+		checkEvents(t, got, evs)
+		checkColumns(t, ir.Columns(context.Background(), prog, 0, ir.Chunks(), 2), evs, prog)
 	}
 }
 
 // TestSourceCloseMidStream: Close with chunks still undelivered must
 // make every later Next fail with ErrClosed — sticky, for both the
-// sequential and the parallel source — rather than read through a
-// released reader or recycled buffers.
+// event source and the column source — rather than read through
+// released or recycled buffers.
 func TestSourceCloseMidStream(t *testing.T) {
 	data, _, prog := writeTestTrace(t, 5000, 64)
-	sources := map[string]func(*Reader) *Source{
-		"sequential": func(tr *Reader) *Source { return tr.Events(prog) },
-		"parallel":   func(tr *Reader) *Source { return tr.ParallelEvents(prog, 2) },
+	ir := openTestTrace(t, data)
+	type source interface {
+		next() error
+		Close()
+	}
+	sources := map[string]func() source{
+		"range": func() source {
+			return rangeSource{ir.Range(prog, 0, ir.Chunks())}
+		},
+		"columns": func() source {
+			return columnsSource{ir.Columns(context.Background(), prog, 0, ir.Chunks(), 2)}
+		},
 	}
 	for name, open := range sources {
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := open(tr)
-		if _, _, err := src.Next(); err != nil {
+		src := open()
+		if err := src.next(); err != nil {
 			t.Fatalf("%s: first Next: %v", name, err)
 		}
 		src.Close()
 		for i := 0; i < 3; i++ {
-			if _, _, err := src.Next(); !errors.Is(err, ErrClosed) {
+			if err := src.next(); !errors.Is(err, ErrClosed) {
 				t.Fatalf("%s: Next after Close (call %d): err=%v, want ErrClosed", name, i, err)
 			}
 		}
 		src.Close() // double Close must be safe
 	}
+}
+
+type rangeSource struct{ *Source }
+
+func (s rangeSource) next() error {
+	_, release, err := s.Next()
+	if err == nil {
+		release()
+	}
+	return err
+}
+
+type columnsSource struct{ runstream.Source }
+
+func (s columnsSource) next() error {
+	_, release, err := s.Next()
+	if err == nil {
+		release()
+	}
+	return err
 }

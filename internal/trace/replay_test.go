@@ -57,54 +57,52 @@ func recordRun(t *testing.T, name string) (*isa.Program, string, []byte, uint64)
 }
 
 // TestReplayProfileGolden is the replay-fidelity golden test: a
-// characterization computed from a recorded trace — decoded
-// sequentially or by parallel chunk decoders — renders byte-identical
-// to one computed live during simulation.
+// characterization computed from a recorded trace — events decoded in
+// order and fed to a live analysis, or column chunks decoded by a
+// worker pool and analyzed by the sharded run engine — renders
+// byte-identical to one computed live during simulation.
 func TestReplayProfileGolden(t *testing.T) {
 	for _, name := range []string{"hmmsearch", "predator"} {
 		prog, want, data, insts := recordRun(t, name)
-
-		// Sequential replay through the BatchObserver contract.
-		tr, err := trace.NewReader(bytes.NewReader(data))
+		ir, err := trace.NewIndexedReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if tr.Meta().Program != name {
-			t.Fatalf("%s: trace meta names %q", name, tr.Meta().Program)
+		if ir.Meta().Program != name {
+			t.Fatalf("%s: trace meta names %q", name, ir.Meta().Program)
 		}
+		if ir.TotalEvents() != insts {
+			t.Fatalf("%s: trace holds %d events, want %d", name, ir.TotalEvents(), insts)
+		}
+
+		// Event replay through the BatchObserver contract.
 		seq := loadchar.New(prog)
-		n, err := tr.Replay(context.Background(), prog, seq)
-		if err != nil {
-			t.Fatalf("%s: replay: %v", name, err)
-		}
-		if n != insts {
-			t.Fatalf("%s: replayed %d events, want %d", name, n, insts)
-		}
-		if got := loadchar.RenderProfile(name, "test", seq, 10); got != want {
-			t.Errorf("%s: sequential replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
-		}
-
-		// Parallel chunk decode feeding one analysis in commit order.
-		tr2, err := trace.NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		src := tr2.ParallelEvents(prog, 2)
-		par := loadchar.New(prog)
+		src := ir.Range(prog, 0, ir.Chunks())
 		for {
 			evs, release, err := src.Next()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				t.Fatalf("%s: parallel decode: %v", name, err)
+				t.Fatalf("%s: replay: %v", name, err)
 			}
-			par.ObserveBatch(evs)
+			seq.ObserveBatch(evs)
 			release()
 		}
 		src.Close()
+		if got := loadchar.RenderProfile(name, "test", seq, 10); got != want {
+			t.Errorf("%s: event replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
+		}
+
+		// Column chunks decoded in parallel, analyzed by sharded lanes.
+		csrc := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 2)
+		par, err := loadchar.AnalyzeRuns(context.Background(), prog, csrc, 4)
+		csrc.Close()
+		if err != nil {
+			t.Fatalf("%s: column replay: %v", name, err)
+		}
 		if got := loadchar.RenderProfile(name, "test", par, 10); got != want {
-			t.Errorf("%s: parallel replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
+			t.Errorf("%s: column replay profile differs from live:\n--- live ---\n%s\n--- replay ---\n%s", name, want, got)
 		}
 	}
 }

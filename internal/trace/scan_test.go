@@ -1,20 +1,32 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"io"
 	"testing"
 
 	"bioperfload/internal/isa"
 	"bioperfload/internal/sim"
 )
 
-// TestScanPCRunsMatchesRange pins the fast PC-only scan to the full
-// decoder: expanding the runs ScanPCRuns reports must reproduce, event
-// for event, the PC sequence Range decodes — over the whole file and
-// over sub-ranges that start and end mid-stream.
+// scanPCs expands a ScanRunTokens scan of chunks [lo, hi) into its
+// PC sequence.
+func scanPCs(ctx context.Context, ir *IndexedReader, prog *isa.Program, lo, hi int) ([]int32, error) {
+	var pcs []int32
+	err := ir.ScanRunTokens(ctx, prog, lo, hi, func(pc, n int32, rep int64) {
+		for ; rep > 0; rep-- {
+			for i := int32(0); i < n; i++ {
+				pcs = append(pcs, pc+i)
+			}
+		}
+	})
+	return pcs, err
+}
+
+// TestScanPCRunsMatchesRange pins the PC-run scan (ScanRunTokens) to
+// the full decoder: expanding the runs it reports must reproduce,
+// event for event, the PC sequence Range decodes — over the whole file
+// and over sub-ranges that start and end mid-stream.
 func TestScanPCRunsMatchesRange(t *testing.T) {
 	const n, chunk = 10000, 256
 	data, evs, prog := writeTestTrace(t, n, chunk)
@@ -32,16 +44,18 @@ func TestScanPCRunsMatchesRange(t *testing.T) {
 	} {
 		lo, hi := rng[0], rng[1]
 		var got []int32
-		err := ir.ScanPCRuns(ctx, prog, lo, hi, func(pc, n int32) {
-			if n <= 0 {
-				t.Fatalf("ScanPCRuns(%d,%d): empty run at pc %d", lo, hi, pc)
+		err := ir.ScanRunTokens(ctx, prog, lo, hi, func(pc, n int32, rep int64) {
+			if n <= 0 || rep <= 0 {
+				t.Fatalf("ScanRunTokens(%d,%d): empty token (%d, %d, %d)", lo, hi, pc, n, rep)
 			}
-			for i := int32(0); i < n; i++ {
-				got = append(got, pc+i)
+			for ; rep > 0; rep-- {
+				for i := int32(0); i < n; i++ {
+					got = append(got, pc+i)
+				}
 			}
 		})
 		if err != nil {
-			t.Fatalf("ScanPCRuns(%d,%d): %v", lo, hi, err)
+			t.Fatalf("ScanRunTokens(%d,%d): %v", lo, hi, err)
 		}
 		start, end := int(ir.Base(lo)), n
 		if hi < ir.Chunks() {
@@ -52,110 +66,69 @@ func TestScanPCRunsMatchesRange(t *testing.T) {
 		}
 		want := evs[start:end]
 		if len(got) != len(want) {
-			t.Fatalf("ScanPCRuns(%d,%d): %d events, want %d", lo, hi, len(got), len(want))
+			t.Fatalf("ScanRunTokens(%d,%d): %d events, want %d", lo, hi, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i].PC {
-				t.Fatalf("ScanPCRuns(%d,%d): event %d PC=%d, want %d", lo, hi, i, got[i], want[i].PC)
+				t.Fatalf("ScanRunTokens(%d,%d): event %d PC=%d, want %d", lo, hi, i, got[i], want[i].PC)
 			}
-		}
-	}
-}
-
-// TestScanPCRunsV2BackCompat pins the scan on a format-v2 stream,
-// where all four bitmaps precede the PC deltas: today's writer emits
-// v3, but stored v2 artifacts must keep scanning correctly.
-func TestScanPCRunsV2BackCompat(t *testing.T) {
-	const n, chunk = 5000, 256
-	data, evs, prog := writeTestTraceVersion(t, n, chunk, 2)
-	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ir.Version() != 2 {
-		t.Fatalf("Version=%d, want 2", ir.Version())
-	}
-	var got []int32
-	err = ir.ScanPCRuns(context.Background(), prog, 0, ir.Chunks(), func(pc, n int32) {
-		for i := int32(0); i < n; i++ {
-			got = append(got, pc+i)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("scanned %d events, want %d", len(got), n)
-	}
-	for i := range evs {
-		if got[i] != evs[i].PC {
-			t.Fatalf("event %d: PC=%d, want %d", i, got[i], evs[i].PC)
 		}
 	}
 }
 
 // TestWriterEmitsSplitFrames pins the frame kind the writer produces:
-// when compression wins, chunks must use the split encoding (the PC
-// column — or, for v4, the token stream — as its own flate stream),
-// since that is what lets ScanPCRuns and ScanRunTokens skip
-// decompressing the taken/target/address columns. A silent fallback to
+// when compression wins, chunks must use the split encoding (the token
+// stream as its own flate stream), since that is what lets
+// ScanRunTokens skip decompressing the taken and address columns. A silent fallback to
 // whole-chunk flate would keep every test green but forfeit the scan
 // speedup. The recorded stream is loopy, like real kernels, so its
 // chunks genuinely compress; tiny high-entropy test chunks
 // legitimately store as compressionNone instead.
 func TestWriterEmitsSplitFrames(t *testing.T) {
-	for _, version := range []int{3, 4} {
-		prog := testProgramMixed(256)
-		var buf bytes.Buffer
-		tw := NewWriterVersion(&buf, Meta{Program: prog.Name, Size: "test"}, prog, version)
-		batch := make([]sim.Event, 512)
-		seq := uint64(0)
-		for rep := 0; rep < 80; rep++ { // ~40k events, 2+ full-size chunks
-			for i := range batch {
-				pc := int32(i % 128)
-				ev := sim.Event{Seq: seq, PC: pc, Inst: &prog.Insts[pc], Target: (pc + 1) % 128}
-				switch isa.ClassOf(prog.Insts[pc].Op) {
-				case isa.ClassLoad, isa.ClassStore:
-					// Strided addresses: per-site deltas repeat, so the
-					// address column genuinely compresses.
-					ev.Addr = uint64(0x10000 + int(pc)<<4 + (rep%16)<<10)
-				case isa.ClassCondBranch:
-					ev.Taken = rep%3 == 0
-				case isa.ClassUncondBranch:
-					ev.Taken = true
-				}
-				batch[i] = ev
-				seq++
+	prog := testProgramMixed(256)
+	var buf bytes.Buffer
+	tw := NewWriter(&buf, Meta{Program: prog.Name, Size: "test"}, prog)
+	batch := make([]sim.Event, 512)
+	seq := uint64(0)
+	for rep := 0; rep < 80; rep++ { // ~40k events, 2+ full-size chunks
+		for i := range batch {
+			pc := int32(i % 128)
+			ev := sim.Event{Seq: seq, PC: pc, Inst: &prog.Insts[pc], Target: (pc + 1) % 128}
+			switch isa.ClassOf(prog.Insts[pc].Op) {
+			case isa.ClassLoad, isa.ClassStore:
+				// Strided addresses: per-site deltas repeat, so the
+				// address column genuinely compresses.
+				ev.Addr = uint64(0x10000 + int(pc)<<4 + (rep%16)<<10)
+			case isa.ClassCondBranch:
+				ev.Taken = rep%3 == 0
+			case isa.ClassUncondBranch:
+				ev.Taken = true
 			}
-			tw.ObserveBatch(batch)
+			batch[i] = ev
+			seq++
 		}
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
-		ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+		tw.ObserveBatch(batch)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ir := openTestTrace(t, buf.Bytes())
+	var frameBuf []byte
+	split := 0
+	for chunk := 0; chunk < ir.Chunks(); chunk++ {
+		f, err := ir.frameAt(chunk, &frameBuf)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("chunk %d: %v", chunk, err)
 		}
-		var payloadBuf []byte
-		split := 0
-		for chunk := 0; chunk < ir.Chunks(); chunk++ {
-			start := ir.chunks[chunk].offset
-			br := bufio.NewReader(io.NewSectionReader(ir.ra, start, ir.rangeEnd(chunk+1)-start))
-			f, err := readFrame(br, &payloadBuf)
-			if err != nil {
-				t.Fatalf("v%d chunk %d: %v", version, chunk, err)
-			}
-			switch f.kind {
-			case compressionSplit:
-				split++
-			case compressionFlate:
-				t.Errorf("v%d chunk %d: writer emitted whole-chunk flate; want split or none", version, chunk)
-			}
+		switch f.kind {
+		case compressionSplit:
+			split++
+		case compressionFlate:
+			t.Errorf("chunk %d: writer emitted whole-chunk flate; want split or none", chunk)
 		}
-		if split == 0 {
-			t.Errorf("v%d: no chunk of a loopy %d-event trace used split compression", version, seq)
-		}
+	}
+	if split == 0 {
+		t.Errorf("no chunk of a loopy %d-event trace used split compression", seq)
 	}
 }
 
@@ -169,7 +142,7 @@ func TestScanPCRunsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = ir.ScanPCRuns(ctx, prog, 0, ir.Chunks(), func(pc, n int32) {
+	err = ir.ScanRunTokens(ctx, prog, 0, ir.Chunks(), func(pc, n int32, rep int64) {
 		t.Fatal("run delivered after cancellation")
 	})
 	if err != context.Canceled {
@@ -177,9 +150,9 @@ func TestScanPCRunsCancellation(t *testing.T) {
 	}
 }
 
-// TestScanPCRunsRejectsCorruption flips a bit in every byte position
-// of the trace and requires the scan to either fail or produce exactly
-// the reference PC stream — corruption must never silently skew a
+// TestScanPCRunsRejectsCorruption flips a bit in every seventh byte of
+// the trace and requires the run-token scan to either fail or produce
+// exactly the reference PC stream — corruption must never silently skew a
 // phase vector.
 func TestScanPCRunsRejectsCorruption(t *testing.T) {
 	data, evs, prog := writeTestTrace(t, 600, 64)
@@ -195,12 +168,7 @@ func TestScanPCRunsRejectsCorruption(t *testing.T) {
 		if err != nil {
 			continue // corruption caught at open
 		}
-		var got []int32
-		err = ir.ScanPCRuns(ctx, prog, 0, ir.Chunks(), func(pc, n int32) {
-			for i := int32(0); i < n; i++ {
-				got = append(got, pc+i)
-			}
-		})
+		got, err := scanPCs(ctx, ir, prog, 0, ir.Chunks())
 		if err != nil {
 			continue // corruption caught during the scan
 		}

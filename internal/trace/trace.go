@@ -6,6 +6,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -18,53 +19,29 @@ import (
 
 // FormatVersion is bumped whenever the on-disk layout changes; it is
 // baked into both the header magic and artifact-store fingerprints so
-// stale traces read as misses rather than garbage.
-//
-// Version history:
-//
-//	1  chunked columnar stream, counts-only footer
-//	2  adds a per-chunk offset index to the footer so a reader with
-//	   random access (io.ReaderAt) can hand disjoint chunk ranges to
-//	   shard workers, and switches the chunk PC and target columns to
-//	   sparse encodings (exception bitmaps + deltas for non-sequential
-//	   PCs and non-fallthrough targets only) — see appendChunk
-//	3  front-loads the PC column inside each chunk (exception bitmap +
-//	   deltas before everything else) and compresses it as its own
-//	   flate stream (compressionSplit) so a PC-only scan — the phase
-//	   analysis BBV pass — decompresses only a few percent of each
-//	   chunk's payload
-//	4  run-native encoding: a trace-wide dictionary of straight-line
-//	   PC runs (grown chunk by chunk, repeated CRC-guarded in the
-//	   footer) turns each chunk into a stream of (run-id, repeat)
-//	   tokens plus a conditional-branch taken bitmap and a per-static-
-//	   site delta-coded address column — see codecv4.go. Requires the
-//	   program at write time (NewWriter's prog) so the encoder can
-//	   verify the stream is run-representable.
-//
-// Readers accept every listed version; writers emit the current one
-// unless a test pins an older version.
+// stale traces read as misses rather than garbage. Format 4 is the
+// run-native encoding described in codecv4.go; files in the retired
+// formats 1–3 fail with ErrUnsupportedVersion and must be re-recorded.
 const FormatVersion = 4
 
-// minFormatVersion is the oldest version readers still accept.
-const minFormatVersion = 1
+// Header and footer magics of the current format; the final byte is
+// the format version.
+const (
+	headerMagic = "BPTRACE4"
+	footerMagic = "BPTREND4"
+)
 
-// headerMagic returns the header magic for a format version.
-func headerMagic(version int) [8]byte {
-	return [8]byte{'B', 'P', 'T', 'R', 'A', 'C', 'E', '0' + byte(version)}
-}
-
-// footerMagic returns the footer magic for a format version.
-func footerMagic(version int) [8]byte {
-	return [8]byte{'B', 'P', 'T', 'R', 'E', 'N', 'D', '0' + byte(version)}
-}
+// ErrUnsupportedVersion reports a trace written in a format this
+// package no longer reads (formats 1–3). Re-record the trace.
+var ErrUnsupportedVersion = errors.New("trace: unsupported format version")
 
 // Compression kinds recorded per chunk frame.
 const (
 	compressionNone  = 0
 	compressionFlate = 1
 	// compressionSplit compresses the chunk as two independent flate
-	// streams cut at the end of the v3 PC column, so a PC-only scan
-	// inflates just the first. (Go's inflater decodes a whole 32KiB
+	// streams cut at the end of the token stream, so a run scan
+	// (ScanRunTokens) inflates just the first. (Go's inflater decodes a whole 32KiB
 	// window before returning any byte, so a partial read of a single
 	// stream cannot skip work — only a separate stream can.)
 	compressionSplit = 2
@@ -86,29 +63,6 @@ const maxFrameBytes = 64 << 20
 // ~275G events to hit it).
 const maxIndexChunks = 1 << 22
 
-// v2 footer geometry. After the terminator byte the v2 trailer is:
-//
-//	index payload:
-//	    uvarint chunkCount
-//	    chunkCount × { uvarint offsetDelta, uvarint events }
-//	        offsetDelta: frame-start file offset, delta-coded against
-//	        the previous frame start (first entry is absolute)
-//	uint32 LE   CRC-32 (IEEE) of the index payload
-//	fixed tail (tailLen bytes):
-//	    uint64 LE indexLen     length of the index payload in bytes
-//	    uint64 LE totalEvents
-//	    uint64 LE chunkCount
-//	uint32 LE   CRC-32 (IEEE) of the fixed tail
-//	[8]byte     footer magic "BPTREND2"
-//
-// The fixed-size suffix (tail + tailCRC + magic = tailFixedLen bytes)
-// lets an io.ReaderAt locate the index from the end of the file, while
-// a sequential reader parses the same trailer forward.
-const (
-	tailLen      = 24
-	tailFixedLen = tailLen + 4 + 8
-)
-
 // Meta is the trace header document: enough identity to rebind the
 // stream to the program that produced it, and to reject a replay
 // against the wrong binary.
@@ -127,7 +81,7 @@ type Meta struct {
 	Compression string `json:"compression"`
 }
 
-// chunkInfo is one entry of the v2 footer index: where a chunk's frame
+// chunkInfo is one entry of the footer index: where a chunk's frame
 // starts and how many events it decodes to. Base sequence numbers are
 // recovered by prefix-summing the event counts.
 type chunkInfo struct {
@@ -141,7 +95,7 @@ type chunkInfo struct {
 // compressed, CRC-stamped, and framed as they fill. Close flushes the
 // final partial chunk and the footer; it does not close w.
 //
-// A v4 Writer encodes runstream chunks (WriteChunk). Fed events, it
+// The Writer encodes runstream chunks (WriteChunk). Fed events, it
 // builds them with its own runstream.Builder; a recording that also
 // characterizes the stream shares one Builder between the analysis and
 // WriteChunk instead, so runs are built once. A Writer takes either
@@ -150,24 +104,21 @@ type chunkInfo struct {
 // I/O, encoding, and representability errors are sticky: the first
 // one is retained, further input is dropped, and Close returns it.
 type Writer struct {
-	w       io.Writer
-	meta    Meta
-	version int
-	flate   bool
-	recs    []Record           // pending chunk (formats v1–v3)
-	b       *runstream.Builder // v4 event input, created on first use
-	base    uint64
-	total   uint64
-	off     int64 // bytes written so far; next frame starts here
-	index   []chunkInfo
-	raw     []byte
-	comp    bytes.Buffer
-	split   []byte
-	fw      *flate.Writer
-	v4      *v4Writer // run-native encoder state (format v4 only)
-	err     error
-	header  bool
-	closed  bool
+	w      io.Writer
+	meta   Meta
+	flate  bool
+	b      *runstream.Builder // event input, created on first use
+	base   uint64             // events framed so far; next chunk's base
+	off    int64              // bytes written so far; next frame starts here
+	index  []chunkInfo
+	raw    []byte
+	comp   bytes.Buffer
+	split  []byte
+	fw     *flate.Writer
+	enc    *v4Writer
+	err    error
+	header bool
+	closed bool
 }
 
 // NewWriter creates a trace writer. Zero-valued meta fields are
@@ -175,56 +126,25 @@ type Writer struct {
 // with the first chunk so an aborted recording can leave nothing
 // behind.
 //
-// prog is the program the stream is recorded from; the v4 run-native
+// prog is the program the stream is recorded from; the run-native
 // encoder needs it to build the run dictionary and verify the stream
-// is run-representable. A nil prog falls back to format v3, which
-// encodes any event stream — synthetic test streams whose targets are
-// not the next committed PC, for example, have no v4 form.
+// is run-representable. A nil prog panics.
 func NewWriter(w io.Writer, meta Meta, prog *isa.Program) *Writer {
 	if prog == nil {
-		return newWriterVersion(w, meta, 3)
+		panic("trace: NewWriter requires the program")
 	}
-	return NewWriterVersion(w, meta, prog, FormatVersion)
-}
-
-// NewWriterVersion pins the output format version — the trace CLI's
-// -trace-version flag and the cross-version compatibility tests use
-// it. Version 4 requires prog (the run-native encoding cannot be
-// produced without the program text); earlier versions ignore it.
-func NewWriterVersion(w io.Writer, meta Meta, prog *isa.Program, version int) *Writer {
-	if version < minFormatVersion || version > FormatVersion {
-		panic(fmt.Sprintf("trace: unsupported format version %d", version))
-	}
-	tw := newWriterVersion(w, meta, version)
-	if version >= 4 {
-		if prog == nil {
-			panic("trace: format v4 requires the program")
-		}
-		tw.v4 = newV4Writer(prog)
-	}
-	return tw
-}
-
-// newWriterVersion pins the output format version without the v4
-// encoder; tests use it to produce v1–v3 traces for back-compat
-// coverage.
-func newWriterVersion(w io.Writer, meta Meta, version int) *Writer {
 	if meta.ChunkEvents <= 0 {
 		meta.ChunkEvents = ChunkEvents
 	}
 	if meta.Compression == "" {
 		meta.Compression = "flate"
 	}
-	tw := &Writer{
-		w:       w,
-		meta:    meta,
-		version: version,
-		flate:   meta.Compression == "flate",
+	return &Writer{
+		w:     w,
+		meta:  meta,
+		flate: meta.Compression == "flate",
+		enc:   newV4Writer(prog),
 	}
-	if version < 4 {
-		tw.recs = make([]Record, 0, meta.ChunkEvents)
-	}
-	return tw
 }
 
 var _ sim.BatchObserver = (*Writer)(nil)
@@ -236,26 +156,12 @@ func (tw *Writer) ObserveBatch(evs []sim.Event) {
 	if tw.err != nil || tw.closed {
 		return
 	}
-	if tw.v4 != nil {
-		if tw.b == nil {
-			tw.b = runstream.NewBuilder(tw.v4.prog, tw.meta.ChunkEvents, tw.WriteChunk)
-		}
-		tw.b.ObserveBatch(evs)
-		if err := tw.b.Err(); err != nil && tw.err == nil {
-			tw.err = fmt.Errorf("trace: %w", err)
-		}
-		return
+	if tw.b == nil {
+		tw.b = runstream.NewBuilder(tw.enc.prog, tw.meta.ChunkEvents, tw.WriteChunk)
 	}
-	for i := range evs {
-		tw.recs = append(tw.recs, Record{
-			PC:     evs[i].PC,
-			Target: evs[i].Target,
-			Addr:   evs[i].Addr,
-			Taken:  evs[i].Taken,
-		})
-		if len(tw.recs) == cap(tw.recs) {
-			tw.flush()
-		}
+	tw.b.ObserveBatch(evs)
+	if err := tw.b.Err(); err != nil && tw.err == nil {
+		tw.err = fmt.Errorf("trace: %w", err)
 	}
 }
 
@@ -267,19 +173,15 @@ func (tw *Writer) Events() uint64 {
 	if tw.b != nil {
 		return tw.b.Events()
 	}
-	return tw.total + uint64(len(tw.recs))
+	return tw.base
 }
 
-// WriteChunk encodes one dictionary-backed chunk as the next v4 chunk
+// WriteChunk encodes one dictionary-backed chunk as the next chunk
 // frame. Chunks must come in commit order from a single
 // runstream.Builder over the Writer's program, whose chunk size should
 // match Meta.ChunkEvents; ch is not retained.
 func (tw *Writer) WriteChunk(ch *runstream.Chunk) {
 	if tw.err != nil || tw.closed {
-		return
-	}
-	if tw.v4 == nil {
-		tw.err = fmt.Errorf("trace: chunk input needs a format v4 writer")
 		return
 	}
 	if ch.Base != tw.base {
@@ -292,7 +194,7 @@ func (tw *Writer) WriteChunk(ch *runstream.Chunk) {
 	}
 	var cut int
 	var err error
-	tw.raw, cut, err = tw.v4.appendChunk(tw.raw[:0], tw.base, ch)
+	tw.raw, cut, err = tw.enc.appendChunk(tw.raw[:0], tw.base, ch)
 	if err != nil {
 		tw.err = err
 		return
@@ -311,8 +213,7 @@ func (tw *Writer) writeHeader() {
 		return
 	}
 	var buf []byte
-	magic := headerMagic(tw.version)
-	buf = append(buf, magic[:]...)
+	buf = append(buf, headerMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(meta)))
 	buf = append(buf, meta...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(meta))
@@ -323,27 +224,8 @@ func (tw *Writer) writeHeader() {
 	tw.off += int64(len(buf))
 }
 
-// flush encodes, compresses, and frames the pending chunk.
-func (tw *Writer) flush() {
-	if tw.b != nil {
-		tw.b.Flush()
-		return
-	}
-	if tw.err != nil || len(tw.recs) == 0 {
-		return
-	}
-	tw.writeHeader()
-	if tw.err != nil {
-		return
-	}
-	tw.raw = appendChunk(tw.raw[:0], tw.base, tw.recs, tw.version)
-	tw.writeFrame(0, len(tw.recs))
-	tw.recs = tw.recs[:0]
-}
-
-// writeFrame compresses tw.raw — as two streams split at cut for v4,
-// or at the PC column's end for v3 — and writes it as the frame of a
-// chunk of n events.
+// writeFrame compresses tw.raw — as two streams split at cut when
+// that wins — and writes it as the frame of a chunk of n events.
 func (tw *Writer) writeFrame(cut, n int) {
 	payload := tw.raw
 	kind := byte(compressionNone)
@@ -353,11 +235,9 @@ func (tw *Writer) writeFrame(cut, n int) {
 			tw.fw = flateWriters.Get().(*flate.Writer)
 		}
 		tw.fw.Reset(&tw.comp)
-		if tw.version == 3 {
-			cut, _ = pcColumnEnd(tw.raw) // 0 (whole-chunk stream) if unparseable
-		}
 		if cut > 0 && cut < len(tw.raw) {
-			// Two streams: [0,cut) is the PC column, [cut,len) the rest.
+			// Two streams: [0,cut) is the token stream, [cut,len) the
+			// taken and address columns.
 			len1 := -1
 			if _, err := tw.fw.Write(tw.raw[:cut]); err == nil && tw.fw.Close() == nil {
 				len1 = tw.comp.Len()
@@ -398,20 +278,19 @@ func (tw *Writer) writeFrame(cut, n int) {
 	tw.index = append(tw.index, chunkInfo{offset: tw.off, events: uint64(n)})
 	tw.off += int64(len(frame)) + int64(len(payload))
 	tw.base += uint64(n)
-	tw.total = tw.base
 }
 
 // Close flushes the final partial chunk and writes the terminator and
-// footer. A v2 footer carries the CRC-protected per-chunk offset index
-// plus a fixed-size tail so both sequential readers and io.ReaderAt
-// consumers can validate it; a v1 footer carries counts only. Close
-// returns the writer's sticky error, and does not close the underlying
-// writer.
+// the footer (run dictionary, chunk index, fixed tail; see codecv4.go).
+// It returns the writer's sticky error, and does not close the
+// underlying writer.
 func (tw *Writer) Close() error {
 	if tw.closed {
 		return tw.err
 	}
-	tw.flush()
+	if tw.b != nil {
+		tw.b.Flush()
+	}
 	tw.closed = true
 	if tw.fw != nil {
 		flateWriters.Put(tw.fw)
@@ -423,136 +302,83 @@ func (tw *Writer) Close() error {
 	}
 	var buf []byte
 	buf = binary.AppendUvarint(buf, 0) // terminator: rawLen 0
-	magic := footerMagic(tw.version)
-	if tw.version == 1 {
-		var counts []byte
-		counts = binary.AppendUvarint(counts, tw.total)
-		counts = binary.AppendUvarint(counts, uint64(len(tw.index)))
-		buf = append(buf, counts...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(counts))
-		buf = append(buf, magic[:]...)
-	} else {
-		dictLen := 0
-		if tw.version >= 4 {
-			// The full run dictionary precedes the index so a random-
-			// access reader can decode any chunk without replaying the
-			// prefix that grew it.
-			dict := appendDictPayload(nil, tw.v4.dict.runs)
-			dictLen = len(dict)
-			buf = append(buf, dict...)
-			buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(dict))
-		}
-		var idx []byte
-		idx = binary.AppendUvarint(idx, uint64(len(tw.index)))
-		prev := int64(0)
-		for _, ci := range tw.index {
-			idx = binary.AppendUvarint(idx, uint64(ci.offset-prev))
-			idx = binary.AppendUvarint(idx, ci.events)
-			prev = ci.offset
-		}
-		buf = append(buf, idx...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(idx))
-		if tw.version >= 4 {
-			var tail [tailLenV4]byte
-			binary.LittleEndian.PutUint64(tail[0:8], uint64(len(idx)))
-			binary.LittleEndian.PutUint64(tail[8:16], tw.total)
-			binary.LittleEndian.PutUint64(tail[16:24], uint64(len(tw.index)))
-			binary.LittleEndian.PutUint64(tail[24:32], uint64(dictLen))
-			buf = append(buf, tail[:]...)
-			buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(tail[:]))
-		} else {
-			var tail [tailLen]byte
-			binary.LittleEndian.PutUint64(tail[0:8], uint64(len(idx)))
-			binary.LittleEndian.PutUint64(tail[8:16], tw.total)
-			binary.LittleEndian.PutUint64(tail[16:24], uint64(len(tw.index)))
-			buf = append(buf, tail[:]...)
-			buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(tail[:]))
-		}
-		buf = append(buf, magic[:]...)
+	// The full run dictionary precedes the index so a random-access
+	// reader can decode any chunk without replaying the prefix that
+	// grew it.
+	dict := appendDictPayload(nil, tw.enc.dict.runs)
+	buf = append(buf, dict...)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(dict))
+	var idx []byte
+	idx = binary.AppendUvarint(idx, uint64(len(tw.index)))
+	prev := int64(0)
+	for _, ci := range tw.index {
+		idx = binary.AppendUvarint(idx, uint64(ci.offset-prev))
+		idx = binary.AppendUvarint(idx, ci.events)
+		prev = ci.offset
 	}
+	buf = append(buf, idx...)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(idx))
+	var tail [tailLen]byte
+	binary.LittleEndian.PutUint64(tail[0:8], uint64(len(idx)))
+	binary.LittleEndian.PutUint64(tail[8:16], tw.base)
+	binary.LittleEndian.PutUint64(tail[16:24], uint64(len(tw.index)))
+	binary.LittleEndian.PutUint64(tail[24:32], uint64(len(dict)))
+	buf = append(buf, tail[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(tail[:]))
+	buf = append(buf, footerMagic...)
 	if _, err := tw.w.Write(buf); err != nil {
 		tw.err = fmt.Errorf("trace: write footer: %w", err)
 	}
 	return tw.err
 }
 
-// frame is one undecoded chunk as read from the stream.
+// frame is one undecoded chunk as read from the file.
 type frame struct {
 	rawLen  int
 	kind    byte
 	payload []byte
 }
 
-// Reader decodes a trace stream. NewReader consumes and validates the
-// header; chunks are then read with nextFrame until the footer, whose
-// counts — and, for v2, chunk offsets — are cross-checked against what
-// was actually decoded.
-type Reader struct {
-	br           *bufio.Reader
-	meta         Meta
-	version      int
-	chunks       uint64
-	off          int64 // stream offset of the next frame
-	offsets      []int64
-	payloadBuf   []byte
-	footerEvents uint64
-	done         bool
-	// dict is the v4 run dictionary, grown in commit order as chunks
-	// are decoded and cross-checked against the footer's copy. Decode
-	// order is the dictionary's consistency invariant, which is why
-	// ParallelEvents clamps v4 to one decode worker.
-	dict        *v4Dict
-	footerDict  []dictRun // the footer's dictionary copy, checked at EOF
-	dictPayload int       // bytes of the footer dictionary payload (v4)
-}
-
-// NewReader wraps r and reads the trace header. Both current and v1
-// traces are accepted; Version reports which was found.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+// readHeader reads and validates the trace header from r, returning
+// the header document and the header's length in bytes (the offset of
+// the first chunk frame). A file in a retired format fails with
+// ErrUnsupportedVersion.
+func readHeader(r io.Reader) (Meta, int64, error) {
+	br := bufio.NewReader(r)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: read magic: %w", err)
+		return Meta{}, 0, fmt.Errorf("trace: read magic: %w", err)
 	}
-	version := 0
-	for v := minFormatVersion; v <= FormatVersion; v++ {
-		if magic == headerMagic(v) {
-			version = v
-			break
+	if string(magic[:]) != headerMagic {
+		if string(magic[:7]) == headerMagic[:7] && magic[7] >= '1' && magic[7] <= '3' {
+			return Meta{}, 0, fmt.Errorf("%w: file is format v%c, this build reads only v%d; re-record the trace",
+				ErrUnsupportedVersion, magic[7], FormatVersion)
 		}
-	}
-	if version == 0 {
-		return nil, fmt.Errorf("trace: bad magic %q (want %q..%q)",
-			magic[:], headerMagic(minFormatVersion), headerMagic(FormatVersion))
+		return Meta{}, 0, fmt.Errorf("trace: bad magic %q (want %q)", magic[:], headerMagic)
 	}
 	metaLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: read meta length: %w", err)
+		return Meta{}, 0, fmt.Errorf("trace: read meta length: %w", err)
 	}
 	if metaLen > 1<<20 {
-		return nil, fmt.Errorf("trace: meta length %d too large", metaLen)
+		return Meta{}, 0, fmt.Errorf("trace: meta length %d too large", metaLen)
 	}
 	metaBuf := make([]byte, metaLen)
 	if _, err := io.ReadFull(br, metaBuf); err != nil {
-		return nil, fmt.Errorf("trace: read meta: %w", err)
+		return Meta{}, 0, fmt.Errorf("trace: read meta: %w", err)
 	}
 	var crc [4]byte
 	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return nil, fmt.Errorf("trace: read meta crc: %w", err)
+		return Meta{}, 0, fmt.Errorf("trace: read meta crc: %w", err)
 	}
 	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(metaBuf) {
-		return nil, fmt.Errorf("trace: meta checksum mismatch")
+		return Meta{}, 0, fmt.Errorf("trace: meta checksum mismatch")
 	}
 	var meta Meta
 	if err := json.Unmarshal(metaBuf, &meta); err != nil {
-		return nil, fmt.Errorf("trace: decode meta: %w", err)
+		return Meta{}, 0, fmt.Errorf("trace: decode meta: %w", err)
 	}
-	off := int64(8) + int64(uvarintLen(metaLen)) + int64(metaLen) + 4
-	tr := &Reader{br: br, meta: meta, version: version, off: off}
-	if version >= 4 {
-		tr.dict = newV4Dict()
-	}
-	return tr, nil
+	return meta, int64(len(magic)) + int64(uvarintLen(metaLen)) + int64(metaLen) + 4, nil
 }
 
 // uvarintLen returns the encoded size of u.
@@ -563,285 +389,4 @@ func uvarintLen(u uint64) int {
 		n++
 	}
 	return n
-}
-
-// Meta returns the header document.
-func (tr *Reader) Meta() Meta { return tr.meta }
-
-// Version returns the format version found in the header.
-func (tr *Reader) Version() int { return tr.version }
-
-// TotalEvents returns the footer's recorded event count; it is valid
-// once the stream has been fully read (the sources return io.EOF).
-func (tr *Reader) TotalEvents() uint64 { return tr.footerEvents }
-
-// nextFrame reads the next chunk frame, or io.EOF after validating the
-// terminator and footer. If reuse is true the payload is read into a
-// buffer owned by the Reader and is only valid until the next call —
-// the sequential source uses this to avoid a per-chunk allocation,
-// while the parallel source keeps distinct payloads in flight.
-func (tr *Reader) nextFrame(reuse bool) (frame, error) {
-	if tr.done {
-		return frame{}, io.EOF
-	}
-	frameOff := tr.off
-	rawLen, err := binary.ReadUvarint(tr.br)
-	if err != nil {
-		return frame{}, fmt.Errorf("trace: read chunk length (truncated trace?): %w", err)
-	}
-	if rawLen == 0 {
-		return frame{}, tr.readFooter()
-	}
-	if rawLen > maxFrameBytes {
-		return frame{}, fmt.Errorf("trace: chunk raw length %d too large", rawLen)
-	}
-	kind, err := tr.br.ReadByte()
-	if err != nil {
-		return frame{}, fmt.Errorf("trace: read compression kind: %w", err)
-	}
-	compLen, err := binary.ReadUvarint(tr.br)
-	if err != nil {
-		return frame{}, fmt.Errorf("trace: read payload length: %w", err)
-	}
-	if compLen > maxFrameBytes {
-		return frame{}, fmt.Errorf("trace: chunk payload length %d too large", compLen)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(tr.br, crc[:]); err != nil {
-		return frame{}, fmt.Errorf("trace: read chunk crc: %w", err)
-	}
-	var payload []byte
-	if reuse {
-		if cap(tr.payloadBuf) < int(compLen) {
-			tr.payloadBuf = make([]byte, compLen)
-		}
-		payload = tr.payloadBuf[:compLen]
-	} else {
-		payload = make([]byte, compLen)
-	}
-	if _, err := io.ReadFull(tr.br, payload); err != nil {
-		return frame{}, fmt.Errorf("trace: read chunk payload: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(payload) {
-		return frame{}, fmt.Errorf("trace: chunk %d checksum mismatch", tr.chunks)
-	}
-	tr.chunks++
-	tr.offsets = append(tr.offsets, frameOff)
-	tr.off += int64(uvarintLen(rawLen)) + 1 + int64(uvarintLen(compLen)) + 4 + int64(compLen)
-	return frame{rawLen: int(rawLen), kind: kind, payload: payload}, nil
-}
-
-// readFooter validates the trailer and returns io.EOF on success.
-func (tr *Reader) readFooter() error {
-	if tr.version == 1 {
-		return tr.readFooterV1()
-	}
-	if tr.version >= 4 {
-		if err := tr.readFooterDict(); err != nil {
-			return err
-		}
-	}
-	return tr.readFooterV2()
-}
-
-// readFooterDict parses the v4 footer's run-dictionary payload and
-// cross-checks it against the dictionary the reader grew while
-// decoding chunks (skipped when no chunk was decoded through this
-// reader — frame-level consumers validate structure only).
-func (tr *Reader) readFooterDict() error {
-	var dictBuf []byte
-	count, err := tr.readCountedUvarint(&dictBuf)
-	if err != nil {
-		return fmt.Errorf("trace: read footer dictionary count: %w", err)
-	}
-	if count > maxDictRuns {
-		return fmt.Errorf("trace: dictionary claims %d runs (max %d)", count, maxDictRuns)
-	}
-	footer := newV4Dict()
-	prev := int64(0)
-	for i := uint64(0); i < count; i++ {
-		u, err := tr.readCountedUvarint(&dictBuf)
-		if err != nil {
-			return fmt.Errorf("trace: read footer dictionary entry %d: %w", i, err)
-		}
-		pc := prev + unzigzag(u)
-		n, err := tr.readCountedUvarint(&dictBuf)
-		if err != nil {
-			return fmt.Errorf("trace: read footer dictionary entry %d: %w", i, err)
-		}
-		if pc < 0 || pc >= 1<<31 {
-			return fmt.Errorf("trace: dictionary run PC %d out of range", pc)
-		}
-		if err := footer.add(int32(pc), int64(n)); err != nil {
-			return err
-		}
-		prev = pc
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(tr.br, crc[:]); err != nil {
-		return fmt.Errorf("trace: read footer dictionary crc: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(dictBuf) {
-		return fmt.Errorf("trace: footer dictionary checksum mismatch")
-	}
-	tr.dictPayload = len(dictBuf)
-	tr.footerDict = footer.runs
-	return nil
-}
-
-// verifyFooterDict cross-checks the dictionary the chunks grew against
-// the footer's copy. It runs at EOF — not when the footer is parsed —
-// because a parallel consumer's reader goroutine reaches the footer
-// while chunks are still being decoded; the EOF delivery orders after
-// the last chunk's decode, so the grown dictionary is complete (and
-// safe to read) exactly there.
-func (tr *Reader) verifyFooterDict() error {
-	if tr.version < 4 {
-		return nil
-	}
-	if len(tr.dict.runs) != len(tr.footerDict) {
-		return fmt.Errorf("trace: footer dictionary has %d runs, chunks defined %d", len(tr.footerDict), len(tr.dict.runs))
-	}
-	for i, r := range tr.footerDict {
-		if tr.dict.runs[i] != r {
-			return fmt.Errorf("trace: footer dictionary run %d disagrees with chunk stream", i)
-		}
-	}
-	return nil
-}
-
-// readFooterV1 parses the counts-only v1 trailer.
-func (tr *Reader) readFooterV1() error {
-	countsBuf := make([]byte, 0, 2*binary.MaxVarintLen64)
-	total, err := tr.readCountedUvarint(&countsBuf)
-	if err != nil {
-		return fmt.Errorf("trace: read footer events: %w", err)
-	}
-	chunks, err := tr.readCountedUvarint(&countsBuf)
-	if err != nil {
-		return fmt.Errorf("trace: read footer chunks: %w", err)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(tr.br, crc[:]); err != nil {
-		return fmt.Errorf("trace: read footer crc: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(countsBuf) {
-		return fmt.Errorf("trace: footer checksum mismatch")
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(tr.br, magic[:]); err != nil {
-		return fmt.Errorf("trace: read footer magic: %w", err)
-	}
-	if magic != footerMagic(1) {
-		return fmt.Errorf("trace: bad footer magic %q", magic[:])
-	}
-	if chunks != tr.chunks {
-		return fmt.Errorf("trace: footer records %d chunks, decoded %d", chunks, tr.chunks)
-	}
-	tr.footerEvents = total
-	tr.done = true
-	return io.EOF
-}
-
-// readFooterV2 parses the indexed v2 trailer forward, cross-checking
-// the chunk offsets it recorded while streaming against the index.
-func (tr *Reader) readFooterV2() error {
-	var idxBuf []byte
-	count, err := tr.readCountedUvarint(&idxBuf)
-	if err != nil {
-		return fmt.Errorf("trace: read index chunk count: %w", err)
-	}
-	if count > maxIndexChunks {
-		return fmt.Errorf("trace: index claims %d chunks (max %d)", count, maxIndexChunks)
-	}
-	if count != tr.chunks {
-		return fmt.Errorf("trace: index records %d chunks, decoded %d", count, tr.chunks)
-	}
-	prev := int64(0)
-	var events uint64
-	for i := uint64(0); i < count; i++ {
-		delta, err := tr.readCountedUvarint(&idxBuf)
-		if err != nil {
-			return fmt.Errorf("trace: read index entry %d: %w", i, err)
-		}
-		ev, err := tr.readCountedUvarint(&idxBuf)
-		if err != nil {
-			return fmt.Errorf("trace: read index entry %d: %w", i, err)
-		}
-		off := prev + int64(delta)
-		if off != tr.offsets[i] {
-			return fmt.Errorf("trace: index offset %d for chunk %d, frame was at %d", off, i, tr.offsets[i])
-		}
-		prev = off
-		events += ev
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(tr.br, crc[:]); err != nil {
-		return fmt.Errorf("trace: read index crc: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(idxBuf) {
-		return fmt.Errorf("trace: index checksum mismatch")
-	}
-	tl := tailLen
-	if tr.version >= 4 {
-		tl = tailLenV4 // v4 appends the dictionary payload length
-	}
-	tail := make([]byte, tl)
-	if _, err := io.ReadFull(tr.br, tail); err != nil {
-		return fmt.Errorf("trace: read footer tail: %w", err)
-	}
-	var tailCRC [4]byte
-	if _, err := io.ReadFull(tr.br, tailCRC[:]); err != nil {
-		return fmt.Errorf("trace: read footer tail crc: %w", err)
-	}
-	if binary.LittleEndian.Uint32(tailCRC[:]) != crc32.ChecksumIEEE(tail) {
-		return fmt.Errorf("trace: footer tail checksum mismatch")
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(tr.br, magic[:]); err != nil {
-		return fmt.Errorf("trace: read footer magic: %w", err)
-	}
-	if magic != footerMagic(tr.version) {
-		return fmt.Errorf("trace: bad footer magic %q", magic[:])
-	}
-	indexLen := binary.LittleEndian.Uint64(tail[0:8])
-	total := binary.LittleEndian.Uint64(tail[8:16])
-	tailChunks := binary.LittleEndian.Uint64(tail[16:24])
-	if indexLen != uint64(len(idxBuf)) {
-		return fmt.Errorf("trace: footer tail records index length %d, parsed %d", indexLen, len(idxBuf))
-	}
-	if tr.version >= 4 {
-		if dictLen := binary.LittleEndian.Uint64(tail[24:32]); dictLen != uint64(tr.dictPayload) {
-			return fmt.Errorf("trace: footer tail records dictionary length %d, parsed %d", dictLen, tr.dictPayload)
-		}
-	}
-	if tailChunks != tr.chunks {
-		return fmt.Errorf("trace: footer records %d chunks, decoded %d", tailChunks, tr.chunks)
-	}
-	if events != total {
-		return fmt.Errorf("trace: index sums to %d events, footer records %d", events, total)
-	}
-	tr.footerEvents = total
-	tr.done = true
-	return io.EOF
-}
-
-// readCountedUvarint reads a uvarint while appending its raw bytes to
-// buf (for the footer CRC).
-func (tr *Reader) readCountedUvarint(buf *[]byte) (uint64, error) {
-	var u uint64
-	for shift := 0; ; shift += 7 {
-		b, err := tr.br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		*buf = append(*buf, b)
-		if shift >= 64 {
-			return 0, fmt.Errorf("uvarint overflow")
-		}
-		u |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return u, nil
-		}
-	}
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -44,24 +46,16 @@ func testProgramMixed(n int) *isa.Program {
 
 // writeTestTrace records n synthetic events through the BatchObserver
 // path with a small chunk size so multiple chunks are exercised, and
-// returns the encoded bytes plus the events.
+// returns the encoded bytes plus the events. The generated stream is
+// run-representable: targets name the next committed PC and the taken
+// and address fields respect each PC's class.
 func writeTestTrace(t *testing.T, n, chunk int) ([]byte, []sim.Event, *isa.Program) {
-	t.Helper()
-	return writeTestTraceVersion(t, n, chunk, FormatVersion)
-}
-
-// writeTestTraceVersion is writeTestTrace with a pinned format version,
-// so back-compat tests can produce v1 streams with today's writer. The
-// generated stream is run-representable — targets name the next
-// committed PC and the taken and address fields respect each PC's
-// class — so the same generator serves every version including v4.
-func writeTestTraceVersion(t *testing.T, n, chunk, version int) ([]byte, []sim.Event, *isa.Program) {
 	t.Helper()
 	prog := testProgramMixed(1 << 12)
 	evs := testEventStream(n, prog)
 	var buf bytes.Buffer
 	r := rand.New(rand.NewSource(int64(n) + 1))
-	tw := NewWriterVersion(&buf, Meta{Program: prog.Name, Size: "test", ChunkEvents: chunk}, prog, version)
+	tw := NewWriter(&buf, Meta{Program: prog.Name, Size: "test", ChunkEvents: chunk}, prog)
 	// Deliver in uneven slabs to exercise partial-chunk accumulation.
 	for lo := 0; lo < n; {
 		hi := lo + 1 + r.Intn(300)
@@ -78,6 +72,17 @@ func writeTestTraceVersion(t *testing.T, n, chunk, version int) ([]byte, []sim.E
 		t.Fatalf("writer accepted %d events, want %d", got, n)
 	}
 	return buf.Bytes(), evs, prog
+}
+
+// openTestTrace opens data through the indexed reader, failing the
+// test on error.
+func openTestTrace(t *testing.T, data []byte) *IndexedReader {
+	t.Helper()
+	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatalf("open trace: %v", err)
+	}
+	return ir
 }
 
 // testEventStream walks prog pseudo-randomly — mostly fallthrough with
@@ -142,115 +147,126 @@ func checkEvents(t *testing.T, got, want []sim.Event) {
 func TestStreamRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 255, 256, 257, 5000} {
 		data, evs, prog := writeTestTrace(t, n, 256)
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		ir := openTestTrace(t, data)
+		if ir.Meta().Program != "synthetic" || ir.Meta().Size != "test" {
+			t.Fatalf("n=%d: meta %+v", n, ir.Meta())
 		}
-		if tr.Meta().Program != "synthetic" || tr.Meta().Size != "test" {
-			t.Fatalf("n=%d: meta %+v", n, tr.Meta())
-		}
-		src := tr.Events(prog)
+		src := ir.Range(prog, 0, ir.Chunks())
 		got := drain(t, src)
 		src.Close()
 		checkEvents(t, got, evs)
-		if tr.TotalEvents() != uint64(n) {
-			t.Fatalf("n=%d: TotalEvents=%d", n, tr.TotalEvents())
+		if ir.TotalEvents() != uint64(n) {
+			t.Fatalf("n=%d: TotalEvents=%d", n, ir.TotalEvents())
 		}
 	}
 }
 
+// TestParallelStreamRoundTrip drains the worker-pool column source at
+// several widths and checks every column against the recorded events.
 func TestParallelStreamRoundTrip(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		data, evs, prog := writeTestTrace(t, 10000, 128)
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := tr.ParallelEvents(prog, workers)
-		got := drain(t, src)
-		src.Close()
-		checkEvents(t, got, evs)
+		ir := openTestTrace(t, data)
+		checkColumns(t, ir.Columns(context.Background(), prog, 0, ir.Chunks(), workers), evs, prog)
 	}
 }
 
 func TestParallelSourceEarlyClose(t *testing.T) {
 	data, _, prog := writeTestTrace(t, 20000, 64)
-	tr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := tr.ParallelEvents(prog, 4)
+	ir := openTestTrace(t, data)
+	src := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 4)
 	if _, _, err := src.Next(); err != nil {
 		t.Fatal(err)
 	}
 	src.Close() // must not deadlock with most chunks undelivered
 }
 
-type collector struct{ evs []sim.Event }
-
-func (c *collector) ObserveBatch(evs []sim.Event) {
-	c.evs = append(c.evs, evs...)
-}
-
-func TestReplayHelper(t *testing.T) {
-	data, evs, prog := writeTestTrace(t, 3000, 512)
-	tr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c collector
-	n, err := tr.Replay(context.Background(), prog, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3000 {
-		t.Fatalf("replayed %d events, want 3000", n)
-	}
-	checkEvents(t, c.evs, evs)
-}
-
+// TestReplayCancel cancels a column replay after its first chunk: the
+// source must stop with an error instead of draining to EOF.
 func TestReplayCancel(t *testing.T) {
 	data, _, prog := writeTestTrace(t, 3000, 64)
-	tr, err := NewReader(bytes.NewReader(data))
+	ir := openTestTrace(t, data)
+	ctx, cancel := context.WithCancel(context.Background())
+	src := ir.Columns(ctx, prog, 0, ir.Chunks(), 2)
+	defer src.Close()
+	_, release, err := src.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	release()
 	cancel()
-	var c collector
-	if _, err := tr.Replay(ctx, prog, &c); err == nil {
-		t.Fatal("replay with canceled context succeeded")
-	}
-}
-
-// replayAll decodes data fully, returning an error instead of failing,
-// for the corruption sweeps.
-func replayAll(data []byte, prog *isa.Program) error {
-	tr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	src := tr.Events(prog)
-	defer src.Close()
 	for {
 		_, release, err := src.Next()
 		if err == io.EOF {
-			return nil
+			t.Fatal("replay with canceled context drained to EOF")
 		}
 		if err != nil {
-			return err
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			return
 		}
 		release()
 	}
 }
 
+// readAll decodes data fully through every read path — Range events,
+// Columns chunks from two workers, and the run-token scan — and
+// returns each path's error; an open failure is every path's error.
+// The token scan reads only the token streams, so it legitimately
+// accepts damage confined to the taken and address columns.
+func readAll(data []byte, prog *isa.Program) (rangeErr, colErr, scanErr error) {
+	ir, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return err, err, err
+	}
+	src := ir.Range(prog, 0, ir.Chunks())
+	for {
+		_, release, err := src.Next()
+		if err != nil {
+			if err != io.EOF {
+				rangeErr = err
+			}
+			break
+		}
+		release()
+	}
+	src.Close()
+	csrc := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 2)
+	for {
+		_, release, err := csrc.Next()
+		if err != nil {
+			if err != io.EOF {
+				colErr = err
+			}
+			break
+		}
+		release()
+	}
+	csrc.Close()
+	scanErr = ir.ScanRunTokens(context.Background(), prog, 0, ir.Chunks(), func(pc, n int32, rep int64) {})
+	return rangeErr, colErr, scanErr
+}
+
+// requireRejected fails the test unless both full decoders reject data.
+func requireRejected(t *testing.T, data []byte, prog *isa.Program, what string) {
+	t.Helper()
+	rangeErr, colErr, _ := readAll(data, prog)
+	if rangeErr == nil {
+		t.Fatalf("%s: accepted by Range", what)
+	}
+	if colErr == nil {
+		t.Fatalf("%s: accepted by Columns", what)
+	}
+}
+
 func TestTruncatedTraceRejected(t *testing.T) {
 	data, _, prog := writeTestTrace(t, 2000, 256)
-	if err := replayAll(data, prog); err != nil {
-		t.Fatalf("pristine trace rejected: %v", err)
+	if r, c, s := readAll(data, prog); r != nil || c != nil || s != nil {
+		t.Fatalf("pristine trace rejected: %v / %v / %v", r, c, s)
 	}
 	for n := 0; n < len(data); n++ {
-		if err := replayAll(data[:n], prog); err == nil {
+		if _, err := NewIndexedReader(bytes.NewReader(data[:n]), int64(n)); err == nil {
 			t.Fatalf("truncation to %d of %d bytes accepted", n, len(data))
 		}
 	}
@@ -261,34 +277,30 @@ func TestBitFlippedTraceRejected(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte{}, data...)
-		mut[r.Intn(len(mut))] ^= 1 << r.Intn(8)
-		if bytes.Equal(mut, data) {
-			continue
-		}
-		if err := replayAll(mut, prog); err == nil {
-			t.Fatalf("trial %d: bit-flipped trace accepted", trial)
-		}
+		pos, bit := r.Intn(len(mut)), r.Intn(8)
+		mut[pos] ^= 1 << bit
+		requireRejected(t, mut, prog, fmt.Sprintf("trial %d: bit %d of byte %d flipped", trial, bit, pos))
 	}
 }
 
 func TestDecodeRejectsOutOfRangePC(t *testing.T) {
 	data, _, _ := writeTestTrace(t, 100, 64)
 	small := testProgram(1) // every PC > 0 is out of range
-	if err := replayAll(data, small); err == nil {
-		t.Fatal("replay against too-small program accepted")
+	rangeErr, colErr, scanErr := readAll(data, small)
+	if rangeErr == nil || colErr == nil || scanErr == nil {
+		t.Fatalf("decode against too-small program accepted: %v / %v / %v", rangeErr, colErr, scanErr)
 	}
 }
 
 func TestReaderRejectsBadHeader(t *testing.T) {
-	hm := headerMagic(FormatVersion)
 	for _, data := range [][]byte{
 		nil,
 		[]byte("BOGUSMAG"),
 		[]byte("BPTRACE9"),
 		[]byte("BPTRACE0"),
-		hm[:],
+		[]byte(headerMagic),
 	} {
-		if _, err := NewReader(bytes.NewReader(data)); err == nil {
+		if _, err := NewIndexedReader(bytes.NewReader(data), int64(len(data))); err == nil {
 			t.Fatalf("header %q accepted", data)
 		}
 	}
