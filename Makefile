@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test bench-test race race-concurrent smoke fuzz-smoke serve-smoke cluster-smoke experiments bench bench-service bench-trace bench-replay-scaling validate-timing sweep-smoke sample-smoke bench-sampling
+.PHONY: check fmt-check vet build test bench-test race race-concurrent smoke fuzz-smoke serve-smoke cluster-smoke experiments bench validate-timing sweep-smoke
 
 # check is the full gate: formatting, static analysis, build, the
 # race-enabled test suite, the benchmark module's own vet and tests,
@@ -67,14 +67,13 @@ validate-timing:
 sweep-smoke:
 	$(GO) run ./cmd/experiments -size test -timing test -only sweep > /dev/null
 
-# experiments reproduces the paper-scale artifacts and records the
-# perf trajectory in BENCH_experiments.json. The canonical tables use
-# the full-tier model (byte-identical to the paper reproduction); the
-# bench file additionally records fast-tier best-of-N timings, and the
-# sweep grid and causal ablations are appended to the text artifact.
+# experiments reproduces the paper-scale artifacts. The canonical
+# tables use the full-tier model (byte-identical to the paper
+# reproduction), and the sweep grid and causal ablations are appended
+# to the text artifact. Performance is measured by bench/run.sh.
 experiments:
 	$(GO) run ./cmd/experiments -size classB -timing classB -fidelity full \
-		-sweep -ablations -bench-json BENCH_experiments.json > experiments_classB.txt
+		-sweep -ablations > experiments_classB.txt
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -184,51 +183,3 @@ cluster-smoke:
 		|| { echo "cluster-smoke: healthz lacks the cluster section" >&2; exit 1; }; \
 	kill -TERM $$p1 $$p2 $$p3; wait $$p1 $$p2 $$p3 || true; \
 	echo "cluster-smoke: OK (cold on node 1, peer-served on nodes 2 and 3, $$peer peer fetches)"
-
-# sample-smoke proves the sampled characterization path end to end at
-# test size: tiny intervals force real clustering (the default 1Mi
-# intervals would degrade every test-size trace to exact), and the
-# accuracy/speedup JSON goes to a scratch path.
-sample-smoke:
-	$(GO) run ./cmd/bioperf bench-sampling -programs hmmsearch,predator \
-		-sizes test -interval 16384 -n 1 -json /tmp/BENCH_sampling_smoke.json
-
-# bench-sampling records sampled-vs-exact accuracy and speedup:
-# classB rows must land within the checked-in per-program tolerances
-# (internal/simpoint/tolerances_classB.json) and classC rows must beat
-# exact replay by at least 5x, or the target fails.
-bench-sampling:
-	$(GO) run ./cmd/bioperf bench-sampling -n 3 -check-errors -check-speedup 5 \
-		-json BENCH_sampling.json
-
-# bench-service records the daemon's cold vs cached characterize
-# latency over the loopback API at paper scale.
-bench-service:
-	$(GO) run ./cmd/bioperfd -bench BENCH_service.json -bench-size classB
-
-# bench-trace records cold vs store-served characterization plus the
-# block-characterized replay timings (including the worker-scaling
-# table) and writes the comparison JSON.
-TRACE_SIZE ?= classB
-TRACE_JSON ?= BENCH_trace.json
-bench-trace:
-	$(GO) run ./cmd/bioperf bench-trace -size $(TRACE_SIZE) -json $(TRACE_JSON)
-
-# bench-replay-scaling is bench-trace with the replay speedup floors
-# enforced: cold characterization over parallel replay must be at
-# least MIN_PARALLEL_SPEEDUP, and the GOMAXPROCS=4 replay must beat
-# the 1-worker wall clock by MIN_WALL_SCALING (true multi-core
-# scaling, not just beating the simulator). cold_ms is simulation plus
-# the live run-native analysis, which shares its engine with replay, so
-# the ratio is about what the simulator costs: three classB runs on a
-# 2-vCPU host measured 2.21x, 2.54x and 3.43x (BENCH_trace.json holds
-# the 2.54x run). The 1.75x default sits 20% under the slowest of
-# those; CI runs 1.5x on its noisier shared runner. The wall gate
-# self-skips on hosts with fewer than 4 CPUs, where a 4-way wall ratio
-# would measure the scheduler.
-MIN_PARALLEL_SPEEDUP ?= 1.75
-MIN_WALL_SCALING ?= 2
-bench-replay-scaling:
-	$(GO) run ./cmd/bioperf bench-trace -size $(TRACE_SIZE) -json $(TRACE_JSON) \
-		-min-parallel-speedup $(MIN_PARALLEL_SPEEDUP) \
-		-min-wall-scaling $(MIN_WALL_SCALING)

@@ -9,6 +9,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"bioperfload/internal/bio"
 	"bioperfload/internal/runner"
 	"bioperfload/internal/scoreboard/validate"
 )
@@ -19,7 +20,7 @@ import (
 // non-transformable programs, cross-platform cycle ratios) within the
 // checked-in per-program tolerances. Exits non-zero if any cell is out
 // of tolerance.
-func cmdValidateTiming(args []string, stderr io.Writer) int {
+func cmdValidateTiming(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("validate-timing", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sizeFlag := fs.String("size", "test", "input size (test|classB|classC)")
@@ -31,7 +32,7 @@ func cmdValidateTiming(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "validate-timing: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
-	sz, err := parseSize(*sizeFlag)
+	sz, err := bio.ParseSize(*sizeFlag)
 	if err != nil {
 		fmt.Fprintf(stderr, "validate-timing: -size: %v\n", err)
 		return 2
@@ -44,11 +45,11 @@ func cmdValidateTiming(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "validate-timing: %v\n", err)
 		return 1
 	}
-	fmt.Print(validate.Render(rows))
+	fmt.Fprint(stdout, validate.Render(rows))
 	if err := validate.Check(rows); err != nil {
 		fmt.Fprintf(stderr, "validate-timing: %v\n", err)
 		return 1
 	}
-	fmt.Printf("validate-timing: all %d cells within tolerance at %s\n", len(rows), sz)
+	fmt.Fprintf(stdout, "validate-timing: all %d cells within tolerance at %s\n", len(rows), sz)
 	return 0
 }

@@ -24,7 +24,7 @@ func TestParseArgsValid(t *testing.T) {
 }
 
 func TestParseArgsTimingFlags(t *testing.T) {
-	cfg, err := parseArgs([]string{"-fidelity", "full", "-sweep", "-bench-samples", "5"}, &strings.Builder{})
+	cfg, err := parseArgs([]string{"-fidelity", "full", "-sweep"}, &strings.Builder{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +33,6 @@ func TestParseArgsTimingFlags(t *testing.T) {
 	}
 	if !cfg.sweep {
 		t.Fatal("sweep flag not set")
-	}
-	if cfg.benchSamples != 5 {
-		t.Fatalf("benchSamples = %d, want 5", cfg.benchSamples)
 	}
 }
 
@@ -47,9 +44,8 @@ func TestParseArgsDefaults(t *testing.T) {
 	if cfg.size != bio.SizeB || cfg.timing != bio.SizeB || cfg.jobs != 0 || cfg.only != "" {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.fidelity != pipeline.FidelityFast || cfg.sweep || cfg.benchSamples != 3 {
-		t.Fatalf("unexpected timing defaults: fidelity=%v sweep=%v samples=%d",
-			cfg.fidelity, cfg.sweep, cfg.benchSamples)
+	if cfg.fidelity != pipeline.FidelityFast || cfg.sweep {
+		t.Fatalf("unexpected timing defaults: fidelity=%v sweep=%v", cfg.fidelity, cfg.sweep)
 	}
 }
 
@@ -68,7 +64,8 @@ func TestParseArgsRejects(t *testing.T) {
 		{"bad timing size", []string{"-timing", "huge"}, "-timing"},
 		{"unknown experiment", []string{"-only", "tab99"}, "unknown experiment"},
 		{"bad fidelity", []string{"-fidelity", "approximate"}, "-fidelity"},
-		{"zero bench samples", []string{"-bench-samples", "0"}, "invalid sample count 0"},
+		{"removed bench-json flag", []string{"-bench-json", "x"}, "flag provided but not defined: -bench-json"},
+		{"removed bench-samples flag", []string{"-bench-samples", "3"}, "flag provided but not defined: -bench-samples"},
 		{"stray positional args", []string{"tab5"}, "unexpected arguments"},
 	}
 	for _, tc := range cases {

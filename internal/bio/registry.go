@@ -46,6 +46,20 @@ func (s Size) String() string {
 	}
 }
 
+// ParseSize is the inverse of Size.String. It also accepts the short
+// spellings b/B and c/C for classB and classC.
+func ParseSize(s string) (Size, error) {
+	switch s {
+	case "test":
+		return SizeTest, nil
+	case "classB", "b", "B":
+		return SizeB, nil
+	case "classC", "c", "C":
+		return SizeC, nil
+	}
+	return 0, fmt.Errorf("unknown size %q (test|classB|classC)", s)
+}
+
 // Binder receives a program's input dataset. Both the functional
 // simulator's machine and the MiniC AST interpreter implement it, so
 // the same Bind function can feed either execution engine.

@@ -96,3 +96,59 @@ func TestDenseShardRestores(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseMatchesHybrid pins a shard that owns every PC to
+// NewPaperHybrid prediction for prediction: for an identical branch
+// stream, every Observe must report exactly the mispredict the
+// map-based hybrid would. The stream mixes strongly biased,
+// pattern-following, and noisy branches across a dense PC range plus
+// sparse high PCs (exercising the slice growth path), driven by a
+// fixed-seed xorshift so the test is deterministic.
+func TestDenseMatchesHybrid(t *testing.T) {
+	d := NewPaperDenseShard()
+	h := NewPaperHybrid()
+
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+
+	misses := 0
+	const events = 200_000
+	for i := 0; i < events; i++ {
+		r := next()
+		pc := int32(r % 211)
+		if r&0xff == 0 {
+			// Occasional sparse high index: the shard must grow its
+			// slice without disturbing existing state.
+			pc = int32(5000 + r%37)
+		}
+		var taken bool
+		switch pc % 3 {
+		case 0: // strongly biased taken
+			taken = (r>>16)&7 != 0
+		case 1: // short repeating pattern (local history learns this)
+			taken = i%5 < 2
+		default: // noisy
+			taken = (r>>24)&1 == 0
+		}
+
+		wantMiss := h.Predict(pc) != taken
+		h.Update(pc, taken)
+		gotMiss := d.Observe(pc, taken)
+		if gotMiss != wantMiss {
+			t.Fatalf("event %d (pc=%d taken=%v): dense miss=%v, hybrid miss=%v",
+				i, pc, taken, gotMiss, wantMiss)
+		}
+		if wantMiss {
+			misses++
+		}
+	}
+	// Sanity: the stream must actually exercise both outcomes.
+	if misses == 0 || misses == events {
+		t.Fatalf("degenerate stream: %d/%d mispredicts", misses, events)
+	}
+}

@@ -106,8 +106,8 @@ type Profile struct {
 	Source       string
 }
 
-// Stats reports a session's cache effectiveness, for tests and for
-// the -bench-json perf record.
+// Stats reports a session's cache effectiveness, for tests, the
+// experiments summary line and bioperfd's /metrics.
 type Stats struct {
 	Compiles              uint64 `json:"compiles"`                // compile-cache misses (actual compilations)
 	CompileHits           uint64 `json:"compile_hits"`            // compile-cache hits

@@ -83,7 +83,7 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 // SampledAnalyze runs the whole sampled pipeline over an indexed
 // trace: interval collection, clustering, representative replay with
 // warmup, and weighted extrapolation into one analysis. It is the
-// engine under the session's sampled tier and `bioperf bench-sampling`.
+// engine under the session's sampled tier and the bench/ warm workload.
 // A *simpoint.DegradeError means the trace is too small to sample.
 // The representative replays fan out perfectly — each owns a private
 // analysis — so jobs bounds both the collection scan and the replays.

@@ -37,7 +37,8 @@ import (
 // The values were set from measured tier disagreement at both test and
 // classB sizes (see DESIGN.md §10) with roughly a 25% margin; a model
 // regression that widens any program's error past its budget fails
-// `make validate-timing`.
+// `make validate-timing`. Every program needs an entry: Run refuses a
+// program without one.
 var TolerancePP = map[string]float64{
 	"clustalw":     9,  // measured max 6.8 (itanium2, classB)
 	"dnapenny":     22, // measured max 17.3 (pentium4, classB)
@@ -55,9 +56,6 @@ var TolerancePP = map[string]float64{
 	"promlk": 9,  // measured max 6.6 (pentium4, classB)
 }
 
-// defaultTolerance applies to programs without an explicit entry.
-const defaultTolerance = 15
-
 // Row is one (program, platform) validation cell.
 type Row struct {
 	Program       string
@@ -71,14 +69,22 @@ type Row struct {
 	// 100*|Fast-Full|/Full (non-transformable).
 	Err       float64
 	Tolerance float64
-	OK        bool
 }
+
+// OK reports whether the row is within its tolerance. A NaN error is
+// never OK.
+func (r Row) OK() bool { return r.Err <= r.Tolerance }
 
 // Run evaluates every program on every platform through both tiers and
 // returns the comparison rows in (program, platform) order.
 func Run(ctx context.Context, s *runner.Session, sz bio.Size) ([]Row, error) {
 	progs := bio.All()
 	plats := platform.All()
+	for _, p := range progs {
+		if _, ok := TolerancePP[p.Name]; !ok {
+			return nil, fmt.Errorf("validate: %s has no tolerance budget in TolerancePP", p.Name)
+		}
+	}
 	type cell struct{ full, fast pipeline.Stats }
 	// cells[prog][plat][variant]; non-transformables use variant 0 only.
 	cells := make([][][2]cell, len(progs))
@@ -126,10 +132,7 @@ func Run(ctx context.Context, s *runner.Session, sz bio.Size) ([]Row, error) {
 	}
 	var rows []Row
 	for i, p := range progs {
-		tol, ok := TolerancePP[p.Name]
-		if !ok {
-			tol = defaultTolerance
-		}
+		tol := TolerancePP[p.Name]
 		for j, pl := range plats {
 			r := Row{Program: p.Name, Platform: pl.Name, Transformable: p.Transformable, Tolerance: tol}
 			if p.Transformable {
@@ -153,7 +156,6 @@ func Run(ctx context.Context, s *runner.Session, sz bio.Size) ([]Row, error) {
 					r.Err = -r.Err
 				}
 			}
-			r.OK = r.Err <= tol
 			rows = append(rows, r)
 		}
 	}
@@ -164,7 +166,7 @@ func Run(ctx context.Context, s *runner.Session, sz bio.Size) ([]Row, error) {
 func Check(rows []Row) error {
 	var bad []string
 	for _, r := range rows {
-		if !r.OK {
+		if !r.OK() {
 			bad = append(bad, fmt.Sprintf("%s/%s err %.1f > tol %.1f", r.Program, r.Platform, r.Err, r.Tolerance))
 		}
 	}
@@ -187,7 +189,7 @@ func Render(rows []Row) string {
 			metric, unit = "speedup", "%"
 		}
 		status := "ok"
-		if !r.OK {
+		if !r.OK() {
 			status = "FAIL"
 		}
 		fmt.Fprintf(&b, "%-13s %-11s %-9s %8.1f%s %8.1f%s %6.1f %6.1f  %s\n",

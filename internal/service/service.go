@@ -325,16 +325,13 @@ type sweepSpec struct {
 	acc   runner.Accuracy
 }
 
+// parseSizeDefault resolves a request's size field; an absent field
+// selects classB.
 func parseSizeDefault(s string) (bio.Size, error) {
-	switch s {
-	case "", "classB", "b", "B":
+	if s == "" {
 		return bio.SizeB, nil
-	case "test":
-		return bio.SizeTest, nil
-	case "classC", "c", "C":
-		return bio.SizeC, nil
 	}
-	return 0, fmt.Errorf("unknown size %q (test|classB|classC)", s)
+	return bio.ParseSize(s)
 }
 
 // parseFidelityDefault resolves a request's fidelity field. Unlike

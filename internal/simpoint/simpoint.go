@@ -11,8 +11,8 @@
 // profile (loadchar.Snapshot arithmetic). The result is a profile
 // whose cost is proportional to k intervals plus one cheap decode
 // scan, instead of the full run — with the sampled-vs-exact error
-// measured at classB, where ground truth is cheap, and recorded in
-// BENCH_sampling.json.
+// measured at classB, where ground truth is cheap, and bounded by the
+// checked-in tolerances_classB.json.
 package simpoint
 
 import "fmt"

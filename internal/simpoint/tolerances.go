@@ -31,8 +31,9 @@ var tolerances = func() map[string]float64 {
 
 // ToleranceClassB returns the checked-in maximum acceptable profile
 // error (percentage points) for the program's classB sampled run, and
-// whether one is recorded. Both the error-bound test and
-// `bench-sampling -check-errors` gate on the same numbers.
+// whether one is recorded. Both the error-bound test
+// (TestSampledClassBWithinTolerance) and the bench/ warm workload's
+// correctness check gate on the same numbers.
 func ToleranceClassB(program string) (float64, bool) {
 	t, ok := tolerances[program]
 	return t, ok
