@@ -42,9 +42,19 @@ race-concurrent:
 	$(GO) test -race -count 3 -timeout 30m ./internal/loadchar ./internal/trace ./internal/service ./internal/runner ./internal/cluster ./internal/simpoint ./internal/bpred ./internal/cache
 
 # smoke regenerates every table and figure at test size through the
-# parallel session, proving the whole pipeline end to end.
+# parallel session, proving the whole pipeline end to end. It then
+# runs the full-tier sweep grid and ablations at -j 1 and -j 4 and
+# diffs their stdout: the grouped timing runs (runner EvaluateAll)
+# must give byte-identical tables in the same order at any pool width.
 smoke:
 	$(GO) run ./cmd/experiments -size test -timing test > /dev/null
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	for j in 1 4; do \
+		$(GO) run ./cmd/experiments -size test -timing test -fidelity full \
+			-sweep -ablations -j $$j > $$d/j$$j.txt; \
+	done; \
+	diff $$d/j1.txt $$d/j4.txt \
+		|| { echo "smoke: full-tier output differs between -j 1 and -j 4" >&2; exit 1; }
 
 # fuzz-smoke gives each trace fuzzer a short budget on top of its
 # seeds and checked-in corpus (which always run as part of `go test`):

@@ -69,8 +69,10 @@ type (
 	Profile = runner.Profile
 	// Fidelity selects the timing tier: FidelityFull is the
 	// cycle-level paper-reproduction model, FidelityFast the
-	// scoreboard approximation (about an order of magnitude faster,
-	// validated on speedup ratios — see internal/scoreboard).
+	// scoreboard approximation, validated on speedup ratios (see
+	// internal/scoreboard). The scoreboard is only ~25–30% cheaper
+	// per observed event; the fast tier's speed comes from observing
+	// 1/32 of the committed stream.
 	Fidelity = pipeline.Fidelity
 	// SessionStats reports a session's cache counters.
 	SessionStats = runner.Stats

@@ -123,7 +123,7 @@ func (p *Program) Compile(transformed bool, opts compiler.Options) (*isa.Program
 
 // Run compiles, binds inputs, executes, and validates the output
 // against the Go reference. Observers are attached before execution.
-func (p *Program) Run(transformed bool, sz Size, opts compiler.Options, obs ...sim.Observer) (*sim.Result, error) {
+func (p *Program) Run(transformed bool, sz Size, opts compiler.Options, obs ...sim.BatchObserver) (*sim.Result, error) {
 	prog, err := p.Compile(transformed, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
@@ -136,7 +136,7 @@ func (p *Program) Run(transformed bool, sz Size, opts compiler.Options, obs ...s
 		return nil, fmt.Errorf("%s: bind: %w", p.Name, err)
 	}
 	for _, o := range obs {
-		m.AddObserver(o)
+		m.AddBatchObserver(o)
 	}
 	res, err := m.Run()
 	if err != nil {

@@ -52,82 +52,26 @@ type ablationVariant struct {
 }
 
 // runVariants measures every variant's original/transformed cycle
-// pair on the session's worker pool, preserving variant order. On the
-// full tier each variant is two independent timing runs, so a sweep of
-// v variants fans out into 2v jobs; compiles dedupe through the
-// session cache. On the fast tier, variants sharing compiler options
-// share one functional run per variant set and direction — their
-// scoreboards all observe the same sampled stream.
+// pair through one runner.EvaluateAll call, preserving variant order.
+// Variants sharing compiler options share one functional run per
+// direction: their models all observe the same stream.
 func runVariants(ctx context.Context, s *runner.Session, p *bio.Program, variants []ablationVariant, sz bio.Size, fid pipeline.Fidelity) ([]AblationResult, error) {
-	out := make([]AblationResult, len(variants))
-	for i, v := range variants {
-		out[i].Variant = v.name
+	// jobs[2i] is variant i's original, jobs[2i+1] its transformed run.
+	jobs := make([]runner.TimingJob, 0, 2*len(variants))
+	for _, v := range variants {
+		cfg := v.cfg
+		cfg.Fidelity = fid
+		for _, tr := range []bool{false, true} {
+			jobs = append(jobs, runner.TimingJob{Program: p, Config: cfg, Opts: v.opts, Transformed: tr})
+		}
 	}
-	if fid == pipeline.FidelityFast {
-		// Group variants by compiler options; one grouped run per
-		// (options bucket, direction).
-		var groups []struct {
-			opts compiler.Options
-			idx  []int
-		}
-		for i, v := range variants {
-			found := false
-			for gi := range groups {
-				if groups[gi].opts == v.opts {
-					groups[gi].idx = append(groups[gi].idx, i)
-					found = true
-					break
-				}
-			}
-			if !found {
-				groups = append(groups, struct {
-					opts compiler.Options
-					idx  []int
-				}{opts: v.opts, idx: []int{i}})
-			}
-		}
-		err := s.ForEach(ctx, len(groups)*2, func(k int) error {
-			g, transformed := groups[k/2], k%2 == 1
-			cfgs := make([]pipeline.Config, len(g.idx))
-			for x, i := range g.idx {
-				c := variants[i].cfg
-				c.Fidelity = pipeline.FidelityFast
-				cfgs[x] = c
-			}
-			sts, err := s.EvaluateGroup(ctx, p, cfgs, g.opts, sz, transformed)
-			if err != nil {
-				return err
-			}
-			for x, i := range g.idx {
-				if transformed {
-					out[i].CyclesTrans = sts[x].Cycles
-				} else {
-					out[i].CyclesOrig = sts[x].Cycles
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	err := s.ForEach(ctx, len(variants)*2, func(k int) error {
-		i, transformed := k/2, k%2 == 1
-		v := variants[i]
-		st, err := s.EvaluateOpts(ctx, p, v.cfg, v.opts, sz, transformed)
-		if err != nil {
-			return err
-		}
-		if transformed {
-			out[i].CyclesTrans = st.Cycles
-		} else {
-			out[i].CyclesOrig = st.Cycles
-		}
-		return nil
-	})
+	sts, err := s.EvaluateAll(ctx, jobs, sz)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]AblationResult, len(variants))
+	for i, v := range variants {
+		out[i] = AblationResult{Variant: v.name, CyclesOrig: sts[2*i].Cycles, CyclesTrans: sts[2*i+1].Cycles}
 	}
 	return out, nil
 }
@@ -253,27 +197,15 @@ func AblateRestrict(ctx context.Context, s *runner.Session, progName, platName s
 	restrictOpts := opts
 	restrictOpts.Opt.RestrictParams = true
 
-	jobs := []struct {
-		transformed bool
-		opts        compiler.Options
-	}{
-		{false, opts},         // baseline
-		{false, restrictOpts}, // original + restrict-qualified params
-		{true, opts},          // hand-transformed
-	}
-	cycles := make([]uint64, len(jobs))
-	err = s.ForEach(ctx, len(jobs), func(i int) error {
-		st, err := s.EvaluateOpts(ctx, p, plat.Pipeline, jobs[i].opts, sz, jobs[i].transformed)
-		if err != nil {
-			return err
-		}
-		cycles[i] = st.Cycles
-		return nil
-	})
+	sts, err := s.EvaluateAll(ctx, []runner.TimingJob{
+		{Program: p, Config: plat.Pipeline, Opts: opts},                    // baseline
+		{Program: p, Config: plat.Pipeline, Opts: restrictOpts},            // original + restrict-qualified params
+		{Program: p, Config: plat.Pipeline, Opts: opts, Transformed: true}, // hand-transformed
+	}, sz)
 	if err != nil {
 		return nil, err
 	}
-	base, restr, trans := cycles[0], cycles[1], cycles[2]
+	base, restr, trans := sts[0].Cycles, sts[1].Cycles, sts[2].Cycles
 	return []AblationResult{
 		{Variant: "baseline", CyclesOrig: base, CyclesTrans: base},
 		{Variant: "baseline+restrict", CyclesOrig: base, CyclesTrans: restr},

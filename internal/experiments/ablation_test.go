@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 
@@ -9,6 +10,20 @@ import (
 	"bioperfload/internal/pipeline"
 	"bioperfload/internal/runner"
 )
+
+// checkAblationGolden pins a full-tier ablation's rendering at test
+// size to its checked-in golden, so regrouping the timing runs can
+// never move a cycle count.
+func checkAblationGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("full-tier ablation at test size diverged from testdata/%s:\n%s", name, got)
+	}
+}
 
 // TestL1LatencyAblation checks the paper's causal claim directly:
 // the transformation's benefit comes substantially from hiding the
@@ -31,6 +46,7 @@ func TestL1LatencyAblation(t *testing.T) {
 	if !strings.Contains(RenderAblation("L1", rows), "L1=3cyc") {
 		t.Error("rendering broken")
 	}
+	checkAblationGolden(t, "ablation_l1_full_test.golden", RenderAblation("L1 hit latency sweep (Alpha model)", rows))
 }
 
 // TestPredictorAblation: with a worse predictor the mispredictions
@@ -41,6 +57,7 @@ func TestPredictorAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAblationGolden(t, "ablation_predictor_full_test.golden", RenderAblation("branch predictor (Alpha model)", rows))
 	byName := map[string]AblationResult{}
 	for _, r := range rows {
 		byName[r.Variant] = r
@@ -62,6 +79,7 @@ func TestPassAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAblationGolden(t, "ablation_passes_full_test.golden", RenderAblation("compiler passes (Alpha model)", rows))
 	byName := map[string]AblationResult{}
 	for _, r := range rows {
 		byName[r.Variant] = r
@@ -98,11 +116,13 @@ func TestPassAblation(t *testing.T) {
 // eliminates the branches, which restrict cannot).
 func TestRestrictAblation(t *testing.T) {
 	s := runner.NewSession(0)
+	var rendered string
 	measure := func(plat string) (base, restr, trans uint64) {
 		rows, err := AblateRestrict(context.Background(), s, "hmmsearch", plat, bio.SizeTest, pipeline.FidelityFull)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rendered += RenderAblation("restrict parameters ("+plat+")", rows)
 		t.Logf("%s: baseline %d, +restrict %d (%.1f%%), hand-transformed %d (%.1f%%)",
 			plat, rows[0].CyclesTrans, rows[1].CyclesTrans,
 			100*(float64(rows[0].CyclesTrans)/float64(rows[1].CyclesTrans)-1),
@@ -129,4 +149,5 @@ func TestRestrictAblation(t *testing.T) {
 	if trans >= base {
 		t.Errorf("alpha21264: hand transformation should speed up the baseline")
 	}
+	checkAblationGolden(t, "ablation_restrict_full_test.golden", rendered)
 }

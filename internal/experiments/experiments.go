@@ -394,139 +394,47 @@ type Table8Cell struct {
 // Table8 runs the six transformable programs, original and
 // load-transformed, on all four platform models on a fresh session.
 func Table8(sz bio.Size) ([]Table8Cell, error) {
-	return Table8Session(context.Background(), runner.NewSession(0), sz)
+	return Table8SessionFidelity(context.Background(), runner.NewSession(0), sz, pipeline.FidelityFull)
 }
 
-// Table8Session fans the 6 programs x 4 platforms x 2 variants = 48
-// timing simulations out across the session's worker pool. Cell order
-// (program-major, platform-minor) and cell contents are identical to
-// the sequential path; compiles are deduplicated per (program,
-// variant, register budget) by the session's compile cache.
-func Table8Session(ctx context.Context, s *runner.Session, sz bio.Size) ([]Table8Cell, error) {
-	return Table8SessionFidelity(ctx, s, sz, pipeline.FidelityFull)
-}
-
-// Table8SessionFidelity is Table8Session with an explicit timing tier.
-// The full tier runs each of the 48 cells as its own simulation and is
-// byte-identical to the historical output. The fast tier restructures
-// the work around runner.EvaluateGroup: platforms that share a
-// register budget (Alpha and PowerPC compile identically) share one
-// functional run per (program, variant), every platform's scoreboard
-// rides that run as a sampled observer, and cells are scattered back
-// into the same program-major, platform-minor order.
+// Table8SessionFidelity measures the 6 programs x 4 platforms x 2
+// variants = 48 timing jobs on the given tier through one
+// runner.EvaluateAll call. Platforms that share a register budget
+// (Alpha and PowerPC compile identically) share one functional run per
+// (program, variant), so either tier costs 36 runs. Cells come back in
+// program-major, platform-minor order.
 func Table8SessionFidelity(ctx context.Context, s *runner.Session, sz bio.Size, fid pipeline.Fidelity) ([]Table8Cell, error) {
 	progs := bio.Transformed()
 	plats := platform.All()
-	nCells := len(progs) * len(plats)
-	statsOrig := make([]pipeline.Stats, nCells)
-	statsTrans := make([]pipeline.Stats, nCells)
-	var err error
-	if fid == pipeline.FidelityFast {
-		err = table8Fast(ctx, s, sz, progs, plats, statsOrig, statsTrans)
-	} else {
-		err = s.ForEach(ctx, nCells*2, func(k int) error {
-			i, transformed := k/2, k%2 == 1
-			p := progs[i/len(plats)]
-			plat := plats[i%len(plats)]
-			st, err := s.Evaluate(ctx, p, plat, sz, transformed)
-			if err != nil {
-				return err
+	// jobs[(i*2+v)*len(plats)+j] times program i, variant v, platform j.
+	var jobs []runner.TimingJob
+	for _, p := range progs {
+		for _, tr := range []bool{false, true} {
+			for _, pl := range plats {
+				jobs = append(jobs, runner.TimingJob{Program: p, Config: pl.WithFidelity(fid).Pipeline, Opts: pl.EvalOptions(), Transformed: tr})
 			}
-			if transformed {
-				statsTrans[i] = st
-			} else {
-				statsOrig[i] = st
-			}
-			return nil
-		})
+		}
 	}
+	sts, err := s.EvaluateAll(ctx, jobs, sz)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Table8Cell, 0, nCells)
-	for i := 0; i < nCells; i++ {
-		so, st := statsOrig[i], statsTrans[i]
-		cell := Table8Cell{
-			Program: progs[i/len(plats)].Name, Platform: plats[i%len(plats)].Name,
-			CyclesOrig: so.Cycles, CyclesTrans: st.Cycles,
-			StatsOrig: so, StatsTrans: st,
+	out := make([]Table8Cell, 0, len(progs)*len(plats))
+	for i, p := range progs {
+		for j, pl := range plats {
+			so, st := sts[(i*2)*len(plats)+j], sts[(i*2+1)*len(plats)+j]
+			cell := Table8Cell{
+				Program: p.Name, Platform: pl.Name,
+				CyclesOrig: so.Cycles, CyclesTrans: st.Cycles,
+				StatsOrig: so, StatsTrans: st,
+			}
+			if st.Cycles > 0 {
+				cell.Speedup = float64(so.Cycles)/float64(st.Cycles) - 1
+			}
+			out = append(out, cell)
 		}
-		if st.Cycles > 0 {
-			cell.Speedup = float64(so.Cycles)/float64(st.Cycles) - 1
-		}
-		out = append(out, cell)
 	}
 	return out, nil
-}
-
-// platGroup is a set of platform indices sharing one compiled stream.
-type platGroup struct {
-	opts    compiler.Options
-	platIdx []int
-}
-
-// groupPlatforms buckets platforms by their compiler options: within a
-// bucket the compiled program — and therefore the committed stream —
-// is identical, so one functional run can feed every bucket member.
-func groupPlatforms(plats []platform.Platform) []platGroup {
-	var groups []platGroup
-	for j, pl := range plats {
-		opts := pl.EvalOptions()
-		found := false
-		for gi := range groups {
-			if groups[gi].opts == opts {
-				groups[gi].platIdx = append(groups[gi].platIdx, j)
-				found = true
-				break
-			}
-		}
-		if !found {
-			groups = append(groups, platGroup{opts: opts, platIdx: []int{j}})
-		}
-	}
-	return groups
-}
-
-// table8Fast measures every cell on the scoreboard tier: one grouped
-// run per (program, variant, register budget).
-func table8Fast(ctx context.Context, s *runner.Session, sz bio.Size, progs []*bio.Program, plats []platform.Platform, statsOrig, statsTrans []pipeline.Stats) error {
-	groups := groupPlatforms(plats)
-	type unit struct {
-		prog        int
-		transformed bool
-		group       int
-	}
-	var units []unit
-	for i := range progs {
-		for _, tr := range []bool{false, true} {
-			for g := range groups {
-				units = append(units, unit{prog: i, transformed: tr, group: g})
-			}
-		}
-	}
-	return s.ForEach(ctx, len(units), func(k int) error {
-		u := units[k]
-		g := groups[u.group]
-		cfgs := make([]pipeline.Config, len(g.platIdx))
-		for x, j := range g.platIdx {
-			c := plats[j].Pipeline
-			c.Fidelity = pipeline.FidelityFast
-			cfgs[x] = c
-		}
-		sts, err := s.EvaluateGroup(ctx, progs[u.prog], cfgs, g.opts, sz, u.transformed)
-		if err != nil {
-			return err
-		}
-		for x, j := range g.platIdx {
-			idx := u.prog*len(plats) + j
-			if u.transformed {
-				statsTrans[idx] = sts[x]
-			} else {
-				statsOrig[idx] = sts[x]
-			}
-		}
-		return nil
-	})
 }
 
 // RenderTable8 renders the cycle counts.

@@ -19,7 +19,7 @@ import (
 // work can cover it), and mispredict penalty (the pipeline-depth proxy
 // for the load-to-branch cost) — across all six transformed programs.
 // Every grid point rides the same twelve functional runs (six
-// programs, two variants) through runner.EvaluateGroup, so a 45-point
+// programs, two variants) through runner.EvaluateAll, so a 45-point
 // grid costs little more than one fast Table 8 column.
 
 // SweepPoint is one machine configuration of the grid, expressed as
@@ -79,26 +79,16 @@ func SweepSession(ctx context.Context, s *runner.Session, sz bio.Size, points []
 		c.Fidelity = pipeline.FidelityFast
 		cfgs[i] = c
 	}
-	opts := base.EvalOptions()
-	// cycles[prog][variant][point]
-	cycles := make([][2][]uint64, len(progs))
-	err := s.ForEach(ctx, len(progs)*2, func(k int) error {
-		i, transformed := k/2, k%2 == 1
-		sts, err := s.EvaluateGroup(ctx, progs[i], cfgs, opts, sz, transformed)
-		if err != nil {
-			return err
+	// jobs[(i*2+v)*len(points)+x] times program i, variant v, point x.
+	var jobs []runner.TimingJob
+	for _, p := range progs {
+		for _, tr := range []bool{false, true} {
+			for _, c := range cfgs {
+				jobs = append(jobs, runner.TimingJob{Program: p, Config: c, Opts: base.EvalOptions(), Transformed: tr})
+			}
 		}
-		cyc := make([]uint64, len(points))
-		for x, st := range sts {
-			cyc[x] = st.Cycles
-		}
-		v := 0
-		if transformed {
-			v = 1
-		}
-		cycles[i][v] = cyc
-		return nil
-	})
+	}
+	sts, err := s.EvaluateAll(ctx, jobs, sz)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +98,7 @@ func SweepSession(ctx context.Context, s *runner.Session, sz bio.Size, points []
 		var invSum float64
 		n := 0
 		for i, p := range progs {
-			orig, trans := cycles[i][0][x], cycles[i][1][x]
+			orig, trans := sts[(i*2)*len(points)+x].Cycles, sts[(i*2+1)*len(points)+x].Cycles
 			var sp float64
 			if trans > 0 {
 				sp = float64(orig)/float64(trans) - 1

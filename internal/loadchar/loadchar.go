@@ -100,7 +100,7 @@ type seqTable struct {
 
 // Analysis performs the full characterization. Create with New, attach
 // to a machine (or feed it chunks), then query the report methods. It
-// implements both sim.Observer and sim.BatchObserver. Observation is
+// implements sim.BatchObserver. Observation is
 // single-goroutine; once it has ended, the report methods are safe for
 // concurrent use.
 type Analysis struct {
@@ -130,7 +130,6 @@ type liveEngine struct {
 	mem *memLane
 	ann chunkAnn
 	b   *runstream.Builder // created by the first ObserveBatch
-	one [1]sim.Event       // backs the per-event Observe path
 	// mu serializes sync, so report methods may run concurrently once
 	// observation has ended (a cached profile serves many requests).
 	mu sync.Mutex
@@ -150,10 +149,7 @@ func New(p *isa.Program) *Analysis {
 	}}
 }
 
-var (
-	_ sim.Observer      = (*Analysis)(nil)
-	_ sim.BatchObserver = (*Analysis)(nil)
-)
+var _ sim.BatchObserver = (*Analysis)(nil)
 
 // observing returns the live engine, panicking on a report-only
 // analysis.
@@ -174,14 +170,6 @@ func (a *Analysis) ObserveBatch(evs []sim.Event) {
 		l.b = runstream.NewBuilder(a.prog, chunkEvents, a.ObserveChunk)
 	}
 	l.b.ObserveBatch(evs)
-}
-
-// Observe implements sim.Observer (the legacy per-event path) by
-// wrapping the event in a one-element slab.
-func (a *Analysis) Observe(ev *sim.Event) {
-	l := a.observing()
-	l.one[0] = *ev
-	a.ObserveBatch(l.one[:])
 }
 
 // ObserveChunk characterizes one dictionary-backed chunk, in commit

@@ -29,7 +29,7 @@ func analyze(t *testing.T, name string) *Analysis {
 		t.Fatal(err)
 	}
 	a := New(prog)
-	m.AddObserver(a)
+	m.AddBatchObserver(a)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestAnalysisOnHandBuiltProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := New(prog)
-	m.AddObserver(a)
+	m.AddBatchObserver(a)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestChainDepthLimit(t *testing.T) {
 	prog := b.MustProgram()
 	m, _ := sim.New(prog)
 	a := New(prog)
-	m.AddObserver(a)
+	m.AddBatchObserver(a)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestBranchToLoadDetection(t *testing.T) {
 
 	m, _ := sim.New(prog)
 	a := New(prog)
-	m.AddObserver(a)
+	m.AddBatchObserver(a)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

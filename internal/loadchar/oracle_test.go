@@ -149,7 +149,7 @@ func captureSlabs(t *testing.T, name string) (*isa.Program, *Analysis, [][]sim.E
 		t.Fatal(err)
 	}
 	live := New(prog)
-	m.AddObserver(live)
+	m.AddBatchObserver(live)
 	var slabs [][]sim.Event
 	m.AddBatchObserver(batchFunc(func(evs []sim.Event) {
 		slabs = append(slabs, append([]sim.Event(nil), evs...))
@@ -231,19 +231,20 @@ func TestRunNativeMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestObserveLegacyPathMatchesBatch checks the per-event Observer path
-// (used by older call sites) agrees with the batch path.
-func TestObserveLegacyPathMatchesBatch(t *testing.T) {
+// TestOneEventSlabsMatchBatch checks slab boundaries are invisible:
+// the same stream delivered one event per ObserveBatch call
+// characterizes identically to whole slabs.
+func TestOneEventSlabsMatchBatch(t *testing.T) {
 	prog, live, slabs := captureSlabs(t, "promlk")
 	one := New(prog)
 	for _, evs := range slabs {
 		for i := range evs {
-			one.Observe(&evs[i])
+			one.ObserveBatch(evs[i : i+1])
 		}
 	}
 	want := RenderProfile("promlk", "test", live, 10)
 	if got := RenderProfile("promlk", "test", one, 10); got != want {
-		t.Errorf("per-event path differs from batch path")
+		t.Errorf("one-event slabs differ from whole slabs")
 	}
 }
 

@@ -163,9 +163,9 @@ const (
 	slotMask = slotSize - 1
 )
 
-// Model is a timing simulator fed with committed instructions via
-// Observe. It implements sim.Observer so it can be attached directly
-// to a functional machine.
+// Model is a timing simulator fed with committed instructions. It
+// implements sim.BatchObserver so it can be attached directly to a
+// functional machine.
 type Model struct {
 	cfg  Config
 	hier *cache.Hierarchy
@@ -268,10 +268,7 @@ func (m *Model) Branches() *bpred.Tracker { return m.bp }
 // Hierarchy exposes the cache state.
 func (m *Model) Hierarchy() *cache.Hierarchy { return m.hier }
 
-var (
-	_ sim.Observer      = (*Model)(nil)
-	_ sim.BatchObserver = (*Model)(nil)
-)
+var _ sim.BatchObserver = (*Model)(nil)
 
 // ObserveBatch implements sim.BatchObserver: each slab advances the
 // timing model with direct calls, avoiding per-instruction interface
@@ -279,13 +276,12 @@ var (
 // slab afterwards).
 func (m *Model) ObserveBatch(evs []sim.Event) {
 	for i := range evs {
-		m.Observe(&evs[i])
+		m.observe(&evs[i])
 	}
 }
 
-// Observe implements sim.Observer: it advances the timing model by one
-// committed instruction.
-func (m *Model) Observe(ev *sim.Event) {
+// observe advances the timing model by one committed instruction.
+func (m *Model) observe(ev *sim.Event) {
 	in := ev.Inst
 	m.stats.Instructions++
 

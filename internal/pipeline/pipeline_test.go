@@ -28,7 +28,7 @@ func run(t testing.TB, cfg Config, prog *isa.Program) Stats {
 		t.Fatal(err)
 	}
 	model := NewModel(cfg)
-	m.AddObserver(model)
+	m.AddBatchObserver(model)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func BenchmarkModelThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	model := NewModel(testConfig())
-	m.AddObserver(model)
+	m.AddBatchObserver(model)
 	b.ResetTimer()
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)

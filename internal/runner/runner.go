@@ -16,11 +16,17 @@
 //     simulations out across cores with deterministic output ordering
 //     — results land in caller-indexed slots, and the reported error
 //     is always the lowest-index failure, so a parallel session is
-//     byte-identical to a sequential one.
+//     byte-identical to a sequential one;
+//   - one timing fan-out (EvaluateAll) that groups timing jobs by the
+//     stream they time — (program, variant, compiler options, tier) —
+//     and runs each group as one functional simulation with every
+//     member's model attached.
 //
-// Timing runs (Evaluate) are deliberately not memoized: every call
-// must train a fresh pipeline model. They still share the compile
-// cache, which is where Table 8's redundancy lived.
+// Timing runs are deliberately not memoized: every call trains fresh
+// models. Table 8's redundancy lives in the stream, not the compile:
+// platforms sharing a register budget (Alpha and PowerPC) time the
+// same committed instructions, so EvaluateAll runs the 48 cells of
+// either tier as 36 functional simulations.
 package runner
 
 import (
@@ -381,7 +387,7 @@ func (s *Session) characterize(ctx context.Context, p *bio.Program, sz bio.Size)
 	rec.commit(res.Instructions)
 	prof := &Profile{Name: p.Name, Instructions: res.Instructions, Analysis: a, Source: "cold"}
 	if s.store != nil {
-		s.storeProfile(prof, sz, fp)
+		s.storeProfile(prof, profKey(fp, sz), fp)
 	}
 	return prof, nil
 }
@@ -404,22 +410,76 @@ func (s *Session) CharacterizeAll(ctx context.Context, sz bio.Size) ([]*Profile,
 
 // Evaluate runs one program (original or transformed) on a platform's
 // timing model, compiling with that platform's register budget via
-// the compile cache, and returns the cycle-level statistics. The
-// timing run itself is never cached: each call trains a fresh model.
+// the compile cache, and returns the cycle-level statistics. It is a
+// one-job EvaluateAll.
 func (s *Session) Evaluate(ctx context.Context, p *bio.Program, plat platform.Platform, sz bio.Size, transformed bool) (pipeline.Stats, error) {
-	return s.EvaluateOpts(ctx, p, plat.Pipeline, plat.EvalOptions(), sz, transformed)
-}
-
-// EvaluateOpts is Evaluate with an explicit pipeline configuration
-// and compiler options (the ablations sweep both). cfg.Fidelity
-// selects the timing tier: the full out-of-order model, or the fast
-// scoreboard tier with sampled observation.
-func (s *Session) EvaluateOpts(ctx context.Context, p *bio.Program, cfg pipeline.Config, opts compiler.Options, sz bio.Size, transformed bool) (pipeline.Stats, error) {
-	sts, err := s.EvaluateGroup(ctx, p, []pipeline.Config{cfg}, opts, sz, transformed)
+	sts, err := s.EvaluateAll(ctx, []TimingJob{{Program: p, Config: plat.Pipeline, Opts: plat.EvalOptions(), Transformed: transformed}}, sz)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
 	return sts[0], nil
+}
+
+// TimingJob is one timing measurement: a program variant compiled
+// with Opts and timed on the machine Config describes. Config.Fidelity
+// selects the tier: the full out-of-order model, or the fast
+// scoreboard tier with sampled observation.
+type TimingJob struct {
+	Program     *bio.Program
+	Config      pipeline.Config
+	Opts        compiler.Options
+	Transformed bool
+}
+
+// EvaluateAll is the session's one timing fan-out. Jobs that time the
+// same stream form a group, and each group is ONE functional
+// simulation with every member's model attached, so k machine configs
+// sharing a compiled program cost one run plus k model updates. Groups
+// run on the worker pool in first-appearance order; the stats come
+// back in job order. Timing runs are never memoized: every call trains
+// fresh models.
+func (s *Session) EvaluateAll(ctx context.Context, jobs []TimingJob, sz bio.Size) ([]pipeline.Stats, error) {
+	groups := groupJobs(jobs)
+	out := make([]pipeline.Stats, len(jobs))
+	err := s.ForEach(ctx, len(groups), func(g int) error {
+		return s.evaluateGroup(ctx, jobs, groups[g], sz, out)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FunctionalRuns returns how many functional simulations EvaluateAll
+// spends on jobs: the number of distinct streams they time.
+func FunctionalRuns(jobs []TimingJob) int { return len(groupJobs(jobs)) }
+
+// groupJobs buckets job indices by the committed-instruction stream
+// they time, in first-appearance order. A stream is the compiled
+// program, as Compile keys it, plus the tier, which decides whether the
+// stream is sampled. pipeline.Config is not part of it, and is not
+// comparable: it holds a Predictor func.
+func groupJobs(jobs []TimingJob) [][]int {
+	type streamKey struct {
+		compile  CompileKey
+		fidelity pipeline.Fidelity
+	}
+	var groups [][]int
+	index := make(map[streamKey]int)
+	for i, j := range jobs {
+		k := streamKey{
+			compile:  CompileKey{Program: j.Program.Name, Transformed: j.Transformed && j.Program.Transformable, Opts: j.Opts},
+			fidelity: j.Config.Fidelity,
+		}
+		g, ok := index[k]
+		if !ok {
+			g = len(groups)
+			index[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
 }
 
 // timingModel is the contract both timing tiers satisfy: slab-batched
@@ -429,64 +489,54 @@ type timingModel interface {
 	Stats() pipeline.Stats
 }
 
-// EvaluateGroup runs several timing models over ONE functional
-// simulation of (program, variant, opts): every config's model is
-// attached to the same machine and fed the same committed-instruction
-// stream, so a group of k machine configs costs one functional run
-// plus k model updates instead of k full simulations. This is what
-// makes fast-tier Table 8 and the platform sweeps cheap — platforms
-// sharing a register budget share the stream.
-//
-// Each config routes by its Fidelity. When every config selects the
-// fast tier, the machine samples the stream (scoreboard.SampleObserve
-// of every SamplePeriod instructions) and each scoreboard extrapolates
-// via Finalize; if any config needs the full model, the whole group
-// observes the complete stream. Results are returned in cfg order.
-func (s *Session) EvaluateGroup(ctx context.Context, p *bio.Program, cfgs []pipeline.Config, opts compiler.Options, sz bio.Size, transformed bool) ([]pipeline.Stats, error) {
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	prog, err := s.Compile(p, transformed, opts)
+// evaluateGroup runs the jobs at idx — which share one stream — over a
+// single functional simulation and writes each job's stats to its
+// slot in out. On the fast tier the machine samples the stream
+// (scoreboard.SampleObserve of every SamplePeriod instructions) and
+// each scoreboard extrapolates via Finalize; on the full tier every
+// model observes the complete stream.
+func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int, sz bio.Size, out []pipeline.Stats) error {
+	first := jobs[idx[0]]
+	p := first.Program
+	prog, err := s.Compile(p, first.Transformed, first.Opts)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
+		return fmt.Errorf("%s: %w", p.Name, err)
 	}
 	m, err := sim.New(prog)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := p.Bind(m, sz); err != nil {
-		return nil, fmt.Errorf("%s: bind: %w", p.Name, err)
+		return fmt.Errorf("%s: bind: %w", p.Name, err)
 	}
-	models := make([]timingModel, len(cfgs))
-	allFast := true
-	for i, cfg := range cfgs {
-		if cfg.Fidelity == pipeline.FidelityFast {
-			models[i] = scoreboard.NewModel(cfg)
+	fast := first.Config.Fidelity == pipeline.FidelityFast
+	models := make([]timingModel, len(idx))
+	for x, i := range idx {
+		if fast {
+			models[x] = scoreboard.NewModel(jobs[i].Config)
 		} else {
-			allFast = false
-			models[i] = pipeline.NewModel(cfg)
+			models[x] = pipeline.NewModel(jobs[i].Config)
 		}
-		m.AddBatchObserver(models[i])
+		m.AddBatchObserver(models[x])
 	}
-	if allFast {
+	if fast {
 		m.SetSampling(scoreboard.SampleObserve, scoreboard.SamplePeriod)
 	}
 	s.runs.Add(1)
 	res, err := m.RunContext(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
+		return fmt.Errorf("%s: %w", p.Name, err)
 	}
 	if err := p.Validate(res, sz); err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]pipeline.Stats, len(cfgs))
-	for i, md := range models {
-		if sb, ok := md.(*scoreboard.Model); ok {
+	for x, i := range idx {
+		if sb, ok := models[x].(*scoreboard.Model); ok {
 			sb.Finalize(res.Instructions)
 		}
-		out[i] = md.Stats()
+		out[i] = models[x].Stats()
 	}
-	return out, nil
+	return nil
 }
 
 // ForEach invokes fn(i) for every i in [0, n), fanning the calls out
@@ -502,10 +552,15 @@ func (s *Session) EvaluateGroup(ctx context.Context, p *bio.Program, cfgs []pipe
 // the same ctx). If every dispatched call succeeded but the sweep was
 // cut short, ctx.Err() is returned.
 func (s *Session) ForEach(ctx context.Context, n int, fn func(i int) error) error {
+	return forEach(ctx, s.jobs, n, fn)
+}
+
+// forEach is the package's one worker pool: ForEach on up to workers
+// goroutines, for paths that fan out without a session.
+func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := s.jobs
 	if workers > n {
 		workers = n
 	}

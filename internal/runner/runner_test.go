@@ -10,6 +10,7 @@ import (
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/compiler"
+	"bioperfload/internal/pipeline"
 	"bioperfload/internal/platform"
 )
 
@@ -108,6 +109,75 @@ func TestCompileCacheSharesAcrossTimingRuns(t *testing.T) {
 	}
 	if st.Runs != 2 {
 		t.Errorf("Runs = %d, want 2 (timing runs are never cached)", st.Runs)
+	}
+}
+
+// TestEvaluateAllMatchesSingleRuns times the test-size Table 8 grid on
+// both tiers in one call. Grouping must be invisible: the grouped stats
+// equal one Evaluate per job, are identical at jobs 1 and 4, and cost
+// exactly one functional run per distinct (program, variant, register
+// budget, tier) stream — 36 for each tier's 48 jobs, since Alpha and
+// PowerPC compile alike, and 72 in all.
+func TestEvaluateAllMatchesSingleRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing grid")
+	}
+	ctx := context.Background()
+	type stream struct {
+		prog        string
+		transformed bool
+		opts        compiler.Options
+		fid         pipeline.Fidelity
+	}
+	streams := make(map[stream]bool)
+	var jobs []TimingJob
+	var plats []platform.Platform
+	for _, fid := range []pipeline.Fidelity{pipeline.FidelityFull, pipeline.FidelityFast} {
+		for _, p := range bio.Transformed() {
+			for _, pl := range platform.All() {
+				pl = pl.WithFidelity(fid)
+				for _, tr := range []bool{false, true} {
+					jobs = append(jobs, TimingJob{Program: p, Config: pl.Pipeline, Opts: pl.EvalOptions(), Transformed: tr})
+					plats = append(plats, pl)
+					streams[stream{p.Name, tr, pl.EvalOptions(), fid}] = true
+				}
+			}
+		}
+	}
+	if len(jobs) != 96 || len(streams) != 72 {
+		t.Fatalf("grid has %d jobs over %d streams, want 96 over 72", len(jobs), len(streams))
+	}
+	for _, tier := range [][]TimingJob{jobs[:48], jobs[48:]} {
+		if fr := FunctionalRuns(tier); fr != 36 {
+			t.Errorf("%s tier: FunctionalRuns = %d, want 36", tier[0].Config.Fidelity, fr)
+		}
+	}
+
+	single := NewSession(0)
+	want := make([]pipeline.Stats, len(jobs))
+	err := single.ForEach(ctx, len(jobs), func(i int) error {
+		st, err := single.Evaluate(ctx, jobs[i].Program, plats[i], bio.SizeTest, jobs[i].Transformed)
+		want[i] = st
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 4} {
+		s := NewSession(n)
+		got, err := s.EvaluateAll(ctx, jobs, bio.SizeTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, j := range jobs {
+			if got[i] != want[i] {
+				t.Errorf("jobs=%d: job %d (%s on %s, %s tier, transformed=%v): grouped %+v, single %+v",
+					n, i, j.Program.Name, plats[i].Name, j.Config.Fidelity, j.Transformed, got[i], want[i])
+			}
+		}
+		if runs := s.Stats().Runs; runs != uint64(len(streams)) {
+			t.Errorf("jobs=%d: %d functional runs, want %d (one per stream)", n, runs, len(streams))
+		}
 	}
 }
 

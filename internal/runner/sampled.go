@@ -3,14 +3,11 @@ package runner
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/compiler"
@@ -44,7 +41,7 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 	var fp string
 	if s.store != nil {
 		fp = Fingerprint(p, false, compiler.Default())
-		if prof, ok := s.loadSampledProfile(p, sz, fp, cfg); ok {
+		if prof, ok := s.loadProfile(p, sampledProfKey(fp, sz, cfg), fp, "sampled"); ok {
 			s.sampledHits.Add(1)
 			return prof, nil
 		}
@@ -75,7 +72,7 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 	prof := &Profile{Name: p.Name, Instructions: ir.TotalEvents(), Analysis: a, Source: "sampled"}
 	s.sampledChars.Add(1)
 	if s.store != nil {
-		s.storeSampledProfile(prof, sz, fp, cfg)
+		s.storeProfile(prof, sampledProfKey(fp, sz, cfg), fp)
 	}
 	return prof, nil
 }
@@ -98,7 +95,7 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 		return nil, nil, err
 	}
 	deltas := make([]*loadchar.Snapshot, len(plan.Clusters))
-	err = parallelEach(ctx, jobs, len(plan.Clusters), func(i int) error {
+	err = forEach(ctx, jobs, len(plan.Clusters), func(i int) error {
 		c := plan.Clusters[i]
 		snap, err := replayInterval(ctx, prog, ir, c.Start, c.End, plan.Config.WarmupEvents)
 		if err != nil {
@@ -122,55 +119,6 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 		return nil, nil, fmt.Errorf("restore sampled snapshot: %w", err)
 	}
 	return a, plan, nil
-}
-
-// parallelEach is ForEach without a session: run fn for every index on
-// up to jobs goroutines, returning the first error.
-func parallelEach(ctx context.Context, jobs, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // replayInterval characterizes exactly the events in [start, end) with
@@ -279,7 +227,8 @@ func (s *Session) sampledTrace(ctx context.Context, p *bio.Program, sz bio.Size,
 }
 
 // openTrace opens the stored trace as an indexed reader, evicting
-// anything unindexable or mismatched.
+// anything unindexable or mismatched. The store hands back the object
+// file, so the trace's footer index is reachable through io.ReaderAt.
 func (s *Session) openTrace(p *bio.Program, sz bio.Size, fp string) (*trace.IndexedReader, func(), bool) {
 	key := traceKey(fp, sz)
 	rc, size, ok := s.store.OpenReader(key)
@@ -289,6 +238,7 @@ func (s *Session) openTrace(p *bio.Program, sz bio.Size, fp string) (*trace.Inde
 	ra, isRA := rc.(io.ReaderAt)
 	if !isRA {
 		rc.Close()
+		s.store.Delete(key)
 		return nil, nil, false
 	}
 	ir, err := trace.NewIndexedReader(ra, size)
@@ -377,48 +327,4 @@ func (s *Session) PhasePlan(ctx context.Context, p *bio.Program, sz bio.Size) (*
 		return nil, fmt.Errorf("%s: collect intervals: %w", p.Name, err)
 	}
 	return simpoint.BuildPlan(intervals, cfg)
-}
-
-// loadSampledProfile serves a sampled characterization from its
-// persisted snapshot; the artifact format is identical to the exact
-// one, only the key differs.
-func (s *Session) loadSampledProfile(p *bio.Program, sz bio.Size, fp string, cfg simpoint.Config) (*Profile, bool) {
-	key := sampledProfKey(fp, sz, cfg)
-	data, ok := s.store.GetBytes(key)
-	if !ok {
-		return nil, false
-	}
-	art, err := decodeProfileArtifact(data, fp)
-	if err != nil {
-		s.store.Delete(key)
-		return nil, false
-	}
-	prog, err := s.Compile(p, false, compiler.Default())
-	if err != nil {
-		return nil, false
-	}
-	a, err := loadchar.FromSnapshot(prog, art.Snap)
-	if err != nil {
-		s.store.Delete(key)
-		return nil, false
-	}
-	return &Profile{Name: p.Name, Instructions: art.Instructions, Analysis: a, Source: "sampled"}, true
-}
-
-func (s *Session) storeSampledProfile(prof *Profile, sz bio.Size, fp string, cfg simpoint.Config) {
-	if prof == nil || prof.Analysis == nil {
-		return
-	}
-	var buf bytes.Buffer
-	art := profileArtifact{Fingerprint: fp, Instructions: prof.Instructions, Snap: prof.Analysis.Snapshot()}
-	if err := gob.NewEncoder(&buf).Encode(&art); err != nil {
-		return
-	}
-	key := sampledProfKey(fp, sz, cfg)
-	if err := s.store.PutBytes(key, buf.Bytes()); err != nil {
-		return
-	}
-	if s.remote != nil {
-		s.remote.Replicate(key, buf.Bytes())
-	}
 }

@@ -128,12 +128,13 @@ func decodeProfileArtifact(data []byte, fp string) (*profileArtifact, error) {
 	return &art, nil
 }
 
-// loadProfile serves a characterization from a persisted analysis
-// snapshot, the cheapest warm path: no simulation, no replay, no
-// recompilation beyond the memoized program needed for source
-// attribution. Damaged entries are evicted and report a miss.
-func (s *Session) loadProfile(p *bio.Program, sz bio.Size, fp string) (*Profile, bool) {
-	key := profKey(fp, sz)
+// loadProfile serves a characterization from the analysis snapshot
+// persisted under key, the cheapest warm path: no simulation, no
+// replay, no recompilation beyond the memoized program needed for
+// source attribution. Exact and sampled snapshots share the artifact
+// format; only the key and the reported source differ. Damaged
+// entries are evicted and report a miss.
+func (s *Session) loadProfile(p *bio.Program, key, fp, source string) (*Profile, bool) {
 	data, ok := s.store.GetBytes(key)
 	if !ok {
 		return nil, false
@@ -143,28 +144,24 @@ func (s *Session) loadProfile(p *bio.Program, sz bio.Size, fp string) (*Profile,
 		s.store.Delete(key)
 		return nil, false
 	}
-	prog := s.loadCompiled(fp)
-	if prog == nil {
-		var err error
-		prog, err = s.Compile(p, false, compiler.Default())
-		if err != nil {
-			return nil, false
-		}
+	prog, err := s.replayProgram(p, fp)
+	if err != nil {
+		return nil, false
 	}
 	a, err := loadchar.FromSnapshot(prog, art.Snap)
 	if err != nil {
 		s.store.Delete(key)
 		return nil, false
 	}
-	return &Profile{Name: p.Name, Instructions: art.Instructions, Analysis: a, Source: "snapshot"}, true
+	return &Profile{Name: p.Name, Instructions: art.Instructions, Analysis: a, Source: source}, true
 }
 
-// storeProfile persists a characterization result. Like storeCompiled,
-// failures are silent: the store is a cache. With a remote tier
-// attached, the freshly persisted snapshot is also replicated
-// write-through to the fingerprint's successor nodes, so the fleet
-// converges on R+1 copies without waiting for pull-on-read.
-func (s *Session) storeProfile(prof *Profile, sz bio.Size, fp string) {
+// storeProfile persists a characterization result under key. Like
+// storeCompiled, failures are silent: the store is a cache. With a
+// remote tier attached, the freshly persisted snapshot is also
+// replicated write-through to the fingerprint's successor nodes, so
+// the fleet converges on R+1 copies without waiting for pull-on-read.
+func (s *Session) storeProfile(prof *Profile, key, fp string) {
 	if s.store == nil || prof == nil || prof.Analysis == nil {
 		return
 	}
@@ -173,7 +170,6 @@ func (s *Session) storeProfile(prof *Profile, sz bio.Size, fp string) {
 	if err := gob.NewEncoder(&buf).Encode(&art); err != nil {
 		return
 	}
-	key := profKey(fp, sz)
 	if err := s.store.PutBytes(key, buf.Bytes()); err != nil {
 		return
 	}
@@ -192,13 +188,13 @@ func (s *Session) storeCharacterize(ctx context.Context, p *bio.Program, sz bio.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err), true
 	}
-	if prof, ok := s.loadProfile(p, sz, fp); ok {
+	if prof, ok := s.loadProfile(p, profKey(fp, sz), fp, "snapshot"); ok {
 		s.profileHits.Add(1)
 		return prof, nil, true
 	}
 	prof, err, done := s.replayCharacterize(ctx, p, sz, fp)
 	if done && err == nil {
-		s.storeProfile(prof, sz, fp)
+		s.storeProfile(prof, profKey(fp, sz), fp)
 	}
 	if done {
 		return prof, err, done
@@ -232,12 +228,11 @@ func (s *Session) remoteCharacterize(ctx context.Context, p *bio.Program, sz bio
 	if err := s.store.PutBytes(key, data); err != nil {
 		return nil, false
 	}
-	prof, ok := s.loadProfile(p, sz, fp)
+	prof, ok := s.loadProfile(p, key, fp, "peer")
 	if !ok {
 		return nil, false
 	}
 	s.peerHits.Add(1)
-	prof.Source = "peer"
 	return prof, true
 }
 
@@ -248,33 +243,14 @@ func (s *Session) remoteCharacterize(ctx context.Context, p *bio.Program, sz bio
 // errors settle the request with the error so cancellation is never
 // misread as corruption.
 func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio.Size, fp string) (*Profile, error, bool) {
-	key := traceKey(fp, sz)
-	rc, size, ok := s.store.OpenReader(key)
+	// Replay runs sharded over the trace's footer index (ReplayAnalyze
+	// sizes workers from the session's jobs, which default to
+	// GOMAXPROCS).
+	ir, cleanup, ok := s.openTrace(p, sz, fp)
 	if !ok {
 		return nil, nil, false
 	}
-	defer rc.Close()
-
-	evict := func() (*Profile, error, bool) {
-		s.store.Delete(key)
-		return nil, nil, false
-	}
-
-	// The store hands back the object file, so the trace's footer index
-	// is reachable through io.ReaderAt and replay runs sharded
-	// (ReplayAnalyze sizes workers from the session's jobs, which
-	// default to GOMAXPROCS).
-	ra, isRA := rc.(io.ReaderAt)
-	if !isRA {
-		return evict()
-	}
-	ir, err := trace.NewIndexedReader(ra, size)
-	if err != nil {
-		return evict()
-	}
-	if m := ir.Meta(); m.Program != p.Name || m.Fingerprint != fp {
-		return evict()
-	}
+	defer cleanup()
 	prog, err := s.replayProgram(p, fp)
 	if err != nil {
 		return nil, err, true
@@ -285,7 +261,9 @@ func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio
 		if isContextErr(err) || ctx.Err() != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err), true
 		}
-		return evict() // damaged trace: fall back to cold simulation
+		// Damaged trace: evict it and fall back to cold simulation.
+		s.store.Delete(traceKey(fp, sz))
+		return nil, nil, false
 	}
 	if s.jobs > 1 && !a.Exec.Parallel() {
 		s.replaySerial.Add(1)

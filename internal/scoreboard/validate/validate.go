@@ -89,39 +89,31 @@ func Run(ctx context.Context, s *runner.Session, sz bio.Size) ([]Row, error) {
 	// cells[prog][plat][variant]; non-transformables use variant 0 only.
 	cells := make([][][2]cell, len(progs))
 	type unit struct {
-		prog, plat  int
-		transformed bool
+		prog, plat, variant int
 	}
+	// jobs[2k] times units[k] on the full tier, jobs[2k+1] on the fast.
 	var units []unit
+	var jobs []runner.TimingJob
 	for i, p := range progs {
 		cells[i] = make([][2]cell, len(plats))
-		for j := range plats {
-			units = append(units, unit{i, j, false})
-			if p.Transformable {
-				units = append(units, unit{i, j, true})
+		for j, pl := range plats {
+			for v, tr := range []bool{false, true} {
+				if tr && !p.Transformable {
+					continue
+				}
+				units = append(units, unit{i, j, v})
+				for _, fid := range []pipeline.Fidelity{pipeline.FidelityFull, pipeline.FidelityFast} {
+					jobs = append(jobs, runner.TimingJob{Program: p, Config: pl.WithFidelity(fid).Pipeline, Opts: pl.EvalOptions(), Transformed: tr})
+				}
 			}
 		}
 	}
-	err := s.ForEach(ctx, len(units), func(k int) error {
-		u := units[k]
-		p, pl := progs[u.prog], plats[u.plat]
-		v := 0
-		if u.transformed {
-			v = 1
-		}
-		full, err := s.Evaluate(ctx, p, pl.WithFidelity(pipeline.FidelityFull), sz, u.transformed)
-		if err != nil {
-			return err
-		}
-		fast, err := s.Evaluate(ctx, p, pl.WithFidelity(pipeline.FidelityFast), sz, u.transformed)
-		if err != nil {
-			return err
-		}
-		cells[u.prog][u.plat][v] = cell{full: full, fast: fast}
-		return nil
-	})
+	sts, err := s.EvaluateAll(ctx, jobs, sz)
 	if err != nil {
 		return nil, err
+	}
+	for k, u := range units {
+		cells[u.prog][u.plat][u.variant] = cell{full: sts[2*k], fast: sts[2*k+1]}
 	}
 
 	speedup := func(orig, trans pipeline.Stats) float64 {

@@ -447,9 +447,9 @@ func (s *Server) runSweep(ctx context.Context, j *Job, spec sweepSpec) (any, err
 	if spec.kind == "characterize" {
 		out.Accuracy = string(spec.acc)
 	}
-	var completed atomic.Int64
 	switch spec.kind {
 	case "characterize":
+		var completed atomic.Int64
 		j.Event("sweeping characterization across %d programs at %s (%s)", len(spec.progs), spec.sz, spec.acc)
 		results := make([]CharacterizeResult, len(spec.progs))
 		err := s.session.ForEach(ctx, len(spec.progs), func(i int) error {
@@ -471,36 +471,31 @@ func (s *Server) runSweep(ctx context.Context, j *Job, spec sweepSpec) (any, err
 		nCells := len(spec.progs) * len(spec.plats)
 		j.Event("sweeping %d programs x %d platforms (original and transformed) at %s, %s tier",
 			len(spec.progs), len(spec.plats), spec.sz, spec.fid)
-		orig := make([]uint64, nCells)
-		trans := make([]uint64, nCells)
-		err := s.session.ForEach(ctx, nCells*2, func(k int) error {
-			i, transformed := k/2, k%2 == 1
-			p := spec.progs[i/len(spec.plats)]
-			plat := spec.plats[i%len(spec.plats)]
-			st, err := s.session.Evaluate(ctx, p, plat.WithFidelity(spec.fid), spec.sz, transformed)
-			if err != nil {
-				return err
+		// jobs[2i] is cell i's original, jobs[2i+1] its transformed run.
+		jobs := make([]runner.TimingJob, 0, nCells*2)
+		for i := 0; i < nCells; i++ {
+			plat := spec.plats[i%len(spec.plats)].WithFidelity(spec.fid)
+			for _, tr := range []bool{false, true} {
+				jobs = append(jobs, runner.TimingJob{
+					Program: spec.progs[i/len(spec.plats)], Config: plat.Pipeline,
+					Opts: plat.EvalOptions(), Transformed: tr,
+				})
 			}
-			if transformed {
-				trans[i] = st.Cycles
-			} else {
-				orig[i] = st.Cycles
-			}
-			j.Event("%d/%d: %s on %s (transformed=%v) done",
-				completed.Add(1), nCells*2, p.Name, plat.Name, transformed)
-			return nil
-		})
+		}
+		sts, err := s.session.EvaluateAll(ctx, jobs, spec.sz)
 		if err != nil {
 			return nil, err
 		}
+		j.Event("%d cells timed in %d functional runs", nCells, runner.FunctionalRuns(jobs))
 		for i := 0; i < nCells; i++ {
+			orig, trans := sts[2*i].Cycles, sts[2*i+1].Cycles
 			item := SweepEvaluateItem{
 				Program:    spec.progs[i/len(spec.plats)].Name,
 				Platform:   spec.plats[i%len(spec.plats)].Name,
-				CyclesOrig: orig[i], CyclesTrans: trans[i],
+				CyclesOrig: orig, CyclesTrans: trans,
 			}
-			if trans[i] > 0 {
-				item.SpeedupPct = 100 * (float64(orig[i])/float64(trans[i]) - 1)
+			if trans > 0 {
+				item.SpeedupPct = 100 * (float64(orig)/float64(trans) - 1)
 			}
 			out.Evaluate = append(out.Evaluate, item)
 		}

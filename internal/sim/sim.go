@@ -30,17 +30,6 @@ type Event struct {
 	Target int32  // next PC actually executed
 }
 
-// Observer receives committed-instruction events one at a time.
-type Observer interface {
-	Observe(ev *Event)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(ev *Event)
-
-// Observe implements Observer.
-func (f ObserverFunc) Observe(ev *Event) { f(ev) }
-
 // BatchSize is the slab capacity: committed instructions accumulate
 // into fixed-size slabs of this many events before observers run, so
 // the per-instruction interface-dispatch cost is paid once per slab
@@ -59,16 +48,6 @@ type BatchObserverFunc func(evs []Event)
 
 // ObserveBatch implements BatchObserver.
 func (f BatchObserverFunc) ObserveBatch(evs []Event) { f(evs) }
-
-// batchAdapter delivers a slab to a per-event Observer, preserving
-// the legacy one-call-per-instruction API on top of batched delivery.
-type batchAdapter struct{ o Observer }
-
-func (b batchAdapter) ObserveBatch(evs []Event) {
-	for i := range evs {
-		b.o.Observe(&evs[i])
-	}
-}
 
 // ErrFuelExhausted is returned when the instruction budget runs out
 // before the program halts.
@@ -133,17 +112,6 @@ func New(p *isa.Program) (*Machine, error) {
 
 // Program returns the loaded program.
 func (m *Machine) Program() *isa.Program { return m.prog }
-
-// AddObserver registers an observer for every committed instruction.
-// An observer that also implements BatchObserver receives slabs
-// directly, skipping the per-event adapter.
-func (m *Machine) AddObserver(o Observer) {
-	if bo, ok := o.(BatchObserver); ok {
-		m.observers = append(m.observers, bo)
-		return
-	}
-	m.observers = append(m.observers, batchAdapter{o})
-}
 
 // AddBatchObserver registers a slab-at-a-time observer.
 func (m *Machine) AddBatchObserver(o BatchObserver) {

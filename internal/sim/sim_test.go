@@ -253,10 +253,19 @@ func TestFuelExhaustion(t *testing.T) {
 	}
 }
 
+// eachEvent adapts a per-event callback to a BatchObserver.
+func eachEvent(f func(ev *Event)) BatchObserverFunc {
+	return func(evs []Event) {
+		for i := range evs {
+			f(&evs[i])
+		}
+	}
+}
+
 func TestObserverStream(t *testing.T) {
 	m, _ := New(sumProgram(10))
 	var loads, stores, branches, taken, total uint64
-	m.AddObserver(ObserverFunc(func(ev *Event) {
+	m.AddBatchObserver(eachEvent(func(ev *Event) {
 		total++
 		switch isa.ClassOf(ev.Inst.Op) {
 		case isa.ClassLoad:
@@ -290,7 +299,7 @@ func TestObserverSequencing(t *testing.T) {
 	m, _ := New(sumProgram(5))
 	var last uint64
 	var first = true
-	m.AddObserver(ObserverFunc(func(ev *Event) {
+	m.AddBatchObserver(eachEvent(func(ev *Event) {
 		if !first && ev.Seq != last+1 {
 			t.Fatalf("seq jumped %d -> %d", last, ev.Seq)
 		}
@@ -311,7 +320,7 @@ func TestObserverEffectiveAddress(t *testing.T) {
 	b.Halt()
 	m, _ := New(b.MustProgram())
 	var got []uint64
-	m.AddObserver(ObserverFunc(func(ev *Event) {
+	m.AddBatchObserver(eachEvent(func(ev *Event) {
 		if isa.MemWidth(ev.Inst.Op) > 0 {
 			got = append(got, ev.Addr)
 		}
@@ -358,7 +367,7 @@ func TestHaltDeliversEvent(t *testing.T) {
 	b.Halt()
 	m, _ := New(b.MustProgram())
 	saw := false
-	m.AddObserver(ObserverFunc(func(ev *Event) {
+	m.AddBatchObserver(eachEvent(func(ev *Event) {
 		if ev.Inst.Op == isa.OpHalt {
 			saw = true
 		}
@@ -387,8 +396,8 @@ func (c *countBatches) ObserveBatch(evs []Event) {
 	}
 }
 
-// TestBatchObserverEquivalence: a native BatchObserver and an adapted
-// per-event Observer attached to the same run see the same event
+// TestBatchObserverEquivalence: a native BatchObserver and a
+// per-event callback attached to the same run see the same event
 // stream, and both see every retired instruction. sumProgram(4000)
 // retires ~16k instructions, so delivery spans multiple slabs.
 func TestBatchObserverEquivalence(t *testing.T) {
@@ -396,7 +405,7 @@ func TestBatchObserverEquivalence(t *testing.T) {
 	batch := &countBatches{}
 	var perEvent uint64
 	m.AddBatchObserver(batch)
-	m.AddObserver(ObserverFunc(func(ev *Event) { perEvent++ }))
+	m.AddBatchObserver(eachEvent(func(ev *Event) { perEvent++ }))
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +414,7 @@ func TestBatchObserverEquivalence(t *testing.T) {
 		t.Errorf("batch observer saw %d events, result says %d", batch.events, res.Instructions)
 	}
 	if perEvent != res.Instructions {
-		t.Errorf("adapted observer saw %d events, result says %d", perEvent, res.Instructions)
+		t.Errorf("per-event callback saw %d events, result says %d", perEvent, res.Instructions)
 	}
 	if batch.batches < 2 {
 		t.Errorf("expected multiple batches for %d instructions, got %d", res.Instructions, batch.batches)

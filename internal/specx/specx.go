@@ -25,7 +25,7 @@ func (a *Analog) Compile(small bool, opts compiler.Options) (*isa.Program, error
 }
 
 // Run compiles and executes, returning the printed output.
-func (a *Analog) Run(small bool, opts compiler.Options, obs ...sim.Observer) (*sim.Result, error) {
+func (a *Analog) Run(small bool, opts compiler.Options, obs ...sim.BatchObserver) (*sim.Result, error) {
 	prog, err := a.Compile(small, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
@@ -40,7 +40,7 @@ func (a *Analog) Run(small bool, opts compiler.Options, obs ...sim.Observer) (*s
 		}
 	}
 	for _, o := range obs {
-		m.AddObserver(o)
+		m.AddBatchObserver(o)
 	}
 	res, err := m.Run()
 	if err != nil {

@@ -57,7 +57,7 @@ func TestFlatCoverage(t *testing.T) {
 			}
 		}
 		an := loadchar.New(prog)
-		m.AddObserver(an)
+		m.AddBatchObserver(an)
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestSynthesizerControlsSkew(t *testing.T) {
 			t.Fatal(err)
 		}
 		an := loadchar.New(prog)
-		m.AddObserver(an)
+		m.AddBatchObserver(an)
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func recordRun(t *testing.T, name string) (*isa.Program, string, []byte, uint64)
 		t.Fatal(err)
 	}
 	live := loadchar.New(prog)
-	m.AddObserver(live)
+	m.AddBatchObserver(live)
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf, trace.Meta{Program: name, Size: "test"}, prog)
 	m.AddBatchObserver(tw)
