@@ -46,6 +46,8 @@ race-concurrent:
 # runs the full-tier sweep grid and ablations at -j 1 and -j 4 and
 # diffs their stdout: the grouped timing runs (runner EvaluateAll)
 # must give byte-identical tables in the same order at any pool width.
+# Last, it runs each timing model's benchmarks once, so they keep
+# compiling and running (BenchmarkModelMixed reports ns/event).
 smoke:
 	$(GO) run ./cmd/experiments -size test -timing test > /dev/null
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
@@ -55,6 +57,7 @@ smoke:
 	done; \
 	diff $$d/j1.txt $$d/j4.txt \
 		|| { echo "smoke: full-tier output differs between -j 1 and -j 4" >&2; exit 1; }
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/pipeline ./internal/scoreboard
 
 # fuzz-smoke gives each trace fuzzer a short budget on top of its
 # seeds and checked-in corpus (which always run as part of `go test`):

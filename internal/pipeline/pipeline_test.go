@@ -153,15 +153,21 @@ func dataBranchProgram(n int64, cmov bool, data []int64) (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	sym, _ := p.Symbol("data")
-	buf := make([]byte, n*8)
-	for i, v := range data {
+	initWords(p, "data", data)
+	return p, nil
+}
+
+// initWords makes the global name start out holding vals as 64-bit
+// little-endian words.
+func initWords(p *isa.Program, name string, vals []int64) {
+	sym, _ := p.Symbol(name)
+	buf := make([]byte, sym.Size)
+	for i, v := range vals {
 		for k := 0; k < 8; k++ {
 			buf[i*8+k] = byte(uint64(v) >> (8 * k))
 		}
 	}
 	p.Init = append(p.Init, isa.DataInit{Addr: sym.Addr, Bytes: buf})
-	return p, nil
 }
 
 func lcg(seed uint64, n int64) []int64 {
@@ -254,14 +260,7 @@ func TestLoadToBranchExtendsMispredictCost(t *testing.T) {
 		b.Branch(isa.OpBgt, 1, "loop")
 		b.Halt()
 		p := b.MustProgram()
-		sym, _ := p.Symbol("data")
-		buf := make([]byte, n*8)
-		for i, v := range random {
-			for k := 0; k < 8; k++ {
-				buf[i*8+k] = byte(uint64(v) >> (8 * k))
-			}
-		}
-		p.Init = append(p.Init, isa.DataInit{Addr: sym.Addr, Bytes: buf})
+		initWords(p, "data", random)
 		return p
 	}
 
@@ -401,6 +400,32 @@ func TestCustomPredictorInjection(t *testing.T) {
 	}
 }
 
+// TestDensePredictorMatchesHybrid times a hard-to-predict branchy
+// program twice: on the default path (Predictor nil, the paper hybrid
+// on a bpred.DenseShard) and through the generic Predictor path with
+// the map-backed bpred.Hybrid. The two must agree on every statistic,
+// cycles included.
+func TestDensePredictorMatchesHybrid(t *testing.T) {
+	const n = 5000
+	p, err := dataBranchProgram(n, false, lcg(7, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inOrder := range []bool{false, true} {
+		dense := testConfig()
+		dense.InOrder = inOrder
+		generic := dense
+		generic.Predictor = func() bpred.Predictor { return bpred.NewPaperHybrid() }
+		sd, sg := run(t, dense, p), run(t, generic, p)
+		if sd != sg {
+			t.Errorf("inOrder=%v: dense %+v, hybrid %+v", inOrder, sd, sg)
+		}
+		if sd.Mispredicts == 0 {
+			t.Errorf("inOrder=%v: random branches never mispredicted", inOrder)
+		}
+	}
+}
+
 func TestZeroValueStatsHelpers(t *testing.T) {
 	var s Stats
 	if s.IPC() != 0 || s.MispredictRate() != 0 || s.AMAT() != 0 {
@@ -439,6 +464,62 @@ func BenchmarkModelThroughput(b *testing.B) {
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// mixedProgram builds a loop over random data that exercises every
+// per-event cost of the model: a load feeding a data-dependent branch,
+// a store into a reused 64-word buffer that a later load reads back
+// (store-to-load forwarding), a multiply, and the loop branch.
+func mixedProgram(n int64) *isa.Program {
+	b := isa.NewBuilder("mixed")
+	data := b.Global("data", uint64(n)*8, 8, false)
+	buf := b.Global("buf", 64*8, 8, false)
+	b.Ldiq(1, n)
+	b.Ldiq(2, int64(data))
+	b.Ldiq(6, int64(buf))
+	b.Ldiq(7, 0)
+	b.Label("loop")
+	b.Load(isa.OpLdq, 4, 2, 0)
+	b.Branch(isa.OpBle, 4, "skip")
+	b.Op3(isa.OpMul, 3, 3, 4)
+	b.Label("skip")
+	b.OpI(isa.OpAnd, 8, 7, 63*8)
+	b.Op3(isa.OpAdd, 8, 8, 6)
+	b.Store(isa.OpStq, 4, 8, 0)
+	b.Load(isa.OpLdq, 5, 8, 0)
+	b.Op3(isa.OpAdd, 3, 3, 5)
+	b.OpI(isa.OpAdd, 7, 7, 8)
+	b.OpI(isa.OpAdd, 2, 2, 8)
+	b.OpI(isa.OpSub, 1, 1, 1)
+	b.Branch(isa.OpBgt, 1, "loop")
+	b.Halt()
+	p := b.MustProgram()
+	initWords(p, "data", lcg(3, n))
+	return p
+}
+
+// BenchmarkModelMixed times the model alone over a recorded mixed
+// stream (loads, forwarding stores, data-dependent branches), so the
+// functional simulator's cost is not in the measurement. It reports
+// ns/event, the figure bench/'s pipeline.observe_ns_per_event tracks.
+func BenchmarkModelMixed(b *testing.B) {
+	m, err := sim.New(mixedProgram(20000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var evs []sim.Event
+	m.AddBatchObserver(sim.BatchObserverFunc(func(batch []sim.Event) {
+		evs = append(evs, batch...)
+	}))
+	if _, err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	model := NewModel(testConfig())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model.ObserveBatch(evs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }
 
 func TestLoadPortsLimitThroughput(t *testing.T) {
@@ -532,8 +613,8 @@ func TestModelAccessors(t *testing.T) {
 	if m.Config().Name != "test" {
 		t.Error("Config accessor broken")
 	}
-	if m.Hierarchy() == nil || m.Branches() == nil {
-		t.Error("accessors returned nil")
+	if s := m.Stats(); s != (Stats{}) {
+		t.Errorf("fresh model has stats %+v", s)
 	}
 }
 

@@ -57,6 +57,7 @@ const (
 // Finalize with the functional instruction count before reading Stats.
 type Model struct {
 	cfg    pipeline.Config
+	dec    pipeline.DecodeTable
 	hier   *cache.Hierarchy
 	pred   *bpred.DenseShard // the paper hybrid, owning every branch PC
 	custom bpred.Predictor   // overrides pred when cfg.Predictor is set
@@ -77,7 +78,8 @@ type Model struct {
 
 	// Store-to-load forwarding, direct-mapped by 8-byte word: a load
 	// that hits a recent store's address waits for the store's data
-	// (the same memory dependence the full model tracks in a map).
+	// (the same memory dependence the full model tracks in an
+	// open-addressed table).
 	// Spill/reload pairs — the Pentium 4's register-starved codegen —
 	// are the traffic this matters for.
 	stAddr [stBufSize]uint64
@@ -123,6 +125,7 @@ func NewModel(cfg pipeline.Config) *Model {
 		m.width = 1
 	}
 	m.ring = make([]int64, cfg.WindowSize)
+	m.dec = pipeline.NewDecodeTable(&m.cfg)
 	if cfg.Predictor != nil {
 		m.custom = cfg.Predictor()
 	} else {
@@ -145,7 +148,7 @@ func (m *Model) ObserveBatch(evs []sim.Event) {
 }
 
 func (m *Model) observe(ev *sim.Event) {
-	in := ev.Inst
+	d := m.dec.Lookup(ev.PC, ev.Inst)
 	m.observed++
 
 	// ---- Dispatch: window-full stall, then the bandwidth cursor.
@@ -156,16 +159,9 @@ func (m *Model) observe(ev *sim.Event) {
 
 	// ---- Issue: dispatched no earlier than the cursor, executed no
 	// earlier than the operands' ready times.
-	issue := m.cursor
-	var srcs [3]int16
-	n, dst := pipeline.Deps(in, &srcs)
-	for i := 0; i < n; i++ {
-		if t := m.regReady[srcs[i]]; t > issue {
-			issue = t
-		}
-	}
-	isLoad := isa.IsLoad(in.Op)
-	isStore := isa.IsStore(in.Op)
+	issue := max(m.cursor, m.regReady[d.Srcs[0]], m.regReady[d.Srcs[1]], m.regReady[d.Srcs[2]])
+	isLoad := d.Class&pipeline.ClassLoad != 0
+	isStore := d.Class&pipeline.ClassStore != 0
 	if isLoad {
 		si := (ev.Addr >> 3) & (stBufSize - 1)
 		if m.stTime[si] > issue && m.stAddr[si] == ev.Addr&^7 {
@@ -186,7 +182,7 @@ func (m *Model) observe(ev *sim.Event) {
 	}
 
 	// ---- Execute: unit latency, or cache latency for loads.
-	lat := int64(m.cfg.ExecLatency(in.Op))
+	lat := int64(d.Lat)
 	if isLoad || isStore {
 		lvl, clat := m.hier.Access(ev.Addr, isStore)
 		if isLoad {
@@ -213,8 +209,8 @@ func (m *Model) observe(ev *sim.Event) {
 		m.stAddr[si] = ev.Addr &^ 7
 		m.stTime[si] = complete
 	}
-	if dst >= 0 {
-		m.regReady[dst] = complete
+	if d.Dst >= 0 {
+		m.regReady[d.Dst] = complete
 	}
 	m.ring[m.ringPos] = complete
 	m.ringPos++
@@ -230,7 +226,7 @@ func (m *Model) observe(ev *sim.Event) {
 	// redirect cost — the paper's load-to-branch penalty extension
 	// falls out directly, because `complete` already includes the
 	// feeding load's cache latency through regReady.
-	if isa.IsCondBranch(in.Op) {
+	if d.Class&pipeline.ClassCondBranch != 0 {
 		m.stats.CondBranches++
 		var miss bool
 		if m.custom != nil {
@@ -253,7 +249,7 @@ func (m *Model) observe(ev *sim.Event) {
 	// stalls the cursor already carries — charging it again
 	// systematically overestimates branchy in-order runs — so it only
 	// applies out of order.
-	if ev.Taken && !m.cfg.InOrder && isa.IsBranch(in.Op) && m.cursorCnt > 0 {
+	if ev.Taken && !m.cfg.InOrder && d.Class&pipeline.ClassBranch != 0 && m.cursorCnt > 0 {
 		m.cursor++
 		m.cursorCnt = 0
 	}

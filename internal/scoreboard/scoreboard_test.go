@@ -258,3 +258,45 @@ func TestFinalizeExactWhenUnsampled(t *testing.T) {
 		t.Errorf("Finalize(observed) changed stats: %+v vs %+v", s, raw)
 	}
 }
+
+// BenchmarkModelMixed times the model over a synthetic loop: a load
+// from a streamed array feeding a random conditional branch, a store
+// into a reused 64-word buffer that the next load reads back, a
+// multiply, and a dependent add. Each static instruction keeps its own
+// PC and *isa.Inst, as in a real program. It reports ns/event.
+func BenchmarkModelMixed(b *testing.B) {
+	body := []*isa.Inst{
+		{Op: isa.OpLdq, Rd: 4, Ra: 2},
+		{Op: isa.OpBle, Ra: 4},
+		{Op: isa.OpStq, Ra: 6, Rb: 4},
+		{Op: isa.OpLdq, Rd: 5, Ra: 6},
+		{Op: isa.OpMul, Rd: 3, Ra: 3, Rb: 5},
+		{Op: isa.OpAdd, Rd: 2, Ra: 2, HasImm: true, Imm: 8},
+	}
+	const iters = 1 << 14
+	evs := make([]sim.Event, 0, iters*len(body))
+	rng := uint64(12345)
+	for i := uint64(0); i < iters; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		for pc, in := range body {
+			ev := sim.Event{PC: int32(pc), Inst: in}
+			switch pc {
+			case 0:
+				ev.Addr = 0x100000 + 8*i
+			case 1:
+				ev.Taken = rng&1 == 0
+			case 2, 3:
+				ev.Addr = 0x200000 + 8*(i%64)
+			}
+			evs = append(evs, ev)
+		}
+	}
+	m := newTestModel(nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ObserveBatch(evs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+}
