@@ -67,8 +67,8 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexedReader$$' -fuzztime 10s
 
-# validate-timing asserts the fast scoreboard tier reproduces the full
-# model's speedup and cross-platform ratios within the checked-in
+# validate-timing asserts the fast (1/32 sampled) tier reproduces the
+# full tier's speedup and cross-platform ratios within the checked-in
 # per-program tolerances (internal/scoreboard/validate). Runs at test
 # size by default; VALIDATE_SIZE=classB is the paper-scale check.
 VALIDATE_SIZE ?= test

@@ -67,12 +67,11 @@ type (
 	Session = runner.Session
 	// Profile is one program's shared characterization run.
 	Profile = runner.Profile
-	// Fidelity selects the timing tier: FidelityFull is the
-	// cycle-level paper-reproduction model, FidelityFast the
-	// scoreboard approximation, validated on speedup ratios (see
-	// internal/scoreboard). The scoreboard is only ~25–30% cheaper
-	// per observed event; the fast tier's speed comes from observing
-	// 1/32 of the committed stream.
+	// Fidelity selects the timing tier. Both tiers run the same
+	// cycle-level pipeline model: FidelityFull over the whole
+	// committed stream (the paper-reproduction tier), FidelityFast
+	// over 1/32 sampled windows with the result extrapolated,
+	// validated on speedup ratios (see internal/scoreboard/validate).
 	Fidelity = pipeline.Fidelity
 	// SessionStats reports a session's cache counters.
 	SessionStats = runner.Stats

@@ -16,10 +16,10 @@ import (
 
 // cmdValidateTiming runs the fast-tier validation harness: every
 // program on every platform through both timing tiers, asserting the
-// scoreboard reproduces the full model's speedup ratios (and, for the
-// non-transformable programs, cross-platform cycle ratios) within the
-// checked-in per-program tolerances. Exits non-zero if any cell is out
-// of tolerance.
+// sampled fast tier reproduces the full tier's speedup ratios (and,
+// for the non-transformable programs, cross-platform cycle ratios)
+// within the checked-in per-program tolerances. Exits non-zero if any
+// cell is out of tolerance.
 func cmdValidateTiming(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("validate-timing", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -10,9 +10,10 @@
 //	    -d '{"program":"hmmsearch","platform":"alpha21264","fidelity":"full","wait":true}'
 //
 // Timing endpoints (/v1/evaluate, evaluate sweeps) default to the
-// fast scoreboard tier; pass "fidelity":"full" for the exact
-// paper-reproduction model. Per-tier request counters appear on
-// /metrics as bioperfd_timing_requests_total.
+// fast tier, the pipeline model on 1/32 sampled windows; pass
+// "fidelity":"full" for the exact paper-reproduction run over the
+// whole stream. Per-tier request counters appear on /metrics as
+// bioperfd_timing_requests_total.
 //
 // With -store DIR the session is backed by a persistent artifact
 // store: cold characterizations record their event traces, and a
@@ -37,7 +38,9 @@ package main
 import (
 	"context"
 	"flag"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -52,30 +55,59 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bioperfd: ")
-	addr := flag.String("addr", ":8080", "listen address")
-	jobs := flag.Int("j", 0, "session simulation workers (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue", 64, "job queue depth (full queue rejects with 429)")
-	workers := flag.Int("workers", 4, "job executor pool width")
-	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "server-wide per-job timeout cap")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain budget")
-	storeDir := flag.String("store", "", "persistent artifact store directory (warm restarts replay recorded traces)")
-	storeMax := flag.Int64("store-max", 0, "artifact store size cap in bytes (0 = unlimited, LRU eviction above)")
-	selfURL := flag.String("self", "", "this node's advertised base URL (required with -peers)")
-	peers := flag.String("peers", "", "comma-separated peer base URLs; joins a consistent-hash fleet")
-	replicas := flag.Int("replicas", 1, "successors beyond the primary holding each artifact")
-	shedPolicy := flag.String("shed-policy", "", "overload ladder rungs: forward,degrade (default), a subset, or none")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
+// run parses args, serves until SIGINT or SIGTERM, drains, and returns
+// the exit code: 0 after a drain on a signal, 1 when the store cannot
+// open or the listener fails, 2 on bad usage. The store is closed on
+// every path that opened it. Usage errors and logs go to stderr;
+// the daemon writes nothing else.
+func run(args []string, stderr io.Writer) int {
+	logger := log.New(stderr, "bioperfd: ", 0)
+	fs := flag.NewFlagSet("bioperfd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	jobs := fs.Int("j", 0, "session simulation workers (0 = GOMAXPROCS)")
+	queueDepth := fs.Int("queue", 64, "job queue depth (full queue rejects with 429)")
+	workers := fs.Int("workers", 4, "job executor pool width")
+	jobTimeout := fs.Duration("job-timeout", 10*time.Minute, "server-wide per-job timeout cap")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain budget")
+	storeDir := fs.String("store", "", "persistent artifact store directory (warm restarts replay recorded traces)")
+	storeMax := fs.Int64("store-max", 0, "artifact store size cap in bytes (0 = unlimited, LRU eviction above)")
+	selfURL := fs.String("self", "", "this node's advertised base URL (required with -peers)")
+	peers := fs.String("peers", "", "comma-separated peer base URLs; joins a consistent-hash fleet")
+	replicas := fs.Int("replicas", 1, "successors beyond the primary holding each artifact")
+	shedPolicy := fs.String("shed-policy", "", "overload ladder rungs: forward,degrade (default), a subset, or none")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		logger.Printf(format, a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments: %v", fs.Args())
+	}
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"j", *jobs}, {"queue", *queueDepth}, {"workers", *workers}, {"replicas", *replicas}} {
+		if c.v < 0 {
+			return usage("-%s must not be negative, got %d", c.name, c.v)
+		}
+	}
 	shed, err := service.ParseShedPolicy(*shedPolicy)
 	if err != nil {
-		log.Fatal(err)
+		return usage("%v", err)
 	}
 	var fleet *cluster.Cluster
 	if *peers != "" {
 		if *selfURL == "" {
-			log.Fatal("-peers requires -self (this node's advertised base URL)")
+			return usage("-peers requires -self (this node's advertised base URL)")
 		}
 		fleet = cluster.New(cluster.Config{
 			Self:     *selfURL,
@@ -86,20 +118,25 @@ func main() {
 
 	var artifacts *store.Store
 	if *storeDir != "" {
-		var err error
 		artifacts, err = store.Open(*storeDir, *storeMax)
 		if err != nil {
-			log.Fatalf("open store %s: %v", *storeDir, err)
+			logger.Printf("open store %s: %v", *storeDir, err)
+			return 1
 		}
 		defer func() {
 			if err := artifacts.Close(); err != nil {
-				log.Printf("store close: %v", err)
+				logger.Printf("store close: %v", err)
 			}
 		}()
 		st := artifacts.Stats()
-		log.Printf("store %s: %d entries, %d bytes", *storeDir, st.Entries, st.BytesOnDisk)
+		logger.Printf("store %s: %d entries, %d bytes", *storeDir, st.Entries, st.BytesOnDisk)
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Print(err)
+		return 1
+	}
 	sess := runner.NewSessionWithStore(*jobs, artifacts)
 	switch {
 	case fleet != nil && artifacts != nil:
@@ -107,7 +144,7 @@ func main() {
 		// one there is nothing to serve peers or admit from them.
 		sess.SetRemote(fleet)
 	case fleet != nil:
-		log.Print("warning: -peers without -store disables the peer artifact tier (forwarding still works)")
+		logger.Print("warning: -peers without -store disables the peer artifact tier (forwarding still works)")
 	}
 	svc := service.New(service.Config{
 		Session:    sess,
@@ -118,37 +155,40 @@ func main() {
 		Shed:       shed,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	httpSrv := &http.Server{Handler: svc.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("listening on %s (queue=%d workers=%d session-jobs=%d)",
-		*addr, *queueDepth, *workers, svc.Session().Jobs())
+	go func() { errc <- httpSrv.Serve(ln) }()
+	logger.Printf("listening on %s (queue=%d workers=%d session-jobs=%d)",
+		ln.Addr(), *queueDepth, *workers, svc.Session().Jobs())
 	if fleet != nil {
-		log.Printf("fleet: self=%s members=%d replicas=%d shed=%s",
+		logger.Printf("fleet: self=%s members=%d replicas=%d shed=%s",
 			fleet.Self(), len(fleet.Members()), fleet.Replicas(), shed)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	code := 0
 	select {
 	case err := <-errc:
-		log.Fatal(err)
+		logger.Print(err)
+		code = 1
 	case <-ctx.Done():
 	}
 
-	log.Printf("draining (budget %s)", *drainTimeout)
+	logger.Printf("draining (budget %s)", *drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(dctx); err != nil {
-		log.Printf("http shutdown: %v", err)
+		logger.Printf("http shutdown: %v", err)
 	}
 	if err := svc.Shutdown(dctx); err != nil {
-		log.Printf("queue drain: %v", err)
+		logger.Printf("queue drain: %v", err)
 	}
 	if fleet != nil {
 		fleet.Quiesce()
 	}
-	log.Print("bye")
+	logger.Print("bye")
+	return code
 }
 
 func splitComma(s string) []string {

@@ -2,14 +2,15 @@
 // paper's evaluation and prints them in order. The -size flag selects
 // the characterization input scale and -timing the Table 8/Figure 9
 // scale (the paper profiles with class-B inputs and times with
-// class-C). Timing experiments run on the fast scoreboard tier by
-// default; -fidelity full reproduces the exact paper cells on the
-// cycle-level model, and -sweep adds the machine-grid sweep the fast
-// tier makes affordable. All experiments share one analysis session:
-// each kernel is compiled once and functionally simulated once, every
-// analyzer reads from that shared run, and independent simulations fan
-// out across -j worker goroutines with deterministic output. SIGINT
-// and SIGTERM cancel the session's in-flight simulations.
+// class-C). Timing experiments run on the fast tier, the cycle-level
+// model on 1/32 sampled windows, by default; -fidelity full reproduces
+// the exact paper cells over the whole stream, and -sweep adds the
+// machine-grid sweep the fast tier makes affordable. All experiments
+// share one analysis session: each kernel is compiled once and
+// functionally simulated once, every analyzer reads from that shared
+// run, and independent simulations fan out across -j worker goroutines
+// with deterministic output. SIGINT and SIGTERM cancel the session's
+// in-flight simulations.
 //
 //	go run ./cmd/experiments -size classB -timing classB -j 8 \
 //	    -fidelity full -sweep

@@ -12,7 +12,7 @@ import (
 )
 
 // The sweep experiment is the payoff of the fast tier: where the paper
-// could evaluate four concrete machines, the scoreboard's cost per
+// could evaluate four concrete machines, the sampled model's cost per
 // machine config is low enough to grid the microarchitectural
 // parameters the paper singles out — L1 load-to-use latency (the
 // latency the transformation hides), issue width (how much independent
@@ -59,9 +59,9 @@ type SweepRow struct {
 }
 
 // SweepSession measures every grid point on the fast tier. The grid
-// always runs on the scoreboard — a 45-point full-model sweep would
-// cost ~45x a full Table 8 column and is exactly the workload the fast
-// tier exists for — and all points share one functional run per
+// always runs sampled — a 45-point full-stream sweep would cost ~45x
+// a full Table 8 column and is exactly the workload the fast tier
+// exists for — and all points share one functional run per
 // (program, variant) at the default register budget.
 func SweepSession(ctx context.Context, s *runner.Session, sz bio.Size, points []SweepPoint) ([]SweepRow, error) {
 	if len(points) == 0 {

@@ -2,32 +2,32 @@ package pipeline
 
 import "bioperfload/internal/isa"
 
-// Class is the set of instruction classes a timing model branches on.
-type Class uint8
+// instClass is the set of instruction classes the model branches on.
+type instClass uint8
 
 const (
-	ClassLoad       Class = 1 << iota // reads data memory
-	ClassStore                        // writes data memory
-	ClassCondBranch                   // trains the branch predictor
-	ClassBranch                       // any control transfer; taken ones break fetch
+	classLoad       instClass = 1 << iota // reads data memory
+	classStore                            // writes data memory
+	classCondBranch                       // trains the branch predictor
+	classBranch                           // any control transfer; taken ones break fetch
 )
 
-// Decoded is one static instruction as the timing models see it on one
+// decoded is one static instruction as the model sees it on one
 // machine: the registers it reads and writes, its execution latency,
 // and its class.
-type Decoded struct {
+type decoded struct {
 	inst *isa.Inst // the instruction this entry was decoded from
-	Lat  int32     // ExecLatency on the table's machine
-	// Srcs are the register-file indices read (see deps). Unused
+	lat  int32     // execLatency on the table's machine
+	// srcs are the register-file indices read (see deps). Unused
 	// entries hold the integer zero register, which no instruction
-	// writes, so its ready time stays 0 and a model can take the
+	// writes, so its ready time stays 0 and the model can take the
 	// maximum over all three without a count.
-	Srcs  [3]uint8
-	Dst   int8 // register-file index written, -1 if none
-	Class Class
+	srcs  [3]uint8
+	dst   int8 // register-file index written, -1 if none
+	class instClass
 }
 
-// DecodeTable decodes each static instruction once per model, the
+// decodeTable decodes each static instruction once per model, the
 // first time its PC commits, and serves every later commit from a
 // PC-indexed slice: the per-event work of dependence extraction, the
 // latency switch and the class tests is paid once per static
@@ -37,19 +37,19 @@ type Decoded struct {
 // again when a later event at that PC carries a different one, so
 // synthetic streams that reuse PCs for different instructions time
 // exactly as if every instruction had its own PC.
-type DecodeTable struct {
+type decodeTable struct {
 	cfg  *Config
-	ents []Decoded
+	ents []decoded
 }
 
-// NewDecodeTable returns an empty table for the machine cfg points to;
-// cfg must be Normalized and must outlive the table.
-func NewDecodeTable(cfg *Config) DecodeTable { return DecodeTable{cfg: cfg} }
+// newDecodeTable returns an empty table for the machine cfg points to;
+// cfg must be normalized and must outlive the table.
+func newDecodeTable(cfg *Config) decodeTable { return decodeTable{cfg: cfg} }
 
-// Lookup returns the decoded form of in, committed at pc, a static
+// lookup returns the decoded form of in, committed at pc, a static
 // instruction index (sim.Event.PC). The entry is owned by the table and
-// valid until the next Lookup at the same PC.
-func (t *DecodeTable) Lookup(pc int32, in *isa.Inst) *Decoded {
+// valid until the next lookup at the same PC.
+func (t *decodeTable) lookup(pc int32, in *isa.Inst) *decoded {
 	if uint32(pc) < uint32(len(t.ents)) && t.ents[pc].inst == in {
 		return &t.ents[pc]
 	}
@@ -57,35 +57,35 @@ func (t *DecodeTable) Lookup(pc int32, in *isa.Inst) *Decoded {
 }
 
 // decode fills the entry for pc from in, growing the table as needed.
-func (t *DecodeTable) decode(pc int32, in *isa.Inst) *Decoded {
+func (t *decodeTable) decode(pc int32, in *isa.Inst) *decoded {
 	if i := int(pc); i >= len(t.ents) {
-		grown := make([]Decoded, i+i/2+16)
+		grown := make([]decoded, i+i/2+16)
 		copy(grown, t.ents)
 		t.ents = grown
 	}
 	d := &t.ents[pc]
-	var c Class
+	var c instClass
 	switch {
 	case isa.IsLoad(in.Op):
-		c = ClassLoad
+		c = classLoad
 	case isa.IsStore(in.Op):
-		c = ClassStore
+		c = classStore
 	case isa.IsCondBranch(in.Op):
-		c = ClassCondBranch
+		c = classCondBranch
 	}
 	if isa.IsBranch(in.Op) {
-		c |= ClassBranch
+		c |= classBranch
 	}
-	*d = Decoded{inst: in, Lat: int32(t.cfg.ExecLatency(in.Op)), Class: c}
-	d.Srcs, d.Dst = deps(in)
+	*d = decoded{inst: in, lat: int32(t.cfg.execLatency(in.Op)), class: c}
+	d.srcs, d.dst = deps(in)
 	return d
 }
 
-// ExecLatency returns the functional-unit latency for op under this
-// configuration. Both timing tiers read latencies through their
-// DecodeTable, which calls this; call it on a Normalized config, or
-// unset latency fields come back 0.
-func (c *Config) ExecLatency(op isa.Op) int {
+// execLatency returns the functional-unit latency for op under this
+// configuration. The model reads latencies through its decodeTable,
+// which calls this; call it on a normalized config, or unset latency
+// fields come back 0.
+func (c *Config) execLatency(op isa.Op) int {
 	switch op {
 	case isa.OpMul:
 		return c.IntMulLat

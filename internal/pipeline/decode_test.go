@@ -12,27 +12,27 @@ import (
 // table: an entry is served only for the *isa.Inst it was decoded
 // from, so one PC can carry a multiply and then a load.
 func TestDecodeTableRedecodesOnNewInst(t *testing.T) {
-	cfg := testConfig().Normalized()
-	tab := NewDecodeTable(&cfg)
+	cfg := testConfig().normalized()
+	tab := newDecodeTable(&cfg)
 	mul := &isa.Inst{Op: isa.OpMul, Rd: 3, Ra: 1, Rb: 2}
 	ld := &isa.Inst{Op: isa.OpLdq, Rd: 4, Ra: 3}
 	for _, pc := range []int32{0, 7} {
 		for round := 0; round < 2; round++ {
-			d := tab.Lookup(pc, mul)
-			if d.Class != 0 || d.Lat != int32(cfg.IntMulLat) || d.Srcs != [3]uint8{1, 2, isa.RZero} || d.Dst != 3 {
+			d := tab.lookup(pc, mul)
+			if d.class != 0 || d.lat != int32(cfg.IntMulLat) || d.srcs != [3]uint8{1, 2, isa.RZero} || d.dst != 3 {
 				t.Fatalf("pc %d: mul decoded as %+v", pc, *d)
 			}
-			d = tab.Lookup(pc, ld)
-			if d.Class != ClassLoad || d.Srcs != [3]uint8{3, isa.RZero, isa.RZero} || d.Dst != 4 {
+			d = tab.lookup(pc, ld)
+			if d.class != classLoad || d.srcs != [3]uint8{3, isa.RZero, isa.RZero} || d.dst != 4 {
 				t.Fatalf("pc %d: load decoded as %+v", pc, *d)
 			}
 		}
 	}
 	br := &isa.Inst{Op: isa.OpBne, Ra: 4}
-	if d := tab.Lookup(3, br); d.Class != ClassCondBranch|ClassBranch || d.Lat != int32(cfg.BranchLat) {
+	if d := tab.lookup(3, br); d.class != classCondBranch|classBranch || d.lat != int32(cfg.BranchLat) {
 		t.Fatalf("bne decoded as %+v", *d)
 	}
-	if d := tab.Lookup(4, &isa.Inst{Op: isa.OpBr}); d.Class != ClassBranch || d.Srcs != [3]uint8{isa.RZero, isa.RZero, isa.RZero} || d.Dst != -1 {
+	if d := tab.lookup(4, &isa.Inst{Op: isa.OpBr}); d.class != classBranch || d.srcs != [3]uint8{isa.RZero, isa.RZero, isa.RZero} || d.dst != -1 {
 		t.Fatalf("br decoded as %+v", *d)
 	}
 }

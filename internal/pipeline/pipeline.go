@@ -21,6 +21,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"bioperfload/internal/bpred"
 	"bioperfload/internal/cache"
@@ -28,24 +29,22 @@ import (
 	"bioperfload/internal/sim"
 )
 
-// Fidelity selects the timing backend tier for a Config. The zero
-// value is the full cycle-level model, so existing configurations keep
-// their meaning; FidelityFast routes to the scoreboard latency model
-// (internal/scoreboard), which trades per-slot resource modeling for a
-// simpler per-instruction update. Per observed event the scoreboard is
-// only about 25–30% cheaper than the full model; the fast tier's speed
-// comes from sampling, which lets it observe 1/32 of the stream.
+// Fidelity selects how much of the committed stream the timing model
+// sees. There is one model, Model in this package, on both tiers. The
+// zero value is the full tier, so existing configurations keep their
+// meaning; FidelityFast runs the same model on 1/32 sampled windows
+// through internal/scoreboard, which extrapolates the result. Its speed
+// and its error both come from that sampling.
 type Fidelity uint8
 
 const (
-	// FidelityFull is the out-of-order dependence-graph Model in this
-	// package: per-slot issue search, window occupancy, load ports,
-	// store-to-load forwarding. The paper-reproduction tier.
+	// FidelityFull runs Model over the whole committed stream. The
+	// paper-reproduction tier.
 	FidelityFull Fidelity = iota
-	// FidelityFast is the reg-ready-time scoreboard tier: one ready
-	// time per register, width-adjusted issue cursor, branch predictor
-	// and cache hierarchy, sampled observation. Validated against the
-	// full tier by internal/scoreboard/validate.
+	// FidelityFast runs Model over the first 2^16 instructions of
+	// every 2^21 and extrapolates cycles and event counts to the whole
+	// run. Validated against the full tier by
+	// internal/scoreboard/validate.
 	FidelityFast
 )
 
@@ -74,9 +73,9 @@ func ParseFidelity(s string) (Fidelity, error) {
 type Config struct {
 	Name string
 
-	// Fidelity selects the timing backend tier; the zero value is the
-	// full model. Routing happens in runner.Session — NewModel in this
-	// package always builds the full model.
+	// Fidelity selects the timing tier; the zero value is the full
+	// stream. Routing happens in runner.Session — NewModel in this
+	// package ignores it.
 	Fidelity Fidelity
 
 	// InOrder selects in-order issue (Itanium-style). Out-of-order
@@ -165,12 +164,17 @@ const (
 	slotMask = slotSize - 1
 )
 
+// cycleUse counts the instructions and loads issued in one cycle. A
+// count never passes IssueWidth or LoadPorts, which NewModel caps at
+// 255.
+type cycleUse struct{ issue, loads uint8 }
+
 // Model is a timing simulator fed with committed instructions. It
 // implements sim.BatchObserver so it can be attached directly to a
 // functional machine.
 type Model struct {
 	cfg    Config
-	dec    DecodeTable // per-PC sources, destination, latency, class
+	dec    decodeTable // per-PC sources, destination, latency, class
 	hier   *cache.Hierarchy
 	pred   *bpred.DenseShard // the paper hybrid, owning every branch PC
 	custom bpred.Predictor   // overrides pred when cfg.Predictor is set
@@ -179,11 +183,11 @@ type Model struct {
 
 	regReady [numRegs]int64 // completion time of last producer
 
-	// Per-cycle resource rings. ringBase tracks the oldest cycle
-	// whose slots are still meaningful; slots are cleared lazily as
-	// the dispatch frontier advances.
-	issueUsed [slotSize]uint16
-	loadUsed  [slotSize]uint16
+	// Per-cycle resource ring: the issue slots and load ports used in
+	// each cycle. ringFloor tracks the oldest cycle whose entry is
+	// still meaningful; entries are cleared lazily as the dispatch
+	// frontier advances.
+	used      [slotSize]cycleUse
 	ringFloor int64 // all cycles below this have been cleared/passed
 
 	// Front end.
@@ -209,10 +213,9 @@ type Model struct {
 	maxComplete int64
 }
 
-// Normalized returns cfg with unset structural and latency fields
-// replaced by the defaults NewModel has always applied, so both timing
-// tiers (and any code reading ExecLatency) see the same machine.
-func (c Config) Normalized() Config {
+// normalized returns cfg with unset structural and latency fields
+// replaced by the defaults NewModel has always applied.
+func (c Config) normalized() Config {
 	if c.FetchWidth <= 0 {
 		c.FetchWidth = 4
 	}
@@ -237,9 +240,13 @@ func (c Config) Normalized() Config {
 	return c
 }
 
-// NewModel builds a timing model for cfg.
+// NewModel builds a timing model for cfg. It panics if IssueWidth or
+// LoadPorts exceeds 255, the most a per-cycle slot counter holds.
 func NewModel(cfg Config) *Model {
-	cfg = cfg.Normalized()
+	cfg = cfg.normalized()
+	if cfg.IssueWidth > math.MaxUint8 || cfg.LoadPorts > math.MaxUint8 {
+		panic(fmt.Sprintf("pipeline: IssueWidth %d / LoadPorts %d above %d", cfg.IssueWidth, cfg.LoadPorts, math.MaxUint8))
+	}
 	m := &Model{
 		cfg:        cfg,
 		hier:       cache.NewHierarchy(cfg.Cache),
@@ -247,7 +254,7 @@ func NewModel(cfg Config) *Model {
 		storeReady: newStoreTable(),
 		fetchCycle: int64(cfg.FrontEndDepth),
 	}
-	m.dec = NewDecodeTable(&m.cfg)
+	m.dec = newDecodeTable(&m.cfg)
 	if cfg.Predictor != nil {
 		m.custom = cfg.Predictor()
 	} else {
@@ -281,7 +288,7 @@ func (m *Model) ObserveBatch(evs []sim.Event) {
 
 // observe advances the timing model by one committed instruction.
 func (m *Model) observe(ev *sim.Event) {
-	d := m.dec.Lookup(ev.PC, ev.Inst)
+	d := m.dec.lookup(ev.PC, ev.Inst)
 	m.stats.Instructions++
 
 	// ---- Front end: dispatch subject to width, redirects, window.
@@ -309,10 +316,10 @@ func (m *Model) observe(ev *sim.Event) {
 	m.advanceRing(dispatch)
 
 	// ---- Operand readiness.
-	ready := max(dispatch, m.regReady[d.Srcs[0]], m.regReady[d.Srcs[1]], m.regReady[d.Srcs[2]])
+	ready := max(dispatch, m.regReady[d.srcs[0]], m.regReady[d.srcs[1]], m.regReady[d.srcs[2]])
 
-	isLoad := d.Class&ClassLoad != 0
-	isStore := d.Class&ClassStore != 0
+	isLoad := d.class&classLoad != 0
+	isStore := d.class&classStore != 0
 	if isLoad {
 		if t, ok := m.storeReady.lookup(ev.Addr &^ 7); ok && t > ready {
 			// Store-to-load forwarding: data available one cycle
@@ -344,7 +351,7 @@ func (m *Model) observe(ev *sim.Event) {
 	}
 
 	// ---- Execute.
-	lat := int64(d.Lat)
+	lat := int64(d.lat)
 	if isLoad || isStore {
 		lvl, clat := m.hier.Access(ev.Addr, isStore)
 		if isLoad {
@@ -371,12 +378,12 @@ func (m *Model) observe(ev *sim.Event) {
 	if isStore {
 		m.storeReady.store(ev.Addr&^7, complete)
 	}
-	if d.Dst >= 0 {
-		m.regReady[d.Dst] = complete
+	if d.dst >= 0 {
+		m.regReady[d.dst] = complete
 	}
 
 	// ---- Branch resolution and misprediction redirect.
-	if d.Class&ClassCondBranch != 0 {
+	if d.class&classCondBranch != 0 {
 		m.stats.CondBranches++
 		var miss bool
 		if m.custom != nil {
@@ -398,7 +405,7 @@ func (m *Model) observe(ev *sim.Event) {
 	// instructions enter the pipe this cycle. Branchy code therefore
 	// loses fetch bandwidth that straight-line (if-converted) code
 	// keeps — a first-order effect of the paper's transformation.
-	if ev.Taken && d.Class&ClassBranch != 0 {
+	if ev.Taken && d.class&classBranch != 0 {
 		if m.fetchCycle <= dispatch {
 			m.fetchCycle = dispatch + 1
 		}
@@ -439,11 +446,11 @@ func (m *Model) findIssueSlot(want int64, isLoad bool) int64 {
 	}
 	for {
 		idx := want & slotMask
-		if int(m.issueUsed[idx]) < m.cfg.IssueWidth &&
-			(!isLoad || int(m.loadUsed[idx]) < m.cfg.LoadPorts) {
-			m.issueUsed[idx]++
+		u := &m.used[idx]
+		if int(u.issue) < m.cfg.IssueWidth && (!isLoad || int(u.loads) < m.cfg.LoadPorts) {
+			u.issue++
 			if isLoad {
-				m.loadUsed[idx]++
+				u.loads++
 			}
 			return want
 		}
@@ -466,8 +473,7 @@ func (m *Model) advanceRing(dispatch int64) {
 	}
 	for c := m.ringFloor; c < target; c++ {
 		idx := c & slotMask
-		m.issueUsed[idx] = 0
-		m.loadUsed[idx] = 0
+		m.used[idx] = cycleUse{}
 	}
 	m.ringFloor = target
 }

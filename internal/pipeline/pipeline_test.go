@@ -626,3 +626,28 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }
+
+// TestNewModelRejectsCountersPastByte: the per-cycle issue and
+// load-port counters are bytes, so a width or port count they cannot
+// reach is refused up front instead of wrapping; 255 is accepted.
+func TestNewModelRejectsCountersPastByte(t *testing.T) {
+	for _, c := range []struct {
+		issue, ports int
+		panics       bool
+	}{
+		{255, 255, false},
+		{256, 2, true},
+		{4, 256, true},
+	} {
+		cfg := testConfig()
+		cfg.IssueWidth, cfg.LoadPorts = c.issue, c.ports
+		func() {
+			defer func() {
+				if got := recover() != nil; got != c.panics {
+					t.Errorf("IssueWidth %d, LoadPorts %d: panicked %v, want %v", c.issue, c.ports, got, c.panics)
+				}
+			}()
+			NewModel(cfg)
+		}()
+	}
+}

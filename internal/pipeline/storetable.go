@@ -7,7 +7,8 @@ package pipeline
 // storeTableMaxSlots slots, so the load factor never passes 1/2.
 const (
 	storeTableMax      = 1 << 16
-	storeTableMinSlots = 1 << 12
+	storeTableMinBits  = 8
+	storeTableMinSlots = 1 << storeTableMinBits
 	storeTableMaxSlots = 1 << 17
 )
 
@@ -30,7 +31,7 @@ type storeSlot struct {
 }
 
 func newStoreTable() storeTable {
-	return storeTable{slots: make([]storeSlot, storeTableMinSlots), shift: 64 - 12}
+	return storeTable{slots: make([]storeSlot, storeTableMinSlots), shift: 64 - storeTableMinBits}
 }
 
 // home returns the first slot key probes.

@@ -146,7 +146,7 @@ func (p Platform) EvalOptions() compiler.Options {
 
 // WithFidelity returns a copy of the platform with the timing tier
 // set — the tier-selection hook callers (service, CLIs) use to route
-// a platform's evaluations to the fast scoreboard or the full model.
+// a platform's evaluations to the sampled fast tier or the full stream.
 func (p Platform) WithFidelity(f pipeline.Fidelity) Platform {
 	p.Pipeline.Fidelity = f
 	return p

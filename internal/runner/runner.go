@@ -422,8 +422,8 @@ func (s *Session) Evaluate(ctx context.Context, p *bio.Program, plat platform.Pl
 
 // TimingJob is one timing measurement: a program variant compiled
 // with Opts and timed on the machine Config describes. Config.Fidelity
-// selects the tier: the full out-of-order model, or the fast
-// scoreboard tier with sampled observation.
+// selects the tier: the pipeline model over the whole stream, or the
+// same model over 1/32 sampled windows.
 type TimingJob struct {
 	Program     *bio.Program
 	Config      pipeline.Config
@@ -493,7 +493,7 @@ type timingModel interface {
 // single functional simulation and writes each job's stats to its
 // slot in out. On the fast tier the machine samples the stream
 // (scoreboard.SampleObserve of every SamplePeriod instructions) and
-// each scoreboard extrapolates via Finalize; on the full tier every
+// each sampled model extrapolates via Finalize; on the full tier every
 // model observes the complete stream.
 func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int, sz bio.Size, out []pipeline.Stats) error {
 	first := jobs[idx[0]]

@@ -6,6 +6,7 @@ import (
 	"bioperfload/internal/cache"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/pipeline"
+	"bioperfload/internal/platform"
 	"bioperfload/internal/sim"
 )
 
@@ -52,10 +53,6 @@ func loadAt(dst uint8, addr uint64) sim.Event {
 	return sim.Event{Inst: &isa.Inst{Op: isa.OpLdq, Rd: dst, Ra: isa.RZero}, Addr: addr}
 }
 
-func storeAt(data uint8, addr uint64) sim.Event {
-	return sim.Event{Inst: &isa.Inst{Op: isa.OpStq, Ra: isa.RZero, Rb: data}, Addr: addr}
-}
-
 func condBranch(pc int32, taken bool) sim.Event {
 	return sim.Event{Inst: &isa.Inst{Op: isa.OpBne, Ra: isa.RZero}, PC: pc, Taken: taken}
 }
@@ -91,29 +88,6 @@ func TestDependentChainSerializes(t *testing.T) {
 	got := cycles(m)
 	if got < n || got > n+8 {
 		t.Errorf("dependent chain: %d cycles, want about %d", got, n)
-	}
-}
-
-// The cursor advances at the narrowest of the three machine widths —
-// the Pentium 4's retire width 3 is what actually caps its IPC.
-func TestWidthIsNarrowestMachineWidth(t *testing.T) {
-	cases := []struct {
-		fetch, issue, retire, want int
-	}{
-		{4, 4, 4, 4},
-		{3, 4, 3, 3}, // Pentium 4 shape
-		{6, 6, 6, 6},
-		{4, 2, 4, 2},
-		{1, 4, 4, 1},
-	}
-	for _, c := range cases {
-		m := newTestModel(func(cfg *pipeline.Config) {
-			cfg.FetchWidth, cfg.IssueWidth, cfg.RetireWidth = c.fetch, c.issue, c.retire
-		})
-		if m.width != c.want {
-			t.Errorf("widths %d/%d/%d: cursor rate %d, want %d",
-				c.fetch, c.issue, c.retire, m.width, c.want)
-		}
 	}
 }
 
@@ -155,34 +129,8 @@ func TestWindowFullStallsDispatch(t *testing.T) {
 	}
 }
 
-// A load that hits a recent store's address waits for the store's
-// data: if the store's value arrived late, the dependence carries
-// through memory into the load's result. Both runs store to and load
-// from the same word — identical cache behavior — and differ only in
-// when the stored value is ready.
-func TestStoreForwardingDelaysDependentLoad(t *testing.T) {
-	run := func(producer sim.Event) int64 {
-		m := newTestModel(nil)
-		m.ObserveBatch([]sim.Event{
-			producer,           // defines r1, early or late
-			storeAt(1, 0x4008), // store waits for r1
-			loadAt(3, 0x4008),  // aliases the store, waits for its data
-		})
-		return m.regReady[3]
-	}
-	late := run(divImm(1))  // r1 ready around cycle 20
-	early := run(addImm(1)) // r1 ready at cycle 1
-	if late < early+15 {
-		t.Errorf("load after late store ready at %d, after early store at %d: want the divide's latency to carry through",
-			late, early)
-	}
-	if late < 21 {
-		t.Errorf("forwarded load ready at %d, want >= 21 (store completion)", late)
-	}
-}
-
-// Mispredicted branches stall the front end: each miss jumps the
-// cursor past the branch's resolution plus the redirect cost.
+// Mispredicted branches stall the front end: after each miss, fetch
+// waits for the branch to resolve and then pays the redirect cost.
 func TestMispredictRedirectStalls(t *testing.T) {
 	m := newTestModel(nil)
 	rng := uint64(12345)
@@ -259,12 +207,12 @@ func TestFinalizeExactWhenUnsampled(t *testing.T) {
 	}
 }
 
-// BenchmarkModelMixed times the model over a synthetic loop: a load
-// from a streamed array feeding a random conditional branch, a store
-// into a reused 64-word buffer that the next load reads back, a
-// multiply, and a dependent add. Each static instruction keeps its own
-// PC and *isa.Inst, as in a real program. It reports ns/event.
-func BenchmarkModelMixed(b *testing.B) {
+// mixedEvents is a synthetic loop of iters iterations: a load from a
+// streamed array feeding a random conditional branch, a store into a
+// reused 64-word buffer that the next load reads back, a multiply, and
+// a dependent add. Each static instruction keeps its own PC and
+// *isa.Inst, as in a real program.
+func mixedEvents(iters uint64) []sim.Event {
 	body := []*isa.Inst{
 		{Op: isa.OpLdq, Rd: 4, Ra: 2},
 		{Op: isa.OpBle, Ra: 4},
@@ -273,8 +221,7 @@ func BenchmarkModelMixed(b *testing.B) {
 		{Op: isa.OpMul, Rd: 3, Ra: 3, Rb: 5},
 		{Op: isa.OpAdd, Rd: 2, Ra: 2, HasImm: true, Imm: 8},
 	}
-	const iters = 1 << 14
-	evs := make([]sim.Event, 0, iters*len(body))
+	evs := make([]sim.Event, 0, iters*uint64(len(body)))
 	rng := uint64(12345)
 	for i := uint64(0); i < iters; i++ {
 		rng ^= rng << 13
@@ -293,6 +240,42 @@ func BenchmarkModelMixed(b *testing.B) {
 			evs = append(evs, ev)
 		}
 	}
+	return evs
+}
+
+// TestUnsampledMatchesPipeline pins "one timing model": on every
+// platform, an unsampled Model returns exactly the Stats of the full
+// pipeline.Model over the same mixed load/store/branch stream, before
+// and after Finalize with the observed count.
+func TestUnsampledMatchesPipeline(t *testing.T) {
+	evs := mixedEvents(1 << 12)
+	for _, pl := range platform.All() {
+		cfg := pl.WithFidelity(pipeline.FidelityFast).Pipeline
+		fast := NewModel(cfg)
+		full := pipeline.NewModel(cfg)
+		for i := 0; i < len(evs); i += 1000 {
+			batch := evs[i:min(i+1000, len(evs))]
+			fast.ObserveBatch(batch)
+			full.ObserveBatch(batch)
+		}
+		want := full.Stats()
+		if want.Loads == 0 || want.Stores == 0 || want.Mispredicts == 0 {
+			t.Fatalf("%s: stream exercised too little: %+v", pl.Name, want)
+		}
+		if got := fast.Stats(); got != want {
+			t.Errorf("%s: fast tier %+v, full model %+v", pl.Name, got, want)
+		}
+		fast.Finalize(uint64(len(evs)))
+		if got := fast.Stats(); got != want {
+			t.Errorf("%s: after Finalize(observed) fast tier %+v, full model %+v", pl.Name, got, want)
+		}
+	}
+}
+
+// BenchmarkModelMixed times the model over mixedEvents and reports
+// ns/event.
+func BenchmarkModelMixed(b *testing.B) {
+	evs := mixedEvents(1 << 14)
 	m := newTestModel(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

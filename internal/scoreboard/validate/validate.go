@@ -1,7 +1,7 @@
 // Package validate is the fast-tier acceptance harness: it runs every
-// BioPerf program through both timing tiers and asserts the scoreboard
-// reproduces the full model's observable conclusions within checked-in
-// per-program tolerances.
+// BioPerf program through both timing tiers and asserts the sampled
+// fast tier reproduces the full model's observable conclusions within
+// checked-in per-program tolerances.
 //
 // What "reproduces" means depends on the program:
 //
@@ -14,10 +14,12 @@
 //     Alpha baseline — the cross-platform discrimination a sweep relies
 //     on — as a relative error in percent.
 //
-// Absolute cycle counts are NOT validated: the scoreboard is an
-// infinite-window approximation and reads systematically higher than
-// the full model. The ratios are what the paper reports and what the
-// fast tier exists to estimate.
+// Both tiers run the same pipeline model; the fast tier observes 1/32
+// of the stream and extrapolates, so every disagreement the harness
+// measures is sampling error (under-warmed caches and predictors after
+// each skipped stretch, and phases the windows miss). Absolute cycle
+// counts are NOT validated; the ratios are what the paper reports and
+// what the fast tier exists to estimate.
 package validate
 
 import (
@@ -40,20 +42,21 @@ import (
 // `make validate-timing`. Every program needs an entry: Run refuses a
 // program without one.
 var TolerancePP = map[string]float64{
-	"clustalw":     9,  // measured max 6.8 (itanium2, classB)
-	"dnapenny":     22, // measured max 17.3 (pentium4, classB)
+	"clustalw":     9,  // measured max 6.5 (pentium4, test)
+	"dnapenny":     22, // measured max 17.2 (pentium4, classB)
 	"hmmcalibrate": 8,  // measured max 6.2 (itanium2, classB)
-	"hmmpfam":      27, // measured max 21.8 (pentium4, classB)
-	"hmmsearch":    6,  // measured max 2.6 (itanium2, test)
-	"predator":     4,  // measured max 2.1 (pentium4, test)
+	"hmmpfam":      27, // measured max 21.6 (pentium4, classB)
+	"hmmsearch":    3,  // measured max 2.4 (ppcg5, test)
+	"predator":     3,  // measured max 1.9 (pentium4, test)
 	// Non-transformables: relative error of cycles(platform)/cycles(alpha).
 	// fasta's classB run is capacity-miss-bound on the small-L2
 	// machines, and 1/32 sampling under-warms those caches, so its
 	// ratio error reaches ~21% there — the largest sampling artifact
-	// in the suite.
+	// in the suite. Its budget is kept, not raised, though the margin
+	// is now below 25%.
 	"blast":  10, // measured max 7.3 (itanium2, test)
-	"fasta":  26, // measured max 21.1 (ppcg5, classB)
-	"promlk": 9,  // measured max 6.6 (pentium4, classB)
+	"fasta":  26, // measured max 21.3 (ppcg5, classB)
+	"promlk": 3,  // measured max 2.2 (pentium4, classB)
 }
 
 // Row is one (program, platform) validation cell.
@@ -171,7 +174,7 @@ func Check(rows []Row) error {
 // Render formats the rows as the validate-timing report.
 func Render(rows []Row) string {
 	var b strings.Builder
-	b.WriteString("Timing-tier validation: fast scoreboard vs full model\n")
+	b.WriteString("Timing-tier validation: fast (1/32 sampled) vs full pipeline model\n")
 	fmt.Fprintf(&b, "%-13s %-11s %-9s %9s %9s %7s %7s  %s\n",
 		"program", "platform", "metric", "full", "fast", "err", "tol", "ok")
 	for _, r := range rows {

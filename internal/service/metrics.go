@@ -89,8 +89,8 @@ func (m *Metrics) ObserveRequest(route string, code int, d time.Duration) {
 }
 
 // ObserveTiming records one admitted timing job's kind and fidelity
-// tier, so operators can see which tier (fast scoreboard vs full
-// pipeline model) is actually serving traffic.
+// tier, so operators can see which tier (fast 1/32 sampled vs full
+// stream) is actually serving traffic.
 func (m *Metrics) ObserveTiming(kind, fidelity string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

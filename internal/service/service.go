@@ -21,8 +21,9 @@
 //	POST /v1/sweep          {kind, programs?, platforms?, size, hot?, fidelity?, timeout_ms?, wait?}
 //
 // Timing requests (evaluate, evaluate sweeps) accept a fidelity tier:
-// "fast" (default) answers from the validated scoreboard model,
-// "full" from the exact paper-reproduction pipeline model.
+// "fast" (default) runs the pipeline model on 1/32 sampled windows
+// and extrapolates, validated on speedup ratios; "full" runs it over
+// the whole stream, the exact paper reproduction.
 //
 //	GET  /v1/jobs/{id}      job status + result
 //	GET  /v1/jobs/{id}/events   NDJSON progress stream
@@ -175,8 +176,9 @@ type EvaluateRequest struct {
 	Size        string `json:"size,omitempty"`
 	Transformed bool   `json:"transformed,omitempty"`
 	// Fidelity selects the timing tier: "fast" (default — the
-	// validated scoreboard approximation) or "full" (the exact
-	// paper-reproduction pipeline model, about 10x slower).
+	// pipeline model on 1/32 sampled windows, validated on speedup
+	// ratios) or "full" (the same model over the whole stream, the
+	// exact paper reproduction; about 6x slower on classB Table 8).
 	Fidelity  string `json:"fidelity,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 	Wait      bool   `json:"wait,omitempty"`
@@ -337,8 +339,8 @@ func parseSizeDefault(s string) (bio.Size, error) {
 // parseFidelityDefault resolves a request's fidelity field. Unlike
 // pipeline.ParseFidelity (where empty means the zero value, full), an
 // absent field here selects the FAST tier: the service exists to
-// answer interactively, and the scoreboard's validated ratios are the
-// product it serves; callers wanting the exact paper numbers opt in
+// answer interactively, and the sampled tier's validated ratios are
+// the product it serves; callers wanting the exact paper numbers opt in
 // with "full".
 func parseFidelityDefault(s string) (pipeline.Fidelity, error) {
 	if s == "" {
