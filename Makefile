@@ -59,13 +59,15 @@ smoke:
 		|| { echo "smoke: full-tier output differs between -j 1 and -j 4" >&2; exit 1; }
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/pipeline ./internal/scoreboard
 
-# fuzz-smoke gives each trace fuzzer a short budget on top of its
-# seeds and checked-in corpus (which always run as part of `go test`):
-# FuzzCodec for single chunk payloads and encode/decode round trips,
-# FuzzIndexedReader for arbitrary whole files through every read path.
+# fuzz-smoke gives each fuzzer a short budget on top of its seeds and
+# checked-in corpus (which always run as part of `go test`): FuzzCodec
+# for single chunk payloads and encode/decode round trips,
+# FuzzIndexedReader for arbitrary whole files through every read path,
+# FuzzDecodeEvalArtifact for arbitrary bytes as a stored timing result.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexedReader$$' -fuzztime 10s
+	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzDecodeEvalArtifact$$' -fuzztime 10s
 
 # validate-timing asserts the fast (1/32 sampled) tier reproduces the
 # full tier's speedup and cross-platform ratios within the checked-in
@@ -92,10 +94,12 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # serve-smoke proves the bioperfd daemon end to end: boot with a
-# persistent artifact store, health check, one characterize over the
-# API, graceful SIGTERM drain — then restart on the same store and
-# show the second characterize is served from persisted artifacts
-# without re-simulating (store hits and profile hits move on /metrics).
+# persistent artifact store, health check, one characterize and a fast
+# and a full evaluate over the API, graceful SIGTERM drain — then
+# restart on the same store and show the second characterize and both
+# evaluates are served from persisted artifacts without re-simulating
+# (store hits, profile hits and evaluate store sources move on
+# /metrics, and the session runs nothing).
 SMOKE_ADDR ?= 127.0.0.1:18980
 serve-smoke:
 	$(GO) build -o bioperfd.smoke ./cmd/bioperfd
@@ -143,16 +147,29 @@ serve-smoke:
 		|| { echo "serve-smoke: restart did not hit the store" >&2; exit 1; }; \
 	curl -sf http://$(SMOKE_ADDR)/metrics | grep -Eq 'bioperfd_session_(profile_hits|replay_runs) [1-9]' \
 		|| { echo "serve-smoke: warm characterize was not served from the store" >&2; exit 1; }; \
+	curl -sf -X POST http://$(SMOKE_ADDR)/v1/evaluate \
+		-d '{"program":"hmmsearch","platform":"alpha21264","size":"test","wait":true}' \
+		| grep -q '"source": "store"' \
+		|| { echo "serve-smoke: warm fast-tier evaluate was not served from the store" >&2; exit 1; }; \
+	curl -sf -X POST http://$(SMOKE_ADDR)/v1/evaluate \
+		-d '{"program":"hmmsearch","platform":"alpha21264","size":"test","fidelity":"full","wait":true}' \
+		| grep -q '"source": "store"' \
+		|| { echo "serve-smoke: warm full-tier evaluate was not served from the store" >&2; exit 1; }; \
+	curl -sf http://$(SMOKE_ADDR)/metrics | grep -q 'bioperfd_evaluate_source_total{source="store"} 2' \
+		|| { echo "serve-smoke: evaluate store hits not counted" >&2; exit 1; }; \
+	curl -sf http://$(SMOKE_ADDR)/metrics | grep -q 'bioperfd_session_runs 0' \
+		|| { echo "serve-smoke: restarted daemon ran a simulation" >&2; exit 1; }; \
 	kill -TERM $$pid; wait $$pid; \
 	echo "serve-smoke: OK (cold boot + warm restart from store)"
 
 # cluster-smoke proves the fleet end to end: boot three daemons with
-# separate stores joined by -peers, compute one characterization cold
-# on node 1, then show nodes 2 and 3 answer the same request with ZERO
-# simulations of their own — served through the peer artifact tier (or
-# a replicated snapshot), asserted on each node's /metrics counters.
-# -replicas 0 keeps at most one pushed copy, so at least one of the
-# two warm nodes must fetch from a peer.
+# separate stores joined by -peers, compute one characterization and
+# one evaluation cold on node 1, then show nodes 2 and 3 answer the
+# same requests with ZERO simulations of their own — served through
+# the peer artifact tier (or a replicated artifact), asserted on each
+# node's /metrics counters. -replicas 0 keeps at most one pushed copy
+# of each, so at least one of the two warm nodes must fetch each from
+# a peer.
 CLUSTER_ADDR1 ?= 127.0.0.1:18981
 CLUSTER_ADDR2 ?= 127.0.0.1:18982
 CLUSTER_ADDR3 ?= 127.0.0.1:18983
@@ -177,7 +194,11 @@ cluster-smoke:
 		|| { echo "cluster-smoke: cold characterize on node 1 failed" >&2; exit 1; }; \
 	curl -sf $$u1/metrics | grep -q 'bioperfd_serve_source_total{source="cold"} 1' \
 		|| { echo "cluster-smoke: node 1 did not count a cold characterize" >&2; exit 1; }; \
-	peer=0; \
+	curl -sf -X POST $$u1/v1/evaluate \
+		-d '{"program":"hmmsearch","platform":"alpha21264","size":"test","wait":true}' \
+		| grep -q '"source": "cold"' \
+		|| { echo "cluster-smoke: cold evaluate on node 1 failed" >&2; exit 1; }; \
+	peer=0; evpeer=0; \
 	for u in $$u2 $$u3; do \
 		curl -sf -X POST $$u/v1/characterize \
 			-d '{"program":"hmmsearch","size":"test","wait":true}' \
@@ -185,14 +206,22 @@ cluster-smoke:
 			|| { echo "cluster-smoke: warm characterize on $$u failed" >&2; exit 1; }; \
 		curl -sf $$u/metrics | grep -q 'bioperfd_serve_source_total{source="cold"} 0' \
 			|| { echo "cluster-smoke: $$u re-simulated instead of serving warm" >&2; exit 1; }; \
+		curl -sf -X POST $$u/v1/evaluate \
+			-d '{"program":"hmmsearch","platform":"alpha21264","size":"test","wait":true}' \
+			| grep -q '"status": "done"' \
+			|| { echo "cluster-smoke: warm evaluate on $$u failed" >&2; exit 1; }; \
 		curl -sf $$u/metrics | grep -q 'bioperfd_session_runs 0' \
 			|| { echo "cluster-smoke: $$u ran a simulation" >&2; exit 1; }; \
 		n=$$(curl -sf $$u/metrics | sed -n 's/^bioperfd_serve_source_total{source="peer"} //p'); \
 		peer=$$((peer+n)); \
+		n=$$(curl -sf $$u/metrics | sed -n 's/^bioperfd_evaluate_source_total{source="peer"} //p'); \
+		evpeer=$$((evpeer+n)); \
 	done; \
 	test "$$peer" -ge 1 \
 		|| { echo "cluster-smoke: no node served from the peer tier" >&2; exit 1; }; \
+	test "$$evpeer" -ge 1 \
+		|| { echo "cluster-smoke: no node served an evaluation from the peer tier" >&2; exit 1; }; \
 	curl -sf $$u2/healthz | grep -q '"cluster"' \
 		|| { echo "cluster-smoke: healthz lacks the cluster section" >&2; exit 1; }; \
 	kill -TERM $$p1 $$p2 $$p3; wait $$p1 $$p2 $$p3 || true; \
-	echo "cluster-smoke: OK (cold on node 1, peer-served on nodes 2 and 3, $$peer peer fetches)"
+	echo "cluster-smoke: OK (cold on node 1, peer-served on nodes 2 and 3, $$peer characterize and $$evpeer evaluate peer fetches)"

@@ -12,7 +12,7 @@ import (
 // table: an entry is served only for the *isa.Inst it was decoded
 // from, so one PC can carry a multiply and then a load.
 func TestDecodeTableRedecodesOnNewInst(t *testing.T) {
-	cfg := testConfig().normalized()
+	cfg := testConfig().Normalized()
 	tab := newDecodeTable(&cfg)
 	mul := &isa.Inst{Op: isa.OpMul, Rd: 3, Ra: 1, Rb: 2}
 	ld := &isa.Inst{Op: isa.OpLdq, Rd: 4, Ra: 3}

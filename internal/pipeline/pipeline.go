@@ -213,9 +213,11 @@ type Model struct {
 	maxComplete int64
 }
 
-// normalized returns cfg with unset structural and latency fields
-// replaced by the defaults NewModel has always applied.
-func (c Config) normalized() Config {
+// Normalized returns cfg with unset structural and latency fields
+// replaced by the defaults NewModel has always applied. Configs whose
+// normalized forms agree, Name and Predictor aside, time identically,
+// which is how internal/runner keys stored timing results.
+func (c Config) Normalized() Config {
 	if c.FetchWidth <= 0 {
 		c.FetchWidth = 4
 	}
@@ -243,7 +245,7 @@ func (c Config) normalized() Config {
 // NewModel builds a timing model for cfg. It panics if IssueWidth or
 // LoadPorts exceeds 255, the most a per-cycle slot counter holds.
 func NewModel(cfg Config) *Model {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	if cfg.IssueWidth > math.MaxUint8 || cfg.LoadPorts > math.MaxUint8 {
 		panic(fmt.Sprintf("pipeline: IssueWidth %d / LoadPorts %d above %d", cfg.IssueWidth, cfg.LoadPorts, math.MaxUint8))
 	}

@@ -17,16 +17,17 @@
 //     — results land in caller-indexed slots, and the reported error
 //     is always the lowest-index failure, so a parallel session is
 //     byte-identical to a sequential one;
-//   - one timing fan-out (EvaluateAll) that groups timing jobs by the
-//     stream they time — (program, variant, compiler options, tier) —
-//     and runs each group as one functional simulation with every
-//     member's model attached.
+//   - one timing fan-out (EvaluateAll) that serves each timing job
+//     memo → store → peer → cold, keyed by the compiled stream, the
+//     size and the normalized machine config. Only the jobs still
+//     missing are grouped by the stream they time — (program, variant,
+//     compiler options, tier) — and each group runs as one functional
+//     simulation with every member's model attached.
 //
-// Timing runs are deliberately not memoized: every call trains fresh
-// models. Table 8's redundancy lives in the stream, not the compile:
-// platforms sharing a register budget (Alpha and PowerPC) time the
-// same committed instructions, so EvaluateAll runs the 48 cells of
-// either tier as 36 functional simulations.
+// Table 8's redundancy lives in the stream, not the compile: platforms
+// sharing a register budget (Alpha and PowerPC) time the same committed
+// instructions, so a cold EvaluateAll runs the 48 cells of either tier
+// as 36 functional simulations, and a repeated one runs none.
 package runner
 
 import (
@@ -127,6 +128,10 @@ type Stats struct {
 	SampledChars          uint64 `json:"sampled_chars"`           // sampled characterizations computed from a phase plan
 	SampledHits           uint64 `json:"sampled_hits"`            // sampled characterizations served from persisted snapshots
 	SampledDegrades       uint64 `json:"sampled_degrades"`        // sampled requests degraded to the exact path
+	EvaluateMemoHits      uint64 `json:"evaluate_memo_hits"`      // timing jobs served from the session's memo
+	EvaluateStoreHits     uint64 `json:"evaluate_store_hits"`     // timing jobs served from persisted artifacts
+	EvaluatePeerHits      uint64 `json:"evaluate_peer_hits"`      // timing jobs served from a fleet peer's artifact
+	EvaluateCold          uint64 `json:"evaluate_cold"`           // timing jobs computed by a functional run
 }
 
 // RemoteTier is the fleet hook: when a Session misses its local
@@ -155,6 +160,7 @@ type Session struct {
 	mu       sync.Mutex
 	compiled map[CompileKey]*compileEntry
 	chars    map[charKey]*charEntry
+	evals    map[string]*evalEntry // by evalKey name
 
 	simpointCfg simpoint.Config
 
@@ -170,6 +176,10 @@ type Session struct {
 	sampledChars    atomic.Uint64
 	sampledHits     atomic.Uint64
 	sampledDegrades atomic.Uint64
+	evalMemoHits    atomic.Uint64
+	evalStoreHits   atomic.Uint64
+	evalPeerHits    atomic.Uint64
+	evalColds       atomic.Uint64
 }
 
 // NewSession creates a session whose worker pool runs up to jobs
@@ -196,6 +206,7 @@ func NewSessionWithStore(jobs int, st *store.Store) *Session {
 		store:    st,
 		compiled: make(map[CompileKey]*compileEntry),
 		chars:    make(map[charKey]*charEntry),
+		evals:    make(map[string]*evalEntry),
 	}
 }
 
@@ -241,6 +252,10 @@ func (s *Session) Stats() Stats {
 		SampledChars:          s.sampledChars.Load(),
 		SampledHits:           s.sampledHits.Load(),
 		SampledDegrades:       s.sampledDegrades.Load(),
+		EvaluateMemoHits:      s.evalMemoHits.Load(),
+		EvaluateStoreHits:     s.evalStoreHits.Load(),
+		EvaluatePeerHits:      s.evalPeerHits.Load(),
+		EvaluateCold:          s.evalColds.Load(),
 	}
 }
 
@@ -431,27 +446,30 @@ type TimingJob struct {
 	Transformed bool
 }
 
-// EvaluateAll is the session's one timing fan-out. Jobs that time the
-// same stream form a group, and each group is ONE functional
-// simulation with every member's model attached, so k machine configs
-// sharing a compiled program cost one run plus k model updates. Groups
-// run on the worker pool in first-appearance order; the stats come
-// back in job order. Timing runs are never memoized: every call trains
-// fresh models.
+// EvaluateAll is the session's one timing fan-out: EvaluateTiers
+// without the sources. A timing result is a pure function of the
+// compiled stream, the size and the machine config, so each job is
+// served from the session's memo, then the store, then a fleet peer.
+// Only the jobs still missing run: those that time the same stream
+// form a group, and each group is ONE functional simulation with every
+// member's model attached, so k machine configs sharing a compiled
+// program cost one run plus k model updates. Groups run on the worker
+// pool in first-appearance order; the stats come back in job order.
 func (s *Session) EvaluateAll(ctx context.Context, jobs []TimingJob, sz bio.Size) ([]pipeline.Stats, error) {
-	groups := groupJobs(jobs)
-	out := make([]pipeline.Stats, len(jobs))
-	err := s.ForEach(ctx, len(groups), func(g int) error {
-		return s.evaluateGroup(ctx, jobs, groups[g], sz, out)
-	})
+	ts, err := s.EvaluateTiers(ctx, jobs, sz)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]pipeline.Stats, len(ts))
+	for i, t := range ts {
+		out[i] = t.Stats
 	}
 	return out, nil
 }
 
 // FunctionalRuns returns how many functional simulations EvaluateAll
-// spends on jobs: the number of distinct streams they time.
+// spends on jobs when none is served from a tier: the number of
+// distinct streams they time.
 func FunctionalRuns(jobs []TimingJob) int { return len(groupJobs(jobs)) }
 
 // groupJobs buckets job indices by the committed-instruction stream

@@ -1,0 +1,379 @@
+package runner
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math/bits"
+
+	"bioperfload/internal/bio"
+	"bioperfload/internal/pipeline"
+	"bioperfload/internal/scoreboard"
+)
+
+// timingSchema versions timing results as artifacts. Bump it whenever
+// a change to the timing models moves any Stats word: the memo, store
+// and peer tiers serve a result only under the schema it was computed
+// with. TestTimingSchemaPinsTable8 ties each schema to the test-size
+// Table 8 renders of both tiers, so changing cycles without a bump
+// fails.
+const timingSchema = 1
+
+// Timing is one timing job's result and the tier that answered it:
+// "memo" (the session already held it, or another caller was computing
+// it), "store" (a persisted artifact), "peer" (a fleet peer's
+// artifact), or "cold" (a functional run made by this call).
+type Timing struct {
+	Stats  pipeline.Stats
+	Source string
+}
+
+// evalKey names one timing result: the compiled stream (Fingerprint),
+// the input size and the machine (configHash).
+type evalKey struct {
+	name string   // store and memo key: eval|fingerprint|size|config hash
+	sum  [32]byte // sha256 of name, carried in the artifact
+	fast bool     // fast tier: counters are extrapolated one by one
+}
+
+// timingKey keys job at size sz. A job with a custom Predictor is a
+// func the key cannot name, so it has no key and always runs cold.
+func timingKey(job TimingJob, sz bio.Size) (evalKey, bool) {
+	if job.Config.Predictor != nil {
+		return evalKey{}, false
+	}
+	fp := Fingerprint(job.Program, job.Transformed, job.Opts)
+	name := "eval|" + fp + "|" + sz.String() + "|" + configHash(job.Config)
+	return evalKey{
+		name: name,
+		sum:  sha256.Sum256([]byte(name)),
+		fast: job.Config.Fidelity == pipeline.FidelityFast,
+	}, true
+}
+
+// configHash is the canonical hash of everything in cfg that can move a
+// timing result: every field of the normalized config except Name (a
+// label) and Predictor (unkeyable, see timingKey), plus the timing
+// schema and the fast tier's sampling window. %+v prints every field,
+// nested cache geometry included, so a field added to pipeline.Config
+// joins the hash with no edit here; TestConfigHashCoversEveryField
+// keeps it so.
+func configHash(cfg pipeline.Config) string {
+	cfg = cfg.Normalized()
+	cfg.Name, cfg.Predictor = "", nil
+	h := sha256.New()
+	fmt.Fprintf(h, "timing=%d observe=%d period=%d config=%+v",
+		timingSchema, scoreboard.SampleObserve, scoreboard.SamplePeriod, cfg)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The timing artifact is one fixed-length little-endian record:
+//
+//	[0:4)    magic "BPTM"
+//	[4:8)    layout version
+//	[8:40)   sha256 of the evalKey name
+//	[40:120) the ten pipeline.Stats words in declaration order
+const (
+	evalMagic       = "BPTM"
+	evalVersion     = 1
+	evalHeaderLen   = 8 + sha256.Size
+	evalArtifactLen = evalHeaderLen + 10*8
+)
+
+func statsWords(st pipeline.Stats) [10]uint64 {
+	return [10]uint64{st.Instructions, st.Cycles, st.Loads, st.Stores, st.CondBranches,
+		st.Mispredicts, st.L1Hits, st.L2Hits, st.MemHits, st.LoadLatencySum}
+}
+
+func encodeEvalArtifact(k evalKey, st pipeline.Stats) []byte {
+	b := make([]byte, 0, evalArtifactLen)
+	b = append(b, evalMagic...)
+	b = binary.LittleEndian.AppendUint32(b, evalVersion)
+	b = append(b, k.sum[:]...)
+	for _, w := range statsWords(st) {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// Timing artifact rejections. They are static so that decoding never
+// allocates, whatever the bytes.
+var (
+	errEvalLength = errors.New("timing artifact: wrong length")
+	errEvalHeader = errors.New("timing artifact: bad magic or version")
+	errEvalKey    = errors.New("timing artifact: key mismatch")
+	errEvalCounts = errors.New("timing artifact: inconsistent counts")
+)
+
+// decodeEvalArtifact decodes and checks a timing artifact against the
+// key it must answer. It reads nothing past the fixed length and
+// rejects any other length, a foreign key, and counts no timing run
+// can produce.
+func decodeEvalArtifact(data []byte, k evalKey) (pipeline.Stats, error) {
+	if len(data) != evalArtifactLen {
+		return pipeline.Stats{}, errEvalLength
+	}
+	if string(data[:4]) != evalMagic || binary.LittleEndian.Uint32(data[4:8]) != evalVersion {
+		return pipeline.Stats{}, errEvalHeader
+	}
+	if !bytes.Equal(data[8:evalHeaderLen], k.sum[:]) {
+		return pipeline.Stats{}, errEvalKey
+	}
+	var w [10]uint64
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(data[evalHeaderLen+8*i:])
+	}
+	st := pipeline.Stats{Instructions: w[0], Cycles: w[1], Loads: w[2], Stores: w[3], CondBranches: w[4],
+		Mispredicts: w[5], L1Hits: w[6], L2Hits: w[7], MemHits: w[8], LoadLatencySum: w[9]}
+	if !consistent(st, k.fast) {
+		return pipeline.Stats{}, errEvalCounts
+	}
+	return st, nil
+}
+
+// consistent reports whether st holds counts a timing run can produce:
+// every load hits one cache level, no more mispredicts than branches,
+// no more loads and stores than instructions. The full tier's counters
+// add up exactly. The fast tier rounds each extrapolated counter on
+// its own (scoreboard.Model.Stats), so its sums may miss by the
+// rounding of their terms.
+func consistent(st pipeline.Stats, fast bool) bool {
+	var slack uint64
+	if fast {
+		slack = 2
+	}
+	hits, c1 := bits.Add64(st.L1Hits, st.L2Hits, 0)
+	hits, c2 := bits.Add64(hits, st.MemHits, 0)
+	mem, c3 := bits.Add64(st.Loads, st.Stores, 0)
+	return c1|c2|c3 == 0 &&
+		absDiff(hits, st.Loads) <= slack &&
+		st.Mispredicts <= st.CondBranches &&
+		(mem <= st.Instructions || mem-st.Instructions <= slack)
+}
+
+func absDiff(a, b uint64) uint64 {
+	if a > b {
+		return a - b
+	}
+	return b - a
+}
+
+// evalEntry is one memoized timing result. done closes once st or err
+// is set; an entry whose run failed leaves the memo before done closes.
+type evalEntry struct {
+	done chan struct{}
+	st   pipeline.Stats
+	err  error
+}
+
+// EvaluateTiers is the session's one timing entry point; EvaluateAll is
+// EvaluateTiers without the sources. Each keyed job takes the first
+// tier that answers:
+//
+//   - memo: the session's in-memory table. Concurrent callers of one
+//     key share one computation, and its fate.
+//   - store: a persisted artifact, if the session has a store.
+//   - peer: a fleet peer's artifact, verified, then admitted to the
+//     local store.
+//   - cold: the jobs still missing form stream groups and run as one
+//     functional simulation per group. Fresh results are written
+//     through to the store and replicated.
+//
+// A job with a custom Predictor has no key and always runs cold.
+// Failures, cancellation included, are never memoized.
+func (s *Session) EvaluateTiers(ctx context.Context, jobs []TimingJob, sz bio.Size) ([]Timing, error) {
+	out := make([]Timing, len(jobs))
+	keys := make([]evalKey, len(jobs))
+	for i, j := range jobs {
+		keys[i], _ = timingKey(j, sz)
+	}
+
+	// Claim every key this call is first to ask for; the rest follow
+	// an entry someone else (or an earlier job here) computes.
+	entries := make([]*evalEntry, len(jobs))
+	leads := make([]bool, len(jobs))
+	var follow []int
+	s.mu.Lock()
+	for i, k := range keys {
+		if k.name == "" {
+			continue
+		}
+		e, ok := s.evals[k.name]
+		if !ok {
+			e = &evalEntry{done: make(chan struct{})}
+			s.evals[k.name] = e
+			leads[i] = true
+		} else {
+			follow = append(follow, i)
+		}
+		entries[i] = e
+	}
+	s.mu.Unlock()
+
+	// Leaders settle every entry they claimed before waiting on any
+	// other, so callers that follow each other cannot deadlock.
+	found := make([]bool, len(jobs))
+	if s.store != nil {
+		// Lookups only: a canceled call leaves the rest to the cold
+		// path, which reports the cancellation.
+		_ = s.ForEach(ctx, len(jobs), func(i int) error {
+			if !leads[i] {
+				return nil
+			}
+			if st, src, ok := s.loadTiming(ctx, keys[i]); ok {
+				out[i] = Timing{Stats: st, Source: src}
+				found[i] = true
+				s.resolveTiming(keys[i], entries[i], st, nil)
+			}
+			return nil
+		})
+	}
+	var cold []int
+	for i := range jobs {
+		if keys[i].name == "" || leads[i] && !found[i] {
+			cold = append(cold, i)
+		}
+	}
+	if err := s.evaluateCold(ctx, jobs, cold, keys, entries, sz, out); err != nil {
+		return nil, err
+	}
+
+	for _, i := range follow {
+		e := entries[i]
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, fmt.Errorf("%s: %w", jobs[i].Program.Name, ctx.Err())
+		}
+		if e.err != nil {
+			return nil, e.err
+		}
+		out[i] = Timing{Stats: e.st, Source: "memo"}
+		s.evalMemoHits.Add(1)
+	}
+	return out, nil
+}
+
+// evaluateCold runs the jobs at idx as stream groups, one functional
+// simulation per group, and settles the memo entries they lead: fresh
+// results are memoized, written through to the store and replicated;
+// on failure every entry leaves the memo.
+func (s *Session) evaluateCold(ctx context.Context, jobs []TimingJob, idx []int, keys []evalKey, entries []*evalEntry, sz bio.Size, out []Timing) error {
+	if len(idx) == 0 {
+		return nil
+	}
+	sub := make([]TimingJob, len(idx))
+	for x, i := range idx {
+		sub[x] = jobs[i]
+	}
+	groups := groupJobs(sub)
+	sts := make([]pipeline.Stats, len(sub))
+	err := s.ForEach(ctx, len(groups), func(g int) error {
+		return s.evaluateGroup(ctx, sub, groups[g], sz, sts)
+	})
+	for x, i := range idx {
+		if entries[i] != nil {
+			s.resolveTiming(keys[i], entries[i], sts[x], err)
+		}
+		if err != nil {
+			continue
+		}
+		out[i] = Timing{Stats: sts[x], Source: "cold"}
+		if entries[i] != nil {
+			s.storeTiming(keys[i], sts[x])
+		}
+	}
+	if err != nil {
+		return err
+	}
+	s.evalColds.Add(uint64(len(idx)))
+	return nil
+}
+
+// resolveTiming settles a claimed memo entry. A failed entry leaves the
+// memo before done closes, so the next caller recomputes.
+func (s *Session) resolveTiming(k evalKey, e *evalEntry, st pipeline.Stats, err error) {
+	e.st, e.err = st, err
+	if err != nil {
+		s.mu.Lock()
+		if s.evals[k.name] == e {
+			delete(s.evals, k.name)
+		}
+		s.mu.Unlock()
+	}
+	close(e.done)
+}
+
+// EvaluateMemoized returns job's stats at size sz if the session's memo
+// already holds them. It never waits, reads the store or runs anything:
+// bioperfd answers such a job even when its queue is full.
+func (s *Session) EvaluateMemoized(job TimingJob, sz bio.Size) (pipeline.Stats, bool) {
+	k, ok := timingKey(job, sz)
+	if !ok {
+		return pipeline.Stats{}, false
+	}
+	s.mu.Lock()
+	e := s.evals[k.name]
+	s.mu.Unlock()
+	if e == nil {
+		return pipeline.Stats{}, false
+	}
+	select {
+	case <-e.done:
+		if e.err == nil {
+			s.evalMemoHits.Add(1)
+			return e.st, true
+		}
+	default:
+	}
+	return pipeline.Stats{}, false
+}
+
+// loadTiming serves a timing result from the store, then from a fleet
+// peer. A damaged store entry is deleted (the caller recomputes and
+// rewrites it); a peer's artifact is admitted to the local store only
+// after it verified.
+func (s *Session) loadTiming(ctx context.Context, k evalKey) (pipeline.Stats, string, bool) {
+	if data, ok := s.store.GetBytes(k.name); ok {
+		if st, err := decodeEvalArtifact(data, k); err == nil {
+			s.evalStoreHits.Add(1)
+			return st, "store", true
+		}
+		s.store.Delete(k.name)
+	}
+	if s.remote == nil || ctx.Err() != nil {
+		return pipeline.Stats{}, "", false
+	}
+	var st pipeline.Stats
+	data, ok := s.remote.Fetch(ctx, k.name, func(b []byte) error {
+		var err error
+		st, err = decodeEvalArtifact(b, k)
+		return err
+	})
+	if !ok {
+		return pipeline.Stats{}, "", false
+	}
+	s.store.PutBytes(k.name, data)
+	s.evalPeerHits.Add(1)
+	return st, "peer", true
+}
+
+// storeTiming writes a fresh result through to the store and, with a
+// fleet attached, toward the key's replicas. Failures are silent: the
+// store is a cache.
+func (s *Session) storeTiming(k evalKey, st pipeline.Stats) {
+	if s.store == nil {
+		return
+	}
+	data := encodeEvalArtifact(k, st)
+	if err := s.store.PutBytes(k.name, data); err != nil {
+		return
+	}
+	if s.remote != nil {
+		s.remote.Replicate(k.name, data)
+	}
+}

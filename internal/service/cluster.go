@@ -252,3 +252,16 @@ func (s *Server) serveSources() map[string]uint64 {
 		"sampled":  st.SampledChars + st.SampledHits,
 	}
 }
+
+// evaluateSources is the same breakdown for timing jobs: memo | store
+// | peer | cold. It is a series of its own, so serve_sources keeps
+// counting characterizations only.
+func (s *Server) evaluateSources() map[string]uint64 {
+	st := s.session.Stats()
+	return map[string]uint64{
+		"memo":  st.EvaluateMemoHits,
+		"store": st.EvaluateStoreHits,
+		"peer":  st.EvaluatePeerHits,
+		"cold":  st.EvaluateCold,
+	}
+}

@@ -107,6 +107,23 @@ func (q *queue) submit(kind, key string, spec any, timeout time.Duration, shed b
 	return j, false, nil
 }
 
+// answered registers a job that is finished on arrival with result: no
+// queue slot, no worker. The overload ladder uses it for results
+// already on hand.
+func (q *queue) answered(kind, key string, spec any, result any) *Job {
+	q.mu.Lock()
+	q.nextID++
+	j := newJob(fmt.Sprintf("j%06d", q.nextID), kind, key, spec, 0)
+	q.byID[j.ID] = j
+	q.mu.Unlock()
+	j.setRunning()
+	j.finish(result, nil)
+	if q.onDone != nil {
+		q.onDone(j)
+	}
+	return j
+}
+
 // get returns a job by ID (nil if unknown).
 func (q *queue) get(id string) *Job {
 	q.mu.Lock()

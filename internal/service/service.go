@@ -268,6 +268,7 @@ type EvaluateResult struct {
 	Size          string  `json:"size"`
 	Transformed   bool    `json:"transformed"`
 	Fidelity      string  `json:"fidelity"`
+	Source        string  `json:"source"` // serving tier (memo|store|peer|cold)
 	Instructions  uint64  `json:"instructions"`
 	Cycles        uint64  `json:"cycles"`
 	IPC           float64 `json:"ipc"`
@@ -424,19 +425,28 @@ func characterizeResult(prof *runner.Profile, sz bio.Size, hot int, acc runner.A
 func (s *Server) runEvaluate(ctx context.Context, j *Job, spec evalSpec) (any, error) {
 	j.Event("timing %s (transformed=%v) on %s at %s, %s tier",
 		spec.prog.Name, spec.transformed, spec.plat.Name, spec.sz, spec.fid)
-	st, err := s.session.Evaluate(ctx, spec.prog, spec.plat.WithFidelity(spec.fid), spec.sz, spec.transformed)
+	ts, err := s.session.EvaluateTiers(ctx, []runner.TimingJob{spec.job()}, spec.sz)
 	if err != nil {
 		return nil, err
 	}
+	st := ts[0].Stats
+	j.Event("answered from the %s tier", ts[0].Source)
 	j.Event("retired %d instructions in %d cycles", st.Instructions, st.Cycles)
-	return evaluateResult(spec, st), nil
+	return evaluateResult(spec, ts[0]), nil
 }
 
-func evaluateResult(spec evalSpec, st pipeline.Stats) EvaluateResult {
+// job is the spec's one timing job.
+func (spec evalSpec) job() runner.TimingJob {
+	plat := spec.plat.WithFidelity(spec.fid)
+	return runner.TimingJob{Program: spec.prog, Config: plat.Pipeline, Opts: plat.EvalOptions(), Transformed: spec.transformed}
+}
+
+func evaluateResult(spec evalSpec, t runner.Timing) EvaluateResult {
+	st := t.Stats
 	return EvaluateResult{
 		Program: spec.prog.Name, Platform: spec.plat.Name,
 		Size: spec.sz.String(), Transformed: spec.transformed,
-		Fidelity:     spec.fid.String(),
+		Fidelity: spec.fid.String(), Source: t.Source,
 		Instructions: st.Instructions, Cycles: st.Cycles, IPC: st.IPC(),
 		CondBranches: st.CondBranches, MispredictPct: 100 * st.MispredictRate(),
 		Loads: st.Loads, AMAT: st.AMAT(),
@@ -484,13 +494,19 @@ func (s *Server) runSweep(ctx context.Context, j *Job, spec sweepSpec) (any, err
 				})
 			}
 		}
-		sts, err := s.session.EvaluateAll(ctx, jobs, spec.sz)
+		ts, err := s.session.EvaluateTiers(ctx, jobs, spec.sz)
 		if err != nil {
 			return nil, err
 		}
-		j.Event("%d cells timed in %d functional runs", nCells, runner.FunctionalRuns(jobs))
+		var cold []runner.TimingJob
+		for i, t := range ts {
+			if t.Source == "cold" {
+				cold = append(cold, jobs[i])
+			}
+		}
+		j.Event("%d cells timed in %d functional runs", nCells, runner.FunctionalRuns(cold))
 		for i := 0; i < nCells; i++ {
-			orig, trans := sts[2*i].Cycles, sts[2*i+1].Cycles
+			orig, trans := ts[2*i].Stats.Cycles, ts[2*i+1].Stats.Cycles
 			item := SweepEvaluateItem{
 				Program:    spec.progs[i/len(spec.plats)].Name,
 				Platform:   spec.plats[i%len(spec.plats)].Name,
@@ -549,6 +565,7 @@ type submission struct {
 	wait      bool
 	body      any                  // original request document, for forwarding
 	degrade   func() (string, any) // fast-tier (key, spec); nil = not degradable
+	memo      func() (any, bool)   // the result, if already on hand; nil = never
 }
 
 // submit runs the shared admission path: enqueue (or dedupe), then
@@ -594,12 +611,20 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, sub submission) 
 }
 
 // shed walks the overload ladder for a submission the queue refused.
-// Rung 1 proxies to the key's primary (a nil job with nil error means
-// the forward answered and the response is already written). Rung 2
-// re-admits a degraded fast-tier variant using the shed reserve,
-// marking the response with HeaderDegraded. Falling off the ladder
-// returns ErrQueueFull and the caller 429s.
+// A result already on hand (a memoized evaluation) is answered as a
+// finished job before any rung: it costs no queue slot, and degrading
+// it would throw away the exact answer. Rung 1 proxies to the key's
+// primary (a nil job with nil error means the forward answered and the
+// response is already written). Rung 2 re-admits a degraded fast-tier
+// variant using the shed reserve, marking the response with
+// HeaderDegraded. Falling off the ladder returns ErrQueueFull and the
+// caller 429s.
 func (s *Server) shed(w http.ResponseWriter, r *http.Request, sub submission, timeout time.Duration) (*Job, bool, error) {
+	if sub.memo != nil {
+		if res, ok := sub.memo(); ok {
+			return s.queue.answered(sub.kind, sub.key, sub.spec, res), false, nil
+		}
+	}
 	if sub.body != nil {
 		if body, err := json.Marshal(sub.body); err == nil {
 			if s.shedForward(w, r, sub.key, body) {
@@ -684,6 +709,13 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	sub := submission{
 		kind: "evaluate", key: evalKey(spec), spec: spec,
 		timeoutMS: req.TimeoutMS, wait: req.Wait, body: req,
+	}
+	sub.memo = func() (any, bool) {
+		st, ok := s.session.EvaluateMemoized(spec.job(), spec.sz)
+		if !ok {
+			return nil, false
+		}
+		return evaluateResult(spec, runner.Timing{Stats: st, Source: "memo"}), true
 	}
 	if spec.fid == pipeline.FidelityFull {
 		sub.degrade = func() (string, any) {
@@ -879,6 +911,7 @@ type HealthResponse struct {
 	QueueDepth    int               `json:"queue_depth"`
 	Session       runner.Stats      `json:"session"`
 	ServeSources  map[string]uint64 `json:"serve_sources"`
+	EvalSources   map[string]uint64 `json:"evaluate_sources"`
 	HotKeys       []HotKeyView      `json:"hot_keys,omitempty"` // top-10 most-served characterizations
 	Cluster       *ClusterHealth    `json:"cluster,omitempty"`
 }
@@ -890,6 +923,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    s.queue.depth(),
 		Session:       s.session.Stats(),
 		ServeSources:  s.serveSources(),
+		EvalSources:   s.evaluateSources(),
 		HotKeys:       s.metrics.HotKeys(10),
 		Cluster:       s.clusterHealth(),
 	})
@@ -933,6 +967,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# TYPE bioperfd_serve_source_total counter")
 	for _, src := range []string{"cold", "peer", "replay", "sampled", "snapshot"} {
 		fmt.Fprintf(w, "bioperfd_serve_source_total{source=%q} %d\n", src, sources[src])
+	}
+	evals := s.evaluateSources()
+	fmt.Fprintln(w, "# HELP bioperfd_evaluate_source_total Timing jobs answered, by serving tier.")
+	fmt.Fprintln(w, "# TYPE bioperfd_evaluate_source_total counter")
+	for _, src := range []string{"cold", "memo", "peer", "store"} {
+		fmt.Fprintf(w, "bioperfd_evaluate_source_total{source=%q} %d\n", src, evals[src])
 	}
 	if c := s.cfg.Cluster; c != nil {
 		cs := c.Stats()
