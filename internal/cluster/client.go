@@ -32,7 +32,7 @@ const (
 var ErrNotFound = errors.New("cluster: artifact not found on peer")
 
 // ErrCorrupt reports a response whose body failed verification
-// against its own headers (or against the requested object hash).
+// against its own headers.
 // Corrupt responses are never retried on the same peer — the caller
 // moves to the next replica.
 var ErrCorrupt = errors.New("cluster: peer response failed verification")
@@ -165,25 +165,15 @@ func (c *Client) markFailure(peer string) {
 // escaped so '|' and '/' survive routing).
 func SnapshotPath(key string) string { return "/v1/snapshots/" + url.PathEscape(key) }
 
-// ObjectPath returns the URL path serving a raw object by hash.
-func ObjectPath(hash string) string { return "/v1/objects/" + url.PathEscape(hash) }
-
 // FetchSnapshot retrieves the artifact stored under key on peer,
 // verifying the body against the response's hash and CRC headers.
 // ErrNotFound means the peer is healthy but lacks the key; ErrCorrupt
 // means the body failed verification.
 func (c *Client) FetchSnapshot(ctx context.Context, peer, key string) ([]byte, error) {
-	return c.fetch(ctx, peer, SnapshotPath(key), "")
+	return c.fetch(ctx, peer, SnapshotPath(key))
 }
 
-// FetchObject retrieves the raw object with the given content hash
-// from peer. On top of header verification, the body's SHA-256 must
-// equal the hash that addressed it.
-func (c *Client) FetchObject(ctx context.Context, peer, hash string) ([]byte, error) {
-	return c.fetch(ctx, peer, ObjectPath(hash), hash)
-}
-
-func (c *Client) fetch(ctx context.Context, peer, path, wantHash string) ([]byte, error) {
+func (c *Client) fetch(ctx context.Context, peer, path string) ([]byte, error) {
 	var lastErr error
 	backoff := c.cfg.Backoff
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
@@ -195,7 +185,7 @@ func (c *Client) fetch(ctx context.Context, peer, path, wantHash string) ([]byte
 			}
 			backoff *= 2
 		}
-		data, retryable, err := c.fetchOnce(ctx, peer, path, wantHash)
+		data, retryable, err := c.fetchOnce(ctx, peer, path)
 		if err == nil {
 			c.markSuccess(peer)
 			return data, nil
@@ -217,7 +207,7 @@ func (c *Client) fetch(ctx context.Context, peer, path, wantHash string) ([]byte
 // fetchOnce performs one GET and full verification. retryable reports
 // whether another attempt against the same peer could help (transport
 // errors and 5xx: yes; corruption: no — same bytes would come back).
-func (c *Client) fetchOnce(ctx context.Context, peer, path, wantHash string) (data []byte, retryable bool, err error) {
+func (c *Client) fetchOnce(ctx context.Context, peer, path string) (data []byte, retryable bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+path, nil)
 	if err != nil {
 		return nil, false, err
@@ -237,24 +227,21 @@ func (c *Client) fetchOnce(ctx context.Context, peer, path, wantHash string) (da
 	if err != nil {
 		return nil, true, fmt.Errorf("cluster: peer %s: read body: %w", peer, err)
 	}
-	if err := verifyBody(body, resp.Header, wantHash); err != nil {
+	if err := verifyBody(body, resp.Header); err != nil {
 		return nil, false, err
 	}
 	return body, false, nil
 }
 
-// verifyBody checks the body against the transfer headers (and, when
-// the request was hash-addressed, against that hash). Missing headers
-// are corruption too: an honest bioperfd peer always sends them.
-func verifyBody(body []byte, h http.Header, wantHash string) error {
+// verifyBody checks the body against the transfer headers. Missing
+// headers are corruption too: an honest bioperfd peer always sends
+// them.
+func verifyBody(body []byte, h http.Header) error {
 	sum := sha256.Sum256(body)
 	gotHash := hex.EncodeToString(sum[:])
 	hdrHash := h.Get(HeaderSHA256)
 	if hdrHash == "" || gotHash != hdrHash {
 		return fmt.Errorf("%w: sha256 %s, header %q", ErrCorrupt, gotHash, hdrHash)
-	}
-	if wantHash != "" && gotHash != wantHash {
-		return fmt.Errorf("%w: object hash %s, requested %s", ErrCorrupt, gotHash, wantHash)
 	}
 	hdrCRC := h.Get(HeaderCRC32)
 	crc, err := strconv.ParseUint(hdrCRC, 10, 32)

@@ -78,9 +78,10 @@ func TestFetchNotFoundIsAuthoritative(t *testing.T) {
 	}
 }
 
-// TestFetchCorruptionRejected covers the satellite's three corruption
-// shapes: a bit-flipped body, a truncated body, and a wrong-hash
-// response. None may be returned to the caller, and none may retry
+// TestFetchCorruptionRejected covers every way a body can disagree
+// with its transfer headers: a bit-flipped or truncated body, a
+// wrong-hash response, missing headers, and a wrong or malformed CRC
+// under an honest hash. None may be returned to the caller, and none may retry
 // (the same corrupt bytes would come back).
 func TestFetchCorruptionRejected(t *testing.T) {
 	payload := []byte("characterization snapshot bytes, long enough to truncate meaningfully")
@@ -118,6 +119,20 @@ func TestFetchCorruptionRejected(t *testing.T) {
 		{"missing headers", func(w http.ResponseWriter) {
 			w.Write(payload)
 		}},
+		{"wrong crc header", func(w http.ResponseWriter) {
+			for k, v := range honest(payload) {
+				w.Header()[k] = v
+			}
+			w.Header().Set(HeaderCRC32, strconv.FormatUint(uint64(crc32.ChecksumIEEE(payload)^1), 10))
+			w.Write(payload)
+		}},
+		{"malformed crc header", func(w http.ResponseWriter) {
+			for k, v := range honest(payload) {
+				w.Header()[k] = v
+			}
+			w.Header().Set(HeaderCRC32, "not-a-crc")
+			w.Write(payload)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,27 +151,6 @@ func TestFetchCorruptionRejected(t *testing.T) {
 				t.Fatalf("corrupt response retried: %d calls", calls.Load())
 			}
 		})
-	}
-}
-
-// TestFetchObjectHashAddressed: an object fetch must also match the
-// hash that addressed it, even when the peer's headers are internally
-// consistent.
-func TestFetchObjectHashAddressed(t *testing.T) {
-	payload := []byte("object content")
-	sum := sha256.Sum256(payload)
-	right := hex.EncodeToString(sum[:])
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeArtifact(w, payload)
-	}))
-	defer ts.Close()
-	c := fastClient()
-	if _, err := c.FetchObject(context.Background(), ts.URL, right); err != nil {
-		t.Fatalf("matching hash rejected: %v", err)
-	}
-	wrong := "ab" + right[2:]
-	if _, err := c.FetchObject(context.Background(), ts.URL, wrong); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("hash mismatch: got %v, want ErrCorrupt", err)
 	}
 }
 

@@ -191,8 +191,8 @@ func NewSession(jobs int) *Session {
 }
 
 // NewSessionWithStore creates a session backed by a persistent
-// artifact store: compiled programs, committed-instruction traces,
-// and characterization snapshots are written through to st, and later
+// artifact store: committed-instruction traces, characterization
+// snapshots and timing results are written through to st, and later
 // sessions opening the same store serve characterizations from the
 // persisted snapshot — falling back to trace replay, then to cold
 // simulation, as artifacts are missing or damaged. st may be nil
@@ -261,9 +261,9 @@ func (s *Session) Stats() Stats {
 
 // Compile returns the compiled program for (p, variant, opts),
 // compiling at most once per key per session. Concurrent callers of
-// the same key block until the one compilation finishes. With a store
-// attached, a persisted binary with a matching fingerprint is loaded
-// instead of compiling, and fresh compilations are written through.
+// the same key block until the one compilation finishes. The store
+// never holds compiled programs: every serve tier that needs one
+// (snapshot, replay, peer, cold) shares this memo.
 func (s *Session) Compile(p *bio.Program, transformed bool, opts compiler.Options) (*isa.Program, error) {
 	key := CompileKey{Program: p.Name, Transformed: transformed && p.Transformable, Opts: opts}
 	s.mu.Lock()
@@ -276,25 +276,12 @@ func (s *Session) Compile(p *bio.Program, transformed bool, opts compiler.Option
 	miss := false
 	e.once.Do(func() {
 		miss = true
-		var fp string
-		if s.store != nil {
-			fp = Fingerprint(p, transformed, opts)
-			if prog := s.loadCompiled(fp); prog != nil {
-				// Force the lazy symbol index while single-threaded;
-				// the program is then shared read-only across worker
-				// goroutines.
-				prog.Symbol("")
-				e.prog = prog
-				return
-			}
-		}
 		s.compiles.Add(1)
 		e.prog, e.err = p.Compile(transformed, opts)
 		if e.err == nil {
+			// Force the lazy symbol index while single-threaded; the
+			// program is then shared read-only across worker goroutines.
 			e.prog.Symbol("")
-			if s.store != nil {
-				s.storeCompiled(fp, e.prog)
-			}
 		}
 	})
 	if !miss {

@@ -20,8 +20,10 @@ import (
 )
 
 // artifactSchema versions the session's store keying: bump it when the
-// meaning of persisted artifacts changes (compiled-program encoding,
-// profile semantics), so stale entries read as misses.
+// meaning of persisted artifacts changes (profile semantics, trace
+// pipeline), so stale entries read as misses. Compiled programs are
+// never persisted: a session recompiles from source, which the
+// fingerprint hashes.
 //
 // v2: profileArtifact carries the fingerprint it was computed under,
 // verified on load — required once snapshots can arrive from fleet
@@ -47,56 +49,8 @@ func Fingerprint(p *bio.Program, transformed bool, opts compiler.Options) string
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func progKey(fp string) string               { return "prog|" + fp }
 func traceKey(fp string, sz bio.Size) string { return "trace|" + fp + "|" + sz.String() }
 func profKey(fp string, sz bio.Size) string  { return "prof|" + fp + "|" + sz.String() }
-
-// encodeProgram serializes a compiled program for the store. Only
-// exported fields travel; the lazy symbol index is rebuilt on load.
-func encodeProgram(prog *isa.Program) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(prog); err != nil {
-		return nil, fmt.Errorf("encode program: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeProgram(data []byte) (*isa.Program, error) {
-	var prog isa.Program
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&prog); err != nil {
-		return nil, fmt.Errorf("decode program: %w", err)
-	}
-	return &prog, nil
-}
-
-// loadCompiled returns the compiled program persisted under fp, if the
-// store holds an intact copy.
-func (s *Session) loadCompiled(fp string) *isa.Program {
-	if s.store == nil {
-		return nil
-	}
-	data, ok := s.store.GetBytes(progKey(fp))
-	if !ok {
-		return nil
-	}
-	prog, err := decodeProgram(data)
-	if err != nil {
-		s.store.Delete(progKey(fp))
-		return nil
-	}
-	return prog
-}
-
-// storeCompiled persists a freshly compiled program. Failures are
-// deliberately silent: the store is a cache, not a dependency.
-func (s *Session) storeCompiled(fp string, prog *isa.Program) {
-	if s.store == nil {
-		return
-	}
-	if data, err := encodeProgram(prog); err == nil {
-		s.store.PutBytes(progKey(fp), data)
-	}
-}
 
 // profileArtifact is the persisted characterization result: the
 // analysis snapshot plus the run's committed-instruction count.
@@ -110,11 +64,39 @@ type profileArtifact struct {
 	Snap         *loadchar.Snapshot
 }
 
+// encodeProfileArtifact is the encoding decodeProfileArtifact reads.
+func encodeProfileArtifact(art *profileArtifact) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(art); err != nil {
+		return nil, fmt.Errorf("encode profile artifact: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // decodeProfileArtifact decodes and structurally validates a
 // persisted snapshot against the fingerprint it is supposed to
 // satisfy. Shared by the local snapshot tier and the peer-fetch
 // verification callback.
+//
+// gob trusts two sizes on the wire before reading what they describe:
+// a message's length (it allocates up to 10 MiB for it) and a map's
+// entry count (it sizes the map from it), so a few crafted bytes could
+// demand gigabytes. The framing check bounds the first by len(data).
+// For the second, a first pass decodes only the fingerprint and skips
+// the snapshot, which walks every map entry without storing any: a
+// count the bytes cannot back fails there, and the second pass
+// allocates in proportion to len(data).
 func decodeProfileArtifact(data []byte, fp string) (*profileArtifact, error) {
+	if !gobFramed(data) {
+		return nil, fmt.Errorf("decode profile artifact: message length exceeds the data")
+	}
+	var head struct{ Fingerprint string }
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&head); err != nil {
+		return nil, fmt.Errorf("decode profile artifact: %w", err)
+	}
+	if head.Fingerprint != fp {
+		return nil, fmt.Errorf("profile artifact fingerprint %.12s != requested %.12s", head.Fingerprint, fp)
+	}
 	var art profileArtifact
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&art); err != nil {
 		return nil, fmt.Errorf("decode profile artifact: %w", err)
@@ -122,10 +104,40 @@ func decodeProfileArtifact(data []byte, fp string) (*profileArtifact, error) {
 	if art.Snap == nil {
 		return nil, fmt.Errorf("profile artifact missing snapshot")
 	}
-	if art.Fingerprint != fp {
-		return nil, fmt.Errorf("profile artifact fingerprint %.12s != requested %.12s", art.Fingerprint, fp)
-	}
 	return &art, nil
+}
+
+// gobFramed reports whether data is a sequence of whole gob messages:
+// every length prefix is backed by the bytes after it.
+func gobFramed(data []byte) bool {
+	for len(data) > 0 {
+		n, k := gobUint(data)
+		if k == 0 || n > uint64(len(data)-k) {
+			return false
+		}
+		data = data[k+int(n):]
+	}
+	return true
+}
+
+// gobUint decodes the gob unsigned integer at the start of b and
+// reports how many bytes it took; 0 means b does not start with one.
+func gobUint(b []byte) (uint64, int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || n >= len(b) {
+		return 0, 0
+	}
+	var x uint64
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n
 }
 
 // loadProfile serves a characterization from the analysis snapshot
@@ -144,7 +156,7 @@ func (s *Session) loadProfile(p *bio.Program, key, fp, source string) (*Profile,
 		s.store.Delete(key)
 		return nil, false
 	}
-	prog, err := s.replayProgram(p, fp)
+	prog, err := s.Compile(p, false, compiler.Default())
 	if err != nil {
 		return nil, false
 	}
@@ -156,25 +168,24 @@ func (s *Session) loadProfile(p *bio.Program, key, fp, source string) (*Profile,
 	return &Profile{Name: p.Name, Instructions: art.Instructions, Analysis: a, Source: source}, true
 }
 
-// storeProfile persists a characterization result under key. Like
-// storeCompiled, failures are silent: the store is a cache. With a
-// remote tier attached, the freshly persisted snapshot is also
-// replicated write-through to the fingerprint's successor nodes, so
-// the fleet converges on R+1 copies without waiting for pull-on-read.
+// storeProfile persists a characterization result under key. Failures
+// are silent: the store is a cache. With a remote tier attached, the
+// freshly persisted snapshot is also replicated write-through to the
+// fingerprint's successor nodes, so the fleet converges on R+1 copies
+// without waiting for pull-on-read.
 func (s *Session) storeProfile(prof *Profile, key, fp string) {
 	if s.store == nil || prof == nil || prof.Analysis == nil {
 		return
 	}
-	var buf bytes.Buffer
-	art := profileArtifact{Fingerprint: fp, Instructions: prof.Instructions, Snap: prof.Analysis.Snapshot()}
-	if err := gob.NewEncoder(&buf).Encode(&art); err != nil {
+	data, err := encodeProfileArtifact(&profileArtifact{Fingerprint: fp, Instructions: prof.Instructions, Snap: prof.Analysis.Snapshot()})
+	if err != nil {
 		return
 	}
-	if err := s.store.PutBytes(key, buf.Bytes()); err != nil {
+	if err := s.store.PutBytes(key, data); err != nil {
 		return
 	}
 	if s.remote != nil {
-		s.remote.Replicate(key, buf.Bytes())
+		s.remote.Replicate(key, data)
 	}
 }
 
@@ -251,7 +262,7 @@ func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio
 		return nil, nil, false
 	}
 	defer cleanup()
-	prog, err := s.replayProgram(p, fp)
+	prog, err := s.Compile(p, false, compiler.Default())
 	if err != nil {
 		return nil, err, true
 	}
@@ -269,22 +280,6 @@ func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio
 		s.replaySerial.Add(1)
 	}
 	return &Profile{Name: p.Name, Instructions: ir.TotalEvents(), Analysis: a, Source: "replay"}, nil, true
-}
-
-// replayProgram returns the compiled program a trace rebinds to:
-// persisted binary first, memoized compile otherwise. The lazy symbol
-// index is forced before goroutines share the program.
-func (s *Session) replayProgram(p *bio.Program, fp string) (*isa.Program, error) {
-	prog := s.loadCompiled(fp)
-	if prog == nil {
-		var err error
-		prog, err = s.Compile(p, false, compiler.Default())
-		if err != nil {
-			return nil, err
-		}
-	}
-	prog.Symbol("")
-	return prog, nil
 }
 
 // recorder wires a trace writer into a machine when a store is

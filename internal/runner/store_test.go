@@ -1,14 +1,18 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/loadchar"
+	"bioperfload/internal/platform"
 	"bioperfload/internal/store"
 )
 
@@ -23,7 +27,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 
 // TestStoreWarmRestart is the persistence acceptance test: a second
 // session opening the same store serves a characterization without
-// compiling or simulating — from the persisted snapshot, or by trace
+// simulating — from the persisted snapshot, or by trace
 // replay when the snapshot is gone — and the profile is byte-identical
 // to the cold run's in every case.
 func TestStoreWarmRestart(t *testing.T) {
@@ -49,7 +53,8 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: the snapshot artifact serves directly.
+	// Restart: the snapshot artifact serves directly, after one
+	// compile from source (the store holds no compiled programs).
 	st2 := openStore(t, dir)
 	defer st2.Close()
 	s2 := NewSessionWithStore(1, st2)
@@ -57,8 +62,8 @@ func TestStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s2.Stats(); st.Runs != 0 || st.Compiles != 0 || st.ProfileHits != 1 || st.ReplayRuns != 0 {
-		t.Fatalf("warm session simulated or compiled: %+v", st)
+	if st := s2.Stats(); st.Runs != 0 || st.Compiles != 1 || st.ProfileHits != 1 || st.ReplayRuns != 0 {
+		t.Fatalf("warm session simulated or compiled more than once: %+v", st)
 	}
 	if prof2.Instructions != prof1.Instructions {
 		t.Fatalf("instruction counts differ: %d vs %d", prof2.Instructions, prof1.Instructions)
@@ -232,4 +237,203 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if base != Fingerprint(h, false, compiler.Default()) {
 		t.Error("fingerprint is not deterministic")
 	}
+}
+
+// TestSnapshotServesShareCompileMemo: the store holds no compiled
+// programs, so exact and sampled snapshot serves of one program in a
+// fresh session compile it once, from source, and share that compile.
+func TestSnapshotServesShareCompileMemo(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1 := openStore(t, dir)
+	s1 := NewSessionWithStore(2, st1)
+	s1.SetSimPoint(testSimPoint)
+	for _, acc := range []Accuracy{AccuracyExact, AccuracySampled} {
+		if _, err := s1.CharacterizeAccuracy(ctx, p, bio.SizeTest, acc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	s2 := NewSessionWithStore(2, st2)
+	s2.SetSimPoint(testSimPoint)
+	for _, acc := range []Accuracy{AccuracyExact, AccuracySampled} {
+		if _, err := s2.CharacterizeAccuracy(ctx, p, bio.SizeTest, acc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s2.Stats()
+	if st.ProfileHits != 1 || st.SampledHits != 1 || st.Runs != 0 || st.ReplayRuns != 0 {
+		t.Fatalf("not served from both snapshots: %+v", st)
+	}
+	if st.Compiles != 1 || st.CompileHits < 1 {
+		t.Fatalf("Compiles=%d CompileHits=%d, want one compile shared by both serves", st.Compiles, st.CompileHits)
+	}
+}
+
+// TestCompileDeterministic pins what replay and the snapshot tier
+// rely on now that compiled programs are never stored: compiling the
+// same source with the same options twice gives the same program.
+// Every exported isa.Program field is compared, for every program and
+// transformable variant, under the default options and under each
+// platform's evaluation options.
+func TestCompileDeterministic(t *testing.T) {
+	opts := []compiler.Options{compiler.Default()}
+	for _, pl := range platform.All() {
+		opts = append(opts, pl.EvalOptions())
+	}
+	for _, p := range bio.All() {
+		for _, transformed := range []bool{false, true} {
+			if transformed && !p.Transformable {
+				continue
+			}
+			for _, o := range opts {
+				a, err := p.Compile(transformed, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := p.Compile(transformed, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(a.Insts) == 0 {
+					t.Fatalf("%s transformed=%v %+v: empty program", p.Name, transformed, o)
+				}
+				va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+				for i := 0; i < va.NumField(); i++ {
+					f := va.Type().Field(i)
+					if f.IsExported() && !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+						t.Errorf("%s transformed=%v %+v: two compiles differ in %s", p.Name, transformed, o, f.Name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// appendGobUint appends x in gob's unsigned integer encoding.
+func appendGobUint(b []byte, x uint64) []byte {
+	if x < 0x80 {
+		return append(b, byte(x))
+	}
+	var be []byte
+	for ; x > 0; x >>= 8 {
+		be = append([]byte{byte(x)}, be...)
+	}
+	return append(append(b, byte(-int8(len(be)))), be...)
+}
+
+// craftMapCount returns a profile artifact for fp whose LoadCounts map
+// claims count entries on the wire while carrying only one.
+func craftMapCount(t testing.TB, fp string, count uint64) []byte {
+	t.Helper()
+	snap := &loadchar.Snapshot{Version: loadchar.SnapshotVersion, LoadCounts: map[int32]uint64{1000: 0xabcdef}}
+	data, err := encodeProfileArtifact(&profileArtifact{Fingerprint: fp, Snap: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The value is the stream's last message: length, then payload.
+	off := 0
+	for {
+		n, k := gobUint(data[off:])
+		if off+k+int(n) == len(data) {
+			break
+		}
+		off += k + int(n)
+	}
+	n, k := gobUint(data[off:])
+	// One entry: count 1, key 1000 (zig-zag 2000), value 0xabcdef.
+	entry := []byte{0x01, 0xfe, 0x07, 0xd0, 0xfd, 0xab, 0xcd, 0xef}
+	payload := data[off+k:]
+	at := bytes.Index(payload, entry)
+	if at < 0 {
+		t.Fatal("map entry not found in the encoded artifact")
+	}
+	newCount := appendGobUint(nil, count)
+	out := appendGobUint(append([]byte(nil), data[:off]...), n-1+uint64(len(newCount)))
+	out = append(out, payload[:at]...)
+	out = append(out, newCount...)
+	return append(out, payload[at+1:]...)
+}
+
+// TestDecodeProfileArtifactBoundsMapCount: a map count the bytes do
+// not back is rejected before gob sizes a map from it. A single-pass
+// decode of this artifact allocates tens of megabytes.
+func TestDecodeProfileArtifactBoundsMapCount(t *testing.T) {
+	fp := Fingerprint(&bio.Program{Name: "x"}, false, compiler.Default())
+	if _, err := decodeProfileArtifact(craftMapCount(t, fp, 1), fp); err != nil {
+		t.Fatalf("honest count rejected: %v", err)
+	}
+	crafted := craftMapCount(t, fp, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeProfileArtifact(crafted, fp)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("artifact claiming 1Mi map entries in one accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a %d-byte artifact allocated %d bytes", len(crafted), grew)
+	}
+}
+
+// FuzzDecodeProfileArtifact feeds arbitrary bytes through the snapshot
+// tier's whole read path — decodeProfileArtifact, FromSnapshot against
+// a real test-size program, RenderProfile — which must never panic
+// and must allocate in proportion to the input.
+func FuzzDecodeProfileArtifact(f *testing.F) {
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := NewSession(1)
+	prof, err := s.Characterize(context.Background(), p, bio.SizeTest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	prog, err := s.Compile(p, false, compiler.Default())
+	if err != nil {
+		f.Fatal(err)
+	}
+	fp := Fingerprint(p, false, compiler.Default())
+	valid, err := encodeProfileArtifact(&profileArtifact{Fingerprint: fp, Instructions: prof.Instructions, Snap: prof.Analysis.Snapshot()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The same snapshot with branch-keyed entries at PCs outside the
+	// program, which FromSnapshot keeps and the renderer must survive.
+	foreign := prof.Analysis.Snapshot()
+	foreign.Branches[1<<30] = foreign.BranchTotal
+	foreign.FedBranch[-1] = map[int32]uint64{1 << 30: 1}
+	foreign.AfterBranch[1<<30] = map[int32]uint64{-1: 1}
+	foreignArt, err := encodeProfileArtifact(&profileArtifact{Fingerprint: fp, Instructions: prof.Instructions, Snap: foreign})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(foreignArt)
+	f.Add(valid[:len(valid)/2])
+	f.Add(craftMapCount(f, fp, 1<<20))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if art, err := decodeProfileArtifact(data, fp); err == nil {
+			if a, err := loadchar.FromSnapshot(prog, art.Snap); err == nil {
+				loadchar.RenderProfile(p.Name, bio.SizeTest.String(), a, 10)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20+64*uint64(len(data)) {
+			t.Fatalf("%d-byte artifact allocated %d bytes", len(data), grew)
+		}
+	})
 }

@@ -128,8 +128,8 @@ func TestPredictorJobBypassesTiers(t *testing.T) {
 	if ss := s.Stats(); ss.Runs != 2 || ss.EvaluateCold != 2 || ss.EvaluateMemoHits+ss.EvaluateStoreHits+ss.EvaluatePeerHits != 0 {
 		t.Errorf("stats %+v, want two cold runs and no hits", ss)
 	}
-	if n := st.Stats().Entries; n != 1 {
-		t.Errorf("store holds %d entries, want only the compiled program", n)
+	if n := st.Stats().Entries; n != 0 {
+		t.Errorf("store holds %d entries, want none", n)
 	}
 }
 

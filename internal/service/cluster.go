@@ -78,20 +78,26 @@ func (p ShedPolicy) String() string {
 
 // registerPeerRoutes installs the artifact wire protocol. The routes
 // exist whenever the session has a store — a storeless node has
-// nothing to serve and nothing to admit.
+// nothing to serve and nothing to admit. Artifacts travel only by
+// store key; no route serves an object by content hash.
 func (s *Server) registerPeerRoutes() {
-	s.mux.Handle("GET /v1/objects/{hash}", s.instrument("objects", s.handlePeerObject))
 	s.mux.Handle("GET /v1/snapshots/{key}", s.instrument("snapshots", s.handlePeerSnapshot))
 	s.mux.Handle("PUT /v1/snapshots/{key}", s.instrument("snapshots", s.handlePeerPut))
 }
 
-// writeObject streams one stored object to a peer with the transfer
-// headers the receiving side verifies against.
-func (s *Server) writeObject(w http.ResponseWriter, hash string) {
+// handlePeerSnapshot serves GET /v1/snapshots/{key}: the artifact a
+// store key points at (the key travels path-escaped; PathValue
+// decodes it), streamed from disk with the transfer headers the
+// receiving side verifies against.
+func (s *Server) handlePeerSnapshot(w http.ResponseWriter, r *http.Request) {
 	st := s.session.Store()
-	rc, info, ok := st.OpenObject(hash)
+	if st == nil {
+		writeJSON(w, http.StatusNotFound, apiError{Error: "no artifact store attached"})
+		return
+	}
+	rc, info, ok := st.OpenObject(r.PathValue("key"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown object " + hash})
+		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown artifact key"})
 		return
 	}
 	defer rc.Close()
@@ -100,34 +106,6 @@ func (s *Server) writeObject(w http.ResponseWriter, hash string) {
 	w.Header().Set(cluster.HeaderSHA256, info.Hash)
 	w.Header().Set(cluster.HeaderCRC32, strconv.FormatUint(uint64(info.CRC), 10))
 	io.Copy(w, rc)
-}
-
-// handlePeerObject serves GET /v1/objects/{hash}: the raw
-// content-addressed object, streaming from disk.
-func (s *Server) handlePeerObject(w http.ResponseWriter, r *http.Request) {
-	if s.session.Store() == nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no artifact store attached"})
-		return
-	}
-	s.writeObject(w, r.PathValue("hash"))
-}
-
-// handlePeerSnapshot serves GET /v1/snapshots/{key}: the artifact a
-// store key points at (the key travels path-escaped; PathValue
-// decodes it).
-func (s *Server) handlePeerSnapshot(w http.ResponseWriter, r *http.Request) {
-	st := s.session.Store()
-	if st == nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no artifact store attached"})
-		return
-	}
-	key := r.PathValue("key")
-	info, ok := st.Lookup(key)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown artifact key"})
-		return
-	}
-	s.writeObject(w, info.Hash)
 }
 
 // handlePeerPut admits a replicated artifact: PUT /v1/snapshots/{key}

@@ -150,9 +150,9 @@ func reportFromJobView(t *testing.T, body []byte) string {
 }
 
 // TestPeerWireProtocol exercises the artifact routes directly: PUT
-// with honest checksums is admitted and served back byte-identical
-// (snapshot and object routes both), PUT with lying checksums is
-// rejected before it can touch the store, unknown keys 404.
+// with honest checksums is admitted and served back byte-identical by
+// key, no route serves it by content hash, PUT with lying checksums
+// is rejected before it can touch the store, unknown keys 404.
 func TestPeerWireProtocol(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -219,18 +219,19 @@ func TestPeerWireProtocol(t *testing.T) {
 		t.Fatalf("snapshot GET crc header %q, want %q", got, wantCRC)
 	}
 
-	resp, body = get("/v1/objects/" + wantSHA)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
-		t.Fatalf("object GET: HTTP %d, %d bytes", resp.StatusCode, len(body))
+	// Objects travel only by key: the stored object's content hash
+	// addresses nothing on the wire, under the retired raw-object
+	// route or the snapshot route.
+	for _, route := range []string{"objects", "snapshots"} {
+		resp, body = get("/v1/" + route + "/" + wantSHA)
+		if resp.StatusCode != http.StatusNotFound || bytes.Contains(body, payload) {
+			t.Fatalf("GET %s by content hash: HTTP %d, %d bytes", route, resp.StatusCode, len(body))
+		}
 	}
 
 	resp, _ = get("/v1/snapshots/" + url.PathEscape("prof|unknown|test"))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown snapshot: HTTP %d", resp.StatusCode)
-	}
-	resp, _ = get("/v1/objects/" + strings.Repeat("0", 64))
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown object: HTTP %d", resp.StatusCode)
 	}
 
 	// Lying pushes must be rejected and must not be admitted.
@@ -244,7 +245,8 @@ func TestPeerWireProtocol(t *testing.T) {
 	if code := put(badKey, payload, "", ""); code != http.StatusBadRequest {
 		t.Fatalf("headerless PUT: HTTP %d", code)
 	}
-	if _, ok := st.Lookup(badKey); ok {
+	if rc, _, ok := st.OpenObject(badKey); ok {
+		rc.Close()
 		t.Fatal("corrupt push was admitted to the store")
 	}
 }

@@ -1,14 +1,15 @@
 // Package store is a content-addressed on-disk artifact cache: the
-// durable layer under runner.Session that lets compiled programs and
-// recorded traces outlive the process. Artifacts are looked up by a
-// caller-chosen key (runner derives it from the program fingerprint,
-// workload size, and trace format version) and stored as
-// objects/<hh>/<sha256> blobs, so identical content is stored once no
-// matter how many keys point at it. Writes land in a temp file and
-// rename into place atomically; an index file maps keys to objects
-// with sizes, checksums, and LRU clocks; corrupted or truncated
-// artifacts are detected on read and evicted; and a configurable byte
-// cap is enforced by least-recently-used eviction.
+// durable layer under runner.Session that lets recorded traces,
+// characterization snapshots and timing results outlive the process.
+// Artifacts are looked up by a caller-chosen key (runner derives it
+// from the program fingerprint, workload size, and trace format
+// version) and stored as objects/<hh>/<sha256> blobs, so identical
+// content is stored once no matter how many keys point at it. Writes
+// land in a temp file and rename into place atomically; an index file
+// maps keys to objects with sizes, checksums, and LRU clocks;
+// corrupted or truncated artifacts are detected on read and evicted;
+// and a configurable byte cap is enforced by least-recently-used
+// eviction.
 package store
 
 import (
@@ -107,6 +108,9 @@ func (s *Store) loadIndex() error {
 	}
 	s.clock = idx.Clock
 	for key, e := range idx.Entries {
+		if !validHash(e.Hash) {
+			continue // not a name Commit writes; its file is an orphan
+		}
 		fi, err := os.Stat(s.objectPath(e.Hash))
 		if err != nil || fi.Size() != e.Size {
 			continue // object vanished or was truncated
@@ -143,6 +147,23 @@ func (s *Store) sweepOrphans() error {
 		}
 	}
 	return nil
+}
+
+// validHash reports whether h is a hex SHA-256 as Commit names
+// objects: 64 lowercase hex digits. Index entries are read from disk,
+// so loadIndex drops any other hash before it can reach objectPath
+// (a short hash would panic there, a "../" one would escape the
+// object tree).
+func validHash(h string) bool {
+	if len(h) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(h); i++ {
+		if c := h[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Store) objectPath(hash string) string {
@@ -309,43 +330,23 @@ type ObjectInfo struct {
 	CRC  uint32
 }
 
-// Lookup returns the object metadata for key without reading the
-// content. Unlike GetBytes it does not bump the LRU clock — peers
-// probing for artifacts should not keep them artificially hot.
-func (s *Store) Lookup(key string) (ObjectInfo, bool) {
+// OpenObject opens the artifact under key for streaming to a peer
+// (the HTTP handler copies the file straight to the response), with
+// the metadata the transfer headers carry. Unlike GetBytes and
+// OpenReader it neither bumps the LRU clock nor counts a hit or miss:
+// peers probing for artifacts should not keep them artificially hot.
+func (s *Store) OpenObject(key string) (io.ReadCloser, ObjectInfo, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.entries[key]
-	if !ok {
-		return ObjectInfo{}, false
-	}
-	return ObjectInfo{Hash: e.Hash, Size: e.Size, CRC: e.CRC}, true
-}
-
-// OpenObject opens the object with the given content hash for
-// streaming (the peer-serving wire path: the HTTP handler copies the
-// file straight to the response). Any key referencing the hash
-// supplies the metadata; a hash no entry references is a miss.
-func (s *Store) OpenObject(hash string) (io.ReadCloser, ObjectInfo, bool) {
-	s.mu.Lock()
-	var info ObjectInfo
-	found := false
-	for _, e := range s.entries {
-		if e.Hash == hash {
-			info = ObjectInfo{Hash: e.Hash, Size: e.Size, CRC: e.CRC}
-			found = true
-			break
-		}
-	}
 	s.mu.Unlock()
-	if !found {
+	if !ok {
 		return nil, ObjectInfo{}, false
 	}
-	f, err := os.Open(s.objectPath(hash))
+	f, err := os.Open(s.objectPath(e.Hash))
 	if err != nil {
 		return nil, ObjectInfo{}, false
 	}
-	return f, info, true
+	return f, ObjectInfo{Hash: e.Hash, Size: e.Size, CRC: e.CRC}, true
 }
 
 // PutBytes stores data under key, replacing any previous artifact.

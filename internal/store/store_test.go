@@ -2,9 +2,14 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -19,15 +24,15 @@ func open(t *testing.T, dir string, max int64) *Store {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
-	data := []byte("compiled program artifact")
-	if err := s.PutBytes("prog|abc", data); err != nil {
+	data := []byte("characterization snapshot artifact")
+	if err := s.PutBytes("prof|abc|test", data); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.GetBytes("prog|abc")
+	got, ok := s.GetBytes("prof|abc|test")
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatalf("GetBytes = %q, %v", got, ok)
 	}
-	if _, ok := s.GetBytes("prog|other"); ok {
+	if _, ok := s.GetBytes("prof|other|test"); ok {
 		t.Fatal("missing key reported present")
 	}
 	st := s.Stats()
@@ -318,44 +323,101 @@ func TestEvictionExactCapBoundary(t *testing.T) {
 	}
 }
 
-// TestLookupAndOpenObject covers the wire-serving surface: Lookup
-// reports metadata without touching LRU state, and OpenObject streams
-// the content for any referenced hash.
-func TestLookupAndOpenObject(t *testing.T) {
-	s := open(t, t.TempDir(), 0)
-	data := []byte("snapshot artifact for the wire")
+// TestOpenObjectByKey covers the wire-serving surface: OpenObject
+// streams the artifact under a key with the metadata the transfer
+// headers carry, without moving hit/miss counters or LRU clocks.
+func TestOpenObjectByKey(t *testing.T) {
+	s := open(t, t.TempDir(), 60)
+	data := bytes.Repeat([]byte("w"), 30)
 	if err := s.PutBytes("prof|fp|classB", data); err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s.Lookup("prof|fp|classB")
-	if !ok || info.Size != int64(len(data)) || info.Hash == "" {
-		t.Fatalf("Lookup = %+v, %v", info, ok)
+	if err := s.PutBytes("prof|other|classB", bytes.Repeat([]byte("o"), 20)); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s.Lookup("prof|missing"); ok {
-		t.Fatal("missing key looked up")
-	}
-
-	rc, got, ok := s.OpenObject(info.Hash)
+	rc, info, ok := s.OpenObject("prof|fp|classB")
 	if !ok {
-		t.Fatal("OpenObject missed a referenced hash")
-	}
-	defer rc.Close()
-	if got != info {
-		t.Fatalf("OpenObject info %+v != Lookup info %+v", got, info)
+		t.Fatal("OpenObject missed a stored key")
 	}
 	body, err := io.ReadAll(rc)
+	rc.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if want := (ObjectInfo{Hash: hex.EncodeToString(sum[:]), Size: 30, CRC: crc32.ChecksumIEEE(data)}); info != want {
+		t.Fatalf("OpenObject info %+v, want %+v", info, want)
 	}
 	if !bytes.Equal(body, data) {
 		t.Fatalf("OpenObject body %q", body)
 	}
-	if _, _, ok := s.OpenObject("0000000000000000000000000000000000000000000000000000000000000000"); ok {
-		t.Fatal("unreferenced hash opened")
+	if _, _, ok := s.OpenObject("prof|missing|classB"); ok {
+		t.Fatal("missing key opened")
 	}
-	// Neither Lookup nor OpenObject is a Get: hit/miss counters and
-	// LRU clocks must be unaffected.
 	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("wire reads moved cache counters: %+v", st)
+	}
+	// The opened entry is still the least recently used: the next
+	// commit over the cap evicts it, not the younger one.
+	if err := s.PutBytes("prof|new|classB", bytes.Repeat([]byte("n"), 20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := s.OpenObject("prof|fp|classB"); ok {
+		t.Fatal("OpenObject bumped the LRU clock: the opened entry survived eviction")
+	}
+	if _, _, ok := s.OpenObject("prof|other|classB"); !ok {
+		t.Fatal("younger entry evicted instead of the opened one")
+	}
+}
+
+// TestCraftedIndexHashesDropped: index.json is read from disk, so a
+// hash that is not 64 lowercase hex digits must never reach a path. A
+// short hash would panic Open; a "../" hash would let Delete remove a
+// file outside the store; an uppercase one names no object Commit
+// writes, so its file is swept as an orphan.
+func TestCraftedIndexHashesDropped(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	victim := filepath.Join(root, "victim")
+	if err := os.WriteFile(victim, []byte("not the store's"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	upper := strings.Repeat("AB", 32)
+	stray := filepath.Join(dir, "objects", upper[:2], upper)
+	if err := os.MkdirAll(filepath.Dir(stray), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stray, []byte("stray"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	idx := indexFile{Version: 1, Clock: 3, Entries: map[string]entry{
+		"short":  {Hash: "a", Size: 1, Clock: 1},
+		"escape": {Hash: "../victim", Size: 15, Clock: 2},
+		"upper":  {Hash: upper, Size: 5, Clock: 3},
+	}}
+	data, err := json.Marshal(&idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, indexName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := open(t, dir, 0)
+	defer s.Close()
+	if st := s.Stats(); st.Entries != 0 || st.BytesOnDisk != 0 {
+		t.Fatalf("crafted entries loaded: %+v", st)
+	}
+	for key := range idx.Entries {
+		if _, ok := s.GetBytes(key); ok {
+			t.Fatalf("crafted key %q served", key)
+		}
+		s.Delete(key)
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Fatalf("file outside the store removed: %v", err)
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("object under an invalid hash not swept: %v", err)
 	}
 }
