@@ -65,12 +65,14 @@ smoke:
 # FuzzIndexedReader for arbitrary whole files through every read path,
 # FuzzDecodeEvalArtifact for arbitrary bytes as a stored timing result,
 # FuzzDecodeProfileArtifact for arbitrary bytes through the snapshot
-# tier's decode, restore and render.
+# tier's decode, restore and render, FuzzStoreIndex for arbitrary
+# index.json bytes over a store directory.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexedReader$$' -fuzztime 10s
 	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzDecodeEvalArtifact$$' -fuzztime 10s
 	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzDecodeProfileArtifact$$' -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreIndex$$' -fuzztime 10s
 
 # validate-timing asserts the fast (1/32 sampled) tier reproduces the
 # full tier's speedup and cross-platform ratios within the checked-in

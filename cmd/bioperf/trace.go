@@ -34,7 +34,7 @@ func record(p *bio.Program, prog *isa.Program, sz bio.Size, fp string, w io.Writ
 		Size:        sz.String(),
 		Compression: compression,
 	}, prog)
-	m.AddBatchObserver(tw)
+	m.SetChunkSink(trace.ChunkEvents, tw.WriteChunk)
 	res, err := m.Run()
 	if err != nil {
 		return nil, nil, err

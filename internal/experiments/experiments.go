@@ -22,6 +22,7 @@ import (
 	"bioperfload/internal/platform"
 	"bioperfload/internal/runner"
 	"bioperfload/internal/specx"
+	"bioperfload/internal/trace"
 )
 
 // ProgramProfile is one program's characterization run, shared by
@@ -180,13 +181,14 @@ func Fig2Session(ctx context.Context, s *runner.Session, sz bio.Size) ([]Fig2Ser
 			return nil
 		}
 		an := analogs[i-len(Fig2BioPrograms)]
-		prog, err := an.Compile(small, compiler.Default())
+		m, err := an.Machine(small, compiler.Default())
 		if err != nil {
 			return err
 		}
-		a := loadchar.New(prog)
-		if _, err := an.Run(small, compiler.Default(), a); err != nil {
-			return err
+		a := loadchar.New(m.Program())
+		m.SetChunkSink(trace.ChunkEvents, a.ObserveChunk)
+		if _, err := m.Run(); err != nil {
+			return fmt.Errorf("%s: %w", an.Name, err)
 		}
 		out[i] = coverageSeries(an.Name, "spec2000-analog", a)
 		return nil

@@ -12,8 +12,9 @@
 // There is one characterization engine, and it works on runs: the
 // committed stream arrives as runstream chunks — straight-line PC runs
 // from a dictionary, plus the conditional-branch taken bits and the
-// memory addresses — built by a runstream.Builder during simulation or
-// decoded from a trace. The run engine characterizes each run once
+// memory addresses — built by the simulator's interpreter during a
+// run (sim.Machine.SetChunkSink), rebuilt from event slabs by a
+// sim.Builder, or decoded from a trace. The run engine characterizes each run once
 // (instruction mix by block, the dependence and sequence machines
 // memoized over (state, run) pairs), while the predictor and memory
 // lanes replay the taken and address columns through the paper's
@@ -129,7 +130,7 @@ type liveEngine struct {
 	bp  *bpLane
 	mem *memLane
 	ann chunkAnn
-	b   *runstream.Builder // created by the first ObserveBatch
+	b   *sim.Builder // created by the first ObserveBatch
 	// mu serializes sync, so report methods may run concurrently once
 	// observation has ended (a cached profile serves many requests).
 	mu sync.Mutex
@@ -161,13 +162,13 @@ func (a *Analysis) observing() *liveEngine {
 }
 
 // ObserveBatch implements sim.BatchObserver: the slab goes to the
-// analysis's own runstream.Builder, which hands each finished chunk to
+// analysis's own sim.Builder, which hands each finished chunk to
 // ObserveChunk. Nothing here retains events, as required by the
 // sim.Event contract.
 func (a *Analysis) ObserveBatch(evs []sim.Event) {
 	l := a.observing()
 	if l.b == nil {
-		l.b = runstream.NewBuilder(a.prog, chunkEvents, a.ObserveChunk)
+		l.b = sim.NewBuilder(a.prog, chunkEvents, a.ObserveChunk)
 	}
 	l.b.ObserveBatch(evs)
 }
@@ -175,8 +176,8 @@ func (a *Analysis) ObserveBatch(evs []sim.Event) {
 // ObserveChunk characterizes one dictionary-backed chunk, in commit
 // order after every chunk before it: the run engine advances over its
 // tokens, then the predictor and memory lanes replay its taken and
-// address columns. A recording shares one Builder between this and the
-// trace writer, so runs are built once. ch is not retained.
+// address columns. A recording hands the same chunks to the trace
+// writer, so runs are built once. ch is not retained.
 func (a *Analysis) ObserveChunk(ch *runstream.Chunk) {
 	l := a.observing()
 	l.eng.processChunk(ch, &l.ann)

@@ -9,7 +9,6 @@ import (
 	"bioperfload/internal/cache"
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/isa"
-	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 )
 
@@ -202,7 +201,7 @@ func TestRunNativeMatchesOracle(t *testing.T) {
 			a := New(prog)
 			feed, flush, berr := a.ObserveBatch, func() {}, a.Err
 			if chunk != chunkEvents {
-				b := runstream.NewBuilder(prog, chunk, a.ObserveChunk)
+				b := sim.NewBuilder(prog, chunk, a.ObserveChunk)
 				feed, flush, berr = b.ObserveBatch, b.Flush, b.Err
 			}
 			o := newOracle(prog)

@@ -26,14 +26,7 @@ import (
 // serial" instead of inferring it from identical results.
 func ReplayAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, jobs int) (*loadchar.Analysis, error) {
 	n := ir.Chunks()
-	effective := jobs
-	if effective < 1 {
-		effective = 1
-	}
-	reason := ""
-	if g := runtime.GOMAXPROCS(0); effective > g {
-		effective, reason = g, loadchar.SerialReasonGOMAXPROCS
-	}
+	effective, reason := clampWorkers(jobs)
 	if n < 2 && effective > 1 {
 		effective, reason = 1, loadchar.SerialReasonSingleChunk
 	}
@@ -51,4 +44,18 @@ func ReplayAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRead
 		a.Exec.SerialReason = reason
 	}
 	return a, nil
+}
+
+// clampWorkers turns a requested worker count into the count a replay
+// pool runs: at least one, and no more than GOMAXPROCS, since workers
+// beyond the schedulable CPUs only add handoff cost. reason is the
+// loadchar.SerialReason* constant for the clamp that applied, or empty.
+func clampWorkers(jobs int) (int, string) {
+	if jobs <= 1 {
+		return 1, loadchar.SerialReasonRequested
+	}
+	if g := runtime.GOMAXPROCS(0); jobs > g {
+		return g, loadchar.SerialReasonGOMAXPROCS
+	}
+	return jobs, ""
 }

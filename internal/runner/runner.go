@@ -44,10 +44,12 @@ import (
 	"bioperfload/internal/loadchar"
 	"bioperfload/internal/pipeline"
 	"bioperfload/internal/platform"
+	"bioperfload/internal/runstream"
 	"bioperfload/internal/scoreboard"
 	"bioperfload/internal/sim"
 	"bioperfload/internal/simpoint"
 	"bioperfload/internal/store"
+	"bioperfload/internal/trace"
 )
 
 // CompileKey identifies one compilation artifact. compiler.Options is
@@ -362,20 +364,21 @@ func (s *Session) characterize(ctx context.Context, p *bio.Program, sz bio.Size)
 	if err := p.Bind(m, sz); err != nil {
 		return nil, fmt.Errorf("%s: bind: %w", p.Name, err)
 	}
+	// The interpreter builds the run chunks itself; with a store, each
+	// chunk feeds both the analysis and the trace writer.
 	a := loadchar.New(prog)
-	rec := s.startRecording(m, p, sz, fp, prog, a)
-	if rec == nil {
-		m.AddBatchObserver(a)
+	emit := a.ObserveChunk
+	rec := s.startRecording(p, sz, fp, prog)
+	if rec != nil {
+		emit = func(ch *runstream.Chunk) {
+			a.ObserveChunk(ch)
+			rec.tw.WriteChunk(ch)
+		}
 	}
+	m.SetChunkSink(trace.ChunkEvents, emit)
 	s.runs.Add(1)
 	s.coldChars.Add(1)
 	res, err := m.RunContext(ctx)
-	if err == nil {
-		err = rec.flush()
-	}
-	if err == nil {
-		err = a.Err()
-	}
 	if err != nil {
 		rec.abort()
 		return nil, fmt.Errorf("%s: %w", p.Name, err)

@@ -83,10 +83,14 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 // engine under the session's sampled tier and the bench/ warm workload.
 // A *simpoint.DegradeError means the trace is too small to sample.
 // The representative replays fan out perfectly — each owns a private
-// analysis — so jobs bounds both the collection scan and the replays.
+// analysis — so one pool width bounds both the collection scan and the
+// replays: jobs clamped to GOMAXPROCS, as in ReplayAnalyze, and each
+// stage further to its work. The returned Analysis' Exec records the
+// request, that width and the clamp reason.
 func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, cfg simpoint.Config, jobs int) (*loadchar.Analysis, *simpoint.Plan, error) {
 	cfg = cfg.WithDefaults()
-	intervals, err := simpoint.CollectTrace(ctx, prog, ir, cfg, jobs)
+	workers, reason := clampWorkers(jobs)
+	intervals, err := simpoint.CollectTrace(ctx, prog, ir, cfg, workers)
 	if err != nil {
 		return nil, nil, fmt.Errorf("collect intervals: %w", err)
 	}
@@ -95,7 +99,7 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 		return nil, nil, err
 	}
 	deltas := make([]*loadchar.Snapshot, len(plan.Clusters))
-	err = forEach(ctx, jobs, len(plan.Clusters), func(i int) error {
+	err = forEach(ctx, workers, len(plan.Clusters), func(i int) error {
 		c := plan.Clusters[i]
 		snap, err := replayInterval(ctx, prog, ir, c.Start, c.End, plan.Config.WarmupEvents)
 		if err != nil {
@@ -118,6 +122,7 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 	if err != nil {
 		return nil, nil, fmt.Errorf("restore sampled snapshot: %w", err)
 	}
+	a.Exec = loadchar.Execution{RequestedWorkers: jobs, Workers: workers, SerialReason: reason}
 	return a, plan, nil
 }
 
@@ -270,13 +275,14 @@ func (s *Session) recordTrace(ctx context.Context, p *bio.Program, sz bio.Size, 
 	var tw *trace.Writer
 	if w != nil {
 		tw = trace.NewWriter(w, trace.Meta{Program: p.Name, Fingerprint: fp, Size: sz.String()}, prog)
-		m.AddBatchObserver(tw)
 	} else {
-		rec = s.startRecording(m, p, sz, fp, prog, nil)
+		rec = s.startRecording(p, sz, fp, prog)
 		if rec == nil {
 			return fmt.Errorf("%s: store rejected trace recording", p.Name)
 		}
+		tw = rec.tw
 	}
+	m.SetChunkSink(trace.ChunkEvents, tw.WriteChunk)
 	s.runs.Add(1)
 	res, err := m.RunContext(ctx)
 	if err != nil {
@@ -287,7 +293,7 @@ func (s *Session) recordTrace(ctx context.Context, p *bio.Program, sz bio.Size, 
 		rec.abort()
 		return err
 	}
-	if tw != nil {
+	if rec == nil {
 		if err := tw.Close(); err != nil {
 			return fmt.Errorf("%s: close trace: %w", p.Name, err)
 		}

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"bioperfload/internal/bio"
@@ -259,5 +260,42 @@ func TestExactByteIdenticalAcrossTiers(t *testing.T) {
 	}
 	if got := render(prof4, bio.SizeTest); got != want {
 		t.Error("peer tier differs from cold")
+	}
+}
+
+// TestSampledAnalyzeClampsToGOMAXPROCS: with one schedulable CPU, a
+// four-worker request runs the collection scan and the representative
+// replays on one worker, says so in Exec, and serves the same profile
+// as a one-worker request.
+func TestSampledAnalyzeClampsToGOMAXPROCS(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(1)
+	prog, err := s.Compile(p, false, compiler.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, cleanup, err := s.sampledTrace(ctx, p, bio.SizeTest, "", prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	want, _, err := SampledAnalyze(ctx, prog, ir, testSimPoint, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got, _, err := SampledAnalyze(ctx, prog, ir, testSimPoint, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := (loadchar.Execution{RequestedWorkers: 4, Workers: 1, SerialReason: loadchar.SerialReasonGOMAXPROCS}); got.Exec != e {
+		t.Errorf("Exec %+v, want %+v", got.Exec, e)
+	}
+	if g, w := loadchar.RenderProfile(p.Name, "test", got, 10), loadchar.RenderProfile(p.Name, "test", want, 10); g != w {
+		t.Errorf("clamped sampled profile differs from the one-worker profile:\n%s\nvs\n%s", g, w)
 	}
 }

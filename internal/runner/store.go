@@ -13,8 +13,6 @@ import (
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/loadchar"
-	"bioperfload/internal/runstream"
-	"bioperfload/internal/sim"
 	"bioperfload/internal/store"
 	"bioperfload/internal/trace"
 )
@@ -282,20 +280,18 @@ func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio
 	return &Profile{Name: p.Name, Instructions: ir.TotalEvents(), Analysis: a, Source: "replay"}, nil, true
 }
 
-// recorder wires a trace writer into a machine when a store is
-// attached. commit finalizes the artifact only for a validated run of
-// the expected length; abort discards it.
+// recorder streams a trace into a store entry. commit finalizes the
+// artifact only for a validated run of the expected length; abort
+// discards it.
 type recorder struct {
 	ew *store.EntryWriter
 	tw *trace.Writer
-	b  *runstream.Builder
 }
 
-// startRecording attaches a trace writer streaming into a store entry.
-// With an analysis a, one runstream.Builder feeds both a and the
-// writer, so the run's chunks are built once; the caller attaches a
-// itself when startRecording returns nil.
-func (s *Session) startRecording(m *sim.Machine, p *bio.Program, sz bio.Size, fp string, prog *isa.Program, a *loadchar.Analysis) *recorder {
+// startRecording opens a trace writer streaming into a store entry,
+// or returns nil without a store. The caller feeds tw the run's
+// chunks.
+func (s *Session) startRecording(p *bio.Program, sz bio.Size, fp string, prog *isa.Program) *recorder {
 	if s.store == nil {
 		return nil
 	}
@@ -308,29 +304,7 @@ func (s *Session) startRecording(m *sim.Machine, p *bio.Program, sz bio.Size, fp
 		Fingerprint: fp,
 		Size:        sz.String(),
 	}, prog)
-	r := &recorder{ew: ew, tw: tw}
-	if a == nil {
-		m.AddBatchObserver(tw)
-		return r
-	}
-	r.b = runstream.NewBuilder(prog, trace.ChunkEvents, func(ch *runstream.Chunk) {
-		a.ObserveChunk(ch)
-		tw.WriteChunk(ch)
-	})
-	m.AddBatchObserver(r.b)
-	return r
-}
-
-// flush hands a shared Builder's final partial chunk to the analysis
-// and the writer. Its error — a stream that is not run-representable —
-// fails the characterization too, since the analysis saw the same
-// chunks.
-func (r *recorder) flush() error {
-	if r == nil || r.b == nil {
-		return nil
-	}
-	r.b.Flush()
-	return r.b.Err()
+	return &recorder{ew: ew, tw: tw}
 }
 
 func (r *recorder) abort() {

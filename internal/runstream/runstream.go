@@ -1,12 +1,17 @@
 // Package runstream defines the column-oriented chunk stream the
 // block-characterized engine consumes: dictionary tokens of
 // straight-line PC runs plus the taken and address columns of one
-// chunk, without per-event records. Two producers build it — the Builder from a live simulation, and the
-// trace package's column decode (trace.IndexedReader.Columns) from a
-// recorded trace — and two consumers read it: loadchar's run engine
-// (Analysis.ObserveChunk, loadchar.AnalyzeRuns) and the trace
-// encoder (trace.Writer.WriteChunk). Keeping the types here breaks
-// what would otherwise be an import cycle between the two packages.
+// chunk, without per-event records. It holds types only and imports
+// nothing from the project.
+//
+// Two producers build the stream. The simulator builds it live: the
+// interpreter appends chunk columns itself (sim.Machine.SetChunkSink),
+// and sim.Builder rebuilds the same chunks from event slabs it did not
+// produce. The trace package's column decode
+// (trace.IndexedReader.Columns) builds it from a recorded trace. Two
+// consumers read it: loadchar's run engine (Analysis.ObserveChunk,
+// loadchar.AnalyzeRuns) and the trace encoder
+// (trace.Writer.WriteChunk).
 package runstream
 
 // Run is one maximal straight-line PC run: N events whose PCs are
@@ -26,7 +31,7 @@ type Token struct {
 	Rep int32
 }
 
-// Dict is the run dictionary of a trace or a Builder: the
+// Dict is the run dictionary of a trace or a live simulation: the
 // deduplicated vocabulary of straight-line PC runs its token streams
 // reference. It is shared by every chunk of one stream; entries are
 // only ever appended.
@@ -60,7 +65,7 @@ type Chunk struct {
 	// offset with no presence test.
 	Addrs []uint64
 	// Target is the last event's target: the next PC the program
-	// executed. Only the Builder sets it; every other target is the
+	// executed. Only the simulator sets it; every other target is the
 	// next event's PC.
 	Target int32
 }

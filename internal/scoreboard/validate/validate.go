@@ -16,10 +16,14 @@
 //
 // Both tiers run the same pipeline model; the fast tier observes 1/32
 // of the stream and extrapolates, so every disagreement the harness
-// measures is sampling error (under-warmed caches and predictors after
-// each skipped stretch, and phases the windows miss). Absolute cycle
-// counts are NOT validated; the ratios are what the paper reports and
-// what the fast tier exists to estimate.
+// measures is sampling error, of two kinds. Phase aliasing explains
+// hmmpfam, dnapenny and hmmcalibrate: a 64 Ki window every 2 Mi
+// instructions lands on the wrong mix of phases, and no warm-up fixes
+// that. Capacity warm-up explains fasta and blast: the small-L2
+// machines need the accesses of the whole skipped gap, more than a
+// window's own warm-up provides. Absolute cycle counts are NOT
+// validated; the ratios are what the paper reports and what the fast
+// tier exists to estimate.
 package validate
 
 import (

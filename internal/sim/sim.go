@@ -1,10 +1,17 @@
 // Package sim is the VRISC64 functional simulator. It plays the role
 // ATOM played in the paper: it executes a compiled program and hands
-// every committed instruction to observer hooks (instruction pointer,
-// opcode, effective address, branch outcome), from which the
-// characterization framework builds instruction mixes, load-coverage
-// curves, cache and branch-predictor simulations, and dependence-chain
-// analyses.
+// out every committed instruction (instruction pointer, opcode,
+// effective address, branch outcome), from which the characterization
+// framework builds instruction mixes, load-coverage curves, cache and
+// branch-predictor simulations, and dependence-chain analyses.
+//
+// A run hands out its stream in one of two shapes. Characterization
+// and trace recording take run chunks (runstream.Chunk) that the
+// interpreter builds itself (SetChunkSink), without per-instruction
+// records. Timing models and other per-event consumers take Event
+// slabs (AddBatchObserver); Builder turns such slabs into the same
+// chunks for streams the interpreter did not produce, such as trace
+// replays.
 package sim
 
 import (
@@ -14,6 +21,7 @@ import (
 
 	"bioperfload/internal/isa"
 	"bioperfload/internal/mem"
+	"bioperfload/internal/runstream"
 )
 
 // Event describes one committed dynamic instruction. Events are
@@ -84,6 +92,8 @@ type Machine struct {
 	observers []BatchObserver
 	slab      []Event // recycled event slab shared by all observers
 
+	sink *chunkSink // SetChunkSink; nil when no sink is set
+
 	// Sampling window (SetSampling): when smpPeriod > 0, only the
 	// first smpObserve committed instructions of every smpPeriod-sized
 	// window are delivered to observers.
@@ -116,6 +126,23 @@ func (m *Machine) Program() *isa.Program { return m.prog }
 // AddBatchObserver registers a slab-at-a-time observer.
 func (m *Machine) AddBatchObserver(o BatchObserver) {
 	m.observers = append(m.observers, o)
+}
+
+// SetChunkSink makes the interpreter itself build the run chunks a
+// Builder would build from this machine's event slabs, and hand every
+// finished chunk of chunkEvents events to emit. It builds no events:
+// per committed instruction the loop looks up the PC's kind, appends
+// an address for a load or store and a bit for a conditional branch,
+// and closes a run only at a control transfer. The final partial
+// chunk is emitted on every exit — HALT, trap, fuel exhaustion and
+// cancellation — so emit sees the whole committed prefix. The emitted
+// chunk is reused once emit returns, as a Builder's is.
+//
+// A sink streams the one run of a new machine, and needs the complete
+// stream: RunContext rejects it combined with SetSampling. Slab
+// observers may be attached alongside.
+func (m *Machine) SetChunkSink(chunkEvents int, emit func(*runstream.Chunk)) {
+	m.sink = &chunkSink{chunker: newChunker(m.prog, chunkEvents, emit)}
 }
 
 // WriteSymbol copies raw bytes into the named global. It is how Go
@@ -191,7 +218,9 @@ func (m *Machine) Run() (*Result, error) {
 //
 // Sampling silently drops events, so it must never be combined with
 // observers that need the complete stream (characterization analyses,
-// trace recording); only sampling-aware timing models opt in.
+// trace recording); only sampling-aware timing models opt in. A chunk
+// sink always needs the complete stream, so RunContext rejects the
+// combination.
 // observe == 0, period == 0, or observe >= period disables sampling.
 func (m *Machine) SetSampling(observe, period uint64) {
 	if observe == 0 || period == 0 || observe >= period {
@@ -211,9 +240,17 @@ const CancelCheckInterval = 1 << 16
 // RunContext executes until HALT, a trap, fuel exhaustion, or context
 // cancellation. Cancellation is detected within CancelCheckInterval
 // committed instructions; the returned error wraps ctx.Err(), and the
-// event slab is flushed first so observers see the full committed
-// prefix, exactly as on the trap path.
+// event slab and chunk sink are flushed first so observers see the
+// full committed prefix, exactly as on the trap path.
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
+	// cs holds all chunk state behind one pointer, nil without a sink.
+	cs := m.sink
+	if cs != nil {
+		if m.smpPeriod > 0 {
+			return nil, errors.New("sim: a chunk sink cannot be combined with sampling")
+		}
+		cs.runPC = m.PC
+	}
 	fuel := m.Fuel
 	if fuel == 0 {
 		fuel = DefaultFuel
@@ -241,6 +278,9 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	// the complete committed-instruction prefix.
 	fail := func(err error) (*Result, error) {
 		flush()
+		if cs != nil {
+			cs.flush(res.Instructions, m.PC)
+		}
 		return res, err
 	}
 
@@ -264,6 +304,11 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 				stop = boundary
 			}
 		}
+		if cs != nil {
+			// The sink's open chunk also ends a stretch, and is
+			// emitted after it.
+			stop = min(stop, cs.ch.Base+uint64(cs.chunkEvents))
+		}
 		if stop > fuel {
 			stop = fuel
 		}
@@ -272,6 +317,9 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 			// previous observed window first, in order.
 			flush()
 		}
+		// hook gates all per-instruction delivery, so the bare loop
+		// tests one flag and keeps its values in registers.
+		hook := obs || cs != nil
 		for res.Instructions < stop {
 			pc := m.PC
 			if pc < 0 || pc >= n {
@@ -443,22 +491,41 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 					m.slab = append(m.slab, Event{Seq: res.Instructions - 1, PC: pc, Inst: in, Target: next})
 				}
 				flush()
+				if cs != nil {
+					cs.flush(res.Instructions, next)
+				}
 				return res, nil
 			default:
 				return fail(&Trap{PC: pc, Msg: "illegal opcode " + in.Op.String()})
 			}
 
-			if obs {
-				m.slab = append(m.slab, Event{
-					Seq: res.Instructions, PC: pc, Inst: in,
-					Addr: addr, Taken: taken, Target: next,
-				})
-				if len(m.slab) == BatchSize {
-					flush()
+			if hook {
+				if obs {
+					m.slab = append(m.slab, Event{
+						Seq: res.Instructions, PC: pc, Inst: in,
+						Addr: addr, Taken: taken, Target: next,
+					})
+					if len(m.slab) == BatchSize {
+						flush()
+					}
+				}
+				if cs != nil {
+					switch cs.kind[pc] {
+					case kindCond:
+						cs.branch(taken)
+					case kindMem:
+						cs.ch.Addrs = append(cs.ch.Addrs, addr)
+					}
+					if next != pc+1 {
+						cs.endRun(res.Instructions+1, next)
+					}
 				}
 			}
 			res.Instructions++
 			m.PC = next
+		}
+		if cs != nil && res.Instructions == cs.ch.Base+uint64(cs.chunkEvents) {
+			cs.flush(res.Instructions, m.PC)
 		}
 		if res.Instructions >= fuel {
 			return fail(ErrFuelExhausted)

@@ -1,0 +1,280 @@
+package sim_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"flag"
+	"hash"
+	"reflect"
+	"testing"
+
+	"bioperfload/internal/bio"
+	"bioperfload/internal/compiler"
+	"bioperfload/internal/isa"
+	"bioperfload/internal/runstream"
+	"bioperfload/internal/sim"
+)
+
+// chunkLog digests one chunk stream as it is emitted (emitted chunks
+// are reused, and a per-event chunk stream is too large to keep).
+type chunkLog struct {
+	h      hash.Hash
+	buf    []byte
+	chunks int
+	lastN  int
+	events uint64
+	dict   *runstream.Dict
+}
+
+func (l *chunkLog) emit(ch *runstream.Chunk) {
+	if l.h == nil {
+		l.h = sha256.New()
+	}
+	b := l.buf[:0]
+	for _, v := range []uint64{ch.Base, uint64(ch.N), uint64(ch.Target), uint64(len(ch.Tokens)), uint64(len(ch.BrTaken)), uint64(len(ch.Addrs))} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	for _, tk := range ch.Tokens {
+		b = binary.LittleEndian.AppendUint32(b, uint32(tk.ID))
+		b = binary.LittleEndian.AppendUint32(b, uint32(tk.Rep))
+	}
+	b = append(b, ch.BrTaken...)
+	for _, a := range ch.Addrs {
+		b = binary.LittleEndian.AppendUint64(b, a)
+	}
+	l.h.Write(b)
+	l.buf = b
+	l.chunks++
+	l.lastN = ch.N
+	l.events = ch.Base + uint64(ch.N)
+	l.dict = ch.Dict
+}
+
+func (l *chunkLog) sum() []byte {
+	if l.h == nil {
+		return nil
+	}
+	return l.h.Sum(nil)
+}
+
+// sinkRun attaches a slab Builder and a chunk sink of the same chunk
+// size to m, runs it under ctx, and checks both produced the same
+// chunk stream over exactly the committed prefix. It returns the run's
+// result and error, and the sink's log.
+func sinkRun(t *testing.T, ctx context.Context, name string, m *sim.Machine, chunk int, onChunk func()) (*sim.Result, error, *chunkLog) {
+	t.Helper()
+	var slab, sink chunkLog
+	b := sim.NewBuilder(m.Program(), chunk, slab.emit)
+	m.AddBatchObserver(b)
+	m.SetChunkSink(chunk, func(ch *runstream.Chunk) {
+		sink.emit(ch)
+		if onChunk != nil {
+			onChunk()
+		}
+	})
+	res, err := m.RunContext(ctx)
+	b.Flush()
+	if berr := b.Err(); berr != nil {
+		t.Fatalf("%s chunk=%d: slab builder: %v", name, chunk, berr)
+	}
+	if sink.events != res.Instructions || b.Events() != res.Instructions {
+		t.Fatalf("%s chunk=%d: sink streamed %d events, builder %d, run committed %d",
+			name, chunk, sink.events, b.Events(), res.Instructions)
+	}
+	if sink.chunks != slab.chunks || !bytes.Equal(sink.sum(), slab.sum()) {
+		t.Fatalf("%s chunk=%d: the sink's %d chunks differ from the builder's %d", name, chunk, sink.chunks, slab.chunks)
+	}
+	if sink.chunks > 0 && !reflect.DeepEqual(sink.dict.Runs, slab.dict.Runs) {
+		t.Fatalf("%s chunk=%d: run dictionaries differ", name, chunk)
+	}
+	return res, err, &sink
+}
+
+func bioMachine(t *testing.T, p *bio.Program) *sim.Machine {
+	t.Helper()
+	prog, err := p.Compile(false, compiler.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Bind(m, bio.SizeTest); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestChunkSinkMatchesBuilder: on every program at test size and at
+// chunk sizes from one event to the trace chunk size, the
+// interpreter's own chunks equal a slab Builder's over the same run.
+func TestChunkSinkMatchesBuilder(t *testing.T) {
+	for _, p := range bio.All() {
+		for _, chunk := range []int{1, 7, 4096, 16384} {
+			res, err, _ := sinkRun(t, context.Background(), p.Name, bioMachine(t, p), chunk, nil)
+			if err != nil {
+				t.Fatalf("%s chunk=%d: %v", p.Name, chunk, err)
+			}
+			if err := p.Validate(res, bio.SizeTest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestChunkSinkHaltOnBoundary: a HALT that commits the last event of a
+// full chunk emits that chunk once, with HALT's fall-through target.
+func TestChunkSinkHaltOnBoundary(t *testing.T) {
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := bioMachine(t, p).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(res.Instructions)
+	f := 2
+	for n%f != 0 {
+		f++
+	}
+	for _, chunk := range []int{n, n / f} {
+		_, err, log := sinkRun(t, context.Background(), p.Name, bioMachine(t, p), chunk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if log.chunks != n/chunk || log.lastN != chunk {
+			t.Fatalf("chunk=%d: %d chunks for %d events, the last of %d", chunk, log.chunks, n, log.lastN)
+		}
+	}
+}
+
+// loopTrap loops iters times over a load, a store and a conditional
+// branch, then divides by zero.
+func loopTrap(iters int64) *isa.Program {
+	b := isa.NewBuilder("looptrap")
+	addr := b.Global("buf", 64, 8, false)
+	b.Ldiq(1, 0)
+	b.Ldiq(2, iters)
+	b.Ldiq(4, int64(addr))
+	b.Label("loop")
+	b.Load(isa.OpLdq, 3, 4, 0)
+	b.Store(isa.OpStq, 1, 4, 8)
+	b.OpI(isa.OpAdd, 1, 1, 1)
+	b.Op3(isa.OpCmpLt, 5, 1, 2)
+	b.Branch(isa.OpBne, 5, "loop")
+	b.Op3(isa.OpDiv, 6, 1, isa.RZero)
+	b.Halt()
+	return b.MustProgram()
+}
+
+// TestChunkSinkPrefixes: after a trap, fuel exhaustion and a cancel,
+// the sink has emitted exactly the committed prefix, as the slab
+// Builder has.
+func TestChunkSinkPrefixes(t *testing.T) {
+	for _, chunk := range []int{1, 7, 4096} {
+		m, err := sim.New(loopTrap(5000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trap *sim.Trap
+		if _, err, _ := sinkRun(t, context.Background(), "looptrap", m, chunk, nil); !errors.As(err, &trap) {
+			t.Fatalf("chunk=%d: want a trap, got %v", chunk, err)
+		}
+
+		p, err := bio.ByName("hmmsearch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = bioMachine(t, p)
+		m.Fuel = 3*16384 + 1234
+		if _, err, _ := sinkRun(t, context.Background(), p.Name, m, chunk, nil); !errors.Is(err, sim.ErrFuelExhausted) {
+			t.Fatalf("chunk=%d: want fuel exhaustion, got %v", chunk, err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		emitted := 0
+		res, err, _ := sinkRun(t, ctx, p.Name, bioMachine(t, p), chunk, func() {
+			if emitted++; emitted == 3 {
+				cancel()
+			}
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || res.Instructions == 0 {
+			t.Fatalf("chunk=%d: want a canceled prefix, got %v after %d events", chunk, err, res.Instructions)
+		}
+	}
+}
+
+// TestChunkSinkRejectsSampling: sampling drops events a sink needs, so
+// the combination fails before anything runs.
+func TestChunkSinkRejectsSampling(t *testing.T) {
+	m, err := sim.New(loopTrap(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetSampling(1, 32)
+	m.SetChunkSink(16, func(*runstream.Chunk) { t.Fatal("chunk emitted") })
+	if _, err := m.Run(); err == nil {
+		t.Fatal("a chunk sink with sampling ran")
+	}
+}
+
+var benchSize = flag.String("sim.size", "test", "input size for BenchmarkEmission (test|classB|classC)")
+
+// BenchmarkEmission reports the interpreter's ns per committed
+// instruction over the nine programs for each way a run can hand out
+// its stream: bare (no consumer), slab + Builder (event slabs rebuilt
+// into chunks) and chunk sink (chunks built by the interpreter).
+//
+//	go test ./internal/sim -run '^$' -bench Emission -sim.size classB
+func BenchmarkEmission(b *testing.B) {
+	sz, err := bio.ParseSize(*benchSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	progs := bio.All()
+	isas := make([]*isa.Program, len(progs))
+	for i, p := range progs {
+		if isas[i], err = p.Compile(false, compiler.Default()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	noop := func(*runstream.Chunk) {}
+	for _, mode := range []struct {
+		name   string
+		attach func(m *sim.Machine)
+	}{
+		{"bare", func(*sim.Machine) {}},
+		{"slab+builder", func(m *sim.Machine) { m.AddBatchObserver(sim.NewBuilder(m.Program(), 16384, noop)) }},
+		{"sink", func(m *sim.Machine) { m.SetChunkSink(16384, noop) }},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			var events uint64
+			for range b.N {
+				for i, p := range progs {
+					b.StopTimer()
+					m, err := sim.New(isas[i])
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := p.Bind(m, sz); err != nil {
+						b.Fatal(err)
+					}
+					mode.attach(m)
+					b.StartTimer()
+					res, err := m.Run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					events += res.Instructions
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}

@@ -3,6 +3,7 @@ package simpoint
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -16,7 +17,8 @@ import (
 // block executions, so the scan parallelizes perfectly: each worker
 // decodes an interval-aligned run of chunks with a private collector
 // and the per-worker interval slices concatenate in order. This is
-// where the bulk of the sampled path's speedup comes from.
+// where the bulk of the sampled path's speedup comes from. jobs is a
+// request: the scan runs min(jobs, GOMAXPROCS, intervals) workers.
 func CollectTrace(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, cfg Config, jobs int) ([]Interval, error) {
 	cfg = cfg.WithDefaults()
 	total := ir.TotalEvents()
@@ -25,12 +27,7 @@ func CollectTrace(ctx context.Context, prog *isa.Program, ir *trace.IndexedReade
 	}
 	iv := cfg.IntervalSize
 	m := int((total + iv - 1) / iv)
-	if jobs > m {
-		jobs = m
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
+	jobs = collectWorkers(jobs, m)
 
 	blocks := BlockMap(prog)
 	type result struct {
@@ -68,6 +65,12 @@ func CollectTrace(ctx context.Context, prog *isa.Program, ir *trace.IndexedReade
 		return nil, fmt.Errorf("simpoint: collected %d intervals, expected %d", len(out), m)
 	}
 	return out, nil
+}
+
+// collectWorkers bounds a requested scan width by the schedulable CPUs
+// and by the m intervals there are to split.
+func collectWorkers(jobs, m int) int {
+	return max(1, min(jobs, runtime.GOMAXPROCS(0), m))
 }
 
 // scanRange scans the chunks covering [start, end) as PC runs and

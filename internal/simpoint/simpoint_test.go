@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bioperfload/internal/isa"
@@ -305,6 +306,23 @@ func TestCollectTraceMatchesLive(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("jobs=%d: trace scan differs from live collection", jobs)
+		}
+	}
+}
+
+// TestCollectWorkersClamp: the scan width is the request bounded by
+// the schedulable CPUs and the interval count, and never below one.
+func TestCollectWorkersClamp(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct{ jobs, m, want int }{{4, 100, 1}, {1, 100, 1}, {0, 100, 1}, {4, 0, 1}} {
+		if got := collectWorkers(c.jobs, c.m); got != c.want {
+			t.Errorf("GOMAXPROCS 1: collectWorkers(%d, %d) = %d, want %d", c.jobs, c.m, got, c.want)
+		}
+	}
+	runtime.GOMAXPROCS(4)
+	for _, c := range []struct{ jobs, m, want int }{{8, 100, 4}, {3, 100, 3}, {8, 2, 2}} {
+		if got := collectWorkers(c.jobs, c.m); got != c.want {
+			t.Errorf("GOMAXPROCS 4: collectWorkers(%d, %d) = %d, want %d", c.jobs, c.m, got, c.want)
 		}
 	}
 }

@@ -24,8 +24,9 @@ func (a *Analog) Compile(small bool, opts compiler.Options) (*isa.Program, error
 	return compiler.Compile(a.Name+".mc", a.Source(small), opts)
 }
 
-// Run compiles and executes, returning the printed output.
-func (a *Analog) Run(small bool, opts compiler.Options, obs ...sim.BatchObserver) (*sim.Result, error) {
+// Machine compiles the analog and returns a machine with its driver
+// iteration count bound, ready to run.
+func (a *Analog) Machine(small bool, opts compiler.Options) (*sim.Machine, error) {
 	prog, err := a.Compile(small, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
@@ -39,8 +40,14 @@ func (a *Analog) Run(small bool, opts compiler.Options, obs ...sim.BatchObserver
 			return nil, err
 		}
 	}
-	for _, o := range obs {
-		m.AddBatchObserver(o)
+	return m, nil
+}
+
+// Run compiles and executes, returning the printed output.
+func (a *Analog) Run(small bool, opts compiler.Options) (*sim.Result, error) {
+	m, err := a.Machine(small, opts)
+	if err != nil {
+		return nil, err
 	}
 	res, err := m.Run()
 	if err != nil {

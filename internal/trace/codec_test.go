@@ -9,14 +9,14 @@ import (
 )
 
 // encodeChunk encodes evs as one bare chunk payload starting at event
-// base, through a runstream.Builder and a fresh writer dictionary. It
+// base, through a sim.Builder and a fresh writer dictionary. It
 // returns the payload and a reader-side copy of the dictionary, as a
 // footer would carry it.
 func encodeChunk(prog *isa.Program, base uint64, evs []sim.Event) ([]byte, *v4Dict, error) {
 	vw := newV4Writer(prog)
 	var out []byte
 	var err error
-	b := runstream.NewBuilder(prog, len(evs), func(ch *runstream.Chunk) {
+	b := sim.NewBuilder(prog, len(evs), func(ch *runstream.Chunk) {
 		out, _, err = vw.appendChunk(nil, base, ch)
 	})
 	b.ObserveBatch(evs)

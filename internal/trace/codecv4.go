@@ -664,9 +664,9 @@ func newV4Writer(prog *isa.Program) *v4Writer {
 // dst, growing the dictionary by the entries ch's dictionary gained
 // since the previous chunk, and returns the extended slice plus the
 // split-compression cut (the end of the token stream). ch must be
-// dictionary-backed and consistent with the runs it references; the
-// runstream.Builder that made it has already verified the events are
-// run-representable.
+// dictionary-backed and consistent with the runs it references: the
+// interpreter builds only run-representable chunks, and a sim.Builder
+// has already verified its events are.
 func (vw *v4Writer) appendChunk(dst []byte, base uint64, ch *runstream.Chunk) ([]byte, int, error) {
 	d := vw.dict
 	dictBase := len(d.runs)

@@ -16,8 +16,8 @@ import (
 
 // v4TraceGoldens are the SHA-256s of the nine programs' test-size v4
 // traces (default chunk size, Meta{Program, Size: "test"}), as the
-// per-record v4 encoder wrote them before chunks came from a
-// runstream.Builder.
+// per-record v4 encoder wrote them, before the encoder consumed run
+// chunks.
 var v4TraceGoldens = map[string]string{
 	"blast":        "9e9d8f447d7247bdb4cb6d8d7d0de8c16267c7ae012fa500e9d00f8071f673b5",
 	"clustalw":     "af9d53733c9efd85d8e535e9d15cc99cc25205914a864ff0553da54b83781e20",
@@ -32,9 +32,9 @@ var v4TraceGoldens = map[string]string{
 
 // TestV4TraceGoldens pins the recorded bytes of every program's
 // test-size v4 trace, written both ways a recording can feed the
-// Writer: events through its own Builder, and chunks from a Builder it
-// shares with a live analysis. The shared analysis must also match a
-// separately attached one.
+// Writer: events through its own Builder, and chunks from the
+// machine's chunk sink, shared with a live analysis. The sink-fed
+// analysis must also match a separately attached one.
 func TestV4TraceGoldens(t *testing.T) {
 	for _, p := range bio.All() {
 		prog, err := p.Compile(false, compiler.Default())
@@ -56,17 +56,12 @@ func TestV4TraceGoldens(t *testing.T) {
 		m.AddBatchObserver(live)
 		sa := loadchar.New(prog)
 		sw := trace.NewWriter(&shared, meta, prog)
-		b := runstream.NewBuilder(prog, trace.ChunkEvents, func(ch *runstream.Chunk) {
+		m.SetChunkSink(trace.ChunkEvents, func(ch *runstream.Chunk) {
 			sa.ObserveChunk(ch)
 			sw.WriteChunk(ch)
 		})
-		m.AddBatchObserver(b)
 		res, err := m.Run()
 		if err != nil {
-			t.Fatal(err)
-		}
-		b.Flush()
-		if err := b.Err(); err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []*trace.Writer{tw, sw} {
@@ -78,14 +73,14 @@ func TestV4TraceGoldens(t *testing.T) {
 			}
 		}
 		want := v4TraceGoldens[p.Name]
-		for path, data := range map[string][]byte{"own Builder": own.Bytes(), "shared Builder": shared.Bytes()} {
+		for path, data := range map[string][]byte{"own Builder": own.Bytes(), "chunk sink": shared.Bytes()} {
 			sum := sha256.Sum256(data)
 			if got := hex.EncodeToString(sum[:]); got != want {
 				t.Errorf("%s (%s): trace SHA-256 %s, want %s", p.Name, path, got, want)
 			}
 		}
 		if got, want := loadchar.RenderProfile(p.Name, "test", sa, 10), loadchar.RenderProfile(p.Name, "test", live, 10); got != want {
-			t.Errorf("%s: shared-Builder analysis differs from a separately attached one", p.Name)
+			t.Errorf("%s: chunk-sink analysis differs from a separately attached one", p.Name)
 		}
 	}
 }

@@ -89,17 +89,17 @@ type chunkInfo struct {
 	events uint64
 }
 
-// Writer encodes a committed-instruction stream to w. It implements
-// sim.BatchObserver, so recording a trace is one AddBatchObserver call
-// on the machine: events accumulate into chunks which are encoded,
-// compressed, CRC-stamped, and framed as they fill. Close flushes the
-// final partial chunk and the footer; it does not close w.
+// Writer encodes a committed-instruction stream to w: chunks are
+// encoded, compressed, CRC-stamped, and framed as they arrive. Close
+// flushes the final partial chunk and the footer; it does not close w.
 //
-// The Writer encodes runstream chunks (WriteChunk). Fed events, it
-// builds them with its own runstream.Builder; a recording that also
-// characterizes the stream shares one Builder between the analysis and
-// WriteChunk instead, so runs are built once. A Writer takes either
-// events or chunks, not both.
+// The Writer encodes runstream chunks (WriteChunk). A recording hands
+// it the chunks the machine's interpreter builds
+// (sim.Machine.SetChunkSink), shared with a live analysis when the run
+// is also characterized, so runs are built once. It also implements
+// sim.BatchObserver for event slabs, which it turns into chunks with
+// its own sim.Builder. A Writer takes either events or chunks, not
+// both.
 //
 // I/O, encoding, and representability errors are sticky: the first
 // one is retained, further input is dropped, and Close returns it.
@@ -107,9 +107,9 @@ type Writer struct {
 	w      io.Writer
 	meta   Meta
 	flate  bool
-	b      *runstream.Builder // event input, created on first use
-	base   uint64             // events framed so far; next chunk's base
-	off    int64              // bytes written so far; next frame starts here
+	b      *sim.Builder // event input, created on first use
+	base   uint64       // events framed so far; next chunk's base
+	off    int64        // bytes written so far; next frame starts here
 	index  []chunkInfo
 	raw    []byte
 	comp   bytes.Buffer
@@ -157,7 +157,7 @@ func (tw *Writer) ObserveBatch(evs []sim.Event) {
 		return
 	}
 	if tw.b == nil {
-		tw.b = runstream.NewBuilder(tw.enc.prog, tw.meta.ChunkEvents, tw.WriteChunk)
+		tw.b = sim.NewBuilder(tw.enc.prog, tw.meta.ChunkEvents, tw.WriteChunk)
 	}
 	tw.b.ObserveBatch(evs)
 	if err := tw.b.Err(); err != nil && tw.err == nil {
@@ -177,8 +177,8 @@ func (tw *Writer) Events() uint64 {
 }
 
 // WriteChunk encodes one dictionary-backed chunk as the next chunk
-// frame. Chunks must come in commit order from a single
-// runstream.Builder over the Writer's program, whose chunk size should
+// frame. Chunks must come in commit order from one chunk sink or
+// sim.Builder over the Writer's program, whose chunk size should
 // match Meta.ChunkEvents; ch is not retained.
 func (tw *Writer) WriteChunk(ch *runstream.Chunk) {
 	if tw.err != nil || tw.closed {
