@@ -30,7 +30,7 @@ func cmdPhases(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	name := fs.String("program", "hmmsearch", "application to analyze")
 	sizeFlag := fs.String("size", "classB", "input size (test|classB|classC)")
-	interval := fs.Uint64("interval", 0, "events per interval (0 = default 1Mi)")
+	interval := fs.Uint64("interval", 0, fmt.Sprintf("events per interval (0 = default %dKi)", simpoint.DefaultIntervalSize>>10))
 	jobs := fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {

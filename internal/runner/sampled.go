@@ -81,7 +81,8 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 // trace: interval collection, clustering, representative replay with
 // warmup, and weighted extrapolation into one analysis. It is the
 // engine under the session's sampled tier and the bench/ warm workload.
-// A *simpoint.DegradeError means the trace is too small to sample.
+// A *simpoint.DegradeError means the trace is too small to sample, or
+// a representative interval's edges are not trace chunk edges.
 // The representative replays fan out perfectly — each owns a private
 // analysis — so one pool width bounds both the collection scan and the
 // replays: jobs clamped to GOMAXPROCS, as in ReplayAnalyze, and each
@@ -97,6 +98,12 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 	plan, err := simpoint.BuildPlan(intervals, cfg)
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, c := range plan.Clusters {
+		if !chunkEdge(ir, c.Start) || !chunkEdge(ir, c.End) {
+			return nil, nil, &simpoint.DegradeError{Reason: fmt.Sprintf(
+				"interval [%d,%d) does not fall on trace chunk edges", c.Start, c.End)}
+		}
 	}
 	deltas := make([]*loadchar.Snapshot, len(plan.Clusters))
 	err = forEach(ctx, workers, len(plan.Clusters), func(i int) error {
@@ -127,12 +134,13 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 }
 
 // replayInterval characterizes exactly the events in [start, end) with
-// warmed microarchitectural state: a fresh analysis replays from a
-// chunk boundary at least warm events before start, a snapshot taken
-// right as the stream crosses start is subtracted from the final one,
+// warmed microarchitectural state: a fresh analysis replays the trace's
+// column chunks from the chunk holding start-warm, a snapshot taken as
+// the chunk based at start arrives is subtracted from the final one,
 // and the difference is the interval's exact counts under the warmed
 // cache and predictor. Both prefixes are deterministic, so the
-// subtraction is exact, not approximate.
+// subtraction is exact, not approximate. start and end must be chunk
+// edges (SampledAnalyze checks them), so no chunk is ever cut.
 func replayInterval(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, start, end, warm uint64) (*loadchar.Snapshot, error) {
 	warmStart := uint64(0)
 	if start > warm {
@@ -140,64 +148,43 @@ func replayInterval(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 	}
 	n := ir.Chunks()
 	lo := sort.Search(n, func(i int) bool { return ir.Base(i) > warmStart }) - 1
-	if lo < 0 {
-		lo = 0
-	}
 	hi := sort.Search(n, func(i int) bool { return ir.Base(i) >= end })
 
 	a := loadchar.New(prog)
 	var pre *loadchar.Snapshot
-	src := ir.Range(prog, lo, hi)
+	src := ir.Columns(ctx, prog, lo, hi, 1)
 	defer src.Close()
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		evs, release, err := src.Next()
+		ch, release, err := src.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		base := evs[0].Seq
-		if base >= end {
-			release()
-			break
+		if ch.Base == start {
+			pre = a.Snapshot()
 		}
-		if base+uint64(len(evs)) > end {
-			evs = evs[:end-base]
-		}
-		if pre == nil {
-			if base >= start {
-				pre = a.Snapshot()
-			} else if base+uint64(len(evs)) > start {
-				cut := start - base
-				a.ObserveBatch(evs[:cut])
-				pre = a.Snapshot()
-				evs = evs[cut:]
-			}
-		}
-		if len(evs) > 0 {
-			a.ObserveBatch(evs)
-		}
-		last := base + uint64(len(evs))
+		a.ObserveChunk(ch)
 		release()
-		if last >= end {
-			break
-		}
 	}
 	if pre == nil {
-		return nil, fmt.Errorf("trace ended before interval start %d", start)
-	}
-	if err := a.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("interval start %d is not a chunk base", start)
 	}
 	final := a.Snapshot()
 	if err := final.Sub(pre); err != nil {
 		return nil, err
 	}
 	return final, nil
+}
+
+// chunkEdge reports whether seq is a chunk base of ir or its end: the
+// only places an interval may begin or end, since replay never cuts a
+// chunk.
+func chunkEdge(ir *trace.IndexedReader, seq uint64) bool {
+	n := ir.Chunks()
+	i := sort.Search(n, func(i int) bool { return ir.Base(i) >= seq })
+	return seq == ir.TotalEvents() || (i < n && ir.Base(i) == seq)
 }
 
 // sampledTrace opens an indexed reader over the trace for (p, sz),
@@ -233,31 +220,25 @@ func (s *Session) sampledTrace(ctx context.Context, p *bio.Program, sz bio.Size,
 
 // openTrace opens the stored trace as an indexed reader, evicting
 // anything unindexable or mismatched. The store hands back the object
-// file, so the trace's footer index is reachable through io.ReaderAt.
+// file, so the trace's footer index is read through its ReadAt.
 func (s *Session) openTrace(p *bio.Program, sz bio.Size, fp string) (*trace.IndexedReader, func(), bool) {
 	key := traceKey(fp, sz)
-	rc, size, ok := s.store.OpenReader(key)
+	f, size, ok := s.store.OpenReader(key)
 	if !ok {
 		return nil, nil, false
 	}
-	ra, isRA := rc.(io.ReaderAt)
-	if !isRA {
-		rc.Close()
-		s.store.Delete(key)
-		return nil, nil, false
-	}
-	ir, err := trace.NewIndexedReader(ra, size)
+	ir, err := trace.NewIndexedReader(f, size)
 	if err != nil {
-		rc.Close()
+		f.Close()
 		s.store.Delete(key)
 		return nil, nil, false
 	}
 	if m := ir.Meta(); m.Program != p.Name || m.Fingerprint != fp {
-		rc.Close()
+		f.Close()
 		s.store.Delete(key)
 		return nil, nil, false
 	}
-	return ir, func() { rc.Close() }, true
+	return ir, func() { f.Close() }, true
 }
 
 // recordTrace runs the program once with only a trace writer attached.

@@ -2,6 +2,8 @@ package runner
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
 	"testing"
 
@@ -86,6 +88,34 @@ func TestSampledDegradesToExact(t *testing.T) {
 	}
 }
 
+// TestSampledUnalignedIntervalsDegrade: intervals shorter than a trace
+// chunk put representative edges mid-chunk, which replay never cuts,
+// so the request degrades before any replay and serves the exact
+// profile byte for byte.
+func TestSampledUnalignedIntervalsDegrade(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(1)
+	s.SetSimPoint(simpoint.Config{IntervalSize: 8192, WarmupEvents: 4096})
+	sampled, err := s.CharacterizeAccuracy(ctx, p, bio.SizeTest, AccuracySampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := s.Characterize(ctx, p, bio.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := render(sampled, bio.SizeTest), render(exact, bio.SizeTest); got != want {
+		t.Errorf("degraded profile differs from exact:\n--- degraded ---\n%s\n--- exact ---\n%s", got, want)
+	}
+	if st := s.Stats(); st.SampledDegrades != 1 || st.SampledChars != 0 {
+		t.Errorf("stats %+v", st)
+	}
+}
+
 // TestSampledSingleBlockDegrades: a program whose whole body is one
 // basic block cannot be phase-analyzed; the guard must degrade before
 // collection, not panic.
@@ -149,8 +179,9 @@ func TestSampledStoreRoundTrip(t *testing.T) {
 	}
 	// A different sampling config must miss the snapshot (its key
 	// carries the config fingerprint) rather than serve a stale plan.
+	// Its intervals stay whole trace chunks, so it samples, not degrades.
 	s3 := NewSessionWithStore(2, st2)
-	s3.SetSimPoint(simpoint.Config{IntervalSize: 8192, WarmupEvents: 4096})
+	s3.SetSimPoint(simpoint.Config{IntervalSize: 32768, WarmupEvents: 4096})
 	if _, err := s3.CharacterizeAccuracy(ctx, p, bio.SizeTest, AccuracySampled); err != nil {
 		t.Fatal(err)
 	}
@@ -297,5 +328,47 @@ func TestSampledAnalyzeClampsToGOMAXPROCS(t *testing.T) {
 	}
 	if g, w := loadchar.RenderProfile(p.Name, "test", got, 10), loadchar.RenderProfile(p.Name, "test", want, 10); g != w {
 		t.Errorf("clamped sampled profile differs from the one-worker profile:\n%s\nvs\n%s", g, w)
+	}
+}
+
+// sampledTestRenderSHA pins the SHA-256 of each program's test-size
+// sampled render (testSimPoint, RenderProfile at 10 rows). Sampled
+// profiles are deterministic, so any change to collection, clustering,
+// representative replay or extrapolation that moves one shows here.
+var sampledTestRenderSHA = map[string]string{
+	"blast":        "bc6f354ceccda90a0f184233b2813d67c10e8c1b345063099327238357d75fb2",
+	"clustalw":     "b7b2b3e2d629dcf667804ce25b90a1f98b3c12292c1a11f71348c45543d22ceb",
+	"dnapenny":     "e3a6546e31fcf30a7f843dbb35c46b597976be5811d3d9eef1a6016606c91f46",
+	"fasta":        "7208d7314259e722b2a2ad247836c0b20c3699fdf4e708bf1e414ec540bde38a",
+	"hmmcalibrate": "838bcfb91a1cc64a0dc127c32ffeaf41139ac9d0c577c62c54f5eab828c7ba1b",
+	"hmmpfam":      "93703579cd783e39232bbe45fbed754d5bb01e12db30d9e3d8e2b0812be79f38",
+	"hmmsearch":    "1c30698e5d2778295348768154a01d280ee339adbb67df6cb3ddda1bc9ec25dc",
+	"predator":     "2ac74e4fa902e830f7b5a972afd18cffa14e9544ea2250faf7c8190bd5471f24",
+	"promlk":       "e308188727f52d15e26a6281da8bb0d2d8175496467ff00bf3a818410c232409",
+}
+
+// TestSampledGoldenRenders: SampledAnalyze over every program's
+// test-size trace renders exactly the pinned bytes.
+func TestSampledGoldenRenders(t *testing.T) {
+	ctx := context.Background()
+	s := NewSession(2)
+	for _, p := range bio.All() {
+		prog, err := s.Compile(p, false, compiler.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ir, cleanup, err := s.sampledTrace(ctx, p, bio.SizeTest, "", prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _, err := SampledAnalyze(ctx, prog, ir, testSimPoint, 2)
+		cleanup()
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		sum := sha256.Sum256([]byte(loadchar.RenderProfile(p.Name, bio.SizeTest.String(), a, 10)))
+		if got, want := hex.EncodeToString(sum[:]), sampledTestRenderSHA[p.Name]; got != want {
+			t.Errorf("%s: sampled render SHA-256 %s, want %s", p.Name, got, want)
+		}
 	}
 }

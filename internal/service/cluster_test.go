@@ -302,15 +302,19 @@ func TestShedLadder(t *testing.T) {
 	}
 
 	// Saturate S: one job running (occupying the only worker), one
-	// queued (filling QueueDepth=1).
+	// queued (filling QueueDepth=1). The second job is posted only once
+	// the worker has taken the first off the queue, or it finds the
+	// queue full.
 	for i, prog := range []string{"hmmsearch", "fasta"} {
 		resp, body := postJSON(t, tsS.URL+"/v1/characterize",
 			map[string]any{"program": prog, "size": "test"})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("saturation job %d: HTTP %d: %s", i, resp.StatusCode, body)
 		}
+		if i == 0 {
+			<-started // worker picked up job 1; job 2 will sit queued
+		}
 	}
-	<-started // worker picked up job 1; job 2 sits queued
 
 	// Rung 1: forward. The request's primary is P, so S proxies it and
 	// relays P's answer with the forwarded-to marker.

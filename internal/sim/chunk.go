@@ -149,9 +149,8 @@ func (s *chunkSink) flush(seq uint64, target int32) {
 }
 
 // Builder turns committed-event slabs into the chunks a chunk sink
-// emits, for event streams this machine did not produce live: trace
-// replays, rebuilt recordings and test oracles. It implements
-// BatchObserver.
+// emits, for event streams this machine did not produce live: rebuilt
+// recordings and test oracles. It implements BatchObserver.
 //
 // Every event must be run-representable, as the trace format
 // requires: its PC lies inside the program, its target is the next

@@ -10,8 +10,8 @@
 // interpreter builds itself (SetChunkSink), without per-instruction
 // records. Timing models and other per-event consumers take Event
 // slabs (AddBatchObserver); Builder turns such slabs into the same
-// chunks for streams the interpreter did not produce, such as trace
-// replays.
+// chunks for streams the interpreter did not produce, such as a
+// traced rebuild or a test oracle.
 package sim
 
 import (

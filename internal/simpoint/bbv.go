@@ -1,10 +1,5 @@
 package simpoint
 
-import (
-	"bioperfload/internal/isa"
-	"bioperfload/internal/sim"
-)
-
 // Interval is one fixed-size slice of the committed stream with its
 // phase signature: the basic-block vector, L1-normalized and randomly
 // projected down to Config.Dims dimensions.
@@ -18,85 +13,68 @@ type Interval struct {
 // Events returns the interval's event count.
 func (iv Interval) Events() uint64 { return iv.End - iv.Start }
 
-// Collector accumulates basic-block vectors per interval. It is a
-// sim.BatchObserver, so the same collector rides a live Machine
-// (AddBatchObserver) or a trace decode loop; interval edges are cut by
-// a sim.IntervalSplitter so slabs never straddle a boundary. A
+// Collector accumulates basic-block vectors per interval. It is fed
+// straight-line PC runs (ObserveRun, ObserveRunRepeat) from a trace
+// scan and cuts interval edges itself, so runs may straddle them. A
 // collector observes one contiguous sequence range; parallel scans
 // give each worker its own collector over an interval-aligned range
 // and concatenate the results.
 type Collector struct {
 	cfg     Config
 	blocks  *Blocks
-	split   *sim.IntervalSplitter
 	counts  []uint64
 	touched []int32
 	start   uint64 // start seq of the interval being filled
 	end     uint64 // one past the last event observed
+	next    uint64 // seq of the next interval edge
 	out     []Interval
-	runNext uint64 // run mode: seq of the next interval edge
-	runMode bool   // fed by ObserveRun rather than the splitter
-}
-
-// NewCollector creates a collector over prog starting at sequence 0.
-func NewCollector(prog *isa.Program, cfg Config) *Collector {
-	return NewCollectorAt(prog, BlockMap(prog), cfg, 0)
 }
 
 // NewCollectorAt creates a collector whose first event has sequence
 // number start, which must lie on an interval edge. The block map is
 // shared read-only, so parallel workers reuse one.
-func NewCollectorAt(prog *isa.Program, blocks *Blocks, cfg Config, start uint64) *Collector {
+func NewCollectorAt(blocks *Blocks, cfg Config, start uint64) *Collector {
 	cfg = cfg.WithDefaults()
-	c := &Collector{
+	return &Collector{
 		cfg:    cfg,
 		blocks: blocks,
 		counts: make([]uint64, blocks.NumBlocks()),
 		start:  start,
 		end:    start,
+		next:   start + cfg.IntervalSize,
 	}
-	c.split = sim.NewIntervalSplitter(cfg.IntervalSize, start,
-		sim.BatchObserverFunc(c.observe), c.boundary)
-	c.runNext = start + cfg.IntervalSize
-	return c
 }
-
-// ObserveBatch implements sim.BatchObserver.
-func (c *Collector) ObserveBatch(evs []sim.Event) { c.split.ObserveBatch(evs) }
 
 // ObserveRun counts a straight-line run: n events whose PCs are pc,
 // pc+1, ..., pc+n-1 (one repetition of a trace.IndexedReader.ScanRunTokens
 // callback).
-// Attribution happens per block crossed rather than per event, and the
-// collector cuts interval edges itself, so runs may straddle them.
-// A collector is fed either runs or batches, never both.
+// Attribution happens per block crossed rather than per event, and
+// runs may straddle interval edges.
 func (c *Collector) ObserveRun(pc, n int32) {
-	c.runMode = true
 	for n > 0 {
 		take := n
-		if room := c.runNext - c.end; uint64(take) > room {
+		if room := c.next - c.end; uint64(take) > room {
 			take = int32(room)
 		}
 		c.countRun(pc, take)
 		c.end += uint64(take)
 		pc += take
 		n -= take
-		if c.end == c.runNext {
-			c.boundary(int(c.start/c.cfg.IntervalSize), c.end)
-			c.runNext += c.cfg.IntervalSize
+		if c.end == c.next {
+			c.cut()
 		}
 	}
 }
 
 // ObserveRunRepeat counts rep back-to-back executions of the run
-// (pc, n), the form trace.IndexedReader.ScanRunTokens emits. Repetitions that fit entirely inside the current interval
-// are counted in bulk — one block walk scaled by the repeat count —
+// (pc, n), the form trace.IndexedReader.ScanRunTokens emits.
+// Repetitions that fit entirely inside the current interval are
+// counted in bulk — one block walk scaled by the repeat count —
 // so a loop that spins millions of times inside one interval costs
 // one pass over its blocks, not one per iteration.
 func (c *Collector) ObserveRunRepeat(pc, n int32, rep int64) {
-	c.runMode = true
 	for rep > 0 {
-		room := c.runNext - c.end
+		room := c.next - c.end
 		if whole := int64(room / uint64(n)); whole > 1 {
 			if whole > rep {
 				whole = rep
@@ -104,9 +82,8 @@ func (c *Collector) ObserveRunRepeat(pc, n int32, rep int64) {
 			c.countRunScaled(pc, n, uint64(whole))
 			c.end += uint64(whole) * uint64(n)
 			rep -= whole
-			if c.end == c.runNext {
-				c.boundary(int(c.start/c.cfg.IntervalSize), c.end)
-				c.runNext += c.cfg.IntervalSize
+			if c.end == c.next {
+				c.cut()
 			}
 			continue
 		}
@@ -142,33 +119,18 @@ func (c *Collector) countRunScaled(pc, n int32, times uint64) {
 // Finish closes the trailing partial interval, if any, and returns
 // every interval observed, in order.
 func (c *Collector) Finish() []Interval {
-	if c.runMode {
-		if c.end > c.start {
-			c.boundary(int(c.start/c.cfg.IntervalSize), c.end)
-		}
-		return c.out
+	if c.end > c.start {
+		c.cut()
 	}
-	c.split.Flush(c.end)
 	return c.out
 }
 
-func (c *Collector) observe(evs []sim.Event) {
-	for i := range evs {
-		b := c.blocks.Of(evs[i].PC)
-		if c.counts[b] == 0 {
-			c.touched = append(c.touched, b)
-		}
-		c.counts[b]++
-	}
-	if len(evs) > 0 {
-		c.end = evs[len(evs)-1].Seq + 1
-	}
-}
-
-func (c *Collector) boundary(index int, end uint64) {
-	iv := Interval{Index: index, Start: c.start, End: end, Vec: c.project(end - c.start)}
+// cut closes the interval [start, end) and opens the next one.
+func (c *Collector) cut() {
+	iv := Interval{Index: int(c.start / c.cfg.IntervalSize), Start: c.start, End: c.end, Vec: c.project(c.end - c.start)}
 	c.out = append(c.out, iv)
-	c.start = end
+	c.start = c.end
+	c.next = c.end + c.cfg.IntervalSize
 	for _, b := range c.touched {
 		c.counts[b] = 0
 	}

@@ -90,7 +90,7 @@ func scanRange(ctx context.Context, prog *isa.Program, blocks *Blocks, ir *trace
 	}
 	hi := sort.Search(n, func(i int) bool { return ir.Base(i) >= end })
 
-	col := NewCollectorAt(prog, blocks, cfg, start)
+	col := NewCollectorAt(blocks, cfg, start)
 	// Chunk lo may begin before start and chunk hi-1 may extend past
 	// end (interval edges need not align with chunk edges), so clip the
 	// token stream: skip events before start, stop counting at end.

@@ -19,7 +19,10 @@ import "fmt"
 
 // Defaults for Config. The interval size is a multiple of the trace
 // chunk size (16Ki events), so interval edges coincide with chunk
-// edges and representative replay never decodes partial chunks.
+// edges: representative replay feeds whole column chunks and never
+// cuts one. runner.SampledAnalyze degrades to exact when a plan's
+// representative edges are not chunk edges (an interval size that is
+// not a multiple of the chunk size).
 const (
 	DefaultIntervalSize = 1 << 18   // events per interval (256Ki)
 	DefaultDims         = 16        // random-projection dimensions

@@ -72,61 +72,98 @@ func walkEvents(prog *isa.Program, n int, seed int64) []sim.Event {
 	return evs
 }
 
-// TestCollectorMatchesReference compares the collector's projected
-// vectors against a direct reimplementation of the per-interval counts
-// and projection, delivered in deliberately uneven slabs.
-func TestCollectorMatchesReference(t *testing.T) {
-	prog := branchyProgram(64)
+// referenceIntervals is the per-event reference every collection path
+// must reproduce: each interval's block counts taken one PC at a time,
+// L1-normalized and projected with the collector's sign hash. Blocks
+// are summed in first-touch order, as the collector sums them, so the
+// vectors match bit for bit.
+func referenceIntervals(prog *isa.Program, cfg Config, pcs []int32) []Interval {
+	cfg = cfg.WithDefaults()
 	blocks := BlockMap(prog)
-	cfg := Config{IntervalSize: 128, Dims: 8}.WithDefaults()
-	const n = 128*5 + 37 // five full intervals plus a partial tail
-	evs := walkEvents(prog, n, 1)
-
-	c := NewCollector(prog, cfg)
-	for lo := 0; lo < n; {
-		hi := lo + 1 + (lo*7)%200
-		if hi > n {
-			hi = n
-		}
-		c.ObserveBatch(evs[lo:hi])
-		lo = hi
-	}
-	got := c.Finish()
-	if len(got) != 6 {
-		t.Fatalf("got %d intervals, want 6", len(got))
-	}
-
-	for i, iv := range got {
-		wantStart, wantEnd := uint64(i)*128, uint64(i+1)*128
-		if wantEnd > n {
-			wantEnd = n
-		}
-		if iv.Start != wantStart || iv.End != wantEnd || iv.Index != i {
-			t.Fatalf("interval %d bounds: got [%d,%d) idx %d", i, iv.Start, iv.End, iv.Index)
-		}
-		// Reference projection: count blocks directly, same sign hash.
+	size := int(cfg.IntervalSize)
+	var out []Interval
+	for start := 0; start < len(pcs); start += size {
+		end := min(start+size, len(pcs))
 		counts := make(map[int32]uint64)
-		for _, ev := range evs[iv.Start:iv.End] {
-			counts[blocks.Of(ev.PC)]++
+		var order []int32
+		for _, pc := range pcs[start:end] {
+			b := blocks.Of(pc)
+			if counts[b] == 0 {
+				order = append(order, b)
+			}
+			counts[b]++
 		}
-		want := make([]float64, cfg.Dims)
-		inv := 1 / float64(iv.End-iv.Start)
-		for b, cnt := range counts {
-			f := float64(cnt) * inv
+		vec := make([]float64, cfg.Dims)
+		inv := 1 / float64(end-start)
+		for _, b := range order {
+			f := float64(counts[b]) * inv
 			h := mix64(cfg.Seed ^ (uint64(b)+1)*0x9E3779B97F4A7C15)
-			for d := range want {
+			for d := range vec {
 				if mix64(h^uint64(d)*0xC2B2AE3D27D4EB4F)&1 == 1 {
-					want[d] += f
+					vec[d] += f
 				} else {
-					want[d] -= f
+					vec[d] -= f
 				}
 			}
 		}
-		for d := range want {
-			if diff := iv.Vec[d] - want[d]; diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("interval %d dim %d: got %g want %g", i, d, iv.Vec[d], want[d])
-			}
+		out = append(out, Interval{Index: len(out), Start: uint64(start), End: uint64(end), Vec: vec})
+	}
+	return out
+}
+
+// TestCollectorMatchesReference feeds the collector a PC stream as
+// deliberately uneven run pieces, at least one straddling an interval
+// edge, plus a tight loop through the bulk repeat path across several
+// edges, and compares every interval with the per-event reference.
+func TestCollectorMatchesReference(t *testing.T) {
+	prog := branchyProgram(64)
+	cfg := Config{IntervalSize: 128, Dims: 8}
+	const n = 128*8 + 37 // eight full intervals plus a partial tail
+	var pcs []int32
+	for _, ev := range walkEvents(prog, 300, 1) {
+		pcs = append(pcs, ev.PC)
+	}
+	loopAt := len(pcs)
+	const loopPC, loopN, loopRep = 10, 5, 100
+	for i := 0; i < loopRep; i++ {
+		for pc := int32(loopPC); pc < loopPC+loopN; pc++ {
+			pcs = append(pcs, pc)
 		}
+	}
+	for _, ev := range walkEvents(prog, n-len(pcs), 2) {
+		pcs = append(pcs, ev.PC)
+	}
+
+	c := NewCollectorAt(BlockMap(prog), cfg, 0)
+	straddled := false
+	for seq := 0; seq < n; {
+		if seq == loopAt {
+			c.ObserveRunRepeat(loopPC, loopN, loopRep)
+			seq += loopN * loopRep
+			continue
+		}
+		end := seq + 1
+		for end < n && end != loopAt && pcs[end] == pcs[end-1]+1 {
+			end++
+		}
+		for end > seq {
+			take := min(end-seq, 1+(seq*7)%13)
+			if seq/128 != (seq+take-1)/128 {
+				straddled = true
+			}
+			c.ObserveRun(pcs[seq], int32(take))
+			seq += take
+		}
+	}
+	if !straddled {
+		t.Fatal("no run piece straddled an interval edge")
+	}
+	got := c.Finish()
+	if len(got) != 9 || got[8].End != n {
+		t.Fatalf("got %d intervals, want 9 ending at %d", len(got), n)
+	}
+	if want := referenceIntervals(prog, cfg, pcs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("collector intervals differ from the per-event reference:\ngot  %v\nwant %v", got, want)
 	}
 }
 
@@ -276,17 +313,18 @@ func TestBuildPlanPrefersFullRepresentative(t *testing.T) {
 }
 
 // TestCollectTraceMatchesLive records a synthetic trace, then checks
-// the parallel trace scan reproduces the live collector's intervals
-// exactly, at several worker counts.
+// the parallel trace scan reproduces the per-event reference
+// intervals exactly, at several worker counts.
 func TestCollectTraceMatchesLive(t *testing.T) {
 	prog := branchyProgram(256)
 	const n = 16*1024*3 + 511 // three interval-sized runs + partial tail
 	evs := representableWalk(prog, n, 2)
 	cfg := Config{IntervalSize: 16 * 1024, Dims: 8}
-
-	live := NewCollector(prog, cfg)
-	live.ObserveBatch(evs)
-	want := live.Finish()
+	pcs := make([]int32, n)
+	for i := range evs {
+		pcs[i] = evs[i].PC
+	}
+	want := referenceIntervals(prog, cfg, pcs)
 
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf, trace.Meta{Program: prog.Name, Size: "test", ChunkEvents: 4096}, prog)
@@ -305,7 +343,7 @@ func TestCollectTraceMatchesLive(t *testing.T) {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("jobs=%d: trace scan differs from live collection", jobs)
+			t.Fatalf("jobs=%d: trace scan differs from the per-event reference", jobs)
 		}
 	}
 }

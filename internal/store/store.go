@@ -290,8 +290,8 @@ func (s *Store) GetBytes(key string) ([]byte, bool) {
 // OpenReader opens the artifact under key for streaming without
 // whole-content verification — intended for self-validating formats
 // (traces CRC every chunk). The size returned is the indexed object
-// size.
-func (s *Store) OpenReader(key string) (io.ReadCloser, int64, bool) {
+// size. The caller closes the file.
+func (s *Store) OpenReader(key string) (*os.File, int64, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if !ok {

@@ -91,6 +91,11 @@ func TestStreamingWriterAndReader(t *testing.T) {
 	if err != nil || string(data) != "hello chunks" {
 		t.Fatalf("read %q, %v", data, err)
 	}
+	// Indexed trace readers read the footer and chunks at offsets.
+	tail := make([]byte, len("chunks"))
+	if _, err := r.ReadAt(tail, 6); err != nil || string(tail) != "chunks" {
+		t.Fatalf("ReadAt %q, %v", tail, err)
+	}
 }
 
 func TestAbortLeavesNothing(t *testing.T) {
