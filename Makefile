@@ -66,13 +66,19 @@ smoke:
 # FuzzDecodeEvalArtifact for arbitrary bytes as a stored timing result,
 # FuzzDecodeProfileArtifact for arbitrary bytes through the snapshot
 # tier's decode, restore and render, FuzzStoreIndex for arbitrary
-# index.json bytes over a store directory.
+# index.json bytes over a store directory, FuzzVerifyBody for arbitrary
+# artifact bodies against arbitrary transfer checksum headers.
+# Minimizing a new input is capped at 100 runs: left at its 60 s
+# default, minimizing one multi-kilobyte input outlasts the budget, and
+# a fuzzer stalls after its first find (on a 2-vCPU host,
+# FuzzDecodeProfileArtifact ran 11 inputs in 10 s and FuzzCodec 120).
 fuzz-smoke:
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 10s
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexedReader$$' -fuzztime 10s
-	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzDecodeEvalArtifact$$' -fuzztime 10s
-	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzDecodeProfileArtifact$$' -fuzztime 10s
-	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreIndex$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexedReader$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzDecodeEvalArtifact$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzDecodeProfileArtifact$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreIndex$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzVerifyBody$$' -fuzztime 10s -fuzzminimizetime 100x
 
 # validate-timing asserts the fast (1/32 sampled) tier reproduces the
 # full tier's speedup and cross-platform ratios within the checked-in

@@ -62,9 +62,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return &Hierarchy{cfg: cfg, l1: New(cfg.L1), l2: New(cfg.L2)}
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
 // L1 returns the first-level cache.
 func (h *Hierarchy) L1() *Cache { return h.l1 }
 

@@ -26,13 +26,18 @@ const (
 	HeaderCRC32  = "X-Bioperf-Crc32"
 )
 
+// MaxArtifact bounds an artifact body on the wire, fetched or pushed.
+// Stored artifacts are keyed by static PC and do not grow with the
+// input size: the largest classB profile is a few kilobytes.
+const MaxArtifact = 1 << 20
+
 // ErrNotFound reports a peer that answered authoritatively that it
 // does not hold the artifact. It is not a peer failure: the peer is
 // healthy, it just never computed this key.
 var ErrNotFound = errors.New("cluster: artifact not found on peer")
 
 // ErrCorrupt reports a response whose body failed verification
-// against its own headers.
+// against its own headers, or is longer than MaxArtifact.
 // Corrupt responses are never retried on the same peer — the caller
 // moves to the next replica.
 var ErrCorrupt = errors.New("cluster: peer response failed verification")
@@ -223,33 +228,33 @@ func (c *Client) fetchOnce(ctx context.Context, peer, path string) (data []byte,
 	case resp.StatusCode != http.StatusOK:
 		return nil, resp.StatusCode >= 500, fmt.Errorf("cluster: peer %s: HTTP %d", peer, resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
+	if resp.ContentLength > MaxArtifact {
+		return nil, false, fmt.Errorf("%w: peer %s: %d-byte body exceeds %d", ErrCorrupt, peer, resp.ContentLength, MaxArtifact)
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxArtifact+1))
 	if err != nil {
 		return nil, true, fmt.Errorf("cluster: peer %s: read body: %w", peer, err)
 	}
-	if err := verifyBody(body, resp.Header); err != nil {
+	if len(body) > MaxArtifact {
+		return nil, false, fmt.Errorf("%w: peer %s: body exceeds %d bytes", ErrCorrupt, peer, MaxArtifact)
+	}
+	if err := VerifyBody(body, resp.Header); err != nil {
 		return nil, false, err
 	}
 	return body, false, nil
 }
 
-// verifyBody checks the body against the transfer headers. Missing
-// headers are corruption too: an honest bioperfd peer always sends
-// them.
-func verifyBody(body []byte, h http.Header) error {
+// VerifyBody checks an artifact body against its transfer headers,
+// fetched or pushed: each must be the checksum exactly as a bioperfd
+// peer writes it, lowercase hex SHA-256 and decimal CRC32. Missing
+// headers are corruption too: an honest peer always sends them.
+func VerifyBody(body []byte, h http.Header) error {
 	sum := sha256.Sum256(body)
-	gotHash := hex.EncodeToString(sum[:])
-	hdrHash := h.Get(HeaderSHA256)
-	if hdrHash == "" || gotHash != hdrHash {
-		return fmt.Errorf("%w: sha256 %s, header %q", ErrCorrupt, gotHash, hdrHash)
+	if got, hdr := hex.EncodeToString(sum[:]), h.Get(HeaderSHA256); got != hdr {
+		return fmt.Errorf("%w: sha256 %s, header %q", ErrCorrupt, got, hdr)
 	}
-	hdrCRC := h.Get(HeaderCRC32)
-	crc, err := strconv.ParseUint(hdrCRC, 10, 32)
-	if err != nil {
-		return fmt.Errorf("%w: bad CRC header %q", ErrCorrupt, hdrCRC)
-	}
-	if crc32.ChecksumIEEE(body) != uint32(crc) {
-		return fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+	if got, hdr := strconv.FormatUint(uint64(crc32.ChecksumIEEE(body)), 10), h.Get(HeaderCRC32); got != hdr {
+		return fmt.Errorf("%w: crc32 %s, header %q", ErrCorrupt, got, hdr)
 	}
 	return nil
 }

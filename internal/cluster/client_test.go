@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,8 +82,10 @@ func TestFetchNotFoundIsAuthoritative(t *testing.T) {
 // TestFetchCorruptionRejected covers every way a body can disagree
 // with its transfer headers: a bit-flipped or truncated body, a
 // wrong-hash response, missing headers, and a wrong or malformed CRC
-// under an honest hash. None may be returned to the caller, and none may retry
-// (the same corrupt bytes would come back).
+// under an honest hash; and a body longer than MaxArtifact, streamed
+// or announced by Content-Length, under honest headers. None may be
+// returned to the caller, and none may retry (the same corrupt bytes
+// would come back).
 func TestFetchCorruptionRejected(t *testing.T) {
 	payload := []byte("characterization snapshot bytes, long enough to truncate meaningfully")
 	honest := func(body []byte) http.Header {
@@ -133,6 +136,27 @@ func TestFetchCorruptionRejected(t *testing.T) {
 			w.Header().Set(HeaderCRC32, "not-a-crc")
 			w.Write(payload)
 		}},
+		{"oversized streamed body", func(w http.ResponseWriter) {
+			big := make([]byte, MaxArtifact+1)
+			for k, v := range honest(big) {
+				w.Header()[k] = v
+			}
+			// Flushed in pieces, the response goes out chunked, with
+			// no Content-Length for the client to check up front.
+			for off := 0; off < len(big); off += 64 << 10 {
+				w.Write(big[off:min(off+64<<10, len(big))])
+				w.(http.Flusher).Flush()
+			}
+		}},
+		{"oversized content length", func(w http.ResponseWriter) {
+			// The announced length alone condemns the response: the
+			// client must not wait for a body it will not keep.
+			for k, v := range honest(payload) {
+				w.Header()[k] = v
+			}
+			w.Header().Set("Content-Length", strconv.Itoa(MaxArtifact+1))
+			w.Write(payload)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,6 +175,31 @@ func TestFetchCorruptionRejected(t *testing.T) {
 				t.Fatalf("corrupt response retried: %d calls", calls.Load())
 			}
 		})
+	}
+}
+
+// TestFetchStopsReadingAtCap: a peer streaming far more than
+// MaxArtifact is cut off once the cap is passed. The client hangs up,
+// so the peer cannot deliver the whole stream.
+func TestFetchStopsReadingAtCap(t *testing.T) {
+	const stream = 64 * MaxArtifact
+	var sent atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		piece := make([]byte, 64<<10)
+		for sent.Load() < stream {
+			if _, err := w.Write(piece); err != nil {
+				return
+			}
+			sent.Add(int64(len(piece)))
+		}
+	}))
+	_, err := fastClient().FetchSnapshot(context.Background(), ts.URL, "k")
+	ts.Close() // waits for the handler to return
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+	if sent.Load() >= stream {
+		t.Fatalf("the client read the whole %d-byte stream", stream)
 	}
 }
 
@@ -359,4 +408,35 @@ func TestReplicateFanOut(t *testing.T) {
 	if st := cl.Stats(); st.Replicated != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
+}
+
+// FuzzVerifyBody: arbitrary bodies and header values never panic the
+// check, and it accepts exactly when both headers carry the body's
+// checksums in the form a peer writes them.
+func FuzzVerifyBody(f *testing.F) {
+	body := []byte("artifact bytes")
+	sum := sha256.Sum256(body)
+	sha := hex.EncodeToString(sum[:])
+	crc := strconv.FormatUint(uint64(crc32.ChecksumIEEE(body)), 10)
+	f.Add(body, sha, crc)
+	f.Add(body, strings.ToUpper(sha), crc)
+	f.Add(body, sha, "0"+crc)
+	f.Add(body[1:], sha, crc)
+	f.Add([]byte{}, "", "")
+	f.Add([]byte{}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0")
+	f.Fuzz(func(t *testing.T, body []byte, sha, crc string) {
+		h := make(http.Header)
+		h.Set(HeaderSHA256, sha)
+		h.Set(HeaderCRC32, crc)
+		sum := sha256.Sum256(body)
+		want := sha == hex.EncodeToString(sum[:]) &&
+			crc == strconv.FormatUint(uint64(crc32.ChecksumIEEE(body)), 10)
+		err := VerifyBody(body, h)
+		if (err == nil) != want {
+			t.Fatalf("VerifyBody(%d bytes, %q, %q) = %v, want accept=%v", len(body), sha, crc, err, want)
+		}
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("rejection %v is not ErrCorrupt", err)
+		}
+	})
 }

@@ -71,10 +71,8 @@ type mixTable struct {
 }
 
 // cacheTable is the hierarchy's counters plus per-static-load L1
-// misses. The configuration travels along because AMAT depends on its
-// latencies.
+// misses, always under cache.PaperConfig.
 type cacheTable struct {
-	cfg    cache.HierarchyConfig
 	l1, l2 cache.Stats
 	// l1miss is the L1 miss count of each static load, indexed by PC.
 	l1miss []uint64
@@ -243,7 +241,7 @@ func (a *Analysis) assemble(eng *runEngine, bps []*bpLane, mems []*memLane) {
 	}
 	a.bp = bpred.RestoreTracker(per, totalB)
 
-	a.cache = cacheTable{cfg: cache.PaperConfig(), l1miss: zeroed(a.cache.l1miss, n)}
+	a.cache = cacheTable{l1miss: zeroed(a.cache.l1miss, n)}
 	for _, l := range mems {
 		a.cache.l1.Add(l.hier.L1().Stats())
 		a.cache.l2.Add(l.hier.L2().Stats())

@@ -120,7 +120,7 @@ func (o *oracle) analysis() *Analysis {
 		prog: o.prog,
 		mix:  o.mix,
 		cache: cacheTable{
-			cfg: o.hier.Config(), l1: o.hier.L1().Stats(), l2: o.hier.L2().Stats(), l1miss: o.l1miss,
+			l1: o.hier.L1().Stats(), l2: o.hier.L2().Stats(), l1miss: o.l1miss,
 		},
 		bp:  o.bp,
 		dep: o.depT,

@@ -103,7 +103,7 @@ func (a *Analysis) StaticLoadCount() int {
 // CacheReport returns the Table 2 row.
 func (a *Analysis) CacheReport() cache.Report {
 	a.sync()
-	return cache.LoadReportOf(a.cache.cfg.Lat, a.cache.l1, a.cache.l2)
+	return cache.LoadReportOf(cache.PaperConfig().Lat, a.cache.l1, a.cache.l2)
 }
 
 // Sequences is one Table 4 row pair.

@@ -1,26 +1,26 @@
 package loadchar
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 
 	"bioperfload/internal/bpred"
 	"bioperfload/internal/cache"
 	"bioperfload/internal/isa"
 )
 
-// SnapshotVersion guards the serialized snapshot layout; bump it when
-// Snapshot's shape or the meaning of any field changes.
-const SnapshotVersion = 1
-
 // Snapshot is the portable, serializable form of an Analysis: every
 // counter and table the report methods read, and nothing of the
 // transient engine state (predictor tables, cache contents, register
 // dependence state). A snapshot restored with FromSnapshot renders
 // byte-identical reports because the report code paths are shared; it
-// cannot observe further events.
+// cannot observe further events. Append and DecodeSnapshot are its
+// binary form.
 type Snapshot struct {
-	Version int
-
 	// Instruction mix.
 	ClassCounts [isa.NumClasses]uint64
 	FPCount     uint64
@@ -28,12 +28,11 @@ type Snapshot struct {
 	Total       uint64
 	LoadCounts  map[int32]uint64
 
-	// Cache hierarchy. The config travels along because AMAT
-	// depends on the configured latencies.
-	CacheConfig cache.HierarchyConfig
-	L1Stats     cache.Stats
-	L2Stats     cache.Stats
-	L1Miss      map[int32]uint64
+	// Cache hierarchy, always cache.PaperConfig (AMAT reads its
+	// latencies).
+	L1Stats cache.Stats
+	L2Stats cache.Stats
+	L1Miss  map[int32]uint64
 
 	// Branch predictor.
 	Branches    map[int32]bpred.BranchStats
@@ -49,6 +48,27 @@ type Snapshot struct {
 	AfterBranch map[int32]map[int32]uint64
 }
 
+// words lists the snapshot's scalar counters in the binary layout's
+// order. Append, DecodeSnapshot, Scale, Merge and Sub all walk this
+// one list, so a counter added here is carried by every one of them.
+func (s *Snapshot) words() []*uint64 {
+	var w []*uint64
+	for i := range s.ClassCounts {
+		w = append(w, &s.ClassCounts[i])
+	}
+	w = append(w, &s.FPCount, &s.FPLoads, &s.Total)
+	for _, st := range []*cache.Stats{&s.L1Stats, &s.L2Stats} {
+		w = append(w, &st.Accesses, &st.LoadHits, &st.LoadMisses, &st.StoreHits, &st.StoreMisses, &st.Writebacks)
+	}
+	bw := branchWords(&s.BranchTotal)
+	w = append(w, bw[:]...)
+	return append(w, &s.FedBranchExec, &s.FedBranchMiss)
+}
+
+func branchWords(b *bpred.BranchStats) [3]*uint64 {
+	return [3]*uint64{&b.Executed, &b.Mispredicts, &b.Taken}
+}
+
 func copyNested(src map[int32]map[int32]uint64) map[int32]map[int32]uint64 {
 	out := make(map[int32]map[int32]uint64, len(src))
 	for k, inner := range src {
@@ -62,7 +82,7 @@ func copyNested(src map[int32]map[int32]uint64) map[int32]map[int32]uint64 {
 }
 
 // denseToMap converts a dense per-PC counter slice to the snapshot's
-// sparse map form (the gob wire shape is unchanged from version 1).
+// sparse map form.
 func denseToMap(src []uint64) map[int32]uint64 {
 	out := make(map[int32]uint64)
 	for pc, v := range src {
@@ -91,13 +111,11 @@ func mapToDense(src map[int32]uint64, nInsts int) ([]uint64, error) {
 func (a *Analysis) Snapshot() *Snapshot {
 	a.sync()
 	return &Snapshot{
-		Version:       SnapshotVersion,
 		ClassCounts:   a.mix.classCounts,
 		FPCount:       a.mix.fpCount,
 		FPLoads:       a.mix.fpLoads,
 		Total:         a.mix.total,
 		LoadCounts:    denseToMap(a.mix.counts),
-		CacheConfig:   a.cache.cfg,
 		L1Stats:       a.cache.l1,
 		L2Stats:       a.cache.l2,
 		L1Miss:        denseToMap(a.cache.l1miss),
@@ -115,64 +133,43 @@ func (a *Analysis) Snapshot() *Snapshot {
 // snapshot field is a pure sum over observed events, so scaling is
 // exact arithmetic: a snapshot of one interval scaled by its cluster
 // weight stands for the whole cluster in a merged extrapolation.
-// Scale(0) empties the snapshot; the cache configuration is preserved.
 func (s *Snapshot) Scale(w uint64) {
-	for i := range s.ClassCounts {
-		s.ClassCounts[i] *= w
+	for _, p := range s.words() {
+		*p *= w
 	}
-	s.FPCount *= w
-	s.FPLoads *= w
-	s.Total *= w
 	scaleMap(s.LoadCounts, w)
-	s.L1Stats = scaleStats(s.L1Stats, w)
-	s.L2Stats = scaleStats(s.L2Stats, w)
 	scaleMap(s.L1Miss, w)
 	for pc, b := range s.Branches {
-		s.Branches[pc] = scaleBranch(b, w)
+		for _, p := range branchWords(&b) {
+			*p *= w
+		}
+		s.Branches[pc] = b
 	}
-	s.BranchTotal = scaleBranch(s.BranchTotal, w)
 	scaleMap(s.ToBranch, w)
 	scaleNested(s.FedBranch, w)
-	s.FedBranchExec *= w
-	s.FedBranchMiss *= w
 	scaleNested(s.AfterBranch, w)
 }
 
-// Merge adds o's counts into s, in place. Both snapshots must have
-// been taken under the same cache configuration (AMAT depends on the
-// latencies) and the same version; mismatches are an error rather than
-// a silent blend of incomparable counters.
+// Merge adds o's counts into s, in place. Every analysis runs the
+// paper's cache and predictor configuration, so any two snapshots add
+// up; the error is always nil.
 func (s *Snapshot) Merge(o *Snapshot) error {
-	if s.Version != o.Version {
-		return fmt.Errorf("loadchar: merge snapshot version %d into %d", o.Version, s.Version)
+	ws, wo := s.words(), o.words()
+	for i, p := range ws {
+		*p += *wo[i]
 	}
-	if s.CacheConfig != o.CacheConfig {
-		return fmt.Errorf("loadchar: merge snapshots with different cache configurations")
-	}
-	for i := range s.ClassCounts {
-		s.ClassCounts[i] += o.ClassCounts[i]
-	}
-	s.FPCount += o.FPCount
-	s.FPLoads += o.FPLoads
-	s.Total += o.Total
 	addMap(s.LoadCounts, o.LoadCounts)
-	s.L1Stats = addStats(s.L1Stats, o.L1Stats)
-	s.L2Stats = addStats(s.L2Stats, o.L2Stats)
 	addMap(s.L1Miss, o.L1Miss)
 	for pc, b := range o.Branches {
 		cur := s.Branches[pc]
-		cur.Executed += b.Executed
-		cur.Mispredicts += b.Mispredicts
-		cur.Taken += b.Taken
+		cw, bw := branchWords(&cur), branchWords(&b)
+		for i, p := range cw {
+			*p += *bw[i]
+		}
 		s.Branches[pc] = cur
 	}
-	s.BranchTotal.Executed += o.BranchTotal.Executed
-	s.BranchTotal.Mispredicts += o.BranchTotal.Mispredicts
-	s.BranchTotal.Taken += o.BranchTotal.Taken
 	addMap(s.ToBranch, o.ToBranch)
 	addNested(s.FedBranch, o.FedBranch)
-	s.FedBranchExec += o.FedBranchExec
-	s.FedBranchMiss += o.FedBranchMiss
 	addNested(s.AfterBranch, o.AfterBranch)
 	return nil
 }
@@ -181,46 +178,36 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 // when o is a prefix of s — a snapshot taken earlier on the same
 // analysis — in which case every field of o is bounded by s and the
 // difference is exactly the counts attributed to the events between
-// the two snapshots. Entries that reach zero are dropped from the
-// sparse maps so a difference snapshot round-trips like a fresh one.
+// the two snapshots. A scalar counter of o above s's is an error, and
+// s is then left unchanged. Entries that reach zero are dropped from
+// the sparse maps so a difference snapshot round-trips like a fresh
+// one.
 func (s *Snapshot) Sub(o *Snapshot) error {
-	if s.Version != o.Version {
-		return fmt.Errorf("loadchar: subtract snapshot version %d from %d", o.Version, s.Version)
-	}
-	if s.CacheConfig != o.CacheConfig {
-		return fmt.Errorf("loadchar: subtract snapshots with different cache configurations")
-	}
-	for i := range s.ClassCounts {
-		if s.ClassCounts[i] < o.ClassCounts[i] {
-			return fmt.Errorf("loadchar: subtrahend is not a prefix (class %d)", i)
+	ws, wo := s.words(), o.words()
+	for i, p := range ws {
+		if *p < *wo[i] {
+			return fmt.Errorf("loadchar: subtrahend is not a prefix (counter %d)", i)
 		}
-		s.ClassCounts[i] -= o.ClassCounts[i]
 	}
-	s.FPCount -= o.FPCount
-	s.FPLoads -= o.FPLoads
-	s.Total -= o.Total
+	for i, p := range ws {
+		*p -= *wo[i]
+	}
 	subMap(s.LoadCounts, o.LoadCounts)
-	s.L1Stats = subStats(s.L1Stats, o.L1Stats)
-	s.L2Stats = subStats(s.L2Stats, o.L2Stats)
 	subMap(s.L1Miss, o.L1Miss)
 	for pc, b := range o.Branches {
 		cur := s.Branches[pc]
-		cur.Executed -= b.Executed
-		cur.Mispredicts -= b.Mispredicts
-		cur.Taken -= b.Taken
+		cw, bw := branchWords(&cur), branchWords(&b)
+		for i, p := range cw {
+			*p -= *bw[i]
+		}
 		if cur == (bpred.BranchStats{}) {
 			delete(s.Branches, pc)
 		} else {
 			s.Branches[pc] = cur
 		}
 	}
-	s.BranchTotal.Executed -= o.BranchTotal.Executed
-	s.BranchTotal.Mispredicts -= o.BranchTotal.Mispredicts
-	s.BranchTotal.Taken -= o.BranchTotal.Taken
 	subMap(s.ToBranch, o.ToBranch)
 	subNested(s.FedBranch, o.FedBranch)
-	s.FedBranchExec -= o.FedBranchExec
-	s.FedBranchMiss -= o.FedBranchMiss
 	subNested(s.AfterBranch, o.AfterBranch)
 	return nil
 }
@@ -277,32 +264,126 @@ func subNested(dst, src map[int32]map[int32]uint64) {
 	}
 }
 
-func scaleStats(s cache.Stats, w uint64) cache.Stats {
-	return cache.Stats{
-		Accesses: s.Accesses * w, LoadHits: s.LoadHits * w,
-		LoadMisses: s.LoadMisses * w, StoreHits: s.StoreHits * w,
-		StoreMisses: s.StoreMisses * w, Writebacks: s.Writebacks * w,
+// The binary body is little-endian throughout: every counter of words
+// as 8 bytes, then the tables LoadCounts, L1Miss, Branches, ToBranch,
+// FedBranch and AfterBranch. A table is a 4-byte entry count followed
+// by its entries in strictly ascending PC order, each a 4-byte PC and
+// its value: an 8-byte counter, a branch's three counters, or (for
+// the nested tables) an inner table. Equal snapshots encode to equal
+// bytes, and each body has exactly one snapshot.
+
+// Append appends the snapshot's binary body to b.
+func (s *Snapshot) Append(b []byte) []byte {
+	for _, p := range s.words() {
+		b = binary.LittleEndian.AppendUint64(b, *p)
 	}
+	b = appendTable(b, s.LoadCounts, binary.LittleEndian.AppendUint64)
+	b = appendTable(b, s.L1Miss, binary.LittleEndian.AppendUint64)
+	b = appendTable(b, s.Branches, func(b []byte, st bpred.BranchStats) []byte {
+		for _, p := range branchWords(&st) {
+			b = binary.LittleEndian.AppendUint64(b, *p)
+		}
+		return b
+	})
+	b = appendTable(b, s.ToBranch, binary.LittleEndian.AppendUint64)
+	b = appendTable(b, s.FedBranch, appendCounts)
+	return appendTable(b, s.AfterBranch, appendCounts)
 }
 
-func addStats(a, b cache.Stats) cache.Stats {
-	return cache.Stats{
-		Accesses: a.Accesses + b.Accesses, LoadHits: a.LoadHits + b.LoadHits,
-		LoadMisses: a.LoadMisses + b.LoadMisses, StoreHits: a.StoreHits + b.StoreHits,
-		StoreMisses: a.StoreMisses + b.StoreMisses, Writebacks: a.Writebacks + b.Writebacks,
-	}
+func appendCounts(b []byte, m map[int32]uint64) []byte {
+	return appendTable(b, m, binary.LittleEndian.AppendUint64)
 }
 
-func subStats(a, b cache.Stats) cache.Stats {
-	return cache.Stats{
-		Accesses: a.Accesses - b.Accesses, LoadHits: a.LoadHits - b.LoadHits,
-		LoadMisses: a.LoadMisses - b.LoadMisses, StoreHits: a.StoreHits - b.StoreHits,
-		StoreMisses: a.StoreMisses - b.StoreMisses, Writebacks: a.Writebacks - b.Writebacks,
+func appendTable[V any](b []byte, m map[int32]V, appendValue func([]byte, V) []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m)))
+	for _, pc := range slices.Sorted(maps.Keys(m)) {
+		b = binary.LittleEndian.AppendUint32(b, uint32(pc))
+		b = appendValue(b, m[pc])
 	}
+	return b
 }
 
-func scaleBranch(b bpred.BranchStats, w uint64) bpred.BranchStats {
-	return bpred.BranchStats{Executed: b.Executed * w, Mispredicts: b.Mispredicts * w, Taken: b.Taken * w}
+// errSnapshotBody rejects a malformed body. It is static so that
+// rejecting bytes allocates nothing.
+var errSnapshotBody = errors.New("loadchar: malformed snapshot body")
+
+// DecodeSnapshot decodes a body Append wrote, and nothing else: short
+// or trailing bytes and PCs out of order are errors. Every table's
+// entry count is checked against the bytes left before the table is
+// allocated, so what decoding allocates is bounded by len(b).
+func DecodeSnapshot(b []byte) (*Snapshot, error) {
+	r := snapReader{b: b}
+	s := &Snapshot{}
+	for _, p := range s.words() {
+		*p = r.u64()
+	}
+	s.LoadCounts = readTable(&r, 8, (*snapReader).u64)
+	s.L1Miss = readTable(&r, 8, (*snapReader).u64)
+	s.Branches = readTable(&r, 24, func(r *snapReader) bpred.BranchStats {
+		var st bpred.BranchStats
+		for _, p := range branchWords(&st) {
+			*p = r.u64()
+		}
+		return st
+	})
+	s.ToBranch = readTable(&r, 8, (*snapReader).u64)
+	s.FedBranch = readTable(&r, 4, readCounts)
+	s.AfterBranch = readTable(&r, 4, readCounts)
+	if r.bad || len(r.b) != 0 {
+		return nil, errSnapshotBody
+	}
+	return s, nil
+}
+
+// snapReader consumes a snapshot body. Once bad is set, every read
+// yields zero.
+type snapReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *snapReader) u32() uint32 {
+	if len(r.b) < 4 {
+		r.b, r.bad = nil, true
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(r.b)
+	r.b = r.b[4:]
+	return v
+}
+
+func (r *snapReader) u64() uint64 {
+	if len(r.b) < 8 {
+		r.b, r.bad = nil, true
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+func readCounts(r *snapReader) map[int32]uint64 { return readTable(r, 8, (*snapReader).u64) }
+
+// readTable reads one table whose values take at least size bytes
+// each.
+func readTable[V any](r *snapReader, size int, readValue func(*snapReader) V) map[int32]V {
+	n := r.u32()
+	if r.bad || uint64(n)*uint64(4+size) > uint64(len(r.b)) {
+		r.b, r.bad = nil, true
+		return nil
+	}
+	m := make(map[int32]V, n)
+	prev := int64(math.MinInt32) - 1
+	for range n {
+		pc := int64(int32(r.u32()))
+		if r.bad || pc <= prev {
+			r.b, r.bad = nil, true
+			return nil
+		}
+		prev = pc
+		m[int32(pc)] = readValue(r)
+	}
+	return m
 }
 
 // FromSnapshot rebuilds a report-only Analysis over prog from a
@@ -311,9 +392,6 @@ func scaleBranch(b bpred.BranchStats, w uint64) bpred.BranchStats {
 // because the transient engine state needed to continue is not part
 // of a snapshot.
 func FromSnapshot(prog *isa.Program, s *Snapshot) (*Analysis, error) {
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("loadchar: snapshot version %d, want %d", s.Version, SnapshotVersion)
-	}
 	a := &Analysis{prog: prog}
 	a.mix.classCounts = s.ClassCounts
 	a.mix.fpCount = s.FPCount
@@ -323,7 +401,7 @@ func FromSnapshot(prog *isa.Program, s *Snapshot) (*Analysis, error) {
 	if a.mix.counts, err = mapToDense(s.LoadCounts, len(prog.Insts)); err != nil {
 		return nil, err
 	}
-	a.cache = cacheTable{cfg: s.CacheConfig, l1: s.L1Stats, l2: s.L2Stats}
+	a.cache = cacheTable{l1: s.L1Stats, l2: s.L2Stats}
 	if a.cache.l1miss, err = mapToDense(s.L1Miss, len(prog.Insts)); err != nil {
 		return nil, err
 	}

@@ -101,20 +101,3 @@ func TestSnapshotScaleMatchesRepeatedMerge(t *testing.T) {
 		t.Errorf("scaling changed cache report: %+v vs %+v", c1, c3)
 	}
 }
-
-// TestSnapshotMergeRejectsMismatch: merging across snapshot versions
-// or cache geometries is refused.
-func TestSnapshotMergeRejectsMismatch(t *testing.T) {
-	prog, _, slabs := captureSlabs(t, "predator")
-	a := replaySlabs(prog, slabs).Snapshot()
-	b := replaySlabs(prog, slabs).Snapshot()
-	b.Version++
-	if err := a.Merge(b); err == nil {
-		t.Fatal("version mismatch merged")
-	}
-	c := replaySlabs(prog, slabs).Snapshot()
-	c.CacheConfig.L1.Size *= 2
-	if err := a.Merge(c); err == nil {
-		t.Fatal("cache-config mismatch merged")
-	}
-}

@@ -2,29 +2,34 @@ package loadchar
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"testing"
 )
 
-// TestSnapshotRoundTrip proves a snapshot — including a gob
-// encode/decode cycle, the form the artifact store persists — renders
-// byte-identical reports to the live analysis it was taken from.
+// TestSnapshotRoundTrip proves a snapshot — including a binary
+// encode/decode cycle, the body of the stored profile artifact —
+// renders byte-identical reports to the live analysis it was taken
+// from, and that the encoding is canonical: two snapshots of one
+// analysis encode to equal bytes, and a decoded body re-encodes to
+// its own bytes.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, name := range []string{"hmmsearch", "predator"} {
 		t.Run(name, func(t *testing.T) {
 			prog, live, _ := captureSlabs(t, name)
 			want := RenderProfile(name, "test", live, 10)
 
-			snap := live.Snapshot()
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			body := live.Snapshot().Append(nil)
+			if again := live.Snapshot().Append(nil); !bytes.Equal(again, body) {
+				t.Fatal("two encodes of one analysis differ")
+			}
+			decoded, err := DecodeSnapshot(body)
+			if err != nil {
 				t.Fatal(err)
 			}
-			var decoded Snapshot
-			if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(decoded.Append(nil), body) {
+				t.Fatal("decoded snapshot does not re-encode to its bytes")
 			}
-			restored, err := FromSnapshot(prog, &decoded)
+			restored, err := FromSnapshot(prog, decoded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,14 +53,35 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionRejected: a snapshot from a different layout
-// version must be refused, not misinterpreted.
-func TestSnapshotVersionRejected(t *testing.T) {
-	prog, live, _ := captureSlabs(t, "predator")
-	snap := live.Snapshot()
-	snap.Version++
-	if _, err := FromSnapshot(prog, snap); err == nil {
-		t.Fatal("version mismatch accepted")
+// TestDecodeSnapshotRejects: DecodeSnapshot takes exactly the bodies
+// Append writes. A body cut short or with a byte after it, a table
+// whose PCs descend or repeat, and a count its bytes cannot back are
+// each rejected.
+func TestDecodeSnapshotRejects(t *testing.T) {
+	s := &Snapshot{LoadCounts: map[int32]uint64{1: 10, 2: 20}}
+	body := s.Append(nil)
+	if _, err := DecodeSnapshot(body); err != nil {
+		t.Fatalf("honest body rejected: %v", err)
+	}
+	// LoadCounts follows the scalar counters: a count, then 12-byte
+	// (pc, value) entries.
+	table := 8 * len(s.words())
+	patch := func(off int, v uint32) []byte {
+		b := append([]byte(nil), body...)
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return b
+	}
+	for name, bad := range map[string][]byte{
+		"truncated":       body[:len(body)-1],
+		"trailing byte":   append(append([]byte(nil), body...), 0),
+		"descending PCs":  patch(table+4, 3),
+		"repeated PC":     patch(table+4+12, 1),
+		"count too large": patch(table, 1<<20),
+		"empty":           {},
+	} {
+		if _, err := DecodeSnapshot(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -498,6 +498,11 @@ func mixedProgram(n int64) *isa.Program {
 	return p
 }
 
+// batchFunc adapts a function to the sim.BatchObserver interface.
+type batchFunc func(evs []sim.Event)
+
+func (f batchFunc) ObserveBatch(evs []sim.Event) { f(evs) }
+
 // BenchmarkModelMixed times the model alone over a recorded mixed
 // stream (loads, forwarding stores, data-dependent branches), so the
 // functional simulator's cost is not in the measurement. It reports
@@ -508,7 +513,7 @@ func BenchmarkModelMixed(b *testing.B) {
 		b.Fatal(err)
 	}
 	var evs []sim.Event
-	m.AddBatchObserver(sim.BatchObserverFunc(func(batch []sim.Event) {
+	m.AddBatchObserver(batchFunc(func(batch []sim.Event) {
 		evs = append(evs, batch...)
 	}))
 	if _, err := m.Run(); err != nil {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -118,7 +119,10 @@ func TestRemoteTierServesPeerSnapshot(t *testing.T) {
 
 // TestRemoteTierRejectsBadArtifacts: corrupt or mismatched peer bytes
 // must fail verification and push the request to cold simulation,
-// never into the local store.
+// never into the local store. A well-formed snapshot computed under
+// another key — another program, or this program sampled — is
+// mismatched: the artifact header binds it to its own key. So is this
+// very snapshot under another layout version.
 func TestRemoteTierRejectsBadArtifacts(t *testing.T) {
 	ctx := context.Background()
 	p, err := bio.ByName("hmmsearch")
@@ -132,10 +136,18 @@ func TestRemoteTierRejectsBadArtifacts(t *testing.T) {
 	fp := Fingerprint(p, false, compiler.Default())
 	key := profKey(fp, bio.SizeTest)
 
-	// A valid snapshot for the WRONG program (fasta), plus garbage.
+	// Valid snapshots for the WRONG program (fasta) and for the sampled
+	// tier, plus garbage.
 	stSeed := openStore(t, t.TempDir())
 	sSeed := NewSessionWithStore(1, stSeed)
+	sSeed.SetSimPoint(testSimPoint)
 	if _, err := sSeed.Characterize(ctx, other, bio.SizeTest); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sSeed.CharacterizeAccuracy(ctx, p, bio.SizeTest, AccuracySampled); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sSeed.Characterize(ctx, p, bio.SizeTest); err != nil {
 		t.Fatal(err)
 	}
 	otherKey := profKey(Fingerprint(other, false, compiler.Default()), bio.SizeTest)
@@ -143,13 +155,24 @@ func TestRemoteTierRejectsBadArtifacts(t *testing.T) {
 	if !ok {
 		t.Fatal("seed store missing fasta snapshot")
 	}
+	sampled, ok := stSeed.GetBytes(sampledProfKey(fp, bio.SizeTest, sSeed.SimPoint()))
+	if !ok {
+		t.Fatal("seed store missing the sampled hmmsearch snapshot")
+	}
+	otherVersion, ok := stSeed.GetBytes(key)
+	if !ok {
+		t.Fatal("seed store missing the exact hmmsearch snapshot")
+	}
+	binary.LittleEndian.PutUint32(otherVersion[4:], profVersion+1)
 	stSeed.Close()
 
 	for name, bad := range map[string][]byte{
-		"garbage bytes":  []byte("not a gob artifact at all"),
-		"wrong program":  wrongProgram,
-		"truncated gob":  wrongProgram[:len(wrongProgram)/3],
-		"empty artifact": {},
+		"garbage bytes":      []byte("not a profile artifact at all"),
+		"wrong program":      wrongProgram,
+		"sampled snapshot":   sampled,
+		"other version":      otherVersion,
+		"truncated artifact": wrongProgram[:len(wrongProgram)/3],
+		"empty artifact":     {},
 	} {
 		t.Run(name, func(t *testing.T) {
 			remote := newFakeRemote()

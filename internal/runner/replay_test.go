@@ -103,7 +103,11 @@ func TestReplayLegacyTraceServedCold(t *testing.T) {
 		s := NewSessionWithStore(1, st)
 
 		// The replay tier declines the request and evicts the entry.
-		if _, err, done := s.replayCharacterize(ctx, p, bio.SizeTest, fp); done || err != nil {
+		prog, err := s.Compile(p, false, compiler.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err, done := s.replayCharacterize(ctx, p, bio.SizeTest, fp, prog); done || err != nil {
 			t.Fatalf("v%d: replay tier settled the request (err %v)", v, err)
 		}
 		if _, ok := st.GetBytes(key); ok {

@@ -346,16 +346,16 @@ func isContextErr(err error) bool {
 }
 
 func (s *Session) characterize(ctx context.Context, p *bio.Program, sz bio.Size) (*Profile, error) {
-	var fp string
-	if s.store != nil {
-		fp = Fingerprint(p, false, compiler.Default())
-		if prof, err, done := s.storeCharacterize(ctx, p, sz, fp); done {
-			return prof, err
-		}
-	}
 	prog, err := s.Compile(p, false, compiler.Default())
 	if err != nil {
 		return nil, err
+	}
+	var fp string
+	if s.store != nil {
+		fp = Fingerprint(p, false, compiler.Default())
+		if prof, err, done := s.storeCharacterize(ctx, p, sz, fp, prog); done {
+			return prof, err
+		}
 	}
 	m, err := sim.New(prog)
 	if err != nil {
@@ -392,7 +392,7 @@ func (s *Session) characterize(ctx context.Context, p *bio.Program, sz bio.Size)
 	rec.commit(res.Instructions)
 	prof := &Profile{Name: p.Name, Instructions: res.Instructions, Analysis: a, Source: "cold"}
 	if s.store != nil {
-		s.storeProfile(prof, profKey(fp, sz), fp)
+		s.storeProfile(profKey(fp, sz), prof)
 	}
 	return prof, nil
 }

@@ -29,7 +29,7 @@ func sampledProfKey(fp string, sz bio.Size, cfg simpoint.Config) string {
 // characterizeSampled is the AccuracySampled serve path: snapshot tier
 // first, then phase analysis over the recorded trace (recording one
 // cold if the store has none), degrading to the exact path whenever
-// the trace or program is too small to sample.
+// SampledAnalyze reports a *simpoint.DegradeError.
 func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bio.Size) (*Profile, error) {
 	cfg := s.SimPoint()
 	degrade := func(reason string) (*Profile, error) {
@@ -38,21 +38,19 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 		return s.Characterize(ctx, p, sz)
 	}
 
-	var fp string
-	if s.store != nil {
-		fp = Fingerprint(p, false, compiler.Default())
-		if prof, ok := s.loadProfile(p, sampledProfKey(fp, sz, cfg), fp, "sampled"); ok {
-			s.sampledHits.Add(1)
-			return prof, nil
-		}
-	}
-
 	prog, err := s.Compile(p, false, compiler.Default())
 	if err != nil {
 		return nil, err
 	}
-	if simpoint.BlockMap(prog).NumBlocks() <= 1 {
-		return degrade("program has a single basic block")
+	var fp, key string
+	if s.store != nil {
+		fp = Fingerprint(p, false, compiler.Default())
+		key = sampledProfKey(fp, sz, cfg)
+		var prof *Profile
+		if s.loadLocal(key, restoreProfile(p, prog, key, "sampled", &prof)) {
+			s.sampledHits.Add(1)
+			return prof, nil
+		}
 	}
 
 	ir, cleanup, err := s.sampledTrace(ctx, p, sz, fp, prog)
@@ -72,7 +70,7 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 	prof := &Profile{Name: p.Name, Instructions: ir.TotalEvents(), Analysis: a, Source: "sampled"}
 	s.sampledChars.Add(1)
 	if s.store != nil {
-		s.storeProfile(prof, sampledProfKey(fp, sz, cfg), fp)
+		s.storeProfile(key, prof)
 	}
 	return prof, nil
 }
@@ -296,9 +294,6 @@ func (s *Session) PhasePlan(ctx context.Context, p *bio.Program, sz bio.Size) (*
 	prog, err := s.Compile(p, false, compiler.Default())
 	if err != nil {
 		return nil, err
-	}
-	if simpoint.BlockMap(prog).NumBlocks() <= 1 {
-		return nil, &simpoint.DegradeError{Reason: "program has a single basic block"}
 	}
 	var fp string
 	if s.store != nil {

@@ -116,14 +116,10 @@ func TestSampledUnalignedIntervalsDegrade(t *testing.T) {
 	}
 }
 
-// TestSampledSingleBlockDegrades: a program whose whole body is one
-// basic block cannot be phase-analyzed; the guard must degrade before
-// collection, not panic.
-func TestSampledSingleBlockDegrades(t *testing.T) {
-	// No BioPerf kernel is single-block, so exercise the guard directly
-	// through the plan API with a single-block synthetic: covered in
-	// internal/simpoint. Here, assert the small-trace guard chain ends
-	// in a working exact profile for every program.
+// TestSampledOversizedIntervalDegrades: with an interval larger than
+// every test-size run, no program has enough intervals to cluster, and
+// each sampled request degrades to a working exact profile.
+func TestSampledOversizedIntervalDegrades(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range bio.All() {
 		s := NewSession(1)

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 
@@ -23,15 +24,20 @@ import (
 // never persisted: a session recompiles from source, which the
 // fingerprint hashes.
 //
-// v2: profileArtifact carries the fingerprint it was computed under,
+// v2: profile artifacts are bound to what they were computed under,
 // verified on load — required once snapshots can arrive from fleet
-// peers rather than only from this node's own simulations.
+// peers rather than only from this node's own simulations. Today the
+// artifact header carries the hash of the whole store key.
 //
 // v3: traces record in the run-native v4 format. The fingerprint also
 // hashes trace.FormatVersion, but the schema bump guarantees that
 // every pre-v4 artifact — including snapshots, whose encoding did not
 // change — re-derives under the new trace pipeline rather than mixing
 // tiers across the format boundary.
+//
+// A change of an artifact's byte layout needs no bump: its header's
+// magic and layout version reject the old bytes, which are deleted and
+// re-derived (a profile by trace replay) under the same key.
 const artifactSchema = 3
 
 // Fingerprint identifies a compiled artifact and everything replay
@@ -50,141 +56,150 @@ func Fingerprint(p *bio.Program, transformed bool, opts compiler.Options) string
 func traceKey(fp string, sz bio.Size) string { return "trace|" + fp + "|" + sz.String() }
 func profKey(fp string, sz bio.Size) string  { return "prof|" + fp + "|" + sz.String() }
 
-// profileArtifact is the persisted characterization result: the
-// analysis snapshot plus the run's committed-instruction count.
-// Fingerprint names the compiled artifact the snapshot was derived
-// from; loads (local or peer-fetched) reject an artifact whose
-// fingerprint disagrees with the requested one, so a snapshot can
-// never be served for the wrong program, variant, or source text.
-type profileArtifact struct {
-	Fingerprint  string
-	Instructions uint64
-	Snap         *loadchar.Snapshot
-}
-
-// encodeProfileArtifact is the encoding decodeProfileArtifact reads.
-func encodeProfileArtifact(art *profileArtifact) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(art); err != nil {
-		return nil, fmt.Errorf("encode profile artifact: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeProfileArtifact decodes and structurally validates a
-// persisted snapshot against the fingerprint it is supposed to
-// satisfy. Shared by the local snapshot tier and the peer-fetch
-// verification callback.
+// Both stored artifact kinds, profiles and timing results, open with
+// one header:
 //
-// gob trusts two sizes on the wire before reading what they describe:
-// a message's length (it allocates up to 10 MiB for it) and a map's
-// entry count (it sizes the map from it), so a few crafted bytes could
-// demand gigabytes. The framing check bounds the first by len(data).
-// For the second, a first pass decodes only the fingerprint and skips
-// the snapshot, which walks every map entry without storing any: a
-// count the bytes cannot back fails there, and the second pass
-// allocates in proportion to len(data).
-func decodeProfileArtifact(data []byte, fp string) (*profileArtifact, error) {
-	if !gobFramed(data) {
-		return nil, fmt.Errorf("decode profile artifact: message length exceeds the data")
-	}
-	var head struct{ Fingerprint string }
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&head); err != nil {
-		return nil, fmt.Errorf("decode profile artifact: %w", err)
-	}
-	if head.Fingerprint != fp {
-		return nil, fmt.Errorf("profile artifact fingerprint %.12s != requested %.12s", head.Fingerprint, fp)
-	}
-	var art profileArtifact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&art); err != nil {
-		return nil, fmt.Errorf("decode profile artifact: %w", err)
-	}
-	if art.Snap == nil {
-		return nil, fmt.Errorf("profile artifact missing snapshot")
-	}
-	return &art, nil
+//	[0:4)   magic
+//	[4:8)   layout version, little-endian
+//	[8:40)  sha256 of the store key the artifact answers
+//
+// The key hash binds the bytes to their key: an artifact computed for
+// another program, size, sampling configuration or machine is rejected
+// under this one, whether it comes from the local store or a peer.
+const artifactHeaderLen = 8 + sha256.Size
+
+// Header rejections. They are static so that rejecting bytes never
+// allocates.
+var (
+	errArtifactHeader = errors.New("artifact: bad magic or version")
+	errArtifactKey    = errors.New("artifact: key mismatch")
+)
+
+func appendArtifactHeader(b []byte, magic string, version uint32, key [sha256.Size]byte) []byte {
+	b = append(b, magic...)
+	b = binary.LittleEndian.AppendUint32(b, version)
+	return append(b, key[:]...)
 }
 
-// gobFramed reports whether data is a sequence of whole gob messages:
-// every length prefix is backed by the bytes after it.
-func gobFramed(data []byte) bool {
-	for len(data) > 0 {
-		n, k := gobUint(data)
-		if k == 0 || n > uint64(len(data)-k) {
-			return false
-		}
-		data = data[k+int(n):]
+// artifactBody checks data's header and returns the bytes after it.
+func artifactBody(data []byte, magic string, version uint32, key [sha256.Size]byte) ([]byte, error) {
+	if len(data) < artifactHeaderLen || string(data[:4]) != magic || binary.LittleEndian.Uint32(data[4:8]) != version {
+		return nil, errArtifactHeader
+	}
+	if !bytes.Equal(data[8:artifactHeaderLen], key[:]) {
+		return nil, errArtifactKey
+	}
+	return data[artifactHeaderLen:], nil
+}
+
+// The profile artifact is the persisted characterization result: the
+// header, the run's committed-instruction count (8 bytes,
+// little-endian), then the analysis snapshot's binary body
+// (loadchar.Snapshot.Append).
+const (
+	profMagic   = "BPPF"
+	profVersion = 1
+)
+
+var errProfileShort = errors.New("profile artifact: truncated")
+
+func encodeProfileArtifact(key string, instructions uint64, snap *loadchar.Snapshot) []byte {
+	b := appendArtifactHeader(nil, profMagic, profVersion, sha256.Sum256([]byte(key)))
+	b = binary.LittleEndian.AppendUint64(b, instructions)
+	return snap.Append(b)
+}
+
+// decodeProfileArtifact decodes a profile artifact and checks it
+// answers key. What it allocates is bounded by len(data).
+func decodeProfileArtifact(data []byte, key string) (uint64, *loadchar.Snapshot, error) {
+	body, err := artifactBody(data, profMagic, profVersion, sha256.Sum256([]byte(key)))
+	if err != nil {
+		return 0, nil, err
+	}
+	if len(body) < 8 {
+		return 0, nil, errProfileShort
+	}
+	snap, err := loadchar.DecodeSnapshot(body[8:])
+	if err != nil {
+		return 0, nil, err
+	}
+	return binary.LittleEndian.Uint64(body), snap, nil
+}
+
+// Profiles and timing results take one ladder through the store and
+// the fleet. Each tier hands candidate bytes to an accept callback,
+// which decodes and checks them and keeps what it built; the ladder
+// only moves bytes.
+
+// loadLocal reports whether the store holds bytes under key that
+// accept takes. An entry accept rejects is deleted, so the caller
+// recomputes and rewrites it.
+func (s *Session) loadLocal(key string, accept func([]byte) error) bool {
+	data, ok := s.store.GetBytes(key)
+	if !ok {
+		return false
+	}
+	if accept(data) != nil {
+		s.store.Delete(key)
+		return false
 	}
 	return true
 }
 
-// gobUint decodes the gob unsigned integer at the start of b and
-// reports how many bytes it took; 0 means b does not start with one.
-func gobUint(b []byte) (uint64, int) {
-	if len(b) == 0 {
-		return 0, 0
+// loadPeer asks the fleet for the bytes under key. Bytes accept takes
+// are admitted to the local store (pull-on-read: the next identical
+// request on this node is a local hit); nothing it rejects is.
+func (s *Session) loadPeer(ctx context.Context, key string, accept func([]byte) error) bool {
+	if s.remote == nil || ctx.Err() != nil {
+		return false
 	}
-	if b[0] < 0x80 {
-		return uint64(b[0]), 1
-	}
-	n := -int(int8(b[0]))
-	if n > 8 || n >= len(b) {
-		return 0, 0
-	}
-	var x uint64
-	for _, c := range b[1 : 1+n] {
-		x = x<<8 | uint64(c)
-	}
-	return x, 1 + n
-}
-
-// loadProfile serves a characterization from the analysis snapshot
-// persisted under key, the cheapest warm path: no simulation, no
-// replay, no recompilation beyond the memoized program needed for
-// source attribution. Exact and sampled snapshots share the artifact
-// format; only the key and the reported source differ. Damaged
-// entries are evicted and report a miss.
-func (s *Session) loadProfile(p *bio.Program, key, fp, source string) (*Profile, bool) {
-	data, ok := s.store.GetBytes(key)
+	data, ok := s.remote.Fetch(ctx, key, accept)
 	if !ok {
-		return nil, false
+		return false
 	}
-	art, err := decodeProfileArtifact(data, fp)
-	if err != nil {
-		s.store.Delete(key)
-		return nil, false
-	}
-	prog, err := s.Compile(p, false, compiler.Default())
-	if err != nil {
-		return nil, false
-	}
-	a, err := loadchar.FromSnapshot(prog, art.Snap)
-	if err != nil {
-		s.store.Delete(key)
-		return nil, false
-	}
-	return &Profile{Name: p.Name, Instructions: art.Instructions, Analysis: a, Source: source}, true
+	// The store is a cache: a failed admission only costs the next
+	// request a fetch. PutBytes recomputes the store's own hash and
+	// CRC from the accepted bytes.
+	_ = s.store.PutBytes(key, data)
+	return true
 }
 
-// storeProfile persists a characterization result under key. Failures
-// are silent: the store is a cache. With a remote tier attached, the
-// freshly persisted snapshot is also replicated write-through to the
-// fingerprint's successor nodes, so the fleet converges on R+1 copies
-// without waiting for pull-on-read.
-func (s *Session) storeProfile(prof *Profile, key, fp string) {
-	if s.store == nil || prof == nil || prof.Analysis == nil {
-		return
-	}
-	data, err := encodeProfileArtifact(&profileArtifact{Fingerprint: fp, Instructions: prof.Instructions, Snap: prof.Analysis.Snapshot()})
-	if err != nil {
-		return
-	}
-	if err := s.store.PutBytes(key, data); err != nil {
+// putArtifact writes fresh bytes through to the store and, with a
+// fleet attached, toward the key's replicas, so the fleet converges on
+// R+1 copies without waiting for pull-on-read. Failures are silent:
+// the store is a cache.
+func (s *Session) putArtifact(key string, data []byte) {
+	if s.store == nil || s.store.PutBytes(key, data) != nil {
 		return
 	}
 	if s.remote != nil {
 		s.remote.Replicate(key, data)
 	}
+}
+
+// restoreProfile is the accept callback for the profile artifact under
+// key: it decodes the bytes, restores the analysis over prog, and
+// keeps the profile in *out. It refuses whatever FromSnapshot refuses,
+// so nothing the snapshot tier would evict is ever admitted from a
+// peer.
+func restoreProfile(p *bio.Program, prog *isa.Program, key, source string, out **Profile) func([]byte) error {
+	return func(data []byte) error {
+		n, snap, err := decodeProfileArtifact(data, key)
+		if err != nil {
+			return err
+		}
+		a, err := loadchar.FromSnapshot(prog, snap)
+		if err != nil {
+			return err
+		}
+		*out = &Profile{Name: p.Name, Instructions: n, Analysis: a, Source: source}
+		return nil
+	}
+}
+
+// storeProfile persists a characterization result under key.
+func (s *Session) storeProfile(key string, prof *Profile) {
+	s.putArtifact(key, encodeProfileArtifact(key, prof.Instructions, prof.Analysis.Snapshot()))
 }
 
 // storeCharacterize serves a characterization from the persistent
@@ -193,56 +208,28 @@ func (s *Session) storeProfile(prof *Profile, key, fp string) {
 // then — with a fleet attached — from a peer's store. The bool
 // reports whether the request was settled here; false means the
 // caller must simulate cold.
-func (s *Session) storeCharacterize(ctx context.Context, p *bio.Program, sz bio.Size, fp string) (*Profile, error, bool) {
+func (s *Session) storeCharacterize(ctx context.Context, p *bio.Program, sz bio.Size, fp string, prog *isa.Program) (*Profile, error, bool) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err), true
 	}
-	if prof, ok := s.loadProfile(p, profKey(fp, sz), fp, "snapshot"); ok {
+	key := profKey(fp, sz)
+	var prof *Profile
+	if s.loadLocal(key, restoreProfile(p, prog, key, "snapshot", &prof)) {
 		s.profileHits.Add(1)
 		return prof, nil, true
 	}
-	prof, err, done := s.replayCharacterize(ctx, p, sz, fp)
+	prof, err, done := s.replayCharacterize(ctx, p, sz, fp, prog)
 	if done && err == nil {
-		s.storeProfile(prof, profKey(fp, sz), fp)
+		s.storeProfile(key, prof)
 	}
 	if done {
 		return prof, err, done
 	}
-	if prof, ok := s.remoteCharacterize(ctx, p, sz, fp); ok {
+	if s.loadPeer(ctx, key, restoreProfile(p, prog, key, "peer", &prof)) {
+		s.peerHits.Add(1)
 		return prof, nil, true
 	}
 	return nil, nil, false
-}
-
-// remoteCharacterize is the peer tier: ask the fleet for the
-// snapshot, verify it (transfer checksums in the cluster client,
-// fingerprint and structure here), admit it to the local store
-// (pull-on-read: the next identical request on this node is a plain
-// snapshot hit), and serve it. ok=false sends the caller to cold
-// simulation.
-func (s *Session) remoteCharacterize(ctx context.Context, p *bio.Program, sz bio.Size, fp string) (*Profile, bool) {
-	if s.remote == nil || ctx.Err() != nil {
-		return nil, false
-	}
-	key := profKey(fp, sz)
-	data, ok := s.remote.Fetch(ctx, key, func(b []byte) error {
-		_, err := decodeProfileArtifact(b, fp)
-		return err
-	})
-	if !ok {
-		return nil, false
-	}
-	// Admission happens only after verification; PutBytes recomputes
-	// the store's own hash and CRC from the verified bytes.
-	if err := s.store.PutBytes(key, data); err != nil {
-		return nil, false
-	}
-	prof, ok := s.loadProfile(p, key, fp, "peer")
-	if !ok {
-		return nil, false
-	}
-	s.peerHits.Add(1)
-	return prof, true
 }
 
 // replayCharacterize serves a characterization from a stored trace.
@@ -251,7 +238,7 @@ func (s *Session) remoteCharacterize(ctx context.Context, p *bio.Program, sz bio
 // entries are evicted) and the caller should simulate cold. Context
 // errors settle the request with the error so cancellation is never
 // misread as corruption.
-func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio.Size, fp string) (*Profile, error, bool) {
+func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio.Size, fp string, prog *isa.Program) (*Profile, error, bool) {
 	// Replay runs sharded over the trace's footer index (ReplayAnalyze
 	// sizes workers from the session's jobs, which default to
 	// GOMAXPROCS).
@@ -260,10 +247,6 @@ func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio
 		return nil, nil, false
 	}
 	defer cleanup()
-	prog, err := s.Compile(p, false, compiler.Default())
-	if err != nil {
-		return nil, err, true
-	}
 	s.replayRuns.Add(1)
 	a, err := ReplayAnalyze(ctx, prog, ir, s.jobs)
 	if err != nil {

@@ -3,6 +3,9 @@ package runner
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -319,63 +322,31 @@ func TestCompileDeterministic(t *testing.T) {
 	}
 }
 
-// appendGobUint appends x in gob's unsigned integer encoding.
-func appendGobUint(b []byte, x uint64) []byte {
-	if x < 0x80 {
-		return append(b, byte(x))
-	}
-	var be []byte
-	for ; x > 0; x >>= 8 {
-		be = append([]byte{byte(x)}, be...)
-	}
-	return append(append(b, byte(-int8(len(be)))), be...)
-}
-
-// craftMapCount returns a profile artifact for fp whose LoadCounts map
-// claims count entries on the wire while carrying only one.
-func craftMapCount(t testing.TB, fp string, count uint64) []byte {
+// craftMapCount returns a profile artifact under key whose LoadCounts
+// table claims count entries while carrying only one.
+func craftMapCount(t testing.TB, key string, count uint32) []byte {
 	t.Helper()
-	snap := &loadchar.Snapshot{Version: loadchar.SnapshotVersion, LoadCounts: map[int32]uint64{1000: 0xabcdef}}
-	data, err := encodeProfileArtifact(&profileArtifact{Fingerprint: fp, Snap: snap})
-	if err != nil {
-		t.Fatal(err)
+	data := encodeProfileArtifact(key, 0, &loadchar.Snapshot{LoadCounts: map[int32]uint64{1000: 0xabcdef}})
+	entry := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 1000), 0xabcdef)
+	at := bytes.Index(data, entry)
+	if at < 4 || binary.LittleEndian.Uint32(data[at-4:]) != 1 {
+		t.Fatal("LoadCounts entry not found in the encoded artifact")
 	}
-	// The value is the stream's last message: length, then payload.
-	off := 0
-	for {
-		n, k := gobUint(data[off:])
-		if off+k+int(n) == len(data) {
-			break
-		}
-		off += k + int(n)
-	}
-	n, k := gobUint(data[off:])
-	// One entry: count 1, key 1000 (zig-zag 2000), value 0xabcdef.
-	entry := []byte{0x01, 0xfe, 0x07, 0xd0, 0xfd, 0xab, 0xcd, 0xef}
-	payload := data[off+k:]
-	at := bytes.Index(payload, entry)
-	if at < 0 {
-		t.Fatal("map entry not found in the encoded artifact")
-	}
-	newCount := appendGobUint(nil, count)
-	out := appendGobUint(append([]byte(nil), data[:off]...), n-1+uint64(len(newCount)))
-	out = append(out, payload[:at]...)
-	out = append(out, newCount...)
-	return append(out, payload[at+1:]...)
+	binary.LittleEndian.PutUint32(data[at-4:], count)
+	return data
 }
 
-// TestDecodeProfileArtifactBoundsMapCount: a map count the bytes do
-// not back is rejected before gob sizes a map from it. A single-pass
-// decode of this artifact allocates tens of megabytes.
+// TestDecodeProfileArtifactBoundsMapCount: a table count the bytes do
+// not back is rejected before any table is sized from it.
 func TestDecodeProfileArtifactBoundsMapCount(t *testing.T) {
-	fp := Fingerprint(&bio.Program{Name: "x"}, false, compiler.Default())
-	if _, err := decodeProfileArtifact(craftMapCount(t, fp, 1), fp); err != nil {
+	key := profKey(Fingerprint(&bio.Program{Name: "x"}, false, compiler.Default()), bio.SizeTest)
+	if _, _, err := decodeProfileArtifact(craftMapCount(t, key, 1), key); err != nil {
 		t.Fatalf("honest count rejected: %v", err)
 	}
-	crafted := craftMapCount(t, fp, 1<<20)
+	crafted := craftMapCount(t, key, 1<<20)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := decodeProfileArtifact(crafted, fp)
+	_, _, err := decodeProfileArtifact(crafted, key)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("artifact claiming 1Mi map entries in one accepted")
@@ -385,10 +356,87 @@ func TestDecodeProfileArtifactBoundsMapCount(t *testing.T) {
 	}
 }
 
+// TestProfileArtifactPinned pins the stored profile layout: two
+// snapshots of one analysis encode to equal bytes, and the test-size
+// hmmsearch artifact has a fixed SHA-256. A change to the layout must
+// bump profVersion and re-pin the hash here.
+func TestProfileArtifactPinned(t *testing.T) {
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := NewSession(1).Characterize(context.Background(), p, bio.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := profKey(Fingerprint(p, false, compiler.Default()), bio.SizeTest)
+	data := encodeProfileArtifact(key, prof.Instructions, prof.Analysis.Snapshot())
+	if again := encodeProfileArtifact(key, prof.Instructions, prof.Analysis.Snapshot()); !bytes.Equal(again, data) {
+		t.Fatal("two encodes of one snapshot differ")
+	}
+	const want = "0719fa6a0c0e45aa9f4e0a5b0d4f8598f88ca5617179ff46b77b893e9a037095"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Errorf("hmmsearch test-size profile artifact (%d bytes): sha256 %s, want %s", len(data), got, want)
+	}
+}
+
+// TestParentLayoutProfileReplays: a store holding a profile in the
+// previous (gob) layout, under today's key, serves the next request by
+// trace replay and rewrites the entry in the current layout. The
+// testdata file is that entry for test-size hmmsearch as the gob
+// layout wrote it.
+func TestParentLayoutProfileReplays(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := os.ReadFile(filepath.Join("testdata", "hmmsearch_test_gob.prof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	prof1, err := NewSessionWithStore(1, st1).Characterize(ctx, p, bio.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := loadchar.RenderProfile(p.Name, bio.SizeTest.String(), prof1.Analysis, 10)
+	key := profKey(Fingerprint(p, false, compiler.Default()), bio.SizeTest)
+	current, ok := st1.GetBytes(key)
+	if !ok {
+		t.Fatal("cold characterization stored no profile")
+	}
+	if err := st1.PutBytes(key, parent); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	s2 := NewSessionWithStore(1, st2)
+	prof2, err := s2.Characterize(ctx, p, bio.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.ReplayRuns != 1 || st.ColdChars != 0 || st.ProfileHits != 0 {
+		t.Fatalf("stats %+v, want the parent-layout entry rejected and the request replayed", st)
+	}
+	if got := loadchar.RenderProfile(p.Name, bio.SizeTest.String(), prof2.Analysis, 10); got != want {
+		t.Error("replayed profile differs from the cold one")
+	}
+	if got, ok := st2.GetBytes(key); !ok || !bytes.Equal(got, current) {
+		t.Error("the parent-layout entry was not rewritten in the current layout")
+	}
+}
+
 // FuzzDecodeProfileArtifact feeds arbitrary bytes through the snapshot
 // tier's whole read path — decodeProfileArtifact, FromSnapshot against
 // a real test-size program, RenderProfile — which must never panic
-// and must allocate in proportion to the input.
+// and must allocate in proportion to the input. Whatever it accepts
+// re-encodes to the same bytes.
 func FuzzDecodeProfileArtifact(f *testing.F) {
 	p, err := bio.ByName("hmmsearch")
 	if err != nil {
@@ -403,37 +451,34 @@ func FuzzDecodeProfileArtifact(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	fp := Fingerprint(p, false, compiler.Default())
-	valid, err := encodeProfileArtifact(&profileArtifact{Fingerprint: fp, Instructions: prof.Instructions, Snap: prof.Analysis.Snapshot()})
-	if err != nil {
-		f.Fatal(err)
-	}
+	key := profKey(Fingerprint(p, false, compiler.Default()), bio.SizeTest)
+	valid := encodeProfileArtifact(key, prof.Instructions, prof.Analysis.Snapshot())
 	// The same snapshot with branch-keyed entries at PCs outside the
 	// program, which FromSnapshot keeps and the renderer must survive.
 	foreign := prof.Analysis.Snapshot()
 	foreign.Branches[1<<30] = foreign.BranchTotal
 	foreign.FedBranch[-1] = map[int32]uint64{1 << 30: 1}
 	foreign.AfterBranch[1<<30] = map[int32]uint64{-1: 1}
-	foreignArt, err := encodeProfileArtifact(&profileArtifact{Fingerprint: fp, Instructions: prof.Instructions, Snap: foreign})
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(valid)
-	f.Add(foreignArt)
+	f.Add(encodeProfileArtifact(key, prof.Instructions, foreign))
 	f.Add(valid[:len(valid)/2])
-	f.Add(craftMapCount(f, fp, 1<<20))
+	f.Add(craftMapCount(f, key, 1<<20))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if art, err := decodeProfileArtifact(data, fp); err == nil {
-			if a, err := loadchar.FromSnapshot(prog, art.Snap); err == nil {
+		n, snap, err := decodeProfileArtifact(data, key)
+		if err == nil {
+			if a, err := loadchar.FromSnapshot(prog, snap); err == nil {
 				loadchar.RenderProfile(p.Name, bio.SizeTest.String(), a, 10)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20+64*uint64(len(data)) {
 			t.Fatalf("%d-byte artifact allocated %d bytes", len(data), grew)
+		}
+		if err == nil && !bytes.Equal(encodeProfileArtifact(key, n, snap), data) {
+			t.Fatal("accepted artifact does not re-encode to its bytes")
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -71,17 +70,13 @@ func configHash(cfg pipeline.Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// The timing artifact is one fixed-length little-endian record:
-//
-//	[0:4)    magic "BPTM"
-//	[4:8)    layout version
-//	[8:40)   sha256 of the evalKey name
-//	[40:120) the ten pipeline.Stats words in declaration order
+// The timing artifact is one fixed-length record: the artifact header
+// (magic "BPTM", layout version 1, sha256 of the evalKey name), then
+// the ten pipeline.Stats words in declaration order, little-endian.
 const (
 	evalMagic       = "BPTM"
 	evalVersion     = 1
-	evalHeaderLen   = 8 + sha256.Size
-	evalArtifactLen = evalHeaderLen + 10*8
+	evalArtifactLen = artifactHeaderLen + 10*8
 )
 
 func statsWords(st pipeline.Stats) [10]uint64 {
@@ -90,22 +85,17 @@ func statsWords(st pipeline.Stats) [10]uint64 {
 }
 
 func encodeEvalArtifact(k evalKey, st pipeline.Stats) []byte {
-	b := make([]byte, 0, evalArtifactLen)
-	b = append(b, evalMagic...)
-	b = binary.LittleEndian.AppendUint32(b, evalVersion)
-	b = append(b, k.sum[:]...)
+	b := appendArtifactHeader(make([]byte, 0, evalArtifactLen), evalMagic, evalVersion, k.sum)
 	for _, w := range statsWords(st) {
 		b = binary.LittleEndian.AppendUint64(b, w)
 	}
 	return b
 }
 
-// Timing artifact rejections. They are static so that decoding never
-// allocates, whatever the bytes.
+// Timing artifact rejections besides the header's. They are static so
+// that decoding never allocates, whatever the bytes.
 var (
 	errEvalLength = errors.New("timing artifact: wrong length")
-	errEvalHeader = errors.New("timing artifact: bad magic or version")
-	errEvalKey    = errors.New("timing artifact: key mismatch")
 	errEvalCounts = errors.New("timing artifact: inconsistent counts")
 )
 
@@ -117,15 +107,13 @@ func decodeEvalArtifact(data []byte, k evalKey) (pipeline.Stats, error) {
 	if len(data) != evalArtifactLen {
 		return pipeline.Stats{}, errEvalLength
 	}
-	if string(data[:4]) != evalMagic || binary.LittleEndian.Uint32(data[4:8]) != evalVersion {
-		return pipeline.Stats{}, errEvalHeader
-	}
-	if !bytes.Equal(data[8:evalHeaderLen], k.sum[:]) {
-		return pipeline.Stats{}, errEvalKey
+	body, err := artifactBody(data, evalMagic, evalVersion, k.sum)
+	if err != nil {
+		return pipeline.Stats{}, err
 	}
 	var w [10]uint64
 	for i := range w {
-		w[i] = binary.LittleEndian.Uint64(data[evalHeaderLen+8*i:])
+		w[i] = binary.LittleEndian.Uint64(body[8*i:])
 	}
 	st := pipeline.Stats{Instructions: w[0], Cycles: w[1], Loads: w[2], Stores: w[3], CondBranches: w[4],
 		Mispredicts: w[5], L1Hits: w[6], L2Hits: w[7], MemHits: w[8], LoadLatencySum: w[9]}
@@ -284,7 +272,7 @@ func (s *Session) evaluateCold(ctx context.Context, jobs []TimingJob, idx []int,
 		}
 		out[i] = Timing{Stats: sts[x], Source: "cold"}
 		if entries[i] != nil {
-			s.storeTiming(keys[i], sts[x])
+			s.putArtifact(keys[i].name, encodeEvalArtifact(keys[i], sts[x]))
 		}
 	}
 	if err != nil {
@@ -334,46 +322,21 @@ func (s *Session) EvaluateMemoized(job TimingJob, sz bio.Size) (pipeline.Stats, 
 }
 
 // loadTiming serves a timing result from the store, then from a fleet
-// peer. A damaged store entry is deleted (the caller recomputes and
-// rewrites it); a peer's artifact is admitted to the local store only
-// after it verified.
+// peer, through the artifact ladder (loadLocal, loadPeer).
 func (s *Session) loadTiming(ctx context.Context, k evalKey) (pipeline.Stats, string, bool) {
-	if data, ok := s.store.GetBytes(k.name); ok {
-		if st, err := decodeEvalArtifact(data, k); err == nil {
-			s.evalStoreHits.Add(1)
-			return st, "store", true
-		}
-		s.store.Delete(k.name)
-	}
-	if s.remote == nil || ctx.Err() != nil {
-		return pipeline.Stats{}, "", false
-	}
 	var st pipeline.Stats
-	data, ok := s.remote.Fetch(ctx, k.name, func(b []byte) error {
+	accept := func(data []byte) error {
 		var err error
-		st, err = decodeEvalArtifact(b, k)
+		st, err = decodeEvalArtifact(data, k)
 		return err
-	})
-	if !ok {
-		return pipeline.Stats{}, "", false
 	}
-	s.store.PutBytes(k.name, data)
-	s.evalPeerHits.Add(1)
-	return st, "peer", true
-}
-
-// storeTiming writes a fresh result through to the store and, with a
-// fleet attached, toward the key's replicas. Failures are silent: the
-// store is a cache.
-func (s *Session) storeTiming(k evalKey, st pipeline.Stats) {
-	if s.store == nil {
-		return
+	if s.loadLocal(k.name, accept) {
+		s.evalStoreHits.Add(1)
+		return st, "store", true
 	}
-	data := encodeEvalArtifact(k, st)
-	if err := s.store.PutBytes(k.name, data); err != nil {
-		return
+	if s.loadPeer(ctx, k.name, accept) {
+		s.evalPeerHits.Add(1)
+		return st, "peer", true
 	}
-	if s.remote != nil {
-		s.remote.Replicate(k.name, data)
-	}
+	return pipeline.Stats{}, "", false
 }

@@ -321,7 +321,7 @@ func TestDamagedTimingArtifactRecomputed(t *testing.T) {
 	for name, bad := range map[string][]byte{
 		"truncated":   good[:len(good)-1],
 		"key bit":     flip(8),
-		"L1Hits bit":  flip(evalHeaderLen + 6*8),
+		"L1Hits bit":  flip(artifactHeaderLen + 6*8),
 		"zero-length": {},
 	} {
 		if err := st.PutBytes(k.name, bad); err != nil {

@@ -2,10 +2,7 @@ package service
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"strconv"
@@ -23,11 +20,6 @@ const (
 	HeaderForwardedTo = "X-Bioperfd-Forwarded-To"
 	HeaderDegraded    = "X-Bioperfd-Degraded"
 )
-
-// maxPeerArtifact bounds a replication push's body: characterization
-// snapshots are tens of kilobytes; anything near this limit is not
-// one of ours.
-const maxPeerArtifact = 256 << 20
 
 // ShedPolicy selects which rungs of the overload ladder are active
 // when the local queue is saturated. The order is fixed: forward to
@@ -120,23 +112,17 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPeerArtifact+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, cluster.MaxArtifact+1))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "read body: " + err.Error()})
 		return
 	}
-	if len(body) > maxPeerArtifact {
+	if len(body) > cluster.MaxArtifact {
 		writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: "artifact exceeds size limit"})
 		return
 	}
-	sum := sha256.Sum256(body)
-	if got, want := hex.EncodeToString(sum[:]), r.Header.Get(cluster.HeaderSHA256); want == "" || got != want {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "sha256 mismatch on replicated artifact"})
-		return
-	}
-	crc, err := strconv.ParseUint(r.Header.Get(cluster.HeaderCRC32), 10, 32)
-	if err != nil || crc32.ChecksumIEEE(body) != uint32(crc) {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "crc mismatch on replicated artifact"})
+	if err := cluster.VerifyBody(body, r.Header); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
 	if err := st.PutBytes(key, body); err != nil {

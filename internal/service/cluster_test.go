@@ -17,9 +17,11 @@ import (
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/cluster"
+	"bioperfload/internal/compiler"
 	"bioperfload/internal/pipeline"
 	"bioperfload/internal/platform"
 	"bioperfload/internal/runner"
+	"bioperfload/internal/simpoint"
 	"bioperfload/internal/store"
 )
 
@@ -248,6 +250,74 @@ func TestPeerWireProtocol(t *testing.T) {
 	if rc, _, ok := st.OpenObject(badKey); ok {
 		rc.Close()
 		t.Fatal("corrupt push was admitted to the store")
+	}
+}
+
+// TestPeerPutForeignSnapshotNeverServed: a PUT is admitted on its
+// transfer checksums alone, so a well-formed snapshot computed under
+// another key — the sampled one, pushed under the exact key — reaches
+// the store. The snapshot tier rejects and deletes it, trace replay
+// answers, and the report is the cold one, as it is from the snapshot
+// tier before the push.
+func TestPeerPutForeignSnapshotNeverServed(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := simpoint.Config{IntervalSize: 16384, WarmupEvents: 4096}
+	// serve answers one exact characterization from a fresh session
+	// over st, so every request starts from the store's tiers.
+	serve := func() (string, runner.Stats) {
+		t.Helper()
+		sess := runner.NewSessionWithStore(1, st)
+		sess.SetSimPoint(cfg)
+		_, ts := newTestServer(t, Config{Session: sess, QueueDepth: 4, Workers: 1})
+		resp, body := postJSON(t, ts.URL+"/v1/characterize",
+			map[string]any{"program": "hmmsearch", "size": "test", "wait": true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("characterize: HTTP %d: %s", resp.StatusCode, body)
+		}
+		return reportFromJobView(t, body), sess.Stats()
+	}
+
+	cold, stats := serve()
+	if stats.ColdChars != 1 {
+		t.Fatalf("first request stats %+v, want cold", stats)
+	}
+	sampler := runner.NewSessionWithStore(1, st)
+	sampler.SetSimPoint(cfg)
+	if _, err := sampler.CharacterizeAccuracy(ctx, p, bio.SizeTest, runner.AccuracySampled); err != nil {
+		t.Fatal(err)
+	}
+	snap, stats := serve()
+	if stats.ProfileHits != 1 || snap != cold {
+		t.Fatalf("snapshot tier: stats %+v, report equal to cold: %v", stats, snap == cold)
+	}
+
+	key := "prof|" + runner.Fingerprint(p, false, compiler.Default()) + "|test"
+	sampled, ok := st.GetBytes(key + "|sampled|" + sampler.SimPoint().Fingerprint())
+	if !ok {
+		t.Fatal("no sampled snapshot stored")
+	}
+	_, ts := newTestServer(t, Config{Session: runner.NewSessionWithStore(1, st), QueueDepth: 4, Workers: 1})
+	if err := cluster.NewClient(cluster.ClientConfig{}).PushSnapshot(ctx, ts.URL, key, sampled); err != nil {
+		t.Fatalf("PUT sampled bytes under the exact key: %v", err)
+	}
+	replayed, stats := serve()
+	if stats.ProfileHits != 0 || stats.ReplayRuns != 1 || stats.ColdChars != 0 {
+		t.Fatalf("stats %+v, want the pushed entry rejected and the request replayed", stats)
+	}
+	if replayed != cold {
+		t.Fatalf("replayed report differs from cold:\n--- cold\n%s\n--- replay\n%s", cold, replayed)
+	}
+	if got, ok := st.GetBytes(key); !ok || bytes.Equal(got, sampled) {
+		t.Fatal("the pushed sampled bytes are still stored under the exact key")
 	}
 }
 

@@ -51,12 +51,6 @@ type BatchObserver interface {
 	ObserveBatch(evs []Event)
 }
 
-// BatchObserverFunc adapts a function to the BatchObserver interface.
-type BatchObserverFunc func(evs []Event)
-
-// ObserveBatch implements BatchObserver.
-func (f BatchObserverFunc) ObserveBatch(evs []Event) { f(evs) }
-
 // ErrFuelExhausted is returned when the instruction budget runs out
 // before the program halts.
 var ErrFuelExhausted = errors.New("sim: instruction budget exhausted")

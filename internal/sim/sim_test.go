@@ -253,8 +253,13 @@ func TestFuelExhaustion(t *testing.T) {
 	}
 }
 
+// batchFunc adapts a function to the BatchObserver interface.
+type batchFunc func(evs []Event)
+
+func (f batchFunc) ObserveBatch(evs []Event) { f(evs) }
+
 // eachEvent adapts a per-event callback to a BatchObserver.
-func eachEvent(f func(ev *Event)) BatchObserverFunc {
+func eachEvent(f func(ev *Event)) batchFunc {
 	return func(evs []Event) {
 		for i := range evs {
 			f(&evs[i])
@@ -429,7 +434,7 @@ func TestBatchObserverEquivalence(t *testing.T) {
 func TestBatchSeqContinuity(t *testing.T) {
 	m, _ := New(sumProgram(3000))
 	var last uint64
-	m.AddBatchObserver(BatchObserverFunc(func(evs []Event) {
+	m.AddBatchObserver(batchFunc(func(evs []Event) {
 		for i := range evs {
 			if last != 0 && evs[i].Seq != last+1 {
 				t.Fatalf("seq jumped %d -> %d", last, evs[i].Seq)
@@ -475,7 +480,7 @@ func TestBatchSlabRecycling(t *testing.T) {
 	m, _ := New(sumProgram(4000))
 	var retained []Event
 	var firstSeq uint64
-	m.AddBatchObserver(BatchObserverFunc(func(evs []Event) {
+	m.AddBatchObserver(batchFunc(func(evs []Event) {
 		if retained == nil {
 			retained = evs // MISUSE: retaining the slab past the callback
 			firstSeq = evs[0].Seq
@@ -513,7 +518,7 @@ func TestRunContextCancel(t *testing.T) {
 	b.Halt()
 	m, _ := New(b.MustProgram())
 	var observed uint64
-	m.AddBatchObserver(BatchObserverFunc(func(evs []Event) {
+	m.AddBatchObserver(batchFunc(func(evs []Event) {
 		observed += uint64(len(evs))
 	}))
 	ctx, cancel := context.WithCancel(context.Background())

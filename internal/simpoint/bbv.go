@@ -1,5 +1,7 @@
 package simpoint
 
+import "bioperfload/internal/basicblock"
+
 // Interval is one fixed-size slice of the committed stream with its
 // phase signature: the basic-block vector, L1-normalized and randomly
 // projected down to Config.Dims dimensions.
@@ -21,7 +23,7 @@ func (iv Interval) Events() uint64 { return iv.End - iv.Start }
 // and concatenate the results.
 type Collector struct {
 	cfg     Config
-	blocks  *Blocks
+	blocks  *basicblock.Blocks
 	counts  []uint64
 	touched []int32
 	start   uint64 // start seq of the interval being filled
@@ -33,7 +35,7 @@ type Collector struct {
 // NewCollectorAt creates a collector whose first event has sequence
 // number start, which must lie on an interval edge. The block map is
 // shared read-only, so parallel workers reuse one.
-func NewCollectorAt(blocks *Blocks, cfg Config, start uint64) *Collector {
+func NewCollectorAt(blocks *basicblock.Blocks, cfg Config, start uint64) *Collector {
 	cfg = cfg.WithDefaults()
 	return &Collector{
 		cfg:    cfg,

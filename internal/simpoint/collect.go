@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"bioperfload/internal/basicblock"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/trace"
 )
@@ -29,7 +30,7 @@ func CollectTrace(ctx context.Context, prog *isa.Program, ir *trace.IndexedReade
 	m := int((total + iv - 1) / iv)
 	jobs = collectWorkers(jobs, m)
 
-	blocks := BlockMap(prog)
+	blocks := basicblock.Map(prog)
 	type result struct {
 		ivs []Interval
 		err error
@@ -80,7 +81,7 @@ func collectWorkers(jobs, m int) int {
 // varints — and the collector attributes whole runs to blocks, so the
 // per-event cost of BBV collection drops to a few block lookups per
 // thousand instructions.
-func scanRange(ctx context.Context, prog *isa.Program, blocks *Blocks, ir *trace.IndexedReader, cfg Config, start, end uint64) ([]Interval, error) {
+func scanRange(ctx context.Context, prog *isa.Program, blocks *basicblock.Blocks, ir *trace.IndexedReader, cfg Config, start, end uint64) ([]Interval, error) {
 	n := ir.Chunks()
 	// Greatest chunk starting at or before start, then the first chunk
 	// starting at or past end; together they cover [start, end).

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"bioperfload/internal/basicblock"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/sim"
 	"bioperfload/internal/trace"
@@ -31,7 +32,7 @@ func branchyProgram(n int) *isa.Program {
 
 func TestBlockMap(t *testing.T) {
 	prog := branchyProgram(64)
-	b := BlockMap(prog)
+	b := basicblock.Map(prog)
 	if b.NumBlocks() < 5 {
 		t.Fatalf("expected >= 5 blocks, got %d", b.NumBlocks())
 	}
@@ -79,7 +80,7 @@ func walkEvents(prog *isa.Program, n int, seed int64) []sim.Event {
 // vectors match bit for bit.
 func referenceIntervals(prog *isa.Program, cfg Config, pcs []int32) []Interval {
 	cfg = cfg.WithDefaults()
-	blocks := BlockMap(prog)
+	blocks := basicblock.Map(prog)
 	size := int(cfg.IntervalSize)
 	var out []Interval
 	for start := 0; start < len(pcs); start += size {
@@ -134,7 +135,7 @@ func TestCollectorMatchesReference(t *testing.T) {
 		pcs = append(pcs, ev.PC)
 	}
 
-	c := NewCollectorAt(BlockMap(prog), cfg, 0)
+	c := NewCollectorAt(basicblock.Map(prog), cfg, 0)
 	straddled := false
 	for seq := 0; seq < n; {
 		if seq == loopAt {
