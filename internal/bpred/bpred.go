@@ -16,8 +16,6 @@ type Predictor interface {
 	Predict(pc int32) bool
 	// Update trains the predictor with the actual direction.
 	Update(pc int32, taken bool)
-	// Name identifies the predictor in reports.
-	Name() string
 }
 
 // counter is a saturating 2-bit counter: 0,1 predict not-taken; 2,3
@@ -56,14 +54,6 @@ func (s *Static) Predict(int32) bool { return s.Taken }
 // Update implements Predictor.
 func (s *Static) Update(int32, bool) {}
 
-// Name implements Predictor.
-func (s *Static) Name() string {
-	if s.Taken {
-		return "always-taken"
-	}
-	return "always-not-taken"
-}
-
 // Bimodal keeps one 2-bit counter per static branch.
 type Bimodal struct {
 	table map[int32]counter
@@ -91,9 +81,6 @@ func (b *Bimodal) Update(pc int32, taken bool) {
 	}
 	b.table[pc] = c.train(taken)
 }
-
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return "bimodal" }
 
 // Hybrid is the paper's measurement predictor: per-static-branch
 // local predictor (local history indexing a private pattern table),
@@ -198,9 +185,6 @@ func (h *Hybrid) Update(pc int32, taken bool) {
 	e.hist = (e.hist << 1) | b2u(taken)
 	h.ghist = (h.ghist << 1) | b2u(taken)
 }
-
-// Name implements Predictor.
-func (h *Hybrid) Name() string { return "hybrid" }
 
 func b2u(b bool) uint64 {
 	if b {

@@ -25,9 +25,6 @@ func TestStatic(t *testing.T) {
 	if !at.Predict(1) || ant.Predict(1) {
 		t.Error("static predictions wrong")
 	}
-	if at.Name() != "always-taken" || ant.Name() != "always-not-taken" {
-		t.Error("names wrong")
-	}
 }
 
 func TestBimodalLearnsBias(t *testing.T) {
@@ -189,9 +186,6 @@ func TestHybridConfigClamping(t *testing.T) {
 	}
 	if !h.Predict(1) {
 		t.Error("clamped hybrid broken")
-	}
-	if h.Name() != "hybrid" {
-		t.Error("name wrong")
 	}
 }
 

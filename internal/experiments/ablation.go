@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"bioperfload/internal/bio"
-	"bioperfload/internal/bpred"
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/pipeline"
 	"bioperfload/internal/platform"
@@ -96,25 +95,17 @@ func AblateL1Latency(ctx context.Context, s *runner.Session, progName string, sz
 }
 
 // AblatePredictor measures the program on the Alpha model under
-// different branch predictors.
+// different branch predictors. The hybrid row is the Alpha baseline
+// itself (pipeline.Config.Predictor "").
 func AblatePredictor(ctx context.Context, s *runner.Session, progName string, sz bio.Size, fid pipeline.Fidelity) ([]AblationResult, error) {
 	p, err := bio.ByName(progName)
 	if err != nil {
 		return nil, err
 	}
-	base := platform.Alpha21264()
-	preds := []struct {
-		name string
-		mk   func() bpred.Predictor
-	}{
-		{"hybrid", func() bpred.Predictor { return bpred.NewPaperHybrid() }},
-		{"bimodal", func() bpred.Predictor { return bpred.NewBimodal() }},
-		{"always-taken", func() bpred.Predictor { return &bpred.Static{Taken: true} }},
-	}
 	var variants []ablationVariant
-	for _, v := range preds {
-		cfg := base.Pipeline
-		cfg.Predictor = v.mk
+	for _, v := range []struct{ name, pred string }{{"hybrid", ""}, {"bimodal", "bimodal"}, {"always-taken", "always-taken"}} {
+		cfg := platform.Alpha21264().Pipeline
+		cfg.Predictor = v.pred
 		variants = append(variants, ablationVariant{name: v.name, cfg: cfg, opts: compiler.Default()})
 	}
 	return runVariants(ctx, s, p, variants, sz, fid)

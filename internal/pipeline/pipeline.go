@@ -108,9 +108,10 @@ type Config struct {
 	// L1/L2/memory load-to-use latencies.
 	Cache cache.HierarchyConfig
 
-	// Predictor constructs the branch predictor; nil means the
-	// paper's hybrid predictor.
-	Predictor func() bpred.Predictor
+	// Predictor names the branch predictor: "" is the paper's hybrid,
+	// "bimodal" and "always-taken" the predictor ablation's weaker
+	// ones. NewModel panics on any other name.
+	Predictor string
 }
 
 // Stats is the outcome of a timing run.
@@ -177,7 +178,7 @@ type Model struct {
 	dec    decodeTable // per-PC sources, destination, latency, class
 	hier   *cache.Hierarchy
 	pred   *bpred.DenseShard // the paper hybrid, owning every branch PC
-	custom bpred.Predictor   // overrides pred when cfg.Predictor is set
+	custom bpred.Predictor   // a named ablation predictor, in place of pred
 
 	stats Stats
 
@@ -215,7 +216,7 @@ type Model struct {
 
 // Normalized returns cfg with unset structural and latency fields
 // replaced by the defaults NewModel has always applied. Configs whose
-// normalized forms agree, Name and Predictor aside, time identically,
+// normalized forms agree, Name aside, time identically,
 // which is how internal/runner keys stored timing results.
 func (c Config) Normalized() Config {
 	if c.FetchWidth <= 0 {
@@ -243,7 +244,8 @@ func (c Config) Normalized() Config {
 }
 
 // NewModel builds a timing model for cfg. It panics if IssueWidth or
-// LoadPorts exceeds 255, the most a per-cycle slot counter holds.
+// LoadPorts exceeds 255, the most a per-cycle slot counter holds, or if
+// cfg.Predictor names no predictor.
 func NewModel(cfg Config) *Model {
 	cfg = cfg.Normalized()
 	if cfg.IssueWidth > math.MaxUint8 || cfg.LoadPorts > math.MaxUint8 {
@@ -257,10 +259,15 @@ func NewModel(cfg Config) *Model {
 		fetchCycle: int64(cfg.FrontEndDepth),
 	}
 	m.dec = newDecodeTable(&m.cfg)
-	if cfg.Predictor != nil {
-		m.custom = cfg.Predictor()
-	} else {
+	switch cfg.Predictor {
+	case "":
 		m.pred = bpred.NewPaperDenseShard()
+	case "bimodal":
+		m.custom = bpred.NewBimodal()
+	case "always-taken":
+		m.custom = &bpred.Static{Taken: true}
+	default:
+		panic(fmt.Sprintf("pipeline: unknown predictor %q", cfg.Predictor))
 	}
 	return m
 }

@@ -23,11 +23,15 @@ func testConfig() Config {
 // run executes prog on the functional simulator with a model attached.
 func run(t testing.TB, cfg Config, prog *isa.Program) Stats {
 	t.Helper()
+	return runModel(t, NewModel(cfg), prog)
+}
+
+func runModel(t testing.TB, model *Model, prog *isa.Program) Stats {
+	t.Helper()
 	m, err := sim.New(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := NewModel(cfg)
 	m.AddBatchObserver(model)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -381,9 +385,11 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestCustomPredictorInjection: a named predictor replaces the paper
+// hybrid, and a name NewModel does not know panics.
 func TestCustomPredictorInjection(t *testing.T) {
 	cfg := testConfig()
-	cfg.Predictor = func() bpred.Predictor { return &bpred.Static{Taken: false} }
+	cfg.Predictor = "always-taken"
 	const n = 500
 	allPos := make([]int64, n)
 	for i := range allPos {
@@ -394,17 +400,24 @@ func TestCustomPredictorInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := run(t, cfg, p)
-	// Every loop back-edge (taken) is mispredicted by always-not-taken.
+	// Every data branch (never taken) is mispredicted by always-taken.
 	if s.MispredictRate() < 0.4 {
-		t.Errorf("static not-taken should mispredict loop branches: rate %.2f", s.MispredictRate())
+		t.Errorf("always-taken should mispredict the data branches: rate %.2f", s.MispredictRate())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an unknown predictor name did not panic")
+		}
+	}()
+	cfg.Predictor = "perfect"
+	NewModel(cfg)
 }
 
 // TestDensePredictorMatchesHybrid times a hard-to-predict branchy
-// program twice: on the default path (Predictor nil, the paper hybrid
-// on a bpred.DenseShard) and through the generic Predictor path with
-// the map-backed bpred.Hybrid. The two must agree on every statistic,
-// cycles included.
+// program twice: on the default path (Predictor "", the paper hybrid
+// on a bpred.DenseShard) and through the generic bpred.Predictor path
+// the named ablation predictors take, with the map-backed bpred.Hybrid.
+// The two must agree on every statistic, cycles included.
 func TestDensePredictorMatchesHybrid(t *testing.T) {
 	const n = 5000
 	p, err := dataBranchProgram(n, false, lcg(7, n))
@@ -414,9 +427,9 @@ func TestDensePredictorMatchesHybrid(t *testing.T) {
 	for _, inOrder := range []bool{false, true} {
 		dense := testConfig()
 		dense.InOrder = inOrder
-		generic := dense
-		generic.Predictor = func() bpred.Predictor { return bpred.NewPaperHybrid() }
-		sd, sg := run(t, dense, p), run(t, generic, p)
+		generic := NewModel(dense)
+		generic.pred, generic.custom = nil, bpred.NewPaperHybrid()
+		sd, sg := run(t, dense, p), runModel(t, generic, p)
 		if sd != sg {
 			t.Errorf("inOrder=%v: dense %+v, hybrid %+v", inOrder, sd, sg)
 		}

@@ -32,7 +32,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -58,12 +57,6 @@ type CompileKey struct {
 	Program     string
 	Transformed bool
 	Opts        compiler.Options
-}
-
-type compileEntry struct {
-	once sync.Once
-	prog *isa.Program
-	err  error
 }
 
 // Accuracy selects a characterization tier: exact (every event
@@ -96,12 +89,6 @@ type charKey struct {
 	program string
 	size    bio.Size
 	acc     Accuracy
-}
-
-type charEntry struct {
-	once sync.Once
-	prof *Profile
-	err  error
 }
 
 // Profile is one program's shared characterization run: the dynamic
@@ -159,17 +146,14 @@ type Session struct {
 	store  *store.Store
 	remote RemoteTier
 
-	mu       sync.Mutex
-	compiled map[CompileKey]*compileEntry
-	chars    map[charKey]*charEntry
-	evals    map[string]*evalEntry // by evalKey name
+	compiled memo[CompileKey, *isa.Program]
+	chars    memo[charKey, *Profile]
+	evals    memo[string, pipeline.Stats] // by evalKey name
 
 	simpointCfg simpoint.Config
 
 	compiles        atomic.Uint64
-	compileHits     atomic.Uint64
 	runs            atomic.Uint64
-	charHits        atomic.Uint64
 	replayRuns      atomic.Uint64
 	replaySerial    atomic.Uint64
 	profileHits     atomic.Uint64
@@ -178,7 +162,6 @@ type Session struct {
 	sampledChars    atomic.Uint64
 	sampledHits     atomic.Uint64
 	sampledDegrades atomic.Uint64
-	evalMemoHits    atomic.Uint64
 	evalStoreHits   atomic.Uint64
 	evalPeerHits    atomic.Uint64
 	evalColds       atomic.Uint64
@@ -203,13 +186,7 @@ func NewSessionWithStore(jobs int, st *store.Store) *Session {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	return &Session{
-		jobs:     jobs,
-		store:    st,
-		compiled: make(map[CompileKey]*compileEntry),
-		chars:    make(map[charKey]*charEntry),
-		evals:    make(map[string]*evalEntry),
-	}
+	return &Session{jobs: jobs, store: st}
 }
 
 // Jobs returns the worker-pool width.
@@ -243,9 +220,9 @@ func (s *Session) SimPoint() simpoint.Config { return s.simpointCfg.WithDefaults
 func (s *Session) Stats() Stats {
 	return Stats{
 		Compiles:              s.compiles.Load(),
-		CompileHits:           s.compileHits.Load(),
+		CompileHits:           s.compiled.hits.Load(),
 		Runs:                  s.runs.Load(),
-		CharacterizeHits:      s.charHits.Load(),
+		CharacterizeHits:      s.chars.hits.Load(),
 		ReplayRuns:            s.replayRuns.Load(),
 		ReplaySerialFallbacks: s.replaySerial.Load(),
 		ProfileHits:           s.profileHits.Load(),
@@ -254,7 +231,7 @@ func (s *Session) Stats() Stats {
 		SampledChars:          s.sampledChars.Load(),
 		SampledHits:           s.sampledHits.Load(),
 		SampledDegrades:       s.sampledDegrades.Load(),
-		EvaluateMemoHits:      s.evalMemoHits.Load(),
+		EvaluateMemoHits:      s.evals.hits.Load(),
 		EvaluateStoreHits:     s.evalStoreHits.Load(),
 		EvaluatePeerHits:      s.evalPeerHits.Load(),
 		EvaluateCold:          s.evalColds.Load(),
@@ -263,33 +240,21 @@ func (s *Session) Stats() Stats {
 
 // Compile returns the compiled program for (p, variant, opts),
 // compiling at most once per key per session. Concurrent callers of
-// the same key block until the one compilation finishes. The store
-// never holds compiled programs: every serve tier that needs one
-// (snapshot, replay, peer, cold) shares this memo.
+// the same key wait for the one compilation. The store never holds
+// compiled programs: every serve tier that needs one (snapshot,
+// replay, peer, cold) shares this memo.
 func (s *Session) Compile(p *bio.Program, transformed bool, opts compiler.Options) (*isa.Program, error) {
 	key := CompileKey{Program: p.Name, Transformed: transformed && p.Transformable, Opts: opts}
-	s.mu.Lock()
-	e, ok := s.compiled[key]
-	if !ok {
-		e = &compileEntry{}
-		s.compiled[key] = e
-	}
-	s.mu.Unlock()
-	miss := false
-	e.once.Do(func() {
-		miss = true
+	return s.compiled.do(context.Background(), key, func() (*isa.Program, error) {
 		s.compiles.Add(1)
-		e.prog, e.err = p.Compile(transformed, opts)
-		if e.err == nil {
-			// Force the lazy symbol index while single-threaded; the
-			// program is then shared read-only across worker goroutines.
-			e.prog.Symbol("")
+		prog, err := p.Compile(transformed, opts)
+		if err == nil {
+			// Force the lazy symbol index before the program is shared
+			// read-only across worker goroutines.
+			prog.Symbol("")
 		}
+		return prog, err
 	})
-	if !miss {
-		s.compileHits.Add(1)
-	}
-	return e.prog, e.err
 }
 
 // Characterize returns the program's shared characterization profile,
@@ -297,11 +262,11 @@ func (s *Session) Compile(p *bio.Program, transformed bool, opts compiler.Option
 // size) per session. Every analyzer output (mix, coverage, cache,
 // branch, sequences, hot loads) reads from this one run.
 //
-// The run executes under the context of the caller that triggered it;
-// concurrent callers of the same key share that run (and its fate).
-// Cancellation and deadline errors are never memoized — the cache
-// entry is evicted so a later request simply retries — because a
-// caller-imposed timeout says nothing about the next caller's budget.
+// The run executes under the context of the caller that triggered it.
+// Concurrent callers of the same key wait for that run or for their
+// own context, whichever ends first; if the run is canceled while a
+// waiter's context is live, the waiter runs it again. Failures are
+// never memoized.
 func (s *Session) Characterize(ctx context.Context, p *bio.Program, sz bio.Size) (*Profile, error) {
 	return s.CharacterizeAccuracy(ctx, p, sz, AccuracyExact)
 }
@@ -311,38 +276,12 @@ func (s *Session) Characterize(ctx context.Context, p *bio.Program, sz bio.Size)
 // sampled profile is an approximation and must never be served to an
 // exact request (or vice versa).
 func (s *Session) CharacterizeAccuracy(ctx context.Context, p *bio.Program, sz bio.Size, acc Accuracy) (*Profile, error) {
-	key := charKey{program: p.Name, size: sz, acc: acc}
-	s.mu.Lock()
-	e, ok := s.chars[key]
-	if !ok {
-		e = &charEntry{}
-		s.chars[key] = e
-	}
-	s.mu.Unlock()
-	miss := false
-	e.once.Do(func() {
-		miss = true
+	return s.chars.do(ctx, charKey{program: p.Name, size: sz, acc: acc}, func() (*Profile, error) {
 		if acc == AccuracySampled {
-			e.prof, e.err = s.characterizeSampled(ctx, p, sz)
-		} else {
-			e.prof, e.err = s.characterize(ctx, p, sz)
+			return s.characterizeSampled(ctx, p, sz)
 		}
+		return s.characterize(ctx, p, sz)
 	})
-	if !miss {
-		s.charHits.Add(1)
-	}
-	if e.err != nil && isContextErr(e.err) {
-		s.mu.Lock()
-		if s.chars[key] == e {
-			delete(s.chars, key)
-		}
-		s.mu.Unlock()
-	}
-	return e.prof, e.err
-}
-
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 func (s *Session) characterize(ctx context.Context, p *bio.Program, sz bio.Size) (*Profile, error) {
@@ -465,8 +404,7 @@ func FunctionalRuns(jobs []TimingJob) int { return len(groupJobs(jobs)) }
 // groupJobs buckets job indices by the committed-instruction stream
 // they time, in first-appearance order. A stream is the compiled
 // program, as Compile keys it, plus the tier, which decides whether the
-// stream is sampled. pipeline.Config is not part of it, and is not
-// comparable: it holds a Predictor func.
+// stream is sampled. The rest of pipeline.Config is not part of it.
 func groupJobs(jobs []TimingJob) [][]int {
 	type streamKey struct {
 		compile  CompileKey

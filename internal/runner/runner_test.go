@@ -304,6 +304,131 @@ func TestEvaluateCancellation(t *testing.T) {
 	}
 }
 
+// slowRequest is one classB request per memo that a test starts as a
+// leader and joins as a follower: it runs for hundreds of
+// milliseconds, and claimed reports that a leader holds its key.
+type slowRequest struct {
+	name    string
+	run     func(ctx context.Context, s *Session) error
+	claimed func(s *Session) bool
+}
+
+func slowRequests(t *testing.T) []slowRequest {
+	t.Helper()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := alphaJob(t, "blast", pipeline.FidelityFast)
+	return []slowRequest{
+		{
+			name: "characterize",
+			run: func(ctx context.Context, s *Session) error {
+				_, err := s.Characterize(ctx, p, bio.SizeB)
+				return err
+			},
+			claimed: func(s *Session) bool { return s.chars.claimed(charKey{p.Name, bio.SizeB, AccuracyExact}) },
+		},
+		{
+			name: "evaluate",
+			run: func(ctx context.Context, s *Session) error {
+				_, err := s.EvaluateAll(ctx, []TimingJob{job}, bio.SizeB)
+				return err
+			},
+			claimed: func(s *Session) bool { return s.evals.claimed(timingKey(job, bio.SizeB).name) },
+		},
+	}
+}
+
+func (t *memo[K, V]) claimed(k K) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.entries[k] != nil
+}
+
+// lead starts req on s under ctx and returns once its key is claimed;
+// the run's error arrives on the channel.
+func lead(t *testing.T, ctx context.Context, s *Session, req slowRequest) <-chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- req.run(ctx, s) }()
+	for deadline := time.Now().Add(10 * time.Second); !req.claimed(s); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader never claimed its key")
+		}
+	}
+	return errc
+}
+
+// TestFollowerKeepsOwnDeadline: a follower that joins a run in flight
+// gives up at its own deadline, while the leader runs on and succeeds.
+func TestFollowerKeepsOwnDeadline(t *testing.T) {
+	for _, req := range slowRequests(t) {
+		t.Run(req.name, func(t *testing.T) {
+			s := NewSession(1)
+			leader := lead(t, context.Background(), s, req)
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			err := req.run(ctx, s)
+			elapsed := time.Since(start)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("follower got %v, want context.DeadlineExceeded", err)
+			}
+			if elapsed > 400*time.Millisecond {
+				t.Errorf("follower returned after %v, want about 100ms", elapsed)
+			}
+			select {
+			case err = <-leader:
+				t.Errorf("leader finished before its follower's deadline")
+			default:
+				err = <-leader
+			}
+			if err != nil {
+				t.Fatalf("leader: %v", err)
+			}
+			if st := s.Stats(); st.Runs != 1 {
+				t.Errorf("Runs = %d, want 1: the follower ran nothing", st.Runs)
+			}
+		})
+	}
+}
+
+// TestFollowerOutlivesCanceledLeader: a follower with a live context
+// does not inherit its leader's cancellation; it runs the key itself
+// and succeeds, and the result is then memoized.
+func TestFollowerOutlivesCanceledLeader(t *testing.T) {
+	for _, req := range slowRequests(t) {
+		t.Run(req.name, func(t *testing.T) {
+			s := NewSession(1)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			leader := lead(t, ctx, s, req)
+			follower := make(chan error, 1)
+			go func() { follower <- req.run(context.Background(), s) }()
+			// A follower's join is not observable. The sleep lets it
+			// join before the cancel; one that came later would claim
+			// the key itself, which must succeed too.
+			time.Sleep(50 * time.Millisecond)
+			cancel()
+			if err := <-leader; !errors.Is(err, context.Canceled) {
+				t.Errorf("leader got %v, want context.Canceled", err)
+			}
+			if err := <-follower; err != nil {
+				t.Fatalf("follower got %v, want its own successful run", err)
+			}
+			before := s.Stats()
+			if err := req.run(context.Background(), s); err != nil {
+				t.Fatal(err)
+			}
+			if after := s.Stats(); after.Runs != before.Runs ||
+				after.CharacterizeHits+after.EvaluateMemoHits != before.CharacterizeHits+before.EvaluateMemoHits+1 {
+				t.Errorf("the repeat was not a memo hit: stats %+v, then %+v", before, after)
+			}
+		})
+	}
+}
+
 // TestForEachCancellation: a canceled context stops dispatching new
 // indices and the sweep reports the cancellation.
 func TestForEachCancellation(t *testing.T) {

@@ -61,9 +61,10 @@ func TestSampledWithinTolerance(t *testing.T) {
 	}
 }
 
-// TestSampledDegradesToExact: a trace spanning fewer than MinIntervals
-// intervals degrades — the served profile must be byte-identical to
-// the exact one, and the degrade must be counted.
+// TestSampledDegradesToExact: a trace spanning fewer than
+// simpoint.DefaultMinIntervals intervals degrades — the served profile
+// must be byte-identical to the exact one, and the degrade must be
+// counted.
 func TestSampledDegradesToExact(t *testing.T) {
 	ctx := context.Background()
 	p, err := bio.ByName("predator")

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/compiler"
@@ -73,6 +74,7 @@ const artifactHeaderLen = 8 + sha256.Size
 var (
 	errArtifactHeader = errors.New("artifact: bad magic or version")
 	errArtifactKey    = errors.New("artifact: key mismatch")
+	errArtifactKind   = errors.New("artifact: key names no artifact kind that travels")
 )
 
 func appendArtifactHeader(b []byte, magic string, version uint32, key [sha256.Size]byte) []byte {
@@ -90,6 +92,26 @@ func artifactBody(data []byte, magic string, version uint32, key [sha256.Size]by
 		return nil, errArtifactKey
 	}
 	return data[artifactHeaderLen:], nil
+}
+
+// CheckArtifact reports whether data opens with the header a store
+// entry under key must carry: the magic and layout version of the key's
+// kind and the SHA-256 of key, plus the fixed length of a timing
+// artifact. Only profile and timing artifacts travel between nodes, so
+// any other key is refused. The body is not decoded.
+func CheckArtifact(key string, data []byte) error {
+	magic, version := profMagic, uint32(profVersion)
+	switch {
+	case strings.HasPrefix(key, "eval|"):
+		if len(data) != evalArtifactLen {
+			return errEvalLength
+		}
+		magic, version = evalMagic, evalVersion
+	case !strings.HasPrefix(key, "prof|"):
+		return errArtifactKind
+	}
+	_, err := artifactBody(data, magic, version, sha256.Sum256([]byte(key)))
+	return err
 }
 
 // The profile artifact is the persisted characterization result: the

@@ -15,6 +15,7 @@ import (
 	"bioperfload/internal/bio"
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/loadchar"
+	"bioperfload/internal/pipeline"
 	"bioperfload/internal/platform"
 	"bioperfload/internal/store"
 )
@@ -481,4 +482,32 @@ func FuzzDecodeProfileArtifact(f *testing.F) {
 			t.Fatal("accepted artifact does not re-encode to its bytes")
 		}
 	})
+}
+
+// TestCheckArtifact: the admission check a pushed artifact passes takes
+// exactly the header its key's kind requires.
+func TestCheckArtifact(t *testing.T) {
+	prof, eval := "prof|fp|test", "eval|fp|test|cfg"
+	profOK := appendArtifactHeader(nil, profMagic, profVersion, sha256.Sum256([]byte(prof)))
+	evalOK := encodeEvalArtifact(evalKey{name: eval, sum: sha256.Sum256([]byte(eval))}, pipeline.Stats{})
+	for _, tc := range []struct {
+		name, key string
+		data      []byte
+		ok        bool
+	}{
+		{"profile", prof, append(profOK, 1, 2, 3), true},
+		{"timing", eval, evalOK, true},
+		{"profile under another key", "prof|fp|classB", profOK, false},
+		{"timing under a profile key", prof, evalOK, false},
+		{"profile under a timing key", eval, profOK, false},
+		{"timing one byte too long", eval, append(evalOK, 0), false},
+		{"timing truncated", eval, evalOK[:len(evalOK)-1], false},
+		{"other version", prof, append(append([]byte(profMagic), 2, 0, 0, 0), profOK[8:]...), false},
+		{"trace key", "trace|fp|test", profOK, false},
+		{"empty", prof, nil, false},
+	} {
+		if err := CheckArtifact(tc.key, tc.data); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckArtifact = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
 }

@@ -39,31 +39,26 @@ type evalKey struct {
 	fast bool     // fast tier: counters are extrapolated one by one
 }
 
-// timingKey keys job at size sz. A job with a custom Predictor is a
-// func the key cannot name, so it has no key and always runs cold.
-func timingKey(job TimingJob, sz bio.Size) (evalKey, bool) {
-	if job.Config.Predictor != nil {
-		return evalKey{}, false
-	}
+// timingKey keys job at size sz.
+func timingKey(job TimingJob, sz bio.Size) evalKey {
 	fp := Fingerprint(job.Program, job.Transformed, job.Opts)
 	name := "eval|" + fp + "|" + sz.String() + "|" + configHash(job.Config)
 	return evalKey{
 		name: name,
 		sum:  sha256.Sum256([]byte(name)),
 		fast: job.Config.Fidelity == pipeline.FidelityFast,
-	}, true
+	}
 }
 
 // configHash is the canonical hash of everything in cfg that can move a
 // timing result: every field of the normalized config except Name (a
-// label) and Predictor (unkeyable, see timingKey), plus the timing
-// schema and the fast tier's sampling window. %+v prints every field,
-// nested cache geometry included, so a field added to pipeline.Config
-// joins the hash with no edit here; TestConfigHashCoversEveryField
-// keeps it so.
+// label), plus the timing schema and the fast tier's sampling window.
+// %+v prints every field, nested cache geometry and the predictor name
+// included, so a field added to pipeline.Config joins the hash with no
+// edit here; TestConfigHashCoversEveryField keeps it so.
 func configHash(cfg pipeline.Config) string {
 	cfg = cfg.Normalized()
-	cfg.Name, cfg.Predictor = "", nil
+	cfg.Name = ""
 	h := sha256.New()
 	fmt.Fprintf(h, "timing=%d observe=%d period=%d config=%+v",
 		timingSchema, scoreboard.SampleObserve, scoreboard.SamplePeriod, cfg)
@@ -150,20 +145,12 @@ func absDiff(a, b uint64) uint64 {
 	return b - a
 }
 
-// evalEntry is one memoized timing result. done closes once st or err
-// is set; an entry whose run failed leaves the memo before done closes.
-type evalEntry struct {
-	done chan struct{}
-	st   pipeline.Stats
-	err  error
-}
-
 // EvaluateTiers is the session's one timing entry point; EvaluateAll is
-// EvaluateTiers without the sources. Each keyed job takes the first
-// tier that answers:
+// EvaluateTiers without the sources. Each job takes the first tier that
+// answers:
 //
-//   - memo: the session's in-memory table. Concurrent callers of one
-//     key share one computation, and its fate.
+//   - memo: the session's result table (memo). Concurrent callers of
+//     one key share one computation.
 //   - store: a persisted artifact, if the session has a store.
 //   - peer: a fleet peer's artifact, verified, then admitted to the
 //     local store.
@@ -171,77 +158,70 @@ type evalEntry struct {
 //     functional simulation per group. Fresh results are written
 //     through to the store and replicated.
 //
-// A job with a custom Predictor has no key and always runs cold.
 // Failures, cancellation included, are never memoized.
 func (s *Session) EvaluateTiers(ctx context.Context, jobs []TimingJob, sz bio.Size) ([]Timing, error) {
 	out := make([]Timing, len(jobs))
 	keys := make([]evalKey, len(jobs))
+	entries := make([]*memoEntry[pipeline.Stats], len(jobs))
+	todo := make([]int, len(jobs))
 	for i, j := range jobs {
-		keys[i], _ = timingKey(j, sz)
+		keys[i] = timingKey(j, sz)
+		todo[i] = i
 	}
-
-	// Claim every key this call is first to ask for; the rest follow
-	// an entry someone else (or an earlier job here) computes.
-	entries := make([]*evalEntry, len(jobs))
-	leads := make([]bool, len(jobs))
-	var follow []int
-	s.mu.Lock()
-	for i, k := range keys {
-		if k.name == "" {
-			continue
+	for len(todo) > 0 {
+		// Claim every key this round is first to ask for; the rest
+		// follow an entry someone else (or an earlier job here)
+		// computes.
+		var lead, follow []int
+		for _, i := range todo {
+			var first bool
+			if entries[i], first = s.evals.claim(keys[i].name); first {
+				lead = append(lead, i)
+			} else {
+				follow = append(follow, i)
+			}
 		}
-		e, ok := s.evals[k.name]
-		if !ok {
-			e = &evalEntry{done: make(chan struct{})}
-			s.evals[k.name] = e
-			leads[i] = true
-		} else {
-			follow = append(follow, i)
-		}
-		entries[i] = e
-	}
-	s.mu.Unlock()
 
-	// Leaders settle every entry they claimed before waiting on any
-	// other, so callers that follow each other cannot deadlock.
-	found := make([]bool, len(jobs))
-	if s.store != nil {
-		// Lookups only: a canceled call leaves the rest to the cold
-		// path, which reports the cancellation.
-		_ = s.ForEach(ctx, len(jobs), func(i int) error {
-			if !leads[i] {
+		// Leaders settle every entry they claimed before waiting on any
+		// other, so callers that follow each other cannot deadlock.
+		if s.store != nil {
+			// Lookups only: a canceled call leaves the rest to the cold
+			// path, which reports the cancellation.
+			_ = s.ForEach(ctx, len(lead), func(x int) error {
+				i := lead[x]
+				if st, src, ok := s.loadTiming(ctx, keys[i]); ok {
+					out[i] = Timing{Stats: st, Source: src}
+					s.evals.settle(keys[i].name, entries[i], st, nil)
+				}
 				return nil
-			}
-			if st, src, ok := s.loadTiming(ctx, keys[i]); ok {
-				out[i] = Timing{Stats: st, Source: src}
-				found[i] = true
-				s.resolveTiming(keys[i], entries[i], st, nil)
-			}
-			return nil
-		})
-	}
-	var cold []int
-	for i := range jobs {
-		if keys[i].name == "" || leads[i] && !found[i] {
-			cold = append(cold, i)
+			})
 		}
-	}
-	if err := s.evaluateCold(ctx, jobs, cold, keys, entries, sz, out); err != nil {
-		return nil, err
-	}
+		var cold []int
+		for _, i := range lead {
+			if out[i].Source == "" {
+				cold = append(cold, i)
+			}
+		}
+		if err := s.evaluateCold(ctx, jobs, cold, keys, entries, sz, out); err != nil {
+			return nil, err
+		}
 
-	for _, i := range follow {
-		e := entries[i]
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, fmt.Errorf("%s: %w", jobs[i].Program.Name, ctx.Err())
+		// Followers whose leader was canceled while ctx is live go
+		// round again.
+		todo = todo[:0]
+		for _, i := range follow {
+			st, err, retry := s.evals.wait(ctx, entries[i])
+			switch {
+			case retry:
+				todo = append(todo, i)
+			case err == nil:
+				out[i] = Timing{Stats: st, Source: "memo"}
+			case err == ctx.Err():
+				return nil, fmt.Errorf("%s: %w", jobs[i].Program.Name, err)
+			default:
+				return nil, err
+			}
 		}
-		if e.err != nil {
-			return nil, e.err
-		}
-		out[i] = Timing{Stats: e.st, Source: "memo"}
-		s.evalMemoHits.Add(1)
 	}
 	return out, nil
 }
@@ -250,7 +230,7 @@ func (s *Session) EvaluateTiers(ctx context.Context, jobs []TimingJob, sz bio.Si
 // simulation per group, and settles the memo entries they lead: fresh
 // results are memoized, written through to the store and replicated;
 // on failure every entry leaves the memo.
-func (s *Session) evaluateCold(ctx context.Context, jobs []TimingJob, idx []int, keys []evalKey, entries []*evalEntry, sz bio.Size, out []Timing) error {
+func (s *Session) evaluateCold(ctx context.Context, jobs []TimingJob, idx []int, keys []evalKey, entries []*memoEntry[pipeline.Stats], sz bio.Size, out []Timing) error {
 	if len(idx) == 0 {
 		return nil
 	}
@@ -264,16 +244,12 @@ func (s *Session) evaluateCold(ctx context.Context, jobs []TimingJob, idx []int,
 		return s.evaluateGroup(ctx, sub, groups[g], sz, sts)
 	})
 	for x, i := range idx {
-		if entries[i] != nil {
-			s.resolveTiming(keys[i], entries[i], sts[x], err)
-		}
+		s.evals.settle(keys[i].name, entries[i], sts[x], err)
 		if err != nil {
 			continue
 		}
 		out[i] = Timing{Stats: sts[x], Source: "cold"}
-		if entries[i] != nil {
-			s.putArtifact(keys[i].name, encodeEvalArtifact(keys[i], sts[x]))
-		}
+		s.putArtifact(keys[i].name, encodeEvalArtifact(keys[i], sts[x]))
 	}
 	if err != nil {
 		return err
@@ -282,43 +258,11 @@ func (s *Session) evaluateCold(ctx context.Context, jobs []TimingJob, idx []int,
 	return nil
 }
 
-// resolveTiming settles a claimed memo entry. A failed entry leaves the
-// memo before done closes, so the next caller recomputes.
-func (s *Session) resolveTiming(k evalKey, e *evalEntry, st pipeline.Stats, err error) {
-	e.st, e.err = st, err
-	if err != nil {
-		s.mu.Lock()
-		if s.evals[k.name] == e {
-			delete(s.evals, k.name)
-		}
-		s.mu.Unlock()
-	}
-	close(e.done)
-}
-
 // EvaluateMemoized returns job's stats at size sz if the session's memo
 // already holds them. It never waits, reads the store or runs anything:
 // bioperfd answers such a job even when its queue is full.
 func (s *Session) EvaluateMemoized(job TimingJob, sz bio.Size) (pipeline.Stats, bool) {
-	k, ok := timingKey(job, sz)
-	if !ok {
-		return pipeline.Stats{}, false
-	}
-	s.mu.Lock()
-	e := s.evals[k.name]
-	s.mu.Unlock()
-	if e == nil {
-		return pipeline.Stats{}, false
-	}
-	select {
-	case <-e.done:
-		if e.err == nil {
-			s.evalMemoHits.Add(1)
-			return e.st, true
-		}
-	default:
-	}
-	return pipeline.Stats{}, false
+	return s.evals.peek(timingKey(job, sz).name)
 }
 
 // loadTiming serves a timing result from the store, then from a fleet

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"bioperfload/internal/bio"
-	"bioperfload/internal/bpred"
 	"bioperfload/internal/pipeline"
 	"bioperfload/internal/platform"
 )
@@ -26,15 +25,6 @@ func alphaJob(t *testing.T, prog string, fid pipeline.Fidelity) TimingJob {
 	}
 	plat = plat.WithFidelity(fid)
 	return TimingJob{Program: p, Config: plat.Pipeline, Opts: plat.EvalOptions()}
-}
-
-func jobKey(t *testing.T, j TimingJob, sz bio.Size) evalKey {
-	t.Helper()
-	k, ok := timingKey(j, sz)
-	if !ok {
-		t.Fatal("job has no timing key")
-	}
-	return k
 }
 
 // TestConcurrentEvaluateRunsOnce: N concurrent identical evaluations
@@ -98,45 +88,62 @@ func TestCanceledEvaluateNotMemoized(t *testing.T) {
 	}
 }
 
-// TestPredictorJobBypassesTiers: a job with a custom Predictor cannot
-// be keyed, so it runs cold every time and leaves no artifact.
-func TestPredictorJobBypassesTiers(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	defer st.Close()
-	s := NewSessionWithStore(1, st)
-	s.SetRemote(newFakeRemote())
+// TestPredictorJobServedFromTiers: a job on a named ablation predictor is
+// keyed like any other, so it is served memo → store → peer with the
+// cold stats, and its key differs from the paper hybrid's.
+func TestPredictorJobServedFromTiers(t *testing.T) {
+	ctx := context.Background()
 	job := alphaJob(t, "hmmsearch", pipeline.FidelityFast)
-	job.Config.Predictor = func() bpred.Predictor { return bpred.NewBimodal() }
-	var first pipeline.Stats
-	for i := 0; i < 2; i++ {
-		ts, err := s.EvaluateTiers(context.Background(), []TimingJob{job}, bio.SizeTest)
+	job.Config.Predictor = "bimodal"
+	if timingKey(job, bio.SizeTest).name == timingKey(alphaJob(t, "hmmsearch", pipeline.FidelityFast), bio.SizeTest).name {
+		t.Fatal("the bimodal job shares the hybrid job's key")
+	}
+	serve := func(s *Session, want string) pipeline.Stats {
+		t.Helper()
+		ts, err := s.EvaluateTiers(ctx, []TimingJob{job}, bio.SizeTest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ts[0].Source != "cold" {
-			t.Errorf("call %d served from %q, want cold", i, ts[0].Source)
+		if ts[0].Source != want {
+			t.Errorf("served from %q, want %q", ts[0].Source, want)
 		}
-		if i == 0 {
-			first = ts[0].Stats
-		} else if ts[0].Stats != first {
-			t.Errorf("predictor job diverged: %+v vs %+v", ts[0].Stats, first)
+		return ts[0].Stats
+	}
+	remoteA := newFakeRemote()
+	stA := openStore(t, t.TempDir())
+	defer stA.Close()
+	sA := NewSessionWithStore(1, stA)
+	sA.SetRemote(remoteA)
+	cold := serve(sA, "cold")
+	tiers := map[string]pipeline.Stats{
+		"memo":  serve(sA, "memo"),
+		"store": serve(NewSessionWithStore(1, stA), "store"),
+	}
+	remoteB := newFakeRemote()
+	remoteB.artifacts = remoteA.replicated
+	stB := openStore(t, t.TempDir())
+	defer stB.Close()
+	sB := NewSessionWithStore(1, stB)
+	sB.SetRemote(remoteB)
+	tiers["peer"] = serve(sB, "peer")
+	for name, st := range tiers {
+		if st != cold {
+			t.Errorf("%s tier: %+v, cold %+v", name, st, cold)
 		}
 	}
-	if _, ok := s.EvaluateMemoized(job, bio.SizeTest); ok {
-		t.Error("predictor job was memoized")
+	if st, ok := sA.EvaluateMemoized(job, bio.SizeTest); !ok || st != cold {
+		t.Error("the bimodal job was not memoized")
 	}
-	if ss := s.Stats(); ss.Runs != 2 || ss.EvaluateCold != 2 || ss.EvaluateMemoHits+ss.EvaluateStoreHits+ss.EvaluatePeerHits != 0 {
-		t.Errorf("stats %+v, want two cold runs and no hits", ss)
-	}
-	if n := st.Stats().Entries; n != 0 {
-		t.Errorf("store holds %d entries, want none", n)
+	if ss := sA.Stats(); ss.Runs != 1 || ss.EvaluateCold != 1 {
+		t.Errorf("stats %+v, want one cold run", ss)
 	}
 }
 
 // TestConfigHashCoversEveryField walks pipeline.Config: changing any
-// field but Name must change the key hash, and every field must be a
-// plain value, which %+v prints canonically. A field added to the
-// config (or its cache geometry) that the hash missed fails here.
+// field but Name must change the key hash (the Predictor name
+// included), and every field must be a plain value, which %+v prints
+// canonically. A field added to the config (or its cache geometry)
+// that the hash missed fails here.
 func TestConfigHashCoversEveryField(t *testing.T) {
 	plat, err := platform.ByName("alpha21264")
 	if err != nil {
@@ -171,11 +178,6 @@ func TestConfigHashCoversEveryField(t *testing.T) {
 			f.SetUint(f.Uint() + 1)
 		case reflect.String:
 			f.SetString(f.String() + "x")
-		case reflect.Func:
-			if name != "Predictor" {
-				t.Errorf("%s: a func field the key cannot name", name)
-			}
-			continue
 		default:
 			t.Errorf("%s: a %s field does not print canonically", name, f.Kind())
 			continue
@@ -304,7 +306,7 @@ func TestDamagedTimingArtifactRecomputed(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	defer st.Close()
 	job := alphaJob(t, "hmmsearch", pipeline.FidelityFull)
-	k := jobKey(t, job, bio.SizeTest)
+	k := timingKey(job, bio.SizeTest)
 	want, err := NewSessionWithStore(1, st).EvaluateAll(ctx, []TimingJob{job}, bio.SizeTest)
 	if err != nil {
 		t.Fatal(err)

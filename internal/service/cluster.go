@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"bioperfload/internal/cluster"
+	"bioperfload/internal/runner"
 )
 
 // Fleet HTTP headers. Forwarded marks a request already proxied once
@@ -101,10 +102,11 @@ func (s *Server) handlePeerSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePeerPut admits a replicated artifact: PUT /v1/snapshots/{key}
-// with the body verified against its transfer headers before it may
-// touch the store. A push whose checksums disagree is rejected with
-// 400 — the sender counts it and gives up; nothing corrupt is
-// admitted.
+// with the body verified against its transfer headers, and its artifact
+// header against the key, before it may touch the store. A push whose
+// checksums disagree, or whose bytes answer another key or kind, is
+// rejected with 400 — the sender counts it and gives up; nothing corrupt
+// or foreign replaces a local entry.
 func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 	st := s.session.Store()
 	if st == nil {
@@ -122,6 +124,10 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := cluster.VerifyBody(body, r.Header); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		return
+	}
+	if err := runner.CheckArtifact(key, body); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}

@@ -164,8 +164,11 @@ func TestPeerWireProtocol(t *testing.T) {
 	sess := runner.NewSessionWithStore(1, st)
 	_, ts := newTestServer(t, Config{Session: sess, QueueDepth: 4, Workers: 1})
 
+	// The body is opaque to the wire; it only needs the artifact
+	// header the PUT checks (profile magic, layout 1, key hash).
 	key := "prof|deadbeef|test"
-	payload := []byte("artifact payload for the wire protocol test")
+	keySum := sha256.Sum256([]byte(key))
+	payload := append(append([]byte("BPPF\x01\x00\x00\x00"), keySum[:]...), "artifact payload for the wire protocol test"...)
 	sum := sha256.Sum256(payload)
 	wantSHA := hex.EncodeToString(sum[:])
 	wantCRC := strconv.FormatUint(uint64(crc32.ChecksumIEEE(payload)), 10)
@@ -253,12 +256,12 @@ func TestPeerWireProtocol(t *testing.T) {
 	}
 }
 
-// TestPeerPutForeignSnapshotNeverServed: a PUT is admitted on its
-// transfer checksums alone, so a well-formed snapshot computed under
-// another key — the sampled one, pushed under the exact key — reaches
-// the store. The snapshot tier rejects and deletes it, trace replay
-// answers, and the report is the cold one, as it is from the snapshot
-// tier before the push.
+// TestPeerPutForeignSnapshotNeverServed: a PUT is checked against the
+// artifact header its key requires before it is admitted, so a
+// well-formed snapshot computed under another key — the sampled one,
+// pushed under the exact key — is refused with 400, the good exact
+// snapshot stays, and the next request is served from the snapshot
+// tier with no replay.
 func TestPeerPutForeignSnapshotNeverServed(t *testing.T) {
 	ctx := context.Background()
 	p, err := bio.ByName("hmmsearch")
@@ -295,29 +298,42 @@ func TestPeerPutForeignSnapshotNeverServed(t *testing.T) {
 	if _, err := sampler.CharacterizeAccuracy(ctx, p, bio.SizeTest, runner.AccuracySampled); err != nil {
 		t.Fatal(err)
 	}
-	snap, stats := serve()
-	if stats.ProfileHits != 1 || snap != cold {
-		t.Fatalf("snapshot tier: stats %+v, report equal to cold: %v", stats, snap == cold)
-	}
-
 	key := "prof|" + runner.Fingerprint(p, false, compiler.Default()) + "|test"
+	good, ok := st.GetBytes(key)
+	if !ok {
+		t.Fatal("no exact snapshot stored")
+	}
 	sampled, ok := st.GetBytes(key + "|sampled|" + sampler.SimPoint().Fingerprint())
 	if !ok {
 		t.Fatal("no sampled snapshot stored")
 	}
+
 	_, ts := newTestServer(t, Config{Session: runner.NewSessionWithStore(1, st), QueueDepth: 4, Workers: 1})
-	if err := cluster.NewClient(cluster.ClientConfig{}).PushSnapshot(ctx, ts.URL, key, sampled); err != nil {
-		t.Fatalf("PUT sampled bytes under the exact key: %v", err)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+cluster.SnapshotPath(key), bytes.NewReader(sampled))
+	if err != nil {
+		t.Fatal(err)
 	}
-	replayed, stats := serve()
-	if stats.ProfileHits != 0 || stats.ReplayRuns != 1 || stats.ColdChars != 0 {
-		t.Fatalf("stats %+v, want the pushed entry rejected and the request replayed", stats)
+	sum := sha256.Sum256(sampled)
+	req.Header.Set(cluster.HeaderSHA256, hex.EncodeToString(sum[:]))
+	req.Header.Set(cluster.HeaderCRC32, strconv.FormatUint(uint64(crc32.ChecksumIEEE(sampled)), 10))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if replayed != cold {
-		t.Fatalf("replayed report differs from cold:\n--- cold\n%s\n--- replay\n%s", cold, replayed)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PUT of sampled bytes under the exact key: HTTP %d, want 400", resp.StatusCode)
 	}
-	if got, ok := st.GetBytes(key); !ok || bytes.Equal(got, sampled) {
-		t.Fatal("the pushed sampled bytes are still stored under the exact key")
+	if got, ok := st.GetBytes(key); !ok || !bytes.Equal(got, good) {
+		t.Fatal("the refused push touched the stored exact snapshot")
+	}
+	snap, stats := serve()
+	if stats.ProfileHits != 1 || stats.ReplayRuns != 0 || stats.ColdChars != 0 {
+		t.Fatalf("stats %+v, want the request served from the snapshot tier", stats)
+	}
+	if snap != cold {
+		t.Fatalf("snapshot report differs from cold:\n--- cold\n%s\n--- snapshot\n%s", cold, snap)
 	}
 }
 

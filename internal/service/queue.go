@@ -15,6 +15,11 @@ var (
 	ErrShuttingDown = errors.New("service: shutting down")
 )
 
+// maxFinishedJobs bounds the finished jobs the queue remembers: beyond
+// it, the oldest finished job is forgotten, and GET /v1/jobs/{id}
+// answers 404 for it. An event stream already open keeps its job.
+const maxFinishedJobs = 4096
+
 // queue is the bounded job queue and worker pool. Admission is
 // non-blocking: when the channel is full, submit fails immediately
 // with ErrQueueFull and the client sees 429 — backpressure instead of
@@ -40,6 +45,7 @@ type queue struct {
 	closed   bool
 	queued   int // admitted but not yet started
 	byID     map[string]*Job
+	finished []string        // IDs of the finished jobs in byID, oldest first
 	inflight map[string]*Job // key -> queued or running job
 	nextID   uint64
 }
@@ -115,6 +121,7 @@ func (q *queue) answered(kind, key string, spec any, result any) *Job {
 	q.nextID++
 	j := newJob(fmt.Sprintf("j%06d", q.nextID), kind, key, spec, 0)
 	q.byID[j.ID] = j
+	q.retire(j)
 	q.mu.Unlock()
 	j.setRunning()
 	j.finish(result, nil)
@@ -124,7 +131,17 @@ func (q *queue) answered(kind, key string, spec any, result any) *Job {
 	return j
 }
 
-// get returns a job by ID (nil if unknown).
+// retire records j as finished and forgets the oldest finished job
+// beyond maxFinishedJobs. The caller holds q.mu.
+func (q *queue) retire(j *Job) {
+	q.finished = append(q.finished, j.ID)
+	if len(q.finished) > maxFinishedJobs {
+		delete(q.byID, q.finished[0])
+		q.finished = q.finished[1:]
+	}
+}
+
+// get returns a job by ID (nil if unknown or forgotten).
 func (q *queue) get(id string) *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -182,6 +199,7 @@ func (q *queue) runJob(j *Job) {
 	if q.inflight[j.Key] == j {
 		delete(q.inflight, j.Key)
 	}
+	q.retire(j)
 	q.mu.Unlock()
 	if q.onDone != nil {
 		q.onDone(j)

@@ -286,6 +286,63 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsPruned: the queue remembers only the newest
+// maxFinishedJobs finished jobs; an older job's ID answers 404 and
+// leaves the job table.
+func TestFinishedJobsPruned(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Session: runner.NewSession(1), QueueDepth: 4, Workers: 1})
+	srv.queue.exec = func(ctx context.Context, j *Job) (any, error) {
+		return map[string]string{"answered": j.ID}, nil
+	}
+	// A waiting client is answered when its job finishes, just before
+	// the queue retires it; onDone runs after.
+	const extra = 3
+	retired := make(chan struct{}, maxFinishedJobs+extra)
+	onDone := srv.queue.onDone
+	srv.queue.onDone = func(j *Job) {
+		onDone(j)
+		retired <- struct{}{}
+	}
+	var ids []string
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		// Distinct hot counts give distinct queue keys, so no request
+		// joins the previous job before it leaves the in-flight table.
+		resp, body := postJSON(t, ts.URL+"/v1/characterize",
+			map[string]any{"program": "hmmsearch", "size": "test", "hot": i + 1, "wait": true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d: %s", i, resp.StatusCode, body)
+		}
+		var v JobView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.JobID)
+	}
+	for range ids {
+		<-retired
+	}
+	srv.queue.mu.Lock()
+	n := len(srv.queue.byID)
+	srv.queue.mu.Unlock()
+	if n != maxFinishedJobs {
+		t.Errorf("job table holds %d jobs, want %d", n, maxFinishedJobs)
+	}
+	for i, id := range ids {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := http.StatusOK
+		if i < extra {
+			want = http.StatusNotFound
+		}
+		if resp.StatusCode != want {
+			t.Errorf("GET job %d of %d: HTTP %d, want %d", i, len(ids), resp.StatusCode, want)
+		}
+	}
+}
+
 // TestGoldenReportMatchesCLI asserts the API's report field is
 // byte-equivalent to the CLI -profile rendering for the same
 // (program, size) — both paths share loadchar.RenderProfile over the

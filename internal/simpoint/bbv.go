@@ -4,7 +4,7 @@ import "bioperfload/internal/basicblock"
 
 // Interval is one fixed-size slice of the committed stream with its
 // phase signature: the basic-block vector, L1-normalized and randomly
-// projected down to Config.Dims dimensions.
+// projected down to DefaultDims dimensions.
 type Interval struct {
 	Index int
 	Start uint64 // sequence number of the first event
@@ -139,7 +139,7 @@ func (c *Collector) cut() {
 	c.touched = c.touched[:0]
 }
 
-// project folds the current block counts into a Dims-dimensional
+// project folds the current block counts into a DefaultDims-dimensional
 // vector: each block contributes its execution frequency (count over
 // interval length — the L1 normalization that makes a short tail
 // interval comparable to full ones) times a deterministic ±1 sign per
@@ -147,14 +147,14 @@ func (c *Collector) cut() {
 // between projected vectors approximate BBV distances well enough for
 // clustering at a tiny fraction of the dimensionality.
 func (c *Collector) project(events uint64) []float64 {
-	vec := make([]float64, c.cfg.Dims)
+	vec := make([]float64, DefaultDims)
 	if events == 0 {
 		return vec
 	}
 	inv := 1 / float64(events)
 	for _, b := range c.touched {
 		f := float64(c.counts[b]) * inv
-		h := mix64(c.cfg.Seed ^ (uint64(b)+1)*0x9E3779B97F4A7C15)
+		h := mix64(DefaultSeed ^ (uint64(b)+1)*0x9E3779B97F4A7C15)
 		for d := range vec {
 			// One extra mix per dimension keeps the signs independent.
 			if mix64(h^uint64(d)*0xC2B2AE3D27D4EB4F)&1 == 1 {

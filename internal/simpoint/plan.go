@@ -40,18 +40,18 @@ func BuildPlan(intervals []Interval, cfg Config) (*Plan, error) {
 	if n == 0 {
 		return nil, &DegradeError{Reason: "trace has zero intervals"}
 	}
-	if n < cfg.MinIntervals {
+	if n < DefaultMinIntervals {
 		return nil, &DegradeError{Reason: fmt.Sprintf(
-			"only %d interval(s), below the %d-interval minimum", n, cfg.MinIntervals)}
+			"only %d interval(s), below the %d-interval minimum", n, DefaultMinIntervals)}
 	}
 
 	vecs := make([][]float64, n)
 	for i := range intervals {
 		vecs[i] = intervals[i].Vec
 	}
-	// cluster clamps k to the interval count, so a MaxK larger than the
-	// trace can never produce empty clusters by construction.
-	_, assign, cents := cluster(vecs, cfg.MaxK, cfg.Seed, cfg.BICFraction)
+	// cluster clamps k to the interval count, so a DefaultMaxK larger
+	// than the trace can never produce empty clusters by construction.
+	_, assign, cents := cluster(vecs, DefaultMaxK, DefaultSeed, DefaultBICFraction)
 
 	p := &Plan{
 		Config:      cfg,

@@ -17,12 +17,12 @@ package simpoint
 
 import "fmt"
 
-// Defaults for Config. The interval size is a multiple of the trace
-// chunk size (16Ki events), so interval edges coincide with chunk
-// edges: representative replay feeds whole column chunks and never
-// cuts one. runner.SampledAnalyze degrades to exact when a plan's
-// representative edges are not chunk edges (an interval size that is
-// not a multiple of the chunk size).
+// Defaults for Config, and the fixed clustering parameters. The
+// interval size is a multiple of the trace chunk size (16Ki events), so
+// interval edges coincide with chunk edges: representative replay feeds
+// whole column chunks and never cuts one. runner.SampledAnalyze
+// degrades to exact when a plan's representative edges are not chunk
+// edges (an interval size that is not a multiple of the chunk size).
 const (
 	DefaultIntervalSize = 1 << 18   // events per interval (256Ki)
 	DefaultDims         = 16        // random-projection dimensions
@@ -35,26 +35,12 @@ const (
 
 // Config parameterizes the sampling pipeline. The zero value selects
 // every default; tests shrink IntervalSize to exercise clustering on
-// tiny traces.
+// tiny traces. The projection, seed and k selection are the fixed
+// Default* constants.
 type Config struct {
 	// IntervalSize is the number of committed instructions per
 	// interval.
 	IntervalSize uint64
-	// Dims is the dimensionality BBVs are randomly projected down to
-	// before clustering.
-	Dims int
-	// MaxK bounds the k-means search; it is clamped to the number of
-	// intervals.
-	MaxK int
-	// Seed drives the deterministic random projection and the k-means++
-	// seeding. Identical configs produce identical plans.
-	Seed uint64
-	// MinIntervals is the fewest intervals worth sampling; traces
-	// shorter than this degrade to exact characterization.
-	MinIntervals int
-	// BICFraction selects k: the smallest k whose BIC score is within
-	// this fraction of the best score across 1..MaxK.
-	BICFraction float64
 	// WarmupEvents is how many events are replayed (and subtracted
 	// back out) before each representative interval to warm the cache
 	// and predictor state.
@@ -66,21 +52,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.IntervalSize == 0 {
 		c.IntervalSize = DefaultIntervalSize
-	}
-	if c.Dims <= 0 {
-		c.Dims = DefaultDims
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = DefaultMaxK
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
-	if c.MinIntervals <= 0 {
-		c.MinIntervals = DefaultMinIntervals
-	}
-	if c.BICFraction <= 0 || c.BICFraction > 1 {
-		c.BICFraction = DefaultBICFraction
 	}
 	if c.WarmupEvents == 0 {
 		c.WarmupEvents = DefaultWarmup
@@ -94,8 +65,7 @@ func (c Config) WithDefaults() Config {
 // configuration.
 func (c Config) Fingerprint() string {
 	c = c.WithDefaults()
-	return fmt.Sprintf("simpoint|iv=%d|dims=%d|maxk=%d|seed=%x|min=%d|bic=%g|warm=%d",
-		c.IntervalSize, c.Dims, c.MaxK, c.Seed, c.MinIntervals, c.BICFraction, c.WarmupEvents)
+	return fmt.Sprintf("simpoint|iv=%d|warm=%d", c.IntervalSize, c.WarmupEvents)
 }
 
 // DegradeError reports that sampling is not applicable to this trace

@@ -94,11 +94,11 @@ func referenceIntervals(prog *isa.Program, cfg Config, pcs []int32) []Interval {
 			}
 			counts[b]++
 		}
-		vec := make([]float64, cfg.Dims)
+		vec := make([]float64, DefaultDims)
 		inv := 1 / float64(end-start)
 		for _, b := range order {
 			f := float64(counts[b]) * inv
-			h := mix64(cfg.Seed ^ (uint64(b)+1)*0x9E3779B97F4A7C15)
+			h := mix64(DefaultSeed ^ (uint64(b)+1)*0x9E3779B97F4A7C15)
 			for d := range vec {
 				if mix64(h^uint64(d)*0xC2B2AE3D27D4EB4F)&1 == 1 {
 					vec[d] += f
@@ -118,7 +118,7 @@ func referenceIntervals(prog *isa.Program, cfg Config, pcs []int32) []Interval {
 // edges, and compares every interval with the per-event reference.
 func TestCollectorMatchesReference(t *testing.T) {
 	prog := branchyProgram(64)
-	cfg := Config{IntervalSize: 128, Dims: 8}
+	cfg := Config{IntervalSize: 128}
 	const n = 128*8 + 37 // eight full intervals plus a partial tail
 	var pcs []int32
 	for _, ev := range walkEvents(prog, 300, 1) {
@@ -235,7 +235,7 @@ func mkIntervals(size uint64, vecs [][]float64, tail uint64) []Interval {
 }
 
 func TestBuildPlanGuards(t *testing.T) {
-	cfg := Config{IntervalSize: 100, MinIntervals: 4}
+	cfg := Config{IntervalSize: 100}
 	cases := []struct {
 		name      string
 		intervals []Interval
@@ -259,10 +259,10 @@ func TestBuildPlanGuards(t *testing.T) {
 }
 
 func TestBuildPlanClampsKAndCoversAll(t *testing.T) {
-	// 5 intervals, MaxK far larger: k must clamp, every interval must
-	// be assigned, and weights must sum to the interval count.
+	// 5 intervals, DefaultMaxK larger: k must clamp, every interval
+	// must be assigned, and weights must sum to the interval count.
 	vecs := [][]float64{{0, 0}, {0, 0.01}, {5, 5}, {5, 5.01}, {9, 9}}
-	p, err := BuildPlan(mkIntervals(100, vecs, 0), Config{IntervalSize: 100, MaxK: 64, MinIntervals: 4})
+	p, err := BuildPlan(mkIntervals(100, vecs, 0), Config{IntervalSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestBuildPlanPrefersFullRepresentative(t *testing.T) {
 	// The partial tail sits dead-center of a cluster; a full interval
 	// must still represent it.
 	vecs := [][]float64{{1, 0}, {1, 0}, {1, 0}, {1, 0}, {1, 0}}
-	p, err := BuildPlan(mkIntervals(100, vecs, 40), Config{IntervalSize: 100, MinIntervals: 4})
+	p, err := BuildPlan(mkIntervals(100, vecs, 40), Config{IntervalSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestCollectTraceMatchesLive(t *testing.T) {
 	prog := branchyProgram(256)
 	const n = 16*1024*3 + 511 // three interval-sized runs + partial tail
 	evs := representableWalk(prog, n, 2)
-	cfg := Config{IntervalSize: 16 * 1024, Dims: 8}
+	cfg := Config{IntervalSize: 16 * 1024}
 	pcs := make([]int32, n)
 	for i := range evs {
 		pcs[i] = evs[i].PC
@@ -390,11 +390,6 @@ func TestConfigFingerprintCoversEveryKnob(t *testing.T) {
 	base := Config{}.WithDefaults()
 	mutants := []Config{
 		{IntervalSize: base.IntervalSize * 2},
-		{Dims: base.Dims + 1},
-		{MaxK: base.MaxK + 1},
-		{Seed: base.Seed + 1},
-		{MinIntervals: base.MinIntervals + 1},
-		{BICFraction: 0.5},
 		{WarmupEvents: base.WarmupEvents * 2},
 	}
 	seen := map[string]bool{base.Fingerprint(): true}
