@@ -34,8 +34,8 @@ race:
 
 # race-concurrent stresses the concurrency-heavy packages — shard
 # workers and pass merges, decode pools and slab recycling, the job
-# queue and event streams, session singleflight — with repeated runs
-# under the race detector.
+# queue and event streams, the session memo that identical jobs meet
+# at — with repeated runs under the race detector.
 # -timeout covers three race-instrumented repetitions of the runner
 # suite, which exceed go test's 10-minute default on a single core.
 race-concurrent:
@@ -46,8 +46,9 @@ race-concurrent:
 # runs the full-tier sweep grid and ablations at -j 1 and -j 4 and
 # diffs their stdout: the grouped timing runs (runner EvaluateAll)
 # must give byte-identical tables in the same order at any pool width.
-# Last, it runs each timing model's benchmarks once, so they keep
-# compiling and running (BenchmarkModelMixed reports ns/event).
+# Last, it runs every benchmark under internal/ once, so a b.Fatal in
+# one fails the gate (BenchmarkModelMixed reports the timing model's
+# ns/event; ~7 s on a 2-vCPU host with a warm build cache).
 smoke:
 	$(GO) run ./cmd/experiments -size test -timing test > /dev/null
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
@@ -57,7 +58,7 @@ smoke:
 	done; \
 	diff $$d/j1.txt $$d/j4.txt \
 		|| { echo "smoke: full-tier output differs between -j 1 and -j 4" >&2; exit 1; }
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/pipeline ./internal/scoreboard
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # fuzz-smoke gives each fuzzer a short budget on top of its seeds and
 # checked-in corpus (which always run as part of `go test`): FuzzCodec

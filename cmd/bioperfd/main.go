@@ -1,6 +1,7 @@
 // Command bioperfd serves the BioPerf characterization analyses over
-// HTTP: jobs are queued, deduplicated, and executed on one shared
-// runner.Session, so repeated requests answer from memoized artifacts.
+// HTTP: every request is queued as a job of its own and executed on
+// one shared runner.Session, whose memo runs each simulation once per
+// key, so repeated requests answer from memoized artifacts.
 //
 //	bioperfd -addr :8080
 //	curl -s localhost:8080/healthz

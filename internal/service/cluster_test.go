@@ -6,18 +6,22 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/cluster"
 	"bioperfload/internal/compiler"
+	"bioperfload/internal/loadchar"
 	"bioperfload/internal/pipeline"
 	"bioperfload/internal/platform"
 	"bioperfload/internal/runner"
@@ -506,5 +510,97 @@ func TestParseShedPolicy(t *testing.T) {
 	}
 	if got := (ShedPolicy{}).String(); got != "none" {
 		t.Fatalf("String() = %q", got)
+	}
+}
+
+// TestPeerStallsMidBody: a peer that sends the transfer headers and
+// half the artifact, then stalls, costs one fetch error bounded by the
+// client timeout. The request falls through to a cold run with the
+// golden report, nothing from the partial body reaches the store, and
+// no goroutine outlives the fetch.
+func TestPeerStallsMidBody(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	prof, err := runner.NewSessionWithStore(1, seed).Characterize(ctx, p, bio.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := loadchar.RenderProfile(p.Name, bio.SizeTest.String(), prof.Analysis, 6)
+	key := "prof|" + runner.Fingerprint(p, false, compiler.Default()) + "|test"
+	full, ok := seed.GetBytes(key)
+	if !ok {
+		t.Fatal("no snapshot stored")
+	}
+
+	stop := make(chan struct{})
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			io.Copy(io.Discard, r.Body)
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		sum := sha256.Sum256(full)
+		w.Header().Set("Content-Length", strconv.Itoa(len(full)))
+		w.Header().Set(cluster.HeaderSHA256, hex.EncodeToString(sum[:]))
+		w.Header().Set(cluster.HeaderCRC32, strconv.FormatUint(uint64(crc32.ChecksumIEEE(full)), 10))
+		w.Write(full[:len(full)/2])
+		w.(http.Flusher).Flush()
+		select {
+		case <-stop:
+		case <-r.Context().Done():
+		}
+	}))
+	defer peer.Close()
+	defer close(stop)
+	baseline := runtime.NumGoroutine()
+
+	const timeout = 200 * time.Millisecond
+	cl := cluster.New(cluster.Config{
+		Self: "http://self.invalid", Peers: []string{peer.URL},
+		Client: cluster.ClientConfig{Timeout: timeout, Retries: -1},
+	})
+	t0 := time.Now()
+	if _, err := cl.Client().FetchSnapshot(ctx, peer.URL, key); err == nil || errors.Is(err, cluster.ErrCorrupt) {
+		t.Fatalf("fetch from a stalled peer: error %v, want a timeout", err)
+	}
+	if took := time.Since(t0); took > 3*timeout {
+		t.Fatalf("fetch from a stalled peer took %v, timeout %v", took, timeout)
+	}
+
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sess := runner.NewSessionWithStore(1, st)
+	sess.SetRemote(cl)
+	got, err := sess.Characterize(ctx, p, bio.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Source != "cold" || loadchar.RenderProfile(p.Name, bio.SizeTest.String(), got.Analysis, 6) != golden {
+		t.Fatalf("served from %q with a report unlike the golden one", got.Source)
+	}
+	if cs := cl.Stats(); cs.FetchErrors != 1 || cs.FetchHits != 0 {
+		t.Fatalf("cluster stats %+v, want one fetch error", cs)
+	}
+	if stored, ok := st.GetBytes(key); !ok || !bytes.Equal(stored, full) {
+		t.Fatal("the store does not hold the cold run's whole artifact")
+	}
+
+	cl.Quiesce()
+	http.DefaultClient.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the stalled fetches, baseline %d", runtime.NumGoroutine(), baseline)
+		}
 	}
 }

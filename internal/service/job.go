@@ -34,7 +34,6 @@ type Event struct {
 type Job struct {
 	ID   string
 	Kind string
-	Key  string // canonical request key (singleflight identity)
 
 	// spec is the resolved, validated request the executor runs.
 	spec any
@@ -54,9 +53,9 @@ type Job struct {
 	subs     int
 }
 
-func newJob(id, kind, key string, spec any, timeout time.Duration) *Job {
+func newJob(id, kind string, spec any, timeout time.Duration) *Job {
 	j := &Job{
-		ID: id, Kind: kind, Key: key,
+		ID: id, Kind: kind,
 		spec:    spec,
 		timeout: timeout,
 		status:  StatusQueued,

@@ -23,10 +23,10 @@ const maxFinishedJobs = 4096
 // queue is the bounded job queue and worker pool. Admission is
 // non-blocking: when the channel is full, submit fails immediately
 // with ErrQueueFull and the client sees 429 — backpressure instead of
-// unbounded buffering. Identical in-flight requests (same canonical
-// key) are deduplicated onto one job, and the Session below that
-// deduplicates the underlying simulation artifacts, so N concurrent
-// identical characterize requests cost one compile and one run.
+// unbounded buffering. Every admitted request is a job of its own under
+// its own timeout; identical jobs meet at the Session's memo, so N
+// concurrent identical characterize requests cost N jobs but one
+// compile and one run.
 type queue struct {
 	jobs    chan *Job
 	wg      sync.WaitGroup
@@ -45,8 +45,7 @@ type queue struct {
 	closed   bool
 	queued   int // admitted but not yet started
 	byID     map[string]*Job
-	finished []string        // IDs of the finished jobs in byID, oldest first
-	inflight map[string]*Job // key -> queued or running job
+	finished []string // IDs of the finished jobs in byID, oldest first
 	nextID   uint64
 }
 
@@ -54,16 +53,15 @@ func newQueue(depth, reserve, workers int, timeout time.Duration,
 	exec func(ctx context.Context, j *Job) (any, error), onDone func(j *Job)) *queue {
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &queue{
-		jobs:     make(chan *Job, depth+reserve),
-		baseCtx:  ctx,
-		cancel:   cancel,
-		timeout:  timeout,
-		limit:    depth,
-		reserve:  reserve,
-		exec:     exec,
-		onDone:   onDone,
-		byID:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
+		jobs:    make(chan *Job, depth+reserve),
+		baseCtx: ctx,
+		cancel:  cancel,
+		timeout: timeout,
+		limit:   depth,
+		reserve: reserve,
+		exec:    exec,
+		onDone:  onDone,
+		byID:    make(map[string]*Job),
 	}
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -72,54 +70,48 @@ func newQueue(depth, reserve, workers int, timeout time.Duration,
 	return q
 }
 
-// submit enqueues a job for (kind, key, spec), or joins the existing
-// in-flight job with the same key (singleflight; deduped=true). The
-// per-request timeout rides on the job; when requests dedupe, the
-// first request's timeout governs the shared run.
+// submit enqueues a job for (kind, spec). The per-request timeout
+// rides on the job.
 //
 // Normal admissions stop at the queue depth. shed=true admissions —
 // fast-tier jobs the overload ladder degraded to — may additionally
 // use the reserve slots: a saturated queue full of slow full-fidelity
 // work still leaves room to serve cheap degraded answers instead of
 // 429ing.
-func (q *queue) submit(kind, key string, spec any, timeout time.Duration, shed bool) (j *Job, deduped bool, err error) {
+func (q *queue) submit(kind string, spec any, timeout time.Duration, shed bool) (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return nil, false, ErrShuttingDown
-	}
-	if exist := q.inflight[key]; exist != nil {
-		return exist, true, nil
+		return nil, ErrShuttingDown
 	}
 	limit := q.limit
 	if shed {
 		limit += q.reserve
 	}
 	if q.queued >= limit {
-		return nil, false, ErrQueueFull
+		return nil, ErrQueueFull
 	}
 	q.nextID++
-	j = newJob(fmt.Sprintf("j%06d", q.nextID), kind, key, spec, timeout)
+	j := newJob(fmt.Sprintf("j%06d", q.nextID), kind, spec, timeout)
 	select {
 	case q.jobs <- j:
 	default:
 		// The channel holds limit+reserve slots, so this only trips if
 		// accounting and capacity disagree — treat it as full.
-		return nil, false, ErrQueueFull
+		return nil, ErrQueueFull
 	}
 	q.queued++
 	q.byID[j.ID] = j
-	q.inflight[key] = j
-	return j, false, nil
+	return j, nil
 }
 
 // answered registers a job that is finished on arrival with result: no
 // queue slot, no worker. The overload ladder uses it for results
 // already on hand.
-func (q *queue) answered(kind, key string, spec any, result any) *Job {
+func (q *queue) answered(kind string, spec any, result any) *Job {
 	q.mu.Lock()
 	q.nextID++
-	j := newJob(fmt.Sprintf("j%06d", q.nextID), kind, key, spec, 0)
+	j := newJob(fmt.Sprintf("j%06d", q.nextID), kind, spec, 0)
 	q.byID[j.ID] = j
 	q.retire(j)
 	q.mu.Unlock()
@@ -196,9 +188,6 @@ func (q *queue) runJob(j *Job) {
 	result, err := q.exec(ctx, j)
 	j.finish(result, err)
 	q.mu.Lock()
-	if q.inflight[j.Key] == j {
-		delete(q.inflight, j.Key)
-	}
 	q.retire(j)
 	q.mu.Unlock()
 	if q.onDone != nil {

@@ -7,10 +7,11 @@
 // every analysis from that single run; the Session preserved that
 // discipline for batch experiments, and this package extends it to
 // serving: every request is admitted to a bounded queue (full queue →
-// 429), deduplicated against identical in-flight requests
-// (singleflight), executed by a worker pool under a per-job timeout,
-// and answered from the Session's memoized artifacts — so a cached
-// characterize request costs microseconds, not a re-simulation.
+// 429) as a job of its own, executed by a worker pool under its own
+// timeout, and answered from the Session's memoized artifacts —
+// identical jobs meet at the Session's memo, which runs each compile,
+// simulation and timing run once per key, so a cached characterize
+// request costs microseconds, not a re-simulation.
 // Shutdown drains queued jobs and cancels in-flight simulations
 // through the context threaded down to the simulator's commit loop.
 //
@@ -36,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -201,9 +203,8 @@ type SweepRequest struct {
 
 // SubmitResponse acknowledges an async job submission (202).
 type SubmitResponse struct {
-	JobID   string `json:"job_id"`
-	Status  Status `json:"status"`
-	Deduped bool   `json:"deduped"` // joined an identical in-flight job
+	JobID  string `json:"job_id"`
+	Status Status `json:"status"`
 }
 
 // MixView is the instruction-mix slice of a characterize result.
@@ -553,34 +554,34 @@ func decodeBody(r *http.Request, v any) error {
 }
 
 // submission carries everything the admission path needs: the job
-// itself, the original request document (re-marshaled when the
-// overload ladder forwards to the key's primary), and an optional
+// itself, the original request document and the ring key that picks
+// the primary the overload ladder forwards it to, and an optional
 // degrade rewrite producing the fast-tier equivalent of a
 // full-fidelity timing job.
 type submission struct {
 	kind      string
-	key       string
+	key       string // ring key: picks the forwarding primary
 	spec      any
 	timeoutMS int64
 	wait      bool
-	body      any                  // original request document, for forwarding
-	degrade   func() (string, any) // fast-tier (key, spec); nil = not degradable
-	memo      func() (any, bool)   // the result, if already on hand; nil = never
+	body      any                // original request document, for forwarding
+	degrade   func() any         // fast-tier spec; nil = not degradable
+	memo      func() (any, bool) // the result, if already on hand; nil = never
 }
 
-// submit runs the shared admission path: enqueue (or dedupe), then
-// either acknowledge with 202 or, for wait=true, block until the job
-// finishes and return its full document. A saturated queue walks the
-// overload ladder (forward to primary, degrade to the fast tier on
-// the shed reserve, then 429) instead of rejecting outright.
+// submit runs the shared admission path: enqueue, then either
+// acknowledge with 202 or, for wait=true, block until the job finishes
+// and return its full document. A saturated queue walks the overload
+// ladder (forward to primary, degrade to the fast tier on the shed
+// reserve, then 429) instead of rejecting outright.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, sub submission) {
 	var timeout time.Duration
 	if sub.timeoutMS > 0 {
 		timeout = time.Duration(sub.timeoutMS) * time.Millisecond
 	}
-	job, deduped, err := s.queue.submit(sub.kind, sub.key, sub.spec, timeout, false)
+	job, err := s.queue.submit(sub.kind, sub.spec, timeout, false)
 	if errors.Is(err, ErrQueueFull) {
-		job, deduped, err = s.shed(w, r, sub, timeout)
+		job, err = s.shed(w, r, sub, timeout)
 		if job == nil && err == nil {
 			return // forwarded; response already written
 		}
@@ -599,14 +600,15 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, sub submission) 
 	}
 	wait := sub.wait
 	if !wait {
-		writeJSON(w, http.StatusAccepted, SubmitResponse{JobID: job.ID, Status: job.Status(), Deduped: deduped})
+		writeJSON(w, http.StatusAccepted, SubmitResponse{JobID: job.ID, Status: job.Status()})
 		return
 	}
 	select {
 	case <-job.Done():
 		writeJSON(w, http.StatusOK, job.View())
 	case <-r.Context().Done():
-		// Client went away; the job keeps running for other waiters.
+		// Client went away; the job keeps running and stays
+		// fetchable by ID.
 	}
 }
 
@@ -619,29 +621,28 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, sub submission) 
 // variant using the shed reserve, marking the response with
 // HeaderDegraded. Falling off the ladder returns ErrQueueFull and the
 // caller 429s.
-func (s *Server) shed(w http.ResponseWriter, r *http.Request, sub submission, timeout time.Duration) (*Job, bool, error) {
+func (s *Server) shed(w http.ResponseWriter, r *http.Request, sub submission, timeout time.Duration) (*Job, error) {
 	if sub.memo != nil {
 		if res, ok := sub.memo(); ok {
-			return s.queue.answered(sub.kind, sub.key, sub.spec, res), false, nil
+			return s.queue.answered(sub.kind, sub.spec, res), nil
 		}
 	}
 	if sub.body != nil {
 		if body, err := json.Marshal(sub.body); err == nil {
 			if s.shedForward(w, r, sub.key, body) {
-				return nil, false, nil
+				return nil, nil
 			}
 		}
 	}
 	if s.cfg.Shed.Degrade && sub.degrade != nil {
-		key, spec := sub.degrade()
-		job, deduped, err := s.queue.submit(sub.kind, key, spec, timeout, true)
+		job, err := s.queue.submit(sub.kind, sub.degrade(), timeout, true)
 		if err == nil {
 			s.metrics.ObserveShed("degrade")
 			w.Header().Set(HeaderDegraded, "fast")
-			return job, deduped, nil
+			return job, nil
 		}
 	}
-	return nil, false, ErrQueueFull
+	return nil, ErrQueueFull
 }
 
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
@@ -718,17 +719,17 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return evaluateResult(spec, runner.Timing{Stats: st, Source: "memo"}), true
 	}
 	if spec.fid == pipeline.FidelityFull {
-		sub.degrade = func() (string, any) {
+		sub.degrade = func() any {
 			fast := spec
 			fast.fid = pipeline.FidelityFast
-			return evalKey(fast), fast
+			return fast
 		}
 	}
 	s.submit(w, r, sub)
 }
 
-// evalKey is the canonical singleflight key for a resolved evaluate
-// spec — also the key the cluster ring hashes when picking a primary.
+// evalKey is the ring key of a resolved evaluate spec: the key the
+// cluster ring hashes when picking the primary to forward to.
 func evalKey(spec evalSpec) string {
 	return fmt.Sprintf("evaluate|%s|%s|%s|transformed=%v|fid=%s",
 		spec.prog.Name, spec.plat.Name, spec.sz, spec.transformed, spec.fid)
@@ -788,17 +789,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		timeoutMS: req.TimeoutMS, wait: req.Wait, body: req,
 	}
 	if req.Kind == "evaluate" && spec.fid == pipeline.FidelityFull {
-		sub.degrade = func() (string, any) {
+		sub.degrade = func() any {
 			fast := spec
 			fast.fid = pipeline.FidelityFast
-			return sweepKey(fast), fast
+			return fast
 		}
 	}
 	s.submit(w, r, sub)
 }
 
-// sweepKey is the canonical singleflight key for a resolved sweep
-// spec — also the key the cluster ring hashes when picking a primary.
+// sweepKey is the ring key of a resolved sweep spec: the key the
+// cluster ring hashes when picking the primary to forward to.
 func sweepKey(spec sweepSpec) string {
 	names := make([]string, len(spec.progs))
 	for i, p := range spec.progs {
@@ -933,35 +934,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WritePrometheus(w)
 	st := s.session.Stats()
-	fmt.Fprintln(w, "# HELP bioperfd_queue_depth Jobs admitted but not yet started.")
-	fmt.Fprintln(w, "# TYPE bioperfd_queue_depth gauge")
-	fmt.Fprintf(w, "bioperfd_queue_depth %d\n", s.queue.depth())
-	fmt.Fprintln(w, "# HELP bioperfd_event_subscribers Live NDJSON event-stream consumers.")
-	fmt.Fprintln(w, "# TYPE bioperfd_event_subscribers gauge")
-	fmt.Fprintf(w, "bioperfd_event_subscribers %d\n", s.queue.subscribers())
-	fmt.Fprintln(w, "# HELP bioperfd_session_counters Shared-artifact session cache counters.")
-	fmt.Fprintln(w, "# TYPE bioperfd_session_compiles counter")
-	fmt.Fprintf(w, "bioperfd_session_compiles %d\n", st.Compiles)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_compile_hits counter")
-	fmt.Fprintf(w, "bioperfd_session_compile_hits %d\n", st.CompileHits)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_runs counter")
-	fmt.Fprintf(w, "bioperfd_session_runs %d\n", st.Runs)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_characterize_hits counter")
-	fmt.Fprintf(w, "bioperfd_session_characterize_hits %d\n", st.CharacterizeHits)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_replay_runs counter")
-	fmt.Fprintf(w, "bioperfd_session_replay_runs %d\n", st.ReplayRuns)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_replay_serial_fallbacks counter")
-	fmt.Fprintf(w, "bioperfd_session_replay_serial_fallbacks %d\n", st.ReplaySerialFallbacks)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_profile_hits counter")
-	fmt.Fprintf(w, "bioperfd_session_profile_hits %d\n", st.ProfileHits)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_peer_hits counter")
-	fmt.Fprintf(w, "bioperfd_session_peer_hits %d\n", st.PeerHits)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_sampled_chars counter")
-	fmt.Fprintf(w, "bioperfd_session_sampled_chars %d\n", st.SampledChars)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_sampled_hits counter")
-	fmt.Fprintf(w, "bioperfd_session_sampled_hits %d\n", st.SampledHits)
-	fmt.Fprintln(w, "# TYPE bioperfd_session_sampled_degrades counter")
-	fmt.Fprintf(w, "bioperfd_session_sampled_degrades %d\n", st.SampledDegrades)
+	writeMetric(w, "bioperfd_queue_depth", "gauge", "Jobs admitted but not yet started.", s.queue.depth())
+	writeMetric(w, "bioperfd_event_subscribers", "gauge", "Live NDJSON event-stream consumers.", s.queue.subscribers())
+	for _, m := range []struct {
+		name, help string
+		v          uint64
+	}{
+		{"compiles", "Programs compiled (compile-memo misses).", st.Compiles},
+		{"compile_hits", "Compiles answered from the session memo.", st.CompileHits},
+		{"runs", "Functional simulation runs.", st.Runs},
+		{"characterize_hits", "Characterizations answered from the session memo.", st.CharacterizeHits},
+		{"replay_runs", "Characterizations served by replaying a stored trace.", st.ReplayRuns},
+		{"replay_serial_fallbacks", "Trace replays that asked for parallelism but ran serially.", st.ReplaySerialFallbacks},
+		{"profile_hits", "Characterizations served from a stored profile snapshot.", st.ProfileHits},
+		{"peer_hits", "Characterizations served from a fleet peer's artifact.", st.PeerHits},
+		{"sampled_chars", "Sampled characterizations computed from a phase plan.", st.SampledChars},
+		{"sampled_hits", "Sampled characterizations served from a stored snapshot.", st.SampledHits},
+		{"sampled_degrades", "Sampled requests degraded to the exact path.", st.SampledDegrades},
+	} {
+		writeMetric(w, "bioperfd_session_"+m.name, "counter", m.help, m.v)
+	}
 	sources := s.serveSources()
 	fmt.Fprintln(w, "# HELP bioperfd_serve_source_total Characterizations answered, by serving tier.")
 	fmt.Fprintln(w, "# TYPE bioperfd_serve_source_total counter")
@@ -989,18 +981,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if as := s.session.Store(); as != nil {
 		ss := as.Stats()
-		fmt.Fprintln(w, "# HELP bioperfd_store_counters Persistent artifact store statistics.")
-		fmt.Fprintln(w, "# TYPE bioperfd_store_hits counter")
-		fmt.Fprintf(w, "bioperfd_store_hits %d\n", ss.Hits)
-		fmt.Fprintln(w, "# TYPE bioperfd_store_misses counter")
-		fmt.Fprintf(w, "bioperfd_store_misses %d\n", ss.Misses)
-		fmt.Fprintln(w, "# TYPE bioperfd_store_evictions counter")
-		fmt.Fprintf(w, "bioperfd_store_evictions %d\n", ss.Evictions)
-		fmt.Fprintln(w, "# TYPE bioperfd_store_entries gauge")
-		fmt.Fprintf(w, "bioperfd_store_entries %d\n", ss.Entries)
-		fmt.Fprintln(w, "# TYPE bioperfd_store_bytes_on_disk gauge")
-		fmt.Fprintf(w, "bioperfd_store_bytes_on_disk %d\n", ss.BytesOnDisk)
+		writeMetric(w, "bioperfd_store_hits", "counter", "Artifact store reads that returned an intact entry.", ss.Hits)
+		writeMetric(w, "bioperfd_store_misses", "counter", "Artifact store reads that found no intact entry.", ss.Misses)
+		writeMetric(w, "bioperfd_store_evictions", "counter", "Artifact store entries evicted to stay under the size cap.", ss.Evictions)
+		writeMetric(w, "bioperfd_store_entries", "gauge", "Artifact store entries.", ss.Entries)
+		writeMetric(w, "bioperfd_store_bytes_on_disk", "gauge", "Artifact store bytes on disk.", ss.BytesOnDisk)
 	}
+}
+
+// writeMetric writes one unlabeled metric family: its HELP and TYPE
+// lines and its one sample.
+func writeMetric(w io.Writer, name, typ, help string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
 }
 
 // statusWriter captures the status code for metrics and forwards

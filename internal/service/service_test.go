@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -124,54 +125,90 @@ func waitStatus(t *testing.T, ts *httptest.Server, id string, want Status) JobVi
 	}
 }
 
-// TestSingleflightDedup fires N concurrent identical characterize
-// requests and proves — via the Session's cache counters — that they
-// cost one compile and one simulation run between them.
+// TestSingleflightDedup fills every worker and queue slot with
+// identical characterize requests: each is a job of its own, and the
+// jobs meet at the Session's memo, so between them they cost one
+// compile and one simulation run. The workers are held until the queue
+// is full, so admission does not race the first run.
 func TestSingleflightDedup(t *testing.T) {
 	sess := runner.NewSession(2)
-	_, ts := newTestServer(t, Config{Session: sess, QueueDepth: 16, Workers: 4})
+	s, ts := newTestServer(t, Config{Session: sess, QueueDepth: 16, Workers: 4})
+	const n = 16 + 4
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	started := make(chan struct{}, n)
+	exec := s.queue.exec
+	s.queue.exec = func(ctx context.Context, j *Job) (any, error) {
+		started <- struct{}{}
+		<-release
+		return exec(ctx, j)
+	}
+	baseline := runtime.NumGoroutine()
 
-	const n = 8
+	ids := make([]string, n)
 	reports := make([]string, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
+	send := func(i int) {
+		defer wg.Done()
+		resp, body := postJSON(t, ts.URL+"/v1/characterize",
+			map[string]any{"program": "hmmsearch", "size": "test", "wait": true})
+		if resp.StatusCode != http.StatusOK {
+			errs[i] = fmt.Errorf("HTTP %d: %s", resp.StatusCode, body)
+			return
+		}
+		var v struct {
+			JobID  string `json:"job_id"`
+			Status Status `json:"status"`
+			Result struct {
+				Report string `json:"report"`
+			} `json:"result"`
+		}
+		if err := json.Unmarshal(body, &v); err != nil {
+			errs[i] = err
+			return
+		}
+		if v.Status != StatusDone {
+			errs[i] = fmt.Errorf("status %s: %s", v.Status, body)
+			return
+		}
+		ids[i], reports[i] = v.JobID, v.Result.Report
+	}
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/characterize",
-				map[string]any{"program": "hmmsearch", "size": "test", "wait": true})
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("HTTP %d: %s", resp.StatusCode, body)
-				return
+		go send(i)
+		if i < 4 {
+			// Worker i holds job i, so the queue counts from 0.
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("request %d started no job", i)
 			}
-			var v struct {
-				Status Status `json:"status"`
-				Result struct {
-					Report string `json:"report"`
-				} `json:"result"`
-			}
-			if err := json.Unmarshal(body, &v); err != nil {
-				errs[i] = err
-				return
-			}
-			if v.Status != StatusDone {
-				errs[i] = fmt.Errorf("status %s: %s", v.Status, body)
-				return
-			}
-			reports[i] = v.Result.Report
-		}(i)
+		}
 	}
+	for deadline := time.Now().Add(10 * time.Second); s.queue.depth() < 16; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want 16", s.queue.depth())
+		}
+	}
+	unblock()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	for i := 1; i < n; i++ {
+	seen := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
 		if reports[i] != reports[0] {
 			t.Fatalf("request %d returned a different report", i)
 		}
+		seen[ids[i]] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("%d identical requests made %d distinct jobs, want %d", n, len(seen), n)
 	}
 	st := sess.Stats()
 	if st.Compiles != 1 {
@@ -179,6 +216,63 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	if st.Runs != 1 {
 		t.Fatalf("session simulated %d times for %d identical requests, want 1", st.Runs, n)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the storm, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// TestJobKeepsOwnTimeout sends two identical wait requests, the second
+// with the shorter timeout: each is its own job, so the second fails on
+// its own deadline while the first runs on and succeeds.
+func TestJobKeepsOwnTimeout(t *testing.T) {
+	s, ts := newTestServer(t, Config{Session: runner.NewSession(1), QueueDepth: 4, Workers: 2})
+	started := make(chan struct{}, 2)
+	s.queue.exec = func(ctx context.Context, j *Job) (any, error) {
+		started <- struct{}{}
+		select {
+		case <-time.After(300 * time.Millisecond):
+			return "ok", nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	req := func(timeoutMS int) (JobView, time.Duration) {
+		t0 := time.Now()
+		resp, body := postJSON(t, ts.URL+"/v1/characterize",
+			map[string]any{"program": "hmmsearch", "size": "test", "timeout_ms": timeoutMS, "wait": true})
+		took := time.Since(t0)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("timeout_ms %d: HTTP %d: %s", timeoutMS, resp.StatusCode, body)
+		}
+		var v JobView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Error(err)
+		}
+		return v, took
+	}
+	first := make(chan JobView, 1)
+	go func() {
+		v, _ := req(2000)
+		first <- v
+	}()
+	<-started
+	short, took := req(50)
+	if short.Status != StatusFailed || !strings.Contains(short.Error, "deadline exceeded") {
+		t.Fatalf("short request: status %s, error %q; want failed on its deadline", short.Status, short.Error)
+	}
+	if took >= 200*time.Millisecond {
+		t.Fatalf("short request took %v, want it to end on its own 50 ms deadline", took)
+	}
+	long := <-first
+	if long.Status != StatusDone {
+		t.Fatalf("long request: status %s, error %q; want done", long.Status, long.Error)
+	}
+	if short.JobID == long.JobID {
+		t.Fatalf("both requests answered by job %s", long.JobID)
 	}
 }
 
@@ -286,9 +380,9 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
-// TestFinishedJobsPruned: the queue remembers only the newest
-// maxFinishedJobs finished jobs; an older job's ID answers 404 and
-// leaves the job table.
+// TestFinishedJobsPruned: every request is a job of its own, and the
+// queue remembers only the newest maxFinishedJobs finished jobs; an
+// older job's ID answers 404 and leaves the job table.
 func TestFinishedJobsPruned(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Session: runner.NewSession(1), QueueDepth: 4, Workers: 1})
 	srv.queue.exec = func(ctx context.Context, j *Job) (any, error) {
@@ -304,11 +398,10 @@ func TestFinishedJobsPruned(t *testing.T) {
 		retired <- struct{}{}
 	}
 	var ids []string
+	seen := make(map[string]bool)
 	for i := 0; i < maxFinishedJobs+extra; i++ {
-		// Distinct hot counts give distinct queue keys, so no request
-		// joins the previous job before it leaves the in-flight table.
 		resp, body := postJSON(t, ts.URL+"/v1/characterize",
-			map[string]any{"program": "hmmsearch", "size": "test", "hot": i + 1, "wait": true})
+			map[string]any{"program": "hmmsearch", "size": "test", "wait": true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: HTTP %d: %s", i, resp.StatusCode, body)
 		}
@@ -317,6 +410,11 @@ func TestFinishedJobsPruned(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, v.JobID)
+		seen[v.JobID] = true
+	}
+	// Identical requests never join an earlier job, finished or not.
+	if len(seen) != len(ids) {
+		t.Fatalf("%d identical requests made %d distinct jobs", len(ids), len(seen))
 	}
 	for range ids {
 		<-retired
@@ -395,8 +493,8 @@ func TestEventsStream(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
 	}
-	// The job ID is not in the waited view; list is not exposed, so
-	// submit again (dedup or cache hit) without wait to learn an ID.
+	// Submit again without wait to learn a job ID: a job of its own,
+	// answered by a memo hit.
 	resp, body = postJSON(t, ts.URL+"/v1/characterize",
 		map[string]any{"program": "hmmsearch", "size": "test"})
 	if resp.StatusCode != http.StatusAccepted {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bioperfload/internal/cluster"
 	"bioperfload/internal/runner"
 	"bioperfload/internal/store"
 )
@@ -101,6 +102,74 @@ func TestMetricsWithoutStore(t *testing.T) {
 	for _, want := range []string{"bioperfd_session_replay_runs", "bioperfd_session_profile_hits"} {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("%s counter missing:\n%s", want, metrics)
+		}
+	}
+}
+
+// TestMetricsExposition checks a full scrape, with a store and a
+// fleet attached, against the text format's declarations: every family
+// has exactly one HELP and one TYPE line, and every sample belongs to
+// a declared family (a histogram's through its _bucket, _sum and
+// _count series).
+func TestMetricsExposition(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var srv *Server
+	ts := delegatingServer(t, &srv)
+	cl := cluster.New(cluster.Config{Self: ts.URL})
+	srv = New(Config{Session: runner.NewSessionWithStore(1, st), Cluster: cl})
+	resp, body := postJSON(t, ts.URL+"/v1/characterize",
+		map[string]any{"program": "hmmsearch", "size": "test", "wait": true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("characterize: HTTP %d: %s", resp.StatusCode, body)
+	}
+
+	helps := make(map[string]int)
+	types := make(map[string]string)
+	var samples []string
+	for _, line := range strings.Split(strings.TrimSpace(scrapeMetrics(t, ts.URL)), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) >= 4 && f[0] == "#" && f[1] == "HELP":
+			helps[f[2]]++
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			if _, dup := types[f[2]]; dup {
+				t.Errorf("family %s has two TYPE lines", f[2])
+			}
+			types[f[2]] = f[3]
+		case strings.HasPrefix(line, "#"):
+			t.Errorf("unexpected comment line %q", line)
+		default:
+			samples = append(samples, strings.FieldsFunc(line, func(r rune) bool { return r == '{' || r == ' ' })[0])
+		}
+	}
+	for name, n := range helps {
+		if n != 1 || types[name] == "" {
+			t.Errorf("family %s: %d HELP lines, TYPE %q", name, n, types[name])
+		}
+	}
+	for name := range types {
+		if helps[name] == 0 {
+			t.Errorf("family %s has a TYPE but no HELP", name)
+		}
+	}
+	if len(samples) == 0 {
+		t.Fatal("scrape has no samples")
+	}
+	for _, name := range samples {
+		if types[name] != "" {
+			continue
+		}
+		histogram := false
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			base, cut := strings.CutSuffix(name, suffix)
+			histogram = histogram || cut && types[base] == "histogram"
+		}
+		if !histogram {
+			t.Errorf("sample %s belongs to no declared family", name)
 		}
 	}
 }
