@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test bench-test race race-concurrent smoke fuzz-smoke serve-smoke cluster-smoke experiments bench validate-timing sweep-smoke
+.PHONY: check fmt-check vet build test bench-test race race-concurrent smoke fuzz-smoke serve-smoke cluster-smoke experiments experiments-check bench validate-timing sweep-smoke
 
 # check is the full gate: formatting, static analysis, build, the
 # race-enabled test suite, the benchmark module's own vet and tests,
@@ -101,9 +101,19 @@ sweep-smoke:
 # tables use the full-tier model (byte-identical to the paper
 # reproduction), and the sweep grid and causal ablations are appended
 # to the text artifact. Performance is measured by bench/run.sh.
+EXPERIMENTS_OUT ?= experiments_classB.txt
 experiments:
 	$(GO) run ./cmd/experiments -size classB -timing classB -fidelity full \
-		-sweep -ablations > experiments_classB.txt
+		-sweep -ablations > $(EXPERIMENTS_OUT)
+
+# experiments-check runs the experiments recipe into a temp file and
+# diffs it against the checked-in experiments_classB.txt, so a change
+# that moves any classB number or table fails (~55 s on a 2-vCPU host).
+experiments-check:
+	@set -e; f=$$(mktemp); trap 'rm -f "$$f"' EXIT; \
+	$(MAKE) --no-print-directory experiments EXPERIMENTS_OUT=$$f; \
+	diff experiments_classB.txt $$f \
+		|| { echo "experiments-check: output differs from experiments_classB.txt" >&2; exit 1; }
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

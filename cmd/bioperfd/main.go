@@ -114,6 +114,7 @@ func run(args []string, stderr io.Writer) int {
 			Self:     *selfURL,
 			Peers:    splitComma(*peers),
 			Replicas: *replicas,
+			Client:   cluster.ClientConfig{Retries: 1},
 		})
 	}
 

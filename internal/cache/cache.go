@@ -110,12 +110,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// SetStats overwrites the counters. It exists to restore persisted
-// report state (the cache contents are NOT restored): a cache whose
-// stats were set this way reports correctly but must not be accessed
-// further.
-func (c *Cache) SetStats(s Stats) { c.stats = s }
-
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
 	for i := range c.sets {

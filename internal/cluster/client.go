@@ -48,7 +48,7 @@ type ClientConfig struct {
 	Timeout time.Duration
 	// Retries is the number of additional attempts after a transport
 	// or 5xx failure (404 and verification failures never retry).
-	// Default 1.
+	// Zero or less means one attempt.
 	Retries int
 	// Backoff is the delay before the first retry, doubling per
 	// attempt. Default 50ms.
@@ -65,11 +65,7 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
+	c.Retries = max(c.Retries, 0)
 	if c.Backoff <= 0 {
 		c.Backoff = 50 * time.Millisecond
 	}

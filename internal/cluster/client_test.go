@@ -224,6 +224,23 @@ func TestFetchRetriesTransient5xx(t *testing.T) {
 	}
 }
 
+// TestZeroConfigNoRetry: the zero ClientConfig makes one attempt, so
+// a 5xx peer costs one request and no backoff.
+func TestZeroConfigNoRetry(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		http.Error(w, "busy", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	if _, err := NewClient(ClientConfig{}).FetchSnapshot(context.Background(), ts.URL, "k"); err == nil {
+		t.Fatal("a 5xx peer served the artifact")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("zero ClientConfig made %d attempts, want 1", n)
+	}
+}
+
 // TestHealthMarking: enough consecutive failures mark the peer down;
 // while down it is unavailable; after the cooloff it becomes eligible
 // again, and one success resets the count.
@@ -233,7 +250,7 @@ func TestHealthMarking(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := NewClient(ClientConfig{
-		Timeout: time.Second, Retries: -1, Backoff: time.Millisecond,
+		Timeout: time.Second, Backoff: time.Millisecond,
 		FailureThreshold: 2, Cooloff: time.Hour,
 	})
 	base := time.Now()
@@ -311,7 +328,7 @@ func TestFetchSkipsDownPeer(t *testing.T) {
 		Peers:    []string{down.URL, up.URL},
 		Replicas: 2,
 		Client: ClientConfig{
-			Timeout: time.Second, Retries: -1, Backoff: time.Millisecond,
+			Timeout: time.Second, Backoff: time.Millisecond,
 			FailureThreshold: 1, Cooloff: time.Hour,
 		},
 	})
@@ -354,7 +371,7 @@ func TestClusterFetchFallsToNextReplica(t *testing.T) {
 		Self:     "http://self.invalid",
 		Peers:    []string{p1.URL, p2.URL},
 		Replicas: 2,
-		Client:   ClientConfig{Timeout: time.Second, Retries: -1, Backoff: time.Millisecond},
+		Client:   ClientConfig{Timeout: time.Second, Backoff: time.Millisecond},
 	})
 	order := cl.fetchCandidates("k")
 	if len(order) != 2 {
@@ -398,7 +415,7 @@ func TestReplicateFanOut(t *testing.T) {
 		Self:     "http://self.invalid",
 		Peers:    []string{pa.URL, pb.URL},
 		Replicas: 2, // replica set == whole 3-node ring
-		Client:   ClientConfig{Timeout: time.Second, Retries: -1, Backoff: time.Millisecond},
+		Client:   ClientConfig{Timeout: time.Second, Backoff: time.Millisecond},
 	})
 	cl.Replicate("prof|fp|classB", []byte("snapshot"))
 	cl.Quiesce()

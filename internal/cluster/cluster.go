@@ -21,8 +21,6 @@ type Config struct {
 	// artifact only where it was computed (and on its primary when
 	// the primary computed it).
 	Replicas int
-	// VirtualNodes per member; 0 selects DefaultVirtualNodes.
-	VirtualNodes int
 	// Client tunes the peer HTTP client.
 	Client ClientConfig
 }
@@ -65,7 +63,7 @@ func New(cfg Config) *Cluster {
 	}
 	return &Cluster{
 		self:     cfg.Self,
-		ring:     NewRing(members, cfg.VirtualNodes),
+		ring:     NewRing(members),
 		client:   NewClient(cfg.Client),
 		replicas: cfg.Replicas,
 	}
@@ -85,9 +83,6 @@ func (c *Cluster) Client() *Client { return c.client }
 
 // Primary returns the node owning key.
 func (c *Cluster) Primary(key string) string { return c.ring.Primary(key) }
-
-// IsPrimary reports whether this node owns key.
-func (c *Cluster) IsPrimary(key string) bool { return c.ring.Primary(key) == c.self }
 
 // ReplicaSet returns the R+1 nodes responsible for key, primary
 // first.

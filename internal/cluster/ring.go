@@ -39,13 +39,10 @@ type Ring struct {
 	vnodes []vnode
 }
 
-// NewRing builds a ring from the given node addresses with vper
-// virtual nodes per member (vper <= 0 selects DefaultVirtualNodes).
-// Duplicate addresses are collapsed.
-func NewRing(nodes []string, vper int) *Ring {
-	if vper <= 0 {
-		vper = DefaultVirtualNodes
-	}
+// NewRing builds a ring from the given node addresses with
+// DefaultVirtualNodes virtual nodes per member. Duplicate addresses
+// are collapsed.
+func NewRing(nodes []string) *Ring {
 	uniq := make([]string, 0, len(nodes))
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
@@ -55,9 +52,9 @@ func NewRing(nodes []string, vper int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{nodes: uniq, vnodes: make([]vnode, 0, len(uniq)*vper)}
+	r := &Ring{nodes: uniq, vnodes: make([]vnode, 0, len(uniq)*DefaultVirtualNodes)}
 	for i, n := range uniq {
-		for v := 0; v < vper; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			r.vnodes = append(r.vnodes, vnode{hash: hash64(fmt.Sprintf("%s|vnode=%d", n, v)), node: i})
 		}
 	}

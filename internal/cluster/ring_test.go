@@ -18,7 +18,7 @@ func testKeys(n int) []string {
 // members, primary == Lookup(1), and n beyond the membership clamps.
 func TestLookupBasics(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	for _, key := range testKeys(50) {
 		got := r.Lookup(key, 2)
 		if len(got) != 2 {
@@ -37,7 +37,7 @@ func TestLookupBasics(t *testing.T) {
 	if r.Lookup("k", 0) != nil {
 		t.Fatal("Lookup(k, 0) should be nil")
 	}
-	if NewRing(nil, 0).Primary("k") != "" {
+	if NewRing(nil).Primary("k") != "" {
 		t.Fatal("empty ring Primary should be empty")
 	}
 }
@@ -45,7 +45,7 @@ func TestLookupBasics(t *testing.T) {
 // TestRingBalance checks vnode spreading: on a 3-node ring no member
 // should own a wildly disproportionate share of keys.
 func TestRingBalance(t *testing.T) {
-	r := NewRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 0)
+	r := NewRing([]string{"http://a:1", "http://b:1", "http://c:1"})
 	keys := testKeys(3000)
 	counts := make(map[string]int)
 	for _, k := range keys {
@@ -66,7 +66,7 @@ func TestRingBalance(t *testing.T) {
 func TestAddNodeMovesBoundedFraction(t *testing.T) {
 	base := []string{"http://a:1", "http://b:1", "http://c:1"}
 	grown := append(append([]string(nil), base...), "http://d:1")
-	r3, r4 := NewRing(base, 0), NewRing(grown, 0)
+	r3, r4 := NewRing(base), NewRing(grown)
 	keys := testKeys(3000)
 	moved := 0
 	for _, k := range keys {
@@ -93,7 +93,7 @@ func TestAddNodeMovesBoundedFraction(t *testing.T) {
 func TestRemoveNodeReassignsOnlyItsKeys(t *testing.T) {
 	full := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
 	shrunk := full[:3] // drop d
-	r4, r3 := NewRing(full, 0), NewRing(shrunk, 0)
+	r4, r3 := NewRing(full), NewRing(shrunk)
 	for _, k := range testKeys(3000) {
 		before, after := r4.Primary(k), r3.Primary(k)
 		if before == "http://d:1" {
@@ -114,7 +114,7 @@ func TestRemoveNodeReassignsOnlyItsKeys(t *testing.T) {
 // the same node list answers every lookup identically.
 func TestLookupDeterministicAcrossOrderings(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1", "http://e:1"}
-	ref := NewRing(nodes, 0)
+	ref := NewRing(nodes)
 	keys := testKeys(200)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -123,7 +123,7 @@ func TestLookupDeterministicAcrossOrderings(t *testing.T) {
 		if trial%3 == 0 {
 			shuffled = append(shuffled, shuffled[rng.Intn(len(shuffled))]) // duplicate
 		}
-		r := NewRing(shuffled, 0)
+		r := NewRing(shuffled)
 		for _, k := range keys {
 			want := ref.Lookup(k, 3)
 			got := r.Lookup(k, 3)

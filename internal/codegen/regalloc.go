@@ -39,7 +39,6 @@ func (s bitset) add(v ir.Value) bool {
 	*w |= m
 	return true
 }
-func (s bitset) del(v ir.Value) { s[v>>6] &^= 1 << (uint(v) & 63) }
 func (s bitset) orInto(o bitset) bool {
 	changed := false
 	for i := range s {

@@ -41,7 +41,11 @@ func noAliasR(a, b Region, restrict bool) bool {
 	return false
 }
 
-// mayAliasInstrR mirrors mayAliasInstr under the restrict option.
+// mayAliasInstrR reports whether two memory instructions might touch
+// the same bytes. It applies the paper's compiler model: distinct
+// named objects never alias; pointer parameters alias everything
+// unless restrict is set; the same base value with non-overlapping
+// constant offsets is disjoint.
 func mayAliasInstrR(a, b *Instr, restrict bool) bool {
 	if noAliasR(a.Region, b.Region, restrict) {
 		return false

@@ -649,12 +649,6 @@ func memClass(in *Instr) int {
 	return 0
 }
 
-// mayAliasInstr reports whether two memory instructions might touch
-// the same bytes. It applies the paper's compiler model: distinct
-// named objects never alias; pointer parameters alias everything; the
-// same base value with non-overlapping constant offsets is disjoint.
-func mayAliasInstr(a, b *Instr) bool { return mayAliasInstrR(a, b, false) }
-
 func scheduleBlock(f *Func, b *Block, pressureLimit int, restrict bool) {
 	n := len(b.Instrs)
 	if n < 2 {

@@ -11,7 +11,6 @@ type Builder struct {
 	fixups  map[string][]int32 // label -> instruction indices needing Target
 	symbols []Symbol
 	nextAdr uint64
-	inits   []DataInit
 	errs    []error
 }
 
@@ -41,11 +40,6 @@ func (b *Builder) Global(name string, size uint64, elem int, isFP bool) uint64 {
 	b.symbols = append(b.symbols, Symbol{Name: name, Addr: addr, Size: size, Elem: elem, IsFP: isFP})
 	b.nextAdr = addr + size
 	return addr
-}
-
-// InitData registers initial bytes at addr.
-func (b *Builder) InitData(addr uint64, data []byte) {
-	b.inits = append(b.inits, DataInit{Addr: addr, Bytes: data})
 }
 
 // Emit appends a raw instruction and returns its index.
@@ -125,7 +119,6 @@ func (b *Builder) Program() (*Program, error) {
 		DataEnd: b.nextAdr,
 		Files:   []string{b.name + ".s"},
 		Symbols: b.symbols,
-		Init:    b.inits,
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

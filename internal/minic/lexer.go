@@ -33,13 +33,6 @@ func (l *Lexer) errf(format string, args ...any) error {
 	return &SyntaxError{File: l.file, Line: l.line, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *Lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *Lexer) peekByte2() byte {
 	if l.pos+1 >= len(l.src) {
 		return 0

@@ -1,0 +1,79 @@
+package pipeline_test
+
+import (
+	"testing"
+
+	"bioperfload/internal/bio"
+	"bioperfload/internal/pipeline"
+	"bioperfload/internal/platform"
+	"bioperfload/internal/runstream"
+	"bioperfload/internal/scoreboard"
+	"bioperfload/internal/sim"
+)
+
+// TestObserveChunkMatchesBatch is the chunk path's oracle: on every
+// program at test size, original and transformed, on all four
+// platforms with each predictor, a model fed the interpreter's chunks
+// ends with the Stats of one fed the same run's event slabs, word for
+// word. Both tiers are covered; the fast tier's sampled models are
+// compared after Finalize.
+func TestObserveChunkMatchesBatch(t *testing.T) {
+	predictors := []string{"", "bimodal", "always-taken"}
+	for _, p := range bio.All() {
+		for _, transformed := range []bool{false, true} {
+			if transformed && !p.Transformable {
+				continue
+			}
+			for _, plat := range platform.All() {
+				prog, err := p.Compile(transformed, plat.EvalOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fast := range []bool{false, true} {
+					m, err := sim.New(prog)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Bind(m, bio.SizeTest); err != nil {
+						t.Fatal(err)
+					}
+					batch := make([]*scoreboard.Model, len(predictors))
+					chunk := make([]*scoreboard.Model, len(predictors))
+					for i, pr := range predictors {
+						cfg := plat.Pipeline
+						cfg.Predictor = pr
+						batch[i], chunk[i] = scoreboard.NewModel(cfg), scoreboard.NewModel(cfg)
+						chunk[i].Bind(prog)
+						m.AddBatchObserver(batch[i])
+					}
+					m.SetChunkSink(1<<14, func(ch *runstream.Chunk) {
+						for _, md := range chunk {
+							md.ObserveChunk(ch)
+						}
+					})
+					if fast {
+						m.SetSampling(scoreboard.SampleObserve, scoreboard.SamplePeriod)
+					}
+					res, err := m.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, pr := range predictors {
+						var want, got pipeline.Stats
+						if fast {
+							batch[i].Finalize(res.Instructions)
+							chunk[i].Finalize(res.Instructions)
+							want, got = batch[i].Stats(), chunk[i].Stats()
+						} else {
+							want, got = batch[i].Model.Stats(), chunk[i].Model.Stats()
+						}
+						if got != want || got.Instructions == 0 {
+							t.Errorf("%s transformed=%v %s predictor=%q fast=%v: chunks give %+v, slabs %+v",
+								p.Name, transformed, plat.Name, pr, fast, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -27,7 +27,8 @@ type decoded struct {
 	class instClass
 }
 
-// decodeTable decodes each static instruction once per model, the
+// decodeTable decodes each static instruction once per model, all at
+// once when the model is bound to its program (Model.Bind) or else the
 // first time its PC commits, and serves every later commit from a
 // PC-indexed slice: the per-event work of dependence extraction, the
 // latency switch and the class tests is paid once per static

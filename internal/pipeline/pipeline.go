@@ -26,6 +26,7 @@ import (
 	"bioperfload/internal/bpred"
 	"bioperfload/internal/cache"
 	"bioperfload/internal/isa"
+	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 )
 
@@ -170,9 +171,11 @@ const (
 // 255.
 type cycleUse struct{ issue, loads uint8 }
 
-// Model is a timing simulator fed with committed instructions. It
-// implements sim.BatchObserver so it can be attached directly to a
-// functional machine.
+// Model is a timing simulator fed with committed instructions. Both
+// timing tiers feed it run chunks: Bind it to the program, then hand
+// ObserveChunk to sim.Machine.SetChunkSink. It also implements
+// sim.BatchObserver, the per-event reference path that tests and the
+// benchmark drive; a model takes one of the two shapes per run.
 type Model struct {
 	cfg    Config
 	dec    decodeTable // per-PC sources, destination, latency, class
@@ -291,13 +294,51 @@ var _ sim.BatchObserver = (*Model)(nil)
 // slab afterwards).
 func (m *Model) ObserveBatch(evs []sim.Event) {
 	for i := range evs {
-		m.observe(&evs[i])
+		ev := &evs[i]
+		m.observe(m.dec.lookup(ev.PC, ev.Inst), ev.PC, ev.Addr, ev.Taken)
 	}
 }
 
-// observe advances the timing model by one committed instruction.
-func (m *Model) observe(ev *sim.Event) {
-	d := m.dec.lookup(ev.PC, ev.Inst)
+// Bind decodes every instruction of prog once, up front. ObserveChunk
+// takes only chunks of the program the model is bound to.
+func (m *Model) Bind(prog *isa.Program) {
+	for pc := range prog.Insts {
+		m.dec.decode(int32(pc), &prog.Insts[pc])
+	}
+}
+
+// ObserveChunk advances the model over one run chunk of the bound
+// program, as ObserveBatch would over the chunk's events: it walks the
+// run tokens, takes load and store addresses from Addrs and
+// conditional outcomes from BrTaken, and takes every unconditional
+// branch. It is a sim.Machine.SetChunkSink callback and retains
+// nothing of ch.
+func (m *Model) ObserveChunk(ch *runstream.Chunk) {
+	runs, ents := ch.Dict.Runs, m.dec.ents
+	addrs, nbr := ch.Addrs, 0
+	for _, tk := range ch.Tokens {
+		r := runs[tk.ID]
+		for range tk.Rep {
+			for pc := r.PC; pc < r.PC+r.N; pc++ {
+				d := &ents[pc]
+				var addr uint64
+				taken := d.class&classBranch != 0
+				switch {
+				case d.class&(classLoad|classStore) != 0:
+					addr, addrs = addrs[0], addrs[1:]
+				case d.class&classCondBranch != 0:
+					taken = ch.BrTaken[nbr>>3]>>(nbr&7)&1 != 0
+					nbr++
+				}
+				m.observe(d, pc, addr, taken)
+			}
+		}
+	}
+}
+
+// observe advances the timing model by one committed instruction: d
+// decoded at pc, with its effective address and branch outcome.
+func (m *Model) observe(d *decoded, pc int32, addr uint64, taken bool) {
 	m.stats.Instructions++
 
 	// ---- Front end: dispatch subject to width, redirects, window.
@@ -330,7 +371,7 @@ func (m *Model) observe(ev *sim.Event) {
 	isLoad := d.class&classLoad != 0
 	isStore := d.class&classStore != 0
 	if isLoad {
-		if t, ok := m.storeReady.lookup(ev.Addr &^ 7); ok && t > ready {
+		if t, ok := m.storeReady.lookup(addr &^ 7); ok && t > ready {
 			// Store-to-load forwarding: data available one cycle
 			// after the store completes.
 			ready = t
@@ -362,7 +403,7 @@ func (m *Model) observe(ev *sim.Event) {
 	// ---- Execute.
 	lat := int64(d.lat)
 	if isLoad || isStore {
-		lvl, clat := m.hier.Access(ev.Addr, isStore)
+		lvl, clat := m.hier.Access(addr, isStore)
 		if isLoad {
 			m.stats.Loads++
 			m.stats.LoadLatencySum += uint64(clat)
@@ -385,7 +426,7 @@ func (m *Model) observe(ev *sim.Event) {
 	}
 	complete := issue + lat
 	if isStore {
-		m.storeReady.store(ev.Addr&^7, complete)
+		m.storeReady.store(addr&^7, complete)
 	}
 	if d.dst >= 0 {
 		m.regReady[d.dst] = complete
@@ -396,10 +437,10 @@ func (m *Model) observe(ev *sim.Event) {
 		m.stats.CondBranches++
 		var miss bool
 		if m.custom != nil {
-			miss = m.custom.Predict(ev.PC) != ev.Taken
-			m.custom.Update(ev.PC, ev.Taken)
+			miss = m.custom.Predict(pc) != taken
+			m.custom.Update(pc, taken)
 		} else {
-			miss = m.pred.Observe(ev.PC, ev.Taken)
+			miss = m.pred.Observe(pc, taken)
 		}
 		if miss {
 			m.stats.Mispredicts++
@@ -414,7 +455,7 @@ func (m *Model) observe(ev *sim.Event) {
 	// instructions enter the pipe this cycle. Branchy code therefore
 	// loses fetch bandwidth that straight-line (if-converted) code
 	// keeps — a first-order effect of the paper's transformation.
-	if ev.Taken && d.class&classBranch != 0 {
+	if taken && d.class&classBranch != 0 {
 		if m.fetchCycle <= dispatch {
 			m.fetchCycle = dispatch + 1
 		}

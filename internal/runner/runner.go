@@ -428,19 +428,13 @@ func groupJobs(jobs []TimingJob) [][]int {
 	return groups
 }
 
-// timingModel is the contract both timing tiers satisfy: slab-batched
-// event delivery plus end-of-run statistics.
-type timingModel interface {
-	sim.BatchObserver
-	Stats() pipeline.Stats
-}
-
 // evaluateGroup runs the jobs at idx — which share one stream — over a
 // single functional simulation and writes each job's stats to its
-// slot in out. On the fast tier the machine samples the stream
-// (scoreboard.SampleObserve of every SamplePeriod instructions) and
-// each sampled model extrapolates via Finalize; on the full tier every
-// model observes the complete stream.
+// slot in out. The machine's one chunk sink feeds every model. On the
+// fast tier the machine samples the stream (scoreboard.SampleObserve
+// of every SamplePeriod instructions) and each model extrapolates via
+// Finalize; on the full tier every model observes the complete stream,
+// so Finalize leaves its stats as they are.
 func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int, sz bio.Size, out []pipeline.Stats) error {
 	first := jobs[idx[0]]
 	p := first.Program
@@ -455,17 +449,17 @@ func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int
 	if err := p.Bind(m, sz); err != nil {
 		return fmt.Errorf("%s: bind: %w", p.Name, err)
 	}
-	fast := first.Config.Fidelity == pipeline.FidelityFast
-	models := make([]timingModel, len(idx))
+	models := make([]*scoreboard.Model, len(idx))
 	for x, i := range idx {
-		if fast {
-			models[x] = scoreboard.NewModel(jobs[i].Config)
-		} else {
-			models[x] = pipeline.NewModel(jobs[i].Config)
-		}
-		m.AddBatchObserver(models[x])
+		models[x] = scoreboard.NewModel(jobs[i].Config)
+		models[x].Bind(prog)
 	}
-	if fast {
+	m.SetChunkSink(trace.ChunkEvents, func(ch *runstream.Chunk) {
+		for _, md := range models {
+			md.ObserveChunk(ch)
+		}
+	})
+	if first.Config.Fidelity == pipeline.FidelityFast {
 		m.SetSampling(scoreboard.SampleObserve, scoreboard.SamplePeriod)
 	}
 	s.runs.Add(1)
@@ -477,9 +471,7 @@ func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int
 		return err
 	}
 	for x, i := range idx {
-		if sb, ok := models[x].(*scoreboard.Model); ok {
-			sb.Finalize(res.Instructions)
-		}
+		models[x].Finalize(res.Instructions)
 		out[i] = models[x].Stats()
 	}
 	return nil

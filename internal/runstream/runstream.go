@@ -8,10 +8,11 @@
 // interpreter appends chunk columns itself (sim.Machine.SetChunkSink),
 // and sim.Builder rebuilds the same chunks from event slabs it did not
 // produce. The trace package's column decode
-// (trace.IndexedReader.Columns) builds it from a recorded trace. Two
+// (trace.IndexedReader.Columns) builds it from a recorded trace. Three
 // consumers read it: loadchar's run engine (Analysis.ObserveChunk,
-// loadchar.AnalyzeRuns) and the trace encoder
-// (trace.Writer.WriteChunk).
+// loadchar.AnalyzeRuns), the trace encoder (trace.Writer.WriteChunk)
+// and the timing model (pipeline.Model.ObserveChunk) on both tiers,
+// whose sampled tier sees only the chunks of its observe windows.
 package runstream
 
 // Run is one maximal straight-line PC run: N events whose PCs are

@@ -1,11 +1,11 @@
 // Package scoreboard is the fast timing tier's sampling wrapper: the
-// full pipeline.Model run over the deterministic windows
-// sim.SetSampling delivers, with Finalize extrapolating the observed
-// part to the whole run. There is one timing model; the fast tier
-// differs from the full tier only in what fraction of the committed
-// stream that model sees (SampleObserve of every SamplePeriod
-// instructions, 1/32), which is where both its speed and its error
-// come from.
+// full pipeline.Model run over the chunks of the deterministic windows
+// sim.SetSampling lets through the chunk sink, with Finalize
+// extrapolating the observed part to the whole run. There is one
+// timing model; the fast tier differs from the full tier only in what
+// fraction of the committed stream that model sees (SampleObserve of
+// every SamplePeriod instructions, 1/32), which is where both its
+// speed and its error come from.
 //
 // Absolute cycle counts are approximate under sampling; the
 // transformed/original speedup ratios the paper's Table 8 and Figure 9
@@ -28,9 +28,10 @@ const (
 )
 
 // Model is a pipeline.Model that knows it may see only part of the
-// stream. Create with NewModel, attach via
-// sim.Machine.AddBatchObserver, and after the run call Finalize with
-// the functional instruction count before reading Stats.
+// stream. Create with NewModel, Bind it to the program, feed its
+// embedded ObserveChunk from sim.Machine.SetChunkSink, and after the
+// run call Finalize with the functional instruction count before
+// reading Stats.
 type Model struct {
 	*pipeline.Model
 	total uint64 // set by Finalize; 0 until then

@@ -565,7 +565,7 @@ func TestPeerStallsMidBody(t *testing.T) {
 	const timeout = 200 * time.Millisecond
 	cl := cluster.New(cluster.Config{
 		Self: "http://self.invalid", Peers: []string{peer.URL},
-		Client: cluster.ClientConfig{Timeout: timeout, Retries: -1},
+		Client: cluster.ClientConfig{Timeout: timeout},
 	})
 	t0 := time.Now()
 	if _, err := cl.Client().FetchSnapshot(ctx, peer.URL, key); err == nil || errors.Is(err, cluster.ErrCorrupt) {

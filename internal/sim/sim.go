@@ -5,13 +5,12 @@
 // framework builds instruction mixes, load-coverage curves, cache and
 // branch-predictor simulations, and dependence-chain analyses.
 //
-// A run hands out its stream in one of two shapes. Characterization
-// and trace recording take run chunks (runstream.Chunk) that the
-// interpreter builds itself (SetChunkSink), without per-instruction
-// records. Timing models and other per-event consumers take Event
-// slabs (AddBatchObserver); Builder turns such slabs into the same
-// chunks for streams the interpreter did not produce, such as a
-// traced rebuild or a test oracle.
+// A run hands out its stream in one of two shapes. Every production
+// consumer — characterization, trace recording and both timing tiers —
+// takes run chunks (runstream.Chunk) that the interpreter builds
+// itself (SetChunkSink). Event slabs (AddBatchObserver) serve observers
+// a caller supplies and tests; Builder turns such slabs into the same
+// chunks for streams the interpreter did not produce.
 package sim
 
 import (
@@ -90,7 +89,7 @@ type Machine struct {
 
 	// Sampling window (SetSampling): when smpPeriod > 0, only the
 	// first smpObserve committed instructions of every smpPeriod-sized
-	// window are delivered to observers.
+	// window are delivered to observers and the chunk sink.
 	smpObserve uint64
 	smpPeriod  uint64
 }
@@ -132,9 +131,10 @@ func (m *Machine) AddBatchObserver(o BatchObserver) {
 // cancellation — so emit sees the whole committed prefix. The emitted
 // chunk is reused once emit returns, as a Builder's is.
 //
-// A sink streams the one run of a new machine, and needs the complete
-// stream: RunContext rejects it combined with SetSampling. Slab
-// observers may be attached alongside.
+// A sink streams the one run of a new machine. Under SetSampling it
+// sees only the observe windows: each window's chunks start at the
+// window's first sequence number, so a chunk's Base jumps over every
+// skipped stretch. Slab observers may be attached alongside.
 func (m *Machine) SetChunkSink(chunkEvents int, emit func(*runstream.Chunk)) {
 	m.sink = &chunkSink{chunker: newChunker(m.prog, chunkEvents, emit)}
 }
@@ -202,19 +202,17 @@ func (m *Machine) Run() (*Result, error) {
 	return m.RunContext(context.Background())
 }
 
-// SetSampling restricts observer delivery to the first observe
-// committed instructions of every period-instruction window, aligned
-// to the committed-instruction count. The gate toggles only at window
-// boundaries of the chunked execution loop, so the skipped stretches
-// run at bare functional speed with zero per-instruction cost — this
-// is what lets a sampled timing model ride a full-length functional
-// run. Result.Instructions still counts every committed instruction.
+// SetSampling restricts delivery, to slab observers and the chunk
+// sink alike, to the first observe committed instructions of every
+// period-instruction window, aligned to the committed-instruction
+// count. The gate toggles only at window boundaries of the chunked
+// execution loop, so the skipped stretches run at bare functional
+// speed with zero per-instruction cost — this is what lets a sampled
+// timing model ride a full-length functional run. Result.Instructions
+// still counts every committed instruction.
 //
-// Sampling silently drops events, so it must never be combined with
-// observers that need the complete stream (characterization analyses,
-// trace recording); only sampling-aware timing models opt in. A chunk
-// sink always needs the complete stream, so RunContext rejects the
-// combination.
+// Sampling silently drops events, so only sampling-aware timing models
+// opt in; a trace Writer refuses the gapped chunk stream.
 // observe == 0, period == 0, or observe >= period disables sampling.
 func (m *Machine) SetSampling(observe, period uint64) {
 	if observe == 0 || period == 0 || observe >= period {
@@ -237,14 +235,9 @@ const CancelCheckInterval = 1 << 16
 // event slab and chunk sink are flushed first so observers see the
 // full committed prefix, exactly as on the trap path.
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
-	// cs holds all chunk state behind one pointer, nil without a sink.
-	cs := m.sink
-	if cs != nil {
-		if m.smpPeriod > 0 {
-			return nil, errors.New("sim: a chunk sink cannot be combined with sampling")
-		}
-		cs.runPC = m.PC
-	}
+	// cs holds all chunk state behind one pointer: the sink while it
+	// is open, nil without a sink or inside a skip window.
+	var cs *chunkSink
 	fuel := m.Fuel
 	if fuel == 0 {
 		fuel = DefaultFuel
@@ -279,24 +272,38 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	for {
-		// obs gates event delivery for this chunk. With sampling
-		// active, the chunk is additionally clipped to the current
-		// observe/skip window boundary so the gate only toggles here,
-		// never inside the hot loop.
-		obs := hasObs
+		// seen gates delivery for this chunk. With sampling active,
+		// the chunk is additionally clipped to the current observe/skip
+		// window boundary so the gate only toggles here, never inside
+		// the hot loop.
+		seen := true
 		stop := res.Instructions + CancelCheckInterval
-		if obs && m.smpPeriod > 0 {
+		if m.smpPeriod > 0 {
 			pos := res.Instructions % m.smpPeriod
 			var boundary uint64
 			if pos < m.smpObserve {
 				boundary = res.Instructions + (m.smpObserve - pos)
 			} else {
-				obs = false
+				seen = false
 				boundary = res.Instructions + (m.smpPeriod - pos)
 			}
 			if stop > boundary {
 				stop = boundary
 			}
+		}
+		obs := hasObs && seen
+		if !seen {
+			// Entering a skip window: hand observers and the sink the
+			// tail of the previous observed window first, in order.
+			flush()
+			if cs != nil {
+				cs.flush(res.Instructions, m.PC)
+				cs = nil
+			}
+		} else if cs == nil && m.sink != nil {
+			// Open a fresh chunk and run here.
+			cs = m.sink
+			cs.ch.Base, cs.runPC, cs.runStart = res.Instructions, m.PC, res.Instructions
 		}
 		if cs != nil {
 			// The sink's open chunk also ends a stretch, and is
@@ -305,11 +312,6 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 		}
 		if stop > fuel {
 			stop = fuel
-		}
-		if !obs {
-			// Entering a skip window: hand observers the tail of the
-			// previous observed window first, in order.
-			flush()
 		}
 		// hook gates all per-instruction delivery, so the bare loop
 		// tests one flag and keeps its values in registers.

@@ -210,17 +210,69 @@ func TestChunkSinkPrefixes(t *testing.T) {
 	}
 }
 
-// TestChunkSinkRejectsSampling: sampling drops events a sink needs, so
-// the combination fails before anything runs.
-func TestChunkSinkRejectsSampling(t *testing.T) {
-	m, err := sim.New(loopTrap(10))
+// sampledEvents records the Seq, PC and address of every event a
+// sampled slab observer sees.
+type sampledEvents struct{ seqs, pcs, addrs []uint64 }
+
+func (r *sampledEvents) ObserveBatch(evs []sim.Event) {
+	for _, ev := range evs {
+		r.seqs = append(r.seqs, ev.Seq)
+		r.pcs = append(r.pcs, uint64(ev.PC))
+		if c := isa.ClassOf(ev.Inst.Op); c == isa.ClassLoad || c == isa.ClassStore {
+			r.addrs = append(r.addrs, ev.Addr)
+		}
+	}
+}
+
+// TestChunkSinkSampling is the sampled sink's contract: under
+// SetSampling the chunks cover exactly the observe windows, each
+// within one window, and expanding them gives the PCs and addresses
+// that sampled slab delivery gives.
+func TestChunkSinkSampling(t *testing.T) {
+	const observe, period = 1000, 7919
+	p, err := bio.ByName("hmmsearch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetSampling(1, 32)
-	m.SetChunkSink(16, func(*runstream.Chunk) { t.Fatal("chunk emitted") })
-	if _, err := m.Run(); err == nil {
-		t.Fatal("a chunk sink with sampling ran")
+	for _, chunk := range []int{1, 300, 4096} {
+		m := bioMachine(t, p)
+		var slab sampledEvents
+		m.AddBatchObserver(&slab)
+		m.SetSampling(observe, period)
+		var seqs, pcs, addrs []uint64
+		m.SetChunkSink(chunk, func(ch *runstream.Chunk) {
+			if w := ch.Base % period; ch.N > chunk || w+uint64(ch.N) > observe {
+				t.Fatalf("chunk=%d: chunk [%d, +%d) leaves its observe window", chunk, ch.Base, ch.N)
+			}
+			for i := range ch.N {
+				seqs = append(seqs, ch.Base+uint64(i))
+			}
+			for _, tk := range ch.Tokens {
+				r := ch.Dict.Runs[tk.ID]
+				for range tk.Rep {
+					for pc := r.PC; pc < r.PC+r.N; pc++ {
+						pcs = append(pcs, uint64(pc))
+					}
+				}
+			}
+			addrs = append(addrs, ch.Addrs...)
+		})
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for seq := uint64(0); seq < res.Instructions; seq++ {
+			if seq%period < observe {
+				want = append(want, seq)
+			}
+		}
+		if res.Instructions < 10*period || !reflect.DeepEqual(seqs, want) {
+			t.Fatalf("chunk=%d: chunks cover %d of %d events, want the %d in observe windows", chunk, len(seqs), res.Instructions, len(want))
+		}
+		if !reflect.DeepEqual(slab.seqs, want) || !reflect.DeepEqual(pcs, slab.pcs) || !reflect.DeepEqual(addrs, slab.addrs) {
+			t.Fatalf("chunk=%d: expanded chunks differ from sampled slab delivery", chunk)
+		}
 	}
 }
 

@@ -84,3 +84,39 @@ func TestV4TraceGoldens(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterRefusesChunkGap: a chunk whose Base is not the writer's
+// next sequence number, as a sampled chunk sink emits after a skip
+// window, is a sticky error, so a sampled stream never becomes a
+// stored trace.
+func TestWriterRefusesChunkGap(t *testing.T) {
+	const observe, period = 1000, 5000
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := p.Compile(false, compiler.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Bind(m, bio.SizeTest); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf, trace.Meta{Program: p.Name, Size: "test", ChunkEvents: 256}, prog)
+	m.SetSampling(observe, period)
+	m.SetChunkSink(256, tw.WriteChunk)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tw.Err() == nil || tw.Events() != observe {
+		t.Fatalf("writer took %d events of a sampled stream, error %v; want the first window's %d and an error", tw.Events(), tw.Err(), observe)
+	}
+	if err := tw.Close(); err == nil {
+		t.Fatal("Close succeeded on a stream with a gap")
+	}
+}

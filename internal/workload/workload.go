@@ -37,14 +37,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Next() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n).
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return int64(r.Next() % uint64(n))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Next()>>11) / (1 << 53)
