@@ -70,7 +70,8 @@ smoke:
 # index.json bytes over a store directory, FuzzVerifyBody for arbitrary
 # artifact bodies against arbitrary transfer checksum headers,
 # FuzzRequestBodies for arbitrary request JSON on bioperfd's three job
-# routes.
+# routes, FuzzCacheMatchesReference for arbitrary address and store
+# streams through the cache against its naive LRU reference.
 # Minimizing a new input is capped at 100 runs: left at its 60 s
 # default, minimizing one multi-kilobyte input outlasts the budget, and
 # a fuzzer stalls after its first find (on a 2-vCPU host,
@@ -83,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreIndex$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzVerifyBody$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 10s -fuzzminimizetime 100x
 
 # validate-timing asserts the fast (1/32 sampled) tier reproduces the
 # full tier's speedup and cross-platform ratios within the checked-in

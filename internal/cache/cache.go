@@ -3,6 +3,14 @@
 // data cache in front of a 4 MB direct-mapped 64 B-block L2, with the
 // 3/5/72-cycle L1/L2/memory latencies used in the paper's AMAT
 // arithmetic (Section 2.1).
+//
+// Each level keeps its tags in flat, pointer-free arrays (see Cache):
+// one 8-byte word per line, plus an 8-byte LRU stamp per line only in
+// an associative level. The paper hierarchy is therefore 528 KiB — 512
+// KiB of L2 tag words, 8 KiB of L1 tag words and 8 KiB of L1 stamps —
+// in three arrays the garbage collector never scans. Every
+// characterization memory lane, sampled interval replay and timing
+// model builds a fresh one.
 package cache
 
 import (
@@ -26,6 +34,12 @@ func (c Config) Validate() error {
 	}
 	if c.Size&(c.Size-1) != 0 || c.Block&(c.Block-1) != 0 {
 		return fmt.Errorf("cache %s: size/block must be powers of two", c.Name)
+	}
+	if c.Assoc&(c.Assoc-1) != 0 {
+		return fmt.Errorf("cache %s: %d ways (must be a power of two)", c.Name, c.Assoc)
+	}
+	if c.Block < 4 {
+		return fmt.Errorf("cache %s: block of %d bytes (must be at least 4)", c.Name, c.Block)
 	}
 	sets := c.Size / (uint64(c.Assoc) * c.Block)
 	if sets == 0 || sets&(sets-1) != 0 {
@@ -65,24 +79,37 @@ func (s Stats) LoadMissRate() float64 {
 	return float64(s.LoadMisses) / float64(loads)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// age is the LRU timestamp; the smallest age in a set is the
-	// victim.
-	age uint64
+// Cache is one set-associative level. It models tags only (no data).
+//
+// The tag store is flat, pointer-free arrays, so the garbage collector
+// never scans it:
+//
+//   - lines holds one word per line, tag<<2 | dirty<<1 | valid, and
+//     zero means empty. Set s is lines[s<<wayBits : (s+1)<<wayBits].
+//   - ages holds each line's LRU stamp (the smallest age in a set is
+//     the victim). Only an associative level (Assoc > 1) has one: a
+//     direct-mapped set has a single candidate, so it never chooses.
+//
+// Validate requires Block >= 4, which leaves the two low bits of every
+// shifted tag free for the flags, and a power-of-two Assoc.
+type Cache struct {
+	cfg        Config
+	lines      []uint64
+	ages       []uint64
+	assoc      int
+	wayBits    uint   // log2(Assoc)
+	setShift   uint   // log2(Block)
+	setBits    uint   // log2(number of sets)
+	setMask    uint64 // number of sets - 1
+	storeDirty uint64 // lineDirty when write-back, else 0
+	tick       uint64
+	stats      Stats
 }
 
-// Cache is one set-associative level. It models tags only (no data).
-type Cache struct {
-	cfg      Config
-	sets     [][]line
-	setShift uint
-	setMask  uint64
-	tick     uint64
-	stats    Stats
-}
+const (
+	lineValid = 1 << 0
+	lineDirty = 1 << 1
+)
 
 // New builds a cache from cfg; panics on invalid geometry (a
 // programming error, since configs are compile-time constants).
@@ -91,17 +118,22 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numSets := cfg.Size / (uint64(cfg.Assoc) * cfg.Block)
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*uint64(cfg.Assoc))
-	for i := range sets {
-		sets[i] = backing[uint64(i)*uint64(cfg.Assoc) : (uint64(i)+1)*uint64(cfg.Assoc)]
-	}
-	return &Cache{
+	c := &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]uint64, numSets*uint64(cfg.Assoc)),
+		assoc:    cfg.Assoc,
+		wayBits:  uint(bits.TrailingZeros64(uint64(cfg.Assoc))),
 		setShift: uint(bits.TrailingZeros64(cfg.Block)),
+		setBits:  uint(bits.TrailingZeros64(numSets)),
 		setMask:  numSets - 1,
 	}
+	if cfg.WriteBack {
+		c.storeDirty = lineDirty
+	}
+	if cfg.Assoc > 1 {
+		c.ages = make([]uint64, len(c.lines))
+	}
+	return c
 }
 
 // Config returns the geometry.
@@ -109,17 +141,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
-	c.stats = Stats{}
-	c.tick = 0
-}
 
 // AccessResult reports what one access did.
 type AccessResult struct {
@@ -136,19 +157,22 @@ type AccessResult struct {
 func (c *Cache) Access(addr uint64, isStore bool) AccessResult {
 	c.tick++
 	c.stats.Accesses++
-	blockAddr := addr >> c.setShift
+	// Every shift count is below 64; masking says so to the compiler,
+	// which then adds no fix-up for larger counts.
+	blockAddr := addr >> (c.setShift & 63)
 	setIdx := blockAddr & c.setMask
-	tag := blockAddr >> uint(bits.TrailingZeros64(uint64(len(c.sets))))
-	set := c.sets[setIdx]
+	want := (blockAddr>>(c.setBits&63))<<2 | lineValid
+	base := int(setIdx << (c.wayBits & 63))
+	set := c.lines[base : base+c.assoc]
 
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].age = c.tick
+	for i, w := range set {
+		if w&^lineDirty == want {
+			if c.ages != nil {
+				c.ages[base+i] = c.tick
+			}
 			if isStore {
 				c.stats.StoreHits++
-				if c.cfg.WriteBack {
-					set[i].dirty = true
-				}
+				set[i] = w | c.storeDirty
 			} else {
 				c.stats.LoadHits++
 			}
@@ -162,41 +186,49 @@ func (c *Cache) Access(addr uint64, isStore bool) AccessResult {
 	} else {
 		c.stats.LoadMisses++
 	}
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].age < set[victim].age {
+	victim := 0
+	if c.ages != nil {
+		victim = -1
+		for i, w := range set {
+			if w == 0 {
 				victim = i
+				break
 			}
 		}
+		if victim < 0 {
+			ages := c.ages[base : base+c.assoc]
+			victim = 0
+			for i := 1; i < len(ages); i++ {
+				if ages[i] < ages[victim] {
+					victim = i
+				}
+			}
+		}
+		c.ages[base+victim] = c.tick
 	}
 	res := AccessResult{}
-	if set[victim].valid {
+	if old := set[victim]; old != 0 {
 		res.Evicted = true
-		res.VictimAddr = (set[victim].tag*uint64(len(c.sets)) + setIdx) << c.setShift
-		if set[victim].dirty {
+		res.VictimAddr = ((old>>2)<<(c.setBits&63) | setIdx) << (c.setShift & 63)
+		if old&lineDirty != 0 {
 			res.Writeback = true
 			c.stats.Writebacks++
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, dirty: isStore && c.cfg.WriteBack, age: c.tick}
+	if isStore {
+		want |= c.storeDirty
+	}
+	set[victim] = want
 	return res
 }
 
 // Contains reports whether addr's block is resident (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
-	blockAddr := addr >> c.setShift
-	setIdx := blockAddr & c.setMask
-	tag := blockAddr >> uint(bits.TrailingZeros64(uint64(len(c.sets))))
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
+	blockAddr := addr >> (c.setShift & 63)
+	base := int((blockAddr & c.setMask) << (c.wayBits & 63))
+	want := (blockAddr>>(c.setBits&63))<<2 | lineValid
+	for _, w := range c.lines[base : base+c.assoc] {
+		if w&^lineDirty == want {
 			return true
 		}
 	}

@@ -18,6 +18,8 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "z"},
 		{Name: "np2", Size: 1000, Assoc: 2, Block: 64},
 		{Name: "blk", Size: 1024, Assoc: 2, Block: 48},
+		{Name: "tiny", Size: 1024, Assoc: 2, Block: 2},
+		{Name: "ways", Size: 256, Assoc: 3, Block: 64}, // one set of 3 lines is not 256 B
 		{Name: "sets", Size: 1024, Assoc: 3, Block: 64},
 	}
 	for _, c := range bad {
@@ -119,12 +121,17 @@ func TestDirectMapped(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
+// TestNewStartsEmpty: a fresh cache holds no block and no counts, and
+// shares no state with another cache of the same geometry.
+func TestNewStartsEmpty(t *testing.T) {
+	used := New(small())
+	used.Access(0, true)
 	c := New(small())
-	c.Access(0, true)
-	c.Reset()
-	if c.Stats().Accesses != 0 || c.Contains(0) {
-		t.Error("reset incomplete")
+	if c.Stats() != (Stats{}) || c.Contains(0) {
+		t.Errorf("fresh cache: stats %+v, contains block 0 %v", c.Stats(), c.Contains(0))
+	}
+	if r := c.Access(0, false); r.Hit || r.Evicted {
+		t.Errorf("first access to a fresh cache = %+v", r)
 	}
 }
 
@@ -138,7 +145,7 @@ func TestSmallWorkingSetHitsAfterWarmup(t *testing.T) {
 			h.Access(a, false)
 		}
 	}
-	rep := h.LoadReport()
+	rep := LoadReportOf(PaperConfig().Lat, h.L1().Stats(), h.L2().Stats())
 	// 512 compulsory misses out of 40960 accesses = 1.25% overall;
 	// steady state after warmup ~ 0 additional misses.
 	s := h.L1().Stats()
@@ -227,12 +234,5 @@ func TestCapacityInvariant(t *testing.T) {
 	}
 	if present > 16 {
 		t.Errorf("%d blocks resident, capacity 16", present)
-	}
-}
-
-func BenchmarkHierarchyAccess(b *testing.B) {
-	h := NewHierarchy(PaperConfig())
-	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i*8)&0xFFFFF, i&7 == 0)
 	}
 }

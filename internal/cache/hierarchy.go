@@ -98,12 +98,6 @@ func (h *Hierarchy) Access(addr uint64, isStore bool) (Level, int) {
 	return lvl, lat
 }
 
-// Reset clears both levels.
-func (h *Hierarchy) Reset() {
-	h.l1.Reset()
-	h.l2.Reset()
-}
-
 // Report summarizes hierarchy behaviour for loads the way the paper's
 // Table 2 does.
 type Report struct {
@@ -117,15 +111,10 @@ type Report struct {
 	AMAT float64
 }
 
-// LoadReport computes the Table 2 row from the current counters. The
-// paper reports load behaviour, so the L1 rate uses load accesses; the
-// L2 local rate uses all demand accesses at L2 (which are L1 misses).
-func (h *Hierarchy) LoadReport() Report {
-	return LoadReportOf(h.cfg.Lat, h.l1.Stats(), h.l2.Stats())
-}
-
 // LoadReportOf computes the Table 2 row from L1 and L2 counters and
-// the hierarchy's latencies, without a live hierarchy.
+// the hierarchy's latencies. The paper reports load behaviour, so the
+// L1 rate uses load accesses; the L2 local rate uses all demand
+// accesses at L2 (which are L1 misses).
 func LoadReportOf(lat Latencies, s1, s2 Stats) Report {
 	r := Report{
 		L1Local: s1.LoadMissRate(),

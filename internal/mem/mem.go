@@ -154,10 +154,3 @@ func (m *Memory) LoadBytes(addr uint64, n int) []byte {
 
 // Pages returns the number of resident pages (for tests and stats).
 func (m *Memory) Pages() int { return len(m.pages) }
-
-// Reset drops all contents.
-func (m *Memory) Reset() {
-	m.pages = make(map[uint64]*page)
-	m.tlbBase = [tlbSize]uint64{}
-	m.tlbPage = [tlbSize]*page{}
-}

@@ -80,12 +80,14 @@ func TestBulkCopy(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
+// TestNewStartsEmpty: a fresh memory reads zero and shares no page
+// with another memory.
+func TestNewStartsEmpty(t *testing.T) {
+	used := New()
+	used.WriteUint64(0, 1)
 	m := New()
-	m.WriteUint64(0, 1)
-	m.Reset()
 	if m.ReadUint64(0) != 0 || m.Pages() != 1 {
-		t.Error("reset did not clear")
+		t.Errorf("fresh memory: read %d, %d pages", m.ReadUint64(0), m.Pages())
 	}
 }
 

@@ -24,12 +24,11 @@ import (
 // Admission is by chunk index, not by a token on the slot: a claimant
 // that falls a window behind must not lose its slot to the claimant of
 // the chunk a window later, or the two would be delivered swapped.
-// Decode slabs are recycled through a sync.Pool, so steady-state
+// Decode slabs are recycled through columnSlabs, so steady-state
 // decoding allocates nothing.
 type columnSource struct {
 	slots []chan colMsg // cap 1 each: the slot's decoded chunk or error
 	claim atomic.Int64
-	pool  sync.Pool // *runstream.Chunk decode slabs
 	stop  chan struct{}
 	once  sync.Once
 	wg    sync.WaitGroup
@@ -47,6 +46,12 @@ type columnSource struct {
 	next    int
 	stopped bool
 }
+
+// columnSlabs recycles *runstream.Chunk decode slabs across every
+// column source, so a reader that opens many short sources (one per
+// sampled interval) reuses the slabs its earlier sources released
+// instead of growing fresh ones each time.
+var columnSlabs sync.Pool
 
 type colMsg struct {
 	ch  *runstream.Chunk
@@ -143,7 +148,7 @@ func (s *columnSource) decodeChunk(ctx context.Context, ir *IndexedReader, dec *
 	if err != nil {
 		return nil, err
 	}
-	ch, _ := s.pool.Get().(*runstream.Chunk)
+	ch, _ := columnSlabs.Get().(*runstream.Chunk)
 	if ch == nil {
 		ch = &runstream.Chunk{}
 	}
@@ -152,7 +157,7 @@ func (s *columnSource) decodeChunk(ctx context.Context, ir *IndexedReader, dec *
 		err = ir.checkChunk(c, ch.Base, ch.N)
 	}
 	if err != nil {
-		s.pool.Put(ch)
+		columnSlabs.Put(ch)
 		return nil, err
 	}
 	return ch, nil
@@ -187,7 +192,7 @@ func (s *columnSource) Next() (*runstream.Chunk, func(), error) {
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	ch := msg.ch
-	release := func() { s.pool.Put(ch) }
+	release := func() { columnSlabs.Put(ch) }
 	return ch, release, nil
 }
 
