@@ -29,12 +29,15 @@ type DenseShard struct {
 }
 
 // denseBranch is one owned static branch's local predictor plus its
-// statistics. A nil pattern marks a branch never executed, matching
-// the lazily-created map entries of Hybrid.
+// statistics. A branch that is not live has not executed since
+// NewDenseShard or the last Reset, matching the lazily-created map
+// entries of Hybrid; its pattern table may still be allocated, kept
+// across a Reset.
 type denseBranch struct {
 	hist    uint64
 	pattern []uint8
 	choice  uint8 // 0,1 favor global; 2,3 favor local
+	live    bool
 	stats   BranchStats
 }
 
@@ -72,12 +75,15 @@ func (d *DenseShard) Observe(pc int32, taken bool) bool {
 		d.branches = grown
 	}
 	b := &d.branches[i]
-	if b.pattern == nil {
-		b.pattern = make([]uint8, d.lmask+1)
+	if !b.live {
+		if b.pattern == nil {
+			b.pattern = make([]uint8, d.lmask+1)
+		}
 		for j := range b.pattern {
 			b.pattern[j] = 2 // weakly taken
 		}
 		b.choice = 2 // weakly favor local
+		b.live = true
 		d.seen++
 	}
 	li := b.hist & d.lmask
@@ -124,6 +130,21 @@ func (d *DenseShard) TrainGlobal(pc int32, taken bool) {
 	d.ghist = (d.ghist << 1) | b2u(taken)
 }
 
+// Reset returns the shard to the state NewDenseShard gives: empty
+// global history and gshare table, no branch executed, zero
+// statistics. It keeps the branch slice and every pattern table, which
+// the next first execution of a branch refills.
+func (d *DenseShard) Reset() {
+	d.ghist = 0
+	clear(d.gshare)
+	for i := range d.branches {
+		b := &d.branches[i]
+		*b = denseBranch{pattern: b.pattern}
+	}
+	d.total = BranchStats{}
+	d.seen = 0
+}
+
 // Total returns the shard's aggregate statistics over owned branches.
 func (d *DenseShard) Total() BranchStats { return d.total }
 
@@ -131,7 +152,7 @@ func (d *DenseShard) Total() BranchStats { return d.total }
 func (d *DenseShard) PerBranch() map[int32]BranchStats {
 	out := make(map[int32]BranchStats, d.seen)
 	for pc := range d.branches {
-		if d.branches[pc].pattern != nil {
+		if d.branches[pc].live {
 			out[int32(pc)] = d.branches[pc].stats
 		}
 	}
@@ -145,7 +166,7 @@ func (d *DenseShard) PerBranch() map[int32]BranchStats {
 func (d *DenseShard) MergeInto(per map[int32]BranchStats, total *BranchStats) {
 	for pc := range d.branches {
 		b := &d.branches[pc]
-		if b.pattern == nil {
+		if !b.live {
 			continue
 		}
 		s := per[int32(pc)]

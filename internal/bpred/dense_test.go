@@ -152,3 +152,53 @@ func TestDenseMatchesHybrid(t *testing.T) {
 		t.Fatalf("degenerate stream: %d/%d mispredicts", misses, events)
 	}
 }
+
+// TestDenseShardResetMatchesNew is the reset-versus-new differential:
+// shards warmed on one branch stream (owning some PCs, training the
+// global component on the rest) and then Reset must replay a second
+// stream exactly as shards fresh from NewPaperDenseShard do — every
+// Observe's mispredict outcome, the per-branch tables and the totals.
+// The second stream reaches PCs beyond the first's, so reset branches
+// with kept pattern tables and branches new to the shard both appear.
+func TestDenseShardResetMatchesNew(t *testing.T) {
+	for _, nShards := range []int{1, 3} {
+		warmPCs, warmTaken := branchStream(20000, 97, 11)
+		pcs, taken := branchStream(20000, 131, 12)
+		reset := make([]*DenseShard, nShards)
+		fresh := make([]*DenseShard, nShards)
+		for s := range reset {
+			reset[s] = NewPaperDenseShard()
+			fresh[s] = NewPaperDenseShard()
+		}
+		feed := func(sh *DenseShard, s int, pc int32, tk bool) bool {
+			if int(pc)%nShards == s {
+				return sh.Observe(pc, tk)
+			}
+			sh.TrainGlobal(pc, tk)
+			return false
+		}
+		for i, pc := range warmPCs {
+			for s, sh := range reset {
+				feed(sh, s, pc, warmTaken[i])
+			}
+		}
+		for _, sh := range reset {
+			sh.Reset()
+		}
+		for i, pc := range pcs {
+			for s := range reset {
+				if got, want := feed(reset[s], s, pc, taken[i]), feed(fresh[s], s, pc, taken[i]); got != want {
+					t.Fatalf("%d shards: branch %d (pc %d) on shard %d: reset shard mispredict=%v, new shard %v", nShards, i, pc, s, got, want)
+				}
+			}
+		}
+		for s := range reset {
+			if reset[s].Total() != fresh[s].Total() {
+				t.Fatalf("%d shards: shard %d total %+v, want %+v", nShards, s, reset[s].Total(), fresh[s].Total())
+			}
+			if !reflect.DeepEqual(reset[s].PerBranch(), fresh[s].PerBranch()) {
+				t.Fatalf("%d shards: shard %d per-branch table differs from a new shard's", nShards, s)
+			}
+		}
+	}
+}

@@ -8,9 +8,11 @@
 // one 8-byte word per line, plus an 8-byte LRU stamp per line only in
 // an associative level. The paper hierarchy is therefore 528 KiB — 512
 // KiB of L2 tag words, 8 KiB of L1 tag words and 8 KiB of L1 stamps —
-// in three arrays the garbage collector never scans. Every
-// characterization memory lane, sampled interval replay and timing
-// model builds a fresh one.
+// in three arrays the garbage collector never scans. Every live
+// characterization and timing model builds one; an exact-replay memory
+// shard builds one holding only its share of the sets (ShardConfig),
+// and a sampled replay worker builds one per call and Resets it
+// between intervals.
 package cache
 
 import (
@@ -138,6 +140,15 @@ func New(cfg Config) *Cache {
 
 // Config returns the geometry.
 func (c *Cache) Config() Config { return c.cfg }
+
+// Reset returns the cache to the state New gives: every line empty,
+// every LRU stamp and counter zero. It keeps the tag arrays.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	clear(c.ages)
+	c.tick = 0
+	c.stats = Stats{}
+}
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }

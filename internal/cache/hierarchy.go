@@ -62,6 +62,13 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return &Hierarchy{cfg: cfg, l1: New(cfg.L1), l2: New(cfg.L2)}
 }
 
+// Reset returns both levels to the state NewHierarchy gives, keeping
+// their storage.
+func (h *Hierarchy) Reset() {
+	h.l1.Reset()
+	h.l2.Reset()
+}
+
 // L1 returns the first-level cache.
 func (h *Hierarchy) L1() *Cache { return h.l1 }
 

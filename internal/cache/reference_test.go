@@ -137,10 +137,20 @@ func mixedStream(rng *rand.Rand, size uint64, n int) (addrs []uint64, stores []b
 
 // checkAgainstRef runs one stream through a Cache and the reference
 // and reports the first access whose result differs, a residency the
-// two disagree on, or differing final counters.
-func checkAgainstRef(cfg cache.Config, addrs []uint64, stores []bool) error {
+// two disagree on, or differing counters. Before each access i with
+// resets[i] set, the counters so far must agree; then the Cache is
+// Reset and the reference replaced by a fresh one, so from there on
+// the reset Cache must behave exactly as a new one. resets may be nil.
+func checkAgainstRef(cfg cache.Config, addrs []uint64, stores, resets []bool) error {
 	c, ref := cache.New(cfg), newRef(cfg)
 	for i, a := range addrs {
+		if i < len(resets) && resets[i] {
+			if c.Stats() != ref.stats {
+				return fmt.Errorf("%s: before reset at access %d, stats %+v, reference %+v", cfg.Name, i, c.Stats(), ref.stats)
+			}
+			c.Reset()
+			ref = newRef(cfg)
+		}
 		got, want := c.Access(a, stores[i]), ref.access(a, stores[i])
 		if got != want {
 			return fmt.Errorf("%s: access %d (%#x store=%v) = %+v, reference %+v", cfg.Name, i, a, stores[i], got, want)
@@ -160,12 +170,20 @@ func checkAgainstRef(cfg cache.Config, addrs []uint64, stores []bool) error {
 
 // TestCacheMatchesReference pins Cache to the naive per-set LRU model
 // on every AccessResult field, on residency, and on the final Stats,
-// over seeded mixed streams for every geometry of refGeometries.
+// over seeded mixed streams for every geometry of refGeometries. Each
+// stream is run whole, then again with a Reset halfway, after which
+// the warm Cache must match a fresh reference.
 func TestCacheMatchesReference(t *testing.T) {
+	const n = 20000
+	half := make([]bool, n)
+	half[n/2] = true
 	for _, cfg := range refGeometries() {
 		for seed := int64(1); seed <= 3; seed++ {
-			addrs, stores := mixedStream(rand.New(rand.NewSource(seed)), cfg.Size, 20000)
-			if err := checkAgainstRef(cfg, addrs, stores); err != nil {
+			addrs, stores := mixedStream(rand.New(rand.NewSource(seed)), cfg.Size, n)
+			if err := checkAgainstRef(cfg, addrs, stores, nil); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if err := checkAgainstRef(cfg, addrs, stores, half); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
@@ -176,11 +194,13 @@ func TestCacheMatchesReference(t *testing.T) {
 // bytes. The first byte picks the geometry. Each access then takes a
 // control byte (bit 0: store; bit 1: a full 8-byte address follows,
 // otherwise a 2-byte word offset into a dense region, so hits and
-// conflicts are common).
+// conflicts are common; bit 2: Reset the cache, and start a fresh
+// reference, before this access).
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0})
 	f.Add([]byte{3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 3, 0, 1, 0, 0, 1, 0, 2})
 	f.Add([]byte{10, 1, 0xff, 0xff, 0, 0xff, 0xff, 1, 0, 0, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{4, 1, 0, 1, 1, 0, 1, 5, 0, 1, 0, 0, 1, 4, 0, 0, 0, 0, 1})
 	cfgs := refGeometries()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -188,7 +208,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		}
 		cfg := cfgs[int(data[0])%len(cfgs)]
 		var addrs []uint64
-		var stores []bool
+		var stores, resets []bool
 		for rest := data[1:]; len(rest) > 0; {
 			ctl := rest[0]
 			rest = rest[1:]
@@ -204,8 +224,9 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			}
 			addrs = append(addrs, a)
 			stores = append(stores, ctl&1 != 0)
+			resets = append(resets, ctl&4 != 0)
 		}
-		if err := checkAgainstRef(cfg, addrs, stores); err != nil {
+		if err := checkAgainstRef(cfg, addrs, stores, resets); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -213,8 +234,8 @@ func FuzzCacheMatchesReference(f *testing.F) {
 
 // TestPaperHierarchyFootprint pins the size of the paper hierarchy's
 // tag store: one 8-byte word per line (65,536 in the L2, 1,024 in the
-// L1) plus the L1's LRU stamps is about 528 KiB. Every sampled interval
-// replay and every timing model builds one.
+// L1) plus the L1's LRU stamps is about 528 KiB. Every timing model
+// and characterization memory lane builds one.
 func TestPaperHierarchyFootprint(t *testing.T) {
 	const builds = 4
 	var hs [builds]*cache.Hierarchy

@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // Add accumulates o into s. Shard hierarchies own disjoint set
 // partitions, so summing their per-level stats reproduces the serial
 // hierarchy's counters exactly.
@@ -61,4 +63,26 @@ func ShardCount(hc HierarchyConfig, limit int) int {
 // n must be a power of two.
 func ShardOf(addr uint64, block uint64, n int) int {
 	return int((addr / block) & uint64(n-1))
+}
+
+// ShardConfig returns the geometry of one shard's private hierarchy
+// under an n-way partition produced by ShardCount: each level keeps
+// only its 1/n of the sets (Size/n, same ways and block), since a
+// shard never touches the others' sets.
+func ShardConfig(hc HierarchyConfig, n int) HierarchyConfig {
+	hc.L1.Size /= uint64(n)
+	hc.L2.Size /= uint64(n)
+	return hc
+}
+
+// ShardLocal maps an address a shard of an n-way partition owns to its
+// address in the shard's ShardConfig hierarchy by dropping the low
+// log2(n) block-number bits, which are the shard bits and so the same
+// for every owned address. Under ShardCount's partition those bits are
+// the low set-index bits at both levels: the local address keeps its
+// tag and lands in the owned set's local index, so every hit, victim,
+// writeback and LRU decision is the full hierarchy's, and victim
+// addresses stay in local form for the level below.
+func ShardLocal(addr, block uint64, n int) uint64 {
+	return (addr / block >> uint(bits.TrailingZeros(uint(n)))) * block
 }

@@ -54,6 +54,12 @@ func newBpLane(nShards, mine int) *bpLane {
 	return &bpLane{sh: bpred.NewPaperDenseShard(), nShards: nShards, mine: mine}
 }
 
+// reset returns the lane to the state newBpLane gives.
+func (l *bpLane) reset() {
+	l.sh.Reset()
+	l.fedMiss = 0
+}
+
 // chunk replays one chunk's conditional branches. BrTaken carries one
 // bit per dynamic conditional branch, in the same ordinal space as the
 // fed bitmap, so a single cursor serves both.
@@ -80,7 +86,9 @@ func (l *bpLane) chunk(ch *runstream.Chunk, ann *chunkAnn) {
 // memLane replays the memory column for one partition of cache sets
 // (cache.ShardOf on the block address). Every lane walks all memory
 // events to keep the shared address-column cursor aligned; only owned
-// addresses touch its private hierarchy.
+// addresses touch its private hierarchy, which holds just the lane's
+// 1/nShards of the sets (cache.ShardConfig) and sees each owned
+// address in its local form (cache.ShardLocal).
 type memLane struct {
 	hier    *cache.Hierarchy
 	l1miss  []uint64
@@ -91,12 +99,18 @@ type memLane struct {
 
 func newMemLane(hcfg cache.HierarchyConfig, nInsts, nShards, mine int) *memLane {
 	return &memLane{
-		hier:    cache.NewHierarchy(hcfg),
+		hier:    cache.NewHierarchy(cache.ShardConfig(hcfg, nShards)),
 		l1miss:  make([]uint64, nInsts),
 		block:   hcfg.L1.Block,
 		nShards: nShards,
 		mine:    mine,
 	}
+}
+
+// reset returns the lane to the state newMemLane gives.
+func (l *memLane) reset() {
+	l.hier.Reset()
+	clear(l.l1miss)
 }
 
 // chunk replays one chunk's memory accesses. Addrs carries one entry
@@ -109,8 +123,11 @@ func (l *memLane) chunk(ch *runstream.Chunk, ann *chunkAnn) {
 			for _, m := range tk.ri.mems {
 				addr := ch.Addrs[cur]
 				cur++
-				if l.nShards != 1 && cache.ShardOf(addr, l.block, l.nShards) != l.mine {
-					continue
+				if l.nShards != 1 {
+					if cache.ShardOf(addr, l.block, l.nShards) != l.mine {
+						continue
+					}
+					addr = cache.ShardLocal(addr, l.block, l.nShards)
 				}
 				if m&storeBit != 0 {
 					l.hier.Access(addr, true)

@@ -150,6 +150,28 @@ func New(p *isa.Program) *Analysis {
 
 var _ sim.BatchObserver = (*Analysis)(nil)
 
+// Reset returns a live analysis to the state New gives, keeping its
+// allocated storage: occurrence counts, predictor state and cache
+// contents are cleared, the run engine returns to its empty machine
+// state, any partial Builder chunk is dropped, and the report tables
+// are marked stale, so the next report rebuilds them from the cleared
+// lanes in their own storage. The engine keeps its interned runs and
+// states and its transition memo: a transition is a pure function of
+// the state and the run, so a kept one is exactly what a fresh engine
+// would evaluate. A sampled replay worker resets one analysis between
+// intervals instead of building a new one. Like ObserveChunk, Reset
+// is part of single-goroutine observation; it panics on a report-only
+// analysis.
+func (a *Analysis) Reset() {
+	l := a.observing()
+	l.eng.reset()
+	l.bp.reset()
+	l.mem.reset()
+	l.b = nil
+	l.dirty = true
+	a.Exec = Execution{}
+}
+
 // observing returns the live engine, panicking on a report-only
 // analysis.
 func (a *Analysis) observing() *liveEngine {

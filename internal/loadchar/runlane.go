@@ -231,6 +231,19 @@ func newRunEngine(prog *isa.Program) *runEngine {
 	return e
 }
 
+// reset zeroes every occurrence count and returns the engine to state
+// 0, keeping the interned runs and states, the memo and its
+// transitions, and the dictionary mapping.
+func (e *runEngine) reset() {
+	for _, ri := range e.runs {
+		ri.occ = 0
+	}
+	for i := range e.trans {
+		e.trans[i].occ = 0
+	}
+	e.cur = 0
+}
+
 func (e *runEngine) addDepCredit(loadPC, branchPC int32) {
 	e.capDep = addCredit(e.capDep, loadPC, branchPC)
 }

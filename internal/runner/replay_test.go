@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"bioperfload/internal/bio"
@@ -19,11 +20,15 @@ import (
 
 // TestReplayAnalyzeShardedMatchesSequential is the shard-fidelity
 // golden test: ReplayAnalyze with shards forced on (small chunks, many
-// workers) must render a profile byte-identical to both the sequential
-// replay and the live analysis — warm-up windows and the minSeq gate
-// have to hide every shard boundary.
+// workers, GOMAXPROCS raised past the clamp) must render a profile
+// byte-identical to both the sequential replay and the live analysis —
+// warm-up windows and the minSeq gate have to hide every shard
+// boundary.
 func TestReplayAnalyzeShardedMatchesSequential(t *testing.T) {
 	ctx := context.Background()
+	// ReplayAnalyze clamps jobs to GOMAXPROCS; raise it so jobs 4 and 7
+	// split the memory lane into shards on any host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, name := range []string{"hmmsearch", "predator"} {
 		p, err := bio.ByName(name)
 		if err != nil {

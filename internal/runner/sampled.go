@@ -81,10 +81,11 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 // engine under the session's sampled tier and the bench/ warm workload.
 // A *simpoint.DegradeError means the trace is too small to sample, or
 // a representative interval's edges are not trace chunk edges.
-// The representative replays fan out perfectly — each owns a private
-// analysis — so one pool width bounds both the collection scan and the
-// replays: jobs clamped to GOMAXPROCS, as in ReplayAnalyze, and each
-// stage further to its work. The returned Analysis' Exec records the
+// The representative replays fan out perfectly — each worker owns one
+// live analysis for the whole call and Resets it between intervals —
+// so one pool width bounds both the collection scan and the replays:
+// jobs clamped to GOMAXPROCS, as in ReplayAnalyze, and each stage
+// further to its work. The returned Analysis' Exec records the
 // request, that width and the clamp reason.
 func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, cfg simpoint.Config, jobs int) (*loadchar.Analysis, *simpoint.Plan, error) {
 	cfg = cfg.WithDefaults()
@@ -104,9 +105,21 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 		}
 	}
 	deltas := make([]*loadchar.Snapshot, len(plan.Clusters))
+	// free holds the analyses of replays that have finished. forEach
+	// runs at most workers replays at once, so it never holds more, and
+	// a replay builds an analysis only when none is free.
+	free := make(chan *loadchar.Analysis, workers)
 	err = forEach(ctx, workers, len(plan.Clusters), func(i int) error {
+		var a *loadchar.Analysis
+		select {
+		case a = <-free:
+			a.Reset()
+		default:
+			a = loadchar.New(prog)
+		}
+		defer func() { free <- a }()
 		c := plan.Clusters[i]
-		snap, err := replayInterval(ctx, prog, ir, c.Start, c.End, plan.Config.WarmupEvents)
+		snap, err := replayInterval(ctx, prog, a, ir, c.Start, c.End, plan.Config.WarmupEvents)
 		if err != nil {
 			return fmt.Errorf("replay interval [%d,%d): %w", c.Start, c.End, err)
 		}
@@ -132,14 +145,15 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 }
 
 // replayInterval characterizes exactly the events in [start, end) with
-// warmed microarchitectural state: a fresh analysis replays the trace's
-// column chunks from the chunk holding start-warm, a snapshot taken as
-// the chunk based at start arrives is subtracted from the final one,
-// and the difference is the interval's exact counts under the warmed
-// cache and predictor. Both prefixes are deterministic, so the
-// subtraction is exact, not approximate. start and end must be chunk
-// edges (SampledAnalyze checks them), so no chunk is ever cut.
-func replayInterval(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, start, end, warm uint64) (*loadchar.Snapshot, error) {
+// warmed microarchitectural state: a, a new or freshly Reset live
+// analysis of prog, replays the trace's column chunks from the chunk
+// holding start-warm, a snapshot taken as the chunk based at start
+// arrives is subtracted from the final one, and the difference is the
+// interval's exact counts under the warmed cache and predictor. Both
+// prefixes are deterministic, so the subtraction is exact, not
+// approximate. start and end must be chunk edges (SampledAnalyze
+// checks them), so no chunk is ever cut.
+func replayInterval(ctx context.Context, prog *isa.Program, a *loadchar.Analysis, ir *trace.IndexedReader, start, end, warm uint64) (*loadchar.Snapshot, error) {
 	warmStart := uint64(0)
 	if start > warm {
 		warmStart = start - warm
@@ -148,7 +162,6 @@ func replayInterval(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 	lo := sort.Search(n, func(i int) bool { return ir.Base(i) > warmStart }) - 1
 	hi := sort.Search(n, func(i int) bool { return ir.Base(i) >= end })
 
-	a := loadchar.New(prog)
 	var pre *loadchar.Snapshot
 	src := ir.Columns(ctx, prog, lo, hi, 1)
 	defer src.Close()

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"bioperfload/internal/isa"
 	"bioperfload/internal/sim"
@@ -59,18 +60,45 @@ func uvarintAt(data []byte, pos int) (uint64, int, error) {
 	return u, pos + n, nil
 }
 
-// decoder owns the reusable buffers of one decode stream: the flate
-// reader (reset per frame instead of reallocating its window), the
-// decompression buffer, a bytes.Reader over the frame payload, and the
-// per-chunk address-chain scratch. dict is the reader's footer
-// dictionary, shared read-only. Each Range source, Columns worker, and
-// token scan owns exactly one.
+// decoder owns the reusable buffers of one decode stream: the frame
+// read buffer, the flate reader (reset per frame instead of
+// reallocating its window), the decompression buffer, a bytes.Reader
+// over the frame payload, and the per-chunk address-chain scratch.
+// dict is the reader's footer dictionary, shared read-only. Every
+// Range source, Columns worker, and token scan takes one from the
+// package pool (getDecoder) and puts it back when it ends.
 type decoder struct {
-	br   bytes.Reader
-	fr   io.ReadCloser
-	raw  []byte
-	dict *v4Dict
-	sc   v4Scratch
+	frame []byte
+	br    bytes.Reader
+	fr    io.ReadCloser
+	raw   []byte
+	dict  *v4Dict
+	sc    v4Scratch
+}
+
+// decoders recycles decoders across every reader, source and scan, so
+// a reader that opens many short sources (one per sampled interval)
+// reuses the flate windows and buffers its earlier sources returned.
+// No buffer carries state from one chunk to the next: each frame is
+// read whole, the flate reader is reset per stream, and the scratch's
+// address chains restart per chunk, so a decoder that last served
+// another trace, or stopped at a decode error, decodes like a new one.
+var decoders sync.Pool
+
+// getDecoder returns a pooled decoder bound to dict.
+func getDecoder(dict *v4Dict) *decoder {
+	d, _ := decoders.Get().(*decoder)
+	if d == nil {
+		d = new(decoder)
+	}
+	d.dict = dict
+	return d
+}
+
+// put returns d to the pool, unbound. d must not be used afterwards.
+func (d *decoder) put() {
+	d.dict = nil
+	decoders.Put(d)
 }
 
 // frameBytes returns the decompressed chunk payload of f, valid until
@@ -175,14 +203,6 @@ func (d *decoder) framePCColumn(f frame) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// release drops the decoder's buffers so a closed source does not pin
-// them.
-func (d *decoder) release() {
-	d.fr = nil
-	d.raw = nil
-	d.br.Reset(nil)
 }
 
 // decodeFrameEvents decompresses one frame and decodes it directly

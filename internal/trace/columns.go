@@ -24,8 +24,9 @@ import (
 // Admission is by chunk index, not by a token on the slot: a claimant
 // that falls a window behind must not lose its slot to the claimant of
 // the chunk a window later, or the two would be delivered swapped.
-// Decode slabs are recycled through columnSlabs, so steady-state
-// decoding allocates nothing.
+// Decode slabs are recycled through columnSlabs and decoders through
+// the package decoder pool, so steady-state decoding allocates
+// nothing.
 type columnSource struct {
 	slots []chan colMsg // cap 1 each: the slot's decoded chunk or error
 	claim atomic.Int64
@@ -109,8 +110,8 @@ func (ir *IndexedReader) Columns(ctx context.Context, prog *isa.Program, lo, hi,
 
 func (s *columnSource) worker(ctx context.Context, ir *IndexedReader) {
 	defer s.wg.Done()
-	dec := &decoder{dict: ir.dict}
-	var buf []byte
+	dec := getDecoder(ir.dict)
+	defer dec.put()
 	for {
 		c := int(s.claim.Add(1)) - 1
 		if c >= s.hi {
@@ -120,7 +121,7 @@ func (s *columnSource) worker(ctx context.Context, ir *IndexedReader) {
 			return
 		}
 		var msg colMsg
-		msg.ch, msg.err = s.decodeChunk(ctx, ir, dec, &buf, c)
+		msg.ch, msg.err = ir.decodeColumns(ctx, dec, c)
 		select {
 		case s.slots[(c-s.lo)%len(s.slots)] <- msg:
 		case <-s.stop:
@@ -134,13 +135,13 @@ func (s *columnSource) worker(ctx context.Context, ir *IndexedReader) {
 	}
 }
 
-// decodeChunk reads, validates, and column-decodes chunk c into a
-// pooled chunk.
-func (s *columnSource) decodeChunk(ctx context.Context, ir *IndexedReader, dec *decoder, buf *[]byte, c int) (*runstream.Chunk, error) {
+// decodeColumns reads, validates, and column-decodes chunk c through
+// dec into a pooled chunk. ir's dictionary must be bound.
+func (ir *IndexedReader) decodeColumns(ctx context.Context, dec *decoder, c int) (*runstream.Chunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("trace: columns: %w", err)
 	}
-	f, err := ir.frameAt(c, buf)
+	f, err := ir.frameAt(c, &dec.frame)
 	if err != nil {
 		return nil, err
 	}

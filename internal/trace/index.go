@@ -192,17 +192,16 @@ func (ir *IndexedReader) Range(prog *isa.Program, lo, hi int) *Source {
 	if lo < 0 || hi > len(ir.chunks) || lo > hi {
 		panic(fmt.Sprintf("trace: Range [%d,%d) outside %d chunks", lo, hi, len(ir.chunks)))
 	}
-	dec := &decoder{dict: ir.dict}
+	dec := getDecoder(ir.dict)
 	var (
 		pool  slabPool
-		buf   []byte
 		chunk = lo
 	)
 	next := func() ([]sim.Event, func(), error) {
 		if chunk >= hi {
 			return nil, nil, io.EOF
 		}
-		f, err := ir.frameAt(chunk, &buf)
+		f, err := ir.frameAt(chunk, &dec.frame)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -216,11 +215,7 @@ func (ir *IndexedReader) Range(prog *isa.Program, lo, hi int) *Source {
 		chunk++
 		return evs, pool.release(evs), nil
 	}
-	closeFn := func() {
-		dec.release()
-		buf = nil
-	}
-	return &Source{next: next, close: closeFn}
+	return &Source{next: next, close: dec.put}
 }
 
 // ScanRunTokens decodes only the token stream of chunks [lo, hi),
@@ -247,14 +242,13 @@ func (ir *IndexedReader) ScanRunTokens(ctx context.Context, prog *isa.Program, l
 	if err := ir.dict.bindShared(prog); err != nil {
 		return err
 	}
-	dec := &decoder{dict: ir.dict}
-	defer dec.release()
-	var buf []byte
+	dec := getDecoder(ir.dict)
+	defer dec.put()
 	for chunk := lo; chunk < hi; chunk++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f, err := ir.frameAt(chunk, &buf)
+		f, err := ir.frameAt(chunk, &dec.frame)
 		if err != nil {
 			return err
 		}

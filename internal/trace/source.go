@@ -22,6 +22,8 @@ type Source struct {
 	next  func() ([]sim.Event, func(), error)
 	close func()
 
+	// mu is held across each decode, so Close never returns the
+	// source's pooled decoder while a Next is still using it.
 	mu     sync.Mutex
 	closed bool
 }
@@ -30,25 +32,23 @@ type Source struct {
 // returns ErrClosed.
 func (s *Source) Next() ([]sim.Event, func(), error) {
 	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	defer s.mu.Unlock()
+	if s.closed {
 		return nil, nil, ErrClosed
 	}
 	return s.next()
 }
 
-// Close releases the source's resources (decode workers, buffers) and
-// makes further Next calls fail with ErrClosed. It is safe to call
-// after an error, mid-stream, or more than once.
+// Close releases the source's resources (decoder, buffers) and makes
+// further Next calls fail with ErrClosed. It is safe to call after an
+// error, mid-stream, or more than once.
 func (s *Source) Close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	s.mu.Unlock()
 	s.close()
 }
 
