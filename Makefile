@@ -71,7 +71,10 @@ smoke:
 # artifact bodies against arbitrary transfer checksum headers,
 # FuzzRequestBodies for arbitrary request JSON on bioperfd's three job
 # routes, FuzzCacheMatchesReference for arbitrary address and store
-# streams through the cache against its naive LRU reference.
+# streams through the cache against its naive LRU reference, FuzzParse
+# for arbitrary bytes through the MiniC parser's streamed token window
+# against LexAll. TestFuzzSmokeCoversEveryFuzzer (root package) fails
+# when a Fuzz function under internal/ is missing from this rule.
 # Minimizing a new input is capped at 100 runs: left at its 60 s
 # default, minimizing one multi-kilobyte input outlasts the budget, and
 # a fuzzer stalls after its first find (on a 2-vCPU host,
@@ -85,6 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzVerifyBody$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/minic -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 100x
 
 # validate-timing asserts the fast (1/32 sampled) tier reproduces the
 # full tier's speedup and cross-platform ratios within the checked-in

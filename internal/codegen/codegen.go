@@ -462,13 +462,13 @@ func (g *gen) scanConsts() {
 					continue
 				}
 			}
-			buf = buf[:0]
-			for _, v := range in.Uses(buf) {
+			buf = in.Uses(buf[:0])
+			for _, v := range buf {
 				count(v)
 			}
 		}
-		buf = buf[:0]
-		for _, v := range b.Term.Uses(buf) {
+		buf = b.Term.Uses(buf[:0])
+		for _, v := range buf {
 			count(v)
 		}
 	}

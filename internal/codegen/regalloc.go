@@ -72,8 +72,8 @@ func liveness(f *ir.Func) (liveIn, liveOut []bitset) {
 		use[i] = newBitset(n)
 		def[i] = newBitset(n)
 		scan := func(in *ir.Instr) {
-			buf = buf[:0]
-			for _, v := range in.Uses(buf) {
+			buf = in.Uses(buf[:0])
+			for _, v := range buf {
 				if !def[i].has(v) {
 					use[i].add(v)
 				}
@@ -161,8 +161,8 @@ func buildIntervals(f *ir.Func) ([]interval, []int32) {
 		}
 		p := bStart
 		handle := func(in *ir.Instr) {
-			buf = buf[:0]
-			for _, v := range in.Uses(buf) {
+			buf = in.Uses(buf[:0])
+			for _, v := range buf {
 				touch(v, p)
 			}
 			if in.Dst != ir.NoValue {
@@ -187,8 +187,8 @@ func buildIntervals(f *ir.Func) ([]interval, []int32) {
 	for i, b := range f.Blocks {
 		w := weights[i]
 		acc := func(in *ir.Instr) {
-			ubuf = ubuf[:0]
-			for _, v := range in.Uses(ubuf) {
+			ubuf = in.Uses(ubuf[:0])
+			for _, v := range ubuf {
 				uses[v] += w
 			}
 			if in.Dst != ir.NoValue {

@@ -94,8 +94,8 @@ func globalHoistLoads(f *Func, restrict bool) int {
 		tUses := make(map[Value]bool)
 		var buf []Value
 		scan := func(in *Instr) {
-			buf = buf[:0]
-			for _, v := range in.Uses(buf) {
+			buf = in.Uses(buf[:0])
+			for _, v := range buf {
 				tUses[v] = true
 			}
 			if in.Dst != NoValue {
@@ -122,8 +122,8 @@ func globalHoistLoads(f *Func, restrict bool) int {
 				ok = false // reads its own dst; not worth the analysis
 			}
 			if ok {
-				buf = buf[:0]
-				for _, v := range in.Uses(buf) {
+				buf = in.Uses(buf[:0])
+				for _, v := range buf {
 					if tDefs[v] {
 						ok = false
 					}

@@ -409,8 +409,8 @@ func (f *Func) checkVals(in *Instr) error {
 		}
 		return nil
 	}
-	var buf []Value
-	for _, v := range in.Uses(buf) {
+	var buf [3]Value
+	for _, v := range in.Uses(buf[:0]) {
 		if err := check(v); err != nil {
 			return err
 		}

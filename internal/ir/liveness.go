@@ -61,8 +61,8 @@ func Liveness(f *Func) (liveIn, liveOut []Bitset) {
 		use[i] = NewBitset(n)
 		def[i] = NewBitset(n)
 		scan := func(in *Instr) {
-			buf = buf[:0]
-			for _, v := range in.Uses(buf) {
+			buf = in.Uses(buf[:0])
+			for _, v := range buf {
 				if !def[i].Has(v) {
 					use[i].Add(v)
 				}
@@ -116,8 +116,8 @@ func deadDefElim(f *Func) {
 				if in.Dst != NoValue {
 					live.Del(in.Dst)
 				}
-				buf = buf[:0]
-				for _, v := range in.Uses(buf) {
+				buf = in.Uses(buf[:0])
+				for _, v := range buf {
 					live.Add(v)
 				}
 			}

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // OptOptions selects which passes run. The defaults via O2() mirror
@@ -462,8 +463,8 @@ func deadCodeElim(f *Func) {
 		used := make(map[Value]bool)
 		var buf []Value
 		mark := func(in *Instr) {
-			buf = buf[:0]
-			for _, v := range in.Uses(buf) {
+			buf = in.Uses(buf[:0])
+			for _, v := range buf {
 				used[v] = true
 			}
 		}
@@ -484,8 +485,8 @@ func deadCodeElim(f *Func) {
 				for i := range b.Instrs {
 					in := &b.Instrs[i]
 					if in.Dst != NoValue && used[in.Dst] || in.HasSideEffects() {
-						buf = buf[:0]
-						for _, v := range in.Uses(buf) {
+						buf = in.Uses(buf[:0])
+						for _, v := range buf {
 							if !used[v] {
 								used[v] = true
 								changed = true
@@ -667,8 +668,8 @@ func scheduleBlock(f *Func, b *Block, pressureLimit int, restrict bool) {
 	var buf []Value
 	for j := 0; j < n; j++ {
 		in := &b.Instrs[j]
-		buf = buf[:0]
-		for _, u := range in.Uses(buf) {
+		buf = in.Uses(buf[:0])
+		for _, u := range buf {
 			if d, ok := lastDef[u]; ok {
 				addEdge(d, j) // RAW
 			}
@@ -735,16 +736,16 @@ func scheduleBlock(f *Func, b *Block, pressureLimit int, restrict bool) {
 	var ubuf []Value
 	for j := 0; j < n; j++ {
 		in := &b.Instrs[j]
-		ubuf = ubuf[:0]
-		for _, u := range in.Uses(ubuf) {
+		ubuf = in.Uses(ubuf[:0])
+		for _, u := range ubuf {
 			remaining[u]++
 		}
 		if in.Dst != NoValue {
 			defined[in.Dst] = j
 		}
 	}
-	ubuf = ubuf[:0]
-	for _, u := range b.Term.Uses(ubuf) {
+	ubuf = b.Term.Uses(ubuf[:0])
+	for _, u := range ubuf {
 		escapes[u] = true
 	}
 	// Values defined here might be live-out; without global liveness
@@ -754,20 +755,18 @@ func scheduleBlock(f *Func, b *Block, pressureLimit int, restrict bool) {
 	pressure := 0
 
 	// netEffect estimates the pressure change from scheduling j.
+	var lbuf []Value
 	netEffect := func(j int, rem map[Value]int) int {
 		in := &b.Instrs[j]
 		net := 0
 		if in.Dst != NoValue {
 			net++
 		}
-		seen := map[Value]bool{}
-		var lbuf []Value
-		lbuf = lbuf[:0]
-		for _, u := range in.Uses(lbuf) {
-			if seen[u] {
-				continue
+		lbuf = in.Uses(lbuf[:0])
+		for k, u := range lbuf {
+			if slices.Contains(lbuf[:k], u) {
+				continue // counted at its first use
 			}
-			seen[u] = true
 			if rem[u] == 1 && !escapes[u] {
 				if _, here := defined[u]; here {
 					net--
@@ -827,8 +826,8 @@ func scheduleBlock(f *Func, b *Block, pressureLimit int, restrict bool) {
 			}
 		}
 		in := &b.Instrs[best]
-		ubuf = ubuf[:0]
-		for _, u := range in.Uses(ubuf) {
+		ubuf = in.Uses(ubuf[:0])
+		for _, u := range ubuf {
 			remaining[u]--
 			if remaining[u] == 0 && !escapes[u] {
 				if _, here := defined[u]; here {

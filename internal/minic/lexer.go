@@ -83,6 +83,25 @@ func (l *Lexer) skipSpaceAndComments() error {
 	return nil
 }
 
+// twoKinds and oneKinds are the operator and punctuation tables,
+// looked up longest match first. They are built once: Next allocates
+// nothing for a token that lexes.
+var (
+	twoKinds = map[string]Kind{
+		"+=": PlusEq, "-=": MinusEq, "*=": StarEq, "/=": SlashEq,
+		"%=": PercentEq, "||": OrOr, "&&": AndAnd, "==": EqEq,
+		"!=": NotEq, "<=": Le, ">=": Ge, "<<": Shl, ">>": Shr,
+		"++": Inc, "--": Dec,
+	}
+	oneKinds = map[byte]Kind{
+		'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
+		'[': LBrack, ']': RBrack, ',': Comma, ';': Semi,
+		'?': Question, ':': Colon, '=': Assign, '|': Or, '^': Xor,
+		'&': And, '<': Lt, '>': Gt, '+': Plus, '-': Minus,
+		'*': Star, '/': Slash, '%': Percent, '!': Not, '~': Tilde,
+	}
+)
+
 // Next returns the next token.
 func (l *Lexer) Next() (Token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
@@ -187,23 +206,10 @@ func (l *Lexer) Next() (Token, error) {
 	if l.pos+1 < len(l.src) {
 		two = l.src[l.pos : l.pos+2]
 	}
-	twoKinds := map[string]Kind{
-		"+=": PlusEq, "-=": MinusEq, "*=": StarEq, "/=": SlashEq,
-		"%=": PercentEq, "||": OrOr, "&&": AndAnd, "==": EqEq,
-		"!=": NotEq, "<=": Le, ">=": Ge, "<<": Shl, ">>": Shr,
-		"++": Inc, "--": Dec,
-	}
 	if k, ok := twoKinds[two]; ok {
 		l.pos += 2
 		tok.Kind = k
 		return tok, nil
-	}
-	oneKinds := map[byte]Kind{
-		'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
-		'[': LBrack, ']': RBrack, ',': Comma, ';': Semi,
-		'?': Question, ':': Colon, '=': Assign, '|': Or, '^': Xor,
-		'&': And, '<': Lt, '>': Gt, '+': Plus, '-': Minus,
-		'*': Star, '/': Slash, '%': Percent, '!': Not, '~': Tilde,
 	}
 	if k, ok := oneKinds[c]; ok {
 		l.pos++
@@ -226,7 +232,8 @@ func isHexLiteral(s string) bool {
 	return len(s) > 1 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')
 }
 
-// LexAll tokenizes the whole input (testing convenience).
+// LexAll tokenizes the whole input (testing convenience; Parse pulls
+// tokens from a Lexer one at a time).
 func LexAll(file, src string) ([]Token, error) {
 	l := NewLexer(file, src)
 	var out []Token

@@ -2,37 +2,72 @@ package minic
 
 import "fmt"
 
-// Parser builds an AST from MiniC source. It pre-lexes the whole file
-// so it can look arbitrarily far ahead (needed to distinguish casts
-// from parenthesized expressions).
+// Parser builds an AST from MiniC source. It pulls tokens from a
+// Lexer through a two-token window, the current token and the one
+// after it: the grammar needs no more lookahead than that (a cast is
+// told from a parenthesized expression by the token after the paren),
+// and the parser never backtracks, so no token slice is built.
 type Parser struct {
 	file string
-	toks []Token
-	pos  int
+	lex  *Lexer
+	tok  [2]Token // cur, then peek
+	err  error    // first lexical error; the window holds EOF from then on
 }
 
-// Parse parses one MiniC source file.
+// Parse parses one MiniC source file. A lexical error anywhere in src
+// is reported ahead of any parse error, as if the whole file were
+// lexed first.
 func Parse(file, src string) (*File, error) {
-	toks, err := LexAll(file, src)
+	p := newParser(file, src)
+	f, err := p.parseFile()
+	if err != nil && p.err == nil {
+		p.drain()
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return f, err
+}
+
+func newParser(file, src string) *Parser {
+	p := &Parser{file: file, lex: NewLexer(file, src)}
+	p.tok[0] = p.pull()
+	p.tok[1] = p.pull()
+	return p
+}
+
+// pull returns the lexer's next token, or EOF once it has failed.
+func (p *Parser) pull() Token {
+	if p.err != nil {
+		return Token{Kind: EOF, Line: p.lex.line}
+	}
+	t, err := p.lex.Next()
 	if err != nil {
-		return nil, err
+		p.err = err
+		return Token{Kind: EOF, Line: p.lex.line}
 	}
-	p := &Parser{file: file, toks: toks}
-	return p.parseFile()
+	return t
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
-func (p *Parser) peek() Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// drain lexes the rest of the source, recording its first lexical
+// error if it has one.
+func (p *Parser) drain() {
+	for p.err == nil {
+		if p.pull().Kind == EOF {
+			return
+		}
 	}
-	return p.toks[len(p.toks)-1]
 }
 
+func (p *Parser) cur() Token  { return p.tok[0] }
+func (p *Parser) peek() Token { return p.tok[1] }
+
+// next consumes and returns the current token. EOF is never consumed.
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok[0]
+	if t.Kind != EOF {
+		p.tok[0] = p.tok[1]
+		p.tok[1] = p.pull()
 	}
 	return t
 }

@@ -13,6 +13,14 @@
 // expression operators including ?:, short-circuit && and ||,
 // compound assignment, and prefix/postfix ++/--; explicit (int)/
 // (double) casts; and a builtin print(x).
+//
+// The front end streams: Parse pulls tokens from a Lexer through a
+// two-token window and never backtracks, so no token slice is built
+// (LexAll, which builds one, is a test helper), and the Lexer's
+// operator and keyword tables are package-level, so lexing a source
+// allocates nothing per token. Every compile pays this, which matters
+// to the timing path: each Table 8 cell's program is compiled once per
+// session.
 package minic
 
 import "fmt"

@@ -57,6 +57,19 @@ func (t *decodeTable) lookup(pc int32, in *isa.Inst) *decoded {
 	return t.decode(pc, in)
 }
 
+// bind decodes every instruction of prog into a table of exactly its
+// length, reusing the table's storage when it is large enough.
+func (t *decodeTable) bind(prog *isa.Program) {
+	n := len(prog.Insts)
+	if cap(t.ents) < n {
+		t.ents = make([]decoded, n)
+	}
+	t.ents = t.ents[:n]
+	for pc := range prog.Insts {
+		t.decode(int32(pc), &prog.Insts[pc])
+	}
+}
+
 // decode fills the entry for pc from in, growing the table as needed.
 func (t *decodeTable) decode(pc int32, in *isa.Inst) *decoded {
 	if i := int(pc); i >= len(t.ents) {

@@ -262,17 +262,56 @@ func NewModel(cfg Config) *Model {
 		fetchCycle: int64(cfg.FrontEndDepth),
 	}
 	m.dec = newDecodeTable(&m.cfg)
-	switch cfg.Predictor {
-	case "":
+	if cfg.Predictor == "" {
 		m.pred = bpred.NewPaperDenseShard()
-	case "bimodal":
-		m.custom = bpred.NewBimodal()
-	case "always-taken":
-		m.custom = &bpred.Static{Taken: true}
-	default:
-		panic(fmt.Sprintf("pipeline: unknown predictor %q", cfg.Predictor))
+	} else {
+		m.custom = newAblationPredictor(cfg.Predictor)
 	}
 	return m
+}
+
+// newAblationPredictor builds the named predictor ablation's predictor;
+// it panics on a name it does not know.
+func newAblationPredictor(name string) bpred.Predictor {
+	switch name {
+	case "bimodal":
+		return bpred.NewBimodal()
+	case "always-taken":
+		return &bpred.Static{Taken: true}
+	}
+	panic(fmt.Sprintf("pipeline: unknown predictor %q", name))
+}
+
+// Reset returns m to the state NewModel gave it, in place, so one
+// model can time run after run of the same machine: the cache
+// hierarchy and the paper predictor are reset keeping their storage,
+// the issue ring, retire ring, register scoreboard and statistics are
+// zeroed, and the store-forwarding table is emptied keeping its
+// capacity. A named ablation predictor is built afresh. The decoded
+// program stays until the next Bind, which a reset model needs before
+// it takes chunks of another program.
+func (m *Model) Reset() {
+	m.hier.Reset()
+	if m.pred != nil {
+		m.pred.Reset()
+	} else {
+		m.custom = newAblationPredictor(m.cfg.Predictor)
+	}
+	m.stats = Stats{}
+	m.regReady = [numRegs]int64{}
+	clear(m.used[:])
+	m.ringFloor = 0
+	m.fetchCycle = int64(m.cfg.FrontEndDepth)
+	m.fetchCount = 0
+	m.fetchFloor = 0
+	clear(m.retireRing)
+	m.retirePos = 0
+	m.lastRetire = 0
+	m.retireCnt = 0
+	m.lastIssue = 0
+	m.lastIssueCnt = 0
+	m.storeReady.reset()
+	m.maxComplete = 0
 }
 
 // Config returns the machine configuration.
@@ -300,11 +339,10 @@ func (m *Model) ObserveBatch(evs []sim.Event) {
 }
 
 // Bind decodes every instruction of prog once, up front. ObserveChunk
-// takes only chunks of the program the model is bound to.
+// takes only chunks of the program the model is bound to; binding a
+// reset model to another program replaces the decoded one.
 func (m *Model) Bind(prog *isa.Program) {
-	for pc := range prog.Insts {
-		m.dec.decode(int32(pc), &prog.Insts[pc])
-	}
+	m.dec.bind(prog)
 }
 
 // ObserveChunk advances the model over one run chunk of the bound

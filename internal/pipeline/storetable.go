@@ -34,6 +34,13 @@ func newStoreTable() storeTable {
 	return storeTable{slots: make([]storeSlot, storeTableMinSlots), shift: 64 - storeTableMinBits}
 }
 
+// reset empties the table, keeping its slot array: a table that grew
+// once stays grown.
+func (s *storeTable) reset() {
+	clear(s.slots)
+	s.n = 0
+}
+
 // home returns the first slot key probes.
 func (s *storeTable) home(key uint64) uint64 {
 	return (key * 0x9E3779B97F4A7C15) >> s.shift

@@ -165,6 +165,7 @@ type Session struct {
 	evalStoreHits   atomic.Uint64
 	evalPeerHits    atomic.Uint64
 	evalColds       atomic.Uint64
+	modelsBuilt     atomic.Uint64 // timing models evaluateCold built
 }
 
 // NewSession creates a session whose worker pool runs up to jobs
@@ -434,8 +435,10 @@ func groupJobs(jobs []TimingJob) [][]int {
 // fast tier the machine samples the stream (scoreboard.SampleObserve
 // of every SamplePeriod instructions) and each model extrapolates via
 // Finalize; on the full tier every model observes the complete stream,
-// so Finalize leaves its stats as they are.
-func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int, sz bio.Size, out []pipeline.Stats) error {
+// so Finalize leaves its stats as they are. The models come from free,
+// the calling evaluateCold's free list, reset and rebound to this
+// group's program, and go back to it when the group ends.
+func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int, sz bio.Size, out []pipeline.Stats, free *modelFreeList) error {
 	first := jobs[idx[0]]
 	p := first.Program
 	prog, err := s.Compile(p, first.Transformed, first.Opts)
@@ -449,11 +452,14 @@ func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int
 	if err := p.Bind(m, sz); err != nil {
 		return fmt.Errorf("%s: bind: %w", p.Name, err)
 	}
+	keys := make([]string, len(idx))
 	models := make([]*scoreboard.Model, len(idx))
 	for x, i := range idx {
-		models[x] = scoreboard.NewModel(jobs[i].Config)
+		keys[x] = configHash(jobs[i].Config)
+		models[x] = free.get(keys[x], jobs[i].Config)
 		models[x].Bind(prog)
 	}
+	defer free.put(keys, models)
 	m.SetChunkSink(trace.ChunkEvents, func(ch *runstream.Chunk) {
 		for _, md := range models {
 			md.ObserveChunk(ch)

@@ -25,7 +25,9 @@ var table8Renders = map[int][2]string{
 // names. Memoized, stored and peer timing results are served only
 // under the schema they were computed with, so a change that moves
 // any cycle count must bump timingSchema and record its renders here;
-// moving cycles without a bump fails.
+// moving cycles without a bump fails. Each tier runs in its own
+// session, which must build no more timing models than the model free
+// list allows (checkModelsBuilt).
 func TestTimingSchemaPinsTable8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing grid")
@@ -34,12 +36,13 @@ func TestTimingSchemaPinsTable8(t *testing.T) {
 	if !ok {
 		t.Fatalf("timing schema %d has no pinned Table 8 renders", runner.TimingSchema)
 	}
-	s := runner.NewSession(0)
 	for i, fid := range []pipeline.Fidelity{pipeline.FidelityFull, pipeline.FidelityFast} {
+		s := runner.NewSession(0)
 		cells, err := experiments.Table8SessionFidelity(context.Background(), s, bio.SizeTest, fid)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkModelsBuilt(t, s, s.Jobs(), fid.String())
 		sum := sha256.Sum256([]byte(experiments.RenderTable8(cells)))
 		if got := hex.EncodeToString(sum[:]); got != want[i] {
 			t.Errorf("%s-tier Table 8 render is %s; schema %d pins %s (bump timingSchema if the cycles moved on purpose)",

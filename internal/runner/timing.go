@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/pipeline"
@@ -229,7 +230,8 @@ func (s *Session) EvaluateTiers(ctx context.Context, jobs []TimingJob, sz bio.Si
 // evaluateCold runs the jobs at idx as stream groups, one functional
 // simulation per group, and settles the memo entries they lead: fresh
 // results are memoized, written through to the store and replicated;
-// on failure every entry leaves the memo.
+// on failure every entry leaves the memo. The groups share one
+// modelFreeList, which lives for this call.
 func (s *Session) evaluateCold(ctx context.Context, jobs []TimingJob, idx []int, keys []evalKey, entries []*memoEntry[pipeline.Stats], sz bio.Size, out []Timing) error {
 	if len(idx) == 0 {
 		return nil
@@ -240,8 +242,9 @@ func (s *Session) evaluateCold(ctx context.Context, jobs []TimingJob, idx []int,
 	}
 	groups := groupJobs(sub)
 	sts := make([]pipeline.Stats, len(sub))
+	free := &modelFreeList{s: s, free: make(map[string][]*scoreboard.Model)}
 	err := s.ForEach(ctx, len(groups), func(g int) error {
-		return s.evaluateGroup(ctx, sub, groups[g], sz, sts)
+		return s.evaluateGroup(ctx, sub, groups[g], sz, sts, free)
 	})
 	for x, i := range idx {
 		s.evals.settle(keys[i].name, entries[i], sts[x], err)
@@ -283,4 +286,43 @@ func (s *Session) loadTiming(ctx context.Context, k evalKey) (pipeline.Stats, st
 		return st, "peer", true
 	}
 	return pipeline.Stats{}, "", false
+}
+
+// modelFreeList holds the timing models of one evaluateCold call that
+// no group is using, by configHash. A group takes one model per job,
+// reset to NewModel's state, and gives them all back when its run ends,
+// so a call builds at most (workers) x (distinct configs) models however
+// many groups it runs; Table 8's 48 fast cells run on at most
+// jobs x 4. A model is rebound to each group's program (Bind). The list
+// dies with the call: nothing outlives it, and no other call shares it.
+type modelFreeList struct {
+	s    *Session
+	mu   sync.Mutex
+	free map[string][]*scoreboard.Model
+}
+
+// get returns a model for cfg, whose configHash is key: a reset free
+// one, or a new one when none is free.
+func (f *modelFreeList) get(key string, cfg pipeline.Config) *scoreboard.Model {
+	f.mu.Lock()
+	ms := f.free[key]
+	if n := len(ms); n > 0 {
+		m := ms[n-1]
+		f.free[key] = ms[:n-1]
+		f.mu.Unlock()
+		m.Reset()
+		return m
+	}
+	f.mu.Unlock()
+	f.s.modelsBuilt.Add(1)
+	return scoreboard.NewModel(cfg)
+}
+
+// put gives models back, keys[i] being models[i]'s configHash.
+func (f *modelFreeList) put(keys []string, models []*scoreboard.Model) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, m := range models {
+		f.free[keys[i]] = append(f.free[keys[i]], m)
+	}
 }

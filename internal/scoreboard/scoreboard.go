@@ -28,10 +28,10 @@ const (
 )
 
 // Model is a pipeline.Model that knows it may see only part of the
-// stream. Create with NewModel, Bind it to the program, feed its
-// embedded ObserveChunk from sim.Machine.SetChunkSink, and after the
-// run call Finalize with the functional instruction count before
-// reading Stats.
+// stream. Create with NewModel (or Reset a used one), Bind it to the
+// program, feed its embedded ObserveChunk from sim.Machine.SetChunkSink,
+// and after the run call Finalize with the functional instruction count
+// before reading Stats.
 type Model struct {
 	*pipeline.Model
 	total uint64 // set by Finalize; 0 until then
@@ -41,6 +41,14 @@ type Model struct {
 // means to pipeline.NewModel.
 func NewModel(cfg pipeline.Config) *Model {
 	return &Model{Model: pipeline.NewModel(cfg)}
+}
+
+// Reset returns m to the state NewModel gave it: the pipeline model is
+// reset in place (pipeline.Model.Reset) and the Finalize total is
+// forgotten. Bind it before it takes another program's chunks.
+func (m *Model) Reset() {
+	m.Model.Reset()
+	m.total = 0
 }
 
 // Finalize records the functional run's total committed instruction
