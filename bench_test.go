@@ -7,19 +7,29 @@ package bioperfload
 // prints the paper-style rows recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"testing"
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/experiments"
+	"bioperfload/internal/pipeline"
+	"bioperfload/internal/runner"
 )
+
+// Each generator runs on a fresh parallel session, so every iteration
+// pays for its own compiles and simulations.
 
 func benchProfiles(b *testing.B) []*experiments.ProgramProfile {
 	b.Helper()
-	profiles, err := experiments.Characterize(bio.SizeTest)
+	profiles, err := runner.NewSession(0).CharacterizeAll(context.Background(), bio.SizeTest)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return profiles
+}
+
+func benchTable8() ([]experiments.Table8Cell, error) {
+	return experiments.Table8SessionFidelity(context.Background(), runner.NewSession(0), bio.SizeTest, pipeline.FidelityFull)
 }
 
 // BenchmarkFig1InstructionMix regenerates Figure 1 (instruction
@@ -48,7 +58,7 @@ func BenchmarkTable1Counts(b *testing.B) {
 // BioPerf vs SPEC CPU2000 analogs).
 func BenchmarkFig2Coverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig2(bio.SizeTest)
+		series, err := experiments.Fig2Session(context.Background(), runner.NewSession(0), bio.SizeTest)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +94,7 @@ func BenchmarkTable4Sequences(b *testing.B) {
 // profile with source attribution).
 func BenchmarkTable5HotLoads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table5(bio.SizeTest, 8)
+		rows, err := experiments.Table5Session(context.Background(), runner.NewSession(0), bio.SizeTest, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +108,7 @@ func BenchmarkTable5HotLoads(b *testing.B) {
 // load-transformed cycles on the four platform models).
 func BenchmarkTable8Runtimes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.Table8(bio.SizeTest)
+		cells, err := benchTable8()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +121,7 @@ func BenchmarkTable8Runtimes(b *testing.B) {
 // BenchmarkFig9Speedups regenerates Figure 9 (per-platform speedups
 // with harmonic means).
 func BenchmarkFig9Speedups(b *testing.B) {
-	cells, err := experiments.Table8(bio.SizeTest)
+	cells, err := benchTable8()
 	if err != nil {
 		b.Fatal(err)
 	}

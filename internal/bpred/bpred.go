@@ -208,10 +208,18 @@ func (s BranchStats) MispredictRate() float64 {
 	return float64(s.Mispredicts) / float64(s.Executed)
 }
 
-// Tracker wraps a predictor and records per-branch statistics. It is
-// the measurement harness used by the Table 4 analyses: feed it each
-// committed conditional branch, then query per-branch or aggregate
-// misprediction rates.
+// HardToPredict reports whether the branch mispredicted at least
+// threshold of the time (the paper's Table 4(b) uses 5%) over at least
+// minExec executions (to suppress cold noise).
+func (s BranchStats) HardToPredict(threshold float64, minExec uint64) bool {
+	return s.Executed >= minExec && s.MispredictRate() >= threshold
+}
+
+// Tracker wraps a predictor and records per-branch statistics: feed
+// it each committed conditional branch, then query per-branch or
+// aggregate misprediction rates. It is the map-based reference the
+// Table 4 analyses' DenseShard and their per-event test oracle are
+// checked against.
 type Tracker struct {
 	pred  Predictor
 	perPC map[int32]*BranchStats
@@ -221,19 +229,6 @@ type Tracker struct {
 // NewTracker wraps pred.
 func NewTracker(pred Predictor) *Tracker {
 	return &Tracker{pred: pred, perPC: make(map[int32]*BranchStats)}
-}
-
-// RestoreTracker rebuilds a report-only Tracker from persisted
-// per-branch statistics. The predictor state itself is not restored,
-// so Observe must not be called on the result; the query methods
-// (Stats, Total, PerBranch, HardToPredict) behave as on the original.
-func RestoreTracker(per map[int32]BranchStats, total BranchStats) *Tracker {
-	t := &Tracker{perPC: make(map[int32]*BranchStats, len(per)), total: total}
-	for pc, s := range per {
-		c := s
-		t.perPC[pc] = &c
-	}
-	return t
 }
 
 // Observe predicts, compares with the actual direction, trains, and
@@ -276,19 +271,6 @@ func (t *Tracker) PerBranch() map[int32]BranchStats {
 	out := make(map[int32]BranchStats, len(t.perPC))
 	for pc, s := range t.perPC {
 		out[pc] = *s
-	}
-	return out
-}
-
-// HardToPredict reports the static branches whose misprediction rate
-// is at least threshold (the paper's Table 4(b) uses 5%) and that
-// executed at least minExec times (to suppress cold noise).
-func (t *Tracker) HardToPredict(threshold float64, minExec uint64) map[int32]bool {
-	out := make(map[int32]bool)
-	for pc, s := range t.perPC {
-		if s.Executed >= minExec && s.MispredictRate() >= threshold {
-			out[pc] = true
-		}
 	}
 	return out
 }

@@ -159,14 +159,14 @@ func TestHardToPredict(t *testing.T) {
 	}
 	tr.Observe(3, false) // cold: executed once only
 
-	hard := tr.HardToPredict(0.05, 100)
-	if hard[1] {
+	hard := func(pc int32) bool { return tr.Stats(pc).HardToPredict(0.05, 100) }
+	if hard(1) {
 		t.Error("easy branch flagged hard")
 	}
-	if !hard[2] {
+	if !hard(2) {
 		t.Error("random branch not flagged hard")
 	}
-	if hard[3] {
+	if hard(3) {
 		t.Error("cold branch flagged despite minExec")
 	}
 }

@@ -74,29 +74,6 @@ func TestDenseShardMatchesTracker(t *testing.T) {
 	}
 }
 
-// TestDenseShardRestores checks the merged statistics round-trip
-// through RestoreTracker the way the replay engine rebuilds its final
-// Analysis.
-func TestDenseShardRestores(t *testing.T) {
-	pcs, taken := branchStream(5000, 31, 5)
-	sh := NewPaperDenseShard()
-	for i, pc := range pcs {
-		sh.Observe(pc, taken[i])
-	}
-	per := make(map[int32]BranchStats)
-	var total BranchStats
-	sh.MergeInto(per, &total)
-	tr := RestoreTracker(per, total)
-	if tr.Total() != sh.Total() {
-		t.Fatalf("restored total %+v, want %+v", tr.Total(), sh.Total())
-	}
-	for pc, s := range sh.PerBranch() {
-		if tr.Stats(pc) != s {
-			t.Fatalf("pc %d: restored %+v, want %+v", pc, tr.Stats(pc), s)
-		}
-	}
-}
-
 // TestDenseMatchesHybrid pins a shard that owns every PC to
 // NewPaperHybrid prediction for prediction: for an identical branch
 // stream, every Observe must report exactly the mispredict the

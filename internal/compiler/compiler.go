@@ -106,13 +106,3 @@ func Compile(name, src string, opts Options) (*isa.Program, error) {
 	prog.Name = name
 	return prog, nil
 }
-
-// MustCompile is Compile, panicking on error. For registering
-// built-in kernels whose sources are compile-time constants.
-func MustCompile(name, src string, opts Options) *isa.Program {
-	p, err := Compile(name, src, opts)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

@@ -29,24 +29,11 @@ import (
 // every table and figure that reads the same (program, size) pair.
 type ProgramProfile = runner.Profile
 
-// Characterize runs every BioPerf program (original code, default
-// optimizing compiler) under the full analysis at the given size,
-// on a fresh parallel session.
-func Characterize(sz bio.Size) ([]*ProgramProfile, error) {
-	return CharacterizeSession(context.Background(), runner.NewSession(0), sz)
-}
-
-// CharacterizeSession characterizes the nine programs through the
-// given session: each program is compiled and functionally simulated
-// at most once per session, and the runs fan out across the session's
-// worker pool in deterministic (Table 1) order.
-func CharacterizeSession(ctx context.Context, s *runner.Session, sz bio.Size) ([]*ProgramProfile, error) {
-	return s.CharacterizeAll(ctx, sz)
-}
-
-// CharacterizeSessionAccuracy is CharacterizeSession at an explicit
-// accuracy tier: exact reproduces the historical tables byte for byte;
-// sampled trades bounded per-metric error for phase-sampled speed at
+// CharacterizeSessionAccuracy characterizes the nine programs through
+// the given session at an explicit accuracy tier, in deterministic
+// (Table 1) order: exact reproduces the historical tables byte for
+// byte (runner.Session.CharacterizeAll is its exact form); sampled
+// trades bounded per-metric error for phase-sampled speed at
 // 100x-scale inputs.
 func CharacterizeSessionAccuracy(ctx context.Context, s *runner.Session, sz bio.Size, acc runner.Accuracy) ([]*ProgramProfile, error) {
 	progs := bio.All()
@@ -150,19 +137,14 @@ type Fig2Series struct {
 // Fig2Points are the x-axis sample points.
 var Fig2Points = []int{1, 2, 5, 10, 20, 40, 80, 160, 320, 640}
 
-// Fig2 computes coverage curves for three representative BioPerf
-// programs and the three SPEC CPU2000 analogs on a fresh session.
-func Fig2(sz bio.Size) ([]Fig2Series, error) {
-	return Fig2Session(context.Background(), runner.NewSession(0), sz)
-}
-
 // Fig2BioPrograms are the three representative BioPerf curves.
 var Fig2BioPrograms = []string{"hmmsearch", "hmmpfam", "clustalw"}
 
-// Fig2Session computes the coverage curves through the session: the
-// BioPerf curves reuse the shared characterization runs (no
-// re-simulation when CharacterizeSession already ran), and the three
-// analogs execute on the worker pool.
+// Fig2Session computes coverage curves for three representative
+// BioPerf programs and the three SPEC CPU2000 analogs through the
+// session: the BioPerf curves reuse the shared characterization runs
+// (no re-simulation when the session already characterized them), and
+// the three analogs execute on the worker pool.
 func Fig2Session(ctx context.Context, s *runner.Session, sz bio.Size) ([]Fig2Series, error) {
 	analogs := specx.All()
 	out := make([]Fig2Series, len(Fig2BioPrograms)+len(analogs))
@@ -304,14 +286,10 @@ func RenderTable4(rows []Table4Row) string {
 
 // --- Table 5 ---
 
-// Table5 returns the hot-load profile of hmmsearch (top n loads).
-func Table5(sz bio.Size, n int) ([]loadchar.HotLoad, error) {
-	return Table5Session(context.Background(), runner.NewSession(0), sz, n)
-}
-
-// Table5Session reads the hot-load profile out of the session's
-// shared hmmsearch characterization run — no extra simulation when
-// the run already happened for Figure 1/2 or Tables 1/2/4.
+// Table5Session returns the hot-load profile of hmmsearch (top n
+// loads), read out of the session's shared hmmsearch characterization
+// run — no extra simulation when the run already happened for Figure
+// 1/2 or Tables 1/2/4.
 func Table5Session(ctx context.Context, s *runner.Session, sz bio.Size, n int) ([]loadchar.HotLoad, error) {
 	p, err := bio.ByName("hmmsearch")
 	if err != nil {
@@ -393,14 +371,9 @@ type Table8Cell struct {
 	StatsTrans  pipeline.Stats
 }
 
-// Table8 runs the six transformable programs, original and
-// load-transformed, on all four platform models on a fresh session.
-func Table8(sz bio.Size) ([]Table8Cell, error) {
-	return Table8SessionFidelity(context.Background(), runner.NewSession(0), sz, pipeline.FidelityFull)
-}
-
-// Table8SessionFidelity measures the 6 programs x 4 platforms x 2
-// variants = 48 timing jobs on the given tier through one
+// Table8SessionFidelity runs the six transformable programs, original
+// and load-transformed, on all four platform models: 6 programs x 4
+// platforms x 2 variants = 48 timing jobs on the given tier through one
 // runner.EvaluateAll call. Platforms that share a register budget
 // (Alpha and PowerPC compile identically) share one functional run per
 // (program, variant), so either tier costs 36 runs. Cells come back in

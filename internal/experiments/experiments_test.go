@@ -17,7 +17,7 @@ import (
 
 func characterizeOnce(t *testing.T) []*ProgramProfile {
 	t.Helper()
-	profiles, err := Characterize(bio.SizeTest)
+	profiles, err := runner.NewSession(0).CharacterizeAll(context.Background(), bio.SizeTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFig1AndTable1(t *testing.T) {
 }
 
 func TestFig2Contrast(t *testing.T) {
-	series, err := Fig2(bio.SizeTest)
+	series, err := Fig2Session(context.Background(), runner.NewSession(0), bio.SizeTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTable4(t *testing.T) {
 }
 
 func TestTable5(t *testing.T) {
-	rows, err := Table5(bio.SizeTest, 6)
+	rows, err := Table5Session(context.Background(), runner.NewSession(0), bio.SizeTest, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTable7Rendering(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	render := func(jobs int) string {
 		s := runner.NewSession(jobs)
-		profiles, err := CharacterizeSession(context.Background(), s, bio.SizeTest)
+		profiles, err := s.CharacterizeAll(context.Background(), bio.SizeTest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestTable8AndFig9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing sweep")
 	}
-	cells, err := Table8(bio.SizeTest)
+	cells, err := Table8SessionFidelity(context.Background(), runner.NewSession(0), bio.SizeTest, pipeline.FidelityFull)
 	if err != nil {
 		t.Fatal(err)
 	}

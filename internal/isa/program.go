@@ -95,14 +95,6 @@ func (p *Program) FileName(idx int32) string {
 	return "?"
 }
 
-// PosString formats a source position as file:line.
-func (p *Program) PosString(pos SrcPos) string {
-	if pos.Line == 0 {
-		return "?"
-	}
-	return fmt.Sprintf("%s:%d", p.FileName(pos.File), pos.Line)
-}
-
 // StaticLoads returns the instruction indices of every static load in
 // the program, in program order.
 func (p *Program) StaticLoads() []int32 {

@@ -26,7 +26,6 @@ package loadchar
 import (
 	"sync"
 
-	"bioperfload/internal/bpred"
 	"bioperfload/internal/cache"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/runstream"
@@ -55,48 +54,6 @@ type regDep struct {
 	srcB  int32 // second contributing load or -1
 }
 
-// The report tables: every counter the report methods and Snapshot
-// read. A live analysis assembles them from its engine on demand.
-
-// mixTable is the instruction mix plus per-static-load execution
-// counts.
-type mixTable struct {
-	classCounts [isa.NumClasses]uint64
-	fpCount     uint64
-	fpLoads     uint64
-	total       uint64
-	// counts is the dynamic execution count of each static load,
-	// indexed by PC.
-	counts []uint64
-}
-
-// cacheTable is the hierarchy's counters plus per-static-load L1
-// misses, always under cache.PaperConfig.
-type cacheTable struct {
-	l1, l2 cache.Stats
-	// l1miss is the L1 miss count of each static load, indexed by PC.
-	l1miss []uint64
-}
-
-// depTable holds the load-to-branch chain counts.
-type depTable struct {
-	// toBranch counts, per load PC (dense, indexed by PC), dynamic
-	// instances feeding a conditional branch.
-	toBranch []uint64
-	// fedBranch counts, per load PC and branch PC, how often the load
-	// fed the branch.
-	fedBranch     map[int32]map[int32]uint64
-	fedBranchExec uint64
-	fedBranchMiss uint64
-}
-
-// seqTable holds the branch-to-load sequence counts: per load PC and
-// branch PC, how often the load (with a tight consumer) executed right
-// after the branch.
-type seqTable struct {
-	afterBranch map[int32]map[int32]uint64
-}
-
 // Analysis performs the full characterization. Create with New, attach
 // to a machine (or feed it chunks), then query the report methods. It
 // implements sim.BatchObserver. Observation is
@@ -105,11 +62,9 @@ type seqTable struct {
 type Analysis struct {
 	prog *isa.Program
 
-	mix   mixTable
-	cache cacheTable
-	bp    *bpred.Tracker
-	dep   depTable
-	seq   seqTable
+	// rep is the report state every report method reads. A live
+	// analysis assembles it from its engine on demand.
+	rep Snapshot
 
 	// live is the engine of an analysis that can still observe; nil for
 	// a report-only analysis (FromSnapshot, AnalyzeRuns).
@@ -132,7 +87,7 @@ type liveEngine struct {
 	// mu serializes sync, so report methods may run concurrently once
 	// observation has ended (a cached profile serves many requests).
 	mu sync.Mutex
-	// dirty marks chunks observed since the report tables were last
+	// dirty marks chunks observed since the report state was last
 	// assembled.
 	dirty bool
 }
@@ -153,9 +108,9 @@ var _ sim.BatchObserver = (*Analysis)(nil)
 // Reset returns a live analysis to the state New gives, keeping its
 // allocated storage: occurrence counts, predictor state and cache
 // contents are cleared, the run engine returns to its empty machine
-// state, any partial Builder chunk is dropped, and the report tables
-// are marked stale, so the next report rebuilds them from the cleared
-// lanes in their own storage. The engine keeps its interned runs and
+// state, any partial Builder chunk is dropped, and the report state
+// is marked stale, so the next report rebuilds it from the cleared
+// lanes in its own storage. The engine keeps its interned runs and
 // states and its transition memo: a transition is a pure function of
 // the state and the run, so a kept one is exactly what a fresh engine
 // would evaluate. A sampled replay worker resets one analysis between
@@ -216,8 +171,8 @@ func (a *Analysis) Err() error {
 	return a.live.b.Err()
 }
 
-// sync brings a live analysis's report tables up to date: the partial
-// chunk is flushed to the engine and the tables are reassembled. Every
+// sync brings a live analysis's report state up to date: the partial
+// chunk is flushed to the engine and the state is reassembled. Every
 // report method calls it first, so reports and snapshots taken
 // mid-stream are exact.
 func (a *Analysis) sync() {
@@ -243,33 +198,33 @@ func (a *Analysis) seal(exec Execution) {
 	a.Exec = exec
 }
 
-// assemble rebuilds the report tables from a run engine and its lanes:
+// assemble rebuilds the report state from a run engine and its lanes:
 // the engine's characterizations multiplied out by occurrence, the
 // predictor shards' tables unioned, and the memory shards' counters
-// summed. The tables are rebuilt in place and never alias lane state,
-// so a live analysis can keep observing afterwards.
+// summed. The state is rebuilt in its own storage and never aliases
+// lane state, so a live analysis can keep observing afterwards.
 func (a *Analysis) assemble(eng *runEngine, bps []*bpLane, mems []*memLane) {
 	n := len(a.prog.Insts)
-	a.mix = mixTable{counts: zeroed(a.mix.counts, n)}
-	a.dep = depTable{toBranch: zeroed(a.dep.toBranch, n), fedBranch: cleared(a.dep.fedBranch)}
-	a.seq = seqTable{afterBranch: cleared(a.seq.afterBranch)}
-	eng.finish(a)
-
-	per := make(map[int32]bpred.BranchStats)
-	var totalB bpred.BranchStats
-	for _, l := range bps {
-		l.sh.MergeInto(per, &totalB)
-		a.dep.fedBranchMiss += l.fedMiss
+	r := &a.rep
+	*r = Snapshot{
+		LoadCounts:  zeroed(r.LoadCounts, n),
+		L1Miss:      zeroed(r.L1Miss, n),
+		Branches:    cleared(r.Branches),
+		ToBranch:    zeroed(r.ToBranch, n),
+		FedBranch:   cleared(r.FedBranch),
+		AfterBranch: cleared(r.AfterBranch),
 	}
-	a.bp = bpred.RestoreTracker(per, totalB)
-
-	a.cache = cacheTable{l1miss: zeroed(a.cache.l1miss, n)}
+	eng.finish(r)
+	for _, l := range bps {
+		l.sh.MergeInto(r.Branches, &r.BranchTotal)
+		r.FedBranchMiss += l.fedMiss
+	}
 	for _, l := range mems {
-		a.cache.l1.Add(l.hier.L1().Stats())
-		a.cache.l2.Add(l.hier.L2().Stats())
+		r.L1Stats.Add(l.hier.L1().Stats())
+		r.L2Stats.Add(l.hier.L2().Stats())
 		for pc, v := range l.l1miss {
 			if v != 0 {
-				a.cache.l1miss[pc] += v
+				r.L1Miss[pc] += v
 			}
 		}
 	}
@@ -286,9 +241,9 @@ func zeroed(s []uint64, n int) []uint64 {
 }
 
 // cleared returns m emptied, or a new map if m is nil.
-func cleared(m map[int32]map[int32]uint64) map[int32]map[int32]uint64 {
+func cleared[V any](m map[int32]V) map[int32]V {
 	if m == nil {
-		return make(map[int32]map[int32]uint64)
+		return make(map[int32]V)
 	}
 	clear(m)
 	return m

@@ -11,7 +11,7 @@ import (
 )
 
 // analyze runs one bio program at test size under the analysis.
-func analyze(t *testing.T, name string) *Analysis {
+func analyze(t testing.TB, name string) *Analysis {
 	t.Helper()
 	p, err := bio.ByName(name)
 	if err != nil {
@@ -292,7 +292,7 @@ func TestBranchToLoadDetection(t *testing.T) {
 
 func TestBranchesAccessor(t *testing.T) {
 	a := analyze(t, "dnapenny")
-	br := a.Branches()
+	br := a.Snapshot().Branches
 	if len(br) == 0 {
 		t.Fatal("no branch statistics")
 	}

@@ -20,15 +20,14 @@ import (
 // each slab. It shares only the dependence and sequence machines with
 // production code.
 type oracle struct {
-	prog   *isa.Program
-	mix    mixTable
-	hier   *cache.Hierarchy
-	l1miss []uint64
-	bp     *bpred.Tracker
-	dep    depPass
-	depT   depTable
-	seq    seqPass
-	seqT   seqTable
+	prog *isa.Program
+	// rep holds every count but the cache's and predictor's, which
+	// analysis reads out of hier and bp.
+	rep  Snapshot
+	hier *cache.Hierarchy
+	bp   *bpred.Tracker
+	dep  depPass
+	seq  seqPass
 	// mis holds the slab's mispredict bits, one per conditional branch;
 	// br is the dependence pass's cursor into it.
 	mis []bool
@@ -38,13 +37,16 @@ type oracle struct {
 func newOracle(prog *isa.Program) *oracle {
 	n := len(prog.Insts)
 	o := &oracle{
-		prog:   prog,
-		mix:    mixTable{counts: make([]uint64, n)},
-		hier:   cache.NewHierarchy(cache.PaperConfig()),
-		l1miss: make([]uint64, n),
-		bp:     bpred.NewTracker(bpred.NewPaperHybrid()),
-		depT:   depTable{toBranch: make([]uint64, n), fedBranch: make(map[int32]map[int32]uint64)},
-		seqT:   seqTable{afterBranch: make(map[int32]map[int32]uint64)},
+		prog: prog,
+		rep: Snapshot{
+			LoadCounts:  make([]uint64, n),
+			L1Miss:      make([]uint64, n),
+			ToBranch:    make([]uint64, n),
+			FedBranch:   make(map[int32]map[int32]uint64),
+			AfterBranch: make(map[int32]map[int32]uint64),
+		},
+		hier: cache.NewHierarchy(cache.PaperConfig()),
+		bp:   bpred.NewTracker(bpred.NewPaperHybrid()),
 	}
 	for i := range o.dep.deps {
 		o.dep.deps[i].depth = -1
@@ -55,16 +57,16 @@ func newOracle(prog *isa.Program) *oracle {
 		if !fed {
 			return
 		}
-		o.depT.fedBranchExec++
+		o.rep.FedBranchExec++
 		if mis {
-			o.depT.fedBranchMiss++
+			o.rep.FedBranchMiss++
 		}
 		o.credit(srcA, branchPC)
 		if srcB >= 0 && srcB != srcA {
 			o.credit(srcB, branchPC)
 		}
 	}
-	o.seq.rec = func(loadPC, branchPC int32) { bump(o.seqT.afterBranch, loadPC, branchPC) }
+	o.seq.rec = func(loadPC, branchPC int32) { bump(o.rep.AfterBranch, loadPC, branchPC) }
 	return o
 }
 
@@ -78,8 +80,8 @@ func bump(m map[int32]map[int32]uint64, k1, k2 int32) {
 }
 
 func (o *oracle) credit(loadPC, branchPC int32) {
-	o.depT.toBranch[loadPC]++
-	bump(o.depT.fedBranch, loadPC, branchPC)
+	o.rep.ToBranch[loadPC]++
+	bump(o.rep.FedBranch, loadPC, branchPC)
 }
 
 func (o *oracle) ObserveBatch(evs []sim.Event) {
@@ -88,19 +90,19 @@ func (o *oracle) ObserveBatch(evs []sim.Event) {
 		ev := &evs[i]
 		op := ev.Inst.Op
 		cls := isa.ClassOf(op)
-		o.mix.total++
-		o.mix.classCounts[cls]++
+		o.rep.Total++
+		o.rep.ClassCounts[cls]++
 		if isa.IsFloat(op) {
-			o.mix.fpCount++
+			o.rep.FPCount++
 			if cls == isa.ClassLoad {
-				o.mix.fpLoads++
+				o.rep.FPLoads++
 			}
 		}
 		switch cls {
 		case isa.ClassLoad:
-			o.mix.counts[ev.PC]++
+			o.rep.LoadCounts[ev.PC]++
 			if lvl, _ := o.hier.Access(ev.Addr, false); lvl != cache.LevelL1 {
-				o.l1miss[ev.PC]++
+				o.rep.L1Miss[ev.PC]++
 			}
 		case isa.ClassStore:
 			o.hier.Access(ev.Addr, true)
@@ -116,16 +118,10 @@ func (o *oracle) ObserveBatch(evs []sim.Event) {
 // analysis returns a report-only view of the oracle's current counts;
 // it aliases the oracle, so use it before observing further.
 func (o *oracle) analysis() *Analysis {
-	return &Analysis{
-		prog: o.prog,
-		mix:  o.mix,
-		cache: cacheTable{
-			l1: o.hier.L1().Stats(), l2: o.hier.L2().Stats(), l1miss: o.l1miss,
-		},
-		bp:  o.bp,
-		dep: o.depT,
-		seq: o.seqT,
-	}
+	s := o.rep
+	s.L1Stats, s.L2Stats = o.hier.L1().Stats(), o.hier.L2().Stats()
+	s.Branches, s.BranchTotal = o.bp.PerBranch(), o.bp.Total()
+	return &Analysis{prog: o.prog, rep: s}
 }
 
 // captureSlabs runs the program live at test size, capturing the

@@ -25,15 +25,15 @@ type Mix struct {
 func (a *Analysis) Mix() Mix {
 	a.sync()
 	m := Mix{
-		Total:        a.mix.total,
-		Loads:        a.mix.classCounts[isa.ClassLoad],
-		Stores:       a.mix.classCounts[isa.ClassStore],
-		CondBranches: a.mix.classCounts[isa.ClassCondBranch],
+		Total:        a.rep.Total,
+		Loads:        a.rep.ClassCounts[isa.ClassLoad],
+		Stores:       a.rep.ClassCounts[isa.ClassStore],
+		CondBranches: a.rep.ClassCounts[isa.ClassCondBranch],
 	}
 	m.Other = m.Total - m.Loads - m.Stores - m.CondBranches
 	if m.Total > 0 {
 		t := float64(m.Total)
-		m.FPFraction = float64(a.mix.fpCount) / t
+		m.FPFraction = float64(a.rep.FPCount) / t
 		m.LoadPct = 100 * float64(m.Loads) / t
 		m.StorePct = 100 * float64(m.Stores) / t
 		m.BranchPct = 100 * float64(m.CondBranches) / t
@@ -45,7 +45,7 @@ func (a *Analysis) Mix() Mix {
 // TotalLoads returns the dynamic load count.
 func (a *Analysis) TotalLoads() uint64 {
 	a.sync()
-	return a.mix.classCounts[isa.ClassLoad]
+	return a.rep.ClassCounts[isa.ClassLoad]
 }
 
 // Coverage returns the cumulative fraction of dynamic loads covered
@@ -55,7 +55,7 @@ func (a *Analysis) Coverage() []float64 {
 	a.sync()
 	var counts []uint64
 	var total uint64
-	for _, c := range a.mix.counts {
+	for _, c := range a.rep.LoadCounts {
 		if c == 0 {
 			continue
 		}
@@ -92,7 +92,7 @@ func (a *Analysis) CoverageAt(n int) float64 {
 func (a *Analysis) StaticLoadCount() int {
 	a.sync()
 	n := 0
-	for _, c := range a.mix.counts {
+	for _, c := range a.rep.LoadCounts {
 		if c != 0 {
 			n++
 		}
@@ -103,7 +103,7 @@ func (a *Analysis) StaticLoadCount() int {
 // CacheReport returns the Table 2 row.
 func (a *Analysis) CacheReport() cache.Report {
 	a.sync()
-	return cache.LoadReportOf(cache.PaperConfig().Lat, a.cache.l1, a.cache.l2)
+	return cache.LoadReportOf(cache.PaperConfig().Lat, a.rep.L1Stats, a.rep.L2Stats)
 }
 
 // Sequences is one Table 4 row pair.
@@ -127,19 +127,18 @@ type Sequences struct {
 func (a *Analysis) Sequences() Sequences {
 	a.sync()
 	var s Sequences
-	totalLoads := a.TotalLoads()
+	totalLoads := a.rep.ClassCounts[isa.ClassLoad]
 	if totalLoads == 0 {
 		return s
 	}
 	var toBranch uint64
 	var afterHard uint64
-	hard := a.bp.HardToPredict(0.05, 16)
-	for _, n := range a.dep.toBranch {
+	for _, n := range a.rep.ToBranch {
 		toBranch += n
 	}
-	for _, ab := range a.seq.afterBranch {
+	for _, ab := range a.rep.AfterBranch {
 		for brPC, n := range ab {
-			if hard[brPC] {
+			if a.rep.Branches[brPC].HardToPredict(0.05, 16) {
 				afterHard += n
 			}
 		}
@@ -151,10 +150,10 @@ func (a *Analysis) Sequences() Sequences {
 	}
 	s.LoadToBranchPct = 100 * float64(toBranch) / float64(totalLoads)
 	s.LoadAfterHardBranchPct = 100 * float64(afterHard) / float64(totalLoads)
-	if a.dep.fedBranchExec > 0 {
-		s.FedBranchMispredictRate = float64(a.dep.fedBranchMiss) / float64(a.dep.fedBranchExec)
+	if a.rep.FedBranchExec > 0 {
+		s.FedBranchMispredictRate = float64(a.rep.FedBranchMiss) / float64(a.rep.FedBranchExec)
 	}
-	s.OverallMispredictRate = a.bp.Total().MispredictRate()
+	s.OverallMispredictRate = a.rep.BranchTotal.MispredictRate()
 	return s
 }
 
@@ -180,7 +179,7 @@ func (a *Analysis) HotLoads(n int) []HotLoad {
 		count uint64
 	}
 	var all []kv
-	for pc, c := range a.mix.counts {
+	for pc, c := range a.rep.LoadCounts {
 		if c != 0 {
 			all = append(all, kv{int32(pc), c})
 		}
@@ -194,22 +193,21 @@ func (a *Analysis) HotLoads(n int) []HotLoad {
 	if n > len(all) {
 		n = len(all)
 	}
-	total := a.TotalLoads()
+	total := a.rep.ClassCounts[isa.ClassLoad]
 	out := make([]HotLoad, 0, n)
-	perBranch := a.bp.PerBranch()
 	for _, e := range all[:n] {
 		h := HotLoad{PC: e.pc, Line: a.prog.Insts[e.pc].Pos.Line}
 		if total > 0 {
 			h.Frequency = float64(e.count) / float64(total)
 		}
 		if e.count > 0 {
-			h.L1MissRate = float64(a.cache.l1miss[e.pc]) / float64(e.count)
-			h.FeedsBranchPct = 100 * float64(a.dep.toBranch[e.pc]) / float64(e.count)
+			h.L1MissRate = float64(a.rep.L1Miss[e.pc]) / float64(e.count)
+			h.FeedsBranchPct = 100 * float64(a.rep.ToBranch[e.pc]) / float64(e.count)
 		}
 		// Weighted misprediction rate of the branches this load feeds.
 		var exec, mis float64
-		for brPC, cnt := range a.dep.fedBranch[e.pc] {
-			bs := perBranch[brPC]
+		for brPC, cnt := range a.rep.FedBranch[e.pc] {
+			bs := a.rep.Branches[brPC]
 			if bs.Executed == 0 {
 				continue
 			}
@@ -244,8 +242,7 @@ type Candidate struct {
 func (a *Analysis) Candidates(minFreq, minMispred, maxMiss float64) []Candidate {
 	a.sync()
 	var out []Candidate
-	hard := a.bp.HardToPredict(minMispred, 16)
-	for _, h := range a.HotLoads(len(a.mix.counts)) {
+	for _, h := range a.HotLoads(len(a.rep.LoadCounts)) {
 		if h.Frequency < minFreq || h.L1MissRate > maxMiss {
 			continue
 		}
@@ -253,32 +250,13 @@ func (a *Analysis) Candidates(minFreq, minMispred, maxMiss float64) []Candidate 
 		case h.BranchMispred >= minMispred && h.FeedsBranchPct > 10:
 			out = append(out, Candidate{HotLoad: h, Reason: "load-to-branch with hard branch"})
 		default:
-			for brPC := range a.seq.afterBranch[h.PC] {
-				if hard[brPC] {
+			for brPC := range a.rep.AfterBranch[h.PC] {
+				if a.rep.Branches[brPC].HardToPredict(minMispred, 16) {
 					out = append(out, Candidate{HotLoad: h, Reason: "load after hard-to-predict branch"})
 					break
 				}
 			}
 		}
-	}
-	return out
-}
-
-// Branches exposes the underlying per-branch statistics.
-func (a *Analysis) Branches() map[int32]struct {
-	Executed    uint64
-	Mispredicts uint64
-} {
-	a.sync()
-	out := make(map[int32]struct {
-		Executed    uint64
-		Mispredicts uint64
-	})
-	for pc, s := range a.bp.PerBranch() {
-		out[pc] = struct {
-			Executed    uint64
-			Mispredicts uint64
-		}{s.Executed, s.Mispredicts}
 	}
 	return out
 }

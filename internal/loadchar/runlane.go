@@ -494,22 +494,22 @@ func (e *runEngine) step(ann *chunkAnn, ri *runInfo, rep int32, brOff int) int {
 }
 
 // finish multiplies the interned characterizations by their occurrence
-// counts into a's mix, dependence, and sequence tables. a must have
-// mix/dep/seq initialized for the engine's program.
-func (e *runEngine) finish(a *Analysis) {
+// counts into r's mix, dependence, and sequence tables. r's per-load
+// tables must be sized for the engine's program and its maps non-nil.
+func (e *runEngine) finish(r *Snapshot) {
 	for _, ri := range e.runs {
 		occ := ri.occ
 		if occ == 0 {
 			continue
 		}
-		a.mix.total += uint64(ri.n) * occ
+		r.Total += uint64(ri.n) * occ
 		for c := range ri.classCounts {
-			a.mix.classCounts[c] += uint64(ri.classCounts[c]) * occ
+			r.ClassCounts[c] += uint64(ri.classCounts[c]) * occ
 		}
-		a.mix.fpCount += uint64(ri.fp) * occ
-		a.mix.fpLoads += uint64(ri.fpLoads) * occ
+		r.FPCount += uint64(ri.fp) * occ
+		r.FPLoads += uint64(ri.fpLoads) * occ
 		for _, off := range ri.loads {
-			a.mix.counts[ri.pc+off] += occ
+			r.LoadCounts[ri.pc+off] += occ
 		}
 	}
 	for i := range e.trans {
@@ -517,23 +517,23 @@ func (e *runEngine) finish(a *Analysis) {
 		if tr.occ == 0 {
 			continue
 		}
-		a.dep.fedBranchExec += uint64(tr.fedCount) * tr.occ
+		r.FedBranchExec += uint64(tr.fedCount) * tr.occ
 		cs := e.credits[tr.credOff : tr.credOff+tr.nDep+tr.nSeq]
 		for _, c := range cs[:tr.nDep] {
 			n := uint64(c.n) * tr.occ
-			a.dep.toBranch[c.loadPC] += n
-			fb := a.dep.fedBranch[c.loadPC]
+			r.ToBranch[c.loadPC] += n
+			fb := r.FedBranch[c.loadPC]
 			if fb == nil {
 				fb = make(map[int32]uint64)
-				a.dep.fedBranch[c.loadPC] = fb
+				r.FedBranch[c.loadPC] = fb
 			}
 			fb[c.branchPC] += n
 		}
 		for _, c := range cs[tr.nDep:] {
-			ab := a.seq.afterBranch[c.loadPC]
+			ab := r.AfterBranch[c.loadPC]
 			if ab == nil {
 				ab = make(map[int32]uint64)
-				a.seq.afterBranch[c.loadPC] = ab
+				r.AfterBranch[c.loadPC] = ab
 			}
 			ab[c.branchPC] += uint64(c.n) * tr.occ
 		}

@@ -13,38 +13,44 @@ import (
 	"bioperfload/internal/isa"
 )
 
-// Snapshot is the portable, serializable form of an Analysis: every
-// counter and table the report methods read, and nothing of the
-// transient engine state (predictor tables, cache contents, register
-// dependence state). A snapshot restored with FromSnapshot renders
-// byte-identical reports because the report code paths are shared; it
-// cannot observe further events. Append and DecodeSnapshot are its
-// binary form.
+// Snapshot is an Analysis's report state in portable, serializable
+// form: every counter and table the report methods read, and nothing
+// of the transient engine state (predictor tables, cache contents,
+// register dependence state). An Analysis holds its report state as a
+// Snapshot and its report methods read it, so a snapshot restored
+// with FromSnapshot renders byte-identical reports; it cannot observe
+// further events. Append and DecodeSnapshot are its binary form.
 type Snapshot struct {
-	// Instruction mix.
+	// Instruction mix. LoadCounts is the dynamic execution count of
+	// each static load, indexed by PC over the whole program.
 	ClassCounts [isa.NumClasses]uint64
 	FPCount     uint64
 	FPLoads     uint64
 	Total       uint64
-	LoadCounts  map[int32]uint64
+	LoadCounts  []uint64
 
 	// Cache hierarchy, always cache.PaperConfig (AMAT reads its
-	// latencies).
+	// latencies). L1Miss is each static load's L1 miss count, indexed
+	// by PC.
 	L1Stats cache.Stats
 	L2Stats cache.Stats
-	L1Miss  map[int32]uint64
+	L1Miss  []uint64
 
 	// Branch predictor.
 	Branches    map[int32]bpred.BranchStats
 	BranchTotal bpred.BranchStats
 
-	// Load-to-branch dependence chains.
-	ToBranch      map[int32]uint64
+	// Load-to-branch dependence chains. ToBranch counts, per load PC
+	// (indexed by PC), dynamic instances feeding a conditional branch;
+	// FedBranch counts, per load PC and branch PC, how often the load
+	// fed the branch.
+	ToBranch      []uint64
 	FedBranch     map[int32]map[int32]uint64
 	FedBranchExec uint64
 	FedBranchMiss uint64
 
-	// Branch-to-load sequences.
+	// Branch-to-load sequences: per load PC and branch PC, how often
+	// the load (with a tight consumer) executed right after the branch.
 	AfterBranch map[int32]map[int32]uint64
 }
 
@@ -65,68 +71,53 @@ func (s *Snapshot) words() []*uint64 {
 	return append(w, &s.FedBranchExec, &s.FedBranchMiss)
 }
 
+// perLoad lists the dense per-load tables, each one entry per program
+// instruction.
+func (s *Snapshot) perLoad() [3][]uint64 {
+	return [3][]uint64{s.LoadCounts, s.L1Miss, s.ToBranch}
+}
+
+// sameShape reports whether s and o have per-load tables of equal
+// lengths, as two snapshots of one program do.
+func (s *Snapshot) sameShape(o *Snapshot) error {
+	ts, to := s.perLoad(), o.perLoad()
+	for i := range ts {
+		if len(ts[i]) != len(to[i]) {
+			return fmt.Errorf("loadchar: snapshots of different programs (per-load tables of %d and %d entries)", len(ts[i]), len(to[i]))
+		}
+	}
+	return nil
+}
+
 func branchWords(b *bpred.BranchStats) [3]*uint64 {
 	return [3]*uint64{&b.Executed, &b.Mispredicts, &b.Taken}
+}
+
+// clone returns a copy of s that shares no storage with it.
+func (s *Snapshot) clone() *Snapshot {
+	c := *s
+	c.LoadCounts = slices.Clone(s.LoadCounts)
+	c.L1Miss = slices.Clone(s.L1Miss)
+	c.ToBranch = slices.Clone(s.ToBranch)
+	c.Branches = maps.Clone(s.Branches)
+	c.FedBranch = copyNested(s.FedBranch)
+	c.AfterBranch = copyNested(s.AfterBranch)
+	return &c
 }
 
 func copyNested(src map[int32]map[int32]uint64) map[int32]map[int32]uint64 {
 	out := make(map[int32]map[int32]uint64, len(src))
 	for k, inner := range src {
-		m := make(map[int32]uint64, len(inner))
-		for k2, v := range inner {
-			m[k2] = v
-		}
-		out[k] = m
+		out[k] = maps.Clone(inner)
 	}
 	return out
 }
 
-// denseToMap converts a dense per-PC counter slice to the snapshot's
-// sparse map form.
-func denseToMap(src []uint64) map[int32]uint64 {
-	out := make(map[int32]uint64)
-	for pc, v := range src {
-		if v != 0 {
-			out[int32(pc)] = v
-		}
-	}
-	return out
-}
-
-// mapToDense rebuilds a dense per-PC counter slice from the snapshot's
-// map form, rejecting PCs outside the program.
-func mapToDense(src map[int32]uint64, nInsts int) ([]uint64, error) {
-	out := make([]uint64, nInsts)
-	for pc, v := range src {
-		if pc < 0 || int(pc) >= nInsts {
-			return nil, fmt.Errorf("loadchar: snapshot PC %d outside program (%d insts)", pc, nInsts)
-		}
-		out[pc] = v
-	}
-	return out, nil
-}
-
-// Snapshot captures the analysis's report state. The analysis can keep
-// observing afterwards; the snapshot is an independent copy.
+// Snapshot returns a copy of the analysis's report state. The analysis
+// can keep observing afterwards; the snapshot is an independent copy.
 func (a *Analysis) Snapshot() *Snapshot {
 	a.sync()
-	return &Snapshot{
-		ClassCounts:   a.mix.classCounts,
-		FPCount:       a.mix.fpCount,
-		FPLoads:       a.mix.fpLoads,
-		Total:         a.mix.total,
-		LoadCounts:    denseToMap(a.mix.counts),
-		L1Stats:       a.cache.l1,
-		L2Stats:       a.cache.l2,
-		L1Miss:        denseToMap(a.cache.l1miss),
-		Branches:      a.bp.PerBranch(),
-		BranchTotal:   a.bp.Total(),
-		ToBranch:      denseToMap(a.dep.toBranch),
-		FedBranch:     copyNested(a.dep.fedBranch),
-		FedBranchExec: a.dep.fedBranchExec,
-		FedBranchMiss: a.dep.fedBranchMiss,
-		AfterBranch:   copyNested(a.seq.afterBranch),
-	}
+	return a.rep.clone()
 }
 
 // Scale multiplies every count in the snapshot by w, in place. Every
@@ -137,29 +128,39 @@ func (s *Snapshot) Scale(w uint64) {
 	for _, p := range s.words() {
 		*p *= w
 	}
-	scaleMap(s.LoadCounts, w)
-	scaleMap(s.L1Miss, w)
+	for _, t := range s.perLoad() {
+		for pc := range t {
+			t[pc] *= w
+		}
+	}
 	for pc, b := range s.Branches {
 		for _, p := range branchWords(&b) {
 			*p *= w
 		}
 		s.Branches[pc] = b
 	}
-	scaleMap(s.ToBranch, w)
 	scaleNested(s.FedBranch, w)
 	scaleNested(s.AfterBranch, w)
 }
 
 // Merge adds o's counts into s, in place. Every analysis runs the
-// paper's cache and predictor configuration, so any two snapshots add
-// up; the error is always nil.
+// paper's cache and predictor configuration, so any two snapshots of
+// one program add up; snapshots whose per-load tables differ in
+// length (two programs) are an error, and s is then left unchanged.
 func (s *Snapshot) Merge(o *Snapshot) error {
+	if err := s.sameShape(o); err != nil {
+		return err
+	}
 	ws, wo := s.words(), o.words()
 	for i, p := range ws {
 		*p += *wo[i]
 	}
-	addMap(s.LoadCounts, o.LoadCounts)
-	addMap(s.L1Miss, o.L1Miss)
+	ts, to := s.perLoad(), o.perLoad()
+	for i, t := range ts {
+		for pc, v := range to[i] {
+			t[pc] += v
+		}
+	}
 	for pc, b := range o.Branches {
 		cur := s.Branches[pc]
 		cw, bw := branchWords(&cur), branchWords(&b)
@@ -168,7 +169,6 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 		}
 		s.Branches[pc] = cur
 	}
-	addMap(s.ToBranch, o.ToBranch)
 	addNested(s.FedBranch, o.FedBranch)
 	addNested(s.AfterBranch, o.AfterBranch)
 	return nil
@@ -178,11 +178,14 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 // when o is a prefix of s — a snapshot taken earlier on the same
 // analysis — in which case every field of o is bounded by s and the
 // difference is exactly the counts attributed to the events between
-// the two snapshots. A scalar counter of o above s's is an error, and
-// s is then left unchanged. Entries that reach zero are dropped from
-// the sparse maps so a difference snapshot round-trips like a fresh
-// one.
+// the two snapshots. Per-load tables of another length or a scalar
+// counter of o above s's is an error, and s is then left unchanged.
+// Entries that reach zero are dropped from the sparse maps so a
+// difference snapshot round-trips like a fresh one.
 func (s *Snapshot) Sub(o *Snapshot) error {
+	if err := s.sameShape(o); err != nil {
+		return err
+	}
 	ws, wo := s.words(), o.words()
 	for i, p := range ws {
 		if *p < *wo[i] {
@@ -192,8 +195,12 @@ func (s *Snapshot) Sub(o *Snapshot) error {
 	for i, p := range ws {
 		*p -= *wo[i]
 	}
-	subMap(s.LoadCounts, o.LoadCounts)
-	subMap(s.L1Miss, o.L1Miss)
+	ts, to := s.perLoad(), o.perLoad()
+	for i, t := range ts {
+		for pc, v := range to[i] {
+			t[pc] -= v
+		}
+	}
 	for pc, b := range o.Branches {
 		cur := s.Branches[pc]
 		cw, bw := branchWords(&cur), branchWords(&b)
@@ -206,37 +213,16 @@ func (s *Snapshot) Sub(o *Snapshot) error {
 			s.Branches[pc] = cur
 		}
 	}
-	subMap(s.ToBranch, o.ToBranch)
 	subNested(s.FedBranch, o.FedBranch)
 	subNested(s.AfterBranch, o.AfterBranch)
 	return nil
 }
 
-func scaleMap(m map[int32]uint64, w uint64) {
-	for k, v := range m {
-		m[k] = v * w
-	}
-}
-
-func addMap(dst, src map[int32]uint64) {
-	for k, v := range src {
-		dst[k] += v
-	}
-}
-
-func subMap(dst, src map[int32]uint64) {
-	for k, v := range src {
-		if dst[k] == v {
-			delete(dst, k)
-		} else {
-			dst[k] -= v
-		}
-	}
-}
-
 func scaleNested(m map[int32]map[int32]uint64, w uint64) {
 	for _, inner := range m {
-		scaleMap(inner, w)
+		for k, v := range inner {
+			inner[k] = v * w
+		}
 	}
 }
 
@@ -247,7 +233,9 @@ func addNested(dst, src map[int32]map[int32]uint64) {
 			d = make(map[int32]uint64, len(inner))
 			dst[k] = d
 		}
-		addMap(d, inner)
+		for k2, v := range inner {
+			d[k2] += v
+		}
 	}
 }
 
@@ -257,7 +245,13 @@ func subNested(dst, src map[int32]map[int32]uint64) {
 		if d == nil {
 			continue
 		}
-		subMap(d, inner)
+		for k2, v := range inner {
+			if d[k2] == v {
+				delete(d, k2)
+			} else {
+				d[k2] -= v
+			}
+		}
 		if len(d) == 0 {
 			delete(dst, k)
 		}
@@ -269,25 +263,45 @@ func subNested(dst, src map[int32]map[int32]uint64) {
 // FedBranch and AfterBranch. A table is a 4-byte entry count followed
 // by its entries in strictly ascending PC order, each a 4-byte PC and
 // its value: an 8-byte counter, a branch's three counters, or (for
-// the nested tables) an inner table. Equal snapshots encode to equal
-// bytes, and each body has exactly one snapshot.
+// the nested tables) an inner table. A dense per-load table is written
+// as its non-zero entries. Equal snapshots encode to equal bytes, and
+// each body has exactly one snapshot.
 
 // Append appends the snapshot's binary body to b.
 func (s *Snapshot) Append(b []byte) []byte {
 	for _, p := range s.words() {
 		b = binary.LittleEndian.AppendUint64(b, *p)
 	}
-	b = appendTable(b, s.LoadCounts, binary.LittleEndian.AppendUint64)
-	b = appendTable(b, s.L1Miss, binary.LittleEndian.AppendUint64)
+	b = appendDense(b, s.LoadCounts)
+	b = appendDense(b, s.L1Miss)
 	b = appendTable(b, s.Branches, func(b []byte, st bpred.BranchStats) []byte {
 		for _, p := range branchWords(&st) {
 			b = binary.LittleEndian.AppendUint64(b, *p)
 		}
 		return b
 	})
-	b = appendTable(b, s.ToBranch, binary.LittleEndian.AppendUint64)
+	b = appendDense(b, s.ToBranch)
 	b = appendTable(b, s.FedBranch, appendCounts)
 	return appendTable(b, s.AfterBranch, appendCounts)
+}
+
+// appendDense writes a per-load table as a sparse one: its non-zero
+// entries in PC order.
+func appendDense(b []byte, t []uint64) []byte {
+	n := 0
+	for _, v := range t {
+		if v != 0 {
+			n++
+		}
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for pc, v := range t {
+		if v != 0 {
+			b = binary.LittleEndian.AppendUint32(b, uint32(pc))
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+	}
+	return b
 }
 
 func appendCounts(b []byte, m map[int32]uint64) []byte {
@@ -307,18 +321,20 @@ func appendTable[V any](b []byte, m map[int32]V, appendValue func([]byte, V) []b
 // rejecting bytes allocates nothing.
 var errSnapshotBody = errors.New("loadchar: malformed snapshot body")
 
-// DecodeSnapshot decodes a body Append wrote, and nothing else: short
-// or trailing bytes and PCs out of order are errors. Every table's
-// entry count is checked against the bytes left before the table is
-// allocated, so what decoding allocates is bounded by len(b).
-func DecodeSnapshot(b []byte) (*Snapshot, error) {
+// DecodeSnapshot decodes a body Append wrote for a program of nInsts
+// instructions, and nothing else: short or trailing bytes, PCs out of
+// order, and per-load entries outside the program or of zero value are
+// errors. Every table's entry count is checked against the bytes left
+// before the table is allocated, so what decoding allocates is bounded
+// by len(b) plus the three per-load tables the program sizes.
+func DecodeSnapshot(b []byte, nInsts int) (*Snapshot, error) {
 	r := snapReader{b: b}
 	s := &Snapshot{}
 	for _, p := range s.words() {
 		*p = r.u64()
 	}
-	s.LoadCounts = readTable(&r, 8, (*snapReader).u64)
-	s.L1Miss = readTable(&r, 8, (*snapReader).u64)
+	s.LoadCounts = readDense(&r, nInsts)
+	s.L1Miss = readDense(&r, nInsts)
 	s.Branches = readTable(&r, 24, func(r *snapReader) bpred.BranchStats {
 		var st bpred.BranchStats
 		for _, p := range branchWords(&st) {
@@ -326,7 +342,7 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 		}
 		return st
 	})
-	s.ToBranch = readTable(&r, 8, (*snapReader).u64)
+	s.ToBranch = readDense(&r, nInsts)
 	s.FedBranch = readTable(&r, 4, readCounts)
 	s.AfterBranch = readTable(&r, 4, readCounts)
 	if r.bad || len(r.b) != 0 {
@@ -342,9 +358,13 @@ type snapReader struct {
 	bad bool
 }
 
+func (r *snapReader) fail() {
+	r.b, r.bad = nil, true
+}
+
 func (r *snapReader) u32() uint32 {
 	if len(r.b) < 4 {
-		r.b, r.bad = nil, true
+		r.fail()
 		return 0
 	}
 	v := binary.LittleEndian.Uint32(r.b)
@@ -354,7 +374,7 @@ func (r *snapReader) u32() uint32 {
 
 func (r *snapReader) u64() uint64 {
 	if len(r.b) < 8 {
-		r.b, r.bad = nil, true
+		r.fail()
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(r.b)
@@ -364,12 +384,22 @@ func (r *snapReader) u64() uint64 {
 
 func readCounts(r *snapReader) map[int32]uint64 { return readTable(r, 8, (*snapReader).u64) }
 
+// readCount reads a table's entry count, failing when the bytes left
+// cannot hold that many entries of size bytes each.
+func (r *snapReader) readCount(size int) uint32 {
+	n := r.u32()
+	if r.bad || uint64(n)*uint64(size) > uint64(len(r.b)) {
+		r.fail()
+		return 0
+	}
+	return n
+}
+
 // readTable reads one table whose values take at least size bytes
 // each.
 func readTable[V any](r *snapReader, size int, readValue func(*snapReader) V) map[int32]V {
-	n := r.u32()
-	if r.bad || uint64(n)*uint64(4+size) > uint64(len(r.b)) {
-		r.b, r.bad = nil, true
+	n := r.readCount(4 + size)
+	if r.bad {
 		return nil
 	}
 	m := make(map[int32]V, n)
@@ -377,7 +407,7 @@ func readTable[V any](r *snapReader, size int, readValue func(*snapReader) V) ma
 	for range n {
 		pc := int64(int32(r.u32()))
 		if r.bad || pc <= prev {
-			r.b, r.bad = nil, true
+			r.fail()
 			return nil
 		}
 		prev = pc
@@ -386,32 +416,39 @@ func readTable[V any](r *snapReader, size int, readValue func(*snapReader) V) ma
 	return m
 }
 
-// FromSnapshot rebuilds a report-only Analysis over prog from a
-// snapshot. The report methods are byte-for-byte equivalent to the
+// readDense reads a per-load table into nInsts entries.
+func readDense(r *snapReader, nInsts int) []uint64 {
+	n := r.readCount(12)
+	if r.bad {
+		return nil
+	}
+	t := make([]uint64, nInsts)
+	prev := int64(-1)
+	for range n {
+		pc := int64(int32(r.u32()))
+		v := r.u64()
+		if r.bad || pc <= prev || pc >= int64(nInsts) || v == 0 {
+			r.fail()
+			return nil
+		}
+		prev = pc
+		t[pc] = v
+	}
+	return t
+}
+
+// FromSnapshot rebuilds a report-only Analysis over prog from a copy
+// of s, whose per-load tables must have one entry per instruction of
+// prog. The report methods are byte-for-byte equivalent to the
 // analysis the snapshot was taken from; Observe/ObserveBatch panic,
 // because the transient engine state needed to continue is not part
 // of a snapshot.
 func FromSnapshot(prog *isa.Program, s *Snapshot) (*Analysis, error) {
-	a := &Analysis{prog: prog}
-	a.mix.classCounts = s.ClassCounts
-	a.mix.fpCount = s.FPCount
-	a.mix.fpLoads = s.FPLoads
-	a.mix.total = s.Total
-	var err error
-	if a.mix.counts, err = mapToDense(s.LoadCounts, len(prog.Insts)); err != nil {
-		return nil, err
+	n := len(prog.Insts)
+	for _, t := range s.perLoad() {
+		if len(t) != n {
+			return nil, fmt.Errorf("loadchar: snapshot per-load table of %d entries, program has %d instructions", len(t), n)
+		}
 	}
-	a.cache = cacheTable{l1: s.L1Stats, l2: s.L2Stats}
-	if a.cache.l1miss, err = mapToDense(s.L1Miss, len(prog.Insts)); err != nil {
-		return nil, err
-	}
-	a.bp = bpred.RestoreTracker(s.Branches, s.BranchTotal)
-	if a.dep.toBranch, err = mapToDense(s.ToBranch, len(prog.Insts)); err != nil {
-		return nil, err
-	}
-	a.dep.fedBranch = copyNested(s.FedBranch)
-	a.dep.fedBranchExec = s.FedBranchExec
-	a.dep.fedBranchMiss = s.FedBranchMiss
-	a.seq.afterBranch = copyNested(s.AfterBranch)
-	return a, nil
+	return &Analysis{prog: prog, rep: *s.clone()}, nil
 }

@@ -3,6 +3,7 @@ package loadchar
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if again := live.Snapshot().Append(nil); !bytes.Equal(again, body) {
 				t.Fatal("two encodes of one analysis differ")
 			}
-			decoded, err := DecodeSnapshot(body)
+			decoded, err := DecodeSnapshot(body, len(prog.Insts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,13 +55,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestDecodeSnapshotRejects: DecodeSnapshot takes exactly the bodies
-// Append writes. A body cut short or with a byte after it, a table
-// whose PCs descend or repeat, and a count its bytes cannot back are
-// each rejected.
+// Append writes for the program's length. A body cut short or with a
+// byte after it, a table whose PCs descend or repeat, a count its
+// bytes cannot back, and a per-load entry outside the program or of
+// zero value are each rejected.
 func TestDecodeSnapshotRejects(t *testing.T) {
-	s := &Snapshot{LoadCounts: map[int32]uint64{1: 10, 2: 20}}
+	const nInsts = 4
+	s := &Snapshot{LoadCounts: []uint64{0, 10, 20, 0}}
 	body := s.Append(nil)
-	if _, err := DecodeSnapshot(body); err != nil {
+	if _, err := DecodeSnapshot(body, nInsts); err != nil {
 		t.Fatalf("honest body rejected: %v", err)
 	}
 	// LoadCounts follows the scalar counters: a count, then 12-byte
@@ -71,15 +74,19 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[off:], v)
 		return b
 	}
+	zeroValue := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint64(zeroValue[table+4+4:], 0)
 	for name, bad := range map[string][]byte{
-		"truncated":       body[:len(body)-1],
-		"trailing byte":   append(append([]byte(nil), body...), 0),
-		"descending PCs":  patch(table+4, 3),
-		"repeated PC":     patch(table+4+12, 1),
-		"count too large": patch(table, 1<<20),
-		"empty":           {},
+		"truncated":          body[:len(body)-1],
+		"trailing byte":      append(append([]byte(nil), body...), 0),
+		"descending PCs":     patch(table+4, 3),
+		"repeated PC":        patch(table+4+12, 1),
+		"count too large":    patch(table, 1<<20),
+		"PC outside program": patch(table+4+12, nInsts),
+		"zero entry":         zeroValue,
+		"empty":              {},
 	} {
-		if _, err := DecodeSnapshot(bad); err == nil {
+		if _, err := DecodeSnapshot(bad, nInsts); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -99,4 +106,84 @@ func TestRestoredAnalysisCannotObserve(t *testing.T) {
 		}
 	}()
 	restored.ObserveBatch(slabs[0])
+}
+
+// TestSnapshotsAreCopies: the snapshot Snapshot returns and the one
+// FromSnapshot is given share no storage with the analysis, so
+// wiping every table of either leaves the analysis's render as it was.
+func TestSnapshotsAreCopies(t *testing.T) {
+	prog, live, _ := captureSlabs(t, "hmmsearch")
+	want := RenderProfile("hmmsearch", "test", live, 10)
+	wipe(live.Snapshot())
+	if got := RenderProfile("hmmsearch", "test", live, 10); got != want {
+		t.Error("wiping a returned snapshot changed the live analysis")
+	}
+	given := live.Snapshot()
+	restored, err := FromSnapshot(prog, given)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wipe(given)
+	if got := RenderProfile("hmmsearch", "test", restored, 10); got != want {
+		t.Error("wiping the given snapshot changed the restored analysis")
+	}
+}
+
+// wipe zeroes every count s holds in place, inner tables included.
+func wipe(s *Snapshot) {
+	for _, p := range s.words() {
+		*p = 0
+	}
+	for _, t := range s.perLoad() {
+		clear(t)
+	}
+	clear(s.Branches)
+	for _, m := range []map[int32]map[int32]uint64{s.FedBranch, s.AfterBranch} {
+		for _, inner := range m {
+			clear(inner)
+		}
+	}
+}
+
+// TestSnapshotArithRejectsOtherProgram: Merge and Sub of snapshots of
+// two programs fail and leave the receiver as it was.
+func TestSnapshotArithRejectsOtherProgram(t *testing.T) {
+	progA, a, _ := captureSlabs(t, "predator")
+	progB, b, _ := captureSlabs(t, "promlk")
+	if len(progA.Insts) == len(progB.Insts) {
+		t.Fatal("the two programs have equal lengths")
+	}
+	for name, op := range map[string]func(s, o *Snapshot) error{
+		"Merge": (*Snapshot).Merge,
+		"Sub":   (*Snapshot).Sub,
+	} {
+		s := a.Snapshot()
+		if err := op(s, b.Snapshot()); err == nil {
+			t.Errorf("%s of another program's snapshot succeeded", name)
+		}
+		if !reflect.DeepEqual(s, a.Snapshot()) {
+			t.Errorf("failed %s changed the receiver", name)
+		}
+	}
+}
+
+// BenchmarkProfileReports times the report work of one characterize
+// request on a restored test-size hmmsearch profile: the service's
+// summary fields and hot loads, then the rendered profile.
+func BenchmarkProfileReports(b *testing.B) {
+	live := analyze(b, "hmmsearch")
+	a, err := FromSnapshot(live.prog, live.Snapshot())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		a.Mix()
+		a.CacheReport()
+		a.Sequences()
+		a.StaticLoadCount()
+		a.CoverageAt(80)
+		a.HotLoads(6)
+		RenderProfile("hmmsearch", "test", a, 6)
+	}
 }

@@ -209,8 +209,8 @@ func (s *Session) SetRemote(rt RemoteTier) {
 // SetSimPoint overrides the sampling configuration used by
 // AccuracySampled characterizations. Must be called before the session
 // starts serving; the zero config selects every simpoint default.
-// Tests shrink IntervalSize so test-size runs span enough intervals to
-// cluster.
+// `bioperf phases -interval` sets IntervalSize from its flag, and
+// tests shrink it so test-size runs span enough intervals to cluster.
 func (s *Session) SetSimPoint(cfg simpoint.Config) { s.simpointCfg = cfg }
 
 // SimPoint returns the session's sampling configuration with defaults

@@ -83,7 +83,7 @@ func TestSampledReuseMatchesFresh(t *testing.T) {
 // TestIntervalReplayReusesAnalysis pins the point of the reuse: once a
 // worker's analysis and the decoder pool are warm, replaying another
 // interval on the Reset analysis allocates under 128 KiB — two
-// snapshots, the column source and the report tables' maps — where a
+// snapshots, the column source and the report state's maps — where a
 // new analysis alone is a 528 KiB cache hierarchy plus predictor and
 // run-engine tables. The least of three replays is pinned, so a
 // garbage collection that empties the decoder pool mid-test does not

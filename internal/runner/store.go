@@ -131,9 +131,10 @@ func encodeProfileArtifact(key string, instructions uint64, snap *loadchar.Snaps
 	return snap.Append(b)
 }
 
-// decodeProfileArtifact decodes a profile artifact and checks it
-// answers key. What it allocates is bounded by len(data).
-func decodeProfileArtifact(data []byte, key string) (uint64, *loadchar.Snapshot, error) {
+// decodeProfileArtifact decodes a profile artifact for a program of
+// nInsts instructions and checks it answers key. What it allocates is
+// bounded by len(data) plus the snapshot's per-load tables.
+func decodeProfileArtifact(data []byte, key string, nInsts int) (uint64, *loadchar.Snapshot, error) {
 	body, err := artifactBody(data, profMagic, profVersion, sha256.Sum256([]byte(key)))
 	if err != nil {
 		return 0, nil, err
@@ -141,7 +142,7 @@ func decodeProfileArtifact(data []byte, key string) (uint64, *loadchar.Snapshot,
 	if len(body) < 8 {
 		return 0, nil, errProfileShort
 	}
-	snap, err := loadchar.DecodeSnapshot(body[8:])
+	snap, err := loadchar.DecodeSnapshot(body[8:], nInsts)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -206,7 +207,7 @@ func (s *Session) putArtifact(key string, data []byte) {
 // peer.
 func restoreProfile(p *bio.Program, prog *isa.Program, key, source string, out **Profile) func([]byte) error {
 	return func(data []byte) error {
-		n, snap, err := decodeProfileArtifact(data, key)
+		n, snap, err := decodeProfileArtifact(data, key, len(prog.Insts))
 		if err != nil {
 			return err
 		}

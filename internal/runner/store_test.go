@@ -323,11 +323,16 @@ func TestCompileDeterministic(t *testing.T) {
 	}
 }
 
-// craftMapCount returns a profile artifact under key whose LoadCounts
-// table claims count entries while carrying only one.
+const craftInsts = 1001
+
+// craftMapCount returns a profile artifact under key, for a program of
+// craftInsts instructions, whose LoadCounts table claims count entries
+// while carrying only one.
 func craftMapCount(t testing.TB, key string, count uint32) []byte {
 	t.Helper()
-	data := encodeProfileArtifact(key, 0, &loadchar.Snapshot{LoadCounts: map[int32]uint64{1000: 0xabcdef}})
+	counts := make([]uint64, craftInsts)
+	counts[1000] = 0xabcdef
+	data := encodeProfileArtifact(key, 0, &loadchar.Snapshot{LoadCounts: counts})
 	entry := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 1000), 0xabcdef)
 	at := bytes.Index(data, entry)
 	if at < 4 || binary.LittleEndian.Uint32(data[at-4:]) != 1 {
@@ -341,13 +346,13 @@ func craftMapCount(t testing.TB, key string, count uint32) []byte {
 // not back is rejected before any table is sized from it.
 func TestDecodeProfileArtifactBoundsMapCount(t *testing.T) {
 	key := profKey(Fingerprint(&bio.Program{Name: "x"}, false, compiler.Default()), bio.SizeTest)
-	if _, _, err := decodeProfileArtifact(craftMapCount(t, key, 1), key); err != nil {
+	if _, _, err := decodeProfileArtifact(craftMapCount(t, key, 1), key, craftInsts); err != nil {
 		t.Fatalf("honest count rejected: %v", err)
 	}
 	crafted := craftMapCount(t, key, 1<<20)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := decodeProfileArtifact(crafted, key)
+	_, _, err := decodeProfileArtifact(crafted, key, craftInsts)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("artifact claiming 1Mi map entries in one accepted")
@@ -468,7 +473,7 @@ func FuzzDecodeProfileArtifact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		n, snap, err := decodeProfileArtifact(data, key)
+		n, snap, err := decodeProfileArtifact(data, key, len(prog.Insts))
 		if err == nil {
 			if a, err := loadchar.FromSnapshot(prog, snap); err == nil {
 				loadchar.RenderProfile(p.Name, bio.SizeTest.String(), a, 10)

@@ -355,7 +355,7 @@ func TestShedLadder(t *testing.T) {
 	clS := cluster.New(cluster.Config{Self: tsS.URL, Peers: []string{tsP.URL}})
 	srvP = New(Config{Session: runner.NewSession(1), QueueDepth: 8, Workers: 1})
 	srvS = New(Config{
-		Session: runner.NewSession(1), QueueDepth: 1, ShedReserve: 1, Workers: 1,
+		Session: runner.NewSession(1), QueueDepth: 1, Workers: 1,
 		Cluster: clS, Shed: ShedPolicy{Forward: true, Degrade: true},
 	})
 

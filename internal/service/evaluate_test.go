@@ -149,7 +149,7 @@ func TestEvaluateSources(t *testing.T) {
 func TestShedAnswersMemoizedEvaluate(t *testing.T) {
 	sess := runner.NewSession(1)
 	srv, ts := newTestServer(t, Config{
-		Session: sess, QueueDepth: 1, ShedReserve: 1, Workers: 1,
+		Session: sess, QueueDepth: 1, Workers: 1,
 		Shed: ShedPolicy{Forward: true, Degrade: true},
 	})
 	p, err := bio.ByName("hmmsearch")

@@ -59,11 +59,9 @@ type Config struct {
 	Session *runner.Session
 	// QueueDepth bounds the number of admitted-but-not-started jobs;
 	// a full queue engages the overload ladder (forward, degrade,
-	// then 429). Default 64.
+	// then 429). Default 64. Shed-degraded fast-tier jobs alone may
+	// use QueueDepth/4 (at least 1) further slots.
 	QueueDepth int
-	// ShedReserve is the extra queue capacity only shed-degraded
-	// fast-tier jobs may use. Default QueueDepth/4 (min 1).
-	ShedReserve int
 	// Workers is the job-executor pool width. Jobs themselves fan out
 	// further through the Session's simulation pool. Default 4.
 	Workers int
@@ -101,12 +99,6 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.ShedReserve <= 0 {
-		cfg.ShedReserve = cfg.QueueDepth / 4
-		if cfg.ShedReserve < 1 {
-			cfg.ShedReserve = 1
-		}
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -121,7 +113,7 @@ func New(cfg Config) *Server {
 		// timeout, bounds them.
 		forwardClient: &http.Client{},
 	}
-	s.queue = newQueue(cfg.QueueDepth, cfg.ShedReserve, cfg.Workers, cfg.JobTimeout, s.exec, s.jobDone)
+	s.queue = newQueue(cfg.QueueDepth, max(1, cfg.QueueDepth/4), cfg.Workers, cfg.JobTimeout, s.exec, s.jobDone)
 
 	if s.session.Store() != nil {
 		s.registerPeerRoutes()

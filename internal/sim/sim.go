@@ -184,19 +184,6 @@ func (m *Machine) WriteSymbolFloat64s(name string, vs []float64) error {
 	return nil
 }
 
-// ReadSymbolInt64s reads n int64 elements from the named global.
-func (m *Machine) ReadSymbolInt64s(name string, n int) ([]int64, error) {
-	s, ok := m.prog.Symbol(name)
-	if !ok {
-		return nil, fmt.Errorf("sim: no symbol %q in %s", name, m.prog.Name)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = m.Mem.ReadInt64(s.Addr + uint64(i)*8)
-	}
-	return out, nil
-}
-
 // Run executes until HALT, a trap, or fuel exhaustion.
 func (m *Machine) Run() (*Result, error) {
 	return m.RunContext(context.Background())
