@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test bench-test race race-concurrent smoke fuzz-smoke serve-smoke cluster-smoke experiments experiments-check bench validate-timing sweep-smoke
+.PHONY: check fmt-check vet build test bench-test race race-concurrent smoke fuzz-smoke serve-smoke cluster-smoke experiments experiments-check bench validate-timing sweep-smoke netlines
 
 # check is the full gate: formatting, static analysis, build, the
 # race-enabled test suite, the benchmark module's own vet and tests,
@@ -256,3 +256,15 @@ cluster-smoke:
 		|| { echo "cluster-smoke: healthz lacks the cluster section" >&2; exit 1; }; \
 	kill -TERM $$p1 $$p2 $$p3; wait $$p1 $$p2 $$p3 || true; \
 	echo "cluster-smoke: OK (cold on node 1, peer-served on nodes 2 and 3, $$peer characterize and $$evpeer evaluate peer fetches)"
+
+# netlines prints the Go lines added and removed since BASE (default
+# HEAD), from git diff --numstat against the working tree, outside
+# bench/: first for non-test files, then for _test.go files. New files
+# count once they are staged (git add).
+BASE ?= HEAD
+netlines:
+	@git diff --numstat --no-renames $(BASE) -- '*.go' ':(exclude)bench' | awk ' \
+		$$3 ~ /_test\.go$$/ { ta += $$1; tr += $$2; next } \
+		{ a += $$1; r += $$2 } \
+		END { printf "non-test Go outside bench/: +%d -%d = %+d\n", a, r, a - r; \
+			printf "tests outside bench/: +%d -%d = %+d\n", ta, tr, ta - tr }'

@@ -159,20 +159,9 @@ func cmdProgram(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		m, err := bioperfload.NewMachine(prog)
+		res, err := p.Run(context.Background(), prog, sz, nil)
 		if err != nil {
 			return fail(err)
-		}
-		if err := p.Bind(m, sz); err != nil {
-			return fail(err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			return fail(err)
-		}
-		if err := p.Validate(res, sz); err != nil {
-			fmt.Fprintf(stderr, "VALIDATION FAILED: %v\n", err)
-			return 1
 		}
 		fmt.Fprintf(stdout, "%s: %d instructions, output %v (validated)\n",
 			p.Name, res.Instructions, res.IntOutput)

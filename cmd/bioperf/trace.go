@@ -10,47 +10,10 @@ import (
 
 	"bioperfload/internal/bio"
 	"bioperfload/internal/compiler"
-	"bioperfload/internal/isa"
 	"bioperfload/internal/loadchar"
 	"bioperfload/internal/runner"
-	"bioperfload/internal/sim"
 	"bioperfload/internal/trace"
 )
-
-// record simulates p at sz with a trace writer attached and returns
-// the validated result. The trace is written to w and is only complete
-// (footer present) if record returns nil error.
-func record(p *bio.Program, prog *isa.Program, sz bio.Size, fp string, w io.Writer, compression string) (*sim.Result, *trace.Writer, error) {
-	m, err := sim.New(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := p.Bind(m, sz); err != nil {
-		return nil, nil, fmt.Errorf("%s: bind: %w", p.Name, err)
-	}
-	tw := trace.NewWriter(w, trace.Meta{
-		Program:     p.Name,
-		Fingerprint: fp,
-		Size:        sz.String(),
-		Compression: compression,
-	}, prog)
-	m.SetChunkSink(trace.ChunkEvents, tw.WriteChunk)
-	res, err := m.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := p.Validate(res, sz); err != nil {
-		return nil, nil, fmt.Errorf("%s: validation: %w", p.Name, err)
-	}
-	if err := tw.Close(); err != nil {
-		return nil, nil, fmt.Errorf("%s: trace: %w", p.Name, err)
-	}
-	if tw.Events() != res.Instructions {
-		return nil, nil, fmt.Errorf("%s: trace recorded %d events for %d instructions",
-			p.Name, tw.Events(), res.Instructions)
-	}
-	return res, tw, nil
-}
 
 // cmdTrace records a committed-instruction trace of one program run to
 // a file, for later offline replay with `bioperf replay`.
@@ -60,7 +23,6 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	name := fs.String("program", "hmmsearch", "application to record")
 	sizeFlag := fs.String("size", "test", "input size (test|classB|classC)")
 	out := fs.String("o", "", "output path (default <program>-<size>.trace)")
-	comp := fs.String("compression", "flate", "chunk codec: flate (smallest) or none (fastest replay)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -86,36 +48,20 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 		path = fmt.Sprintf("%s-%s.trace", p.Name, sz)
 	}
 
-	prog, err := p.Compile(false, compiler.Default())
+	// The session records through the same recorder a store-backed
+	// session commits its traces with.
+	data, n, err := runner.NewSession(1).RecordTrace(context.Background(), p, sz)
 	if err != nil {
 		fmt.Fprintf(stderr, "bioperf trace: %v\n", err)
 		return 1
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "bioperf trace: %v\n", err)
-		return 1
-	}
-	if *comp != "flate" && *comp != "none" {
-		fmt.Fprintf(stderr, "bioperf trace: -compression: unknown codec %q (flate|none)\n", *comp)
-		return 2
-	}
-	fp := runner.Fingerprint(p, false, compiler.Default())
-	res, tw, err := record(p, prog, sz, fp, f, *comp)
-	if err != nil {
-		f.Close()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		os.Remove(path)
 		fmt.Fprintf(stderr, "bioperf trace: %v\n", err)
 		return 1
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(stderr, "bioperf trace: %v\n", err)
-		return 1
-	}
-	st, _ := os.Stat(path)
 	fmt.Fprintf(stdout, "%s: %d instructions -> %s (%d bytes, %.2f bits/event)\n",
-		p.Name, res.Instructions, path, st.Size(),
-		8*float64(st.Size())/float64(tw.Events()))
+		p.Name, n, path, len(data), 8*float64(len(data))/float64(n))
 	return 0
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +12,9 @@ import (
 	"bioperfload/internal/bio"
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/loadchar"
+	"bioperfload/internal/runner"
 	"bioperfload/internal/sim"
+	"bioperfload/internal/store"
 	"bioperfload/internal/trace"
 )
 
@@ -54,6 +57,29 @@ func TestReplayRecordedTrace(t *testing.T) {
 	if code := cmdTrace([]string{"-program", p.Name, "-size", "test", "-o", path}, &out, &errb); code != 0 {
 		t.Fatalf("trace exited %d: %s", code, errb.String())
 	}
+	// The file holds the bytes a store-backed session commits for the
+	// same program and size: both record through the session's recorder.
+	recorded, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := runner.NewSessionWithStore(1, st).Characterize(context.Background(), p, bio.SizeTest); err != nil {
+		t.Fatal(err)
+	}
+	key := "trace|" + runner.Fingerprint(p, false, compiler.Default()) + "|" + bio.SizeTest.String()
+	stored, ok := st.GetBytes(key)
+	if !ok {
+		t.Fatalf("the session committed no trace under %q", key)
+	}
+	if !bytes.Equal(recorded, stored) {
+		t.Fatalf("bioperf trace wrote %d bytes, the session committed %d different ones", len(recorded), len(stored))
+	}
+
 	want := liveProfile(t, p)
 	for _, jobs := range []string{"1", "4"} {
 		code, stdout, stderr := runReplay("-j", jobs, path)
@@ -116,15 +142,17 @@ func TestReplayLegacyTrace(t *testing.T) {
 	}
 }
 
-// TestTraceRejectsVersionFlag: there is one format, so the old
-// -trace-version flag is a usage error.
+// TestTraceRejectsVersionFlag: there is one format and one codec, so
+// the retired -trace-version and -compression flags are usage errors.
 func TestTraceRejectsVersionFlag(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.trace")
-	var out, errb bytes.Buffer
-	if code := cmdTrace([]string{"-trace-version", "4", "-o", path}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2 (stderr %q)", code, errb.String())
-	}
-	if _, err := os.Stat(path); err == nil {
-		t.Error("a trace was written despite the flag error")
+	for _, flag := range [][]string{{"-trace-version", "4"}, {"-compression", "none"}} {
+		path := filepath.Join(t.TempDir(), "out.trace")
+		var out, errb bytes.Buffer
+		if code := cmdTrace(append(flag, "-o", path), &out, &errb); code != 2 {
+			t.Fatalf("%s: exit %d, want 2 (stderr %q)", flag[0], code, errb.String())
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("%s: a trace was written despite the flag error", flag[0])
+		}
 	}
 }

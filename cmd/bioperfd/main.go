@@ -27,10 +27,9 @@
 // freshly computed snapshots replicate to -replicas successors, and a
 // node missing an artifact pulls it from a peer instead of
 // re-simulating (the "peer" serving tier, visible on /metrics as
-// bioperfd_serve_source_total). A saturated node walks the
-// -shed-policy overload ladder: forward the request to its ring
-// primary, then degrade full-fidelity timing work to the fast tier,
-// then 429.
+// bioperfd_serve_source_total). A saturated node walks the overload
+// ladder: forward the request to its ring primary, then degrade
+// full-fidelity timing work to the fast tier, then 429.
 //
 //	bioperfd -addr :8081 -store /var/a -self http://127.0.0.1:8081 \
 //	    -peers http://127.0.0.1:8082,http://127.0.0.1:8083
@@ -79,7 +78,6 @@ func run(args []string, stderr io.Writer) int {
 	selfURL := fs.String("self", "", "this node's advertised base URL (required with -peers)")
 	peers := fs.String("peers", "", "comma-separated peer base URLs; joins a consistent-hash fleet")
 	replicas := fs.Int("replicas", 1, "successors beyond the primary holding each artifact")
-	shedPolicy := fs.String("shed-policy", "", "overload ladder rungs: forward,degrade (default), a subset, or none")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -101,10 +99,6 @@ func run(args []string, stderr io.Writer) int {
 			return usage("-%s must not be negative, got %d", c.name, c.v)
 		}
 	}
-	shed, err := service.ParseShedPolicy(*shedPolicy)
-	if err != nil {
-		return usage("%v", err)
-	}
 	var fleet *cluster.Cluster
 	if *peers != "" {
 		if *selfURL == "" {
@@ -120,6 +114,7 @@ func run(args []string, stderr io.Writer) int {
 
 	var artifacts *store.Store
 	if *storeDir != "" {
+		var err error
 		artifacts, err = store.Open(*storeDir, *storeMax)
 		if err != nil {
 			logger.Printf("open store %s: %v", *storeDir, err)
@@ -154,7 +149,6 @@ func run(args []string, stderr io.Writer) int {
 		Workers:    *workers,
 		JobTimeout: *jobTimeout,
 		Cluster:    fleet,
-		Shed:       shed,
 	})
 
 	httpSrv := &http.Server{Handler: svc.Handler()}
@@ -163,8 +157,8 @@ func run(args []string, stderr io.Writer) int {
 	logger.Printf("listening on %s (queue=%d workers=%d session-jobs=%d)",
 		ln.Addr(), *queueDepth, *workers, svc.Session().Jobs())
 	if fleet != nil {
-		logger.Printf("fleet: self=%s members=%d replicas=%d shed=%s",
-			fleet.Self(), len(fleet.Members()), fleet.Replicas(), shed)
+		logger.Printf("fleet: self=%s members=%d replicas=%d",
+			fleet.Self(), len(fleet.Members()), fleet.Replicas())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

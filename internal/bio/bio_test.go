@@ -1,11 +1,23 @@
 package bio
 
 import (
+	"context"
 	"testing"
 
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/ir"
 )
+
+// runVariant compiles one variant of p with opts and runs it at sz
+// through Run, which validates the output.
+func runVariant(p *Program, transformed bool, sz Size, opts compiler.Options) error {
+	prog, err := p.Compile(transformed, opts)
+	if err != nil {
+		return err
+	}
+	_, err = p.Run(context.Background(), prog, sz, nil)
+	return err
+}
 
 // implemented returns the programs that are already ported (stubs
 // panic); once all nine exist this is All().
@@ -25,11 +37,11 @@ func TestProgramsValidate(t *testing.T) {
 				{Opt: ir.O2(), AllocIntRegs: 48, AllocFPRegs: 48},
 			}
 			for ci, opts := range configs {
-				if _, err := p.Run(false, SizeTest, opts); err != nil {
+				if err := runVariant(p, false, SizeTest, opts); err != nil {
 					t.Errorf("config %d original: %v", ci, err)
 				}
 				if p.Transformable {
-					if _, err := p.Run(true, SizeTest, opts); err != nil {
+					if err := runVariant(p, true, SizeTest, opts); err != nil {
 						t.Errorf("config %d transformed: %v", ci, err)
 					}
 				}

@@ -1,12 +1,14 @@
 package bio
 
 import (
+	"context"
 	"testing"
 
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/pipeline"
 	"bioperfload/internal/platform"
+	"bioperfload/internal/sim"
 )
 
 // countInFunc tallies instruction kinds within one compiled function.
@@ -87,8 +89,15 @@ func TestTransformedSpeedupsOnAlpha(t *testing.T) {
 	for _, p := range Transformed() {
 		opts := compiler.Options{Opt: compiler.Default().Opt}
 		run := func(tr bool) uint64 {
+			prog, err := p.Compile(tr, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			model := pipeline.NewModel(plat.Pipeline)
-			if _, err := p.Run(tr, SizeTest, opts, model); err != nil {
+			model.Bind(prog)
+			if _, err := p.Run(context.Background(), prog, SizeTest, func(m *sim.Machine) {
+				m.SetChunkSink(1<<14, model.ObserveChunk)
+			}); err != nil {
 				t.Fatal(err)
 			}
 			return model.Stats().Cycles
@@ -116,11 +125,11 @@ func TestClassBValidation(t *testing.T) {
 		t.Skip("class-B runs")
 	}
 	for _, p := range All() {
-		if _, err := p.Run(false, SizeB, compiler.Default()); err != nil {
+		if err := runVariant(p, false, SizeB, compiler.Default()); err != nil {
 			t.Errorf("%s original: %v", p.Name, err)
 		}
 		if p.Transformable {
-			if _, err := p.Run(true, SizeB, compiler.Default()); err != nil {
+			if err := runVariant(p, true, SizeB, compiler.Default()); err != nil {
 				t.Errorf("%s transformed: %v", p.Name, err)
 			}
 		}
@@ -140,7 +149,7 @@ func TestRestrictKeepsOutputsCorrect(t *testing.T) {
 		}
 		opts := compiler.Default()
 		opts.Opt.RestrictParams = true
-		if _, err := p.Run(false, SizeTest, opts); err != nil {
+		if err := runVariant(p, false, SizeTest, opts); err != nil {
 			t.Errorf("%s under restrict: %v", name, err)
 		}
 	}

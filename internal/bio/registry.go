@@ -11,6 +11,7 @@
 package bio
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -121,13 +122,12 @@ func (p *Program) Compile(transformed bool, opts compiler.Options) (*isa.Program
 	return compiler.Compile(p.Name+suffix+".mc", p.Source(transformed), opts)
 }
 
-// Run compiles, binds inputs, executes, and validates the output
-// against the Go reference. Observers are attached before execution.
-func (p *Program) Run(transformed bool, sz Size, opts compiler.Options, obs ...sim.BatchObserver) (*sim.Result, error) {
-	prog, err := p.Compile(transformed, opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
-	}
+// Run is the one functional run of a compiled program: it loads prog
+// into a fresh machine, binds the inputs for sz, lets attach wire the
+// caller's chunk sink (and, for a sampled run, SetSampling), runs under
+// ctx and validates the output against the Go reference. attach may be
+// nil. Every caller that simulates a BioPerf program goes through Run.
+func (p *Program) Run(ctx context.Context, prog *isa.Program, sz Size, attach func(*sim.Machine)) (*sim.Result, error) {
 	m, err := sim.New(prog)
 	if err != nil {
 		return nil, err
@@ -135,10 +135,10 @@ func (p *Program) Run(transformed bool, sz Size, opts compiler.Options, obs ...s
 	if err := p.Bind(m, sz); err != nil {
 		return nil, fmt.Errorf("%s: bind: %w", p.Name, err)
 	}
-	for _, o := range obs {
-		m.AddBatchObserver(o)
+	if attach != nil {
+		attach(m)
 	}
-	res, err := m.Run()
+	res, err := m.RunContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}

@@ -297,39 +297,29 @@ func (s *Session) characterize(ctx context.Context, p *bio.Program, sz bio.Size)
 			return prof, err
 		}
 	}
-	m, err := sim.New(prog)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Bind(m, sz); err != nil {
-		return nil, fmt.Errorf("%s: bind: %w", p.Name, err)
-	}
 	// The interpreter builds the run chunks itself; with a store, each
-	// chunk feeds both the analysis and the trace writer.
+	// chunk feeds both the analysis and the trace recorder.
 	a := loadchar.New(prog)
-	emit := a.ObserveChunk
-	rec := s.startRecording(p, sz, fp, prog)
+	sink := a.ObserveChunk
+	rec := s.storeRecorder(p, sz, fp, prog)
 	if rec != nil {
-		emit = func(ch *runstream.Chunk) {
+		sink = func(ch *runstream.Chunk) {
 			a.ObserveChunk(ch)
 			rec.tw.WriteChunk(ch)
 		}
 	}
-	m.SetChunkSink(trace.ChunkEvents, emit)
-	s.runs.Add(1)
-	s.coldChars.Add(1)
-	res, err := m.RunContext(ctx)
+	res, err := p.Run(ctx, prog, sz, func(m *sim.Machine) {
+		s.runs.Add(1)
+		s.coldChars.Add(1)
+		m.SetChunkSink(trace.ChunkEvents, sink)
+	})
 	if err != nil {
-		rec.abort()
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
-	}
-	if err := p.Validate(res, sz); err != nil {
 		rec.abort()
 		return nil, err
 	}
-	// The trace is committed only for a validated, complete run, and
-	// only when the writer saw exactly the committed-instruction count.
-	rec.commit(res.Instructions)
+	// The trace is kept only for a validated, complete run. Recording
+	// is best effort: a trace the store refuses costs this run nothing.
+	_ = rec.commit(res.Instructions)
 	prof := &Profile{Name: p.Name, Instructions: res.Instructions, Analysis: a, Source: "cold"}
 	if s.store != nil {
 		s.storeProfile(profKey(fp, sz), prof)
@@ -445,13 +435,6 @@ func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.Name, err)
 	}
-	m, err := sim.New(prog)
-	if err != nil {
-		return err
-	}
-	if err := p.Bind(m, sz); err != nil {
-		return fmt.Errorf("%s: bind: %w", p.Name, err)
-	}
 	keys := make([]string, len(idx))
 	models := make([]*scoreboard.Model, len(idx))
 	for x, i := range idx {
@@ -460,20 +443,18 @@ func (s *Session) evaluateGroup(ctx context.Context, jobs []TimingJob, idx []int
 		models[x].Bind(prog)
 	}
 	defer free.put(keys, models)
-	m.SetChunkSink(trace.ChunkEvents, func(ch *runstream.Chunk) {
-		for _, md := range models {
-			md.ObserveChunk(ch)
+	res, err := p.Run(ctx, prog, sz, func(m *sim.Machine) {
+		s.runs.Add(1)
+		m.SetChunkSink(trace.ChunkEvents, func(ch *runstream.Chunk) {
+			for _, md := range models {
+				md.ObserveChunk(ch)
+			}
+		})
+		if first.Config.Fidelity == pipeline.FidelityFast {
+			m.SetSampling(scoreboard.SampleObserve, scoreboard.SamplePeriod)
 		}
 	})
-	if first.Config.Fidelity == pipeline.FidelityFast {
-		m.SetSampling(scoreboard.SampleObserve, scoreboard.SamplePeriod)
-	}
-	s.runs.Add(1)
-	res, err := m.RunContext(ctx)
 	if err != nil {
-		return fmt.Errorf("%s: %w", p.Name, err)
-	}
-	if err := p.Validate(res, sz); err != nil {
 		return err
 	}
 	for x, i := range idx {

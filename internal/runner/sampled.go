@@ -13,7 +13,6 @@ import (
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/loadchar"
-	"bioperfload/internal/sim"
 	"bioperfload/internal/simpoint"
 	"bioperfload/internal/trace"
 )
@@ -42,9 +41,9 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 	if err != nil {
 		return nil, err
 	}
-	var fp, key string
+	fp := Fingerprint(p, false, compiler.Default())
+	var key string
 	if s.store != nil {
-		fp = Fingerprint(p, false, compiler.Default())
 		key = sampledProfKey(fp, sz, cfg)
 		var prof *Profile
 		if s.loadLocal(key, restoreProfile(p, prog, key, "sampled", &prof)) {
@@ -199,34 +198,66 @@ func chunkEdge(ir *trace.IndexedReader, seq uint64) bool {
 }
 
 // sampledTrace opens an indexed reader over the trace for (p, sz),
-// producing one if necessary. With a store the trace is recorded
-// through it (and reused by every later request, exact or sampled);
-// without one the trace lives in memory for the duration of the call.
+// recording one if the store holds none. A trace the store takes is
+// reused by every later request, exact or sampled. Without a store, or
+// when the store refuses the recording at its start or at commit, the
+// trace is recorded in memory and lives for the call; a refusal at
+// commit costs a second run. A recording run carries no analysis, so it
+// is much cheaper than a cold exact characterization.
 func (s *Session) sampledTrace(ctx context.Context, p *bio.Program, sz bio.Size, fp string, prog *isa.Program) (*trace.IndexedReader, func(), error) {
-	noop := func() {}
 	if s.store != nil {
 		if ir, cleanup, ok := s.openTrace(p, sz, fp); ok {
 			return ir, cleanup, nil
 		}
-		// Record a fresh trace cold — the run carries no analysis, so it
-		// is much cheaper than a cold exact characterization.
-		if err := s.recordTrace(ctx, p, sz, fp, prog, nil); err != nil {
-			return nil, noop, err
+		if rec := s.storeRecorder(p, sz, fp, prog); rec != nil {
+			n, err := s.record(ctx, p, sz, prog, rec)
+			if err != nil {
+				return nil, nil, err
+			}
+			if rec.commit(n) == nil {
+				if ir, cleanup, ok := s.openTrace(p, sz, fp); ok {
+					return ir, cleanup, nil
+				}
+			}
 		}
-		if ir, cleanup, ok := s.openTrace(p, sz, fp); ok {
-			return ir, cleanup, nil
-		}
-		return nil, noop, fmt.Errorf("%s: trace unreadable immediately after recording", p.Name)
 	}
-	var buf bytes.Buffer
-	if err := s.recordTrace(ctx, p, sz, fp, prog, &buf); err != nil {
-		return nil, noop, err
-	}
-	ir, err := trace.NewIndexedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	data, _, err := s.recordInMemory(ctx, p, sz, fp, prog)
 	if err != nil {
-		return nil, noop, fmt.Errorf("%s: index in-memory trace: %w", p.Name, err)
+		return nil, nil, err
 	}
-	return ir, noop, nil
+	ir, err := trace.NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: index in-memory trace: %w", p.Name, err)
+	}
+	return ir, func() {}, nil
+}
+
+// recordInMemory records p's trace at sz in memory and returns its
+// bytes and the run's committed-instruction count.
+func (s *Session) recordInMemory(ctx context.Context, p *bio.Program, sz bio.Size, fp string, prog *isa.Program) ([]byte, uint64, error) {
+	rec := newRecorder(p, sz, fp, prog, nil)
+	n, err := s.record(ctx, p, sz, prog, rec)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := rec.commit(n); err != nil {
+		return nil, 0, err
+	}
+	return rec.mem.Bytes(), n, nil
+}
+
+// RecordTrace records p's committed-instruction trace at sz in memory
+// and returns its bytes and the run's committed-instruction count. The
+// recorder is the one a store-backed session commits traces through,
+// so the bytes equal the trace stored under the same (p, sz); the
+// session's store itself is not touched. `bioperf trace` writes them
+// to a file.
+func (s *Session) RecordTrace(ctx context.Context, p *bio.Program, sz bio.Size) ([]byte, uint64, error) {
+	prog, err := s.Compile(p, false, compiler.Default())
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.recordInMemory(ctx, p, sz, Fingerprint(p, false, compiler.Default()), prog)
 }
 
 // openTrace opens the stored trace as an indexed reader, evicting
@@ -252,52 +283,6 @@ func (s *Session) openTrace(p *bio.Program, sz bio.Size, fp string) (*trace.Inde
 	return ir, func() { f.Close() }, true
 }
 
-// recordTrace runs the program once with only a trace writer attached.
-// With w == nil the trace is committed to the store; otherwise it is
-// written to w.
-func (s *Session) recordTrace(ctx context.Context, p *bio.Program, sz bio.Size, fp string, prog *isa.Program, w *bytes.Buffer) error {
-	m, err := sim.New(prog)
-	if err != nil {
-		return err
-	}
-	if err := p.Bind(m, sz); err != nil {
-		return fmt.Errorf("%s: bind: %w", p.Name, err)
-	}
-	var rec *recorder
-	var tw *trace.Writer
-	if w != nil {
-		tw = trace.NewWriter(w, trace.Meta{Program: p.Name, Fingerprint: fp, Size: sz.String()}, prog)
-	} else {
-		rec = s.startRecording(p, sz, fp, prog)
-		if rec == nil {
-			return fmt.Errorf("%s: store rejected trace recording", p.Name)
-		}
-		tw = rec.tw
-	}
-	m.SetChunkSink(trace.ChunkEvents, tw.WriteChunk)
-	s.runs.Add(1)
-	res, err := m.RunContext(ctx)
-	if err != nil {
-		rec.abort()
-		return fmt.Errorf("%s: %w", p.Name, err)
-	}
-	if err := p.Validate(res, sz); err != nil {
-		rec.abort()
-		return err
-	}
-	if rec == nil {
-		if err := tw.Close(); err != nil {
-			return fmt.Errorf("%s: close trace: %w", p.Name, err)
-		}
-		if tw.Events() != res.Instructions {
-			return fmt.Errorf("%s: trace recorded %d events, run committed %d", p.Name, tw.Events(), res.Instructions)
-		}
-		return nil
-	}
-	rec.commit(res.Instructions)
-	return nil
-}
-
 // PhasePlan exposes the sampling decision for one (program, size): the
 // interval timeline and clustering the sampled path would use. It is
 // what `bioperf phases` renders. A *simpoint.DegradeError reports a
@@ -308,11 +293,7 @@ func (s *Session) PhasePlan(ctx context.Context, p *bio.Program, sz bio.Size) (*
 	if err != nil {
 		return nil, err
 	}
-	var fp string
-	if s.store != nil {
-		fp = Fingerprint(p, false, compiler.Default())
-	}
-	ir, cleanup, err := s.sampledTrace(ctx, p, sz, fp, prog)
+	ir, cleanup, err := s.sampledTrace(ctx, p, sz, Fingerprint(p, false, compiler.Default()), prog)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -197,6 +199,62 @@ func TestSampledStoreRoundTrip(t *testing.T) {
 	}
 	if render(exact, bio.SizeTest) == render(sampled2, bio.SizeTest) {
 		t.Error("exact and sampled profiles are identical — sampled artifact leaked into the exact tier")
+	}
+}
+
+// TestSampledSurvivesRefusingStore: a store that refuses the trace
+// costs a sampled request its persistence, not its answer. Whether the
+// store refuses at the start of the recording (its directory is gone)
+// or at commit (its object tree is a file), the trace is recorded in
+// memory, as in a storeless session, and the profile renders byte for
+// byte as that session's does. A refusal at commit costs a second run.
+func TestSampledSurvivesRefusingStore(t *testing.T) {
+	ctx := context.Background()
+	p, err := bio.ByName("hmmsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewSession(2)
+	ref.SetSimPoint(testSimPoint)
+	want, err := ref.CharacterizeAccuracy(ctx, p, bio.SizeTest, AccuracySampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		refuse func(dir string) error
+		runs   uint64
+	}{
+		{"create", os.RemoveAll, 1},
+		{"commit", func(dir string) error {
+			objects := filepath.Join(dir, "objects")
+			if err := os.RemoveAll(objects); err != nil {
+				return err
+			}
+			return os.WriteFile(objects, nil, 0o644)
+		}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openStore(t, dir)
+			defer st.Close()
+			if err := c.refuse(dir); err != nil {
+				t.Fatal(err)
+			}
+			s := NewSessionWithStore(2, st)
+			s.SetSimPoint(testSimPoint)
+			got, err := s.CharacterizeAccuracy(ctx, p, bio.SizeTest, AccuracySampled)
+			if err != nil {
+				t.Fatalf("sampled characterize over a refusing store: %v", err)
+			}
+			if g, w := render(got, bio.SizeTest), render(want, bio.SizeTest); g != w {
+				t.Errorf("profile differs from the storeless session's:\n--- got ---\n%s\n--- want ---\n%s", g, w)
+			}
+			if st := s.Stats(); st.Runs != c.runs || st.SampledChars != 1 {
+				t.Errorf("stats %+v, want %d runs and one sampled characterization", st, c.runs)
+			}
+		})
 	}
 }
 

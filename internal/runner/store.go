@@ -15,6 +15,7 @@ import (
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/loadchar"
+	"bioperfload/internal/sim"
 	"bioperfload/internal/store"
 	"bioperfload/internal/trace"
 )
@@ -286,18 +287,32 @@ func (s *Session) replayCharacterize(ctx context.Context, p *bio.Program, sz bio
 	return &Profile{Name: p.Name, Instructions: ir.TotalEvents(), Analysis: a, Source: "replay"}, nil, true
 }
 
-// recorder streams a trace into a store entry. commit finalizes the
-// artifact only for a validated run of the expected length; abort
-// discards it.
+// recorder is the session's one trace recording: a trace writer fed a
+// run's chunks, writing into a store entry (storeRecorder) or, with a
+// nil entry, into memory. commit finalizes the trace of a validated
+// run; abort discards it. A nil recorder records nothing.
 type recorder struct {
-	ew *store.EntryWriter
-	tw *trace.Writer
+	name string
+	tw   *trace.Writer
+	ew   *store.EntryWriter // the store entry, or nil for a trace in mem
+	mem  bytes.Buffer
 }
 
-// startRecording opens a trace writer streaming into a store entry,
-// or returns nil without a store. The caller feeds tw the run's
-// chunks.
-func (s *Session) startRecording(p *bio.Program, sz bio.Size, fp string, prog *isa.Program) *recorder {
+// newRecorder opens a recorder writing into ew, or into memory when ew
+// is nil.
+func newRecorder(p *bio.Program, sz bio.Size, fp string, prog *isa.Program, ew *store.EntryWriter) *recorder {
+	r := &recorder{name: p.Name, ew: ew}
+	var w io.Writer = &r.mem
+	if ew != nil {
+		w = ew
+	}
+	r.tw = trace.NewWriter(w, trace.Meta{Program: p.Name, Fingerprint: fp, Size: sz.String()}, prog)
+	return r
+}
+
+// storeRecorder opens a recorder into the store entry for (p, sz), or
+// returns nil when the session has no store or the store refuses one.
+func (s *Session) storeRecorder(p *bio.Program, sz bio.Size, fp string, prog *isa.Program) *recorder {
 	if s.store == nil {
 		return nil
 	}
@@ -305,28 +320,49 @@ func (s *Session) startRecording(p *bio.Program, sz bio.Size, fp string, prog *i
 	if err != nil {
 		return nil
 	}
-	tw := trace.NewWriter(ew, trace.Meta{
-		Program:     p.Name,
-		Fingerprint: fp,
-		Size:        sz.String(),
-	}, prog)
-	return &recorder{ew: ew, tw: tw}
+	return newRecorder(p, sz, fp, prog, ew)
+}
+
+// record runs p once with only rec attached and returns the run's
+// committed-instruction count. A failed run aborts rec.
+func (s *Session) record(ctx context.Context, p *bio.Program, sz bio.Size, prog *isa.Program, rec *recorder) (uint64, error) {
+	res, err := p.Run(ctx, prog, sz, func(m *sim.Machine) {
+		s.runs.Add(1)
+		m.SetChunkSink(trace.ChunkEvents, rec.tw.WriteChunk)
+	})
+	if err != nil {
+		rec.abort()
+		return 0, err
+	}
+	return res.Instructions, nil
 }
 
 func (r *recorder) abort() {
-	if r == nil {
-		return
+	if r != nil && r.ew != nil {
+		r.ew.Abort()
 	}
-	r.ew.Abort()
 }
 
-func (r *recorder) commit(instructions uint64) {
+// commit finalizes the trace of a validated run that committed n
+// instructions. It is the one check that the writer closed cleanly and
+// saw exactly n events; a store entry that fails it, or fails to
+// commit, is discarded and the failure returned.
+func (r *recorder) commit(n uint64) error {
 	if r == nil {
-		return
+		return nil
 	}
-	if err := r.tw.Close(); err != nil || r.tw.Events() != instructions {
+	err := r.tw.Close()
+	if err != nil {
+		err = fmt.Errorf("%s: close trace: %w", r.name, err)
+	} else if r.tw.Events() != n {
+		err = fmt.Errorf("%s: trace recorded %d events, run committed %d", r.name, r.tw.Events(), n)
+	}
+	switch {
+	case r.ew == nil:
+		return err
+	case err != nil:
 		r.ew.Abort()
-		return
+		return err
 	}
-	r.ew.Commit()
+	return r.ew.Commit()
 }

@@ -2,11 +2,9 @@ package service
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"bioperfload/internal/cluster"
 	"bioperfload/internal/runner"
@@ -21,51 +19,6 @@ const (
 	HeaderForwardedTo = "X-Bioperfd-Forwarded-To"
 	HeaderDegraded    = "X-Bioperfd-Degraded"
 )
-
-// ShedPolicy selects which rungs of the overload ladder are active
-// when the local queue is saturated. The order is fixed: forward to
-// the key's primary, then degrade full-fidelity timing work to the
-// fast tier on the shed reserve, then 429.
-type ShedPolicy struct {
-	Forward bool
-	Degrade bool
-}
-
-// ParseShedPolicy parses the -shed-policy flag: a comma-separated
-// subset of "forward" and "degrade", or "none". The empty string
-// enables the full ladder.
-func ParseShedPolicy(s string) (ShedPolicy, error) {
-	switch s {
-	case "":
-		return ShedPolicy{Forward: true, Degrade: true}, nil
-	case "none":
-		return ShedPolicy{}, nil
-	}
-	var p ShedPolicy
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "forward":
-			p.Forward = true
-		case "degrade":
-			p.Degrade = true
-		default:
-			return ShedPolicy{}, fmt.Errorf("unknown shed policy %q (forward|degrade|none)", part)
-		}
-	}
-	return p, nil
-}
-
-func (p ShedPolicy) String() string {
-	switch {
-	case p.Forward && p.Degrade:
-		return "forward,degrade"
-	case p.Forward:
-		return "forward"
-	case p.Degrade:
-		return "degrade"
-	}
-	return "none"
-}
 
 // --- peer artifact protocol ---
 
@@ -147,7 +100,7 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 // forwarded are never forwarded again.
 func (s *Server) shedForward(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
 	c := s.cfg.Cluster
-	if c == nil || !s.cfg.Shed.Forward || r.Header.Get(HeaderForwarded) != "" {
+	if c == nil || r.Header.Get(HeaderForwarded) != "" {
 		return false
 	}
 	primary := c.Primary(key)
@@ -190,7 +143,6 @@ type ClusterHealth struct {
 	Self     string              `json:"self"`
 	Members  []string            `json:"members"`
 	Replicas int                 `json:"replicas"`
-	Shed     string              `json:"shed_policy"`
 	Peers    []cluster.PeerState `json:"peers,omitempty"`
 	Stats    cluster.Stats       `json:"stats"`
 }
@@ -204,7 +156,6 @@ func (s *Server) clusterHealth() *ClusterHealth {
 		Self:     c.Self(),
 		Members:  c.Members(),
 		Replicas: c.Replicas(),
-		Shed:     s.cfg.Shed.String(),
 		Peers:    c.Client().Peers(),
 		Stats:    c.Stats(),
 	}

@@ -355,8 +355,7 @@ func TestShedLadder(t *testing.T) {
 	clS := cluster.New(cluster.Config{Self: tsS.URL, Peers: []string{tsP.URL}})
 	srvP = New(Config{Session: runner.NewSession(1), QueueDepth: 8, Workers: 1})
 	srvS = New(Config{
-		Session: runner.NewSession(1), QueueDepth: 1, Workers: 1,
-		Cluster: clS, Shed: ShedPolicy{Forward: true, Degrade: true},
+		Session: runner.NewSession(1), QueueDepth: 1, Workers: 1, Cluster: clS,
 	})
 
 	// P answers instantly; S's workers block until released.
@@ -443,74 +442,6 @@ func TestShedLadder(t *testing.T) {
 	mustContain(t, metrics, `bioperfd_shed_total{action="forward"} 1`)
 	mustContain(t, metrics, `bioperfd_shed_total{action="degrade"} 1`)
 	mustContain(t, metrics, `bioperfd_shed_total{action="reject"} 1`)
-}
-
-// TestShedPolicyNoneKeeps429 pins the pre-fleet behavior: with the
-// ladder disabled, a saturated queue rejects immediately even when a
-// cluster is configured.
-func TestShedPolicyNoneKeeps429(t *testing.T) {
-	var srvP, srvS *Server
-	tsP := delegatingServer(t, &srvP)
-	tsS := delegatingServer(t, &srvS)
-	clS := cluster.New(cluster.Config{Self: tsS.URL, Peers: []string{tsP.URL}})
-	srvP = New(Config{Session: runner.NewSession(1), QueueDepth: 8, Workers: 1})
-	srvS = New(Config{
-		Session: runner.NewSession(1), QueueDepth: 1, Workers: 1,
-		Cluster: clS, Shed: ShedPolicy{},
-	})
-	release := make(chan struct{})
-	started := make(chan struct{}, 4)
-	srvS.queue.exec = func(ctx context.Context, j *Job) (any, error) {
-		started <- struct{}{}
-		<-release
-		return nil, ctx.Err()
-	}
-	defer close(release)
-
-	for _, prog := range []string{"hmmsearch", "fasta"} {
-		if resp, body := postJSON(t, tsS.URL+"/v1/characterize",
-			map[string]any{"program": prog, "size": "test"}); resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("saturation: HTTP %d: %s", resp.StatusCode, body)
-		}
-	}
-	<-started
-
-	resp, _ := postJSON(t, tsS.URL+"/v1/evaluate",
-		EvaluateRequest{Program: "clustalw", Platform: platform.All()[0].Name, Size: "test", Fidelity: "full"})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed policy none: HTTP %d (want 429)", resp.StatusCode)
-	}
-}
-
-func TestParseShedPolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want ShedPolicy
-		err  bool
-	}{
-		{"", ShedPolicy{Forward: true, Degrade: true}, false},
-		{"none", ShedPolicy{}, false},
-		{"forward", ShedPolicy{Forward: true}, false},
-		{"degrade", ShedPolicy{Degrade: true}, false},
-		{"forward,degrade", ShedPolicy{Forward: true, Degrade: true}, false},
-		{"degrade, forward", ShedPolicy{Forward: true, Degrade: true}, false},
-		{"drop-everything", ShedPolicy{}, true},
-	}
-	for _, c := range cases {
-		got, err := ParseShedPolicy(c.in)
-		if c.err != (err != nil) {
-			t.Fatalf("ParseShedPolicy(%q) error = %v", c.in, err)
-		}
-		if !c.err && got != c.want {
-			t.Fatalf("ParseShedPolicy(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-	}
-	if got := (ShedPolicy{Forward: true}).String(); got != "forward" {
-		t.Fatalf("String() = %q", got)
-	}
-	if got := (ShedPolicy{}).String(); got != "none" {
-		t.Fatalf("String() = %q", got)
-	}
 }
 
 // TestPeerStallsMidBody: a peer that sends the transfer headers and

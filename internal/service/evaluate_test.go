@@ -148,10 +148,7 @@ func TestEvaluateSources(t *testing.T) {
 // ladder, while an unmemoized one still degrades.
 func TestShedAnswersMemoizedEvaluate(t *testing.T) {
 	sess := runner.NewSession(1)
-	srv, ts := newTestServer(t, Config{
-		Session: sess, QueueDepth: 1, Workers: 1,
-		Shed: ShedPolicy{Forward: true, Degrade: true},
-	})
+	srv, ts := newTestServer(t, Config{Session: sess, QueueDepth: 1, Workers: 1})
 	p, err := bio.ByName("hmmsearch")
 	if err != nil {
 		t.Fatal(err)

@@ -73,10 +73,6 @@ type Config struct {
 	// job; the service only uses it for forwarding, peer health, and
 	// metrics.
 	Cluster *cluster.Cluster
-	// Shed selects the active overload-ladder rungs. The zero value
-	// disables both (plain 429 on saturation); cmd/bioperfd parses
-	// -shed-policy and defaults to the full ladder.
-	Shed ShedPolicy
 }
 
 // Server owns the queue, the metrics registry, and the HTTP routes.
@@ -626,7 +622,7 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, sub submission, ti
 			}
 		}
 	}
-	if s.cfg.Shed.Degrade && sub.degrade != nil {
+	if sub.degrade != nil {
 		job, err := s.queue.submit(sub.kind, sub.degrade(), timeout, true)
 		if err == nil {
 			s.metrics.ObserveShed("degrade")

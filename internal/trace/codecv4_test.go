@@ -70,12 +70,13 @@ func validV4Parts() v4parts {
 	}
 }
 
-// assembleTrace frames payloads as an uncompressed trace file: chunk
-// i's frame is recorded in the index with events[i] events, and dict
-// is the footer's run dictionary. Frames and footer carry valid CRCs,
+// assembleTrace frames payloads raw (frame kind 0, as the Writer
+// frames a chunk flate does not shrink) under the Writer's header:
+// chunk i's frame is recorded in the index with events[i] events, and
+// dict is the footer's run dictionary. Frames and footer carry valid CRCs,
 // so a reader sees exactly the payloads' content.
 func assembleTrace(payloads [][]byte, events []uint64, dict []dictRun) []byte {
-	meta, err := json.Marshal(Meta{Program: "synthetic", ChunkEvents: 16, Compression: "none"})
+	meta, err := json.Marshal(Meta{Program: "synthetic", ChunkEvents: 16, Compression: "flate"})
 	if err != nil {
 		panic(err)
 	}
@@ -115,7 +116,8 @@ func assembleTrace(payloads [][]byte, events []uint64, dict []dictRun) []byte {
 
 // TestAssembleTraceMatchesWriter pins the test file assembler to the
 // Writer: the same chunk framed both ways gives identical bytes, so the
-// corruption sweeps below exercise exactly the production layout.
+// corruption sweeps below exercise exactly the production layout. The
+// chunk is too small for flate to shrink, so the Writer frames it raw.
 func TestAssembleTraceMatchesWriter(t *testing.T) {
 	prog := testProgramMixed(64)
 	evs := make([]sim.Event, 16)
@@ -127,7 +129,7 @@ func TestAssembleTraceMatchesWriter(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	tw := NewWriter(&buf, Meta{Program: "synthetic", ChunkEvents: 16, Compression: "none"}, prog)
+	tw := NewWriter(&buf, Meta{Program: "synthetic", ChunkEvents: 16}, prog)
 	tw.ObserveBatch(evs)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)

@@ -77,7 +77,9 @@ type Meta struct {
 	Size string `json:"size,omitempty"`
 	// ChunkEvents is the writer's chunk capacity.
 	ChunkEvents int `json:"chunk_events"`
-	// Compression names the per-chunk codec ("flate" or "none").
+	// Compression names the chunk codec. The Writer always records
+	// "flate"; a chunk flate does not shrink is framed raw (frame kind
+	// 0), which every reader decodes.
 	Compression string `json:"compression"`
 }
 
@@ -106,7 +108,6 @@ type chunkInfo struct {
 type Writer struct {
 	w      io.Writer
 	meta   Meta
-	flate  bool
 	b      *sim.Builder // event input, created on first use
 	base   uint64       // events framed so far; next chunk's base
 	off    int64        // bytes written so far; next frame starts here
@@ -122,7 +123,7 @@ type Writer struct {
 }
 
 // NewWriter creates a trace writer. Zero-valued meta fields are
-// defaulted (ChunkEvents, Compression); the header is written lazily
+// defaulted (ChunkEvents) and Compression is always "flate"; the header is written lazily
 // with the first chunk so an aborted recording can leave nothing
 // behind.
 //
@@ -136,14 +137,11 @@ func NewWriter(w io.Writer, meta Meta, prog *isa.Program) *Writer {
 	if meta.ChunkEvents <= 0 {
 		meta.ChunkEvents = ChunkEvents
 	}
-	if meta.Compression == "" {
-		meta.Compression = "flate"
-	}
+	meta.Compression = "flate"
 	return &Writer{
-		w:     w,
-		meta:  meta,
-		flate: meta.Compression == "flate",
-		enc:   newV4Writer(prog),
+		w:    w,
+		meta: meta,
+		enc:  newV4Writer(prog),
 	}
 }
 
@@ -225,41 +223,40 @@ func (tw *Writer) writeHeader() {
 }
 
 // writeFrame compresses tw.raw — as two streams split at cut when
-// that wins — and writes it as the frame of a chunk of n events.
+// that wins — and writes it as the frame of a chunk of n events. A
+// chunk compression does not shrink is framed raw.
 func (tw *Writer) writeFrame(cut, n int) {
 	payload := tw.raw
 	kind := byte(compressionNone)
-	if tw.flate {
-		tw.comp.Reset()
-		if tw.fw == nil {
-			tw.fw = flateWriters.Get().(*flate.Writer)
+	tw.comp.Reset()
+	if tw.fw == nil {
+		tw.fw = flateWriters.Get().(*flate.Writer)
+	}
+	tw.fw.Reset(&tw.comp)
+	if cut > 0 && cut < len(tw.raw) {
+		// Two streams: [0,cut) is the token stream, [cut,len) the
+		// taken and address columns.
+		len1 := -1
+		if _, err := tw.fw.Write(tw.raw[:cut]); err == nil && tw.fw.Close() == nil {
+			len1 = tw.comp.Len()
+			tw.fw.Reset(&tw.comp)
+			if _, err := tw.fw.Write(tw.raw[cut:]); err != nil || tw.fw.Close() != nil {
+				len1 = -1
+			}
 		}
-		tw.fw.Reset(&tw.comp)
-		if cut > 0 && cut < len(tw.raw) {
-			// Two streams: [0,cut) is the token stream, [cut,len) the
-			// taken and address columns.
-			len1 := -1
-			if _, err := tw.fw.Write(tw.raw[:cut]); err == nil && tw.fw.Close() == nil {
-				len1 = tw.comp.Len()
-				tw.fw.Reset(&tw.comp)
-				if _, err := tw.fw.Write(tw.raw[cut:]); err != nil || tw.fw.Close() != nil {
-					len1 = -1
-				}
+		if len1 >= 0 {
+			tw.split = binary.AppendUvarint(tw.split[:0], uint64(cut))
+			tw.split = binary.AppendUvarint(tw.split, uint64(len1))
+			tw.split = append(tw.split, tw.comp.Bytes()...)
+			if len(tw.split) < len(tw.raw) {
+				payload = tw.split
+				kind = compressionSplit
 			}
-			if len1 >= 0 {
-				tw.split = binary.AppendUvarint(tw.split[:0], uint64(cut))
-				tw.split = binary.AppendUvarint(tw.split, uint64(len1))
-				tw.split = append(tw.split, tw.comp.Bytes()...)
-				if len(tw.split) < len(tw.raw) {
-					payload = tw.split
-					kind = compressionSplit
-				}
-			}
-		} else if _, err := tw.fw.Write(tw.raw); err == nil {
-			if err := tw.fw.Close(); err == nil && tw.comp.Len() < len(tw.raw) {
-				payload = tw.comp.Bytes()
-				kind = compressionFlate
-			}
+		}
+	} else if _, err := tw.fw.Write(tw.raw); err == nil {
+		if err := tw.fw.Close(); err == nil && tw.comp.Len() < len(tw.raw) {
+			payload = tw.comp.Bytes()
+			kind = compressionFlate
 		}
 	}
 	var frame []byte
