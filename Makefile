@@ -62,7 +62,9 @@ smoke:
 
 # fuzz-smoke gives each fuzzer a short budget on top of its seeds and
 # checked-in corpus (which always run as part of `go test`): FuzzCodec
-# for single chunk payloads and encode/decode round trips,
+# for arbitrary chunk payloads through the one chunk decoder (column
+# decode, re-encode, re-decode) and event-stream round trips through
+# whole traces,
 # FuzzIndexedReader for arbitrary whole files through every read path,
 # FuzzDecodeEvalArtifact for arbitrary bytes as a stored timing result,
 # FuzzDecodeProfileArtifact for arbitrary bytes through the snapshot

@@ -87,21 +87,10 @@ func (s *Session) characterizeSampled(ctx context.Context, p *bio.Program, sz bi
 // further to its work. The returned Analysis' Exec records the
 // request, that width and the clamp reason.
 func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, cfg simpoint.Config, jobs int) (*loadchar.Analysis, *simpoint.Plan, error) {
-	cfg = cfg.WithDefaults()
 	workers, reason := clampWorkers(jobs)
-	intervals, err := simpoint.CollectTrace(ctx, prog, ir, cfg, workers)
-	if err != nil {
-		return nil, nil, fmt.Errorf("collect intervals: %w", err)
-	}
-	plan, err := simpoint.BuildPlan(intervals, cfg)
+	plan, err := samplePlan(ctx, prog, ir, cfg, workers)
 	if err != nil {
 		return nil, nil, err
-	}
-	for _, c := range plan.Clusters {
-		if !chunkEdge(ir, c.Start) || !chunkEdge(ir, c.End) {
-			return nil, nil, &simpoint.DegradeError{Reason: fmt.Sprintf(
-				"interval [%d,%d) does not fall on trace chunk edges", c.Start, c.End)}
-		}
 	}
 	deltas := make([]*loadchar.Snapshot, len(plan.Clusters))
 	// free holds the analyses of replays that have finished. forEach
@@ -141,6 +130,29 @@ func SampledAnalyze(ctx context.Context, prog *isa.Program, ir *trace.IndexedRea
 	}
 	a.Exec = loadchar.Execution{RequestedWorkers: jobs, Workers: workers, SerialReason: reason}
 	return a, plan, nil
+}
+
+// samplePlan is the plan the sampled tier replays: ir's intervals
+// collected on workers, clustered, and checked to have every
+// representative's edges on trace chunk edges. A
+// *simpoint.DegradeError means the trace is too small to sample or an
+// edge falls inside a chunk.
+func samplePlan(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, cfg simpoint.Config, workers int) (*simpoint.Plan, error) {
+	intervals, err := simpoint.CollectTrace(ctx, prog, ir, cfg, workers)
+	if err != nil {
+		return nil, fmt.Errorf("collect intervals: %w", err)
+	}
+	plan, err := simpoint.BuildPlan(intervals, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range plan.Clusters {
+		if !chunkEdge(ir, c.Start) || !chunkEdge(ir, c.End) {
+			return nil, &simpoint.DegradeError{Reason: fmt.Sprintf(
+				"interval [%d,%d) does not fall on trace chunk edges", c.Start, c.End)}
+		}
+	}
+	return plan, nil
 }
 
 // replayInterval characterizes exactly the events in [start, end) with
@@ -285,8 +297,9 @@ func (s *Session) openTrace(p *bio.Program, sz bio.Size, fp string) (*trace.Inde
 
 // PhasePlan exposes the sampling decision for one (program, size): the
 // interval timeline and clustering the sampled path would use. It is
-// what `bioperf phases` renders. A *simpoint.DegradeError reports a
-// trace too small to sample.
+// what `bioperf phases` renders. A *simpoint.DegradeError reports
+// what makes the sampled path degrade to exact: a trace too small to
+// sample, or a representative edge inside a trace chunk.
 func (s *Session) PhasePlan(ctx context.Context, p *bio.Program, sz bio.Size) (*simpoint.Plan, error) {
 	cfg := s.SimPoint()
 	prog, err := s.Compile(p, false, compiler.Default())
@@ -298,9 +311,9 @@ func (s *Session) PhasePlan(ctx context.Context, p *bio.Program, sz bio.Size) (*
 		return nil, err
 	}
 	defer cleanup()
-	intervals, err := simpoint.CollectTrace(ctx, prog, ir, cfg, s.jobs)
+	plan, err := samplePlan(ctx, prog, ir, cfg, s.jobs)
 	if err != nil {
-		return nil, fmt.Errorf("%s: collect intervals: %w", p.Name, err)
+		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	return simpoint.BuildPlan(intervals, cfg)
+	return plan, nil
 }

@@ -208,6 +208,8 @@ func TestSampledStoreRoundTrip(t *testing.T) {
 // or at commit (its object tree is a file), the trace is recorded in
 // memory, as in a storeless session, and the profile renders byte for
 // byte as that session's does. A refusal at commit costs a second run.
+// Every refusal shows in the store's WriteErrors; a healthy store
+// counts none.
 func TestSampledSurvivesRefusingStore(t *testing.T) {
 	ctx := context.Background()
 	p, err := bio.ByName("hmmsearch")
@@ -224,15 +226,18 @@ func TestSampledSurvivesRefusingStore(t *testing.T) {
 		name   string
 		refuse func(dir string) error
 		runs   uint64
+		// refused is whether the store must count write errors.
+		refused bool
 	}{
-		{"create", os.RemoveAll, 1},
+		{"healthy", func(string) error { return nil }, 1, false},
+		{"create", os.RemoveAll, 1, true},
 		{"commit", func(dir string) error {
 			objects := filepath.Join(dir, "objects")
 			if err := os.RemoveAll(objects); err != nil {
 				return err
 			}
 			return os.WriteFile(objects, nil, 0o644)
-		}, 2},
+		}, 2, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -253,6 +258,9 @@ func TestSampledSurvivesRefusingStore(t *testing.T) {
 			}
 			if st := s.Stats(); st.Runs != c.runs || st.SampledChars != 1 {
 				t.Errorf("stats %+v, want %d runs and one sampled characterization", st, c.runs)
+			}
+			if n := st.Stats().WriteErrors; (n > 0) != c.refused {
+				t.Errorf("store counted %d write errors; refusing store: %v", n, c.refused)
 			}
 		})
 	}

@@ -8,11 +8,13 @@
 // interpreter appends chunk columns itself (sim.Machine.SetChunkSink),
 // and sim.Builder rebuilds the same chunks from event slabs it did not
 // produce. The trace package's column decode
-// (trace.IndexedReader.Columns) builds it from a recorded trace. Three
+// (trace.IndexedReader.Columns) builds it from a recorded trace. Four
 // consumers read it: loadchar's run engine (Analysis.ObserveChunk,
-// loadchar.AnalyzeRuns), the trace encoder (trace.Writer.WriteChunk)
-// and the timing model (pipeline.Model.ObserveChunk) on both tiers,
-// whose sampled tier sees only the chunks of its observe windows.
+// loadchar.AnalyzeRuns), the trace encoder (trace.Writer.WriteChunk),
+// the timing model (pipeline.Model.ObserveChunk) on both tiers, whose
+// sampled tier sees only the chunks of its observe windows, and
+// sim.AppendEvents, which expands a chunk back into the events it
+// stands for (trace.IndexedReader.Range).
 package runstream
 
 // Run is one maximal straight-line PC run: N events whose PCs are
@@ -43,7 +45,7 @@ type Dict struct {
 // Chunk is the column view of one trace chunk: the chunk's PC
 // sequence as dictionary tokens, plus the two columns the program text
 // cannot predict. Expanding each token Rep times against Dict
-// reproduces exactly the PC sequence a full event decode yields.
+// reproduces exactly the PC sequence of the chunk's events.
 type Chunk struct {
 	// Base is the sequence number of the chunk's first event.
 	Base uint64
@@ -66,8 +68,9 @@ type Chunk struct {
 	// offset with no presence test.
 	Addrs []uint64
 	// Target is the last event's target: the next PC the program
-	// executed. Only the simulator sets it; every other target is the
-	// next event's PC.
+	// executed. Every producer sets it, the trace decode from the
+	// chunk's final target delta; every other target is the next
+	// event's PC.
 	Target int32
 }
 

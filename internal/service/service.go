@@ -526,19 +526,31 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxRequestBody bounds a job request body; the largest valid sweep
+// request is far smaller.
+const maxRequestBody = 64 << 10
+
+// decodeBody decodes a job request body into v. It answers a body over
+// maxRequestBody with 413 and any other bad body with 400, and reports
+// whether v may be used.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
-	}
+	err := dec.Decode(v)
 	// One JSON document per request: trailing data is a malformed
 	// request (a concatenated second document would silently be
 	// ignored otherwise).
-	if dec.More() {
-		return fmt.Errorf("invalid request body: unexpected data after JSON document")
+	if err == nil && dec.More() {
+		err = errors.New("unexpected data after JSON document")
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid request body: " + err.Error()})
+	}
+	return err == nil
 }
 
 // submission carries everything the admission path needs: the job
@@ -635,8 +647,7 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, sub submission, ti
 
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	var req CharacterizeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	prog, err := bio.ByName(req.Program)
@@ -669,8 +680,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	prog, err := bio.ByName(req.Program)
@@ -725,8 +735,7 @@ func evalKey(spec evalSpec) string {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sz, err := parseSizeDefault(req.Size)
@@ -972,6 +981,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeMetric(w, "bioperfd_store_hits", "counter", "Artifact store reads that returned an intact entry.", ss.Hits)
 		writeMetric(w, "bioperfd_store_misses", "counter", "Artifact store reads that found no intact entry.", ss.Misses)
 		writeMetric(w, "bioperfd_store_evictions", "counter", "Artifact store entries evicted to stay under the size cap.", ss.Evictions)
+		writeMetric(w, "bioperfd_store_write_errors", "counter", "Artifact store writes refused (entry create or commit failed).", ss.WriteErrors)
 		writeMetric(w, "bioperfd_store_entries", "gauge", "Artifact store entries.", ss.Entries)
 		writeMetric(w, "bioperfd_store_bytes_on_disk", "gauge", "Artifact store bytes on disk.", ss.BytesOnDisk)
 	}

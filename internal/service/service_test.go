@@ -602,6 +602,20 @@ func TestValidationAndRouting(t *testing.T) {
 	}
 }
 
+// TestJobBodiesBounded: a job request body over maxRequestBody is
+// refused with 413 on every job route, before it is buffered whole.
+func TestJobBodiesBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{Session: runner.NewSession(1)})
+	body := map[string]any{"program": strings.Repeat("a", 1<<20)}
+	for _, route := range []string{"characterize", "evaluate", "sweep"} {
+		resp, out := postJSON(t, ts.URL+"/v1/"+route, body)
+		var e apiError
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(out, &e) != nil || e.Error == "" {
+			t.Errorf("%s: 1 MiB body: HTTP %d: %.200s", route, resp.StatusCode, out)
+		}
+	}
+}
+
 // TestEvaluateAndSweep exercises the evaluate and sweep kinds end to
 // end at test size on a narrowed program/platform set.
 func TestEvaluateAndSweep(t *testing.T) {

@@ -65,6 +65,7 @@ func TestMetricsStoreCounters(t *testing.T) {
 		"bioperfd_store_hits",
 		"bioperfd_store_misses",
 		"bioperfd_store_evictions",
+		"bioperfd_store_write_errors 0",
 		"bioperfd_store_entries",
 		"bioperfd_store_bytes_on_disk",
 		"bioperfd_session_profile_hits 1",

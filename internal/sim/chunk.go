@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"bioperfload/internal/isa"
 	"bioperfload/internal/runstream"
@@ -282,4 +283,48 @@ func (b *Builder) Flush() {
 	}
 	b.closeRun(b.runPC, b.runN)
 	b.emitChunk(b.target)
+}
+
+// AppendEvents is the inverse of a Builder: it appends to dst exactly
+// the events ch stands for and returns the extended slice. Seq counts
+// up from ch.Base and Inst points into prog; a conditional branch
+// reads its bit of ch.BrTaken, an unconditional branch is taken, a
+// load or store takes the next entry of ch.Addrs, and each Target is
+// the next event's PC, ch.Target for the last. ch must be a whole
+// chunk over prog, as a chunk sink, a Builder and the trace column
+// decode emit.
+func AppendEvents(dst []Event, prog *isa.Program, ch *runstream.Chunk) []Event {
+	insts := prog.Insts
+	dst = slices.Grow(dst, ch.N)
+	first := len(dst)
+	seq := ch.Base
+	nbr, nmem := 0, 0
+	for _, t := range ch.Tokens {
+		r := ch.Dict.Runs[t.ID]
+		for rep := int32(0); rep < t.Rep; rep++ {
+			for pc := r.PC; pc < r.PC+r.N; pc++ {
+				ev := Event{Seq: seq, PC: pc, Inst: &insts[pc]}
+				switch isa.ClassOf(insts[pc].Op) {
+				case isa.ClassCondBranch:
+					ev.Taken = ch.BrTaken[nbr>>3]&(1<<(nbr&7)) != 0
+					nbr++
+				case isa.ClassUncondBranch:
+					ev.Taken = true
+				case isa.ClassLoad, isa.ClassStore:
+					ev.Addr = ch.Addrs[nmem]
+					nmem++
+				}
+				dst = append(dst, ev)
+				seq++
+			}
+		}
+	}
+	evs := dst[first:]
+	for i := 1; i < len(evs); i++ {
+		evs[i-1].Target = evs[i].PC
+	}
+	if len(evs) > 0 {
+		evs[len(evs)-1].Target = ch.Target
+	}
+	return dst
 }

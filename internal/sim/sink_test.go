@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash"
 	"reflect"
 	"testing"
@@ -272,6 +273,72 @@ func TestChunkSinkSampling(t *testing.T) {
 		}
 		if !reflect.DeepEqual(slab.seqs, want) || !reflect.DeepEqual(pcs, slab.pcs) || !reflect.DeepEqual(addrs, slab.addrs) {
 			t.Fatalf("chunk=%d: expanded chunks differ from sampled slab delivery", chunk)
+		}
+	}
+}
+
+// eventMatcher compares two event streams fed in any interleaving —
+// the interpreter hands out slabs and chunks at different boundaries —
+// holding only the stretch one side is ahead by.
+type eventMatcher struct {
+	t         *testing.T
+	what      string
+	ahead     []sim.Event
+	sinkAhead bool
+	matched   uint64
+}
+
+func (m *eventMatcher) feed(fromSink bool, evs []sim.Event) {
+	m.t.Helper()
+	if len(m.ahead) == 0 || m.sinkAhead == fromSink {
+		m.ahead = append(m.ahead, evs...)
+		m.sinkAhead = fromSink
+		return
+	}
+	n := min(len(m.ahead), len(evs))
+	for i := range n {
+		if evs[i] != m.ahead[i] {
+			m.t.Fatalf("%s: event %d: expanded and slab events differ: %+v vs %+v", m.what, m.matched+uint64(i), evs[i], m.ahead[i])
+		}
+	}
+	m.matched += uint64(n)
+	m.ahead = append(m.ahead[:0], m.ahead[n:]...)
+	if len(evs) > n {
+		m.ahead, m.sinkAhead = append(m.ahead, evs[n:]...), fromSink
+	}
+}
+
+// ObserveBatch feeds the matcher the slab side.
+func (m *eventMatcher) ObserveBatch(evs []sim.Event) { m.feed(false, evs) }
+
+// TestAppendEventsMatchesSlabs: on every program at test size, the
+// events AppendEvents expands from the machine's own chunks equal, word
+// for word, the slabs the interpreter hands a slab observer on the same
+// run, at chunk sizes from one event to the trace chunk size, with and
+// without the fast timing tier's sampling (1<<16 of every 1<<21).
+func TestAppendEventsMatchesSlabs(t *testing.T) {
+	for _, p := range bio.All() {
+		for _, sampled := range []bool{false, true} {
+			for _, chunk := range []int{1, 7, 16384} {
+				m := bioMachine(t, p)
+				match := &eventMatcher{t: t, what: fmt.Sprintf("%s chunk=%d sampled=%v", p.Name, chunk, sampled)}
+				m.AddBatchObserver(match)
+				if sampled {
+					m.SetSampling(1<<16, 1<<21)
+				}
+				var expanded []sim.Event
+				m.SetChunkSink(chunk, func(ch *runstream.Chunk) {
+					expanded = sim.AppendEvents(expanded[:0], m.Program(), ch)
+					match.feed(true, expanded)
+				})
+				res, err := m.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(match.ahead) != 0 || match.matched == 0 || !sampled && match.matched != res.Instructions {
+					t.Fatalf("%s: matched %d of %d events, %d left over", match.what, match.matched, res.Instructions, len(match.ahead))
+				}
+			}
 		}
 	}
 }

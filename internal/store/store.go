@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // indexName is the key→object map persisted in the store root.
@@ -49,11 +50,15 @@ type indexFile struct {
 }
 
 // Stats is a snapshot of the store's counters. Hits/Misses/Evictions
-// count since Open; Entries/BytesOnDisk describe current contents.
+// and WriteErrors count since Open; Entries/BytesOnDisk describe
+// current contents.
 type Stats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Evictions   uint64 `json:"evictions"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	// WriteErrors counts the writes the store refused: every error
+	// Create or EntryWriter.Commit returned, PutBytes' included.
+	WriteErrors uint64 `json:"write_errors"`
 	Entries     int    `json:"entries"`
 	BytesOnDisk int64  `json:"bytes_on_disk"`
 }
@@ -71,6 +76,8 @@ type Store struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
+
+	writeErrors atomic.Uint64
 }
 
 // Open opens (creating if needed) a store rooted at dir. maxBytes
@@ -381,6 +388,7 @@ func (s *Store) Stats() Stats {
 		Hits:        s.hits,
 		Misses:      s.misses,
 		Evictions:   s.evictions,
+		WriteErrors: s.writeErrors.Load(),
 		Entries:     len(s.entries),
 		BytesOnDisk: s.bytes,
 	}
@@ -413,11 +421,19 @@ type EntryWriter struct {
 	done bool
 }
 
+// refused counts err, if any, as a write the store refused.
+func (s *Store) refused(err error) error {
+	if err != nil {
+		s.writeErrors.Add(1)
+	}
+	return err
+}
+
 // Create begins writing an artifact for key.
 func (s *Store) Create(key string) (*EntryWriter, error) {
 	f, err := os.CreateTemp(s.dir, ".artifact-*")
 	if err != nil {
-		return nil, fmt.Errorf("store: temp artifact: %w", err)
+		return nil, s.refused(fmt.Errorf("store: temp artifact: %w", err))
 	}
 	h := sha256.New()
 	return &EntryWriter{
@@ -450,7 +466,9 @@ func (w *EntryWriter) Abort() {
 
 // Commit finalizes the artifact: fsyncs and renames the object into
 // place, records the index entry, and enforces the byte cap.
-func (w *EntryWriter) Commit() error {
+func (w *EntryWriter) Commit() error { return w.s.refused(w.commit()) }
+
+func (w *EntryWriter) commit() error {
 	if w.done {
 		return fmt.Errorf("store: commit after close")
 	}

@@ -1,17 +1,20 @@
 // Package trace is the durable form of the simulator's
 // committed-instruction event stream: the same record-once /
 // analyze-many discipline ATOM gave the paper, persisted to disk. A
-// Writer rides the sim.BatchObserver slab path and encodes the stream
-// run-natively (a trace-wide dictionary of straight-line PC runs,
-// per-chunk (run-id, repeat) tokens, a conditional-branch taken bitmap,
-// and per-site delta-coded addresses; see codecv4.go) into
-// self-contained chunks with per-chunk compression and CRC-protected
-// length-prefixed framing. An IndexedReader opens a trace through the
-// footer's chunk index and run dictionary and serves any chunk range —
-// as bound simulator events (Range), as run-native column chunks
-// decoded by a worker pool (Columns), or as bare run tokens
-// (ScanRunTokens) — so any consumer (loadchar, simpoint, cache, bpred,
-// pipeline) can replay the run without re-simulating it.
+// Writer takes run chunks (from a machine's chunk sink, or from event
+// slabs through its own sim.Builder) and encodes them run-natively (a
+// trace-wide dictionary of straight-line PC runs, per-chunk (run-id,
+// repeat) tokens, a conditional-branch taken bitmap, and per-site
+// delta-coded addresses; see codecv4.go) into self-contained chunks
+// with per-chunk compression and CRC-protected length-prefixed
+// framing. An IndexedReader opens a trace through the footer's chunk
+// index and run dictionary and serves any chunk range — as run-native
+// column chunks decoded by a worker pool (Columns), as those same
+// chunks expanded into simulator events by sim.AppendEvents (Range),
+// or as bare run tokens (ScanRunTokens) — so any consumer (loadchar,
+// simpoint, cache, bpred, pipeline) can replay the run without
+// re-simulating it. decodeChunkColumnsV4 is the one decoder of a whole
+// chunk payload.
 package trace
 
 import (
@@ -21,9 +24,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"bioperfload/internal/isa"
-	"bioperfload/internal/sim"
 )
 
 // ChunkEvents is the default number of events per chunk. A chunk is
@@ -66,7 +66,8 @@ func uvarintAt(data []byte, pos int) (uint64, int, error) {
 // over the frame payload, and the per-chunk address-chain scratch.
 // dict is the reader's footer dictionary, shared read-only. Every
 // Range source, Columns worker, and token scan takes one from the
-// package pool (getDecoder) and puts it back when it ends.
+// package pool (getDecoder) and puts it back when it ends; Range and
+// Columns decode a chunk through it with the same decodeColumns.
 type decoder struct {
 	frame []byte
 	br    bytes.Reader
@@ -203,14 +204,4 @@ func (d *decoder) framePCColumn(f frame) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// decodeFrameEvents decompresses one frame and decodes it directly
-// into bound simulator events using the decoder's recycled buffers.
-func (d *decoder) decodeFrameEvents(f frame, prog *isa.Program, evs []sim.Event) (uint64, []sim.Event, error) {
-	raw, err := d.frameBytes(f)
-	if err != nil {
-		return 0, nil, err
-	}
-	return decodeChunkEventsV4(raw, prog, d.dict, evs, &d.sc)
 }

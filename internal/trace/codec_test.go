@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"bioperfload/internal/isa"
@@ -11,7 +12,7 @@ import (
 // encodeChunk encodes evs as one bare chunk payload starting at event
 // base, through a sim.Builder and a fresh writer dictionary. It
 // returns the payload and a reader-side copy of the dictionary, as a
-// footer would carry it.
+// footer would carry it, bound to prog.
 func encodeChunk(prog *isa.Program, base uint64, evs []sim.Event) ([]byte, *v4Dict, error) {
 	vw := newV4Writer(prog)
 	var out []byte
@@ -28,6 +29,9 @@ func encodeChunk(prog *isa.Program, base uint64, evs []sim.Event) ([]byte, *v4Di
 		return nil, nil, err
 	}
 	dict, err := parseDictPayload(appendDictPayload(nil, vw.dict.runs))
+	if err == nil {
+		err = dict.bindShared(prog)
+	}
 	return out, dict, err
 }
 
@@ -40,6 +44,8 @@ func rebased(evs []sim.Event, base uint64) []sim.Event {
 	return out
 }
 
+// TestChunkRoundTrip: a chunk's column decode, expanded, is the event
+// stream it was encoded from, final target included.
 func TestChunkRoundTrip(t *testing.T) {
 	prog := testProgramMixed(1 << 12)
 	for _, n := range []int{1, 7, 8, 9, 1000, ChunkEvents} {
@@ -50,18 +56,20 @@ func TestChunkRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d base %d: encode: %v", n, base, err)
 			}
 			var sc v4Scratch
-			gotBase, got, err := decodeChunkEventsV4(buf, prog, dict, nil, &sc)
-			if err != nil {
+			var ch runstream.Chunk
+			if err := decodeChunkColumnsV4(buf, dict, &ch, &sc); err != nil {
 				t.Fatalf("n=%d base %d: decode: %v", n, base, err)
 			}
-			if gotBase != base {
-				t.Fatalf("n=%d: base %d, want %d", n, gotBase, base)
+			if ch.Base != base || ch.N != n {
+				t.Fatalf("n=%d: base %d and %d events, want %d and %d", n, ch.Base, ch.N, base, n)
 			}
-			checkEvents(t, got, rebased(evs, base))
+			checkEvents(t, sim.AppendEvents(nil, prog, &ch), rebased(evs, base))
 		}
 	}
 }
 
+// TestChunkDecodeRecyclesBuffer: decoding into a chunk that held a
+// larger one reuses its columns' storage.
 func TestChunkDecodeRecyclesBuffer(t *testing.T) {
 	prog := testProgramMixed(1 << 12)
 	big := testEventStream(500, prog)
@@ -71,21 +79,21 @@ func TestChunkDecodeRecyclesBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sc v4Scratch
-	_, evs, err := decodeChunkEventsV4(buf, prog, dict, nil, &sc)
-	if err != nil {
+	var ch runstream.Chunk
+	if err := decodeChunkColumnsV4(buf, dict, &ch, &sc); err != nil {
 		t.Fatal(err)
 	}
+	addrs, tokens := &ch.Addrs[:1][0], &ch.Tokens[:1][0]
 	buf2, dict2, err := encodeChunk(prog, 500, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, evs2, err := decodeChunkEventsV4(buf2, prog, dict2, evs, &sc)
-	if err != nil {
+	if err := decodeChunkColumnsV4(buf2, dict2, &ch, &sc); err != nil {
 		t.Fatal(err)
 	}
-	checkEvents(t, evs2, rebased(small, 500))
-	if &evs2[0] != &evs[0] {
-		t.Error("decode did not reuse the provided buffer")
+	checkEvents(t, sim.AppendEvents(nil, prog, &ch), rebased(small, 500))
+	if &ch.Addrs[:1][0] != addrs || &ch.Tokens[:1][0] != tokens {
+		t.Error("decode did not reuse the chunk's columns")
 	}
 }
 
@@ -95,27 +103,50 @@ func TestChunkDecodeRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := func(data []byte) error {
+	decode := func(data []byte, dict *v4Dict) error {
 		var sc v4Scratch
-		_, _, err := decodeChunkEventsV4(data, prog, dict, nil, &sc)
-		return err
+		return decodeChunkColumnsV4(data, dict, new(runstream.Chunk), &sc)
 	}
 
 	// Truncation at every prefix length must error, never panic.
 	for n := 0; n < len(buf); n++ {
-		if err := decode(buf[:n]); err == nil {
+		if err := decode(buf[:n], dict); err == nil {
 			t.Fatalf("truncated chunk (%d of %d bytes) decoded without error", n, len(buf))
 		}
 	}
 
 	// Trailing garbage is rejected.
-	if err := decode(append(append([]byte{}, buf...), 0)); err == nil {
+	if err := decode(append(append([]byte{}, buf...), 0), dict); err == nil {
 		t.Error("chunk with trailing byte decoded without error")
 	}
 
 	// A hostile event count cannot cause a huge allocation.
 	hostile := []byte{0, 0xff, 0xff, 0xff, 0xff, 0x7f}
-	if err := decode(hostile); err == nil {
+	if err := decode(hostile, dict); err == nil {
 		t.Error("hostile event count decoded without error")
+	}
+
+	// A final target delta that puts the target outside int32 is
+	// rejected; the reference chunk's last run ends at pc 8.
+	small, err := parseDictPayload(appendDictPayload(nil, []dictRun{{pc: 0, n: 8}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := small.bindShared(testProgramMixed(64)); err != nil {
+		t.Fatal(err)
+	}
+	for _, final := range []int64{-8, math.MinInt32 - 8, math.MaxInt32 - 8} {
+		p := validV4Parts()
+		p.final = final
+		if err := decode(p.encode(), small); err != nil {
+			t.Errorf("final delta %d (target %d) rejected: %v", final, 8+final, err)
+		}
+	}
+	for _, final := range []int64{math.MaxInt32 - 7, math.MinInt32 - 9, 1 << 40} {
+		p := validV4Parts()
+		p.final = final
+		if err := decode(p.encode(), small); err == nil {
+			t.Errorf("final delta %d (target %d) decoded without error", final, 8+final)
+		}
 	}
 }

@@ -3,11 +3,11 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"bioperfload/internal/isa"
 	"bioperfload/internal/runstream"
-	"bioperfload/internal/sim"
 )
 
 // Format v4 is the run-native encoding: the dynamic stream of a
@@ -116,21 +116,19 @@ type v4Dict struct {
 	runs []dictRun
 	ids  map[uint64]int32 // dictKey → id, for duplicate rejection
 
-	// Bound tables. condStart/uncondStart/memStart index the flat
-	// offset arrays per run (len(runs)+1 entries); rsDict mirrors runs
-	// in the shape runstream consumers share.
-	bound       int // runs bound so far
-	ni          int32
-	isCond      []bool // per PC
-	isUncond    []bool
-	isMem       []bool
-	condStart   []int32
-	uncondStart []int32
-	memStart    []int32
-	condOff     []int32
-	uncondOff   []int32
-	memOff      []int32
-	rsDict      *runstream.Dict
+	// Bound tables. condStart and memStart are prefix sums over runs
+	// (len(runs)+1 entries) of their conditional-branch and memory
+	// instructions; run id's memory offsets are
+	// memOff[memStart[id]:memStart[id+1]]. rsDict mirrors runs in the
+	// shape runstream consumers share.
+	bound     int // runs bound so far
+	ni        int32
+	isCond    []bool // per PC
+	isMem     []bool
+	condStart []int32
+	memStart  []int32
+	memOff    []int32
+	rsDict    *runstream.Dict
 
 	bindOnce sync.Once
 	bindErr  error
@@ -170,20 +168,16 @@ func (d *v4Dict) bind(prog *isa.Program) error {
 		ni := len(prog.Insts)
 		d.ni = int32(ni)
 		d.isCond = make([]bool, ni)
-		d.isUncond = make([]bool, ni)
 		d.isMem = make([]bool, ni)
 		for pc := range prog.Insts {
 			switch isa.ClassOf(prog.Insts[pc].Op) {
 			case isa.ClassCondBranch:
 				d.isCond[pc] = true
-			case isa.ClassUncondBranch:
-				d.isUncond[pc] = true
 			case isa.ClassLoad, isa.ClassStore:
 				d.isMem[pc] = true
 			}
 		}
 		d.condStart = append(d.condStart, 0)
-		d.uncondStart = append(d.uncondStart, 0)
 		d.memStart = append(d.memStart, 0)
 		d.rsDict = &runstream.Dict{}
 	}
@@ -193,19 +187,17 @@ func (d *v4Dict) bind(prog *isa.Program) error {
 			return fmt.Errorf("trace: dictionary run [%d,%d) outside program (%d insts)",
 				r.pc, int64(r.pc)+int64(r.n), d.ni)
 		}
+		nc := d.condStart[d.bound]
 		for off := int32(0); off < r.n; off++ {
 			pc := r.pc + off
 			switch {
 			case d.isCond[pc]:
-				d.condOff = append(d.condOff, off)
-			case d.isUncond[pc]:
-				d.uncondOff = append(d.uncondOff, off)
+				nc++
 			case d.isMem[pc]:
 				d.memOff = append(d.memOff, off)
 			}
 		}
-		d.condStart = append(d.condStart, int32(len(d.condOff)))
-		d.uncondStart = append(d.uncondStart, int32(len(d.uncondOff)))
+		d.condStart = append(d.condStart, nc)
 		d.memStart = append(d.memStart, int32(len(d.memOff)))
 		d.rsDict.Runs = append(d.rsDict.Runs, runstream.Run{PC: r.pc, N: r.n})
 	}
@@ -443,141 +435,29 @@ func v4ColumnCounts(dict *v4Dict, tokens []runstream.Token) (nbr, nmem int) {
 	return nbr, nmem
 }
 
-// decodeChunkEventsV4 decodes one v4 chunk payload into bound
-// simulator events: tokens expand to PC runs via the dictionary,
-// targets are the next instance's start PC (finalTargetDelta for the
-// chunk's last event), conditional branches read the taken bitmap,
-// unconditional branches are always taken, and the address column
-// fills memory instances (zero addresses included). The first decode
-// binds dict to prog.
-func decodeChunkEventsV4(data []byte, prog *isa.Program, dict *v4Dict, evs []sim.Event, sc *v4Scratch) (uint64, []sim.Event, error) {
-	h, err := parseChunkV4(data, dict, sc)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := dict.bindShared(prog); err != nil {
-		return 0, nil, err
-	}
-	n := h.n
-	if cap(evs) < n {
-		evs = make([]sim.Event, n)
-	}
-	evs = evs[:n]
-	insts := prog.Insts
-
-	// PC expansion: every instance gets the fallthrough target; each
-	// run-final event's target is patched to the next instance's start
-	// PC once that is known.
-	i := 0
-	pending := -1 // run-final event awaiting its target
-	for _, t := range h.tokens {
-		r := dict.runs[t.ID]
-		for rep := int32(0); rep < t.Rep; rep++ {
-			if pending >= 0 {
-				evs[pending].Target = r.pc
-			}
-			for off := int32(0); off < r.n; off++ {
-				pc := r.pc + off
-				evs[i] = sim.Event{Seq: h.base + uint64(i), PC: pc, Target: pc + 1, Inst: &insts[pc]}
-				i++
-			}
-			pending = i - 1
-		}
-	}
-	last := &evs[n-1]
-	ft := int64(last.PC) + 1 + h.finalDelta
-	if ft < -(1<<31) || ft >= 1<<31 {
-		return 0, nil, fmt.Errorf("trace: target %d out of int32 range", ft)
-	}
-	last.Target = int32(ft)
-
-	// Taken column: one bit per conditional-branch instance;
-	// unconditional branches are implied taken.
-	nbr, _ := v4ColumnCounts(dict, h.tokens)
-	nbb := (nbr + 7) / 8
-	pos := h.pos
-	if pos+nbb > len(data) {
-		return 0, nil, fmt.Errorf("trace: chunk truncated at offset %d (need %d bytes)", pos, nbb)
-	}
-	bm := data[pos : pos+nbb]
-	pos += nbb
-	if nbr%8 != 0 && bm[nbb-1]>>(nbr%8) != 0 {
-		return 0, nil, fmt.Errorf("trace: nonzero padding bits in chunk bitmap")
-	}
-	bit := 0
-	i = 0
-	for _, t := range h.tokens {
-		id := t.ID
-		r := dict.runs[id]
-		cOffs := dict.condOff[dict.condStart[id]:dict.condStart[id+1]]
-		uOffs := dict.uncondOff[dict.uncondStart[id]:dict.uncondStart[id+1]]
-		for rep := int32(0); rep < t.Rep; rep++ {
-			for _, off := range cOffs {
-				if bm[bit>>3]&(1<<(bit&7)) != 0 {
-					evs[i+int(off)].Taken = true
-				}
-				bit++
-			}
-			for _, off := range uOffs {
-				evs[i+int(off)].Taken = true
-			}
-			i += int(r.n)
-		}
-	}
-
-	// Address column: one delta per memory instance, chained per
-	// static site.
-	sc.nextEpoch(int(dict.ni))
-	i = 0
-	got := 0
-	for _, t := range h.tokens {
-		id := t.ID
-		r := dict.runs[id]
-		mOffs := dict.memOff[dict.memStart[id]:dict.memStart[id+1]]
-		for rep := int32(0); rep < t.Rep; rep++ {
-			for _, off := range mOffs {
-				if uint(pos) >= uint(len(data)) {
-					return 0, nil, errTruncatedVarint
-				}
-				u := uint64(data[pos])
-				pos++
-				if u >= 0x80 {
-					if uint(pos) < uint(len(data)) && data[pos] < 0x80 {
-						u = u&0x7f | uint64(data[pos])<<7
-						pos++
-					} else if u, pos, err = uvarintAt(data, pos-1); err != nil {
-						return 0, nil, err
-					}
-				}
-				pc := r.pc + off
-				a := sc.prev(pc) + uint64(unzigzag(u))
-				sc.set(pc, a)
-				evs[i+int(off)].Addr = a
-				got++
-			}
-			i += int(r.n)
-		}
-	}
-	if pos != len(data) {
-		return 0, nil, fmt.Errorf("trace: %d trailing bytes after chunk payload", len(data)-pos)
-	}
-	return h.base, evs, nil
-}
-
 // decodeChunkColumnsV4 decodes one v4 chunk payload into the
 // dictionary-backed column form: tokens stay tokens (the run engine
 // multiplies per token, not per event), the taken bitmap is copied
-// verbatim, and only the address column is expanded — one value per
-// memory instance. dict must be bound.
+// verbatim, only the address column is expanded — one value per
+// memory instance — and Target is the last run's end plus the final
+// target delta. It is the only decoder of a whole chunk payload; Range
+// expands its chunks into events with sim.AppendEvents. dict must be
+// bound.
 func decodeChunkColumnsV4(data []byte, dict *v4Dict, ch *runstream.Chunk, sc *v4Scratch) error {
 	h, err := parseChunkV4(data, dict, sc)
 	if err != nil {
 		return err
 	}
+	last := dict.runs[h.tokens[len(h.tokens)-1].ID]
+	target := int64(last.pc) + int64(last.n) + h.finalDelta
+	if target < math.MinInt32 || target > math.MaxInt32 {
+		return fmt.Errorf("trace: target %d out of int32 range", target)
+	}
 	ch.Base = h.base
 	ch.N = h.n
 	ch.Dict = dict.rsDict
 	ch.Tokens = append(ch.Tokens[:0], h.tokens...)
+	ch.Target = int32(target)
 	ch.Addrs = ch.Addrs[:0]
 
 	nbr, nmem := v4ColumnCounts(dict, h.tokens)
@@ -632,8 +512,8 @@ func decodeChunkColumnsV4(data []byte, dict *v4Dict, ch *runstream.Chunk, sc *v4
 // scanChunkTokensV4 parses only the token stream of a v4 chunk
 // (structural and dictionary validation included) and reports it
 // through fn. data may be a stream-1 prefix (framePCColumn's
-// contract); trailing-byte validation of the full payload is the
-// column/event decoders' job.
+// contract); the final target and trailing-byte validation of the
+// full payload are the column decoder's job.
 func scanChunkTokensV4(data []byte, dict *v4Dict, sc *v4Scratch, fn func(pc, n int32, rep int64)) (uint64, int, error) {
 	h, err := parseChunkV4(data, dict, sc)
 	if err != nil {

@@ -67,9 +67,9 @@ const chunksPerWorker = 3
 // Columns returns a column source over chunks [lo, hi), decoded by a
 // pool of work-claiming workers (clamped to at least 1). Chunks are
 // read directly at their indexed offsets, so workers share nothing but
-// the ReaderAt and the immutable bound dictionary; per-chunk
-// validation matches Range (frame CRC and span, base and event-count
-// cross-checks against the index). The context is checked once per
+// the ReaderAt and the immutable bound dictionary; each chunk is
+// validated (frame CRC and span, base and event-count cross-checks
+// against the index) and decoded exactly as Range decodes it. The context is checked once per
 // chunk. After Close, Next fails with ErrClosed.
 func (ir *IndexedReader) Columns(ctx context.Context, prog *isa.Program, lo, hi, workers int) runstream.Source {
 	if lo < 0 || hi > len(ir.chunks) || lo > hi {

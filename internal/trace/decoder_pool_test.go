@@ -44,16 +44,17 @@ func garbleChunk(t *testing.T, data []byte, ir *IndexedReader, c int) []byte {
 	return mut
 }
 
-// decoded is one chunk decoded all three ways a decoder serves:
-// columns (Columns), events (Range), and run tokens (ScanRunTokens).
+// decoded is one chunk decoded both ways a decoder serves, columns
+// (Columns) and run tokens (ScanRunTokens), plus the columns expanded
+// into events as Range expands them.
 type decoded struct {
 	cols   runstream.Chunk
 	evs    []sim.Event
 	tokens [][3]int64
 }
 
-// decodeChunks decodes chunks of ir in order through dec, each all
-// three ways, and stops at the first error.
+// decodeChunks decodes chunks of ir in order through dec, each both
+// ways, and stops at the first error.
 func decodeChunks(t *testing.T, ir *IndexedReader, prog *isa.Program, dec *decoder) ([]decoded, error) {
 	t.Helper()
 	if err := ir.dict.bindShared(prog); err != nil {
@@ -67,11 +68,9 @@ func decodeChunks(t *testing.T, ir *IndexedReader, prog *isa.Program, dec *decod
 			return out, err
 		}
 		d.cols = *ch
+		d.evs = sim.AppendEvents(nil, prog, ch)
 		f, err := ir.frameAt(c, &dec.frame)
 		if err != nil {
-			return out, err
-		}
-		if _, d.evs, err = dec.decodeFrameEvents(f, prog, nil); err != nil {
 			return out, err
 		}
 		col, err := dec.framePCColumn(f)
@@ -96,11 +95,13 @@ func decodeChunks(t *testing.T, ir *IndexedReader, prog *isa.Program, dec *decod
 // getDecoder rebinds a pooled one: trace A whole; a copy of A garbled
 // in chunk 3, which must fail there; then trace B, a different program
 // with a different dictionary, chunk size and address chains, whose
-// every chunk must equal a new decoder's on all three decode paths.
+// every chunk must equal a new decoder's on both decode paths. The new
+// decoder's events must be the stream trace B was recorded from.
 func TestPooledDecoderCarriesNoState(t *testing.T) {
 	dataA, _, progA := writeTestTrace(t, 6000, 512)
 	progB := testProgramMixed(300)
-	dataB := recordTestEvents(t, progB, testEventStream(5000, progB), 256)
+	evsB := testEventStream(5000, progB)
+	dataB := recordTestEvents(t, progB, evsB, 256)
 	irA, irB := openTestTrace(t, dataA), openTestTrace(t, dataB)
 	badA := openTestTrace(t, garbleChunk(t, dataA, irA, 3))
 
@@ -108,6 +109,11 @@ func TestPooledDecoderCarriesNoState(t *testing.T) {
 	if err != nil || len(want) != irB.Chunks() {
 		t.Fatalf("new decoder over trace B: %d chunks, %v", len(want), err)
 	}
+	var all []sim.Event
+	for _, d := range want {
+		all = append(all, d.evs...)
+	}
+	checkEvents(t, all, evsB)
 
 	dec := &decoder{dict: irA.dict}
 	if got, err := decodeChunks(t, irA, progA, dec); err != nil || len(got) != irA.Chunks() {

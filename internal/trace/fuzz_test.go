@@ -3,19 +3,22 @@ package trace
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"bioperfload/internal/isa"
+	"bioperfload/internal/runstream"
 	"bioperfload/internal/sim"
 )
 
 // FuzzCodec drives both directions of the chunk codec from one input:
 //
-//  1. The raw bytes are decoded as a chunk payload against a dictionary
-//     holding the entries the chunk itself defines. Arbitrary input
-//     must produce an error or a clean decode — never a panic, and
-//     never an oversized allocation — and a clean decode must
-//     re-encode and decode back to the same events.
+//  1. The raw bytes are column-decoded as a chunk payload against a
+//     dictionary holding the entries the chunk itself defines.
+//     Arbitrary input must produce an error or a clean decode — never
+//     a panic, and never an oversized allocation — and a clean decode
+//     must re-encode and decode back to the same columns, base and
+//     final target.
 //  2. The bytes are also deterministically reinterpreted as a
 //     run-representable event slab, recorded as a whole trace, and read
 //     back through the indexed reader; the round trip must be lossless.
@@ -52,21 +55,27 @@ func FuzzCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: arbitrary bytes as a chunk payload.
 		var sc v4Scratch
-		base, evs, err := decodeChunkEventsV4(data, progMix, chunkOwnDict(data), nil, &sc)
-		if err == nil {
-			re, dict, err := encodeChunk(progMix, base, evs)
+		var ch runstream.Chunk
+		if dict := chunkOwnDict(data); dict.bindShared(progMix) == nil && decodeChunkColumnsV4(data, dict, &ch, &sc) == nil {
+			vw := newV4Writer(progMix)
+			re, _, err := vw.appendChunk(nil, ch.Base, &ch)
 			if err != nil {
 				t.Fatalf("re-encode of decoded chunk failed: %v", err)
 			}
-			var sc2 v4Scratch
-			base2, evs2, err := decodeChunkEventsV4(re, progMix, dict, nil, &sc2)
+			dict2, err := parseDictPayload(appendDictPayload(nil, vw.dict.runs))
+			if err == nil {
+				err = dict2.bindShared(progMix)
+			}
 			if err != nil {
+				t.Fatalf("re-encoded dictionary: %v", err)
+			}
+			var ch2 runstream.Chunk
+			if err := decodeChunkColumnsV4(re, dict2, &ch2, &sc); err != nil {
 				t.Fatalf("re-decode of re-encoded chunk failed: %v", err)
 			}
-			if base2 != base {
-				t.Fatalf("re-encode changed base %d -> %d", base, base2)
+			if !reflect.DeepEqual(ch2, ch) {
+				t.Fatalf("re-encode changed the chunk:\n got %+v\nwant %+v", ch2, ch)
 			}
-			checkEvents(t, evs2, evs)
 		}
 
 		// Direction 2: bytes -> run-representable slab -> trace ->

@@ -2,8 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"testing"
 
 	"bioperfload/internal/bio"
@@ -118,5 +120,73 @@ func TestWriterRefusesChunkGap(t *testing.T) {
 	}
 	if err := tw.Close(); err == nil {
 		t.Fatal("Close succeeded on a stream with a gap")
+	}
+}
+
+// TestColumnsReencodeByteIdentical: every program's test-size trace,
+// drained through Columns and re-encoded chunk by chunk with
+// WriteChunk, is byte-identical to the recording, so the column decode
+// loses nothing the encoder wrote — the final target included. A
+// decoded chunk references the footer's whole run dictionary, while
+// the recorder's grew chunk by chunk; runs are interned in first-use
+// order, so each chunk is handed to WriteChunk with the dictionary
+// prefix up to the largest run id referenced so far, which is the
+// dictionary the recording chunk carried.
+func TestColumnsReencodeByteIdentical(t *testing.T) {
+	for _, p := range bio.All() {
+		prog, err := p.Compile(false, compiler.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sim.New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Bind(m, bio.SizeTest); err != nil {
+			t.Fatal(err)
+		}
+		var rec bytes.Buffer
+		tw := trace.NewWriter(&rec, trace.Meta{Program: p.Name, Size: "test"}, prog)
+		m.SetChunkSink(trace.ChunkEvents, tw.WriteChunk)
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data := rec.Bytes()
+		ir, err := trace.NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var re bytes.Buffer
+		rw := trace.NewWriter(&re, ir.Meta(), prog)
+		src := ir.Columns(context.Background(), prog, 0, ir.Chunks(), 2)
+		var grown runstream.Dict
+		used := 0
+		for {
+			ch, release, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tk := range ch.Tokens {
+				used = max(used, int(tk.ID)+1)
+			}
+			grown.Runs = ch.Dict.Runs[:used]
+			view := *ch
+			view.Dict = &grown
+			rw.WriteChunk(&view)
+			release()
+		}
+		src.Close()
+		if err := rw.Close(); err != nil {
+			t.Fatalf("%s: re-encode: %v", p.Name, err)
+		}
+		if !bytes.Equal(re.Bytes(), data) {
+			t.Errorf("%s: re-encoded trace differs from the recording (%d vs %d bytes)", p.Name, re.Len(), len(data))
+		}
 	}
 }

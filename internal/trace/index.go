@@ -187,7 +187,9 @@ func (ir *IndexedReader) rangeEnd(hi int) int64 {
 }
 
 // Range returns a sequential source of bound simulator events over
-// chunks [lo, hi), decoding in the caller's goroutine.
+// chunks [lo, hi), decoding in the caller's goroutine: each chunk is
+// column-decoded as Columns decodes it and expanded into a slab by
+// sim.AppendEvents.
 func (ir *IndexedReader) Range(prog *isa.Program, lo, hi int) *Source {
 	if lo < 0 || hi > len(ir.chunks) || lo > hi {
 		panic(fmt.Sprintf("trace: Range [%d,%d) outside %d chunks", lo, hi, len(ir.chunks)))
@@ -201,17 +203,15 @@ func (ir *IndexedReader) Range(prog *isa.Program, lo, hi int) *Source {
 		if chunk >= hi {
 			return nil, nil, io.EOF
 		}
-		f, err := ir.frameAt(chunk, &dec.frame)
+		if err := ir.dict.bindShared(prog); err != nil {
+			return nil, nil, err
+		}
+		ch, err := ir.decodeColumns(context.TODO(), dec, chunk)
 		if err != nil {
 			return nil, nil, err
 		}
-		base, evs, err := dec.decodeFrameEvents(f, prog, pool.get())
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := ir.checkChunk(chunk, base, len(evs)); err != nil {
-			return nil, nil, err
-		}
+		evs := sim.AppendEvents(pool.get(), prog, ch)
+		columnSlabs.Put(ch)
 		chunk++
 		return evs, pool.release(evs), nil
 	}
@@ -222,14 +222,15 @@ func (ir *IndexedReader) Range(prog *isa.Program, lo, hi int) *Source {
 // reporting the committed stream as repeated straight-line runs:
 // run(pc, n, rep) covers rep back-to-back executions of the n-event
 // run whose PCs are pc, pc+1, ..., pc+n-1, in commit order. Expanding
-// each callback rep times reproduces exactly the PC sequence Range
-// would decode (adjacent callbacks may repeat the same run where a
-// chunk boundary splits a repeat). The repeats come straight off the
-// token stream, so a tight loop that dominates a phase costs one
-// callback. No slabs are filled and, for a split-compressed frame, the
-// taken and address columns are never even decompressed. Frames still
-// pass CRC validation and the token stream gets the full decoder's
-// structural checks. The context is checked once per chunk.
+// each callback rep times reproduces exactly the PC sequence of the
+// events Range expands from the same chunks (adjacent callbacks may
+// repeat the same run where a chunk boundary splits a repeat). The
+// repeats come straight off the token stream, so a tight loop that
+// dominates a phase costs one callback. No columns are decoded and,
+// for a split-compressed frame, the taken and address columns are
+// never even decompressed. Frames still pass CRC validation and the
+// token stream gets the column decoder's structural checks. The
+// context is checked once per chunk.
 func (ir *IndexedReader) ScanRunTokens(ctx context.Context, prog *isa.Program, lo, hi int, run func(pc, n int32, rep int64)) error {
 	if lo < 0 || hi > len(ir.chunks) || lo > hi {
 		panic(fmt.Sprintf("trace: ScanRunTokens [%d,%d) outside %d chunks", lo, hi, len(ir.chunks)))

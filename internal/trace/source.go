@@ -13,11 +13,11 @@ import (
 var ErrClosed = errors.New("trace: source closed")
 
 // Source streams a trace as slabs of simulator events in commit
-// order. Next returns a slab plus a release function; the slab is
-// recycled only after release is called, mirroring the sim.Event slab
-// contract, so a consumer may hold several outstanding slabs as long
-// as each is eventually released. Next returns io.EOF after the last
-// chunk of the range.
+// order, one slab per chunk: the chunk's column decode expanded by
+// sim.AppendEvents. Next returns a slab plus a release function; the
+// slab is recycled only after release is called, so a consumer may
+// hold several outstanding slabs as long as each is eventually
+// released. Next returns io.EOF after the last chunk of the range.
 type Source struct {
 	next  func() ([]sim.Event, func(), error)
 	close func()
@@ -55,9 +55,10 @@ func (s *Source) Close() {
 // slabPool recycles event slabs between release and the next decode.
 type slabPool struct{ p sync.Pool }
 
+// get returns an empty slab, reusing a released one's storage.
 func (sp *slabPool) get() []sim.Event {
 	if e, ok := sp.p.Get().(*[]sim.Event); ok {
-		return *e
+		return (*e)[:0]
 	}
 	return nil
 }
