@@ -134,24 +134,8 @@ func cmdProgram(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		plat = plat.WithFidelity(fid)
-		st, err := bioperfload.Evaluate(p, plat, sz, *transformed)
-		if err != nil {
+		if err := evaluate(runner.NewSession(runtime.GOMAXPROCS(0)), stdout, p, plat, sz, *transformed); err != nil {
 			return fail(err)
-		}
-		kind := "original"
-		if *transformed {
-			kind = "load-transformed"
-		}
-		fmt.Fprintf(stdout, "%s (%s, %s, %s tier) on %s:\n", p.Name, kind, sz, fid, plat.Name)
-		fmt.Fprintf(stdout, "  %d instructions, %d cycles (IPC %.2f)\n", st.Instructions, st.Cycles, st.IPC())
-		fmt.Fprintf(stdout, "  %d cond branches, %.2f%% mispredicted\n", st.CondBranches, 100*st.MispredictRate())
-		fmt.Fprintf(stdout, "  %d loads, AMAT %.2f cycles (L1 %d / L2 %d / mem %d)\n",
-			st.Loads, st.AMAT(), st.L1Hits, st.L2Hits, st.MemHits)
-		if p.Transformable && !*transformed {
-			sp, err := bioperfload.Speedup(p, plat, sz)
-			if err == nil {
-				fmt.Fprintf(stdout, "  load transformation speedup on this platform: %.1f%%\n", 100*sp)
-			}
 		}
 
 	default:
@@ -167,4 +151,37 @@ func cmdProgram(args []string, stdout, stderr io.Writer) int {
 			p.Name, res.Instructions, res.IntOutput)
 	}
 	return 0
+}
+
+// evaluate times one application variant on plat and prints its
+// statistics. For an original that the paper load-transforms it also
+// prints the transformation's speedup: both variants are timed in one
+// EvaluateAll on sess, so each is simulated once.
+func evaluate(sess *runner.Session, stdout io.Writer, p *bio.Program, plat bioperfload.Platform, sz bio.Size, transformed bool) error {
+	job := runner.TimingJob{Program: p, Config: plat.Pipeline, Opts: plat.EvalOptions(), Transformed: transformed}
+	jobs := []runner.TimingJob{job}
+	speedup := p.Transformable && !transformed
+	if speedup {
+		job.Transformed = true
+		jobs = append(jobs, job)
+	}
+	sts, err := sess.EvaluateAll(context.Background(), jobs, sz)
+	if err != nil {
+		return err
+	}
+	st := sts[0]
+	kind := "original"
+	if transformed {
+		kind = "load-transformed"
+	}
+	fmt.Fprintf(stdout, "%s (%s, %s, %s tier) on %s:\n", p.Name, kind, sz, plat.Pipeline.Fidelity, plat.Name)
+	fmt.Fprintf(stdout, "  %d instructions, %d cycles (IPC %.2f)\n", st.Instructions, st.Cycles, st.IPC())
+	fmt.Fprintf(stdout, "  %d cond branches, %.2f%% mispredicted\n", st.CondBranches, 100*st.MispredictRate())
+	fmt.Fprintf(stdout, "  %d loads, AMAT %.2f cycles (L1 %d / L2 %d / mem %d)\n",
+		st.Loads, st.AMAT(), st.L1Hits, st.L2Hits, st.MemHits)
+	if speedup && sts[1].Cycles != 0 {
+		sp := float64(st.Cycles)/float64(sts[1].Cycles) - 1
+		fmt.Fprintf(stdout, "  load transformation speedup on this platform: %.1f%%\n", 100*sp)
+	}
+	return nil
 }

@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"bioperfload"
+	"bioperfload/internal/bio"
+	"bioperfload/internal/runner"
 )
 
 // TestRetiredSubcommands: the old benchmark subcommands are gone, so
@@ -52,5 +57,33 @@ func TestRunDispatch(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "unknown size") {
 		t.Errorf("-size classb: stderr %q", errb.String())
+	}
+}
+
+// TestEvaluateSimulatesEachVariantOnce: timing a transformable
+// original also times its load-transformed variant for the speedup
+// line, in one EvaluateAll, so the session runs two simulations, not
+// three, and the line agrees with bioperfload.Speedup.
+func TestEvaluateSimulatesEachVariantOnce(t *testing.T) {
+	p := bio.Transformed()[0]
+	plat, err := bioperfload.PlatformByName("alpha21264")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := runner.NewSession(1)
+	var out bytes.Buffer
+	if err := evaluate(sess, &out, p, plat, bio.SizeTest, false); err != nil {
+		t.Fatal(err)
+	}
+	if runs := sess.Stats().Runs; runs != 2 {
+		t.Errorf("session ran %d simulations, want 2", runs)
+	}
+	sp, err := bioperfload.Speedup(p, plat, bio.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("  load transformation speedup on this platform: %.1f%%\n", 100*sp)
+	if !strings.HasSuffix(out.String(), want) {
+		t.Errorf("output does not end in %q:\n%s", want, out.String())
 	}
 }

@@ -1,9 +1,8 @@
 // Package basicblock computes the static basic-block map of a compiled
 // program: every PC resolves to the block it belongs to in one slice
-// lookup. The map is the shared foundation of the phase-analysis BBV
-// collector (internal/simpoint) and the block-characterized replay
-// engine (internal/loadchar), which both need to turn a straight-line
-// PC run into the blocks it covers without touching per-event state.
+// lookup. Its one user is the phase-analysis BBV collector
+// (internal/simpoint), which turns each straight-line PC run into the
+// blocks it covers without touching per-event state.
 package basicblock
 
 import "bioperfload/internal/isa"

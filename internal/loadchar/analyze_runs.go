@@ -148,7 +148,7 @@ type bundle struct {
 	refs    atomic.Int32
 }
 
-// AnalyzeRuns runs the block-characterized replay over a column
+// AnalyzeRuns runs the run-characterized replay over a column
 // stream: the run lane memoizes the dependence and sequence machines
 // over (state, run) pairs, the predictor lane replays the taken column
 // with the paper hybrid, and the memory lane replays the address

@@ -14,9 +14,10 @@
 // from a dictionary, plus the conditional-branch taken bits and the
 // memory addresses — built by the simulator's interpreter during a
 // run (sim.Machine.SetChunkSink), rebuilt from event slabs by a
-// sim.Builder, or decoded from a trace. The run engine characterizes each run once
-// (instruction mix by block, the dependence and sequence machines
-// memoized over (state, run) pairs), while the predictor and memory
+// sim.Builder, or decoded from a trace. The run engine characterizes
+// each distinct run once (its instruction mix classified from its
+// instructions, the dependence and sequence machines memoized over
+// (state, run) pairs), while the predictor and memory
 // lanes replay the taken and address columns through the paper's
 // hybrid predictor and cache hierarchy. A live Analysis (New) feeds
 // the engine chunk by chunk; AnalyzeRuns drives it over a recorded
@@ -247,15 +248,4 @@ func cleared[V any](m map[int32]V) map[int32]V {
 	}
 	clear(m)
 	return m
-}
-
-// regIndex maps an instruction register operand to the dependence
-// table; FP registers live above the integer file.
-func fpIdx(r uint8) int { return isa.NumIntRegs + int(r) }
-
-func isZeroReg(r uint8, isFP bool) bool {
-	if isFP {
-		return r == isa.FZero
-	}
-	return r == isa.RZero
 }

@@ -1,6 +1,7 @@
 package loadchar
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -287,6 +288,65 @@ func TestBranchToLoadDetection(t *testing.T) {
 	s := a.Sequences()
 	if s.LoadAfterHardBranchPct < 10 {
 		t.Errorf("after-hard-branch = %.1f%%, want substantial", s.LoadAfterHardBranchPct)
+	}
+}
+
+// runHandBuilt runs a hand-built program under a live analysis.
+func runHandBuilt(t *testing.T, prog *isa.Program) *Analysis {
+	t.Helper()
+	m, err := sim.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(prog)
+	m.AddBatchObserver(a)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestUncondBranchKeepsLoadChain: BR writes no register (the code
+// generator emits it with Rd = 0), so more than chainDepth of them
+// between a load into r0 and a branch on r0 leave the load feeding
+// the branch directly.
+func TestUncondBranchKeepsLoadChain(t *testing.T) {
+	b := isa.NewBuilder("br-chain")
+	addr := b.Global("data", 8, 8, false)
+	b.Ldiq(1, int64(addr))
+	b.Load(isa.OpLdq, 0, 1, 0)
+	for i := 0; i <= chainDepth; i++ {
+		l := fmt.Sprintf("l%d", i)
+		b.Branch(isa.OpBr, 0, l)
+		b.Label(l)
+	}
+	b.Branch(isa.OpBeq, 0, "end")
+	b.Label("end")
+	b.Halt()
+	a := runHandBuilt(t, b.MustProgram())
+	if s := a.Sequences(); s.LoadToBranchPct != 100 {
+		t.Errorf("load-to-branch = %.1f%%, want 100%%", s.LoadToBranchPct)
+	}
+}
+
+// TestUncondBranchKeepsPendingLoad: a BR between a load right after a
+// conditional branch and the load's consumer does not disarm the
+// pending load, so the branch-to-load sequence is recorded.
+func TestUncondBranchKeepsPendingLoad(t *testing.T) {
+	b := isa.NewBuilder("br-pending")
+	addr := b.Global("data", 8, 8, false)
+	b.Ldiq(1, int64(addr))
+	b.Branch(isa.OpBeq, isa.RZero, "load")
+	b.Label("load")
+	ld := b.Emit(isa.Inst{Op: isa.OpLdq, Rd: 0, Ra: 1})
+	br := ld - 1
+	b.Branch(isa.OpBr, 0, "use")
+	b.Label("use")
+	b.OpI(isa.OpAdd, 2, 0, 1)
+	b.Halt()
+	a := runHandBuilt(t, b.MustProgram())
+	if got := a.Snapshot().AfterBranch[ld][br]; got != 1 {
+		t.Errorf("branch-to-load (%d -> %d) recorded %d times, want 1", br, ld, got)
 	}
 }
 

@@ -7,10 +7,13 @@ import (
 
 // The dependence and sequence machines: the only characterization
 // state that survives from one committed instruction to the next
-// besides the cache and predictor. The run engine steps them over
-// synthetic runs (runEngine.eval) and records what they report through
-// their rec hooks; it never feeds them branch outcomes or addresses,
-// which neither machine reads.
+// besides the cache and predictor. Both read each instruction's
+// register dataflow from isa.Inst.Operands, the table the timing
+// model's dependences come from too, and branch only on instruction
+// class. The run engine steps them over synthetic runs
+// (runEngine.eval) and records what they report through their rec
+// hooks; it never feeds them branch outcomes or addresses, which
+// neither machine reads.
 
 // --- dependence machine: load-to-branch chains ---
 
@@ -21,106 +24,55 @@ type depPass struct {
 	rec func(branchPC int32, fed bool, srcA, srcB int32)
 }
 
-// observe advances the register dependence state machine.
+// observe advances the register dependence state machine: a load
+// starts a chain in its destination, a conditional branch reports the
+// chain in the register it tests, and every other register write
+// merges the chains of the registers it reads.
 func (p *depPass) observe(evs []sim.Event) {
 	for i := range evs {
 		in := evs[i].Inst
-		op := in.Op
-		switch cls := isa.ClassOf(op); {
-		case cls == isa.ClassLoad:
-			dst := int(in.Rd)
-			if op == isa.OpLdt {
-				dst = fpIdx(in.Rd)
+		reads, n, write := in.Operands()
+		switch isa.ClassOf(in.Op) {
+		case isa.ClassLoad:
+			if write >= 0 {
+				p.deps[write] = regDep{depth: 0, srcA: evs[i].PC, srcB: -1}
 			}
-			if !isZeroReg(in.Rd, op == isa.OpLdt) {
-				p.deps[dst] = regDep{depth: 0, srcA: evs[i].PC, srcB: -1}
-			}
-		case cls == isa.ClassStore:
-		case cls == isa.ClassCondBranch:
-			d := p.deps[in.Ra]
-			p.rec(evs[i].PC, in.Ra != isa.RZero && d.depth >= 0, d.srcA, d.srcB)
+		case isa.ClassCondBranch:
+			// reads[0] is the tested register, or the never-written
+			// RZero pad when the branch tests the zero register.
+			d := p.deps[reads[0]]
+			p.rec(evs[i].PC, d.depth >= 0, d.srcA, d.srcB)
 		default:
-			p.propagate(in)
+			if write >= 0 {
+				p.deps[write] = p.merge(reads[:n])
+			}
 		}
 	}
 }
 
-// propagate advances the register dependence state for non-memory,
-// non-branch instructions.
-func (p *depPass) propagate(in *isa.Inst) {
-	op := in.Op
-	clearDst := func(idx int) { p.deps[idx] = regDep{depth: -1} }
-
-	merge := func(dst int, srcs ...int) {
-		nd := regDep{depth: -1, srcA: -1, srcB: -1}
-		for _, s := range srcs {
-			d := p.deps[s]
-			if d.depth < 0 || d.depth >= chainDepth {
-				continue
-			}
-			if nd.depth < 0 {
-				nd = regDep{depth: d.depth + 1, srcA: d.srcA, srcB: d.srcB}
-				continue
-			}
-			if d.depth+1 > nd.depth {
-				nd.depth = d.depth + 1
-			}
-			if nd.srcB < 0 && d.srcA != nd.srcA {
-				nd.srcB = d.srcA
-			}
+// merge returns the chain a value computed from srcs carries: one
+// operation deeper than its deepest load-derived source still within
+// chainDepth, crediting up to two distinct loads. With no such source
+// (a constant, a call's return address) the value is not load-derived.
+func (p *depPass) merge(srcs []uint8) regDep {
+	nd := regDep{depth: -1, srcA: -1, srcB: -1}
+	for _, s := range srcs {
+		d := p.deps[s]
+		if d.depth < 0 || d.depth >= chainDepth {
+			continue
 		}
-		p.deps[dst] = nd
-	}
-
-	switch {
-	case op == isa.OpLdiq || op == isa.OpLda:
-		if !isZeroReg(in.Rd, false) {
-			if op == isa.OpLda {
-				merge(int(in.Rd), int(in.Ra))
-			} else {
-				clearDst(int(in.Rd))
-			}
+		if nd.depth < 0 {
+			nd = regDep{depth: d.depth + 1, srcA: d.srcA, srcB: d.srcB}
+			continue
 		}
-	case isa.IsCmov(op):
-		if !isZeroReg(in.Rd, false) {
-			merge(int(in.Rd), int(in.Ra), int(in.Rb), int(in.Rd))
+		if d.depth+1 > nd.depth {
+			nd.depth = d.depth + 1
 		}
-	case op == isa.OpCmpTeq || op == isa.OpCmpTlt || op == isa.OpCmpTle:
-		if !isZeroReg(in.Rd, false) {
-			merge(int(in.Rd), fpIdx(in.Ra), fpIdx(in.Rb))
-		}
-	case op == isa.OpCvtQT:
-		if !isZeroReg(in.Rd, true) {
-			merge(fpIdx(in.Rd), int(in.Ra))
-		}
-	case op == isa.OpCvtTQ:
-		if !isZeroReg(in.Rd, false) {
-			merge(int(in.Rd), fpIdx(in.Ra))
-		}
-	case op == isa.OpFMov || op == isa.OpFNeg:
-		if !isZeroReg(in.Rd, true) {
-			merge(fpIdx(in.Rd), fpIdx(in.Ra))
-		}
-	case op == isa.OpAddt || op == isa.OpSubt || op == isa.OpMult || op == isa.OpDivt:
-		if !isZeroReg(in.Rd, true) {
-			merge(fpIdx(in.Rd), fpIdx(in.Ra), fpIdx(in.Rb))
-		}
-	case op == isa.OpPrint || op == isa.OpPrintF || op == isa.OpHalt || op == isa.OpNop:
-	case op == isa.OpJsr:
-		if !isZeroReg(in.Rd, false) {
-			clearDst(int(in.Rd))
-		}
-	case op == isa.OpRet:
-	default: // integer ALU
-		if isZeroReg(in.Rd, false) {
-			return
-		}
-		if in.HasImm {
-			merge(int(in.Rd), int(in.Ra))
-		} else {
-			merge(int(in.Rd), int(in.Ra), int(in.Rb))
+		if nd.srcB < 0 && d.srcA != nd.srcA {
+			nd.srcB = d.srcA
 		}
 	}
+	return nd
 }
 
 // --- sequence machine: branch-to-load sequences (Table 4b) ---
@@ -145,134 +97,45 @@ type seqPass struct {
 func (p *seqPass) observe(evs []sim.Event) {
 	for i := range evs {
 		in := evs[i].Inst
-		op := in.Op
 		seq := evs[i].Seq
+		reads, n, write := in.Operands()
 
 		// Consumption checks run before this instruction's own effects,
 		// so a load reading a pending register is seen before it arms
 		// its own destination.
-		p.consume(in, seq)
+		for _, r := range reads[:n] {
+			p.consume(r, seq)
+		}
 
-		switch cls := isa.ClassOf(op); {
-		case cls == isa.ClassLoad:
-			if !isZeroReg(in.Rd, op == isa.OpLdt) {
-				dst := int(in.Rd)
-				if op == isa.OpLdt {
-					dst = fpIdx(in.Rd)
-				}
-				after := int32(-1)
-				if p.haveBranch && seq-p.lastBranchSeq <= proximity {
-					after = p.lastBranchPC
-				}
-				p.pending[dst] = pendingLoad{active: true, loadPC: evs[i].PC, afterBranch: after, seq: seq}
-			}
-		case cls == isa.ClassStore:
-		case cls == isa.ClassCondBranch:
+		switch {
+		case isa.IsCondBranch(in.Op):
 			p.lastBranchPC = evs[i].PC
 			p.lastBranchSeq = seq
 			p.haveBranch = true
+		case write < 0:
+		case isa.IsLoad(in.Op):
+			after := int32(-1)
+			if p.haveBranch && seq-p.lastBranchSeq <= proximity {
+				after = p.lastBranchPC
+			}
+			p.pending[write] = pendingLoad{active: true, loadPC: evs[i].PC, afterBranch: after, seq: seq}
 		default:
-			p.deactivate(in)
+			// Any other write disarms a load pending in its destination.
+			p.pending[write].active = false
 		}
 	}
 }
 
-// consume checks whether this instruction reads a register holding a
-// pending just-loaded value within the proximity window, completing a
+// consume checks whether a read of register r consumes a pending
+// just-loaded value within the proximity window, completing a
 // branch-to-load sequence record.
-func (p *seqPass) consume(in *isa.Inst, seq uint64) {
-	check := func(idx int) {
-		pd := &p.pending[idx]
-		if !pd.active {
-			return
-		}
-		if seq-pd.seq > proximity {
-			pd.active = false
-			return
-		}
-		if pd.afterBranch >= 0 {
-			p.rec(pd.loadPC, pd.afterBranch)
-		}
-		pd.active = false
+func (p *seqPass) consume(r uint8, seq uint64) {
+	pd := &p.pending[r]
+	if !pd.active {
+		return
 	}
-	op := in.Op
-	switch {
-	case op == isa.OpNop || op == isa.OpHalt || op == isa.OpLdiq || op == isa.OpBr || op == isa.OpJsr:
-	case op == isa.OpLdt || op == isa.OpLdq || op == isa.OpLdbu || op == isa.OpLda:
-		check(int(in.Ra))
-	case op == isa.OpStq || op == isa.OpStb:
-		check(int(in.Ra))
-		check(int(in.Rb))
-	case op == isa.OpStt:
-		check(int(in.Ra))
-		check(fpIdx(in.Rb))
-	case op == isa.OpAddt || op == isa.OpSubt || op == isa.OpMult || op == isa.OpDivt ||
-		op == isa.OpCmpTeq || op == isa.OpCmpTlt || op == isa.OpCmpTle:
-		check(fpIdx(in.Ra))
-		check(fpIdx(in.Rb))
-	case op == isa.OpCvtQT:
-		check(int(in.Ra))
-	case op == isa.OpCvtTQ, op == isa.OpFMov, op == isa.OpFNeg, op == isa.OpPrintF:
-		check(fpIdx(in.Ra))
-	case isa.IsCondBranch(op) || op == isa.OpRet || op == isa.OpPrint:
-		check(int(in.Ra))
-	case isa.IsCmov(op):
-		check(int(in.Ra))
-		check(int(in.Rb))
-		check(int(in.Rd))
-	default: // integer ALU
-		check(int(in.Ra))
-		if !in.HasImm {
-			check(int(in.Rb))
-		}
+	if seq-pd.seq <= proximity && pd.afterBranch >= 0 {
+		p.rec(pd.loadPC, pd.afterBranch)
 	}
-}
-
-// deactivate mirrors depPass.propagate's destination-register writes:
-// any instruction that overwrites a register disarms a pending load
-// waiting there. The case structure must match propagate exactly.
-func (p *seqPass) deactivate(in *isa.Inst) {
-	op := in.Op
-	clear := func(idx int) { p.pending[idx].active = false }
-
-	switch {
-	case op == isa.OpLdiq || op == isa.OpLda:
-		if !isZeroReg(in.Rd, false) {
-			clear(int(in.Rd))
-		}
-	case isa.IsCmov(op):
-		if !isZeroReg(in.Rd, false) {
-			clear(int(in.Rd))
-		}
-	case op == isa.OpCmpTeq || op == isa.OpCmpTlt || op == isa.OpCmpTle:
-		if !isZeroReg(in.Rd, false) {
-			clear(int(in.Rd))
-		}
-	case op == isa.OpCvtQT:
-		if !isZeroReg(in.Rd, true) {
-			clear(fpIdx(in.Rd))
-		}
-	case op == isa.OpCvtTQ:
-		if !isZeroReg(in.Rd, false) {
-			clear(int(in.Rd))
-		}
-	case op == isa.OpFMov || op == isa.OpFNeg:
-		if !isZeroReg(in.Rd, true) {
-			clear(fpIdx(in.Rd))
-		}
-	case op == isa.OpAddt || op == isa.OpSubt || op == isa.OpMult || op == isa.OpDivt:
-		if !isZeroReg(in.Rd, true) {
-			clear(fpIdx(in.Rd))
-		}
-	case op == isa.OpPrint || op == isa.OpPrintF || op == isa.OpHalt || op == isa.OpNop:
-	case op == isa.OpJsr:
-		if !isZeroReg(in.Rd, false) {
-			clear(int(in.Rd))
-		}
-	case op == isa.OpRet:
-	default: // integer ALU
-		if !isZeroReg(in.Rd, false) {
-			clear(int(in.Rd))
-		}
-	}
+	pd.active = false
 }

@@ -8,7 +8,7 @@ import (
 	"bioperfload/internal/sim"
 )
 
-// The run lane is the spine of the block-characterized replay: it
+// The run lane is the spine of the run-characterized replay: it
 // consumes the PC-run stream in commit order and drives the dependence
 // and sequence state machines — the only two passes whose per-event
 // state survives across events. Instead of stepping them per event, it
@@ -169,7 +169,6 @@ func (m *memoTable) grow() {
 // states, the transition memo, and the private eval machines.
 type runEngine struct {
 	prog *isa.Program
-	bt   *blockTable
 
 	runs     map[uint64]*runInfo
 	stateIDs map[string]uint32
@@ -202,7 +201,6 @@ type runEngine struct {
 func newRunEngine(prog *isa.Program) *runEngine {
 	e := &runEngine{
 		prog:     prog,
-		bt:       newBlockTable(prog),
 		runs:     make(map[uint64]*runInfo),
 		stateIDs: make(map[string]uint32),
 		memo:     newMemoTable(),
@@ -343,7 +341,8 @@ func (e *runEngine) runFor(pc, n int32) *runInfo {
 	if ri := e.runs[key]; ri != nil {
 		return ri
 	}
-	ri := e.bt.makeRun(pc, n)
+	ri := &runInfo{pc: pc, n: n}
+	accumRange(ri, e.prog)
 	e.runs[key] = ri
 	return ri
 }

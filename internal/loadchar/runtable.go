@@ -1,36 +1,19 @@
 package loadchar
 
-import (
-	"bioperfload/internal/basicblock"
-	"bioperfload/internal/isa"
-)
+import "bioperfload/internal/isa"
 
 // storeBit marks a store in a mems offset entry (offsets are chunk-run
 // offsets, far below 2^30).
 const storeBit = int32(1) << 30
 
-// blockInfo is the static characterization of one basic block: the
-// per-class instruction counts and the block-relative offsets of the
-// instructions each replay lane dispatches on. Computed once per block
-// on first execution, then every straight-line run over the block
-// reduces to counter adds and offset rebasing — the per-block multiply
-// structure the block-characterized replay is built on.
-type blockInfo struct {
-	classCounts [isa.NumClasses]uint32
-	fp          uint32
-	fpLoads     uint32
-	loads       []int32 // offsets of loads (mix pass load counts)
-	mems        []int32 // offsets of loads/stores, storeBit marks stores
-	brs         []int32 // offsets of conditional branches
-	built       bool
-}
-
 // runInfo is the static characterization of one straight-line PC run
 // (PC, PC+1, ..., PC+n-1) as it appears in the trace's run stream,
-// assembled from block vectors, plus the run's total occurrence count.
-// All offsets are run-relative. runInfo pointers are shared across
-// chunks and read concurrently by shard lanes; they are immutable
-// after construction except for occ, which only the run lane touches.
+// assembled from its instructions once per run (runEngine.runFor),
+// plus the run's total occurrence count: the per-class instruction
+// counts and the run-relative offsets of the instructions each replay
+// lane dispatches on. runInfo pointers are shared across chunks and
+// read concurrently by shard lanes; they are immutable after
+// construction except for occ, which only the run lane touches.
 type runInfo struct {
 	pc int32
 	n  int32
@@ -38,36 +21,17 @@ type runInfo struct {
 	classCounts [isa.NumClasses]uint32
 	fp          uint32
 	fpLoads     uint32
-	loads       []int32
-	mems        []int32
-	brs         []int32
+	loads       []int32 // offsets of loads (mix pass load counts)
+	mems        []int32 // offsets of loads/stores, storeBit marks stores
+	brs         []int32 // offsets of conditional branches
 
 	occ uint64
 }
 
-// blockTable lazily builds blockInfo vectors over the program's static
-// basic-block map and assembles runInfo entries from them.
-type blockTable struct {
-	prog   *isa.Program
-	blocks *basicblock.Blocks
-	info   []blockInfo
-}
-
-func newBlockTable(prog *isa.Program) *blockTable {
-	b := basicblock.Map(prog)
-	return &blockTable{prog: prog, blocks: b, info: make([]blockInfo, b.NumBlocks())}
-}
-
-// isLeader reports whether pc starts a basic block.
-func (t *blockTable) isLeader(pc int32) bool {
-	return pc == 0 || t.blocks.Of(pc-1) != t.blocks.Of(pc)
-}
-
-// accumRange classifies insts [lo, hi) directly into ri, with offsets
-// relative to ri.pc. Used for the partial blocks at run edges (runs
-// split mid-block only at chunk boundaries).
-func accumRange(ri *runInfo, prog *isa.Program, lo, hi int32) {
-	for pc := lo; pc < hi; pc++ {
+// accumRange classifies ri's instructions [ri.pc, ri.pc+ri.n) into
+// ri.
+func accumRange(ri *runInfo, prog *isa.Program) {
+	for pc := ri.pc; pc < ri.pc+ri.n; pc++ {
 		op := prog.Insts[pc].Op
 		cls := isa.ClassOf(op)
 		ri.classCounts[cls]++
@@ -88,66 +52,4 @@ func accumRange(ri *runInfo, prog *isa.Program, lo, hi int32) {
 			ri.brs = append(ri.brs, off)
 		}
 	}
-}
-
-// block returns pc's block vector, building it on first use. pc must
-// be a block leader.
-func (t *blockTable) block(pc int32) *blockInfo {
-	bi := &t.info[t.blocks.Of(pc)]
-	if !bi.built {
-		var tmp runInfo // reuse the classifier with run-start == block-start
-		tmp.pc = pc
-		accumRange(&tmp, t.prog, pc, t.blocks.NextLeader(pc))
-		bi.classCounts = tmp.classCounts
-		bi.fp = tmp.fp
-		bi.fpLoads = tmp.fpLoads
-		bi.loads = tmp.loads
-		bi.mems = tmp.mems
-		bi.brs = tmp.brs
-		bi.built = true
-	}
-	return bi
-}
-
-// makeRun assembles the runInfo for the straight-line run [pc, pc+n):
-// whole blocks contribute their cached vectors (counter adds plus
-// offset rebasing), partial blocks at the edges are scanned directly.
-func (t *blockTable) makeRun(pc, n int32) *runInfo {
-	ri := &runInfo{pc: pc, n: n}
-	cur, end := pc, pc+n
-	if !t.isLeader(cur) {
-		// Leading partial block: the run was split mid-block by a chunk
-		// boundary.
-		hi := t.blocks.NextLeader(cur)
-		if hi > end {
-			hi = end
-		}
-		accumRange(ri, t.prog, cur, hi)
-		cur = hi
-	}
-	for cur < end {
-		hi := t.blocks.NextLeader(cur)
-		if hi > end {
-			accumRange(ri, t.prog, cur, end)
-			break
-		}
-		bi := t.block(cur)
-		for c := range bi.classCounts {
-			ri.classCounts[c] += bi.classCounts[c]
-		}
-		ri.fp += bi.fp
-		ri.fpLoads += bi.fpLoads
-		rebase := cur - pc
-		for _, off := range bi.loads {
-			ri.loads = append(ri.loads, off+rebase)
-		}
-		for _, m := range bi.mems {
-			ri.mems = append(ri.mems, (m&^storeBit)+rebase|m&storeBit)
-		}
-		for _, off := range bi.brs {
-			ri.brs = append(ri.brs, off+rebase)
-		}
-		cur = hi
-	}
-	return ri
 }

@@ -18,10 +18,10 @@ const (
 type decoded struct {
 	inst *isa.Inst // the instruction this entry was decoded from
 	lat  int32     // execLatency on the table's machine
-	// srcs are the register-file indices read (see deps). Unused
-	// entries hold the integer zero register, which no instruction
-	// writes, so its ready time stays 0 and the model can take the
-	// maximum over all three without a count.
+	// srcs are the register-file indices read (isa.Inst.Operands).
+	// Unused entries hold the integer zero register, which no
+	// instruction writes, so its ready time stays 0 and the model can
+	// take the maximum over all three without a count.
 	srcs  [3]uint8
 	dst   int8 // register-file index written, -1 if none
 	class instClass
@@ -90,8 +90,8 @@ func (t *decodeTable) decode(pc int32, in *isa.Inst) *decoded {
 	if isa.IsBranch(in.Op) {
 		c |= classBranch
 	}
-	*d = decoded{inst: in, lat: int32(t.cfg.execLatency(in.Op)), class: c}
-	d.srcs, d.dst = deps(in)
+	srcs, _, dst := in.Operands()
+	*d = decoded{inst: in, lat: int32(t.cfg.execLatency(in.Op)), srcs: srcs, dst: int8(dst), class: c}
 	return d
 }
 
@@ -117,87 +117,4 @@ func (c *Config) execLatency(op isa.Op) int {
 	default:
 		return c.IntALULat
 	}
-}
-
-// deps returns the register-file indices (int regs first, then FP
-// regs from fpBase) the instruction reads, padded with isa.RZero, and
-// the index it writes (-1 if none). The hard-wired zero registers are
-// never reported as read or written: they are always ready.
-func deps(in *isa.Inst) (srcs [3]uint8, dst int8) {
-	srcs = [3]uint8{isa.RZero, isa.RZero, isa.RZero}
-	dst = -1
-	n := 0
-	addSrc := func(r int16) {
-		if r == isa.RZero || r == fpBase+isa.FZero {
-			return
-		}
-		srcs[n] = uint8(r)
-		n++
-	}
-	setDst := func(r int16) {
-		if r == isa.RZero || r == fpBase+isa.FZero {
-			return
-		}
-		dst = int8(r)
-	}
-	op := in.Op
-	switch {
-	case op == isa.OpNop || op == isa.OpHalt || op == isa.OpBr:
-	case op == isa.OpLdiq:
-		setDst(int16(in.Rd))
-	case op == isa.OpLda:
-		addSrc(int16(in.Ra))
-		setDst(int16(in.Rd))
-	case isa.IsCmov(op):
-		addSrc(int16(in.Ra))
-		addSrc(int16(in.Rb))
-		addSrc(int16(in.Rd)) // old value of the destination
-		setDst(int16(in.Rd))
-	case op == isa.OpLdq || op == isa.OpLdbu:
-		addSrc(int16(in.Ra))
-		setDst(int16(in.Rd))
-	case op == isa.OpLdt:
-		addSrc(int16(in.Ra))
-		setDst(fpBase + int16(in.Rd))
-	case op == isa.OpStq || op == isa.OpStb:
-		addSrc(int16(in.Ra))
-		addSrc(int16(in.Rb))
-	case op == isa.OpStt:
-		addSrc(int16(in.Ra))
-		addSrc(fpBase + int16(in.Rb))
-	case op == isa.OpAddt || op == isa.OpSubt || op == isa.OpMult || op == isa.OpDivt:
-		addSrc(fpBase + int16(in.Ra))
-		addSrc(fpBase + int16(in.Rb))
-		setDst(fpBase + int16(in.Rd))
-	case op == isa.OpCmpTeq || op == isa.OpCmpTlt || op == isa.OpCmpTle:
-		addSrc(fpBase + int16(in.Ra))
-		addSrc(fpBase + int16(in.Rb))
-		setDst(int16(in.Rd))
-	case op == isa.OpCvtQT:
-		addSrc(int16(in.Ra))
-		setDst(fpBase + int16(in.Rd))
-	case op == isa.OpCvtTQ:
-		addSrc(fpBase + int16(in.Ra))
-		setDst(int16(in.Rd))
-	case op == isa.OpFMov || op == isa.OpFNeg:
-		addSrc(fpBase + int16(in.Ra))
-		setDst(fpBase + int16(in.Rd))
-	case isa.IsCondBranch(op):
-		addSrc(int16(in.Ra))
-	case op == isa.OpJsr:
-		setDst(int16(in.Rd))
-	case op == isa.OpRet:
-		addSrc(int16(in.Ra))
-	case op == isa.OpPrint:
-		addSrc(int16(in.Ra))
-	case op == isa.OpPrintF:
-		addSrc(fpBase + int16(in.Ra))
-	default: // integer ALU
-		addSrc(int16(in.Ra))
-		if !in.HasImm {
-			addSrc(int16(in.Rb))
-		}
-		setDst(int16(in.Rd))
-	}
-	return srcs, dst
 }

@@ -160,7 +160,6 @@ func (s Stats) AMAT() float64 {
 
 const (
 	numRegs  = isa.NumIntRegs + isa.NumFPRegs
-	fpBase   = isa.NumIntRegs
 	slotBits = 16
 	slotSize = 1 << slotBits // per-cycle bookkeeping ring capacity
 	slotMask = slotSize - 1

@@ -10,7 +10,7 @@ import (
 )
 
 // ReplayAnalyze characterizes prog from a chunk-indexed trace through
-// the block-characterized replay engine: the trace's column streams
+// the run-characterized replay engine: the trace's column streams
 // (PC runs, taken bits, addresses) feed loadchar.AnalyzeRuns, which
 // memoizes the order-insensitive passes over (state, run) pairs and
 // shards the predictor and cache lanes when workers are available. The

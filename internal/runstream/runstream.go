@@ -1,5 +1,5 @@
 // Package runstream defines the column-oriented chunk stream the
-// block-characterized engine consumes: dictionary tokens of
+// run-characterized engine consumes: dictionary tokens of
 // straight-line PC runs plus the taken and address columns of one
 // chunk, without per-event records. It holds types only and imports
 // nothing from the project.
@@ -27,7 +27,7 @@ type Run struct {
 // Token is one run-dictionary reference in a chunk's token stream:
 // the run Dict.Runs[ID] executed Rep times back to back. Adjacent
 // tokens never share an ID (the encoder merges them), so Rep > 1 is
-// exactly the tight-loop case the block-characterized engine turns
+// exactly the tight-loop case the run-characterized engine turns
 // into counter multiplies.
 type Token struct {
 	ID  int32

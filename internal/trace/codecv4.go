@@ -21,7 +21,7 @@ import (
 // store site, where strides make the deltas self-similar). Everything
 // else — PCs, targets, classes, the taken flag of unconditional
 // branches — is a dictionary lookup, so the column decode the
-// block-characterized replay consumes does zero per-event varint work
+// run-characterized replay consumes does zero per-event varint work
 // outside the address column.
 //
 // Chunk payload (after the shared uvarint base / uvarint n header):
@@ -541,9 +541,12 @@ func newV4Writer(prog *isa.Program) *v4Writer {
 }
 
 // appendChunk encodes ch as a v4 chunk starting at event base onto
-// dst, growing the dictionary by the entries ch's dictionary gained
-// since the previous chunk, and returns the extended slice plus the
-// split-compression cut (the end of the token stream). ch must be
+// dst, growing the dictionary by the entries of ch's dictionary past
+// the previous chunk's, up to the highest run ch's tokens reference,
+// and returns the extended slice plus the split-compression cut (the
+// end of the token stream). A chunk sink's dictionary ends exactly
+// there; a chunk decoded from a trace carries the footer's whole
+// dictionary, whose later runs belong to later chunks. ch must be
 // dictionary-backed and consistent with the runs it references: the
 // interpreter builds only run-representable chunks, and a sim.Builder
 // has already verified its events are.
@@ -553,7 +556,14 @@ func (vw *v4Writer) appendChunk(dst []byte, base uint64, ch *runstream.Chunk) ([
 	if ch.Dict == nil || len(ch.Dict.Runs) < dictBase {
 		return dst, 0, fmt.Errorf("trace: chunk at event %d does not extend the writer's run dictionary", base)
 	}
-	newRuns := ch.Dict.Runs[dictBase:]
+	used := dictBase
+	for _, t := range ch.Tokens {
+		if t.ID < 0 || int(t.ID) >= len(ch.Dict.Runs) || t.Rep < 1 {
+			return dst, 0, fmt.Errorf("trace: chunk at event %d: token (%d, %d) out of range", base, t.ID, t.Rep)
+		}
+		used = max(used, int(t.ID)+1)
+	}
+	newRuns := ch.Dict.Runs[dictBase:used]
 	for _, r := range newRuns {
 		if err := d.add(r.PC, int64(r.N)); err != nil {
 			return dst, 0, err
@@ -564,9 +574,6 @@ func (vw *v4Writer) appendChunk(dst []byte, base uint64, ch *runstream.Chunk) ([
 	}
 	nbr, nmem, span := 0, 0, 0
 	for _, t := range ch.Tokens {
-		if t.ID < 0 || int(t.ID) >= len(d.runs) || t.Rep < 1 {
-			return dst, 0, fmt.Errorf("trace: chunk at event %d: token (%d, %d) out of range", base, t.ID, t.Rep)
-		}
 		nbr += int(d.condCount(t.ID)) * int(t.Rep)
 		nmem += int(d.memCount(t.ID)) * int(t.Rep)
 		span += int(d.runs[t.ID].n) * int(t.Rep)
