@@ -35,11 +35,12 @@ race:
 # race-concurrent stresses the concurrency-heavy packages — shard
 # workers and pass merges, decode pools and slab recycling, the job
 # queue and event streams, the session memo that identical jobs meet
-# at — with repeated runs under the race detector.
+# at, the machine's page and sink-buffer pools and bio's per-(program,
+# size) input memo — with repeated runs under the race detector.
 # -timeout covers three race-instrumented repetitions of the runner
 # suite, which exceed go test's 10-minute default on a single core.
 race-concurrent:
-	$(GO) test -race -count 3 -timeout 30m ./internal/loadchar ./internal/trace ./internal/service ./internal/runner ./internal/cluster ./internal/simpoint ./internal/bpred ./internal/cache
+	$(GO) test -race -count 3 -timeout 30m ./internal/loadchar ./internal/trace ./internal/service ./internal/runner ./internal/cluster ./internal/simpoint ./internal/bpred ./internal/cache ./internal/bio ./internal/sim
 
 # smoke regenerates every table and figure at test size through the
 # parallel session, proving the whole pipeline end to end. It then

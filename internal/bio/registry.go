@@ -14,6 +14,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"bioperfload/internal/compiler"
 	"bioperfload/internal/isa"
@@ -76,7 +78,11 @@ type Expected struct {
 	Floats []float64
 }
 
-// Program describes one BioPerf application.
+// Program describes one BioPerf application. Its Name identifies its
+// Bind and Reference: both are pure functions of the size, and Run
+// memoizes their results per (Name, Size) for the life of the process
+// (see runInputs), so two programs of one name must bind the same
+// inputs and expect the same output.
 type Program struct {
 	Name string
 	// Area is the bioinformatics domain (sequence analysis,
@@ -127,12 +133,18 @@ func (p *Program) Compile(transformed bool, opts compiler.Options) (*isa.Program
 // caller's chunk sink (and, for a sampled run, SetSampling), runs under
 // ctx and validates the output against the Go reference. attach may be
 // nil. Every caller that simulates a BioPerf program goes through Run.
+//
+// The run allocates only its own simulation state: the inputs are
+// replayed from the (program, size) memo, the reference is read from
+// it, and the machine is released once the output is validated, so
+// its memory pages and chunk-sink buffers serve the next run.
 func (p *Program) Run(ctx context.Context, prog *isa.Program, sz Size, attach func(*sim.Machine)) (*sim.Result, error) {
 	m, err := sim.New(prog)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Bind(m, sz); err != nil {
+	defer m.Release()
+	if err := p.memo(sz).bind(p, sz, m); err != nil {
 		return nil, fmt.Errorf("%s: bind: %w", p.Name, err)
 	}
 	if attach != nil {
@@ -150,7 +162,7 @@ func (p *Program) Run(ctx context.Context, prog *isa.Program, sz Size, attach fu
 
 // Validate compares simulated output with the Go reference.
 func (p *Program) Validate(res *sim.Result, sz Size) error {
-	want := p.Reference(sz)
+	want := p.memo(sz).reference(p, sz)
 	if len(res.IntOutput) != len(want.Ints) {
 		return fmt.Errorf("%s/%s: %d int outputs, want %d (%v vs %v)",
 			p.Name, sz, len(res.IntOutput), len(want.Ints), res.IntOutput, want.Ints)
@@ -171,6 +183,90 @@ func (p *Program) Validate(res *sim.Result, sz Size) error {
 			return fmt.Errorf("%s/%s: fp[%d] = %v, want %v", p.Name, sz, i, got, exp)
 		}
 	}
+	return nil
+}
+
+// runInputs is the memo of one (program, size): the symbol writes its
+// Bind makes, recorded on the first run and replayed into every later
+// machine, and its Go reference output. Both are built at most once
+// and then only read; the process keeps them, at most one per program
+// and size (27).
+type runInputs struct {
+	bindOnce sync.Once
+	writes   []func(Binder) error
+	bindErr  error // Bind's own error, after the writes it made
+
+	refOnce sync.Once
+	ref     Expected
+}
+
+type inputsKey struct {
+	name string
+	sz   Size
+}
+
+// memos maps an inputsKey to its *runInputs. It is package-level rather
+// than per Program because callers such as bioperfd look programs up
+// by name per request (ByName), which returns new Programs.
+var memos sync.Map
+
+// memo returns the memo entry of (p.Name, sz).
+func (p *Program) memo(sz Size) *runInputs {
+	k := inputsKey{p.Name, sz}
+	v, ok := memos.Load(k)
+	if !ok {
+		v, _ = memos.LoadOrStore(k, new(runInputs))
+	}
+	return v.(*runInputs)
+}
+
+// bind writes the recorded inputs into b, recording them through p's
+// Bind first if no run has yet. It fails where a direct Bind into b
+// would: at the first write b refuses, or with Bind's own error. b is
+// handed the memo's own slices, so it must only read them, as a
+// sim.Machine does (it copies them into simulated memory).
+func (in *runInputs) bind(p *Program, sz Size, b Binder) error {
+	in.bindOnce.Do(func() {
+		var r recorder
+		in.bindErr = p.Bind(&r, sz)
+		in.writes = r.writes
+	})
+	for _, write := range in.writes {
+		if err := write(b); err != nil {
+			return err
+		}
+	}
+	return in.bindErr
+}
+
+// reference returns p's Go reference output at sz, computing it on
+// the first call.
+func (in *runInputs) reference(p *Program, sz Size) Expected {
+	in.refOnce.Do(func() { in.ref = p.Reference(sz) })
+	return in.ref
+}
+
+// recorder is the Binder a first run binds through. It keeps each
+// write as a closure that replays it over a copy of the written slice,
+// so a Bind that reuses a buffer between writes, or changes one after
+// it returns, cannot change what is replayed.
+type recorder struct{ writes []func(Binder) error }
+
+func (r *recorder) WriteSymbol(name string, b []byte) error {
+	b = slices.Clone(b)
+	r.writes = append(r.writes, func(m Binder) error { return m.WriteSymbol(name, b) })
+	return nil
+}
+
+func (r *recorder) WriteSymbolInt64s(name string, vals []int64) error {
+	vals = slices.Clone(vals)
+	r.writes = append(r.writes, func(m Binder) error { return m.WriteSymbolInt64s(name, vals) })
+	return nil
+}
+
+func (r *recorder) WriteSymbolFloat64s(name string, vals []float64) error {
+	vals = slices.Clone(vals)
+	r.writes = append(r.writes, func(m Binder) error { return m.WriteSymbolFloat64s(name, vals) })
 	return nil
 }
 

@@ -2,6 +2,7 @@ package loadchar
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -161,6 +162,59 @@ func TestHotLoadsAttribution(t *testing.T) {
 	}
 	if !foundVrow {
 		t.Errorf("no hot load attributed to vrow: %+v", hot)
+	}
+}
+
+// TestRankingMatchesFullSort pins HotLoads' and CoverageAt's bounded
+// selection to a full sort of every executed static load, on a real
+// profile and on one whose counts are rewritten to tie in runs of
+// three (so the PC tie-break decides), for n from 0 past the number of
+// executed loads.
+func TestRankingMatchesFullSort(t *testing.T) {
+	live := analyze(t, "hmmsearch")
+	tied := live.Snapshot()
+	for pc, c := range tied.LoadCounts {
+		if c != 0 {
+			tied.LoadCounts[pc] = c/3*3 + 1
+		}
+	}
+	restored, err := FromSnapshot(live.prog, tied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*Analysis{"live": live, "tied": restored} {
+		var want []int32
+		for pc, c := range a.rep.LoadCounts {
+			if c != 0 {
+				want = append(want, int32(pc))
+			}
+		}
+		counts := a.rep.LoadCounts
+		sort.Slice(want, func(i, j int) bool {
+			if ci, cj := counts[want[i]], counts[want[j]]; ci != cj {
+				return ci > cj
+			}
+			return want[i] < want[j]
+		})
+		cov := a.Coverage()
+		for _, n := range []int{0, 1, 2, 6, 10, 80, len(want) - 1, len(want), len(want) + 5} {
+			hot := a.HotLoads(n)
+			if len(hot) != min(n, len(want)) {
+				t.Fatalf("%s: HotLoads(%d) has %d rows, want %d", name, n, len(hot), min(n, len(want)))
+			}
+			for i, h := range hot {
+				if h.PC != want[i] {
+					t.Fatalf("%s: HotLoads(%d)[%d].PC = %d, want %d", name, n, i, h.PC, want[i])
+				}
+			}
+			wantCov := 0.0
+			if n > 0 {
+				wantCov = cov[min(n, len(cov))-1]
+			}
+			if got := a.CoverageAt(n); got != wantCov {
+				t.Errorf("%s: CoverageAt(%d) = %v, want %v", name, n, got, wantCov)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package loadchar
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"bioperfload/internal/cache"
@@ -73,19 +75,57 @@ func (a *Analysis) Coverage() []float64 {
 }
 
 // CoverageAt returns the fraction of dynamic loads covered by the top
-// n static loads.
+// n static loads. It sums the n largest counts (topLoads) rather than
+// sorting every count, so it matches Coverage()[n-1] (clamped to the
+// curve) at a fraction of the cost.
 func (a *Analysis) CoverageAt(n int) float64 {
-	cov := a.Coverage()
-	if len(cov) == 0 {
+	a.sync()
+	var total, cum uint64
+	for _, c := range a.rep.LoadCounts {
+		total += c
+	}
+	for _, e := range a.topLoads(n) {
+		cum += e.count
+	}
+	if total == 0 {
 		return 0
 	}
-	if n > len(cov) {
-		n = len(cov)
-	}
+	return float64(cum) / float64(total)
+}
+
+// loadCount is one executed static load and its dynamic count.
+type loadCount struct {
+	pc    int32
+	count uint64
+}
+
+// byRank orders loads as HotLoads does: count descending, then PC
+// ascending.
+func byRank(x, y loadCount) int {
+	return cmp.Or(cmp.Compare(y.count, x.count), cmp.Compare(x.pc, y.pc))
+}
+
+// topLoads returns the n highest-ranked executed static loads in rank
+// order. It keeps only the best n seen so far, so over L static loads
+// it holds n entries and mostly skips a load with one comparison,
+// where sorting every load costs O(L log L).
+func (a *Analysis) topLoads(n int) []loadCount {
 	if n <= 0 {
-		return 0
+		return nil
 	}
-	return cov[n-1]
+	var top []loadCount
+	for pc, c := range a.rep.LoadCounts {
+		e := loadCount{int32(pc), c}
+		if c == 0 || len(top) == n && byRank(e, top[n-1]) > 0 {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(top, e, byRank)
+		top = slices.Insert(top, i, e)
+		if len(top) > n {
+			top = top[:n]
+		}
+	}
+	return top
 }
 
 // StaticLoadCount returns how many distinct static loads executed.
@@ -171,31 +211,13 @@ type HotLoad struct {
 }
 
 // HotLoads returns the n most frequently executed static loads with
-// their profile, the paper's Table 5.
+// their profile, the paper's Table 5: count descending, ties by PC.
 func (a *Analysis) HotLoads(n int) []HotLoad {
 	a.sync()
-	type kv struct {
-		pc    int32
-		count uint64
-	}
-	var all []kv
-	for pc, c := range a.rep.LoadCounts {
-		if c != 0 {
-			all = append(all, kv{int32(pc), c})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].pc < all[j].pc
-	})
-	if n > len(all) {
-		n = len(all)
-	}
+	top := a.topLoads(n)
 	total := a.rep.ClassCounts[isa.ClassLoad]
-	out := make([]HotLoad, 0, n)
-	for _, e := range all[:n] {
+	out := make([]HotLoad, 0, len(top))
+	for _, e := range top {
 		h := HotLoad{PC: e.pc, Line: a.prog.Insts[e.pc].Pos.Line}
 		if total > 0 {
 			h.Frequency = float64(e.count) / float64(total)

@@ -218,6 +218,72 @@ func (s *Snapshot) Sub(o *Snapshot) error {
 	return nil
 }
 
+// DeltaSince turns pre, a snapshot taken earlier on a, into the counts
+// a has observed since, in place: pre ends up equal to a.Snapshot()
+// after Sub(pre), but no second copy of the report state is made.
+// A pre of another program or with a scalar counter above a's is an
+// error, and pre is then left unchanged.
+func (a *Analysis) DeltaSince(pre *Snapshot) error {
+	a.sync()
+	cur := &a.rep
+	if err := cur.sameShape(pre); err != nil {
+		return err
+	}
+	wc, wp := cur.words(), pre.words()
+	for i, p := range wp {
+		if *p > *wc[i] {
+			return fmt.Errorf("loadchar: snapshot is not a prefix (counter %d)", i)
+		}
+	}
+	for i, p := range wp {
+		*p = *wc[i] - *p
+	}
+	tc, tp := cur.perLoad(), pre.perLoad()
+	for i, t := range tp {
+		for pc, v := range tc[i] {
+			t[pc] = v - t[pc]
+		}
+	}
+	for pc, b := range cur.Branches {
+		old, ok := pre.Branches[pc]
+		if ok && old == b {
+			delete(pre.Branches, pc)
+			continue
+		}
+		ow, bw := branchWords(&old), branchWords(&b)
+		for i, p := range ow {
+			*p = *bw[i] - *p
+		}
+		pre.Branches[pc] = old
+	}
+	deltaNested(pre.FedBranch, cur.FedBranch)
+	deltaNested(pre.AfterBranch, cur.AfterBranch)
+	return nil
+}
+
+// deltaNested turns pre into cur minus pre, dropping the entries (and
+// inner tables) of pre that reach zero, as subNested drops them from
+// cur.
+func deltaNested(pre, cur map[int32]map[int32]uint64) {
+	for k, inner := range cur {
+		d, had := pre[k]
+		if !had {
+			pre[k] = maps.Clone(inner)
+			continue
+		}
+		for k2, v := range inner {
+			if old, ok := d[k2]; ok && old == v {
+				delete(d, k2)
+			} else {
+				d[k2] = v - old
+			}
+		}
+		if len(d) == 0 {
+			delete(pre, k)
+		}
+	}
+}
+
 func scaleNested(m map[int32]map[int32]uint64, w uint64) {
 	for _, inner := range m {
 		for k, v := range inner {

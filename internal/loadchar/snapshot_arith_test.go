@@ -1,6 +1,8 @@
 package loadchar
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"bioperfload/internal/isa"
@@ -64,6 +66,43 @@ func TestSnapshotSubRejectsNonPrefix(t *testing.T) {
 	prefix := replaySlabs(prog, slabs[:len(slabs)/2]).Snapshot()
 	if err := prefix.Sub(full); err == nil {
 		t.Fatal("subtracting a superset succeeded")
+	}
+}
+
+// TestDeltaSinceMatchesSub pins the sampled replay's one-copy
+// difference to Sub: a prefix snapshot turned in place into the counts
+// observed after it equals the final snapshot minus the prefix, field
+// for field and in its binary body, at several cut points; a snapshot
+// that is not a prefix is refused and left unchanged.
+func TestDeltaSinceMatchesSub(t *testing.T) {
+	for _, name := range []string{"predator", "hmmsearch", "clustalw"} {
+		prog, _, slabs := captureSlabs(t, name)
+		for _, k := range []int{0, 1, len(slabs) / 2, len(slabs)} {
+			a := replaySlabs(prog, slabs[:k])
+			pre := a.Snapshot()
+			for _, s := range slabs[k:] {
+				a.ObserveBatch(s)
+			}
+			want := a.Snapshot()
+			if err := want.Sub(pre); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.DeltaSince(pre); err != nil {
+				t.Fatalf("%s cut %d: DeltaSince: %v", name, k, err)
+			}
+			if !reflect.DeepEqual(pre, want) || !bytes.Equal(pre.Append(nil), want.Append(nil)) {
+				t.Errorf("%s cut %d: DeltaSince differs from Sub", name, k)
+			}
+		}
+		small := replaySlabs(prog, slabs[:len(slabs)/2])
+		full := replaySlabs(prog, slabs).Snapshot()
+		keep := replaySlabs(prog, slabs).Snapshot()
+		if err := small.DeltaSince(full); err == nil {
+			t.Errorf("%s: DeltaSince of a superset succeeded", name)
+		}
+		if !reflect.DeepEqual(full, keep) {
+			t.Errorf("%s: refused DeltaSince changed its argument", name)
+		}
 	}
 }
 

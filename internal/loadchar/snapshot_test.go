@@ -169,7 +169,8 @@ func TestSnapshotArithRejectsOtherProgram(t *testing.T) {
 
 // BenchmarkProfileReports times the report work of one characterize
 // request on a restored test-size hmmsearch profile: the service's
-// summary fields and hot loads, then the rendered profile.
+// summary fields, then its ranking (hot loads and top-80 coverage),
+// computed once and shared by the JSON fields and the rendered profile.
 func BenchmarkProfileReports(b *testing.B) {
 	live := analyze(b, "hmmsearch")
 	a, err := FromSnapshot(live.prog, live.Snapshot())
@@ -182,8 +183,6 @@ func BenchmarkProfileReports(b *testing.B) {
 		a.CacheReport()
 		a.Sequences()
 		a.StaticLoadCount()
-		a.CoverageAt(80)
-		a.HotLoads(6)
-		RenderProfile("hmmsearch", "test", a, 6)
+		RenderRanked("hmmsearch", "test", a, a.Ranking(6))
 	}
 }

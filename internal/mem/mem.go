@@ -7,6 +7,7 @@ package mem
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 )
 
 const (
@@ -66,12 +67,32 @@ func (m *Memory) pageMiss(base, i uint64) *page {
 	}
 	p := m.pages[base]
 	if p == nil {
-		p = new(page)
+		p, _ = pages.Get().(*page)
+		if p == nil {
+			p = new(page)
+		}
 		m.pages[base] = p
 	}
 	m.tlbBase[i] = base
 	m.tlbPage[i] = p
 	return p
+}
+
+// pages recycles the pages of released memories. Release zeroes a
+// page before it puts it here, so a page taken from the pool reads
+// zero like a new one.
+var pages sync.Pool
+
+// Release zeroes every resident page and returns it to a package pool
+// that later memories take their pages from, and leaves m empty. It
+// is optional: a memory that is never released is collected as usual.
+func (m *Memory) Release() {
+	for _, p := range m.pages {
+		clear(p[:])
+		pages.Put(p)
+	}
+	m.pages = nil
+	m.tlbPage = [tlbSize]*page{}
 }
 
 // LoadByte returns the byte at addr.

@@ -141,3 +141,39 @@ func BenchmarkWriteReadUint64(b *testing.B) {
 		}
 	}
 }
+
+// TestReleasedPagesReadZero: Release hands a memory's pages to the
+// pool zeroed, so a page a later memory takes from it reads zero like
+// a new one. Every page left in the pool is checked, and a memory
+// touching the same addresses afterwards must read zero throughout.
+func TestReleasedPagesReadZero(t *testing.T) {
+	const n = 8
+	m := New()
+	for i := uint64(0); i < n; i++ {
+		m.StoreBytes(i*PageSize, bytes.Repeat([]byte{0xA5}, PageSize))
+	}
+	m.Release()
+	if m.Pages() != 0 || m.LoadByte(0) != 0 {
+		t.Fatal("a released memory is not empty")
+	}
+	var got []*page
+	for {
+		p, _ := pages.Get().(*page)
+		if p == nil {
+			break
+		}
+		if *p != (page{}) {
+			t.Fatal("the pool holds a page that is not zero")
+		}
+		got = append(got, p)
+	}
+	for _, p := range got {
+		pages.Put(p)
+	}
+	m2 := New()
+	for i := uint64(0); i < n; i++ {
+		if b := m2.LoadBytes(i*PageSize, PageSize); !bytes.Equal(b, make([]byte, PageSize)) {
+			t.Fatalf("page %d of a new memory after a release is not zero", i)
+		}
+	}
+}

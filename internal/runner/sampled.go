@@ -159,8 +159,10 @@ func samplePlan(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader,
 // warmed microarchitectural state: a, a new or freshly Reset live
 // analysis of prog, replays the trace's column chunks from the chunk
 // holding start-warm, a snapshot taken as the chunk based at start
-// arrives is subtracted from the final one, and the difference is the
-// interval's exact counts under the warmed cache and predictor. Both
+// arrives is turned in place into the counts observed after it
+// (DeltaSince), and that difference is the interval's exact counts
+// under the warmed cache and predictor: one snapshot copy per
+// interval. Both
 // prefixes are deterministic, so the subtraction is exact, not
 // approximate. start and end must be chunk edges (SampledAnalyze
 // checks them), so no chunk is ever cut.
@@ -193,11 +195,10 @@ func replayInterval(ctx context.Context, prog *isa.Program, a *loadchar.Analysis
 	if pre == nil {
 		return nil, fmt.Errorf("interval start %d is not a chunk base", start)
 	}
-	final := a.Snapshot()
-	if err := final.Sub(pre); err != nil {
+	if err := a.DeltaSince(pre); err != nil {
 		return nil, err
 	}
-	return final, nil
+	return pre, nil
 }
 
 // chunkEdge reports whether seq is a chunk base of ir or its end: the

@@ -82,8 +82,8 @@ func TestSampledReuseMatchesFresh(t *testing.T) {
 
 // TestIntervalReplayReusesAnalysis pins the point of the reuse: once a
 // worker's analysis and the decoder pool are warm, replaying another
-// interval on the Reset analysis allocates under 128 KiB — two
-// snapshots, the column source and the report state's maps — where a
+// interval on the Reset analysis allocates under 96 KiB — one
+// snapshot, the column source and the report state's maps — where a
 // new analysis alone is a 528 KiB cache hierarchy plus predictor and
 // run-engine tables. The least of three replays is pinned, so a
 // garbage collection that empties the decoder pool mid-test does not
@@ -124,8 +124,8 @@ func TestIntervalReplayReusesAnalysis(t *testing.T) {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("a replay on a reused analysis allocates %d bytes", least)
-	if least >= 128<<10 {
-		t.Errorf("a replay on a reused analysis allocates %d bytes, want under %d", least, 128<<10)
+	if least >= 96<<10 {
+		t.Errorf("a replay on a reused analysis allocates %d bytes, want under %d", least, 96<<10)
 	}
 }
 

@@ -376,6 +376,7 @@ func characterizeResult(prof *runner.Profile, sz bio.Size, hot int, acc runner.A
 	m := a.Mix()
 	c := a.CacheReport()
 	sq := a.Sequences()
+	rk := a.Ranking(hot)
 	res := CharacterizeResult{
 		Program:      prof.Name,
 		Size:         sz.String(),
@@ -388,7 +389,7 @@ func characterizeResult(prof *runner.Profile, sz bio.Size, hot int, acc runner.A
 			FPPct: 100 * m.FPFraction,
 		},
 		StaticLoads:   a.StaticLoadCount(),
-		CoverageTop80: 100 * a.CoverageAt(80),
+		CoverageTop80: 100 * rk.Coverage80,
 		Cache: CacheView{
 			L1LocalPct: 100 * c.L1Local, L2LocalPct: 100 * c.L2Local,
 			OverallPct: 100 * c.Overall, AMAT: c.AMAT,
@@ -399,9 +400,9 @@ func characterizeResult(prof *runner.Profile, sz bio.Size, hot int, acc runner.A
 			LoadAfterHardBranchPct: sq.LoadAfterHardBranchPct,
 			OverallMispredictPct:   100 * sq.OverallMispredictRate,
 		},
-		Report: loadchar.RenderProfile(prof.Name, sz.String(), a, hot),
+		Report: loadchar.RenderRanked(prof.Name, sz.String(), a, rk),
 	}
-	for _, h := range a.HotLoads(hot) {
+	for _, h := range rk.Hot {
 		res.HotLoads = append(res.HotLoads, HotLoadView{
 			PC: h.PC, FrequencyPct: 100 * h.Frequency,
 			L1MissPct: 100 * h.L1MissRate, BranchMispredPct: 100 * h.BranchMispred,

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"bioperfload/internal/isa"
 	"bioperfload/internal/runstream"
@@ -41,35 +42,90 @@ type chunker struct {
 	nbr int // conditional branches in the open chunk so far
 }
 
+// chunkBuffers are the storage a chunker leaves behind when its run
+// ends (release): the kind and hint tables, the run-ID map and the
+// column buffers. None of it carries state into the next chunker:
+// newChunker rewrites every kind entry, clears the hint table, and
+// truncates the columns, and release clears the map.
+//
+// The dictionary is never recycled. A consumer may keep it past the
+// run (it is shared by every chunk), and loadchar's run engine
+// recognizes a dictionary by its pointer, so a recycled one would be
+// taken for the previous run's and its interned runs reused.
+type chunkBuffers struct {
+	kind    []byte
+	hint    []int32
+	ids     map[uint64]int32
+	tokens  []runstream.Token
+	brTaken []byte
+	addrs   []uint64
+}
+
+// chunkBufs recycles the buffers of released machines' chunk sinks.
+var chunkBufs sync.Pool
+
 func newChunker(prog *isa.Program, chunkEvents int, emit func(*runstream.Chunk)) chunker {
 	if chunkEvents <= 0 {
 		panic("sim: chunkEvents must be positive")
 	}
+	b, _ := chunkBufs.Get().(*chunkBuffers)
+	if b == nil {
+		// Size the columns for a typical chunk up front (runs average
+		// several events; well under half of all events touch memory),
+		// so the first chunk does not grow them by repeated doubling.
+		b = &chunkBuffers{
+			ids:     make(map[uint64]int32),
+			tokens:  make([]runstream.Token, 0, chunkEvents/8+1),
+			brTaken: make([]byte, 0, chunkEvents/8+1),
+			addrs:   make([]uint64, 0, chunkEvents/2+1),
+		}
+	}
+	n := len(prog.Insts)
 	c := chunker{
-		kind:        make([]byte, len(prog.Insts)),
+		kind:        resize(b.kind, n),
 		chunkEvents: chunkEvents,
 		emit:        emit,
 		dict:        &runstream.Dict{},
-		ids:         make(map[uint64]int32),
-		hint:        make([]int32, len(prog.Insts)),
+		ids:         b.ids,
+		hint:        resize(b.hint, n),
 	}
-	// Size the columns for a typical chunk up front (runs average
-	// several events; well under half of all events touch memory), so
-	// the first chunk does not grow them by repeated doubling.
-	c.ch.Tokens = make([]runstream.Token, 0, chunkEvents/8+1)
-	c.ch.BrTaken = make([]byte, 0, chunkEvents/8+1)
-	c.ch.Addrs = make([]uint64, 0, chunkEvents/2+1)
+	clear(c.hint)
+	c.ch.Tokens = b.tokens[:0]
+	c.ch.BrTaken = b.brTaken[:0]
+	c.ch.Addrs = b.addrs[:0]
 	for pc := range prog.Insts {
+		k := byte(kindOther)
 		switch isa.ClassOf(prog.Insts[pc].Op) {
 		case isa.ClassCondBranch:
-			c.kind[pc] = kindCond
+			k = kindCond
 		case isa.ClassUncondBranch:
-			c.kind[pc] = kindUncond
+			k = kindUncond
 		case isa.ClassLoad, isa.ClassStore:
-			c.kind[pc] = kindMem
+			k = kindMem
 		}
+		c.kind[pc] = k
 	}
 	return c
+}
+
+// resize returns s with length n, reusing its storage when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// release returns the chunker's buffers to chunkBufs and leaves it
+// empty; it must not be used afterwards.
+func (c *chunker) release() {
+	clear(c.ids)
+	chunkBufs.Put(&chunkBuffers{
+		kind: c.kind, hint: c.hint, ids: c.ids,
+		tokens: c.ch.Tokens, brTaken: c.ch.BrTaken, addrs: c.ch.Addrs,
+	})
+	*c = chunker{}
 }
 
 // branch appends one conditional-branch outcome to the taken bitmap.

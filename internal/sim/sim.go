@@ -139,6 +139,19 @@ func (m *Machine) SetChunkSink(chunkEvents int, emit func(*runstream.Chunk)) {
 	m.sink = &chunkSink{chunker: newChunker(m.prog, chunkEvents, emit)}
 }
 
+// Release returns the machine's memory pages and its chunk sink's
+// buffers to package pools that later machines draw from. Call it once
+// the run's Result has been read; the machine must not be used
+// afterwards. Release is optional: the pools only recycle storage, so
+// a machine that is never released is collected as usual.
+func (m *Machine) Release() {
+	m.Mem.Release()
+	if m.sink != nil {
+		m.sink.release()
+		m.sink = nil
+	}
+}
+
 // WriteSymbol copies raw bytes into the named global. It is how Go
 // test harnesses inject input datasets (sequences, HMM parameters)
 // into the simulated address space before Run.

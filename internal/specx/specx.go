@@ -49,6 +49,7 @@ func (a *Analog) Run(small bool, opts compiler.Options) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Release()
 	res, err := m.Run()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
