@@ -74,7 +74,10 @@ smoke:
 # artifact bodies against arbitrary transfer checksum headers,
 # FuzzRequestBodies for arbitrary request JSON on bioperfd's three job
 # routes, FuzzCacheMatchesReference for arbitrary address and store
-# streams through the cache against its naive LRU reference, FuzzParse
+# streams through the cache against its naive LRU reference,
+# FuzzCollectorMatchesReference for arbitrary PC walks, run splits,
+# repeat counts and interval sizes through the phase-signature
+# collector against its per-event reference, FuzzParse
 # for arbitrary bytes through the MiniC parser's streamed token window
 # against LexAll. TestFuzzSmokeCoversEveryFuzzer (root package) fails
 # when a Fuzz function under internal/ is missing from this rule.
@@ -91,6 +94,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzVerifyBody$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/simpoint -run '^$$' -fuzz '^FuzzCollectorMatchesReference$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/minic -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 100x
 
 # validate-timing asserts the fast (1/32 sampled) tier reproduces the

@@ -503,12 +503,13 @@ func readDense(r *snapReader, nInsts int) []uint64 {
 	return t
 }
 
-// FromSnapshot rebuilds a report-only Analysis over prog from a copy
-// of s, whose per-load tables must have one entry per instruction of
-// prog. The report methods are byte-for-byte equivalent to the
-// analysis the snapshot was taken from; Observe/ObserveBatch panic,
-// because the transient engine state needed to continue is not part
-// of a snapshot.
+// FromSnapshot rebuilds a report-only Analysis over prog from s, whose
+// per-load tables must have one entry per instruction of prog. The
+// analysis adopts s rather than copying it: the caller hands s over
+// and must not touch it again. The report methods are byte-for-byte
+// equivalent to the analysis the snapshot was taken from;
+// Observe/ObserveBatch panic, because the transient engine state
+// needed to continue is not part of a snapshot.
 func FromSnapshot(prog *isa.Program, s *Snapshot) (*Analysis, error) {
 	n := len(prog.Insts)
 	for _, t := range s.perLoad() {
@@ -516,5 +517,5 @@ func FromSnapshot(prog *isa.Program, s *Snapshot) (*Analysis, error) {
 			return nil, fmt.Errorf("loadchar: snapshot per-load table of %d entries, program has %d instructions", len(t), n)
 		}
 	}
-	return &Analysis{prog: prog, rep: *s.clone()}, nil
+	return &Analysis{prog: prog, rep: *s}, nil
 }

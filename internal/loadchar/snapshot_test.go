@@ -108,9 +108,11 @@ func TestRestoredAnalysisCannotObserve(t *testing.T) {
 	restored.ObserveBatch(slabs[0])
 }
 
-// TestSnapshotsAreCopies: the snapshot Snapshot returns and the one
-// FromSnapshot is given share no storage with the analysis, so
-// wiping every table of either leaves the analysis's render as it was.
+// TestSnapshotsAreCopies: the snapshot Snapshot returns shares no
+// storage with the analysis, so wiping every table of it leaves the
+// analysis's render as it was. FromSnapshot adopts the snapshot it is
+// given instead of copying it: the restored analysis reports from
+// those very tables, so a count written into one shows in its report.
 func TestSnapshotsAreCopies(t *testing.T) {
 	prog, live, _ := captureSlabs(t, "hmmsearch")
 	want := RenderProfile("hmmsearch", "test", live, 10)
@@ -123,9 +125,21 @@ func TestSnapshotsAreCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wipe(given)
 	if got := RenderProfile("hmmsearch", "test", restored, 10); got != want {
-		t.Error("wiping the given snapshot changed the restored analysis")
+		t.Error("the restored analysis renders differently from the live one")
+	}
+	hot, cold := restored.HotLoads(1)[0].PC, int32(-1)
+	for pc, c := range given.LoadCounts {
+		if c > 0 && int32(pc) != hot {
+			cold = int32(pc)
+		}
+	}
+	if cold < 0 {
+		t.Fatal("hmmsearch executes a single static load")
+	}
+	given.LoadCounts[cold] = 1 << 40
+	if top := restored.HotLoads(1)[0].PC; top != cold {
+		t.Errorf("hottest load is pc %d after the given snapshot made pc %d hottest: FromSnapshot copied it", top, cold)
 	}
 }
 

@@ -401,11 +401,11 @@ func TestSampledAnalyzeClampsToGOMAXPROCS(t *testing.T) {
 var sampledTestRenderSHA = map[string]string{
 	"blast":        "bc6f354ceccda90a0f184233b2813d67c10e8c1b345063099327238357d75fb2",
 	"clustalw":     "b7b2b3e2d629dcf667804ce25b90a1f98b3c12292c1a11f71348c45543d22ceb",
-	"dnapenny":     "e3a6546e31fcf30a7f843dbb35c46b597976be5811d3d9eef1a6016606c91f46",
+	"dnapenny":     "ba7b485c17113741cbf05d420039d612d58eea214c7ecf2d334d5658c50968f0",
 	"fasta":        "7208d7314259e722b2a2ad247836c0b20c3699fdf4e708bf1e414ec540bde38a",
-	"hmmcalibrate": "838bcfb91a1cc64a0dc127c32ffeaf41139ac9d0c577c62c54f5eab828c7ba1b",
+	"hmmcalibrate": "6f4deebef02ed5010629a3b5824e74090993f0b768816e4a894ab381ba582ac6",
 	"hmmpfam":      "93703579cd783e39232bbe45fbed754d5bb01e12db30d9e3d8e2b0812be79f38",
-	"hmmsearch":    "1c30698e5d2778295348768154a01d280ee339adbb67df6cb3ddda1bc9ec25dc",
+	"hmmsearch":    "fabb1645673552733d96ab47e1bddbeedee2f181b1360492d9e0d5743f5b3c68",
 	"predator":     "2ac74e4fa902e830f7b5a972afd18cffa14e9544ea2250faf7c8190bd5471f24",
 	"promlk":       "e308188727f52d15e26a6281da8bb0d2d8175496467ff00bf3a818410c232409",
 }

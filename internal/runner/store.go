@@ -37,10 +37,14 @@ import (
 // change — re-derives under the new trace pipeline rather than mixing
 // tiers across the format boundary.
 //
+// v4: sampled phase signatures project per-instruction counts, not
+// basic-block counts, so sampling plans and the sampled snapshots
+// stored under them changed.
+//
 // A change of an artifact's byte layout needs no bump: its header's
 // magic and layout version reject the old bytes, which are deleted and
 // re-derived (a profile by trace replay) under the same key.
-const artifactSchema = 3
+const artifactSchema = 4
 
 // Fingerprint identifies a compiled artifact and everything replay
 // fidelity depends on: the artifact schema, the trace format version,

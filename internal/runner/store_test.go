@@ -365,7 +365,9 @@ func TestDecodeProfileArtifactBoundsMapCount(t *testing.T) {
 // TestProfileArtifactPinned pins the stored profile layout: two
 // snapshots of one analysis encode to equal bytes, and the test-size
 // hmmsearch artifact has a fixed SHA-256. A change to the layout must
-// bump profVersion and re-pin the hash here.
+// bump profVersion and re-pin the hash here. The header carries the
+// hash of the store key, which hashes artifactSchema, so a schema bump
+// re-pins it too.
 func TestProfileArtifactPinned(t *testing.T) {
 	p, err := bio.ByName("hmmsearch")
 	if err != nil {
@@ -380,7 +382,7 @@ func TestProfileArtifactPinned(t *testing.T) {
 	if again := encodeProfileArtifact(key, prof.Instructions, prof.Analysis.Snapshot()); !bytes.Equal(again, data) {
 		t.Fatal("two encodes of one snapshot differ")
 	}
-	const want = "0719fa6a0c0e45aa9f4e0a5b0d4f8598f88ca5617179ff46b77b893e9a037095"
+	const want = "e6eeeb27109c68a51208fabfbddeebc83ec87c7e1082b254f25276c8b5bdf5ed"
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
 		t.Errorf("hmmsearch test-size profile artifact (%d bytes): sha256 %s, want %s", len(data), got, want)
 	}

@@ -7,19 +7,19 @@ import (
 	"sort"
 	"sync"
 
-	"bioperfload/internal/basicblock"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/trace"
 )
 
-// CollectTrace scans a recorded trace and returns its interval BBVs.
-// Unlike exact replay — whose cache, predictor, and dependence state
-// chain every event to the previous one — BBV collection only counts
-// block executions, so the scan parallelizes perfectly: each worker
-// decodes an interval-aligned run of chunks with a private collector
-// and the per-worker interval slices concatenate in order. This is
-// where the bulk of the sampled path's speedup comes from. jobs is a
-// request: the scan runs min(jobs, GOMAXPROCS, intervals) workers.
+// CollectTrace scans a recorded trace and returns its interval phase
+// signatures. Unlike exact replay — whose cache, predictor, and
+// dependence state chain every event to the previous one — signature
+// collection only counts PC runs, so the scan parallelizes perfectly:
+// each worker decodes an interval-aligned run of chunks with a private
+// collector and the per-worker interval slices concatenate in order.
+// Workers share one sign table, built per call. This is where the
+// bulk of the sampled path's speedup comes from. jobs is a request:
+// the scan runs min(jobs, GOMAXPROCS, intervals) workers.
 func CollectTrace(ctx context.Context, prog *isa.Program, ir *trace.IndexedReader, cfg Config, jobs int) ([]Interval, error) {
 	cfg = cfg.WithDefaults()
 	total := ir.TotalEvents()
@@ -30,7 +30,7 @@ func CollectTrace(ctx context.Context, prog *isa.Program, ir *trace.IndexedReade
 	m := int((total + iv - 1) / iv)
 	jobs = collectWorkers(jobs, m)
 
-	blocks := basicblock.Map(prog)
+	signs := newSignTable(len(prog.Insts))
 	type result struct {
 		ivs []Interval
 		err error
@@ -50,7 +50,7 @@ func CollectTrace(ctx context.Context, prog *isa.Program, ir *trace.IndexedReade
 		wg.Add(1)
 		go func(w int, start, end uint64) {
 			defer wg.Done()
-			results[w].ivs, results[w].err = scanRange(ctx, prog, blocks, ir, cfg, start, end)
+			results[w].ivs, results[w].err = scanRange(ctx, prog, signs, ir, cfg, start, end)
 		}(w, start, end)
 	}
 	wg.Wait()
@@ -78,10 +78,10 @@ func collectWorkers(jobs, m int) int {
 // collects its intervals. start must lie on an interval edge; end is
 // either an edge or the stream end. The PC-run scan decodes only the
 // program-counter column — no event slabs, no target or address
-// varints — and the collector attributes whole runs to blocks, so the
-// per-event cost of BBV collection drops to a few block lookups per
-// thousand instructions.
-func scanRange(ctx context.Context, prog *isa.Program, blocks *basicblock.Blocks, ir *trace.IndexedReader, cfg Config, start, end uint64) ([]Interval, error) {
+// varints — and the collector projects each run token in one
+// DefaultDims-wide subtraction, however long the run and however many
+// times it repeats.
+func scanRange(ctx context.Context, prog *isa.Program, signs signTable, ir *trace.IndexedReader, cfg Config, start, end uint64) ([]Interval, error) {
 	n := ir.Chunks()
 	// Greatest chunk starting at or before start, then the first chunk
 	// starting at or past end; together they cover [start, end).
@@ -91,7 +91,7 @@ func scanRange(ctx context.Context, prog *isa.Program, blocks *basicblock.Blocks
 	}
 	hi := sort.Search(n, func(i int) bool { return ir.Base(i) >= end })
 
-	col := NewCollectorAt(blocks, cfg, start)
+	col := newCollectorAt(signs, cfg, start)
 	// Chunk lo may begin before start and chunk hi-1 may extend past
 	// end (interval edges need not align with chunk edges), so clip the
 	// token stream: skip events before start, stop counting at end.
@@ -120,7 +120,7 @@ func scanRange(ctx context.Context, prog *isa.Program, blocks *basicblock.Blocks
 					take = limit
 				}
 				if take > 0 {
-					col.ObserveRun(head, int32(take))
+					col.observe(head, int32(take), 1)
 					limit -= take
 				}
 			}
@@ -130,17 +130,17 @@ func scanRange(ctx context.Context, prog *isa.Program, blocks *basicblock.Blocks
 		}
 		if whole := int64(limit / span); whole < rep {
 			if whole > 0 {
-				col.ObserveRunRepeat(pc, n, whole)
+				col.observe(pc, n, whole)
 				limit -= uint64(whole) * span
 			}
 			if limit > 0 {
 				// Trailing repetition split by the range end.
-				col.ObserveRun(pc, int32(limit))
+				col.observe(pc, int32(limit), 1)
 				limit = 0
 			}
 			return
 		}
-		col.ObserveRunRepeat(pc, n, rep)
+		col.observe(pc, n, rep)
 		limit -= uint64(rep) * span
 	})
 	if err != nil {
@@ -149,5 +149,5 @@ func scanRange(ctx context.Context, prog *isa.Program, blocks *basicblock.Blocks
 	if limit != 0 {
 		return nil, fmt.Errorf("simpoint: scan [%d,%d) ended %d events short", start, end, limit)
 	}
-	return col.Finish(), nil
+	return col.finish(), nil
 }

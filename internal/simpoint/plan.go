@@ -2,9 +2,9 @@ package simpoint
 
 import "fmt"
 
-// Cluster is one phase: a group of intervals with similar BBVs, plus
-// the single representative interval that is characterized exactly on
-// the whole group's behalf.
+// Cluster is one phase: a group of intervals with similar signatures,
+// plus the single representative interval that is characterized
+// exactly on the whole group's behalf.
 type Cluster struct {
 	// Rep is the representative's interval index.
 	Rep int

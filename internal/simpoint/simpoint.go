@@ -1,11 +1,11 @@
 // Package simpoint is the sampled-characterization subsystem: a
 // SimPoint-style phase analysis that makes 100x-scale inputs
 // affordable to characterize. The committed instruction stream is cut
-// into fixed-size intervals; each interval is summarized by a
-// basic-block vector (how many instructions executed in each static
-// basic block, the classic phase signature); the vectors are
-// random-projected to a few dimensions and clustered with k-means
-// (deterministic seeding, BIC-style selection of k); and one
+// into fixed-size intervals; each interval is summarized by a random
+// projection of its per-instruction execution counts to a few
+// dimensions (the information of SimPoint's basic-block vector,
+// gathered with no block map); the signatures are clustered with
+// k-means (deterministic seeding, BIC-style selection of k); and one
 // representative interval per cluster is characterized exactly, its
 // counts scaled by the cluster population and merged into a full-run
 // profile (loadchar.Snapshot arithmetic). The result is a profile

@@ -3,13 +3,15 @@ package simpoint
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"bioperfload/internal/basicblock"
+	"bioperfload/internal/bio"
+	"bioperfload/internal/compiler"
 	"bioperfload/internal/isa"
 	"bioperfload/internal/sim"
 	"bioperfload/internal/trace"
@@ -28,30 +30,6 @@ func branchyProgram(n int) *isa.Program {
 	insts[3*n/4+2] = isa.Inst{Op: isa.OpRet}
 	insts[n-1] = isa.Inst{Op: isa.OpBr, Target: 0}
 	return &isa.Program{Name: "branchy", Insts: insts}
-}
-
-func TestBlockMap(t *testing.T) {
-	prog := branchyProgram(64)
-	b := basicblock.Map(prog)
-	if b.NumBlocks() < 5 {
-		t.Fatalf("expected >= 5 blocks, got %d", b.NumBlocks())
-	}
-	// Same-block PCs share an ID; a branch target starts a new block.
-	if b.Of(0) != b.Of(1) {
-		t.Error("pc 0 and 1 should share the entry block")
-	}
-	if b.Of(31) == b.Of(32) {
-		t.Error("branch target (pc 32) should start a new block")
-	}
-	if b.Of(16) == b.Of(17) {
-		t.Error("branch fall-through (pc 17) should start a new block")
-	}
-	// Every PC resolves to a valid ID.
-	for pc := 0; pc < 64; pc++ {
-		if id := b.Of(int32(pc)); id < 0 || int(id) >= b.NumBlocks() {
-			t.Fatalf("pc %d maps to out-of-range block %d", pc, id)
-		}
-	}
 }
 
 // walkEvents produces a deterministic synthetic commit stream over
@@ -74,38 +52,24 @@ func walkEvents(prog *isa.Program, n int, seed int64) []sim.Event {
 }
 
 // referenceIntervals is the per-event reference every collection path
-// must reproduce: each interval's block counts taken one PC at a time,
-// L1-normalized and projected with the collector's sign hash. Blocks
-// are summed in first-touch order, as the collector sums them, so the
-// vectors match bit for bit.
-func referenceIntervals(prog *isa.Program, cfg Config, pcs []int32) []Interval {
+// must reproduce: each interval's projection summed one PC at a time
+// from the collector's signs, then L1-normalized. The sums are exact
+// integers, so the vectors match the collector's bit for bit.
+func referenceIntervals(cfg Config, pcs []int32) []Interval {
 	cfg = cfg.WithDefaults()
-	blocks := basicblock.Map(prog)
 	size := int(cfg.IntervalSize)
 	var out []Interval
 	for start := 0; start < len(pcs); start += size {
 		end := min(start+size, len(pcs))
-		counts := make(map[int32]uint64)
-		var order []int32
+		var sum [DefaultDims]int64
 		for _, pc := range pcs[start:end] {
-			b := blocks.Of(pc)
-			if counts[b] == 0 {
-				order = append(order, b)
+			for d := range sum {
+				sum[d] += int64(sign(int(pc), d))
 			}
-			counts[b]++
 		}
 		vec := make([]float64, DefaultDims)
-		inv := 1 / float64(end-start)
-		for _, b := range order {
-			f := float64(counts[b]) * inv
-			h := mix64(DefaultSeed ^ (uint64(b)+1)*0x9E3779B97F4A7C15)
-			for d := range vec {
-				if mix64(h^uint64(d)*0xC2B2AE3D27D4EB4F)&1 == 1 {
-					vec[d] += f
-				} else {
-					vec[d] -= f
-				}
-			}
+		for d := range vec {
+			vec[d] = float64(sum[d]) / float64(end-start)
 		}
 		out = append(out, Interval{Index: len(out), Start: uint64(start), End: uint64(end), Vec: vec})
 	}
@@ -135,11 +99,11 @@ func TestCollectorMatchesReference(t *testing.T) {
 		pcs = append(pcs, ev.PC)
 	}
 
-	c := NewCollectorAt(basicblock.Map(prog), cfg, 0)
+	c := newCollectorAt(newSignTable(len(prog.Insts)), cfg, 0)
 	straddled := false
 	for seq := 0; seq < n; {
 		if seq == loopAt {
-			c.ObserveRunRepeat(loopPC, loopN, loopRep)
+			c.observe(loopPC, loopN, loopRep)
 			seq += loopN * loopRep
 			continue
 		}
@@ -152,18 +116,18 @@ func TestCollectorMatchesReference(t *testing.T) {
 			if seq/128 != (seq+take-1)/128 {
 				straddled = true
 			}
-			c.ObserveRun(pcs[seq], int32(take))
+			c.observe(pcs[seq], int32(take), 1)
 			seq += take
 		}
 	}
 	if !straddled {
 		t.Fatal("no run piece straddled an interval edge")
 	}
-	got := c.Finish()
+	got := c.finish()
 	if len(got) != 9 || got[8].End != n {
 		t.Fatalf("got %d intervals, want 9 ending at %d", len(got), n)
 	}
-	if want := referenceIntervals(prog, cfg, pcs); !reflect.DeepEqual(got, want) {
+	if want := referenceIntervals(cfg, pcs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("collector intervals differ from the per-event reference:\ngot  %v\nwant %v", got, want)
 	}
 }
@@ -325,7 +289,7 @@ func TestCollectTraceMatchesLive(t *testing.T) {
 	for i := range evs {
 		pcs[i] = evs[i].PC
 	}
-	want := referenceIntervals(prog, cfg, pcs)
+	want := referenceIntervals(cfg, pcs)
 
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf, trace.Meta{Program: prog.Name, Size: "test", ChunkEvents: 4096}, prog)
@@ -347,6 +311,112 @@ func TestCollectTraceMatchesLive(t *testing.T) {
 			t.Fatalf("jobs=%d: trace scan differs from the per-event reference", jobs)
 		}
 	}
+}
+
+// pcStream records the PC of every event an interpreter commits.
+type pcStream []int32
+
+func (s *pcStream) ObserveBatch(evs []sim.Event) {
+	for i := range evs {
+		*s = append(*s, evs[i].PC)
+	}
+}
+
+// TestCollectTraceMatchesInterpreter records dnapenny's test-size
+// trace, compiled code with calls, returns and nested loops, and
+// checks the trace scan against the per-event reference over the
+// interpreter's own PC stream. The interval size does not divide the
+// chunk size, so worker ranges start and end inside chunks.
+func TestCollectTraceMatchesInterpreter(t *testing.T) {
+	p, err := bio.ByName("dnapenny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := p.Compile(false, compiler.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pcs pcStream
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf, trace.Meta{Program: p.Name, Size: "test"}, prog)
+	_, err = p.Run(context.Background(), prog, bio.SizeTest, func(m *sim.Machine) {
+		m.AddBatchObserver(&pcs)
+		m.SetChunkSink(trace.ChunkEvents, tw.WriteChunk)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ir, err := trace.NewIndexedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{IntervalSize: 10000}
+	want := referenceIntervals(cfg, pcs)
+	if len(want) < 8 {
+		t.Fatalf("%d events make %d intervals, want at least 8", len(pcs), len(want))
+	}
+	for _, jobs := range []int{1, 2, 7} {
+		got, err := CollectTrace(context.Background(), prog, ir, cfg, jobs)
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("jobs=%d: trace scan differs from the per-event reference", jobs)
+		}
+	}
+}
+
+// FuzzCollectorMatchesReference feeds the collector a random PC walk
+// over a 64-instruction program and checks it against the per-event
+// reference. The first two bytes pick the interval size (1 to 512).
+// Each token then takes four bytes: the run's first PC, its length, a
+// repeat count (bit 7 multiplies it by 97, so a run can repeat across
+// several edges) and a split width; width 0 feeds the token whole,
+// otherwise each repetition arrives in pieces of that many events.
+func FuzzCollectorMatchesReference(f *testing.F) {
+	f.Add([]byte{128, 0, 0, 63, 0, 0})
+	f.Add([]byte{7, 0, 3, 10, 2, 0, 40, 20, 1, 3, 0, 63, 0x85, 0})
+	f.Add([]byte{0, 1, 10, 5, 0xff, 0, 10, 5, 0xff, 2, 60, 3, 1, 1})
+	const progLen = 64
+	signs := newSignTable(progLen)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		cfg := Config{IntervalSize: 1 + uint64(binary.LittleEndian.Uint16(data)%512)}
+		c := newCollectorAt(signs, cfg, 0)
+		var pcs []int32
+		for rest := data[2:]; len(rest) >= 4 && len(pcs) < 1<<16; rest = rest[4:] {
+			pc := int32(rest[0] % progLen)
+			n := 1 + int32(rest[1])%(progLen-pc)
+			rep := 1 + int64(rest[2]&0x7f)
+			if rest[2]&0x80 != 0 {
+				rep *= 97
+			}
+			for range rep {
+				for p := pc; p < pc+n; p++ {
+					pcs = append(pcs, p)
+				}
+			}
+			width := int32(rest[3])
+			if width == 0 {
+				c.observe(pc, n, rep)
+				continue
+			}
+			for range rep {
+				for p := pc; p < pc+n; p += width {
+					c.observe(p, min(width, pc+n-p), 1)
+				}
+			}
+		}
+		if got, want := c.finish(), referenceIntervals(cfg, pcs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("interval size %d, %d events: collector differs from the per-event reference:\ngot  %v\nwant %v",
+				cfg.IntervalSize, len(pcs), got, want)
+		}
+	})
 }
 
 // TestCollectWorkersClamp: the scan width is the request bounded by
